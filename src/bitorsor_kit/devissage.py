@@ -221,10 +221,6 @@ class VerificationResult:
         return self.ok
 
 
-def _theta_structure(t: ThetaBitorsor) -> PiBitorsor:
-    return eq.from_theta(t)
-
-
 def _decompose_connected(
     t: ThetaBitorsor,
     e: SplitExtension,
@@ -258,8 +254,8 @@ def _decompose_connected(
         if theta_tilde.map[c] != b.left_group.identity:
             raise DevissageError("gamma escaped the kernel of theta tilde")
     z_theta = ThetaBitorsor(b, theta_tilde)
-    z = _theta_structure(z_theta)
-    x = _theta_structure(t)
+    z = eq.from_theta(z_theta)
+    x = eq.from_theta(t)
     y = eq.compose_pi(x, eq.inverse_pi(z))
     wedge_back, _ = eq.contracted_product_pi(y, z)
     witness_iso = eq.pi_isomorphism(wedge_back, x, fix_right=True)
@@ -295,9 +291,9 @@ def _transport_disconnected(
     t: ThetaBitorsor, e: SplitExtension, inner: Decomposition, incl: BitorsorMorphism
 ) -> Decomposition:
     """Push a component's decomposition forward along its inclusion."""
-    x = _theta_structure(t)
+    x = eq.from_theta(t)
     comp_theta = ThetaBitorsor(incl.src, _component_theta(t, incl))
-    incl_pi = PiMorphism(_theta_structure(comp_theta), x, incl)
+    incl_pi = PiMorphism(eq.from_theta(comp_theta), x, incl)
     full = eq.compose_pi_morphisms(incl_pi, inner.witness_iso)
     fac = eq.pi_factor_through_pushforwards(full, inner.y, inner.z)
     y = fac.left_canonical.dst
@@ -355,7 +351,7 @@ def verify_decomposition(
 ) -> VerificationResult:
     """Re-validate every decomposition invariant from the stored pieces."""
     try:
-        x = _theta_structure(t)
+        x = eq.from_theta(t)
     except DomainError as exc:
         return VerificationResult(False, f"input does not expand: {exc}")
     try:
@@ -418,5 +414,5 @@ def th_ppal_membership(
         raise OracleRefused("y", "the type-gamma oracle rejected the y factor")
     if not pi_oracle(d.z):
         raise OracleRefused("z", "the type-pi oracle rejected the z factor")
-    fac = Factorization((d.y, d.z), _theta_structure(t), d.witness_iso)
+    fac = Factorization((d.y, d.z), eq.from_theta(t), d.witness_iso)
     return MembershipCertificate(d, fac)

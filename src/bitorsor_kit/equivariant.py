@@ -7,7 +7,10 @@ on it) the whole structure is equivalent to a plain carrier plus a single
 homomorphism theta from Pi into the left group; ThetaBitorsor holds that
 presentation, and from_theta/to_theta realize the equivalence in both
 directions.  The first cohomology set h1 and its classification live here
-too, as do the Pi-aware versions of the product calculus.
+too, as do the Pi-aware versions of the product calculus.  Constructors
+check every compatibility law in full, on the generators of pi and of the
+structure groups (the closure argument of Light's associativity test,
+Clifford & Preston I, section 1.2).
 """
 
 from __future__ import annotations
@@ -67,6 +70,9 @@ class PiGroup:
     action: tuple[GroupHom, ...]
 
     def __post_init__(self) -> None:
+        """Complete on generators: with the identity acting trivially, the
+        c2 with action[c1.c2] = action[c1] o action[c2] for every c1 are
+        closed under products."""
         if len(self.action) != self.pi.order:
             raise NotAnAction("need one automorphism per symmetry element")
         for f in self.action:
@@ -78,7 +84,7 @@ class PiGroup:
         if self.action[self.pi.identity].map != ident:
             raise NotAnAction("identity symmetry must act trivially")
         for c1 in self.pi.elements:
-            for c2 in self.pi.elements:
+            for c2 in self.pi.generators:
                 composed = tuple(
                     self.action[c1].map[self.action[c2].map[g]]
                     for g in self.group.elements
@@ -111,12 +117,14 @@ def conjugation_pi_group(theta: GroupHom) -> PiGroup:
 
 
 def is_pi_equivariant_hom(f: GroupHom, src: PiGroup, dst: PiGroup) -> bool:
+    """Decided on generators of pi and of the group: for each c both sides
+    are homs, and the c where they agree are closed under products."""
     if f.src != src.group or f.dst != dst.group or src.pi != dst.pi:
         raise SignatureMismatch("hom does not connect the two structures")
     return all(
         f.map[src.action[c].map[g]] == dst.action[c].map[f.map[g]]
-        for c in src.pi.elements
-        for g in src.group.elements
+        for c in src.pi.generators
+        for g in src.group.generators
     )
 
 
@@ -174,6 +182,9 @@ class PiBitorsor:
     pi_action_on_points: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        """Complete on generators: with the groups, their pi-actions and the
+        carrier already validated, the symmetries and group elements along
+        which each law holds are closed under products."""
         if self.left.pi != self.right.pi:
             raise SignatureMismatch("left and right structures disagree on pi")
         if self.left.group != self.bitorsor.left_group:
@@ -191,23 +202,23 @@ class PiBitorsor:
         if pa[pi.identity] != tuple(range(k)):
             raise NotAnAction("identity symmetry moves points")
         for c1 in pi.elements:
-            for c2 in pi.elements:
+            for c2 in pi.generators:
                 row = pa[pi.mul[c1][c2]]
                 for x in range(k):
                     if row[x] != pa[c1][pa[c2][x]]:
                         raise NotAnAction(f"point action breaks at ({c1},{c2},{x})")
         la, ra = self.bitorsor.left_act, self.bitorsor.right_act
-        for c in pi.elements:
+        for c in pi.generators:
             al = self.left.action[c].map
             ar = self.right.action[c].map
-            for gp in self.left.group.elements:
+            for gp in self.left.group.generators:
                 for x in range(k):
                     if pa[c][la[gp][x]] != la[al[gp]][pa[c][x]]:
                         raise EquivariantError(
                             f"left compatibility fails at ({c},{gp},{x})"
                         )
             for x in range(k):
-                for g in self.right.group.elements:
+                for g in self.right.group.generators:
                     if pa[c][ra[x][g]] != ra[pa[c][x]][ar[g]]:
                         raise EquivariantError(
                             f"right compatibility fails at ({c},{x},{g})"
@@ -283,13 +294,15 @@ class PiMorphism:
     inner: BitorsorMorphism
 
     def __post_init__(self) -> None:
+        """Complete on generators: the symmetries c that the point map
+        intertwines are closed under products."""
         if self.src.pi != self.dst.pi:
             raise SignatureMismatch("sides disagree on pi")
         if self.inner.src != self.src.bitorsor or self.inner.dst != self.dst.bitorsor:
             raise SignatureMismatch("inner morphism does not connect the carriers")
         pi = self.src.pi
         u = self.inner.point_map
-        for c in pi.elements:
+        for c in pi.generators:
             sa = self.src.pi_action_on_points[c]
             da = self.dst.pi_action_on_points[c]
             for x in self.src.bitorsor.points:

@@ -19,6 +19,7 @@ from . import equivariant as eq
 from .bitorsors import Bitorsor, BitorsorMorphism
 from .errors import DomainError
 from .groups import (
+    SYMMETRIC_MAX_DEGREE,
     FiniteGroup,
     GroupHom,
     Subgroup,
@@ -155,8 +156,8 @@ def resolve_group_spec(spec: str, base_dir: Path | None = None) -> FiniteGroup:
         return dihedral(n)
     if head == "symmetric":
         (n,) = _constructor_ints(spec, parts, 1)
-        if not (1 <= n <= 5):
-            raise ParseError(f"symmetric degree {n} must lie in 1..5")
+        if not (1 <= n <= SYMMETRIC_MAX_DEGREE):
+            raise ParseError(f"symmetric degree {n} must lie in 1..{SYMMETRIC_MAX_DEGREE}")
         return symmetric(n)
     if head == "semidirect":
         big_n, q, k = _constructor_ints(spec, parts, 3)

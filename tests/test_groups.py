@@ -77,6 +77,11 @@ class TestConstructors:
         assert s4.order == 24
         assert not s4.is_abelian()
 
+    def test_symmetric_size_limit(self):
+        assert G.symmetric(G.SYMMETRIC_MAX_DEGREE).order == 120
+        with pytest.raises(G.MalformedTable, match="1 <= n <= 5"):
+            G.symmetric(6)
+
     def test_dihedral_4(self, d4):
         assert d4.order == 8
         assert not d4.is_abelian()
