@@ -23,7 +23,7 @@ from .groups import (
     generating_set,
     identity_hom,
     invert_hom,
-    isomorphisms_between,
+    iter_isomorphisms,
     make_group,
     quotient,
     subgroup,
@@ -766,7 +766,7 @@ def are_isomorphic(
             return None
         right_isos = [identity_hom(b1.right_group)]
     else:
-        right_isos = isomorphisms_between(b1.right_group, b2.right_group)
+        right_isos = iter_isomorphisms(b1.right_group, b2.right_group)
     for rho in right_isos:
         for y0 in b2.points:
             v = [0] * b1.size
@@ -844,7 +844,7 @@ def factor_through_pushforwards(
     into_dst_left = {}
     for hp in m.dst.left_group.elements:
         into_dst_left[m.dst.left_act[hp][c0]] = hp
-    for rho in isomorphisms_between(r_grp, h_grp):
+    for rho in iter_isomorphisms(r_grp, h_grp):
         v = [0] * dst_wedge.size
         for r in r_grp.elements:
             v[dst_wedge.right_act[w0][r]] = m.dst.right_act[c0][rho.map[r]]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from . import bitorsors as bt
 from .bitorsors import (
@@ -34,7 +35,8 @@ from .groups import (
     conjugacy_classes_of_homs,
     enumerate_homs,
     identity_hom,
-    isomorphisms_between,
+    isomorphisms_between,  # noqa: F401  (perfbench/test_perfbench.py reads it here)
+    iter_isomorphisms,
     quotient,
     subgroup_as_group,
 )
@@ -128,11 +130,12 @@ def is_pi_equivariant_hom(f: GroupHom, src: PiGroup, dst: PiGroup) -> bool:
     )
 
 
-def pi_equivariant_isos(a: PiGroup, b: PiGroup) -> list[GroupHom]:
-    return [
-        f for f in isomorphisms_between(a.group, b.group)
-        if is_pi_equivariant_hom(f, a, b)
-    ]
+def pi_equivariant_isos(a: PiGroup, b: PiGroup) -> Iterator[GroupHom]:
+    """Yield the Pi-equivariant isomorphisms lazily, in lexicographic order
+    of generator images."""
+    for f in iter_isomorphisms(a.group, b.group):
+        if is_pi_equivariant_hom(f, a, b):
+            yield f
 
 
 def restrict_pi_group(pg: PiGroup, members) -> tuple[PiGroup, GroupHom]:

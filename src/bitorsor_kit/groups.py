@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError
 
@@ -439,6 +439,34 @@ def _extend_by_generators(
     return tuple(mapping)  # complete: generators generate src
 
 
+def _iter_homs(
+    src: FiniteGroup,
+    dst: FiniteGroup,
+    candidates: Sequence[Sequence[int]] | None,
+    same_order: bool,
+) -> Iterator[GroupHom]:
+    """Homomorphisms in lexicographic order of generator images, each image
+    pool cut to elements whose order divides (or, with `same_order`, equals)
+    the generator's order."""
+    gens = src.generators
+    if candidates is None:
+        candidates = [range(dst.order)] * len(gens)
+    elif len(candidates) != len(gens):
+        raise MixedSignatures("candidate pools must align with source generators")
+    dst_orders = [dst.element_order(x) for x in dst.elements]
+    pools = []
+    for g, pool in zip(gens, candidates):
+        k = src.element_order(g)
+        if same_order:
+            pools.append([x for x in pool if dst_orders[x] == k])
+        else:
+            pools.append([x for x in pool if k % dst_orders[x] == 0])
+    for images in itertools.product(*pools):
+        m = _extend_by_generators(src, dst, gens, images)
+        if m is not None:
+            yield GroupHom(src, dst, m)
+
+
 def enumerate_homs(
     src: FiniteGroup,
     dst: FiniteGroup,
@@ -447,27 +475,28 @@ def enumerate_homs(
     """All homomorphisms, ordered lexicographically by generator images.
 
     `candidates` optionally restricts the image pool per source generator.
+    A hom sends an element of order k to one whose order divides k, so each
+    pool is first cut to such images.  The cut keeps the survivors in pool
+    order and drops only image tuples that cannot extend to a hom, so the
+    list is exactly what the full product over the pools would give.
     """
-    gens = src.generators
-    pools: list[Sequence[int]]
-    if candidates is None:
-        pools = [range(dst.order) for _ in gens]
-    else:
-        if len(candidates) != len(gens):
-            raise MixedSignatures("candidate pools must align with source generators")
-        pools = [tuple(c) for c in candidates]
-    out: list[GroupHom] = []
-    for images in itertools.product(*pools):
-        m = _extend_by_generators(src, dst, gens, images)
-        if m is not None:
-            out.append(GroupHom(src, dst, m))
-    return out
+    return list(_iter_homs(src, dst, candidates, same_order=False))
+
+
+def iter_isomorphisms(a: FiniteGroup, b: FiniteGroup) -> Iterator[GroupHom]:
+    """Yield the isomorphisms a -> b lazily, in lexicographic order of
+    generator images.  An isomorphism preserves element orders, so each
+    generator's image pool is cut to elements of the same order."""
+    if a.order != b.order:
+        return
+    for h in _iter_homs(a, b, None, same_order=True):
+        if h.is_bijective():
+            yield h
 
 
 def isomorphisms_between(a: FiniteGroup, b: FiniteGroup) -> list[GroupHom]:
-    if a.order != b.order:
-        return []
-    return [h for h in enumerate_homs(a, b) if h.is_bijective()]
+    """Every isomorphism a -> b, in lexicographic order of generator images."""
+    return list(iter_isomorphisms(a, b))
 
 
 def sections_of(q: GroupHom) -> list[GroupHom]:

@@ -1,19 +1,31 @@
-"""Test-only reference validators: the exhaustive whole-table loops that the
-library constructors ran before each law was checked on generators.
+"""Test-only references, kept verbatim as an independent oracle.
 
-They are kept verbatim as an independent oracle.  Each function takes the
+Validators: the exhaustive whole-table loops that the library constructors
+ran before each law was checked on generators.  Each function takes the
 fields a constructor would take, raises the exception type the constructor
 raises for the same defect, and returns None when it accepts.  They assume
 what the constructor may assume: group arguments are validated FiniteGroups,
 hom arguments validated GroupHoms, and so on.
+
+Searches: hom enumeration over the full product of generator images with
+no pruning, eager isomorphism lists, and the isomorphism searches and wedge
+factorizations that build every isomorphism before filtering for the first
+that passes.
 """
 
 from __future__ import annotations
 
+import itertools
+
+from bitorsor_kit import bitorsors as B
+from bitorsor_kit import equivariant as E
 from bitorsor_kit.bitorsors import InvalidBitorsor, InvalidMorphism, NotFree, NotTransitive
 from bitorsor_kit.equivariant import EquivariantError, NotPiEquivariant
+from bitorsor_kit.errors import DomainError
 from bitorsor_kit.groups import (
     GeneratorsDoNotGenerate,
+    GroupHom,
+    MixedSignatures,
     MalformedTable,
     NoIdentity,
     NoInverse,
@@ -21,7 +33,9 @@ from bitorsor_kit.groups import (
     NotAnAction,
     NotAssociative,
     NotASubgroup,
+    NotSurjective,
     closure,
+    identity_hom,
 )
 
 
@@ -343,3 +357,229 @@ def pi_morphism(src, dst, inner) -> None:
         raise NotPiEquivariant("left hom breaks the symmetry")
     if not is_pi_equivariant_hom(inner.phi_right, src.right, dst.right):
         raise NotPiEquivariant("right hom breaks the symmetry")
+
+
+# ------------------------------------------------------------------ searches
+
+
+def _extend_by_generators(src, dst, gens, images):
+    """Extend generator images along the Cayley graph; None if inconsistent."""
+    n = src.order
+    mapping = [None] * n
+    mapping[src.identity] = dst.identity
+    frontier = [src.identity]
+    smul, dmul = src.mul, dst.mul
+    while frontier:
+        a = frontier.pop()
+        fa = mapping[a]
+        for g, img in zip(gens, images):
+            b = smul[a][g]
+            v = dmul[fa][img]
+            if mapping[b] is None:
+                mapping[b] = v
+                frontier.append(b)
+            elif mapping[b] != v:
+                return None
+    return tuple(mapping)  # complete: generators generate src
+
+
+def enumerate_homs(src, dst, candidates=None):
+    """All homomorphisms, ordered lexicographically by generator images."""
+    gens = src.generators
+    if candidates is None:
+        pools = [range(dst.order) for _ in gens]
+    else:
+        if len(candidates) != len(gens):
+            raise MixedSignatures("candidate pools must align with source generators")
+        pools = [tuple(c) for c in candidates]
+    out = []
+    for images in itertools.product(*pools):
+        m = _extend_by_generators(src, dst, gens, images)
+        if m is not None:
+            out.append(GroupHom(src, dst, m))
+    return out
+
+
+def isomorphisms_between(a, b):
+    if a.order != b.order:
+        return []
+    return [h for h in enumerate_homs(a, b) if h.is_bijective()]
+
+
+def sections_of(q):
+    if not q.is_surjective():
+        raise NotSurjective(f"{q.src.label} -> {q.dst.label} is not onto")
+    fibers = [
+        tuple(x for x in q.src.elements if q.map[x] == g) for g in q.dst.generators
+    ]
+    homs = enumerate_homs(q.dst, q.src, candidates=fibers)
+    return [s for s in homs if all(q.map[s.map[a]] == a for a in q.dst.elements)]
+
+
+def factor_through_pushforwards(m, b1, b2):
+    src_wedge, src_index = B.contracted_product(b1, b2)
+    if m.src != src_wedge:
+        raise B.SignatureMismatch("morphism does not start at the glued carrier")
+    pushed2, can2r = B.pushforward(b2, m.phi_right)
+    phi2 = can2r.phi_left
+    pushed1, can1 = B.pushforward(b1, phi2)
+    pushed2l, can2 = B.pushforward_left(b2, phi2)
+    dst_wedge, dst_index = B.contracted_product(pushed1, pushed2l)
+    glued = B.wedge_of_morphisms(can1, can2, src_index, dst_index, src_wedge, dst_wedge)
+    w0 = glued.point_map[0]
+    c0 = m.point_map[0]
+    r_grp = dst_wedge.right_group
+    h_grp = m.dst.right_group
+    into_dst_left = {}
+    for hp in m.dst.left_group.elements:
+        into_dst_left[m.dst.left_act[hp][c0]] = hp
+    for rho in isomorphisms_between(r_grp, h_grp):
+        v = [0] * dst_wedge.size
+        for r in r_grp.elements:
+            v[dst_wedge.right_act[w0][r]] = m.dst.right_act[c0][rho.map[r]]
+        try:
+            lam = GroupHom(
+                dst_wedge.left_group,
+                m.dst.left_group,
+                tuple(
+                    into_dst_left[v[dst_wedge.left_act[lp][w0]]]
+                    for lp in dst_wedge.left_group.elements
+                ),
+            )
+            psi = B.BitorsorMorphism(dst_wedge, m.dst, lam, tuple(v), rho)
+        except DomainError:
+            continue
+        if not psi.is_isomorphism():
+            continue
+        composite = B.compose_bimorphisms(psi, glued)
+        if (
+            composite.point_map == m.point_map
+            and composite.phi_left == m.phi_left
+            and composite.phi_right == m.phi_right
+        ):
+            return B.WedgeFactorization(phi2, can1, can2, dst_wedge, psi)
+    raise InvalidMorphism("no isomorphism completes the extension rewrite")
+
+
+def pi_equivariant_isos(a, b):
+    return [
+        f for f in isomorphisms_between(a.group, b.group)
+        if E.is_pi_equivariant_hom(f, a, b)
+    ]
+
+
+def pi_factor_through_pushforwards(m, p1, p2):
+    src_wedge, src_idx = E.contracted_product_pi(p1, p2)
+    if m.src != src_wedge:
+        raise B.SignatureMismatch("morphism does not start at the glued carrier")
+    pushed2, can2r = E.pushforward_pi(p2, m.inner.phi_right, m.dst.right)
+    phi2 = can2r.inner.phi_left
+    middle = pushed2.left
+    pushed1, can1 = E.pushforward_pi(p1, phi2, middle)
+    pushed2l, can2 = E.pushforward_left_pi(p2, phi2, middle)
+    dst_wedge, dst_idx = E.contracted_product_pi(pushed1, pushed2l)
+    glued_inner = B.wedge_of_morphisms(
+        can1.inner, can2.inner, src_idx, dst_idx, src_wedge.bitorsor, dst_wedge.bitorsor
+    )
+    E.PiMorphism(src_wedge, dst_wedge, glued_inner)
+    dw = dst_wedge.bitorsor
+    target = m.dst.bitorsor
+    w0 = glued_inner.point_map[0]
+    c0 = m.inner.point_map[0]
+    into = {}
+    for hp in target.left_group.elements:
+        into[target.left_act[hp][c0]] = hp
+    for rho in pi_equivariant_isos(dst_wedge.right, m.dst.right):
+        v = [0] * dw.size
+        for r in dw.right_group.elements:
+            v[dw.right_act[w0][r]] = target.right_act[c0][rho.map[r]]
+        try:
+            lam = GroupHom(
+                dw.left_group,
+                target.left_group,
+                tuple(
+                    into[v[dw.left_act[lp][w0]]] for lp in dw.left_group.elements
+                ),
+            )
+            psi_inner = B.BitorsorMorphism(dw, target, lam, tuple(v), rho)
+        except DomainError:
+            continue
+        if not psi_inner.is_isomorphism():
+            continue
+        composite = B.compose_bimorphisms(psi_inner, glued_inner)
+        if (
+            composite.point_map != m.inner.point_map
+            or composite.phi_left != m.inner.phi_left
+            or composite.phi_right != m.inner.phi_right
+        ):
+            continue
+        try:
+            psi = E.PiMorphism(dst_wedge, m.dst, psi_inner)
+        except DomainError:
+            continue
+        return E.PiWedgeFactorization(phi2, middle, can1, can2, dst_wedge, psi)
+    raise InvalidMorphism("no equivariant isomorphism completes the rewrite")
+
+
+def are_isomorphic(b1, b2, fix_right=True):
+    if b1.size != b2.size:
+        return None
+    if fix_right:
+        if b1.right_group != b2.right_group:
+            return None
+        right_isos = [identity_hom(b1.right_group)]
+    else:
+        right_isos = isomorphisms_between(b1.right_group, b2.right_group)
+    for rho in right_isos:
+        for y0 in b2.points:
+            v = [0] * b1.size
+            for g in b1.right_group.elements:
+                v[b1.right_act[0][g]] = b2.right_act[y0][rho.map[g]]
+            into = {}
+            for gp in b2.left_group.elements:
+                into[b2.left_act[gp][y0]] = gp
+            try:
+                lam = GroupHom(
+                    b1.left_group,
+                    b2.left_group,
+                    tuple(into[v[b1.left_act[gp][0]]] for gp in b1.left_group.elements),
+                )
+                m = B.BitorsorMorphism(b1, b2, lam, tuple(v), rho)
+            except DomainError:
+                continue
+            if m.is_isomorphism():
+                return m
+    return None
+
+
+def pi_isomorphism(p1, p2, fix_right=True):
+    if p1.pi != p2.pi or p1.bitorsor.size != p2.bitorsor.size:
+        return None
+    b1, b2 = p1.bitorsor, p2.bitorsor
+    if fix_right:
+        if p1.right != p2.right:
+            return None
+        candidates = [identity_hom(b1.right_group)]
+    else:
+        candidates = pi_equivariant_isos(p1.right, p2.right)
+    for rho in candidates:
+        for y0 in b2.points:
+            v = [0] * b1.size
+            for g in b1.right_group.elements:
+                v[b1.right_act[0][g]] = b2.right_act[y0][rho.map[g]]
+            into = {}
+            for gp in b2.left_group.elements:
+                into[b2.left_act[gp][y0]] = gp
+            try:
+                lam = GroupHom(
+                    b1.left_group,
+                    b2.left_group,
+                    tuple(into[v[b1.left_act[gp][0]]] for gp in b1.left_group.elements),
+                )
+                m = B.BitorsorMorphism(b1, b2, lam, tuple(v), rho)
+                if not m.is_isomorphism():
+                    continue
+                return E.PiMorphism(p1, p2, m)
+            except DomainError:
+                continue
+    return None

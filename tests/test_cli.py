@@ -247,6 +247,15 @@ class TestLocalSurvey:
         doc = json.loads(first)
         assert doc["kind"] == "local-survey" and len(doc["rows"]) == 4
 
+    def test_s4_survey_decomposes_every_class(self, capsys):
+        code, out, _ = run(
+            capsys, "local-survey", "--q", "3", "--n", "4", "--m", "2",
+            "--group", "symmetric:4",
+        )
+        rows = [line for line in out.splitlines() if line.startswith("class ")]
+        assert code == 0 and len(rows) == 13
+        assert all("decomposed=true" in r for r in rows)
+
     def test_thread_env_does_not_change_output(self, capsys, monkeypatch):
         args = (
             "local-survey", "--q", "3", "--n", "4", "--m", "2",

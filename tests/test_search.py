@@ -1,0 +1,291 @@
+"""Hom search with element-order pruning and first-hit isomorphism search:
+every search returns exactly what the unpruned, eager references in
+reference_checks return, in the same order."""
+
+from __future__ import annotations
+
+import inspect
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_checks as ref
+from bitorsor_kit import bitorsors as B
+from bitorsor_kit import devissage as D
+from bitorsor_kit import equivariant as E
+from bitorsor_kit import groups as G
+from bitorsor_kit import local_model as L
+
+from conftest import scrambled_trivial
+from test_bitorsors import product_map
+from test_validators import relabel
+
+
+def maps(homs) -> list[tuple[int, ...]]:
+    return [h.map for h in homs]
+
+
+def _universe() -> list[G.FiniteGroup]:
+    """C1-C12, S3, D4, D6 and S4, plus C2xC2 and C2xC6: only there do some
+    same-order generator images give a hom that is not injective."""
+    c2 = G.cyclic(2)
+    return [G.cyclic(n) for n in range(1, 13)] + [
+        G.symmetric(3), G.dihedral(4), G.dihedral(6), G.symmetric(4),
+        G.direct_product(c2, c2).group, G.direct_product(c2, G.cyclic(6)).group,
+    ]
+
+
+UNIVERSE = _universe()
+
+
+def relabel_off_zero(g: G.FiniteGroup, rnd: random.Random) -> G.FiniteGroup:
+    """A relabelled copy whose identity is not 0 (when the order allows)."""
+    perm = list(g.elements)
+    rnd.shuffle(perm)
+    if g.order > 1 and perm[g.identity] == 0:
+        j = (g.identity + 1) % g.order
+        perm[g.identity], perm[j] = perm[j], perm[g.identity]
+    return relabel(g, perm)
+
+
+def _relabelled() -> list[G.FiniteGroup]:
+    rnd = random.Random(3)
+    out = [relabel_off_zero(UNIVERSE[i], rnd) for i in (5, 7, 11, 12, 13, 14, 15)]
+    assert all(g.identity != 0 for g in out)
+    return out
+
+
+RELABELLED = _relabelled()
+
+
+def assert_searches_agree(a: G.FiniteGroup, b: G.FiniteGroup) -> None:
+    assert maps(G.enumerate_homs(a, b)) == maps(ref.enumerate_homs(a, b))
+    assert maps(G.isomorphisms_between(a, b)) == maps(ref.isomorphisms_between(a, b))
+
+
+def test_searches_agree_with_reference_on_every_pair():
+    for a in UNIVERSE:
+        for b in UNIVERSE:
+            assert_searches_agree(a, b)
+
+
+def test_searches_agree_with_reference_on_relabelled_groups():
+    for a in RELABELLED:
+        for b in UNIVERSE + RELABELLED:
+            assert_searches_agree(a, b)
+            assert_searches_agree(b, a)
+
+
+def _surjections() -> list[G.GroupHom]:
+    """Projections of split extensions and quotient maps, canonical and
+    relabelled, some of which have no section."""
+    out = []
+    for n, m, k in [(3, 2, 2), (4, 2, 3), (5, 4, 2), (7, 3, 2), (4, 2, 1), (6, 2, 5)]:
+        out.append(G.semidirect_product(*G.cyclic_power_action(n, m, k)).projection)
+    out.append(G.direct_product(G.symmetric(3), G.cyclic(2)).projection)
+    for g in (G.symmetric(4), G.dihedral(4), G.cyclic(8), RELABELLED[3], RELABELLED[6]):
+        for h in G.all_subgroups(g):
+            if h.is_normal:
+                out.append(G.quotient(g, h)[1])
+    return out
+
+
+def test_sections_agree_with_reference():
+    saw_sections = saw_none = 0
+    for q in _surjections():
+        got = G.sections_of(q)
+        assert maps(got) == maps(ref.sections_of(q))
+        saw_sections += bool(got)
+        saw_none += not got
+    assert saw_sections and saw_none
+
+
+def test_fiber_pools_agree_with_reference():
+    """Candidate pools that are fibers of a surjection, in element order and
+    reversed: every hom picking one image per fiber."""
+    for q in _surjections():
+        fibers = [
+            tuple(x for x in q.src.elements if q.map[x] == g) for g in q.dst.generators
+        ]
+        for pools in (fibers, [f[::-1] for f in fibers]):
+            got = G.enumerate_homs(q.dst, q.src, candidates=pools)
+            assert maps(got) == maps(ref.enumerate_homs(q.dst, q.src, candidates=pools))
+
+
+def test_misaligned_pools_refused():
+    z6 = UNIVERSE[5]
+    with pytest.raises(G.MixedSignatures):
+        G.enumerate_homs(z6, z6, candidates=[(0,), (1,)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    i=st.integers(0, len(UNIVERSE) - 1),
+    j=st.integers(0, len(UNIVERSE) - 1),
+    seed=st.integers(0, 10**6),
+)
+def test_random_relabellings_and_pools_agree_with_reference(i, j, seed):
+    rnd = random.Random(seed)
+    a = relabel(UNIVERSE[i], rnd.sample(range(UNIVERSE[i].order), UNIVERSE[i].order))
+    b = relabel(UNIVERSE[j], rnd.sample(range(UNIVERSE[j].order), UNIVERSE[j].order))
+    assert_searches_agree(a, b)
+    # Pools in any order, with repeats: the same tuples survive in the same order.
+    pools = [rnd.choices(b.elements, k=rnd.randrange(b.order + 3)) for _ in a.generators]
+    got = G.enumerate_homs(a, b, candidates=pools)
+    assert maps(got) == maps(ref.enumerate_homs(a, b, candidates=pools))
+
+
+class TestIsomorphismSearch:
+    def test_automorphisms_of_s5(self):
+        s5 = G.symmetric(5)
+        autos = G.isomorphisms_between(s5, s5)
+        assert len(autos) == 120
+        assert len({h.map for h in autos}) == 120
+        assert all(h.is_bijective() for h in autos)
+
+    def test_iteration_is_lazy_and_in_list_order(self):
+        s5 = G.symmetric(5)
+        it = G.iter_isomorphisms(s5, s5)
+        assert inspect.isgenerator(it)
+        assert next(it) == G.isomorphisms_between(s5, s5)[0]
+
+    def test_order_mismatch_yields_nothing(self):
+        assert list(G.iter_isomorphisms(G.cyclic(4), G.cyclic(6))) == []
+        assert G.isomorphisms_between(G.cyclic(4), G.dihedral(2)) == []
+
+
+# ------------------------------------------------------- first-hit callers
+
+
+def _plain_wedge_cases(rnd: random.Random):
+    """(morphism, left factor, right factor) triples from test_bitorsors, plus
+    scrambled carriers over groups with several automorphisms."""
+    s3 = G.symmetric(3)
+    cases = []
+    for g in (G.cyclic(4), s3, G.dihedral(4), G.cyclic(6)):
+        m, _, _ = product_map(g)
+        t = B.trivial_bitorsor(g)
+        cases.append((m, t, t))
+    a3 = G.subgroup(s3, [g for g in s3.elements if s3.element_order(g) != 2])
+    gq, q = G.quotient(s3, a3)
+    m, _, _ = product_map(s3)
+    t = B.trivial_bitorsor(s3)
+    tq = B.trivial_bitorsor(gq)
+    collapse = B.BitorsorMorphism(t, tq, q, q.map, q)
+    cases.append((B.compose_bimorphisms(collapse, m), t, t))
+    for g in (G.cyclic(5), s3):
+        b1, b2 = scrambled_trivial(g, rnd), scrambled_trivial(g, rnd)
+        wedge, _ = B.contracted_product(b1, b2)
+        iso = B.are_isomorphic(wedge, B.trivial_bitorsor(g))
+        cases.append((iso, b1, b2))
+    return cases
+
+
+def test_plain_wedge_factorization_matches_reference(rng):
+    for m, b1, b2 in _plain_wedge_cases(rng):
+        got = B.factor_through_pushforwards(m, b1, b2)
+        assert got == ref.factor_through_pushforwards(m, b1, b2)
+
+
+def _pi_wedge_cases():
+    """The inputs of test_equivariant's wedge rewrites."""
+    z4, s3 = G.cyclic(4), G.symmetric(3)
+    m_ens, _, _ = product_map(z4)
+    a = E.from_theta(E.h1(z4, z4)[1])
+    wedge, _ = E.contracted_product_pi(a, a)
+    dst = E.from_theta(E.h1(z4, z4)[2])
+    m = E.PiMorphism(wedge, dst, B.BitorsorMorphism(
+        wedge.bitorsor, dst.bitorsor, m_ens.phi_left, m_ens.point_map, m_ens.phi_right
+    ))
+    _, mq = E.quotient_pi(dst, G.subgroup(z4, [0, 2]))
+    cases = [(E.compose_pi_morphisms(mq, m), a, a)]
+    triv_theta = G.GroupHom(s3, s3, tuple(s3.identity for _ in s3.elements))
+    t = E.from_theta(E.ThetaBitorsor(B.trivial_bitorsor(s3), triv_theta))
+    wedge, _ = E.contracted_product_pi(t, t)
+    m_ens, _, _ = product_map(s3)
+    cases.append((E.PiMorphism(wedge, t, B.BitorsorMorphism(
+        wedge.bitorsor, t.bitorsor, m_ens.phi_left, m_ens.point_map, m_ens.phi_right
+    )), t, t))
+    return cases
+
+
+def test_pi_wedge_factorization_matches_reference():
+    for m, p1, p2 in _pi_wedge_cases():
+        got = E.pi_factor_through_pushforwards(m, p1, p2)
+        assert got == ref.pi_factor_through_pushforwards(m, p1, p2)
+
+
+def _record_wedge_calls(monkeypatch, work) -> list:
+    """Run `work` and return (m, p1, p2, factorization) for every call of
+    pi_factor_through_pushforwards it makes."""
+    calls = []
+    lib = E.pi_factor_through_pushforwards
+
+    def record(m, p1, p2):
+        fac = lib(m, p1, p2)
+        calls.append((m, p1, p2, fac))
+        return fac
+
+    with monkeypatch.context() as mp:
+        mp.setattr(E, "pi_factor_through_pushforwards", record)
+        work()
+    return calls
+
+
+def test_survey_wedge_factorizations_match_reference(monkeypatch):
+    """Every disconnected class of the (3,4,2) survey over S4 completes its
+    rewrite with the isomorphism the list-then-filter reference picks."""
+    report = []
+    calls = _record_wedge_calls(
+        monkeypatch, lambda: report.append(L.survey(L.TameParams(3, 4, 2), G.symmetric(4)))
+    )
+    disconnected = sum(not r.connected for r in report[0].rows)
+    assert disconnected > 0 and len(calls) == disconnected
+    for m, p1, p2, fac in calls:
+        assert fac == ref.pi_factor_through_pushforwards(m, p1, p2)
+
+
+def test_sweep_wedge_factorizations_match_reference(monkeypatch):
+    """Every class over S3 and D4 along C3 x| C2, for each section.  Here
+    most rewrites have several isomorphisms that pass every check, so the
+    first hit must be the reference's first, in both layers."""
+    sd = G.semidirect_product(*G.cyclic_power_action(3, 2, 2))
+
+    def work():
+        for s in G.sections_of(sd.projection):
+            e = D.SplitExtension(sd.group, G.kernel(sd.projection), sd.projection.dst,
+                                 sd.projection, s)
+            for g in (G.symmetric(3), G.dihedral(4)):
+                for t in E.h1(e.pi_big, g):
+                    D.decompose(t, e)
+
+    calls = _record_wedge_calls(monkeypatch, work)
+    assert calls
+    for m, p1, p2, fac in calls:
+        assert fac == ref.pi_factor_through_pushforwards(m, p1, p2)
+        got = B.factor_through_pushforwards(m.inner, p1.bitorsor, p2.bitorsor)
+        assert got == ref.factor_through_pushforwards(m.inner, p1.bitorsor, p2.bitorsor)
+
+
+def test_isomorphism_search_without_fixed_right_matches_reference(rng):
+    """are_isomorphic and pi_isomorphism with fix_right=False pick the
+    reference's first hit; several right isomorphisms work here."""
+    s3, z4 = G.symmetric(3), G.cyclic(4)
+    twist = G.isomorphisms_between(s3, s3)[3]
+    plain = [
+        (scrambled_trivial(s3, rng), scrambled_trivial(s3, rng, twist)),
+        (scrambled_trivial(z4, rng), B.trivial_bitorsor(z4)),
+    ]
+    for x, y in plain:
+        got = B.are_isomorphic(x, y, fix_right=False)
+        assert got is not None and got == ref.are_isomorphic(x, y, fix_right=False)
+    found = 0
+    for x in E.h1(z4, z4):
+        for y in E.h1(z4, z4):
+            px, py = E.from_theta(x), E.from_theta(y)
+            got = E.pi_isomorphism(px, py, fix_right=False)
+            assert got == ref.pi_isomorphism(px, py, fix_right=False)
+            found += got is not None
+    assert 0 < found < len(E.h1(z4, z4)) ** 2
