@@ -10,6 +10,7 @@ the worker count handed to the survey module."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -78,7 +79,10 @@ def _positive_int(value: str) -> int:
     return n
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and reused: parsing
+    leaves it unchanged."""
     parser = _Parser(prog="bitorsor-kit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -133,7 +137,7 @@ def _read_text(path: Path, what: str) -> str:
 
 
 def _emit_json(doc: dict) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(fm.dumps_indented(doc))
 
 
 def _hom_pair(m: eq.PiMorphism) -> str:
@@ -228,6 +232,8 @@ def _cmd_decompose(cfg: RunConfig) -> int:
     rep = _class_rep(e.pi_big, g, cfg.class_index)
     d = dv.decompose(rep, e)
     res = dv.verify_decomposition(rep, d, e)
+    if not res.ok:
+        raise dv.DevissageError(f"the decomposition failed its own check: {res.diagnosis}")
     if cfg.format == "json":
         _emit_json(fm.decomposition_to_json(rep, e, d))
     elif cfg.format == "dot":

@@ -390,7 +390,48 @@ def verify_decomposition(
             return VerificationResult(False, "gamma surjection breaks the conjugation action")
     except DomainError as exc:
         return VerificationResult(False, f"gamma surjection invalid: {exc}")
+    try:
+        if eq.is_connected(t):
+            base = t
+        else:
+            base, _ = eq.connected_component(t, basepoint=0)
+        bad = _check_collapse(base, cert, e)
+    except DomainError as exc:
+        return VerificationResult(False, f"collapse data invalid: {exc}")
+    if bad is not None:
+        return VerificationResult(False, bad)
     return VerificationResult(True, "all checks passed")
+
+
+def _check_collapse(
+    base: ThetaBitorsor, cert: DecompositionCertificate, e: SplitExtension
+) -> str | None:
+    """Check h_prime, quotient_map, s_low and theta_tilde against the
+    connected carrier the decomposition started from (the input, or the
+    component of its basepoint); a diagnosis, or None when all hold."""
+    g = base.bitorsor.left_group
+    theta = base.theta
+    h = cert.h_prime
+    if h.parent != g or list(h.members) != sorted({theta.map[c] for c in e.gamma.members}):
+        return "h_prime is not the image of gamma under theta"
+    if not h.is_normal:
+        return "h_prime is not normal"
+    q = cert.quotient_map
+    if q.src != g or not q.is_surjective() or kernel(q).members != h.members:
+        return "quotient_map is not the quotient by h_prime"
+    s_low = cert.s_low
+    if s_low.src != e.pi_small or s_low.dst != g:
+        return "s_low has the wrong signature"
+    if any(
+        q.map[s_low.map[a]] != q.map[theta.map[e.s.map[a]]] for a in e.pi_small.elements
+    ):
+        return "s_low does not cover the collapsed theta"
+    tt = cert.theta_tilde
+    if tt.src != e.pi_big or tt.dst != g or tt.map != tuple(s_low.map[a] for a in e.p.map):
+        return "theta_tilde is not s_low after p"
+    if any(tt.map[c] != g.identity for c in e.gamma.members):
+        return "theta_tilde does not kill gamma"
+    return None
 
 
 @dataclass(frozen=True)

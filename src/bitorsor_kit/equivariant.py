@@ -105,17 +105,18 @@ class PiGroup:
 
 
 def constant_pi_group(pi: FiniteGroup, g: FiniteGroup) -> PiGroup:
-    return PiGroup(g, pi, tuple(identity_hom(g) for _ in pi.elements))
+    return PiGroup(g, pi, (identity_hom(g),) * pi.order)
 
 
 def conjugation_pi_group(theta: GroupHom) -> PiGroup:
-    """Pi acting on theta's codomain by inner automorphisms through theta."""
+    """Pi acting on theta's codomain by inner automorphisms through theta;
+    one automorphism is built per distinct image theta(c)."""
     g = theta.dst
-    acts = tuple(
-        GroupHom(g, g, tuple(g.conjugate(theta.map[c], x) for x in g.elements))
-        for c in theta.src.elements
-    )
-    return PiGroup(g, theta.src, acts)
+    inner = {
+        h: GroupHom(g, g, tuple(g.conjugate(h, x) for x in g.elements))
+        for h in set(theta.map)
+    }
+    return PiGroup(g, theta.src, tuple(inner[h] for h in theta.map))
 
 
 def is_pi_equivariant_hom(f: GroupHom, src: PiGroup, dst: PiGroup) -> bool:
@@ -259,10 +260,27 @@ class ThetaBitorsor:
         return f"ThetaBitorsor({self.pi.label} -> {self.bitorsor!r})"
 
 
+# Expansions from_theta keeps.  A decompose or verify command expands at
+# most three distinct inputs (the input, its connected component and the
+# unramified factor); a fixed bound keeps memory flat over long runs.
+FROM_THETA_CACHE = 32
+
+
 def from_theta(t: ThetaBitorsor) -> PiBitorsor:
     """Expand the compact presentation: pi moves points through theta and
     the left action, twists the left group by conjugation, and leaves the
-    right group alone."""
+    right group alone.
+
+    Expansions are memoized.  Group equality ignores labels, but labels
+    reach the output, so the labels of every group involved are part of
+    the key."""
+    b = t.bitorsor
+    labels = (t.pi.label, t.theta.dst.label, b.left_group.label, b.right_group.label)
+    return _expand_theta(t, labels)
+
+
+@lru_cache(maxsize=FROM_THETA_CACHE)
+def _expand_theta(t: ThetaBitorsor, labels: tuple[str, ...]) -> PiBitorsor:
     b = t.bitorsor
     left = conjugation_pi_group(t.theta)
     right = constant_pi_group(t.pi, b.right_group)

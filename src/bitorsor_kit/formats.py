@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -313,6 +314,56 @@ def _decode_table(obj, resolver: Mapping[str, Sequence]) -> tuple[tuple[int, ...
     return tuple(tuple(int(v) for v in row) for row in obj)
 
 
+def dumps_indented(value) -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)`, byte for byte, for
+    values built from dicts with str keys, lists, tuples and JSON scalars.
+
+    With `indent` set, json.dumps falls back to its pure-Python encoder;
+    this writer makes one pass instead, joins each list of plain ints in one
+    string operation, and sends every scalar other than an int or a str
+    (bools, None, floats, subclasses) through json.dumps."""
+    out: list[str] = []
+    _write_indented(value, "\n", out)
+    return "".join(out)
+
+
+def _write_indented(v, newline: str, out: list[str]) -> None:
+    t = type(v)
+    if t is str:
+        out.append(_encode_str(v))
+    elif t is int:
+        out.append(int.__repr__(v))
+    elif isinstance(v, dict):
+        if not v:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for k in sorted(v):
+            out.append(sep)
+            out.append(_encode_str(k))
+            out.append(": ")
+            _write_indented(v[k], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(v, (list, tuple)):
+        if not v:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(x) is int for x in v):
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, v)) + newline + "]")
+            return
+        sep = "[" + inner
+        for x in v:
+            out.append(sep)
+            _write_indented(x, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(json.dumps(v))
+
+
 def group_to_json(g: FiniteGroup) -> dict:
     return {
         "label": g.label,
@@ -384,10 +435,29 @@ class _Writer:
         }
 
 
+def _once_per_document(build):
+    """Memoize a _Reader method on the text of its sub-document: equal text
+    gives an equal value, so each distinct sub-document is built, and so
+    validated, once per document."""
+
+    def method(self, d):
+        key = (build.__name__, json.dumps(d))
+        if key not in self._built:
+            self._built[key] = build(self, d)
+        return self._built[key]
+
+    return method
+
+
 class _Reader:
+    """Rebuilds the values of one document.  A certificate repeats some
+    sub-documents (a factor is also the target of the witness inclusion),
+    so bitorsors, pi_groups and pi_bitorsors are built once per text."""
+
     def __init__(self, doc: dict, resolver: Mapping[str, Sequence] | None):
         self._resolver = dict(resolver or {})
         self._groups = [group_from_json(entry, self._resolver) for entry in doc["groups"]]
+        self._built: dict[tuple[str, str], object] = {}
 
     def table(self, obj) -> tuple[tuple[int, ...], ...]:
         return _decode_table(obj, self._resolver)
@@ -406,6 +476,7 @@ class _Reader:
     def sub(self, d: dict) -> Subgroup:
         return subgroup(self.group(d["parent"]), (int(v) for v in d["members"]))
 
+    @_once_per_document
     def bitorsor(self, d: dict) -> Bitorsor:
         return Bitorsor(
             self.group(d["left_group"]),
@@ -414,6 +485,7 @@ class _Reader:
             self.table(d["right_act"]),
         )
 
+    @_once_per_document
     def pi_group(self, d: dict) -> eq.PiGroup:
         g = self.group(d["group"])
         pi = self.group(d["pi"])
@@ -422,6 +494,7 @@ class _Reader:
         )
         return eq.PiGroup(g, pi, action)
 
+    @_once_per_document
     def pi_bitorsor(self, d: dict) -> eq.PiBitorsor:
         return eq.PiBitorsor(
             self.pi_group(d["left"]),

@@ -8,6 +8,7 @@ import json
 import pytest
 
 from bitorsor_kit import cli
+from bitorsor_kit import devissage as D
 from bitorsor_kit import formats as F
 from bitorsor_kit import groups as G
 
@@ -20,6 +21,8 @@ S3_EXTENSION = (
 def run(capsys, *argv):
     code = cli.main(list(argv))
     cap = capsys.readouterr()
+    if "json" in argv and cap.out:
+        assert cap.out == json.dumps(json.loads(cap.out), indent=2, sort_keys=True) + "\n"
     return code, cap.out, cap.err
 
 
@@ -174,6 +177,57 @@ class TestDecomposeVerify:
         _, second, _ = run(capsys, *args)
         assert first == second
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+    def test_failed_self_check_exits_2(self, capsys, monkeypatch, ext_file, fmt):
+        monkeypatch.setattr(
+            D, "verify_decomposition", lambda t, d, e: D.VerificationResult(False, "forced")
+        )
+        code, out, err = run(
+            capsys, "decompose", "--extension", str(ext_file),
+            "--group", "symmetric:3", "--class", "2", "--format", fmt,
+        )
+        assert code == 2 and out == ""
+        assert "DevissageError" in err and "forced" in err
+
+    def test_trivialized_collapse_fields_rejected(self, capsys, tmp_path, ext_file):
+        for idx in range(3):
+            _, out, _ = run(
+                capsys, "decompose", "--extension", str(ext_file),
+                "--group", "symmetric:3", "--class", str(idx), "--format", "json",
+            )
+            doc = json.loads(out)
+            c = doc["decomposition"]["certificate"]
+            g = F.group_from_json(doc["groups"][c["h_prime"]["parent"]])
+            c["h_prime"]["members"] = [g.identity]
+            c["theta_tilde"]["map"] = [g.identity] * len(c["theta_tilde"]["map"])
+            cert = tmp_path / f"cert{idx}.json"
+            cert.write_text(json.dumps(doc))
+            code, _, _ = run(capsys, "verify", "--certificate", str(cert))
+            if doc == json.loads(out):
+                # the trivial class: both fields are trivial already
+                assert idx == 0 and code == 0
+            else:
+                assert code == 2
+
+    def test_one_corrupted_copy_of_a_repeated_factor_rejected(
+        self, capsys, tmp_path, ext_file
+    ):
+        _, out, _ = run(
+            capsys, "decompose", "--extension", str(ext_file),
+            "--group", "symmetric:3", "--class", "2", "--format", "json",
+        )
+        doc = json.loads(out)
+        dd = doc["decomposition"]
+        dst = dd["certificate"]["w_inclusion"]["dst"]
+        assert dst == dd["y"]
+        rows = dst["bitorsor"]["left_act"]
+        rows[1], rows[2] = rows[2], rows[1]
+        assert dst != dd["y"]
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(doc))
+        code, _, _ = run(capsys, "verify", "--certificate", str(cert))
+        assert code == 2
+
     def test_dot_output(self, capsys, ext_file):
         code, out, _ = run(
             capsys, "decompose", "--extension", str(ext_file),
@@ -182,6 +236,23 @@ class TestDecomposeVerify:
         assert code == 0
         assert out.startswith("digraph")
         assert "YZ -> X" in out and "W -> Y" in out
+
+
+def test_repeated_calls_match_first_calls(capsys, ext_file):
+    commands = [
+        ("h1", "--pi", "cyclic:2"),
+        ("decompose", "--extension", str(ext_file), "--group", "symmetric:3",
+         "--class", "2", "--format", "json"),
+        ("h1", "--pi", "cyclic:2", "--group", "symmetric:3"),
+    ]
+    first = []
+    for argv in commands:
+        cli.build_parser.cache_clear()
+        first.append(run(capsys, *argv))
+    cli.build_parser.cache_clear()
+    again = [run(capsys, *argv) for argv in commands]
+    assert [r[0] for r in first] == [1, 0, 0]
+    assert again == first
 
 
 @pytest.fixture

@@ -386,6 +386,53 @@ class TestVerifyNegatives:
         assert not res
         assert res.diagnosis == "stored witness morphism does not map into the y factor"
 
+    def _tampered(self, t, d, e, **fields):
+        cert = dataclasses.replace(d.certificate, **fields)
+        return D.verify_decomposition(t, dataclasses.replace(d, certificate=cert), e)
+
+    def test_h_prime_must_be_the_image_of_gamma(self, ext_s3, d_s3, s3):
+        t, d = d_s3
+        res = self._tampered(t, d, ext_s3, h_prime=G.trivial_subgroup(s3))
+        assert not res
+        assert res.diagnosis == "h_prime is not the image of gamma under theta"
+
+    def test_quotient_map_must_collapse_h_prime(self, ext_s3, d_s3, s3):
+        t, d = d_s3
+        res = self._tampered(t, d, ext_s3, quotient_map=G.identity_hom(s3))
+        assert not res
+        assert res.diagnosis == "quotient_map is not the quotient by h_prime"
+
+    def test_s_low_must_cover_the_collapsed_theta(self, ext_s3, d_s3, s3):
+        t, d = d_s3
+        res = self._tampered(t, d, ext_s3, s_low=trivial_theta(ext_s3.pi_small, s3))
+        assert not res
+        assert res.diagnosis == "s_low does not cover the collapsed theta"
+
+    def test_s_low_with_wrong_signature(self, ext_s3, d_s3, z6):
+        t, d = d_s3
+        res = self._tampered(t, d, ext_s3, s_low=trivial_theta(ext_s3.pi_small, z6))
+        assert not res
+        assert res.diagnosis == "s_low has the wrong signature"
+
+    def test_theta_tilde_must_be_s_low_after_p(self, ext_s3, d_s3, s3):
+        t, d = d_s3
+        res = self._tampered(t, d, ext_s3, theta_tilde=trivial_theta(ext_s3.pi_big, s3))
+        assert not res
+        assert res.diagnosis == "theta_tilde is not s_low after p"
+
+    def test_disconnected_fields_are_checked_on_the_component(self, ext_z6, z6):
+        pi = ext_z6.pi_big
+        theta = G.GroupHom(pi, z6, tuple(2 * (x // 2) % 6 for x in pi.elements))
+        t = translation_carrier(z6, theta)
+        d = D.decompose(t, ext_z6)
+        comp, _ = E.connected_component(t, basepoint=0)
+        assert d.certificate.h_prime.parent == comp.bitorsor.left_group
+        assert D.verify_decomposition(t, d, ext_z6)
+        trivial = G.trivial_subgroup(comp.bitorsor.left_group)
+        res = self._tampered(t, d, ext_z6, h_prime=trivial)
+        assert not res
+        assert res.diagnosis == "h_prime is not the image of gamma under theta"
+
 
 class TestImageLemmas:
     def test_gamma_factor_image_stays_gamma(self, ext_z6, d_z6, z6):

@@ -92,6 +92,19 @@ class TestThetaRoundtrip:
         with pytest.raises(E.RightGroupNotConstant):
             E.to_theta(flipped)
 
+    def test_expansion_keeps_the_labels_of_its_input(self, z2):
+        def labelled(name):
+            g = G.make_group(G.symmetric(3).mul, G.symmetric(3).generators, name)
+            theta = G.GroupHom(z2, g, (g.identity, 1))
+            return E.ThetaBitorsor(B.trivial_bitorsor(g), theta)
+
+        first, second = labelled("A"), labelled("B")
+        assert first == second
+        for t, name in ((first, "A"), (second, "B"), (first, "A")):
+            pb = E.from_theta(t)
+            assert pb.bitorsor is t.bitorsor
+            assert pb.left.group.label == pb.right.group.label == name
+
     def test_left_structure_is_conjugation(self, s3, z2):
         t = next(g for g in s3.elements if s3.element_order(g) == 2)
         theta = G.GroupHom(z2, s3, (s3.identity, t))

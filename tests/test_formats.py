@@ -7,6 +7,8 @@ import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitorsor_kit import devissage as D
 from bitorsor_kit import equivariant as E
@@ -260,6 +262,15 @@ class TestCertificateJson:
         with pytest.raises(DomainError):
             F.decomposition_from_json(doc)
 
+    def test_repeated_sub_documents_are_built_once(self, s3_certificate):
+        t, e, d = s3_certificate
+        doc = json.loads(json.dumps(F.decomposition_to_json(t, e, d)))
+        dd = doc["decomposition"]
+        assert dd["certificate"]["w_inclusion"]["dst"] == dd["y"]
+        _, _, d2 = F.decomposition_from_json(doc)
+        assert d2.certificate.w_inclusion.dst is d2.y
+        assert d2.certificate.w_inclusion.src is d2.certificate.w_witness
+
     def test_corrupted_group_table_rejected(self, s3_certificate):
         t, e, d = s3_certificate
         doc = copy.deepcopy(F.decomposition_to_json(t, e, d))
@@ -286,3 +297,46 @@ class TestLargeTables:
         entry = F.group_to_json(z6)
         assert entry["mul"] == [list(r) for r in z6.mul]
         assert F.group_from_json(entry) == z6
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(st.integers(-(2**40), 2**40), max_size=6)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=5),
+    max_leaves=40,
+)
+
+
+class TestIndentedWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(value=JSON_VALUES)
+    def test_matches_json_dumps(self, value):
+        assert F.dumps_indented(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {},
+            [],
+            {"": [], "b": {}, "a": [[]]},
+            [True, False, 1, 0, None],
+            [True, 1, False],
+            {"\u00e9\u2603\U0001f600": "tab\tquote\"back\\slash\u0000"},
+            (1, -2, 3),
+            [2**100, -(2**100), 1.0, -0.0, 1e300],
+        ],
+    )
+    def test_edge_cases(self, value):
+        assert F.dumps_indented(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_certificate_bytes(self, s3_certificate):
+        doc = F.decomposition_to_json(*s3_certificate)
+        assert F.dumps_indented(doc) == json.dumps(doc, indent=2, sort_keys=True)
