@@ -38,7 +38,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--groups", nargs="+", default=["cyclic:2", "cyclic:3", "symmetric:3"]
     )
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args(argv)
 
@@ -48,7 +47,7 @@ def main(argv: list[str] | None = None) -> int:
         reports = []
         for p in params:
             for g in groups:
-                reports.append(survey(p, g, workers=args.workers))
+                reports.append(survey(p, g))
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

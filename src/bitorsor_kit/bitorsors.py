@@ -11,8 +11,8 @@ Clifford & Preston I, section 1.2), so any Bitorsor in circulation is sound.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .errors import DomainError
 from .groups import (
@@ -374,25 +374,20 @@ def corresponding_normal_subgroup(b: Bitorsor, h: Subgroup) -> Subgroup:
     return out
 
 
-def _right_orbit_partition(b: Bitorsor, members: tuple[int, ...]) -> list[tuple[int, ...]]:
+def orbit_partition(
+    b: Bitorsor, members: Iterable[int], left: bool
+) -> list[tuple[int, ...]]:
+    """The orbits of the given left (or right) group elements, each sorted,
+    in order of their smallest point."""
     classes: list[tuple[int, ...]] = []
     seen: set[int] = set()
     for x in b.points:
         if x in seen:
             continue
-        cls = tuple(sorted({b.right_act[x][h] for h in members}))
-        classes.append(cls)
-        seen.update(cls)
-    return classes
-
-
-def _left_orbit_partition(b: Bitorsor, members: tuple[int, ...]) -> list[tuple[int, ...]]:
-    classes: list[tuple[int, ...]] = []
-    seen: set[int] = set()
-    for x in b.points:
-        if x in seen:
-            continue
-        cls = tuple(sorted({b.left_act[h][x] for h in members}))
+        if left:
+            cls = tuple(sorted({b.left_act[h][x] for h in members}))
+        else:
+            cls = tuple(sorted({b.right_act[x][h] for h in members}))
         classes.append(cls)
         seen.update(cls)
     return classes
@@ -402,8 +397,8 @@ def quotient_bitorsor(b: Bitorsor, h: Subgroup) -> tuple[Bitorsor, BitorsorMorph
     """Collapse right cosets of a normal subgroup; the left group collapses
     by the transported subgroup, and the two partitions must coincide."""
     hp = corresponding_normal_subgroup(b, h)
-    classes = _right_orbit_partition(b, h.members)
-    if classes != _left_orbit_partition(b, hp.members):
+    classes = orbit_partition(b, h.members, left=False)
+    if classes != orbit_partition(b, hp.members, left=True):
         raise InvalidBitorsor("left and right coset partitions disagree")
     idx_of = {x: i for i, cls in enumerate(classes) for x in cls}
     gq, qr = quotient(b.right_group, h)
@@ -425,23 +420,26 @@ def quotient_bitorsor(b: Bitorsor, h: Subgroup) -> tuple[Bitorsor, BitorsorMorph
     return bq, m
 
 
+def restrict(
+    b: Bitorsor, l_incl: GroupHom, points: tuple[int, ...], r_incl: GroupHom
+) -> tuple[Bitorsor, BitorsorMorphism]:
+    """The sub-bitorsor of b on `points` over the subgroups that l_incl and
+    r_incl embed, with its inclusion into b."""
+    pos = {x: i for i, x in enumerate(points)}
+    left_rows = tuple(tuple(pos[b.left_act[a][x]] for x in points) for a in l_incl.map)
+    right_rows = tuple(tuple(pos[b.right_act[x][a]] for a in r_incl.map) for x in points)
+    sub = Bitorsor(l_incl.src, r_incl.src, left_rows, right_rows)
+    return sub, BitorsorMorphism(sub, b, l_incl, tuple(points), r_incl)
+
+
 def sub_bitorsor_on_class(
     b: Bitorsor, h: Subgroup, cls: tuple[int, ...]
 ) -> tuple[Bitorsor, BitorsorMorphism]:
     """Restrict b to one right-coset class of h, with both groups shrunk."""
     hp = corresponding_normal_subgroup(b, h)
-    pos = {x: i for i, x in enumerate(cls)}
-    h_grp, h_incl = subgroup_as_group(b.right_group, h.members)
-    hp_grp, hp_incl = subgroup_as_group(b.left_group, hp.members)
-    left_rows = tuple(
-        tuple(pos[b.left_act[hp_incl.map[a]][x]] for x in cls) for a in hp_grp.elements
-    )
-    right_rows = tuple(
-        tuple(pos[b.right_act[x][h_incl.map[a]]] for a in h_grp.elements) for x in cls
-    )
-    sub = Bitorsor(hp_grp, h_grp, left_rows, right_rows)
-    incl = BitorsorMorphism(sub, b, hp_incl, cls, h_incl)
-    return sub, incl
+    _, h_incl = subgroup_as_group(b.right_group, h.members)
+    _, hp_incl = subgroup_as_group(b.left_group, hp.members)
+    return restrict(b, hp_incl, cls, h_incl)
 
 
 def induced_conditions(
@@ -454,15 +452,14 @@ def induced_conditions(
         stable = lambda cls: True  # noqa: E731
     hp = corresponding_normal_subgroup(b, h)
     bq, _ = quotient_bitorsor(b, h)
-    classes = _right_orbit_partition(b, h.members)
-    idx_of = {x: i for i, cls in enumerate(classes) for x in cls}
+    classes = orbit_partition(b, h.members, left=False)
     # (i): the collapsed carrier has an admissible point
     cond_i = any(stable(classes[p]) for p in bq.points)
     # (ii): some right coset class is admissible as a sub right torsor
-    right_classes = [cls for cls in _right_orbit_partition(b, h.members) if stable(cls)]
+    right_classes = [cls for cls in classes if stable(cls)]
     cond_ii = bool(right_classes)
     # (iii): mirrored on the left
-    left_classes = [cls for cls in _left_orbit_partition(b, hp.members) if stable(cls)]
+    left_classes = [cls for cls in orbit_partition(b, hp.members, left=True) if stable(cls)]
     cond_iii = bool(left_classes)
     # (iv): an actual two-sided sub-bitorsor materializes on some class
     witness_cls = None
@@ -734,15 +731,7 @@ def factor_morphism(
     rg, r_incl = subgroup_as_group(m.dst.right_group, set(m.phi_right.map))
     l_pos = {v: i for i, v in enumerate(l_incl.map)}
     r_pos = {v: i for i, v in enumerate(r_incl.map)}
-    left_rows = tuple(
-        tuple(pos[m.dst.left_act[l_incl.map[a]][x]] for x in img_points)
-        for a in lg.elements
-    )
-    right_rows = tuple(
-        tuple(pos[m.dst.right_act[x][r_incl.map[a]]] for a in rg.elements)
-        for x in img_points
-    )
-    img = Bitorsor(lg, rg, left_rows, right_rows)
+    img, beta = restrict(m.dst, l_incl, img_points, r_incl)
     alpha = BitorsorMorphism(
         m.src,
         img,
@@ -750,23 +739,17 @@ def factor_morphism(
         tuple(pos[v] for v in m.point_map),
         GroupHom(m.src.right_group, rg, tuple(r_pos[v] for v in m.phi_right.map)),
     )
-    beta = BitorsorMorphism(img, m.dst, l_incl, img_points, r_incl)
     return alpha, beta, img
 
 
-def are_isomorphic(
-    b1: Bitorsor, b2: Bitorsor, fix_right: bool = True
-) -> BitorsorMorphism | None:
-    """Search for an isomorphism; with fix_right the right groups must be
-    equal and the right hom is the identity.  Deterministic first hit."""
+def bitorsor_isomorphisms(
+    b1: Bitorsor, b2: Bitorsor, right_isos: Iterable[GroupHom]
+) -> Iterator[BitorsorMorphism]:
+    """Yield every isomorphism b1 -> b2 whose right hom is one of right_isos,
+    lazily: for each right hom rho in the given order, for each image y0 of
+    point 0 in point order."""
     if b1.size != b2.size:
-        return None
-    if fix_right:
-        if b1.right_group != b2.right_group:
-            return None
-        right_isos = [identity_hom(b1.right_group)]
-    else:
-        right_isos = iter_isomorphisms(b1.right_group, b2.right_group)
+        return
     for rho in right_isos:
         for y0 in b2.points:
             v = [0] * b1.size
@@ -785,8 +768,21 @@ def are_isomorphic(
             except DomainError:
                 continue
             if m.is_isomorphism():
-                return m
-    return None
+                yield m
+
+
+def are_isomorphic(
+    b1: Bitorsor, b2: Bitorsor, fix_right: bool = True
+) -> BitorsorMorphism | None:
+    """Search for an isomorphism; with fix_right the right groups must be
+    equal and the right hom is the identity.  Deterministic first hit."""
+    if fix_right:
+        if b1.right_group != b2.right_group:
+            return None
+        right_isos = [identity_hom(b1.right_group)]
+    else:
+        right_isos = iter_isomorphisms(b1.right_group, b2.right_group)
+    return next(bitorsor_isomorphisms(b1, b2, right_isos), None)
 
 
 @dataclass(frozen=True)
@@ -837,16 +833,28 @@ def factor_through_pushforwards(
     pushed2l, can2 = pushforward_left(b2, phi2)
     dst_wedge, dst_index = contracted_product(pushed1, pushed2l)
     glued = wedge_of_morphisms(can1, can2, src_index, dst_index, src_wedge, dst_wedge)
+    right_isos = iter_isomorphisms(dst_wedge.right_group, m.dst.right_group)
+    psi = next(wedge_completions(glued, m, right_isos), None)
+    if psi is None:
+        raise InvalidMorphism("no isomorphism completes the extension rewrite")
+    return WedgeFactorization(phi2, can1, can2, dst_wedge, psi)
+
+
+def wedge_completions(
+    glued: BitorsorMorphism, m: BitorsorMorphism, right_isos: Iterable[GroupHom]
+) -> Iterator[BitorsorMorphism]:
+    """Yield every isomorphism psi with psi o glued = m whose right hom is one
+    of right_isos, lazily and in their order.  psi sends the image of point
+    0 under glued to the image of point 0 under m, so rho fixes it."""
+    dst_wedge = glued.dst
     w0 = glued.point_map[0]
     c0 = m.point_map[0]
-    r_grp = dst_wedge.right_group
-    h_grp = m.dst.right_group
     into_dst_left = {}
     for hp in m.dst.left_group.elements:
         into_dst_left[m.dst.left_act[hp][c0]] = hp
-    for rho in iter_isomorphisms(r_grp, h_grp):
+    for rho in right_isos:
         v = [0] * dst_wedge.size
-        for r in r_grp.elements:
+        for r in dst_wedge.right_group.elements:
             v[dst_wedge.right_act[w0][r]] = m.dst.right_act[c0][rho.map[r]]
         try:
             lam = GroupHom(
@@ -868,5 +876,4 @@ def factor_through_pushforwards(
             and composite.phi_left == m.phi_left
             and composite.phi_right == m.phi_right
         ):
-            return WedgeFactorization(phi2, can1, can2, dst_wedge, psi)
-    raise InvalidMorphism("no isomorphism completes the extension rewrite")
+            yield psi

@@ -4,18 +4,15 @@ local models.
 
 Exit codes: 0 success, 1 usage error, 2 validation failure (the domain
 diagnostic is printed verbatim).  Output is deterministic for identical
-inputs and seed.  Orchestration is single-threaded; BITORSOR_THREADS caps
-the worker count handed to the survey module."""
+inputs and seed.  Everything runs in a single thread."""
 
 from __future__ import annotations
 
 import argparse
 import functools
 import json
-import os
 import random
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import devissage as dv
@@ -25,42 +22,7 @@ from . import local_model as lm
 from . import rclass as rc
 from .errors import DomainError
 
-COMMANDS = (
-    "validate-group",
-    "h1",
-    "decompose",
-    "verify",
-    "closure",
-    "local-survey",
-    "demo",
-)
 FORMATS = ("text", "json", "dot")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    format: str = "text"
-    group: str | None = None
-    pi: str | None = None
-    extension: Path | None = None
-    registry: Path | None = None
-    certificate: Path | None = None
-    class_index: int | None = None
-    q: int | None = None
-    n: int | None = None
-    m: int | None = None
-    seed: int = 0
-    max_n: int = 4
-    workers: int = 1
-
-    def __post_init__(self) -> None:
-        if self.command not in COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
-        if self.format not in FORMATS:
-            raise ValueError(f"unknown format {self.format!r}")
-        if self.command == "closure" and self.max_n < 1:
-            raise ValueError("max_n must be at least 1 for closure searches")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -169,9 +131,9 @@ def _dot_decomposition(t: eq.ThetaBitorsor, d: dv.Decomposition) -> str:
     return "\n".join(lines)
 
 
-def _cmd_validate_group(cfg: RunConfig) -> int:
-    g = fm.resolve_group_spec(cfg.group)
-    if cfg.format == "json":
+def _cmd_validate_group(ns: argparse.Namespace) -> int:
+    g = fm.resolve_group_spec(ns.group)
+    if ns.format == "json":
         _emit_json(
             {
                 "schema": fm.SCHEMA,
@@ -189,11 +151,11 @@ def _cmd_validate_group(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_h1(cfg: RunConfig) -> int:
-    pi = fm.resolve_group_spec(cfg.pi)
-    g = fm.resolve_group_spec(cfg.group)
+def _cmd_h1(ns: argparse.Namespace) -> int:
+    pi = fm.resolve_group_spec(ns.pi)
+    g = fm.resolve_group_spec(ns.group)
     classes = eq.h1(pi, g)
-    if cfg.format == "json":
+    if ns.format == "json":
         _emit_json(
             {
                 "schema": fm.SCHEMA,
@@ -224,38 +186,38 @@ def _class_rep(pi, g, index: int) -> eq.ThetaBitorsor:
     return classes[index]
 
 
-def _cmd_decompose(cfg: RunConfig) -> int:
+def _cmd_decompose(ns: argparse.Namespace) -> int:
     e = fm.parse_extension(
-        _read_text(cfg.extension, "extension file"), base_dir=cfg.extension.parent
+        _read_text(ns.extension, "extension file"), base_dir=ns.extension.parent
     )
-    g = fm.resolve_group_spec(cfg.group)
-    rep = _class_rep(e.pi_big, g, cfg.class_index)
+    g = fm.resolve_group_spec(ns.group)
+    rep = _class_rep(e.pi_big, g, ns.class_index)
     d = dv.decompose(rep, e)
     res = dv.verify_decomposition(rep, d, e)
     if not res.ok:
         raise dv.DevissageError(f"the decomposition failed its own check: {res.diagnosis}")
-    if cfg.format == "json":
+    if ns.format == "json":
         _emit_json(fm.decomposition_to_json(rep, e, d))
-    elif cfg.format == "dot":
+    elif ns.format == "dot":
         print(_dot_decomposition(rep, d))
     else:
         witness = d.certificate.w_witness.bitorsor.left_group
-        print(f"decomposed class {cfg.class_index} of {g.label} over {e.pi_big.label}")
+        print(f"decomposed class {ns.class_index} of {g.label} over {e.pi_big.label}")
         print(f"y factor: {d.y.bitorsor.size} points, witness group order {witness.order}")
         print(f"z factor: {d.z.bitorsor.size} points, type pi {dv.is_type_pi(d.z, e)}")
         print(f"verified: {res.diagnosis}")
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    raw = _read_text(cfg.certificate, "certificate")
+def _cmd_verify(ns: argparse.Namespace) -> int:
+    raw = _read_text(ns.certificate, "certificate")
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise fm.ParseError(f"certificate is not valid JSON: {exc}") from None
     t, e, d = fm.decomposition_from_json(doc)
     res = dv.verify_decomposition(t, d, e)
-    if cfg.format == "json":
+    if ns.format == "json":
         _emit_json(
             {
                 "schema": fm.SCHEMA,
@@ -264,21 +226,21 @@ def _cmd_verify(cfg: RunConfig) -> int:
                 "diagnosis": res.diagnosis,
             }
         )
-    elif cfg.format == "dot":
+    elif ns.format == "dot":
         print(_dot_decomposition(t, d))
     else:
         print(res.diagnosis)
     return 0 if res.ok else 2
 
 
-def _cmd_closure(cfg: RunConfig) -> int:
-    pi = fm.resolve_group_spec(cfg.pi)
+def _cmd_closure(ns: argparse.Namespace) -> int:
+    pi = fm.resolve_group_spec(ns.pi)
     r = fm.parse_registry(
-        _read_text(cfg.registry, "registry"), pi, base_dir=cfg.registry.parent
+        _read_text(ns.registry, "registry"), pi, base_dir=ns.registry.parent
     )
-    g = fm.resolve_group_spec(cfg.group)
-    rep = _class_rep(pi, g, cfg.class_index)
-    fac = rc.in_closure(rep, r, cfg.max_n)
+    g = fm.resolve_group_spec(ns.group)
+    rep = _class_rep(pi, g, ns.class_index)
+    fac = rc.in_closure(rep, r, ns.max_n)
     chain = []
     if fac is not None:
         for factor in fac.factors:
@@ -289,14 +251,14 @@ def _cmd_closure(cfg: RunConfig) -> int:
                     "class": rc.class_index_of_hom(th.theta),
                 }
             )
-    if cfg.format == "json":
+    if ns.format == "json":
         _emit_json(
             {
                 "schema": fm.SCHEMA,
                 "kind": "closure",
                 "group": g.label,
-                "class": cfg.class_index,
-                "max_n": cfg.max_n,
+                "class": ns.class_index,
+                "max_n": ns.max_n,
                 "found": fac is not None,
                 "chain": chain if fac is not None else None,
             }
@@ -304,13 +266,13 @@ def _cmd_closure(cfg: RunConfig) -> int:
     else:
         if fac is None:
             print(
-                f"class {cfg.class_index} of {g.label}: "
-                f"not in the closure within {cfg.max_n} factors"
+                f"class {ns.class_index} of {g.label}: "
+                f"not in the closure within {ns.max_n} factors"
             )
         else:
             steps = " ".join(f"({c['group']}, {c['class']})" for c in chain)
             print(
-                f"class {cfg.class_index} of {g.label}: "
+                f"class {ns.class_index} of {g.label}: "
                 f"in the closure with {len(chain)} factors: {steps}"
             )
     return 0
@@ -336,11 +298,11 @@ def _print_survey(report: lm.SurveyReport) -> None:
         )
 
 
-def _cmd_local_survey(cfg: RunConfig) -> int:
-    params = lm.TameParams(cfg.q, cfg.n, cfg.m)
-    g = fm.resolve_group_spec(cfg.group)
-    report = lm.survey(params, g, workers=cfg.workers)
-    if cfg.format == "json":
+def _cmd_local_survey(ns: argparse.Namespace) -> int:
+    params = lm.TameParams(ns.q, ns.n, ns.m)
+    g = fm.resolve_group_spec(ns.group)
+    report = lm.survey(params, g)
+    if ns.format == "json":
         _emit_json(_survey_dict(report))
     else:
         _print_survey(report)
@@ -351,17 +313,17 @@ DEMO_PARAMS = ((2, 3, 2), (3, 4, 2), (5, 4, 1), (3, 2, 2), (2, 7, 3))
 DEMO_GROUPS = ("cyclic:2", "cyclic:3", "cyclic:4", "cyclic:6", "symmetric:3")
 
 
-def _cmd_demo(cfg: RunConfig) -> int:
-    rng = random.Random(cfg.seed)
+def _cmd_demo(ns: argparse.Namespace) -> int:
+    rng = random.Random(ns.seed)
     q, n, m = rng.choice(DEMO_PARAMS)
     spec = rng.choice(DEMO_GROUPS)
     params = lm.TameParams(q, n, m)
     g = fm.resolve_group_spec(spec)
-    report = lm.survey(params, g, workers=cfg.workers)
-    if cfg.format == "json":
-        _emit_json({"seed": cfg.seed, "scenario": spec, **_survey_dict(report)})
+    report = lm.survey(params, g)
+    if ns.format == "json":
+        _emit_json({"seed": ns.seed, "scenario": spec, **_survey_dict(report)})
     else:
-        print(f"demo seed {cfg.seed}: tame model ({q}, {n}, {m}) over {spec}")
+        print(f"demo seed {ns.seed}: tame model ({q}, {n}, {m}) over {spec}")
         _print_survey(report)
     return 0
 
@@ -377,48 +339,15 @@ _DISPATCH = {
 }
 
 
-def _env_workers() -> int:
-    raw = os.environ.get("BITORSOR_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"BITORSOR_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ValueError(f"BITORSOR_THREADS must be at least 1, got {n}")
-    return n
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Parse, then dispatch on the namespace: argparse has already checked
+    the command, its --format choices and every typed option."""
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        workers = _env_workers()
-    except ValueError as exc:
-        print(f"bitorsor-kit: error: {exc}", file=sys.stderr)
-        return 1
-    cfg = RunConfig(
-        command=ns.command,
-        format=getattr(ns, "format", "text"),
-        group=getattr(ns, "group", None),
-        pi=getattr(ns, "pi", None),
-        extension=getattr(ns, "extension", None),
-        registry=getattr(ns, "registry", None),
-        certificate=getattr(ns, "certificate", None),
-        class_index=getattr(ns, "class_index", None),
-        q=getattr(ns, "q", None),
-        n=getattr(ns, "n", None),
-        m=getattr(ns, "m", None),
-        seed=getattr(ns, "seed", 0),
-        max_n=getattr(ns, "max_n", 4),
-        workers=workers,
-    )
-    try:
-        return _DISPATCH[cfg.command](cfg)
+        return _DISPATCH[ns.command](ns)
     except DomainError as exc:
         module = type(exc).__module__.rsplit(".", 1)[-1]
         print(f"{module}.{type(exc).__name__}: {exc}", file=sys.stderr)

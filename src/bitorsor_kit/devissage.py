@@ -12,11 +12,10 @@ from typing import Callable
 
 from . import bitorsors as bt
 from . import equivariant as eq
-from .bitorsors import Bitorsor, BitorsorMorphism
+from .bitorsors import BitorsorMorphism
 from .equivariant import (
     PiBitorsor,
     PiGroup,
-    PiInducedWitness,
     PiMorphism,
     ThetaBitorsor,
 )
@@ -149,12 +148,7 @@ def is_type_gamma(p: PiBitorsor, e: SplitExtension) -> TypeGammaWitness | None:
         if not surjections:
             continue
         stable = eq.stable_class_predicate(p)
-        seen: set[int] = set()
-        for x in b.points:
-            if x in seen:
-                continue
-            cls = tuple(sorted({b.left_act[a][x] for a in cand.members}))
-            seen.update(cls)
+        for cls in bt.orbit_partition(b, cand.members, left=True):
             if not stable(cls):
                 continue
             inside = set(cls)
@@ -162,31 +156,12 @@ def is_type_gamma(p: PiBitorsor, e: SplitExtension) -> TypeGammaWitness | None:
             if any(b.right_act[y][g] not in inside for y in cls for g in h_members):
                 continue
             try:
-                right_pg, right_incl = eq.restrict_pi_group(p.right, h_members)
-            except (eq.NotPiStable, DomainError):
-                continue
-            try:
-                pos = {y: i for i, y in enumerate(cls)}
-                left_rows = tuple(
-                    tuple(pos[b.left_act[left_incl.map[a]][y]] for y in cls)
-                    for a in left_pg.group.elements
-                )
-                right_rows = tuple(
-                    tuple(pos[b.right_act[y][right_incl.map[a]]] for a in right_pg.group.elements)
-                    for y in cls
-                )
-                sub_b = Bitorsor(left_pg.group, right_pg.group, left_rows, right_rows)
-                rows = tuple(
-                    tuple(pos[p.pi_action_on_points[c][y]] for y in cls)
-                    for c in p.pi.elements
-                )
-                sub_pi = PiBitorsor(left_pg, right_pg, sub_b, rows)
-                incl = PiMorphism(
-                    sub_pi, p, BitorsorMorphism(sub_b, b, left_incl, cls, right_incl)
-                )
+                _, right_incl = subgroup_as_group(p.right.group, h_members)
+                _, incl = bt.restrict(b, left_incl, cls, right_incl)
+                sub_pi, incl_pi = eq.restrict_pi(p, incl)
             except DomainError:
                 continue
-            return TypeGammaWitness(sub_pi, incl, surjections[0])
+            return TypeGammaWitness(sub_pi, incl_pi, surjections[0])
     return None
 
 

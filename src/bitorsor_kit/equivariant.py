@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import bitorsors as bt
 from .bitorsors import (
@@ -536,73 +536,59 @@ def pi_induced_witness(p: PiBitorsor, h: Subgroup) -> PiInducedWitness | None:
     *flags, cls = bt.induced_conditions(p.bitorsor, h, stable_class_predicate(p))
     if cls is None:
         return None
-    hp = bt.corresponding_normal_subgroup(p.bitorsor, h)
-    sub, incl = bt.sub_bitorsor_on_class(p.bitorsor, h, cls)
-    left_pg, _ = restrict_pi_group(p.left, hp.members)
-    right_pg, _ = restrict_pi_group(p.right, h.members)
-    pos = {x: i for i, x in enumerate(cls)}
+    _, incl = bt.sub_bitorsor_on_class(p.bitorsor, h, cls)
+    return PiInducedWitness(*restrict_pi(p, incl), cls)
+
+
+def restrict_pi(p: PiBitorsor, incl: BitorsorMorphism) -> tuple[PiBitorsor, PiMorphism]:
+    """The symmetry structure p induces on a stable sub-carrier, given the
+    carrier's inclusion (from bt.restrict), with the equivariant inclusion."""
+    left_pg, _ = restrict_pi_group(p.left, incl.phi_left.map)
+    right_pg, _ = restrict_pi_group(p.right, incl.phi_right.map)
+    pos = {x: i for i, x in enumerate(incl.point_map)}
     rows = tuple(
-        tuple(pos[p.pi_action_on_points[c][x]] for x in cls) for c in p.pi.elements
+        tuple(pos[row[x]] for x in incl.point_map) for row in p.pi_action_on_points
     )
-    sub_pi = PiBitorsor(left_pg, right_pg, sub, rows)
-    return PiInducedWitness(sub_pi, PiMorphism(sub_pi, p, incl), cls)
+    sub = PiBitorsor(left_pg, right_pg, incl.src, rows)
+    return sub, PiMorphism(sub, p, incl)
+
+
+def _first_pi_morphism(
+    src: PiBitorsor, dst: PiBitorsor, candidates: Iterable[BitorsorMorphism]
+) -> PiMorphism | None:
+    """The first candidate carrier morphism that commutes with pi."""
+    for m in candidates:
+        try:
+            return PiMorphism(src, dst, m)
+        except DomainError:
+            continue
+    return None
 
 
 def pi_isomorphism(
     p1: PiBitorsor, p2: PiBitorsor, fix_right: bool = True
 ) -> PiMorphism | None:
-    """Equivariant isomorphism search; deterministic first hit or absence."""
-    if p1.pi != p2.pi or p1.bitorsor.size != p2.bitorsor.size:
+    """Equivariant isomorphism search: the first carrier isomorphism over a
+    pi-equivariant right hom that commutes with pi, or None."""
+    if p1.pi != p2.pi:
         return None
-    b1, b2 = p1.bitorsor, p2.bitorsor
     if fix_right:
         if p1.right != p2.right:
             return None
-        candidates = [identity_hom(b1.right_group)]
+        right_isos = [identity_hom(p1.bitorsor.right_group)]
     else:
-        candidates = pi_equivariant_isos(p1.right, p2.right)
-    for rho in candidates:
-        for y0 in b2.points:
-            v = [0] * b1.size
-            for g in b1.right_group.elements:
-                v[b1.right_act[0][g]] = b2.right_act[y0][rho.map[g]]
-            into = {}
-            for gp in b2.left_group.elements:
-                into[b2.left_act[gp][y0]] = gp
-            try:
-                lam = GroupHom(
-                    b1.left_group,
-                    b2.left_group,
-                    tuple(into[v[b1.left_act[gp][0]]] for gp in b1.left_group.elements),
-                )
-                m = BitorsorMorphism(b1, b2, lam, tuple(v), rho)
-                if not m.is_isomorphism():
-                    continue
-                return PiMorphism(p1, p2, m)
-            except DomainError:
-                continue
-    return None
+        right_isos = pi_equivariant_isos(p1.right, p2.right)
+    isos = bt.bitorsor_isomorphisms(p1.bitorsor, p2.bitorsor, right_isos)
+    return _first_pi_morphism(p1, p2, isos)
 
 
 def factor_morphism_pi(
     m: PiMorphism,
 ) -> tuple[PiMorphism, PiMorphism, PiBitorsor]:
     """Image factorization with the inherited symmetry structure."""
-    alpha, beta, img = bt.factor_morphism(m.inner)
-    left_pg, _ = restrict_pi_group(m.dst.left, set(m.inner.phi_left.map))
-    right_pg, _ = restrict_pi_group(m.dst.right, set(m.inner.phi_right.map))
-    img_points = beta.point_map
-    pos = {x: i for i, x in enumerate(img_points)}
-    rows = tuple(
-        tuple(pos[m.dst.pi_action_on_points[c][x]] for x in img_points)
-        for c in m.src.pi.elements
-    )
-    img_pi = PiBitorsor(left_pg, right_pg, img, rows)
-    return (
-        PiMorphism(m.src, img_pi, alpha),
-        PiMorphism(img_pi, m.dst, beta),
-        img_pi,
-    )
+    alpha, beta, _ = bt.factor_morphism(m.inner)
+    img_pi, beta_pi = restrict_pi(m.dst, beta)
+    return PiMorphism(m.src, img_pi, alpha), beta_pi, img_pi
 
 
 @dataclass(frozen=True)
@@ -633,44 +619,14 @@ def pi_factor_through_pushforwards(
     glued_inner = bt.wedge_of_morphisms(
         can1.inner, can2.inner, src_idx, dst_idx, src_wedge.bitorsor, dst_wedge.bitorsor
     )
-    glued = PiMorphism(src_wedge, dst_wedge, glued_inner)
-    dw = dst_wedge.bitorsor
-    target = m.dst.bitorsor
-    w0 = glued_inner.point_map[0]
-    c0 = m.inner.point_map[0]
-    into = {}
-    for hp in target.left_group.elements:
-        into[target.left_act[hp][c0]] = hp
-    for rho in pi_equivariant_isos(dst_wedge.right, m.dst.right):
-        v = [0] * dw.size
-        for r in dw.right_group.elements:
-            v[dw.right_act[w0][r]] = target.right_act[c0][rho.map[r]]
-        try:
-            lam = GroupHom(
-                dw.left_group,
-                target.left_group,
-                tuple(
-                    into[v[dw.left_act[lp][w0]]] for lp in dw.left_group.elements
-                ),
-            )
-            psi_inner = BitorsorMorphism(dw, target, lam, tuple(v), rho)
-        except DomainError:
-            continue
-        if not psi_inner.is_isomorphism():
-            continue
-        composite = bt.compose_bimorphisms(psi_inner, glued_inner)
-        if (
-            composite.point_map != m.inner.point_map
-            or composite.phi_left != m.inner.phi_left
-            or composite.phi_right != m.inner.phi_right
-        ):
-            continue
-        try:
-            psi = PiMorphism(dst_wedge, m.dst, psi_inner)
-        except DomainError:
-            continue
-        return PiWedgeFactorization(phi2, middle, can1, can2, dst_wedge, psi)
-    raise InvalidMorphism("no equivariant isomorphism completes the rewrite")
+    PiMorphism(src_wedge, dst_wedge, glued_inner)  # the glued map must commute with pi
+    right_isos = pi_equivariant_isos(dst_wedge.right, m.dst.right)
+    psi = _first_pi_morphism(
+        dst_wedge, m.dst, bt.wedge_completions(glued_inner, m.inner, right_isos)
+    )
+    if psi is None:
+        raise InvalidMorphism("no equivariant isomorphism completes the rewrite")
+    return PiWedgeFactorization(phi2, middle, can1, can2, dst_wedge, psi)
 
 
 def is_connected(t: ThetaBitorsor) -> bool:
@@ -699,38 +655,45 @@ def connected_component(
     orbit = sorted({b.left_act[gp][basepoint] for gp in h_prime})
     h = [g for g in b.right_group.elements if b.right_act[basepoint][g] in set(orbit)]
     hp_grp, hp_incl = subgroup_as_group(b.left_group, h_prime)
-    h_grp, h_incl = subgroup_as_group(b.right_group, h)
-    pos = {x: i for i, x in enumerate(orbit)}
-    left_rows = tuple(
-        tuple(pos[b.left_act[hp_incl.map[a]][x]] for x in orbit)
-        for a in hp_grp.elements
-    )
-    right_rows = tuple(
-        tuple(pos[b.right_act[x][h_incl.map[a]]] for a in h_grp.elements)
-        for x in orbit
-    )
-    sub = Bitorsor(hp_grp, h_grp, left_rows, right_rows)
+    _, h_incl = subgroup_as_group(b.right_group, h)
+    sub, inclusion = bt.restrict(b, hp_incl, tuple(orbit), h_incl)
     hp_pos = {v: i for i, v in enumerate(hp_incl.map)}
     theta_sub = GroupHom(t.pi, hp_grp, tuple(hp_pos[v] for v in t.theta.map))
     component = ThetaBitorsor(sub, theta_sub)
-    inclusion = BitorsorMorphism(sub, b, hp_incl, tuple(orbit), h_incl)
     if not inclusion.is_injective():
         raise EquivariantError("component inclusion failed to be injective")
     return component, inclusion
 
 
-@lru_cache(maxsize=None)
 def h1_representatives(pi: FiniteGroup, g: FiniteGroup) -> tuple[GroupHom, ...]:
-    """One homomorphism per conjugacy class, smallest-map first."""
+    """One homomorphism per conjugacy class, smallest-map first.
+
+    Memoized like from_theta, with the labels of both groups in the key."""
+    return _h1_representatives(pi, g, (pi.label, g.label))
+
+
+@lru_cache(maxsize=None)
+def _h1_representatives(
+    pi: FiniteGroup, g: FiniteGroup, labels: tuple[str, str]
+) -> tuple[GroupHom, ...]:
     classes = conjugacy_classes_of_homs(enumerate_homs(pi, g))
     return tuple(cls[0] for cls in classes)
 
 
-@lru_cache(maxsize=None)
 def h1(pi: FiniteGroup, g: FiniteGroup) -> tuple[ThetaBitorsor, ...]:
-    """Canonical class representatives, each over the trivial carrier."""
+    """Canonical class representatives, each over the trivial carrier.
+
+    Memoized like from_theta, with the labels of both groups in the key."""
+    return _h1(pi, g, (pi.label, g.label))
+
+
+@lru_cache(maxsize=None)
+def _h1(pi: FiniteGroup, g: FiniteGroup, labels: tuple[str, str]) -> tuple[ThetaBitorsor, ...]:
     triv = bt.trivial_bitorsor(g)
     return tuple(ThetaBitorsor(triv, rep) for rep in h1_representatives(pi, g))
+
+
+h1.cache_info = _h1.cache_info
 
 
 def classify(t: ThetaBitorsor, classes) -> int:

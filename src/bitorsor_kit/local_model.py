@@ -5,7 +5,6 @@ decompositions over a chosen structure group."""
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import devissage as dv
@@ -101,20 +100,9 @@ class SurveyReport:
         }
 
 
-def parallel_map(fn, items, workers: int = 1) -> list:
-    """Apply fn to each item, merging results in input order regardless of
-    the worker count."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _survey_class(
-    p: TameParams, e: SplitExtension, g: FiniteGroup, index: int
+    p: TameParams, e: SplitExtension, g: FiniteGroup, index: int, rep: eq.ThetaBitorsor
 ) -> tuple[SurveyRow, dv.Decomposition]:
-    rep = eq.h1(e.pi_big, g)[index]
     d = dv.decompose(rep, e)
     res = dv.verify_decomposition(rep, d, e)
     witness_group = d.certificate.w_witness.bitorsor.left_group
@@ -143,16 +131,12 @@ def _survey_class(
     return row, d
 
 
-def survey(p: TameParams, g: FiniteGroup, workers: int = 1) -> SurveyReport:
+def survey(p: TameParams, g: FiniteGroup) -> SurveyReport:
     """Decompose and verify every class over g, sorted by (image size,
     theta) for stable output."""
-    e = build_tame_quotient(p)
-    count = len(eq.h1(e.pi_big, g))
-    results = parallel_map(
-        lambda i: _survey_class(p, e, g, i), range(count), workers
-    )
+    pairs = survey_decompositions(p, g)
     rows = tuple(
-        sorted((row for row, _ in results), key=lambda r: (r.image_size, r.theta))
+        sorted((row for row, _ in pairs), key=lambda r: (r.image_size, r.theta))
     )
     warnings = []
     shared = math.gcd(g.order, p.q)
@@ -165,17 +149,16 @@ def survey(p: TameParams, g: FiniteGroup, workers: int = 1) -> SurveyReport:
         params=p,
         group_label=g.label,
         group_order=g.order,
-        pi_order=e.pi_big.order,
+        pi_order=p.n * p.m,  # the order of Z/n x| Z/m
         rows=rows,
         warnings=tuple(warnings),
     )
 
 
 def survey_decompositions(
-    p: TameParams, g: FiniteGroup, workers: int = 1
+    p: TameParams, g: FiniteGroup
 ) -> list[tuple[SurveyRow, dv.Decomposition]]:
     """The survey rows paired with the decompositions behind them, in h1
     class order."""
     e = build_tame_quotient(p)
-    count = len(eq.h1(e.pi_big, g))
-    return parallel_map(lambda i: _survey_class(p, e, g, i), range(count), workers)
+    return [_survey_class(p, e, g, i, rep) for i, rep in enumerate(eq.h1(e.pi_big, g))]

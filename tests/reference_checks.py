@@ -11,6 +11,10 @@ Searches: hom enumeration over the full product of generator images with
 no pruning, eager isomorphism lists, and the isomorphism searches and wedge
 factorizations that build every isomorphism before filtering for the first
 that passes.
+
+Restrictions: the sub-bitorsor constructions that each built their own
+restricted action tables, one orbit partition per side, and the
+symmetry-aware wrappers that built their own point-action rows.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import itertools
 
 from bitorsor_kit import bitorsors as B
+from bitorsor_kit import devissage as D
 from bitorsor_kit import equivariant as E
 from bitorsor_kit.bitorsors import InvalidBitorsor, InvalidMorphism, NotFree, NotTransitive
 from bitorsor_kit.equivariant import EquivariantError, NotPiEquivariant
@@ -34,8 +39,10 @@ from bitorsor_kit.groups import (
     NotAssociative,
     NotASubgroup,
     NotSurjective,
+    all_subgroups,
     closure,
     identity_hom,
+    subgroup_as_group,
 )
 
 
@@ -582,4 +589,219 @@ def pi_isomorphism(p1, p2, fix_right=True):
                 return E.PiMorphism(p1, p2, m)
             except DomainError:
                 continue
+    return None
+
+
+def _right_orbit_partition(b, members):
+    classes = []
+    seen = set()
+    for x in b.points:
+        if x in seen:
+            continue
+        cls = tuple(sorted({b.right_act[x][h] for h in members}))
+        classes.append(cls)
+        seen.update(cls)
+    return classes
+
+
+def _left_orbit_partition(b, members):
+    classes = []
+    seen = set()
+    for x in b.points:
+        if x in seen:
+            continue
+        cls = tuple(sorted({b.left_act[h][x] for h in members}))
+        classes.append(cls)
+        seen.update(cls)
+    return classes
+
+
+def sub_bitorsor_on_class(b, h, cls):
+    hp = B.corresponding_normal_subgroup(b, h)
+    pos = {x: i for i, x in enumerate(cls)}
+    h_grp, h_incl = subgroup_as_group(b.right_group, h.members)
+    hp_grp, hp_incl = subgroup_as_group(b.left_group, hp.members)
+    left_rows = tuple(
+        tuple(pos[b.left_act[hp_incl.map[a]][x]] for x in cls) for a in hp_grp.elements
+    )
+    right_rows = tuple(
+        tuple(pos[b.right_act[x][h_incl.map[a]]] for a in h_grp.elements) for x in cls
+    )
+    sub = B.Bitorsor(hp_grp, h_grp, left_rows, right_rows)
+    incl = B.BitorsorMorphism(sub, b, hp_incl, cls, h_incl)
+    return sub, incl
+
+
+def induced_conditions(b, h, stable=None):
+    if stable is None:
+        stable = lambda cls: True  # noqa: E731
+    hp = B.corresponding_normal_subgroup(b, h)
+    bq, _ = B.quotient_bitorsor(b, h)
+    classes = _right_orbit_partition(b, h.members)
+    # (i): the collapsed carrier has an admissible point
+    cond_i = any(stable(classes[p]) for p in bq.points)
+    # (ii): some right coset class is admissible as a sub right torsor
+    right_classes = [cls for cls in _right_orbit_partition(b, h.members) if stable(cls)]
+    cond_ii = bool(right_classes)
+    # (iii): mirrored on the left
+    left_classes = [cls for cls in _left_orbit_partition(b, hp.members) if stable(cls)]
+    cond_iii = bool(left_classes)
+    # (iv): an actual two-sided sub-bitorsor materializes on some class
+    witness_cls = None
+    for cls in classes:
+        if not stable(cls):
+            continue
+        try:
+            sub_bitorsor_on_class(b, h, cls)
+        except DomainError:
+            continue
+        witness_cls = cls
+        break
+    cond_iv = witness_cls is not None
+    if len({cond_i, cond_ii, cond_iii, cond_iv}) != 1:
+        raise InvalidBitorsor(
+            "induction criteria disagree: "
+            f"({cond_i},{cond_ii},{cond_iii},{cond_iv})"
+        )
+    return cond_i, cond_ii, cond_iii, cond_iv, witness_cls
+
+
+def factor_morphism(m):
+    img_points = tuple(sorted(set(m.point_map)))
+    pos = {x: i for i, x in enumerate(img_points)}
+    lg, l_incl = subgroup_as_group(m.dst.left_group, set(m.phi_left.map))
+    rg, r_incl = subgroup_as_group(m.dst.right_group, set(m.phi_right.map))
+    l_pos = {v: i for i, v in enumerate(l_incl.map)}
+    r_pos = {v: i for i, v in enumerate(r_incl.map)}
+    left_rows = tuple(
+        tuple(pos[m.dst.left_act[l_incl.map[a]][x]] for x in img_points)
+        for a in lg.elements
+    )
+    right_rows = tuple(
+        tuple(pos[m.dst.right_act[x][r_incl.map[a]]] for a in rg.elements)
+        for x in img_points
+    )
+    img = B.Bitorsor(lg, rg, left_rows, right_rows)
+    alpha = B.BitorsorMorphism(
+        m.src,
+        img,
+        GroupHom(m.src.left_group, lg, tuple(l_pos[v] for v in m.phi_left.map)),
+        tuple(pos[v] for v in m.point_map),
+        GroupHom(m.src.right_group, rg, tuple(r_pos[v] for v in m.phi_right.map)),
+    )
+    beta = B.BitorsorMorphism(img, m.dst, l_incl, img_points, r_incl)
+    return alpha, beta, img
+
+
+def pi_induced_witness(p, h):
+    *flags, cls = induced_conditions(p.bitorsor, h, E.stable_class_predicate(p))
+    if cls is None:
+        return None
+    hp = B.corresponding_normal_subgroup(p.bitorsor, h)
+    sub, incl = sub_bitorsor_on_class(p.bitorsor, h, cls)
+    left_pg, _ = E.restrict_pi_group(p.left, hp.members)
+    right_pg, _ = E.restrict_pi_group(p.right, h.members)
+    pos = {x: i for i, x in enumerate(cls)}
+    rows = tuple(
+        tuple(pos[p.pi_action_on_points[c][x]] for x in cls) for c in p.pi.elements
+    )
+    sub_pi = E.PiBitorsor(left_pg, right_pg, sub, rows)
+    return E.PiInducedWitness(sub_pi, E.PiMorphism(sub_pi, p, incl), cls)
+
+
+def factor_morphism_pi(m):
+    alpha, beta, img = factor_morphism(m.inner)
+    left_pg, _ = E.restrict_pi_group(m.dst.left, set(m.inner.phi_left.map))
+    right_pg, _ = E.restrict_pi_group(m.dst.right, set(m.inner.phi_right.map))
+    img_points = beta.point_map
+    pos = {x: i for i, x in enumerate(img_points)}
+    rows = tuple(
+        tuple(pos[m.dst.pi_action_on_points[c][x]] for x in img_points)
+        for c in m.src.pi.elements
+    )
+    img_pi = E.PiBitorsor(left_pg, right_pg, img, rows)
+    return (
+        E.PiMorphism(m.src, img_pi, alpha),
+        E.PiMorphism(img_pi, m.dst, beta),
+        img_pi,
+    )
+
+
+def connected_component(t, basepoint=0):
+    b = t.bitorsor
+    h_prime = sorted(set(t.theta.map))
+    orbit = sorted({b.left_act[gp][basepoint] for gp in h_prime})
+    h = [g for g in b.right_group.elements if b.right_act[basepoint][g] in set(orbit)]
+    hp_grp, hp_incl = subgroup_as_group(b.left_group, h_prime)
+    h_grp, h_incl = subgroup_as_group(b.right_group, h)
+    pos = {x: i for i, x in enumerate(orbit)}
+    left_rows = tuple(
+        tuple(pos[b.left_act[hp_incl.map[a]][x]] for x in orbit)
+        for a in hp_grp.elements
+    )
+    right_rows = tuple(
+        tuple(pos[b.right_act[x][h_incl.map[a]]] for a in h_grp.elements)
+        for x in orbit
+    )
+    sub = B.Bitorsor(hp_grp, h_grp, left_rows, right_rows)
+    hp_pos = {v: i for i, v in enumerate(hp_incl.map)}
+    theta_sub = GroupHom(t.pi, hp_grp, tuple(hp_pos[v] for v in t.theta.map))
+    component = E.ThetaBitorsor(sub, theta_sub)
+    inclusion = B.BitorsorMorphism(sub, b, hp_incl, tuple(orbit), h_incl)
+    if not inclusion.is_injective():
+        raise EquivariantError("component inclusion failed to be injective")
+    return component, inclusion
+
+
+def is_type_gamma(p, e):
+    if p.pi != e.pi_big:
+        raise B.SignatureMismatch("carrier symmetry group differs from pi_big")
+    b = p.bitorsor
+    for cand in all_subgroups(b.left_group):
+        try:
+            left_pg, left_incl = E.restrict_pi_group(p.left, cand.members)
+        except E.NotPiStable:
+            continue
+        surjections = D._gamma_surjections(e, left_pg)
+        if not surjections:
+            continue
+        stable = E.stable_class_predicate(p)
+        seen = set()
+        for x in b.points:
+            if x in seen:
+                continue
+            cls = tuple(sorted({b.left_act[a][x] for a in cand.members}))
+            seen.update(cls)
+            if not stable(cls):
+                continue
+            inside = set(cls)
+            h_members = [g for g in b.right_group.elements if b.right_act[cls[0]][g] in inside]
+            if any(b.right_act[y][g] not in inside for y in cls for g in h_members):
+                continue
+            try:
+                right_pg, right_incl = E.restrict_pi_group(p.right, h_members)
+            except (E.NotPiStable, DomainError):
+                continue
+            try:
+                pos = {y: i for i, y in enumerate(cls)}
+                left_rows = tuple(
+                    tuple(pos[b.left_act[left_incl.map[a]][y]] for y in cls)
+                    for a in left_pg.group.elements
+                )
+                right_rows = tuple(
+                    tuple(pos[b.right_act[y][right_incl.map[a]]] for a in right_pg.group.elements)
+                    for y in cls
+                )
+                sub_b = B.Bitorsor(left_pg.group, right_pg.group, left_rows, right_rows)
+                rows = tuple(
+                    tuple(pos[p.pi_action_on_points[c][y]] for y in cls)
+                    for c in p.pi.elements
+                )
+                sub_pi = E.PiBitorsor(left_pg, right_pg, sub_b, rows)
+                incl = E.PiMorphism(
+                    sub_pi, p, B.BitorsorMorphism(sub_b, b, left_incl, cls, right_incl)
+                )
+            except DomainError:
+                continue
+            return D.TypeGammaWitness(sub_pi, incl, surjections[0])
     return None

@@ -4,6 +4,10 @@ decompose -> verify round trip."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,10 +50,18 @@ class TestUsage:
         )
         assert code == 1 and "at least 1" in err
 
-    def test_bad_thread_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("BITORSOR_THREADS", "many")
-        code, _, err = run(capsys, "validate-group", "--group", "cyclic:2")
-        assert code == 1 and "BITORSOR_THREADS" in err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("h1", "--pi", "cyclic:2", "--group", "cyclic:2", "--format", "dot"),
+            ("validate-group", "--group", "cyclic:2", "--format", "xml"),
+        ],
+    )
+    def test_format_a_command_does_not_offer(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("usage: bitorsor-kit " + argv[0])
+        assert "argument --format: invalid choice" in err
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
@@ -255,6 +267,26 @@ def test_repeated_calls_match_first_calls(capsys, ext_file):
     assert again == first
 
 
+def test_relabelled_group_prints_its_own_labels(capsys, tmp_path, ext_file):
+    """Group equality ignores labels, so the memoized class lists must key on
+    them: a decompose over the S3 table labelled Y, run after one over the
+    same table labelled X, prints what a fresh process prints over Y."""
+    table = F.format_group(G.symmetric(3))
+    for label in ("X", "Y"):
+        (tmp_path / f"{label}.grp").write_text(table.replace("group S3", f"group {label}", 1))
+    argv = ["decompose", "--extension", str(ext_file), "--class", "2", "--format", "json"]
+    y = ["--group", str(tmp_path / "Y.grp")]
+    assert run(capsys, *argv, "--group", str(tmp_path / "X.grp"))[0] == 0
+    code, out, _ = run(capsys, *argv, *y)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "bitorsor_kit.cli", *argv, *y],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert code == 0 and out == fresh.stdout
+    assert '"label": "Y"' in out and "X" not in out
+
+
 @pytest.fixture
 def registry_file(tmp_path):
     path = tmp_path / "reg.txt"
@@ -326,16 +358,6 @@ class TestLocalSurvey:
         rows = [line for line in out.splitlines() if line.startswith("class ")]
         assert code == 0 and len(rows) == 13
         assert all("decomposed=true" in r for r in rows)
-
-    def test_thread_env_does_not_change_output(self, capsys, monkeypatch):
-        args = (
-            "local-survey", "--q", "3", "--n", "4", "--m", "2",
-            "--group", "cyclic:2", "--format", "json",
-        )
-        _, lone, _ = run(capsys, *args)
-        monkeypatch.setenv("BITORSOR_THREADS", "4")
-        _, pooled, _ = run(capsys, *args)
-        assert lone == pooled
 
 
 class TestDemo:

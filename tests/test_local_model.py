@@ -133,18 +133,6 @@ class TestDeterminism:
         b = json.dumps(L.survey(p, s3).to_dict(), sort_keys=True)
         assert a == b
 
-    def test_workers_do_not_change_the_report(self, z2):
-        p = L.TameParams(q=3, n=4, m=2)
-        a = json.dumps(L.survey(p, z2, workers=1).to_dict(), sort_keys=True)
-        b = json.dumps(L.survey(p, z2, workers=4).to_dict(), sort_keys=True)
-        assert a == b
-
-    def test_parallel_map_preserves_input_order(self):
-        items = list(range(17))
-        assert L.parallel_map(lambda x: x * x, items, workers=4) == [
-            x * x for x in items
-        ]
-
 
 class TestDecompositionAccess:
     def test_rows_match_survey(self, s3):
@@ -152,6 +140,11 @@ class TestDecompositionAccess:
         pairs = L.survey_decompositions(p, s3)
         rows = {r for r, _ in pairs}
         assert rows == set(L.survey(p, s3).rows)
+
+    @pytest.mark.parametrize("qnm", [(2, 1, 1), (3, 1, 2), (2, 3, 2), (3, 4, 2), (2, 7, 3)])
+    def test_pi_order_is_the_model_order(self, z2, qnm):
+        p = L.TameParams(*qnm)
+        assert L.survey(p, z2).pi_order == L.build_tame_quotient(p).pi_big.order
 
     def test_decompositions_verify(self, s3):
         p = L.TameParams(q=2, n=3, m=2)
