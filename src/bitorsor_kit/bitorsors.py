@@ -6,13 +6,19 @@ morphism factorizations).
 All actions are dense index tables: left_act[g'][x] and right_act[x][g].
 Constructors check every invariant in full, each law on the generators of
 the groups involved (the closure argument of Light's associativity test,
-Clifford & Preston I, section 1.2), so any Bitorsor in circulation is sound.
+Clifford & Preston I, section 1.2), and freeness and transitivity at point 0
+only, which decides them everywhere once the action laws hold.  So any
+Bitorsor in circulation is sound.
+
+The group completing a one-sided torsor (from_right_torsor, and so every
+pushforward) is built by construction: in base-point coordinates its
+elements are translations, and its product table is read off the action.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError
 from .groups import (
@@ -74,7 +80,8 @@ class Bitorsor:
         """Complete on generators: once the identities act trivially, the
         second factors g2 satisfying an action law form a set closed under
         products, and so do the left and right elements commuting with all
-        generators of the other side."""
+        generators of the other side.  Both sides are then group actions, so
+        freeness and transitivity are decided at point 0 (_orbit_at_zero)."""
         gl, gr = self.left_group, self.right_group
         k = len(self.right_act)
         if len(self.left_act) != gl.order:
@@ -120,23 +127,8 @@ class Bitorsor:
                 for g in gr.generators:
                     if ra[gx][g] != la[gp][ra[x][g]]:
                         raise InvalidBitorsor(f"actions fail to commute at ({gp},{x},{g})")
-        for x in range(k):
-            seen = set()
-            for gp in gl.elements:
-                y = la[gp][x]
-                if y in seen:
-                    raise NotFree(f"left action is not free at point {x}")
-                seen.add(y)
-            if len(seen) != k:
-                raise NotTransitive(f"left orbit of point {x} misses points")
-            seen = set()
-            for g in gr.elements:
-                y = ra[x][g]
-                if y in seen:
-                    raise NotFree(f"right action is not free at point {x}")
-                seen.add(y)
-            if len(seen) != k:
-                raise NotTransitive(f"right orbit of point {x} misses points")
+        _orbit_at_zero((row[0] for row in la), k, "left")
+        _orbit_at_zero(ra[0], k, "right")
 
     @property
     def size(self) -> int:
@@ -243,30 +235,23 @@ def trivial_bitorsor(g: FiniteGroup) -> Bitorsor:
     return Bitorsor(g, g, g.mul, g.mul)
 
 
-def _permutation_group_from_perms(
-    perms: list[tuple[int, ...]], compose_left: bool, label: str
-) -> tuple[FiniteGroup, dict[tuple[int, ...], int]]:
-    """Close a set of commuting permutations into a group.
+def _orbit_at_zero(orbit: Iterable[int], k: int, side: str) -> list[int]:
+    """Invert the orbit map g -> 0.g (or g.0) of a group action on k points:
+    the element carrying 0 to each point.  Raises unless it is a bijection.
 
-    compose_left: table[i][j] = perms[i] after perms[j] (left-action convention);
-    otherwise table[i][j] = perms[j] after perms[i] (right-action convention).
-    """
-    perms = sorted(set(perms))
-    pos = {p: i for i, p in enumerate(perms)}
-    k = len(perms)
-    table = [[0] * k for _ in range(k)]
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            if compose_left:
-                r = tuple(p[q[x]] for x in range(len(p)))
-            else:
-                r = tuple(q[p[x]] for x in range(len(p)))
-            if r not in pos:
-                raise InvalidBitorsor("candidate symmetries are not closed")
-            table[i][j] = pos[r]
-    ident = pos[tuple(range(len(perms[0])))]
-    grp = make_group(table, generating_set(table, ident), label)
-    return grp, pos
+    For an action this decides freeness and transitivity at every point: if
+    x = 0.a, the orbit map at x is the one at 0 composed with a translation
+    of the group, so every stabilizer is conjugate to the one at 0 and every
+    orbit is the orbit of 0.  The check therefore raises exactly the error
+    that checking each point in order raises first."""
+    coord: dict[int, int] = {}
+    for g, y in enumerate(orbit):
+        if y in coord:
+            raise NotFree(f"{side} action is not free at point 0")
+        coord[y] = g
+    if len(coord) != k:
+        raise NotTransitive(f"{side} orbit of point 0 misses points")
+    return [coord[x] for x in range(k)]
 
 
 def from_right_torsor(
@@ -274,10 +259,17 @@ def from_right_torsor(
 ) -> Bitorsor:
     """Complete a free transitive right action to a bitorsor.
 
-    The left group is the full symmetry group commuting with the right
-    action; it always has exactly as many elements as there are points.
-    The action law is checked with g2 over the generators, as in Bitorsor.
-    """
+    The left group is the group of symmetries commuting with the right
+    action: Aut_G(P), the inner twist of G by P (Giraud, Cohomologie non
+    abelienne, 1971), made an explicit table by the base point 0.  Writing
+    y = 0.a_y, the symmetry p_y sending 0 to y is left multiplication by
+    a_y in base-point coordinates, p_y(0.g) = y.g, so p_y o p_y' is the
+    symmetry sending 0 to p_y(y').  Left element y is p_y: sorted as
+    tuples the p_y fall in this order, since p_y(0) = y, and the product
+    table is the left action table itself.
+
+    The action law is checked with g2 over the generators, as in Bitorsor,
+    and freeness and transitivity at point 0 (see _orbit_at_zero)."""
     ra = tuple(tuple(int(v) for v in row) for row in right_act)
     if len(ra) != num_points or any(len(r) != right_group.order for r in ra):
         raise InvalidBitorsor("right action table has the wrong shape")
@@ -289,45 +281,34 @@ def from_right_torsor(
             for g2 in right_group.generators:
                 if ra[x][right_group.mul[g1][g2]] != ra[ra[x][g1]][g2]:
                     raise NotAnAction(f"right action breaks at ({x},{g1},{g2})")
-    for x in range(num_points):
-        hit = set()
-        for g in right_group.elements:
-            y = ra[x][g]
-            if y in hit:
-                raise NotFree(f"right action is not free at point {x}")
-            hit.add(y)
-        if len(hit) != num_points:
-            raise NotTransitive(f"right orbit of point {x} misses points")
-    base = 0
-    perms = []
-    for y in range(num_points):
-        p = [0] * num_points
-        for g in right_group.elements:
-            p[ra[base][g]] = ra[y][g]
-        perms.append(tuple(p))
-    grp, pos = _permutation_group_from_perms(perms, True, f"Aut({right_group.label})")
-    ordered = sorted(pos, key=pos.get)
-    left_act = tuple(ordered)
+    a = _orbit_at_zero(ra[0], num_points, "right")
+    left_act = tuple(tuple(row[g] for g in a) for row in ra)
+    grp = make_group(left_act, generating_set(left_act, 0), f"Aut({right_group.label})")
     return Bitorsor(grp, right_group, left_act, ra)
 
 
 def _from_left_torsor(
     num_points: int, left_group: FiniteGroup, left_act
 ) -> Bitorsor:
-    """Mirror construction: complete a free transitive left action."""
+    """Mirror construction, after the same checks: with y = b_y.0, the
+    symmetry sending 0 to y is right multiplication by b_y, composed the
+    other way round.  Right element y sends x = b_x.0 to b_x.y, and the
+    product table is the right action table itself."""
     la = tuple(tuple(int(v) for v in row) for row in left_act)
-    base = 0
-    perms = []
-    for y in range(num_points):
-        p = [0] * num_points
-        for g in left_group.elements:
-            p[la[g][base]] = la[g][y]
-        perms.append(tuple(p))
-    grp, pos = _permutation_group_from_perms(perms, False, f"Aut({left_group.label})")
-    ordered = sorted(pos, key=pos.get)
-    right_act = tuple(
-        tuple(ordered[i][x] for i in range(len(ordered))) for x in range(num_points)
-    )
+    if len(la) != left_group.order or any(len(r) != num_points for r in la):
+        raise InvalidBitorsor("left action table has the wrong shape")
+    for x in range(num_points):
+        if la[left_group.identity][x] != x:
+            raise NotAnAction(f"left identity moves point {x}")
+    for g1 in left_group.elements:
+        for g2 in left_group.generators:
+            row, r1, r2 = la[left_group.mul[g1][g2]], la[g1], la[g2]
+            for x in range(num_points):
+                if row[x] != r1[r2[x]]:
+                    raise NotAnAction(f"left action breaks at ({g1},{g2},{x})")
+    b = _orbit_at_zero((row[0] for row in la), num_points, "left")
+    right_act = tuple(la[g] for g in b)
+    grp = make_group(right_act, generating_set(right_act, 0), f"Aut({left_group.label})")
     return Bitorsor(left_group, grp, la, right_act)
 
 
@@ -833,11 +814,27 @@ def factor_through_pushforwards(
     pushed2l, can2 = pushforward_left(b2, phi2)
     dst_wedge, dst_index = contracted_product(pushed1, pushed2l)
     glued = wedge_of_morphisms(can1, can2, src_index, dst_index, src_wedge, dst_wedge)
-    right_isos = iter_isomorphisms(dst_wedge.right_group, m.dst.right_group)
+    right_isos = iter_isomorphisms(
+        dst_wedge.right_group, m.dst.right_group, rho_pools(glued, m)
+    )
     psi = next(wedge_completions(glued, m, right_isos), None)
     if psi is None:
         raise InvalidMorphism("no isomorphism completes the extension rewrite")
     return WedgeFactorization(phi2, can1, can2, dst_wedge, psi)
+
+
+def rho_pools(glued: BitorsorMorphism, m: BitorsorMorphism) -> list[Sequence[int]]:
+    """Image pools, per generator of glued's right group, for the right hom
+    rho of wedge_completions(glued, m, ...).  Its check rho o glued.phi_right
+    = m.phi_right fixes rho on the image of glued.phi_right, so a generator
+    there gets its one admissible image.  A search over these pools keeps
+    its order and drops only homs that the check rejects, so it yields the
+    same completions, first hit included."""
+    forced = dict(zip(glued.phi_right.map, m.phi_right.map))
+    every = range(m.dst.right_group.order)
+    return [
+        (forced[r],) if r in forced else every for r in glued.dst.right_group.generators
+    ]
 
 
 def wedge_completions(

@@ -366,15 +366,15 @@ def verify_decomposition(
     except DomainError as exc:
         return VerificationResult(False, f"gamma surjection invalid: {exc}")
     try:
-        if eq.is_connected(t):
-            base = t
-        else:
-            base, _ = eq.connected_component(t, basepoint=0)
+        connected = eq.is_connected(t)
+        base = t if connected else eq.connected_component(t, basepoint=0)[0]
         bad = _check_collapse(base, cert, e)
     except DomainError as exc:
         return VerificationResult(False, f"collapse data invalid: {exc}")
     if bad is not None:
         return VerificationResult(False, bad)
+    if connected and d.z != eq.from_theta(ThetaBitorsor(t.bitorsor, cert.theta_tilde)):
+        return VerificationResult(False, "z is not the expansion of theta_tilde")
     return VerificationResult(True, "all checks passed")
 
 

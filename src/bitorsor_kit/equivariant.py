@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from . import bitorsors as bt
 from .bitorsors import (
@@ -131,10 +131,13 @@ def is_pi_equivariant_hom(f: GroupHom, src: PiGroup, dst: PiGroup) -> bool:
     )
 
 
-def pi_equivariant_isos(a: PiGroup, b: PiGroup) -> Iterator[GroupHom]:
+def pi_equivariant_isos(
+    a: PiGroup, b: PiGroup, candidates: Sequence[Sequence[int]] | None = None
+) -> Iterator[GroupHom]:
     """Yield the Pi-equivariant isomorphisms lazily, in lexicographic order
-    of generator images."""
-    for f in iter_isomorphisms(a.group, b.group):
+    of generator images, each generator's image drawn from its pool in
+    `candidates` when given."""
+    for f in iter_isomorphisms(a.group, b.group, candidates):
         if is_pi_equivariant_hom(f, a, b):
             yield f
 
@@ -353,10 +356,6 @@ def compose_pi_morphisms(outer: PiMorphism, inner: PiMorphism) -> PiMorphism:
     )
 
 
-def invert_pi_morphism(m: PiMorphism) -> PiMorphism:
-    return PiMorphism(m.dst, m.src, bt.invert_bimorphism(m.inner))
-
-
 def contracted_product_pi(
     p1: PiBitorsor, p2: PiBitorsor
 ) -> tuple[PiBitorsor, dict[tuple[int, int], int]]:
@@ -399,7 +398,10 @@ def pushforward_pi(
     """Extend the right structure group along an equivariant hom.
 
     The recomputed left group inherits its action by conjugating each
-    commuting permutation with the point action."""
+    commuting permutation with the point action.  A permutation commuting
+    with the right action is fixed by where it sends point 0, so each
+    conjugate is read there; PiGroup and PiBitorsor then check the result
+    in full."""
     if target.pi != p.pi or target.group != phi.dst:
         raise SignatureMismatch("target structure does not match the hom")
     if not is_pi_equivariant_hom(phi, p.right, target):
@@ -423,20 +425,17 @@ def pushforward_pi(
                 elif row[cls] != val:
                     raise EquivariantError("point action fails to descend")
         rows.append(tuple(row))
-    perm_index = {perm: i for i, perm in enumerate(pushed.left_act)}
-    acts = []
     lg = pushed.left_group
-    for c in pi.elements:
-        pa = rows[c]
-        pa_inv = [0] * pushed.size
-        for i, v in enumerate(pa):
-            pa_inv[v] = i
+    at_zero = {perm[0]: i for i, perm in enumerate(pushed.left_act)}
+    acts = []
+    for pa in rows:
+        z = pa.index(0)
         images = []
         for perm in pushed.left_act:
-            conj = tuple(pa[perm[pa_inv[y]]] for y in range(pushed.size))
-            if conj not in perm_index:
+            y = pa[perm[z]]
+            if y not in at_zero:
                 raise EquivariantError("left symmetries fail to descend")
-            images.append(perm_index[conj])
+            images.append(at_zero[y])
         acts.append(GroupHom(lg, lg, tuple(images)))
     left_pg = PiGroup(lg, pi, tuple(acts))
     out = PiBitorsor(left_pg, target, pushed, tuple(rows))
@@ -471,21 +470,16 @@ def pushforward_left_pi(
                     raise EquivariantError("point action fails to descend")
         rows.append(tuple(row))
     rg = pushed.right_group
-    col = {
-        tuple(pushed.right_act[x][r] for x in pushed.points): r for r in rg.elements
-    }
+    at_zero = {y: r for r, y in enumerate(pushed.right_act[0])}
     acts = []
-    for c in pi.elements:
-        pa = rows[c]
-        pa_inv = [0] * pushed.size
-        for i, v in enumerate(pa):
-            pa_inv[v] = i
+    for pa in rows:
+        row = pushed.right_act[pa.index(0)]
         images = []
         for r in rg.elements:
-            conj = tuple(pa[pushed.right_act[pa_inv[x]][r]] for x in pushed.points)
-            if conj not in col:
+            y = pa[row[r]]
+            if y not in at_zero:
                 raise EquivariantError("right symmetries fail to descend")
-            images.append(col[conj])
+            images.append(at_zero[y])
         acts.append(GroupHom(rg, rg, tuple(images)))
     right_pg = PiGroup(rg, pi, tuple(acts))
     out = PiBitorsor(target, right_pg, pushed, tuple(rows))
@@ -620,7 +614,9 @@ def pi_factor_through_pushforwards(
         can1.inner, can2.inner, src_idx, dst_idx, src_wedge.bitorsor, dst_wedge.bitorsor
     )
     PiMorphism(src_wedge, dst_wedge, glued_inner)  # the glued map must commute with pi
-    right_isos = pi_equivariant_isos(dst_wedge.right, m.dst.right)
+    right_isos = pi_equivariant_isos(
+        dst_wedge.right, m.dst.right, bt.rho_pools(glued_inner, m.inner)
+    )
     psi = _first_pi_morphism(
         dst_wedge, m.dst, bt.wedge_completions(glued_inner, m.inner, right_isos)
     )

@@ -483,13 +483,19 @@ def enumerate_homs(
     return list(_iter_homs(src, dst, candidates, same_order=False))
 
 
-def iter_isomorphisms(a: FiniteGroup, b: FiniteGroup) -> Iterator[GroupHom]:
+def iter_isomorphisms(
+    a: FiniteGroup,
+    b: FiniteGroup,
+    candidates: Sequence[Sequence[int]] | None = None,
+) -> Iterator[GroupHom]:
     """Yield the isomorphisms a -> b lazily, in lexicographic order of
-    generator images.  An isomorphism preserves element orders, so each
-    generator's image pool is cut to elements of the same order."""
+    generator images.  `candidates` optionally restricts the image pool per
+    generator of a, as in enumerate_homs.  An isomorphism preserves element
+    orders, so each generator's image pool is cut to elements of the same
+    order."""
     if a.order != b.order:
         return
-    for h in _iter_homs(a, b, None, same_order=True):
+    for h in _iter_homs(a, b, candidates, same_order=True):
         if h.is_bijective():
             yield h
 

@@ -15,6 +15,10 @@ that passes.
 Restrictions: the sub-bitorsor constructions that each built their own
 restricted action tables, one orbit partition per side, and the
 symmetry-aware wrappers that built their own point-action rows.
+
+Completions: the torsor completions that closed permutations into a group,
+the pushed Pi-actions that conjugated whole permutations, and the wedge
+rewrites that searched right homs over unforced pools.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import itertools
 from bitorsor_kit import bitorsors as B
 from bitorsor_kit import devissage as D
 from bitorsor_kit import equivariant as E
+from bitorsor_kit import groups as G
 from bitorsor_kit.bitorsors import InvalidBitorsor, InvalidMorphism, NotFree, NotTransitive
 from bitorsor_kit.equivariant import EquivariantError, NotPiEquivariant
 from bitorsor_kit.errors import DomainError
@@ -42,6 +47,7 @@ from bitorsor_kit.groups import (
     all_subgroups,
     closure,
     identity_hom,
+    iter_isomorphisms,
     subgroup_as_group,
 )
 
@@ -805,3 +811,211 @@ def is_type_gamma(p, e):
                 continue
             return D.TypeGammaWitness(sub_pi, incl, surjections[0])
     return None
+
+
+# ------------------------------------------------------------ completions
+#
+# The one-sided torsor completions that closed the k commuting
+# permutations into a group by composing all k^2 pairs, the Pi-actions on a
+# pushed group that conjugated every full permutation, and the wedge
+# rewrites whose right-hom search ran over unforced image pools.
+
+
+def _permutation_group_from_perms(perms, compose_left, label):
+    perms = sorted(set(perms))
+    pos = {p: i for i, p in enumerate(perms)}
+    k = len(perms)
+    table = [[0] * k for _ in range(k)]
+    for i, p in enumerate(perms):
+        for j, q in enumerate(perms):
+            if compose_left:
+                r = tuple(p[q[x]] for x in range(len(p)))
+            else:
+                r = tuple(q[p[x]] for x in range(len(p)))
+            if r not in pos:
+                raise InvalidBitorsor("candidate symmetries are not closed")
+            table[i][j] = pos[r]
+    ident = pos[tuple(range(len(perms[0])))]
+    grp = G.make_group(table, G.generating_set(table, ident), label)
+    return grp, pos
+
+
+def from_right_torsor(num_points, right_group, right_act):
+    ra = tuple(tuple(int(v) for v in row) for row in right_act)
+    if len(ra) != num_points or any(len(r) != right_group.order for r in ra):
+        raise InvalidBitorsor("right action table has the wrong shape")
+    for x in range(num_points):
+        if ra[x][right_group.identity] != x:
+            raise NotAnAction(f"right identity moves point {x}")
+    for x in range(num_points):
+        for g1 in right_group.elements:
+            for g2 in right_group.generators:
+                if ra[x][right_group.mul[g1][g2]] != ra[ra[x][g1]][g2]:
+                    raise NotAnAction(f"right action breaks at ({x},{g1},{g2})")
+    for x in range(num_points):
+        hit = set()
+        for g in right_group.elements:
+            y = ra[x][g]
+            if y in hit:
+                raise NotFree(f"right action is not free at point {x}")
+            hit.add(y)
+        if len(hit) != num_points:
+            raise NotTransitive(f"right orbit of point {x} misses points")
+    base = 0
+    perms = []
+    for y in range(num_points):
+        p = [0] * num_points
+        for g in right_group.elements:
+            p[ra[base][g]] = ra[y][g]
+        perms.append(tuple(p))
+    grp, pos = _permutation_group_from_perms(perms, True, f"Aut({right_group.label})")
+    ordered = sorted(pos, key=pos.get)
+    left_act = tuple(ordered)
+    return B.Bitorsor(grp, right_group, left_act, ra)
+
+
+def _from_left_torsor(num_points, left_group, left_act):
+    la = tuple(tuple(int(v) for v in row) for row in left_act)
+    base = 0
+    perms = []
+    for y in range(num_points):
+        p = [0] * num_points
+        for g in left_group.elements:
+            p[la[g][base]] = la[g][y]
+        perms.append(tuple(p))
+    grp, pos = _permutation_group_from_perms(perms, False, f"Aut({left_group.label})")
+    ordered = sorted(pos, key=pos.get)
+    right_act = tuple(
+        tuple(ordered[i][x] for i in range(len(ordered))) for x in range(num_points)
+    )
+    return B.Bitorsor(left_group, grp, la, right_act)
+
+
+def pushforward_pi(p, phi, target):
+    if target.pi != p.pi or target.group != phi.dst:
+        raise B.SignatureMismatch("target structure does not match the hom")
+    if not E.is_pi_equivariant_hom(phi, p.right, target):
+        raise NotPiEquivariant("the extension hom breaks the symmetry")
+    pushed, can = B.pushforward(p.bitorsor, phi)
+    pi = p.pi
+    g2 = phi.dst
+    rows = []
+    for c in pi.elements:
+        row = [None] * pushed.size
+        pa = p.pi_action_on_points[c]
+        at = target.action[c].map
+        for x in p.bitorsor.points:
+            base = can.point_map[x]
+            moved = can.point_map[pa[x]]
+            for t in g2.elements:
+                cls = pushed.right_act[base][t]
+                val = pushed.right_act[moved][at[t]]
+                if row[cls] is None:
+                    row[cls] = val
+                elif row[cls] != val:
+                    raise EquivariantError("point action fails to descend")
+        rows.append(tuple(row))
+    perm_index = {perm: i for i, perm in enumerate(pushed.left_act)}
+    acts = []
+    lg = pushed.left_group
+    for c in pi.elements:
+        pa = rows[c]
+        pa_inv = [0] * pushed.size
+        for i, v in enumerate(pa):
+            pa_inv[v] = i
+        images = []
+        for perm in pushed.left_act:
+            conj = tuple(pa[perm[pa_inv[y]]] for y in range(pushed.size))
+            if conj not in perm_index:
+                raise EquivariantError("left symmetries fail to descend")
+            images.append(perm_index[conj])
+        acts.append(GroupHom(lg, lg, tuple(images)))
+    left_pg = E.PiGroup(lg, pi, tuple(acts))
+    out = E.PiBitorsor(left_pg, target, pushed, tuple(rows))
+    return out, E.PiMorphism(p, out, can)
+
+
+def pushforward_left_pi(p, phi_left, target):
+    if target.pi != p.pi or target.group != phi_left.dst:
+        raise B.SignatureMismatch("target structure does not match the hom")
+    if not E.is_pi_equivariant_hom(phi_left, p.left, target):
+        raise NotPiEquivariant("the extension hom breaks the symmetry")
+    pushed, can = B.pushforward_left(p.bitorsor, phi_left)
+    pi = p.pi
+    g2 = phi_left.dst
+    rows = []
+    for c in pi.elements:
+        row = [None] * pushed.size
+        pa = p.pi_action_on_points[c]
+        at = target.action[c].map
+        for x in p.bitorsor.points:
+            base = can.point_map[x]
+            moved = can.point_map[pa[x]]
+            for t in g2.elements:
+                cls = pushed.left_act[t][base]
+                val = pushed.left_act[at[t]][moved]
+                if row[cls] is None:
+                    row[cls] = val
+                elif row[cls] != val:
+                    raise EquivariantError("point action fails to descend")
+        rows.append(tuple(row))
+    rg = pushed.right_group
+    col = {
+        tuple(pushed.right_act[x][r] for x in pushed.points): r for r in rg.elements
+    }
+    acts = []
+    for c in pi.elements:
+        pa = rows[c]
+        pa_inv = [0] * pushed.size
+        for i, v in enumerate(pa):
+            pa_inv[v] = i
+        images = []
+        for r in rg.elements:
+            conj = tuple(pa[pushed.right_act[pa_inv[x]][r]] for x in pushed.points)
+            if conj not in col:
+                raise EquivariantError("right symmetries fail to descend")
+            images.append(col[conj])
+        acts.append(GroupHom(rg, rg, tuple(images)))
+    right_pg = E.PiGroup(rg, pi, tuple(acts))
+    out = E.PiBitorsor(target, right_pg, pushed, tuple(rows))
+    return out, E.PiMorphism(p, out, can)
+
+
+def unforced_factor_through_pushforwards(m, b1, b2):
+    src_wedge, src_index = B.contracted_product(b1, b2)
+    if m.src != src_wedge:
+        raise B.SignatureMismatch("morphism does not start at the glued carrier")
+    pushed2, can2r = B.pushforward(b2, m.phi_right)
+    phi2 = can2r.phi_left
+    pushed1, can1 = B.pushforward(b1, phi2)
+    pushed2l, can2 = B.pushforward_left(b2, phi2)
+    dst_wedge, dst_index = B.contracted_product(pushed1, pushed2l)
+    glued = B.wedge_of_morphisms(can1, can2, src_index, dst_index, src_wedge, dst_wedge)
+    right_isos = iter_isomorphisms(dst_wedge.right_group, m.dst.right_group)
+    psi = next(B.wedge_completions(glued, m, right_isos), None)
+    if psi is None:
+        raise InvalidMorphism("no isomorphism completes the extension rewrite")
+    return B.WedgeFactorization(phi2, can1, can2, dst_wedge, psi)
+
+
+def unforced_pi_factor_through_pushforwards(m, p1, p2):
+    src_wedge, src_idx = E.contracted_product_pi(p1, p2)
+    if m.src != src_wedge:
+        raise B.SignatureMismatch("morphism does not start at the glued carrier")
+    pushed2, can2r = E.pushforward_pi(p2, m.inner.phi_right, m.dst.right)
+    phi2 = can2r.inner.phi_left
+    middle = pushed2.left
+    pushed1, can1 = E.pushforward_pi(p1, phi2, middle)
+    pushed2l, can2 = E.pushforward_left_pi(p2, phi2, middle)
+    dst_wedge, dst_idx = E.contracted_product_pi(pushed1, pushed2l)
+    glued_inner = B.wedge_of_morphisms(
+        can1.inner, can2.inner, src_idx, dst_idx, src_wedge.bitorsor, dst_wedge.bitorsor
+    )
+    E.PiMorphism(src_wedge, dst_wedge, glued_inner)  # the glued map must commute with pi
+    right_isos = E.pi_equivariant_isos(dst_wedge.right, m.dst.right)
+    psi = E._first_pi_morphism(
+        dst_wedge, m.dst, B.wedge_completions(glued_inner, m.inner, right_isos)
+    )
+    if psi is None:
+        raise InvalidMorphism("no equivariant isomorphism completes the rewrite")
+    return E.PiWedgeFactorization(phi2, middle, can1, can2, dst_wedge, psi)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_checks as ref
 from bitorsor_kit import bitorsors as B
 from bitorsor_kit import groups as G
 from bitorsor_kit.errors import DomainError
@@ -53,6 +54,48 @@ class TestConstruction:
     def test_completion_rejects_unfree_action(self, z2):
         with pytest.raises(DomainError):
             B.from_right_torsor(2, z2, ((0, 0), (1, 1)))
+
+    @pytest.mark.parametrize(
+        "order, left_act, error, message",
+        [
+            (2, ((0, 1),), B.InvalidBitorsor, "left action table has the wrong shape"),
+            (2, ((1, 0), (0, 1)), G.NotAnAction, "left identity moves point 0"),
+            (3, ((0, 1, 2), (1, 2, 0), (1, 2, 0)), G.NotAnAction,
+             "left action breaks at (1,1,0)"),
+            (2, ((0, 1), (0, 1)), B.NotFree, "left action is not free at point 0"),
+            (2, ((0, 1, 2, 3), (1, 0, 3, 2)), B.NotTransitive,
+             "left orbit of point 0 misses points"),
+        ],
+    )
+    def test_left_completion_checks_before_building(self, order, left_act, error, message):
+        with pytest.raises(error) as exc:
+            B._from_left_torsor(len(left_act[0]), G.cyclic(order), left_act)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "left_order, right_order, left_act, right_act, error, message",
+        [
+            (2, 2, ((0, 1), (0, 1)), None, B.NotFree, "left action is not free at point 0"),
+            (2, 4, ((0, 1, 2, 3), (2, 3, 0, 1)), None, B.NotTransitive,
+             "left orbit of point 0 misses points"),
+            (2, 2, None, ((0, 0), (1, 1)), B.NotFree, "right action is not free at point 0"),
+            (4, 2, None, ((0, 2), (1, 3), (2, 0), (3, 1)), B.NotTransitive,
+             "right orbit of point 0 misses points"),
+        ],
+    )
+    def test_free_and_transitive_decided_at_point_zero(
+        self, left_order, right_order, left_act, right_act, error, message
+    ):
+        """Commuting actions, each one side short of a torsor: the error is
+        the one a check of every point in order raises first."""
+        gl, gr = G.cyclic(left_order), G.cyclic(right_order)
+        args = (gl, gr, left_act or gl.mul, right_act or gr.mul)
+        with pytest.raises(error) as exc:
+            B.Bitorsor(*args)
+        assert str(exc.value) == message
+        with pytest.raises(error) as exc:
+            ref.bitorsor(*args)
+        assert str(exc.value) == message
 
     def test_noncommuting_actions_rejected(self, s3):
         right = tuple(

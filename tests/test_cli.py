@@ -3,6 +3,7 @@ decompose -> verify round trip."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -358,6 +359,19 @@ class TestLocalSurvey:
         rows = [line for line in out.splitlines() if line.startswith("class ")]
         assert code == 0 and len(rows) == 13
         assert all("decomposed=true" in r for r in rows)
+
+    def test_s5_survey_bytes_are_unchanged(self, capsys):
+        """The digest of the output computed by closing permutations into
+        each pushed left group: building those groups by construction must
+        not change a byte."""
+        code, out, _ = run(
+            capsys, "local-survey", "--q", "2", "--n", "3", "--m", "2",
+            "--group", "symmetric:5",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "57e80cda14ab7eae5ba53aa87a70e82109222acdd8f3305577f3cc7adaf620c0"
+        )
 
 
 class TestDemo:

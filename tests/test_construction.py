@@ -1,0 +1,209 @@
+"""The pushed carrier's symmetry group by construction: every torsor
+completion, every Pi-action on a pushed group and every wedge rewrite with
+forced right-hom pools returns exactly what the closing, conjugating and
+unforced references in reference_checks return, group labels and
+generators included."""
+
+from __future__ import annotations
+
+import random
+from collections import Counter
+
+import pytest
+
+import reference_checks as ref
+from bitorsor_kit import bitorsors as B
+from bitorsor_kit import devissage as D
+from bitorsor_kit import equivariant as E
+from bitorsor_kit import groups as G
+from bitorsor_kit import local_model as L
+
+from conftest import scrambled_trivial
+from test_restrict import assert_same, labels
+from test_search import RELABELLED, UNIVERSE, _pi_wedge_cases, _plain_wedge_cases
+
+# (module, library function, reference) for every construction this file
+# checks; the references call back into the library for everything else.
+CHECKED = (
+    (B, "from_right_torsor", ref.from_right_torsor),
+    (B, "_from_left_torsor", ref._from_left_torsor),
+    (E, "pushforward_pi", ref.pushforward_pi),
+    (E, "pushforward_left_pi", ref.pushforward_left_pi),
+    (E, "pi_factor_through_pushforwards", ref.unforced_pi_factor_through_pushforwards),
+)
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """Route each CHECKED function through a comparison with its reference
+    (value and labels; group equality compares generators), once per
+    distinct argument list, labels included.  Yields the number of
+    comparisons made per function."""
+    counts: Counter = Counter()
+
+    def wrap(module, name, reference):
+        lib = getattr(module, name)
+        seen = set()
+
+        def check(*args):
+            out = lib(*args)
+            key = (args, tuple(labels(args)))
+            if key not in seen:
+                seen.add(key)
+                assert_same(out, reference(*args))
+                counts[name] += 1
+            return out
+
+        monkeypatch.setattr(module, name, check)
+
+    for module, name, reference in CHECKED:
+        wrap(module, name, reference)
+    yield counts
+
+
+def assert_completions_match(b: B.Bitorsor) -> None:
+    """Complete each side of b alone, with the library and the reference.
+    Group equality compares generators too; the completed group's are
+    compared once more by name, since generating_set picks them from the
+    numbering."""
+    args = (b.size, b.right_group, b.right_act)
+    got, want = B.from_right_torsor(*args), ref.from_right_torsor(*args)
+    assert_same(got, want)
+    assert got.left_group.generators == want.left_group.generators
+    args = (b.size, b.left_group, b.left_act)
+    got, want = B._from_left_torsor(*args), ref._from_left_torsor(*args)
+    assert_same(got, want)
+    assert got.right_group.generators == want.right_group.generators
+
+
+def _twisted(g: G.FiniteGroup, rnd: random.Random) -> B.Bitorsor:
+    autos = list(G.iter_isomorphisms(g, g))
+    return scrambled_trivial(g, rnd, autos[len(autos) // 2])
+
+
+def test_completions_match_reference_on_test_carriers(rng):
+    """Scrambled and twisted carriers over every group of test_search, the
+    relabelled ones (identity not 0) included, and every carrier of its
+    wedge cases and of their factorizations."""
+    carriers = []
+    for g in UNIVERSE + RELABELLED:
+        carriers += [B.trivial_bitorsor(g), scrambled_trivial(g, rng), _twisted(g, rng)]
+    for m, b1, b2 in _plain_wedge_cases(rng):
+        fac = B.factor_through_pushforwards(m, b1, b2)
+        carriers += [b1, b2, m.src, m.dst, fac.wedge]
+        carriers += [fac.left_canonical.dst, fac.right_canonical.dst]
+    for m, p1, p2 in _pi_wedge_cases():
+        fac = E.pi_factor_through_pushforwards(m, p1, p2)
+        carriers += [p.bitorsor for p in (p1, p2, m.src, m.dst, fac.wedge)]
+    assert any(b.right_group.identity != 0 for b in carriers)
+    for b in carriers:
+        assert_completions_match(b)
+
+
+def test_pushforwards_match_reference_on_relabelled_groups(checked, rng):
+    """Plain and Pi pushforwards on both sides, from carriers over groups
+    whose identity is not 0 into such groups, under a nontrivial theta."""
+    c2 = G.cyclic(2)
+    for g in RELABELLED:
+        theta = next(h for h in G.enumerate_homs(c2, g) if h.map != (g.identity,) * 2)
+        p = E.from_theta(E.ThetaBitorsor(_twisted(g, rng), theta))
+        for target in RELABELLED:
+            homs = G.enumerate_homs(g, target)
+            for f in homs[:: max(1, len(homs) // 4)]:
+                B.pushforward(p.bitorsor, f)
+                B.pushforward_left(p.bitorsor, f)
+                twisted = E.conjugation_pi_group(G.compose_homs(f, theta))
+                E.pushforward_pi(p, f, E.constant_pi_group(c2, target))
+                E.pushforward_left_pi(p, f, twisted)
+                E.pushforward_pi(E.inverse_pi(p), f, twisted)
+    assert min(checked[name] for _, name, _ in CHECKED[:4]) > 5
+
+
+def test_wedge_rewrites_match_unforced_search(checked, rng):
+    """The wedge cases of test_search, and every class over S3 and D4 along
+    C3 x| C2 for each section: several right isomorphisms pass there."""
+    for m, b1, b2 in _plain_wedge_cases(rng):
+        got = B.factor_through_pushforwards(m, b1, b2)
+        assert_same(got, ref.unforced_factor_through_pushforwards(m, b1, b2))
+    for m, p1, p2 in _pi_wedge_cases():
+        E.pi_factor_through_pushforwards(m, p1, p2)
+    sd = G.semidirect_product(*G.cyclic_power_action(3, 2, 2))
+    for s in G.sections_of(sd.projection):
+        e = D.SplitExtension(sd.group, G.kernel(sd.projection), sd.projection.dst,
+                             sd.projection, s)
+        for g in (G.symmetric(3), G.dihedral(4)):
+            for t in E.h1(e.pi_big, g):
+                D.decompose(t, e)
+    assert checked["pi_factor_through_pushforwards"] > 5
+
+
+def _survey_inner_rewrites(monkeypatch, work) -> list:
+    """The plain rewrite of every Pi rewrite that `work` makes."""
+    calls = []
+    lib = E.pi_factor_through_pushforwards
+
+    def record(m, p1, p2):
+        calls.append((m.inner, p1.bitorsor, p2.bitorsor))
+        return lib(m, p1, p2)
+
+    monkeypatch.setattr(E, "pi_factor_through_pushforwards", record)
+    work()
+    return calls
+
+
+@pytest.mark.parametrize(
+    "params, group",
+    [
+        ((3, 4, 2), G.symmetric(4)),
+        ((2, 3, 2), G.symmetric(4)),
+        ((2, 7, 3), G.symmetric(4)),
+        ((5, 4, 1), G.symmetric(4)),
+        ((2, 5, 4), G.symmetric(4)),
+        ((2, 3, 2), G.symmetric(5)),
+    ],
+    ids=lambda v: getattr(v, "label", None) or "-".join(map(str, v)),
+)
+def test_survey_classes_match_reference(checked, monkeypatch, params, group):
+    """Every class of the S4 surveys of the survey ladder and of the S5
+    (2,3,2) survey: each completion, pushed Pi-action and rewrite, plain
+    and Pi, as its reference builds it."""
+    report = []
+    inner = _survey_inner_rewrites(
+        monkeypatch, lambda: report.append(L.survey(L.TameParams(*params), group))
+    )
+    assert all(r.verified for r in report[0].rows)
+    assert checked["from_right_torsor"] > 0
+    assert inner and len(inner) == sum(not r.connected for r in report[0].rows)
+    for m, b1, b2 in inner:
+        got = B.factor_through_pushforwards(m, b1, b2)
+        assert_same(got, ref.unforced_factor_through_pushforwards(m, b1, b2))
+
+
+def test_forced_pools_drop_only_rejected_right_homs(monkeypatch, rng):
+    """Over the pools of rho_pools the right isomorphisms that pass
+    rho o glued.phi_right = m.phi_right are the unforced search's, in its
+    order, and the pools cut the search in some rewrite."""
+    seen = []
+    lib = B.wedge_completions
+
+    def record(glued, m, right_isos):
+        seen.append((glued, m))
+        return lib(glued, m, right_isos)
+
+    monkeypatch.setattr(B, "wedge_completions", record)
+    for m, b1, b2 in _plain_wedge_cases(rng):
+        B.factor_through_pushforwards(m, b1, b2)
+    for m, p1, p2 in _pi_wedge_cases():
+        E.pi_factor_through_pushforwards(m, p1, p2)
+    cut = 0
+    for glued, m in seen:
+        a, b = glued.dst.right_group, m.dst.right_group
+
+        def passing(homs):
+            return [r.map for r in homs if G.compose_homs(r, glued.phi_right) == m.phi_right]
+
+        unforced = list(G.iter_isomorphisms(a, b))
+        forced = list(G.iter_isomorphisms(a, b, B.rho_pools(glued, m)))
+        assert passing(forced) == passing(unforced) != []
+        cut += len(forced) < len(unforced)
+    assert cut > 0

@@ -420,6 +420,24 @@ class TestVerifyNegatives:
         assert not res
         assert res.diagnosis == "theta_tilde is not s_low after p"
 
+    def test_z_must_expand_theta_tilde(self, ext_s3, d_s3, s3):
+        """Factors, witness and w_* from another lift (s_low conjugated by a
+        3-cycle of h_prime) glue to the input and pass every other check,
+        but z is not the expansion of the stored theta_tilde."""
+        t, d = d_s3
+        h = next(g for g in d.certificate.h_prime.members if g != s3.identity)
+        other = D.decompose_with_lift(
+            t, ext_s3, lambda theta_bar: G.conjugate_hom(h, d.certificate.s_low)
+        )
+        assert other.certificate.s_low != d.certificate.s_low
+        keep = ("h_prime", "quotient_map", "s_low", "theta_tilde")
+        cert = dataclasses.replace(
+            other.certificate, **{f: getattr(d.certificate, f) for f in keep}
+        )
+        res = D.verify_decomposition(t, dataclasses.replace(other, certificate=cert), ext_s3)
+        assert not res
+        assert res.diagnosis == "z is not the expansion of theta_tilde"
+
     def test_disconnected_fields_are_checked_on_the_component(self, ext_z6, z6):
         pi = ext_z6.pi_big
         theta = G.GroupHom(pi, z6, tuple(2 * (x // 2) % 6 for x in pi.elements))
