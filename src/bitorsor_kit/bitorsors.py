@@ -4,11 +4,12 @@ inverses, pushforwards along group homomorphisms, quotients, Isom carriers,
 morphism factorizations).
 
 All actions are dense index tables: left_act[g'][x] and right_act[x][g].
-Constructors check every invariant in full, each law on the generators of
-the groups involved (the closure argument of Light's associativity test,
-Clifford & Preston I, section 1.2), and freeness and transitivity at point 0
-only, which decides them everywhere once the action laws hold.  So any
-Bitorsor in circulation is sound.
+The public constructors check every invariant in full, each law on the
+generators of the groups involved (the closure argument of Light's
+associativity test, Clifford & Preston I, section 1.2), and freeness and
+transitivity at point 0 only, which decides them everywhere once the action
+laws hold.  Carriers and morphisms computed by formula from checked ones
+skip the check through errors.by_formula; searches keep it as predicate.
 
 The group completing a one-sided torsor (from_right_torsor, and so every
 pushforward) is built by construction: in base-point coordinates its
@@ -18,9 +19,10 @@ elements are translations, and its product table is read off the action.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, by_formula, validating
 from .groups import (
     FiniteGroup,
     GroupHom,
@@ -30,7 +32,6 @@ from .groups import (
     identity_hom,
     invert_hom,
     iter_isomorphisms,
-    make_group,
     quotient,
     subgroup,
     subgroup_as_group,
@@ -130,11 +131,11 @@ class Bitorsor:
         _orbit_at_zero((row[0] for row in la), k, "left")
         _orbit_at_zero(ra[0], k, "right")
 
-    @property
+    @cached_property
     def size(self) -> int:
         return len(self.right_act)
 
-    @property
+    @cached_property
     def points(self) -> range:
         return range(self.size)
 
@@ -210,9 +211,8 @@ def identity_morphism(b: Bitorsor) -> BitorsorMorphism:
 def compose_bimorphisms(outer: BitorsorMorphism, inner: BitorsorMorphism) -> BitorsorMorphism:
     if inner.dst != outer.src:
         raise SignatureMismatch("morphisms do not chain")
-    return BitorsorMorphism(
-        inner.src,
-        outer.dst,
+    return by_formula(
+        BitorsorMorphism, inner.src, outer.dst,
         compose_homs(outer.phi_left, inner.phi_left),
         tuple(outer.point_map[v] for v in inner.point_map),
         compose_homs(outer.phi_right, inner.phi_right),
@@ -232,7 +232,7 @@ def invert_bimorphism(m: BitorsorMorphism) -> BitorsorMorphism:
 
 def trivial_bitorsor(g: FiniteGroup) -> Bitorsor:
     """The group acting on itself by translations on both sides."""
-    return Bitorsor(g, g, g.mul, g.mul)
+    return by_formula(Bitorsor, g, g, g.mul, g.mul)
 
 
 def _orbit_at_zero(orbit: Iterable[int], k: int, side: str) -> list[int]:
@@ -266,7 +266,8 @@ def from_right_torsor(
     a_y in base-point coordinates, p_y(0.g) = y.g, so p_y o p_y' is the
     symmetry sending 0 to p_y(y').  Left element y is p_y: sorted as
     tuples the p_y fall in this order, since p_y(0) = y, and the product
-    table is the left action table itself.
+    table is the left action table itself: its identity is 0, and the
+    inverse of y is where row y holds 0.
 
     The action law is checked with g2 over the generators, as in Bitorsor,
     and freeness and transitivity at point 0 (see _orbit_at_zero)."""
@@ -283,8 +284,11 @@ def from_right_torsor(
                     raise NotAnAction(f"right action breaks at ({x},{g1},{g2})")
     a = _orbit_at_zero(ra[0], num_points, "right")
     left_act = tuple(tuple(row[g] for g in a) for row in ra)
-    grp = make_group(left_act, generating_set(left_act, 0), f"Aut({right_group.label})")
-    return Bitorsor(grp, right_group, left_act, ra)
+    inv = tuple(row.index(0) for row in left_act)
+    grp = by_formula(
+        FiniteGroup, left_act, 0, inv, generating_set(left_act, 0), f"Aut({right_group.label})"
+    )
+    return by_formula(Bitorsor, grp, right_group, left_act, ra)
 
 
 def _from_left_torsor(
@@ -308,17 +312,19 @@ def _from_left_torsor(
                     raise NotAnAction(f"left action breaks at ({g1},{g2},{x})")
     b = _orbit_at_zero((row[0] for row in la), num_points, "left")
     right_act = tuple(la[g] for g in b)
-    grp = make_group(right_act, generating_set(right_act, 0), f"Aut({left_group.label})")
-    return Bitorsor(left_group, grp, la, right_act)
+    inv = tuple(row.index(0) for row in right_act)
+    grp = by_formula(
+        FiniteGroup, right_act, 0, inv, generating_set(right_act, 0), f"Aut({left_group.label})"
+    )
+    return by_formula(Bitorsor, left_group, grp, la, right_act)
 
 
 def point_conjugation(b: Bitorsor, x: int) -> GroupHom:
     """The right-to-left transport through a chosen point: the unique left
     element sending x to x.g, for each right g."""
     into = {b.left_act[gp][x]: gp for gp in b.left_group.elements}
-    return GroupHom(
-        b.right_group,
-        b.left_group,
+    return by_formula(
+        GroupHom, b.right_group, b.left_group,
         tuple(into[b.right_act[x][g]] for g in b.right_group.elements),
     )
 
@@ -409,8 +415,8 @@ def restrict(
     pos = {x: i for i, x in enumerate(points)}
     left_rows = tuple(tuple(pos[b.left_act[a][x]] for x in points) for a in l_incl.map)
     right_rows = tuple(tuple(pos[b.right_act[x][a]] for a in r_incl.map) for x in points)
-    sub = Bitorsor(l_incl.src, r_incl.src, left_rows, right_rows)
-    return sub, BitorsorMorphism(sub, b, l_incl, tuple(points), r_incl)
+    sub = by_formula(Bitorsor, l_incl.src, r_incl.src, left_rows, right_rows)
+    return sub, by_formula(BitorsorMorphism, sub, b, l_incl, tuple(points), r_incl)
 
 
 def sub_bitorsor_on_class(
@@ -448,7 +454,8 @@ def induced_conditions(
         if not stable(cls):
             continue
         try:
-            sub_bitorsor_on_class(b, h, cls)
+            with validating():
+                sub_bitorsor_on_class(b, h, cls)
         except DomainError:
             continue
         witness_cls = cls
@@ -502,7 +509,7 @@ def contracted_product(
         tuple(orbit_of[(r1, b2.right_act[r2][g])] for g in b2.right_group.elements)
         for (r1, r2) in reps
     )
-    out = Bitorsor(b1.left_group, b2.right_group, left_rows, right_rows)
+    out = by_formula(Bitorsor, b1.left_group, b2.right_group, left_rows, right_rows)
     return out, orbit_of
 
 
@@ -520,7 +527,7 @@ def inverse(b: Bitorsor) -> Bitorsor:
     right_rows = tuple(
         tuple(b.left_act[gr.inv[gp]][x] for gp in gr.elements) for x in b.points
     )
-    return Bitorsor(gl, gr, left_rows, right_rows)
+    return by_formula(Bitorsor, gl, gr, left_rows, right_rows)
 
 
 def equivariant_maps(b1: Bitorsor, b2: Bitorsor) -> list[tuple[int, ...]]:
@@ -618,8 +625,8 @@ def pushforward(b: Bitorsor, phi: GroupHom) -> tuple[Bitorsor, BitorsorMorphism]
         if row not in perm_index:
             raise InvalidBitorsor("old left action does not descend to the extension")
         phi_left_map.append(perm_index[row])
-    phi_left = GroupHom(b.left_group, pushed.left_group, tuple(phi_left_map))
-    canonical = BitorsorMorphism(b, pushed, phi_left, u, phi)
+    phi_left = by_formula(GroupHom, b.left_group, pushed.left_group, tuple(phi_left_map))
+    canonical = by_formula(BitorsorMorphism, b, pushed, phi_left, u, phi)
     return pushed, canonical
 
 
@@ -659,8 +666,8 @@ def pushforward_left(b: Bitorsor, phi_left: GroupHom) -> tuple[Bitorsor, Bitorso
         if row not in perm_index:
             raise InvalidBitorsor("old right action does not descend to the extension")
         phi_right_map.append(perm_index[row])
-    phi_right = GroupHom(b.right_group, pushed.right_group, tuple(phi_right_map))
-    canonical = BitorsorMorphism(b, pushed, phi_left, u, phi_right)
+    phi_right = by_formula(GroupHom, b.right_group, pushed.right_group, tuple(phi_right_map))
+    canonical = by_formula(BitorsorMorphism, b, pushed, phi_left, u, phi_right)
     return pushed, canonical
 
 

@@ -19,7 +19,7 @@ from .equivariant import (
     PiMorphism,
     ThetaBitorsor,
 )
-from .errors import DomainError
+from .errors import DomainError, by_formula, validating
 from .rclass import Factorization
 from .groups import (
     FiniteGroup,
@@ -88,14 +88,15 @@ def gamma_conjugation_structure(e: SplitExtension) -> PiGroup:
     g_grp, incl = gamma_as_group(e)
     pos = {v: i for i, v in enumerate(incl.map)}
     acts = tuple(
-        GroupHom(
+        by_formula(
+            GroupHom,
             g_grp,
             g_grp,
             tuple(pos[e.pi_big.conjugate(c, incl.map[a])] for a in g_grp.elements),
         )
         for c in e.pi_big.elements
     )
-    return PiGroup(g_grp, e.pi_big, acts)
+    return by_formula(PiGroup, g_grp, e.pi_big, acts)
 
 
 def is_type_pi(p: PiBitorsor, e: SplitExtension) -> bool:
@@ -156,9 +157,10 @@ def is_type_gamma(p: PiBitorsor, e: SplitExtension) -> TypeGammaWitness | None:
             if any(b.right_act[y][g] not in inside for y in cls for g in h_members):
                 continue
             try:
-                _, right_incl = subgroup_as_group(p.right.group, h_members)
-                _, incl = bt.restrict(b, left_incl, cls, right_incl)
-                sub_pi, incl_pi = eq.restrict_pi(p, incl)
+                with validating():
+                    _, right_incl = subgroup_as_group(p.right.group, h_members)
+                    _, incl = bt.restrict(b, left_incl, cls, right_incl)
+                    sub_pi, incl_pi = eq.restrict_pi(p, incl)
             except DomainError:
                 continue
             return TypeGammaWitness(sub_pi, incl_pi, surjections[0])
@@ -375,6 +377,10 @@ def verify_decomposition(
         return VerificationResult(False, bad)
     if connected and d.z != eq.from_theta(ThetaBitorsor(t.bitorsor, cert.theta_tilde)):
         return VerificationResult(False, "z is not the expansion of theta_tilde")
+    if connected and tuple(
+        cert.w_inclusion.inner.phi_left.map[v] for v in cert.gamma_surjection.map
+    ) != tuple(t.theta.map[c] for c in e.gamma.members):
+        return VerificationResult(False, "the witness's left group is not the image of gamma")
     return VerificationResult(True, "all checks passed")
 
 

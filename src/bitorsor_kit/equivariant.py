@@ -7,10 +7,11 @@ on it) the whole structure is equivalent to a plain carrier plus a single
 homomorphism theta from Pi into the left group; ThetaBitorsor holds that
 presentation, and from_theta/to_theta realize the equivalence in both
 directions.  The first cohomology set h1 and its classification live here
-too, as do the Pi-aware versions of the product calculus.  Constructors
-check every compatibility law in full, on the generators of pi and of the
-structure groups (the closure argument of Light's associativity test,
-Clifford & Preston I, section 1.2).
+too, as do the Pi-aware versions of the product calculus.  The public
+constructors check every compatibility law in full, on the generators of pi
+and of the structure groups (the closure argument of Light's associativity
+test, Clifford & Preston I, section 1.2); values computed by formula from
+checked ones skip the check through errors.by_formula.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .bitorsors import (
     NotComposable,
     SignatureMismatch,
 )
-from .errors import DomainError
+from .errors import DomainError, by_formula
 from .groups import (
     FiniteGroup,
     GroupHom,
@@ -105,7 +106,7 @@ class PiGroup:
 
 
 def constant_pi_group(pi: FiniteGroup, g: FiniteGroup) -> PiGroup:
-    return PiGroup(g, pi, (identity_hom(g),) * pi.order)
+    return by_formula(PiGroup, g, pi, (identity_hom(g),) * pi.order)
 
 
 def conjugation_pi_group(theta: GroupHom) -> PiGroup:
@@ -113,10 +114,10 @@ def conjugation_pi_group(theta: GroupHom) -> PiGroup:
     one automorphism is built per distinct image theta(c)."""
     g = theta.dst
     inner = {
-        h: GroupHom(g, g, tuple(g.conjugate(h, x) for x in g.elements))
+        h: by_formula(GroupHom, g, g, tuple(g.conjugate(h, x) for x in g.elements))
         for h in set(theta.map)
     }
-    return PiGroup(g, theta.src, tuple(inner[h] for h in theta.map))
+    return by_formula(PiGroup, g, theta.src, tuple(inner[h] for h in theta.map))
 
 
 def is_pi_equivariant_hom(f: GroupHom, src: PiGroup, dst: PiGroup) -> bool:
@@ -150,14 +151,13 @@ def restrict_pi_group(pg: PiGroup, members) -> tuple[PiGroup, GroupHom]:
     for c in pg.pi.elements:
         outer = pg.action[c].map
         try:
-            acts.append(
-                GroupHom(sub, sub, tuple(pos[outer[incl.map[a]]] for a in sub.elements))
-            )
+            image = tuple(pos[outer[incl.map[a]]] for a in sub.elements)
         except KeyError:
             raise NotPiStable(
                 f"subgroup {tuple(incl.map)} is moved by symmetry element {c}"
             ) from None
-    return PiGroup(sub, pg.pi, tuple(acts)), incl
+        acts.append(by_formula(GroupHom, sub, sub, image))
+    return by_formula(PiGroup, sub, pg.pi, tuple(acts)), incl
 
 
 def quotient_pi_group(pg: PiGroup, h: Subgroup) -> tuple[PiGroup, GroupHom]:
@@ -288,7 +288,7 @@ def _expand_theta(t: ThetaBitorsor, labels: tuple[str, ...]) -> PiBitorsor:
     left = conjugation_pi_group(t.theta)
     right = constant_pi_group(t.pi, b.right_group)
     pa = tuple(b.left_act[t.theta.map[c]] for c in t.pi.elements)
-    out = PiBitorsor(left, right, b, pa)
+    out = by_formula(PiBitorsor, left, right, b, pa)
     assert out.right_constant
     return out
 
@@ -351,8 +351,8 @@ def pi_identity_morphism(p: PiBitorsor) -> PiMorphism:
 
 
 def compose_pi_morphisms(outer: PiMorphism, inner: PiMorphism) -> PiMorphism:
-    return PiMorphism(
-        inner.src, outer.dst, bt.compose_bimorphisms(outer.inner, inner.inner)
+    return by_formula(
+        PiMorphism, inner.src, outer.dst, bt.compose_bimorphisms(outer.inner, inner.inner)
     )
 
 
@@ -377,7 +377,7 @@ def contracted_product_pi(
         rows.append(
             tuple(idx[(a1[reps[i][0]], a2[reps[i][1]])] for i in wedge.points)
         )
-    out = PiBitorsor(p1.left, p2.right, wedge, tuple(rows))
+    out = by_formula(PiBitorsor, p1.left, p2.right, wedge, tuple(rows))
     return out, idx
 
 
@@ -387,8 +387,8 @@ def compose_pi(p1: PiBitorsor, p2: PiBitorsor) -> PiBitorsor:
 
 def inverse_pi(p: PiBitorsor) -> PiBitorsor:
     """Sides swapped, points and point action unchanged."""
-    return PiBitorsor(
-        p.right, p.left, bt.inverse(p.bitorsor), p.pi_action_on_points
+    return by_formula(
+        PiBitorsor, p.right, p.left, bt.inverse(p.bitorsor), p.pi_action_on_points
     )
 
 
@@ -400,8 +400,8 @@ def pushforward_pi(
     The recomputed left group inherits its action by conjugating each
     commuting permutation with the point action.  A permutation commuting
     with the right action is fixed by where it sends point 0, so each
-    conjugate is read there; PiGroup and PiBitorsor then check the result
-    in full."""
+    conjugate is read there.  A lookup that misses raises; the result is
+    otherwise built by formula."""
     if target.pi != p.pi or target.group != phi.dst:
         raise SignatureMismatch("target structure does not match the hom")
     if not is_pi_equivariant_hom(phi, p.right, target):
@@ -436,10 +436,10 @@ def pushforward_pi(
             if y not in at_zero:
                 raise EquivariantError("left symmetries fail to descend")
             images.append(at_zero[y])
-        acts.append(GroupHom(lg, lg, tuple(images)))
-    left_pg = PiGroup(lg, pi, tuple(acts))
-    out = PiBitorsor(left_pg, target, pushed, tuple(rows))
-    return out, PiMorphism(p, out, can)
+        acts.append(by_formula(GroupHom, lg, lg, tuple(images)))
+    left_pg = by_formula(PiGroup, lg, pi, tuple(acts))
+    out = by_formula(PiBitorsor, left_pg, target, pushed, tuple(rows))
+    return out, by_formula(PiMorphism, p, out, can)
 
 
 def pushforward_left_pi(
@@ -480,10 +480,10 @@ def pushforward_left_pi(
             if y not in at_zero:
                 raise EquivariantError("right symmetries fail to descend")
             images.append(at_zero[y])
-        acts.append(GroupHom(rg, rg, tuple(images)))
-    right_pg = PiGroup(rg, pi, tuple(acts))
-    out = PiBitorsor(target, right_pg, pushed, tuple(rows))
-    return out, PiMorphism(p, out, can)
+        acts.append(by_formula(GroupHom, rg, rg, tuple(images)))
+    right_pg = by_formula(PiGroup, rg, pi, tuple(acts))
+    out = by_formula(PiBitorsor, target, right_pg, pushed, tuple(rows))
+    return out, by_formula(PiMorphism, p, out, can)
 
 
 def quotient_pi(p: PiBitorsor, h: Subgroup) -> tuple[PiBitorsor, PiMorphism]:
@@ -543,8 +543,8 @@ def restrict_pi(p: PiBitorsor, incl: BitorsorMorphism) -> tuple[PiBitorsor, PiMo
     rows = tuple(
         tuple(pos[row[x]] for x in incl.point_map) for row in p.pi_action_on_points
     )
-    sub = PiBitorsor(left_pg, right_pg, incl.src, rows)
-    return sub, PiMorphism(sub, p, incl)
+    sub = by_formula(PiBitorsor, left_pg, right_pg, incl.src, rows)
+    return sub, by_formula(PiMorphism, sub, p, incl)
 
 
 def _first_pi_morphism(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
@@ -20,6 +21,7 @@ from . import equivariant as eq
 from .bitorsors import Bitorsor, BitorsorMorphism
 from .errors import DomainError
 from .groups import (
+    MAX_ORDER,
     SYMMETRIC_MAX_DEGREE,
     FiniteGroup,
     GroupHom,
@@ -100,6 +102,8 @@ def parse_group(text: str) -> FiniteGroup:
     n = _int_token(toks[3][0], no, toks[3][1], "order")
     if n < 1:
         raise ParseError(f"order {n} must be positive", no, toks[3][1])
+    if n > MAX_ORDER:
+        raise ParseError(f"order {n} exceeds the supported maximum {MAX_ORDER}", no, toks[3][1])
     rows = []
     for r in range(n):
         no, raw = _take(lines, 1 + r, f"table row {r}")
@@ -140,30 +144,40 @@ def _constructor_ints(spec: str, parts: Sequence[str], count: int) -> list[int]:
     return out
 
 
+def _check_order(spec: str, order: int) -> None:
+    if order > MAX_ORDER:
+        raise ParseError(f"{spec!r} has order {order}, above the supported maximum {MAX_ORDER}")
+
+
 def resolve_group_spec(spec: str, base_dir: Path | None = None) -> FiniteGroup:
     """A constructor name (cyclic:n, dihedral:n, symmetric:n, semidirect:N:Q:k)
-    or a path to a group file."""
+    or a path to a group file.  Orders above MAX_ORDER are refused before
+    any table is built."""
     head, _, rest = spec.partition(":")
     parts = rest.split(":") if rest else []
     if head == "cyclic":
         (n,) = _constructor_ints(spec, parts, 1)
         if n < 1:
             raise ParseError(f"cyclic order {n} must be positive")
+        _check_order(spec, n)
         return cyclic(n)
     if head == "dihedral":
         (n,) = _constructor_ints(spec, parts, 1)
         if n < 1:
             raise ParseError(f"dihedral parameter {n} must be positive")
+        _check_order(spec, 2 * n)
         return dihedral(n)
     if head == "symmetric":
         (n,) = _constructor_ints(spec, parts, 1)
         if not (1 <= n <= SYMMETRIC_MAX_DEGREE):
             raise ParseError(f"symmetric degree {n} must lie in 1..{SYMMETRIC_MAX_DEGREE}")
+        _check_order(spec, math.factorial(n))
         return symmetric(n)
     if head == "semidirect":
         big_n, q, k = _constructor_ints(spec, parts, 3)
         if big_n < 1 or q < 1:
             raise ParseError(f"semidirect sizes in {spec!r} must be positive")
+        _check_order(spec, big_n * q)
         n_grp, q_grp, acts = cyclic_power_action(big_n, q, k)
         return semidirect_product(n_grp, q_grp, acts).group
     path = Path(spec)

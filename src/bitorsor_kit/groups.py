@@ -1,20 +1,21 @@
 """Finite groups on index sets 0..n-1, stored as dense multiplication tables.
 
-Every construction path checks every group axiom in full, with each law
-checked on a generating set by Light's associativity test (Clifford &
-Preston, The Algebraic Theory of Semigroups I, 1961, section 1.2), so any
-FiniteGroup in circulation is sound.  Homomorphisms, subgroups, quotients
-and sections are validated just as eagerly; downstream modules rely on that.
+make_group, the named constructors and the public constructors check every
+axiom in full, each law on a generating set by Light's associativity test
+(Clifford & Preston, The Algebraic Theory of Semigroups I, 1961, section
+1.2).  Values computed by formula from checked ones (identity, composite,
+inverse and conjugate homs, subgroups as groups, quotients) skip the check
+through errors.by_formula, unless BITORSOR_CHECK=full, as in the tests.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, by_formula
 
 
 class GroupError(DomainError):
@@ -66,6 +67,8 @@ class MixedSignatures(GroupError):
 
 
 SYMMETRIC_MAX_DEGREE = 5
+# The largest group order the command line accepts.
+MAX_ORDER = 200
 
 
 def closure(mul: Sequence[Sequence[int]], seed: Iterable[int], identity: int) -> set[int]:
@@ -161,11 +164,11 @@ class FiniteGroup:
                     if rab[c] != ra[rb[c]]:
                         raise NotAssociative(f"first violating triple (a,b,c)=({a},{b},{c})")
 
-    @property
+    @cached_property
     def order(self) -> int:
         return len(self.mul)
 
-    @property
+    @cached_property
     def elements(self) -> range:
         return range(self.order)
 
@@ -268,14 +271,14 @@ class GroupHom:
 
 
 def identity_hom(g: FiniteGroup) -> GroupHom:
-    return GroupHom(g, g, tuple(range(g.order)))
+    return by_formula(GroupHom, g, g, tuple(g.elements))
 
 
 def compose_homs(outer: GroupHom, inner: GroupHom) -> GroupHom:
     """outer after inner."""
     if inner.dst != outer.src:
         raise MixedSignatures("inner codomain differs from outer domain")
-    return GroupHom(inner.src, outer.dst, tuple(outer.map[v] for v in inner.map))
+    return by_formula(GroupHom, inner.src, outer.dst, tuple(outer.map[v] for v in inner.map))
 
 
 def invert_hom(h: GroupHom) -> GroupHom:
@@ -284,7 +287,7 @@ def invert_hom(h: GroupHom) -> GroupHom:
     back = [0] * h.dst.order
     for a, v in enumerate(h.map):
         back[v] = a
-    return GroupHom(h.dst, h.src, tuple(back))
+    return by_formula(GroupHom, h.dst, h.src, tuple(back))
 
 
 @dataclass(frozen=True)
@@ -376,8 +379,9 @@ def quotient(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     if not gens:
         gens = [idx_of[g.identity]]
     label = f"{g.label}/[{','.join(map(str, n.members))}]"
-    q = make_group(table, gens, label)
-    return q, GroupHom(g, q, tuple(idx_of[x] for x in g.elements))
+    inv = tuple(idx_of[g.inv[cs[0]]] for cs in cosets)
+    q = by_formula(FiniteGroup, table, idx_of[g.identity], inv, tuple(gens), label)
+    return q, by_formula(GroupHom, g, q, tuple(idx_of[x] for x in g.elements))
 
 
 def subgroup_as_group(parent: FiniteGroup, members: Iterable[int], label: str | None = None) -> tuple[FiniteGroup, GroupHom]:
@@ -392,10 +396,10 @@ def subgroup_as_group(parent: FiniteGroup, members: Iterable[int], label: str | 
     ident = pos[parent.identity] if parent.identity in pos else None
     if ident is None:
         raise NotASubgroup("identity missing")
-    gens = generating_set(table, ident)
+    inv = tuple(pos[parent.inv[a]] for a in ms)  # a^-1 is a power of a
     name = label or f"{parent.label}<{','.join(map(str, ms))}>"
-    sub = make_group(table, gens, name)
-    return sub, GroupHom(sub, parent, ms)
+    sub = by_formula(FiniteGroup, table, ident, inv, generating_set(table, ident), name)
+    return sub, by_formula(GroupHom, sub, parent, ms)
 
 
 @lru_cache(maxsize=None)
@@ -519,7 +523,7 @@ def sections_of(q: GroupHom) -> list[GroupHom]:
 def conjugate_hom(g: int, f: GroupHom) -> GroupHom:
     """x |-> g f(x) g^-1 with g in the codomain."""
     d = f.dst
-    return GroupHom(f.src, d, tuple(d.mul[d.mul[g][v]][d.inv[g]] for v in f.map))
+    return by_formula(GroupHom, f.src, d, tuple(d.mul[d.mul[g][v]][d.inv[g]] for v in f.map))
 
 
 def conjugacy_classes_of_homs(homs: Sequence[GroupHom]) -> list[list[GroupHom]]:

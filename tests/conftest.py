@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -98,3 +103,34 @@ def scrambled_trivial(
 @pytest.fixture
 def make_carrier():
     return scrambled_trivial
+
+
+_CLI_RUNNER = """
+import contextlib, io, json, sys
+from bitorsor_kit import cli, errors
+runs = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    runs.append((code, out.getvalue(), err.getvalue()))
+json.dump({"full_check": errors.FULL_CHECK, "runs": runs}, sys.stdout)
+"""
+
+
+def cli_in_fresh_process(commands, check: str | None):
+    """Run each argv through cli.main, in order, in one new interpreter whose
+    BITORSOR_CHECK is `check` (None: unset).  Returns whether that process
+    checked values built by formula, and (exit code, stdout, stderr) per
+    command."""
+    env = {k: v for k, v in os.environ.items() if k != "BITORSOR_CHECK"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    if check is not None:
+        env["BITORSOR_CHECK"] = check
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLI_RUNNER],
+        input=json.dumps([list(argv) for argv in commands]),
+        capture_output=True, text=True, env=env, check=True,
+    )
+    doc = json.loads(proc.stdout)
+    return doc["full_check"], [tuple(run) for run in doc["runs"]]

@@ -1,0 +1,101 @@
+"""BITORSOR_CHECK=full: values built by formula are validated too, a formula
+bug surfaces as AssertionError, and no output byte depends on the mode."""
+
+from __future__ import annotations
+
+import pytest
+
+from bitorsor_kit import bitorsors as B
+from bitorsor_kit import devissage as D
+from bitorsor_kit import equivariant as E
+from bitorsor_kit import errors
+from bitorsor_kit import groups as G
+from bitorsor_kit.errors import DomainError, by_formula, validating
+
+from conftest import cli_in_fresh_process
+from test_cli import S3_EXTENSION
+
+
+def test_the_suite_runs_in_full_mode():
+    assert errors.FULL_CHECK
+
+
+def test_stdout_is_the_same_in_both_modes(tmp_path):
+    ext = tmp_path / "tame.ext"
+    ext.write_text(S3_EXTENSION)
+    cert = tmp_path / "cert.json"
+    registry = tmp_path / "reg.txt"
+    registry.write_text("elementary cyclic:4 0\nelementary cyclic:4 1\n")
+    decompose = ("decompose", "--extension", str(ext), "--group", "symmetric:3", "--class", "2")
+    full_check, runs = cli_in_fresh_process([decompose + ("--format", "json")], check="full")
+    assert full_check and runs[0][0] == 0
+    cert.write_text(runs[0][1])
+    commands = [
+        decompose + ("--format", "json"),
+        ("verify", "--certificate", str(cert)),
+        ("h1", "--pi", "semidirect:3:2:2", "--group", "symmetric:3"),
+        ("closure", "--pi", "cyclic:4", "--registry", str(registry),
+         "--group", "cyclic:4", "--class", "2", "--max-n", "4"),
+        ("local-survey", "--q", "3", "--n", "4", "--m", "2", "--group", "symmetric:4"),
+    ]
+    full_check, on = cli_in_fresh_process(commands, check="full")
+    assert full_check
+    default_check, off = cli_in_fresh_process(commands, check=None)
+    assert not default_check
+    assert [code for code, _, _ in on] == [0] * len(commands)
+    assert on[1][1] == "all checks passed\n"
+    assert on == off
+
+
+def test_formula_bug_raises_assertion_error_past_domain_filters():
+    c3, c2 = G.cyclic(3), G.cyclic(2)
+    with pytest.raises(AssertionError, match="GroupHom built by formula is invalid"):
+        try:
+            by_formula(G.GroupHom, c3, c2, (0, 1, 1))
+        except DomainError:
+            pytest.fail("a formula bug was caught as a domain failure")
+
+
+def test_default_mode_builds_without_checking(monkeypatch):
+    c3, c2 = G.cyclic(3), G.cyclic(2)
+    monkeypatch.setattr(errors, "FULL_CHECK", False)
+    bad = by_formula(G.GroupHom, c3, c2, (0, 1, 1))
+    assert (bad.src, bad.dst, bad.map) == (c3, c2, (0, 1, 1))
+    with pytest.raises(G.NotAHomomorphism):
+        G.GroupHom(c3, c2, (0, 1, 1))
+    with pytest.raises(G.NotAHomomorphism), validating():
+        by_formula(G.GroupHom, c3, c2, (0, 1, 1))
+
+
+@pytest.mark.parametrize("probe", ["induced_conditions", "is_type_gamma"])
+def test_probes_validate_what_they_build_in_default_mode(monkeypatch, probe):
+    """A search whose predicate is a validator keeps it without
+    BITORSOR_CHECK: the carrier each probe materializes is checked."""
+    monkeypatch.setattr(errors, "FULL_CHECK", False)
+    sizes = []
+    check = B.Bitorsor.__post_init__
+    monkeypatch.setattr(B.Bitorsor, "__post_init__", lambda b: sizes.append(b.size) or check(b))
+    if probe == "induced_conditions":
+        s3 = G.symmetric(3)
+        a3 = [g for g in s3.elements if s3.element_order(g) != 2]
+        B.induced_conditions(B.trivial_bitorsor(s3), G.subgroup(s3, a3))
+        assert 3 in sizes  # the class of A3, a sub-carrier of 3 points
+    else:
+        sd = G.direct_product(G.cyclic(3), G.cyclic(2))
+        e = D.SplitExtension(
+            sd.group, G.kernel(sd.projection), sd.projection.dst, sd.projection, sd.section
+        )
+        z2 = G.cyclic(2)
+        theta = G.GroupHom(sd.group, z2, (z2.identity,) * sd.group.order)
+        assert D.is_type_gamma(E.from_theta(E.ThetaBitorsor(B.trivial_bitorsor(z2), theta)), e)
+        assert sizes == [1]  # the one-point witness
+
+
+def test_built_values_equal_constructed_ones():
+    s3 = G.symmetric(3)
+    built = by_formula(G.GroupHom, s3, s3, tuple(s3.elements))
+    made = G.GroupHom(s3, s3, tuple(s3.elements))
+    assert built == made and hash(built) == hash(made) and repr(built) == repr(made)
+    fresh = G.symmetric(3)
+    assert (s3.order, s3.elements) == (6, range(6))  # now stored on s3 alone
+    assert fresh == s3 and hash(fresh) == hash(s3)

@@ -83,6 +83,13 @@ class TestValidateGroup:
         assert code == 2
         assert "NoInverse" in err or "NotAssociative" in err
 
+    def test_order_above_the_ceiling_exits_2(self, capsys):
+        code, out, err = run(capsys, "validate-group", "--group", "cyclic:201")
+        assert code == 2 and out == ""
+        assert err == (
+            "formats.ParseError: 'cyclic:201' has order 201, above the supported maximum 200\n"
+        )
+
     def test_json_output(self, capsys):
         code, out, _ = run(
             capsys, "validate-group", "--group", "symmetric:3", "--format", "json"

@@ -438,6 +438,20 @@ class TestVerifyNegatives:
         assert not res
         assert res.diagnosis == "z is not the expansion of theta_tilde"
 
+    def test_witness_left_group_must_be_the_image_of_gamma(self, ext_z6, d_z6):
+        """The gamma surjection followed by inversion in the witness's left
+        group (cyclic of order 3, acted on trivially, as gamma is) is still
+        onto and equivariant, so every other check passes; but gamma no
+        longer lands on its image under theta."""
+        t, d = d_z6
+        gs = d.certificate.gamma_surjection
+        flipped = G.GroupHom(gs.src, gs.dst, tuple(gs.dst.inv[v] for v in gs.map))
+        assert flipped != gs
+        cert = dataclasses.replace(d.certificate, gamma_surjection=flipped)
+        res = D.verify_decomposition(t, dataclasses.replace(d, certificate=cert), ext_z6)
+        assert not res
+        assert res.diagnosis == "the witness's left group is not the image of gamma"
+
     def test_disconnected_fields_are_checked_on_the_component(self, ext_z6, z6):
         pi = ext_z6.pi_big
         theta = G.GroupHom(pi, z6, tuple(2 * (x // 2) % 6 for x in pi.elements))

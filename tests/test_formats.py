@@ -98,6 +98,28 @@ class TestGroupSpecs:
         with pytest.raises(F.ParseError, match="takes 1 integer"):
             F.resolve_group_spec("cyclic:2:3")
 
+    @pytest.mark.parametrize(
+        "spec, order",
+        [("cyclic:201", 201), ("dihedral:101", 202), ("semidirect:67:3:2", 201)],
+    )
+    def test_orders_above_the_ceiling_fail_before_any_table(self, monkeypatch, spec, order):
+        def boom(*args):
+            raise AssertionError("a table was built")
+
+        for name in ("cyclic", "dihedral", "cyclic_power_action"):
+            monkeypatch.setattr(F, name, boom)
+        with pytest.raises(F.ParseError, match=f"order {order}, above the supported maximum 200"):
+            F.resolve_group_spec(spec)
+
+    def test_group_file_above_the_ceiling_fails_at_its_header(self, tmp_path):
+        (tmp_path / "big.grp").write_text("group Big order 1000\n")
+        with pytest.raises(F.ParseError, match=r"order 1000 exceeds the supported maximum 200 \(line 1"):
+            F.resolve_group_spec("big.grp", base_dir=tmp_path)
+
+    def test_the_ceiling_is_reachable(self):
+        assert G.MAX_ORDER == 200
+        assert F.resolve_group_spec("dihedral:100").order == 200
+
     def test_path_resolution(self, tmp_path, z4):
         (tmp_path / "g.grp").write_text(F.format_group(z4))
         assert F.resolve_group_spec("g.grp", base_dir=tmp_path) == z4

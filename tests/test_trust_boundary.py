@@ -1,0 +1,112 @@
+"""The trust boundary with BITORSOR_CHECK unset, as the command line runs.
+
+Values built by formula skip their validators unless BITORSOR_CHECK=full.
+The rest of the suite sets it, so a reader or parser constructor wrongly
+moved onto the trusted path would still be checked there; these tests run
+without it.  Each tampered certificate must be refused while it is read,
+with the validator's own error on stderr and exit code 2, before verify
+compares anything."""
+
+from __future__ import annotations
+
+import contextlib
+import copy
+import io
+import json
+
+import pytest
+
+from bitorsor_kit import cli
+
+from conftest import cli_in_fresh_process
+from test_cli import S3_EXTENSION
+from test_validators import LOOP6
+
+
+def _bump(row: list, i: int, n: int) -> None:
+    row[i] = (row[i] + 1) % n
+
+
+# kind -> (edit of one entry of the document, the error the reader raises)
+TAMPERS = {
+    # group 0 is pi_big, of order 6; its product 1.2 is moved
+    "group table": (lambda d: _bump(d["groups"][0]["mul"][1], 2, 6), "groups.NotAssociative"),
+    "hom map": (lambda d: _bump(d["input"]["theta"]["map"], 2, 6), "groups.NotAHomomorphism"),
+    "subgroup members": (
+        lambda d: d["decomposition"]["certificate"]["h_prime"]["members"].__setitem__(1, 1),
+        "groups.NotASubgroup",
+    ),
+    "left_act": (
+        lambda d: _bump(d["input"]["bitorsor"]["left_act"][1], 0, 6), "groups.NotAnAction"
+    ),
+    "pi_group action row": (
+        lambda d: _bump(d["decomposition"]["y"]["left"]["action"][1], 2, 6),
+        "groups.NotAHomomorphism",
+    ),
+    "points_action row": (
+        lambda d: _bump(d["decomposition"]["y"]["points_action"][1], 2, 6),
+        "equivariant.EquivariantError",
+    ),
+    "point_map": (
+        lambda d: _bump(d["decomposition"]["witness_iso"]["point_map"], 2, 6),
+        "bitorsors.InvalidMorphism",
+    ),
+    "extension p": (
+        lambda d: _bump(d["extension"]["p"]["map"], 2, 2), "groups.NotAHomomorphism"
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def default_mode_runs(tmp_path_factory):
+    """One fresh interpreter with BITORSOR_CHECK unset verifies the intact
+    certificate and every tampered copy, then validates a non-associative
+    group file."""
+    work = tmp_path_factory.mktemp("boundary")
+    ext = work / "tame.ext"
+    ext.write_text(S3_EXTENSION)
+    cert = work / "cert.json"
+    argv = ["decompose", "--extension", str(ext), "--group", "symmetric:3", "--class", "2"]
+    doc = _emit_json(argv + ["--format", "json"])
+    cert.write_text(json.dumps(doc))
+    commands = [("verify", "--certificate", str(cert))]
+    for kind, (edit, _) in TAMPERS.items():
+        bad = copy.deepcopy(doc)
+        edit(bad)
+        path = work / f"{kind.replace(' ', '_')}.json"
+        path.write_text(json.dumps(bad))
+        commands.append(("verify", "--certificate", str(path)))
+    loop = work / "loop6.grp"
+    loop.write_text(
+        "group L order 6\n" + "".join(" ".join(map(str, r)) + "\n" for r in LOOP6)
+        + "generators 1 2\n"
+    )
+    commands.append(("validate-group", "--group", str(loop)))
+    full_check, runs = cli_in_fresh_process(commands, check=None)
+    assert not full_check
+    return dict(zip(["intact", *TAMPERS, "non-associative"], runs))
+
+
+def _emit_json(argv) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return json.loads(out.getvalue())
+
+
+def test_intact_certificate_verifies(default_mode_runs):
+    assert default_mode_runs["intact"] == (0, "all checks passed\n", "")
+
+
+@pytest.mark.parametrize("kind", list(TAMPERS))
+def test_reader_rejects_a_single_entry_tamper(default_mode_runs, kind):
+    code, out, err = default_mode_runs[kind]
+    assert code == 2 and out == ""
+    assert err.startswith(TAMPERS[kind][1] + ": ")
+
+
+def test_non_associative_group_file_rejected(default_mode_runs):
+    code, out, err = default_mode_runs["non-associative"]
+    assert code == 2 and out == ""
+    assert err.startswith("groups.NotAssociative: first violating triple")
+
