@@ -11,9 +11,12 @@ transitivity at point 0 only, which decides them everywhere once the action
 laws hold.  Carriers and morphisms computed by formula from checked ones
 skip the check through errors.by_formula; searches keep it as predicate.
 
-The group completing a one-sided torsor (from_right_torsor, and so every
-pushforward) is built by construction: in base-point coordinates its
-elements are translations, and its product table is read off the action.
+Gluing is written in base-point coordinates (Giraud, Cohomologie non
+abelienne, 1971): with x = 0.c, the class of (x, z) is that of (0, c.z), so
+a contracted product is the second factor with a twisted left action, and
+a pushforward's points are the elements of the new group.  The group
+completing a one-sided torsor (from_right_torsor, and so every pushforward)
+is its translations, with the product table read off the action.
 """
 
 from __future__ import annotations
@@ -480,41 +483,26 @@ def is_induced_from(
     return sub_bitorsor_on_class(b, h, witness_cls)
 
 
-def contracted_product(
-    b1: Bitorsor, b2: Bitorsor
-) -> tuple[Bitorsor, dict[tuple[int, int], int]]:
-    """Glue two carriers over the shared middle group, returning the result
-    plus the pair-to-class index."""
+def glued_rows(b1: Bitorsor, b2: Bitorsor, ys: Iterable[int]) -> list[tuple[int, ...]]:
+    """For each point y of b1, the row sending z to the class of (y, z) in
+    b1 glued with b2, where class i is that of (0, i): writing y = 0.c, the
+    class of (0.c, z) is that of (0, c.z), so the row is left translation
+    by c on b2."""
+    c = _orbit_at_zero(b1.right_act[0], b1.size, "right")
+    return [b2.left_act[c[y]] for y in ys]
+
+
+def contracted_product(b1: Bitorsor, b2: Bitorsor) -> Bitorsor:
+    """Glue two carriers over the shared middle group: b2's points with b2's
+    right action, and b1's left action moved across by glued_rows."""
     if b1.right_group != b2.left_group:
         raise NotComposable("middle groups differ")
-    mid = b1.right_group
-    orbit_of: dict[tuple[int, int], int] = {}
-    reps: list[tuple[int, int]] = []
-    for x1 in b1.points:
-        for x2 in b2.points:
-            if (x1, x2) in orbit_of:
-                continue
-            orbit = sorted(
-                (b1.right_act[x1][g], b2.left_act[mid.inv[g]][x2]) for g in mid.elements
-            )
-            idx = len(reps)
-            reps.append(orbit[0])
-            for pair in orbit:
-                orbit_of[pair] = idx
-    left_rows = tuple(
-        tuple(orbit_of[(b1.left_act[gp][r1], r2)] for (r1, r2) in reps)
-        for gp in b1.left_group.elements
-    )
-    right_rows = tuple(
-        tuple(orbit_of[(r1, b2.right_act[r2][g])] for g in b2.right_group.elements)
-        for (r1, r2) in reps
-    )
-    out = by_formula(Bitorsor, b1.left_group, b2.right_group, left_rows, right_rows)
-    return out, orbit_of
+    left_rows = tuple(glued_rows(b1, b2, (row[0] for row in b1.left_act)))
+    return by_formula(Bitorsor, b1.left_group, b2.right_group, left_rows, b2.right_act)
 
 
 def compose(b1: Bitorsor, b2: Bitorsor) -> Bitorsor:
-    return contracted_product(b1, b2)[0]
+    return contracted_product(b1, b2)
 
 
 def inverse(b: Bitorsor) -> Bitorsor:
@@ -563,21 +551,17 @@ def isom_bitorsor(b1: Bitorsor, b2: Bitorsor) -> Bitorsor:
 
 def isom_canonical_iso(b1: Bitorsor, b2: Bitorsor) -> BitorsorMorphism:
     """The identification of b2 glued to the inverse of b1 with the carrier
-    of equivariant maps: a glued pair (y, x) becomes the map x.g -> y.g."""
-    wedge, orbit_of = contracted_product(b2, inverse(b1))
+    of equivariant maps: the glued class of (0, x) becomes the map
+    x.g -> 0.g."""
+    wedge = contracted_product(b2, inverse(b1))
     iso = isom_bitorsor(b1, b2)
     maps = equivariant_maps(b1, b2)
     pos = {f: i for i, f in enumerate(maps)}
-    reps: dict[int, tuple[int, int]] = {}
-    for (y, x), idx in orbit_of.items():
-        if idx not in reps or (y, x) < reps[idx]:
-            reps[idx] = (y, x)
     point_map = []
-    for idx in wedge.points:
-        y, x = reps[idx]
+    for x in wedge.points:
         f = [0] * b1.size
         for g in b1.right_group.elements:
-            f[b1.right_act[x][g]] = b2.right_act[y][g]
+            f[b1.right_act[x][g]] = b2.right_act[0][g]
         point_map.append(pos[tuple(f)])
     return BitorsorMorphism(
         wedge,
@@ -592,121 +576,53 @@ def pushforward(b: Bitorsor, phi: GroupHom) -> tuple[Bitorsor, BitorsorMorphism]
     """Extend the right structure group along phi.
 
     Points are classes of (point, new group element) pairs glued over the
-    old group; the left group is recomputed as the full commuting symmetry
-    group, into which the old left group maps canonically.
+    old group.  Writing x = 0.c_x, the class of (x, t) is that of
+    (0, phi(c_x).t), so point t is the class of (0, t): the new group acts
+    by right multiplication, x goes to u(x) = phi(c_x), and an old left
+    element moving 0 to y multiplies on the left by u(y).  The left group
+    completes the new right action; the old left element maps to the
+    symmetry that sends point 0 where it does.
     """
     if phi.src != b.right_group:
         raise SignatureMismatch("hom does not start at the right structure group")
     g2 = phi.dst
-    orbit_of: dict[tuple[int, int], int] = {}
-    reps: list[tuple[int, int]] = []
-    for x in b.points:
-        for t in g2.elements:
-            if (x, t) in orbit_of:
-                continue
-            orbit = sorted(
-                (b.right_act[x][g], g2.mul[g2.inv[phi.map[g]]][t])
-                for g in b.right_group.elements
-            )
-            idx = len(reps)
-            reps.append(orbit[0])
-            for pair in orbit:
-                orbit_of[pair] = idx
-    k = len(reps)
-    right_rows = tuple(
-        tuple(orbit_of[(x, g2.mul[t][h])] for h in g2.elements) for (x, t) in reps
+    u = tuple(phi.map[a] for a in _orbit_at_zero(b.right_act[0], b.size, "right"))
+    pushed = from_right_torsor(g2.order, g2, g2.mul)
+    phi_left = by_formula(
+        GroupHom, b.left_group, pushed.left_group,
+        tuple(g2.mul[u[row[0]]][0] for row in b.left_act),
     )
-    pushed = from_right_torsor(k, g2, right_rows)
-    u = tuple(orbit_of[(x, g2.identity)] for x in b.points)
-    perm_index = {row: i for i, row in enumerate(pushed.left_act)}
-    phi_left_map = []
-    for gp in b.left_group.elements:
-        row = tuple(orbit_of[(b.left_act[gp][x], t)] for (x, t) in reps)
-        if row not in perm_index:
-            raise InvalidBitorsor("old left action does not descend to the extension")
-        phi_left_map.append(perm_index[row])
-    phi_left = by_formula(GroupHom, b.left_group, pushed.left_group, tuple(phi_left_map))
     canonical = by_formula(BitorsorMorphism, b, pushed, phi_left, u, phi)
     return pushed, canonical
 
 
 def pushforward_left(b: Bitorsor, phi_left: GroupHom) -> tuple[Bitorsor, BitorsorMorphism]:
-    """Mirror extension of the left structure group along phi_left."""
+    """Mirror extension of the left structure group along phi_left.
+
+    Writing x = c_x.0, the class of (t, x) is that of (t.phi_left(c_x), 0),
+    so the points are the elements s = t.phi_left(c_x) of the new group,
+    numbered in order of first appearance over (t, x).  The new group acts
+    on them by left multiplication.  Point 0 is the class of (0, 0), and an
+    old right element moving 0 to y maps to the symmetry sending it to the
+    class of (0, y)."""
     if phi_left.src != b.left_group:
         raise SignatureMismatch("hom does not start at the left structure group")
     g2 = phi_left.dst
-    orbit_of: dict[tuple[int, int], int] = {}
-    reps: list[tuple[int, int]] = []
+    c = _orbit_at_zero((row[0] for row in b.left_act), b.size, "left")
+    v = [phi_left.map[a] for a in c]
+    idx: dict[int, int] = {}
     for t in g2.elements:
-        for x in b.points:
-            if (t, x) in orbit_of:
-                continue
-            orbit = sorted(
-                (g2.mul[t][g2.inv[phi_left.map[g]]], b.left_act[g][x])
-                for g in b.left_group.elements
-            )
-            idx = len(reps)
-            reps.append(orbit[0])
-            for pair in orbit:
-                orbit_of[pair] = idx
-    k = len(reps)
-    left_rows = tuple(
-        tuple(orbit_of[(g2.mul[h][t], x)] for (t, x) in reps) for h in g2.elements
+        for vx in v:
+            idx.setdefault(g2.mul[t][vx], len(idx))
+    left_rows = tuple(tuple(idx[g2.mul[h][s]] for s in idx) for h in g2.elements)
+    pushed = _from_left_torsor(len(idx), g2, left_rows)
+    u = tuple(idx[vx] for vx in v)
+    phi_right = by_formula(
+        GroupHom, b.right_group, pushed.right_group,
+        tuple(idx[g2.mul[0][v[y]]] for y in b.right_act[0]),
     )
-    pushed = _from_left_torsor(k, g2, left_rows)
-    u = tuple(orbit_of[(g2.identity, x)] for x in b.points)
-    inv_rows = [
-        tuple(pushed.right_act[p][i] for p in pushed.points)
-        for i in pushed.right_group.elements
-    ]
-    perm_index = {row: i for i, row in enumerate(inv_rows)}
-    phi_right_map = []
-    for g in b.right_group.elements:
-        row = tuple(orbit_of[(t, b.right_act[x][g])] for (t, x) in reps)
-        if row not in perm_index:
-            raise InvalidBitorsor("old right action does not descend to the extension")
-        phi_right_map.append(perm_index[row])
-    phi_right = by_formula(GroupHom, b.right_group, pushed.right_group, tuple(phi_right_map))
     canonical = by_formula(BitorsorMorphism, b, pushed, phi_left, u, phi_right)
     return pushed, canonical
-
-
-def factor_through_pushforward(
-    m: BitorsorMorphism,
-) -> tuple[Bitorsor, BitorsorMorphism, BitorsorMorphism]:
-    """Split any morphism as the canonical right extension followed by an
-    isomorphism over the identity of the target's right group."""
-    pushed, canonical = pushforward(m.src, m.phi_right)
-    g2 = m.dst.right_group
-    # the class containing (x, t) is the canonical image of x translated by
-    # t, and it must go to m(x).t; consistency across representatives is the
-    # universal-property check
-    theta_points: list[int | None] = [None] * pushed.size
-    for x in m.src.points:
-        base = canonical.point_map[x]
-        for t in g2.elements:
-            cls = pushed.right_act[base][t]
-            val = m.dst.right_act[m.point_map[x]][t]
-            if theta_points[cls] is None:
-                theta_points[cls] = val
-            elif theta_points[cls] != val:
-                raise InvalidMorphism("extension factorization is inconsistent")
-    into = {}
-    for hp in m.dst.left_group.elements:
-        into[m.dst.left_act[hp][theta_points[0]]] = hp
-    phi_left_map = []
-    for lp in pushed.left_group.elements:
-        phi_left_map.append(into[theta_points[pushed.left_act[lp][0]]])
-    theta = BitorsorMorphism(
-        pushed,
-        m.dst,
-        GroupHom(pushed.left_group, m.dst.left_group, tuple(phi_left_map)),
-        tuple(theta_points),
-        identity_hom(g2),
-    )
-    if not theta.is_isomorphism():
-        raise InvalidMorphism("factorization through the extension is not invertible")
-    return pushed, canonical, theta
 
 
 def factor_morphism(
@@ -786,24 +702,14 @@ class WedgeFactorization:
 
 
 def wedge_of_morphisms(
-    m1: BitorsorMorphism,
-    m2: BitorsorMorphism,
-    src_index: dict[tuple[int, int], int],
-    dst_index: dict[tuple[int, int], int],
-    src_wedge: Bitorsor,
-    dst_wedge: Bitorsor,
+    m1: BitorsorMorphism, m2: BitorsorMorphism, src_wedge: Bitorsor, dst_wedge: Bitorsor
 ) -> BitorsorMorphism:
-    """Glue two morphisms sharing their middle hom."""
+    """Glue two morphisms sharing their middle hom: the class of (0, i)
+    goes to the class of (m1(0), m2(i))."""
     if m1.phi_right != m2.phi_left:
         raise SignatureMismatch("middle homs differ")
-    reps: dict[int, tuple[int, int]] = {}
-    for pair, idx in src_index.items():
-        if idx not in reps or pair < reps[idx]:
-            reps[idx] = pair
-    point_map = tuple(
-        dst_index[(m1.point_map[reps[i][0]], m2.point_map[reps[i][1]])]
-        for i in src_wedge.points
-    )
+    (row,) = glued_rows(m1.dst, m2.dst, (m1.point_map[0],))
+    point_map = tuple(row[v] for v in m2.point_map)
     return BitorsorMorphism(src_wedge, dst_wedge, m1.phi_left, point_map, m2.phi_right)
 
 
@@ -812,15 +718,15 @@ def factor_through_pushforwards(
 ) -> WedgeFactorization:
     """Rewrite a morphism out of b1 glued with b2 as canonical extensions of
     both factors followed by an isomorphism of glued carriers."""
-    src_wedge, src_index = contracted_product(b1, b2)
+    src_wedge = contracted_product(b1, b2)
     if m.src != src_wedge:
         raise SignatureMismatch("morphism does not start at the glued carrier")
     pushed2, can2r = pushforward(b2, m.phi_right)
     phi2 = can2r.phi_left
     pushed1, can1 = pushforward(b1, phi2)
     pushed2l, can2 = pushforward_left(b2, phi2)
-    dst_wedge, dst_index = contracted_product(pushed1, pushed2l)
-    glued = wedge_of_morphisms(can1, can2, src_index, dst_index, src_wedge, dst_wedge)
+    dst_wedge = contracted_product(pushed1, pushed2l)
+    glued = wedge_of_morphisms(can1, can2, src_wedge, dst_wedge)
     right_isos = iter_isomorphisms(
         dst_wedge.right_group, m.dst.right_group, rho_pools(glued, m)
     )

@@ -234,7 +234,7 @@ def _decompose_connected(
     z = eq.from_theta(z_theta)
     x = eq.from_theta(t)
     y = eq.compose_pi(x, eq.inverse_pi(z))
-    wedge_back, _ = eq.contracted_product_pi(y, z)
+    wedge_back = eq.compose_pi(y, z)
     witness_iso = eq.pi_isomorphism(wedge_back, x, fix_right=True)
     if witness_iso is None:
         raise DevissageError("the glued factors failed to reproduce the input")
@@ -332,7 +332,7 @@ def verify_decomposition(
     except DomainError as exc:
         return VerificationResult(False, f"input does not expand: {exc}")
     try:
-        wedge, _ = eq.contracted_product_pi(d.y, d.z)
+        wedge = eq.compose_pi(d.y, d.z)
     except DomainError as exc:
         return VerificationResult(False, f"factors do not glue: {exc}")
     iso = d.witness_iso

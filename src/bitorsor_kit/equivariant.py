@@ -7,7 +7,9 @@ on it) the whole structure is equivalent to a plain carrier plus a single
 homomorphism theta from Pi into the left group; ThetaBitorsor holds that
 presentation, and from_theta/to_theta realize the equivalence in both
 directions.  The first cohomology set h1 and its classification live here
-too, as do the Pi-aware versions of the product calculus.  The public
+too, as do the Pi-aware versions of the product calculus, which read each
+glued or pushed point action at point 0 in the base-point coordinates of
+the plain layer.  The public
 constructors check every compatibility law in full, on the generators of pi
 and of the structure groups (the closure argument of Light's associativity
 test, Clifford & Preston I, section 1.2); values computed by formula from
@@ -356,33 +358,21 @@ def compose_pi_morphisms(outer: PiMorphism, inner: PiMorphism) -> PiMorphism:
     )
 
 
-def contracted_product_pi(
-    p1: PiBitorsor, p2: PiBitorsor
-) -> tuple[PiBitorsor, dict[tuple[int, int], int]]:
+def compose_pi(p1: PiBitorsor, p2: PiBitorsor) -> PiBitorsor:
     """Glue two equivariant carriers; the middle structures must be equal
-    as PiGroups, not merely isomorphic, for the diagonal action to descend."""
+    as PiGroups, not merely isomorphic, for the diagonal action to descend.
+    Glued point i is the class of (0, i), which c sends to the class of
+    (c.0, c.i)."""
     if p1.pi != p2.pi:
         raise SignatureMismatch("factors disagree on pi")
     if p1.right != p2.left:
         raise NotComposable("middle Pi-structures differ")
-    wedge, idx = bt.contracted_product(p1.bitorsor, p2.bitorsor)
-    reps: dict[int, tuple[int, int]] = {}
-    for pair, i in idx.items():
-        if i not in reps or pair < reps[i]:
-            reps[i] = pair
-    rows = []
-    for c in p1.pi.elements:
-        a1 = p1.pi_action_on_points[c]
-        a2 = p2.pi_action_on_points[c]
-        rows.append(
-            tuple(idx[(a1[reps[i][0]], a2[reps[i][1]])] for i in wedge.points)
-        )
-    out = by_formula(PiBitorsor, p1.left, p2.right, wedge, tuple(rows))
-    return out, idx
-
-
-def compose_pi(p1: PiBitorsor, p2: PiBitorsor) -> PiBitorsor:
-    return contracted_product_pi(p1, p2)[0]
+    b1, b2 = p1.bitorsor, p2.bitorsor
+    slides = bt.glued_rows(b1, b2, (pa[0] for pa in p1.pi_action_on_points))
+    rows = tuple(
+        tuple(row[z] for z in pa) for row, pa in zip(slides, p2.pi_action_on_points)
+    )
+    return by_formula(PiBitorsor, p1.left, p2.right, bt.contracted_product(b1, b2), rows)
 
 
 def inverse_pi(p: PiBitorsor) -> PiBitorsor:
@@ -397,34 +387,22 @@ def pushforward_pi(
 ) -> tuple[PiBitorsor, PiMorphism]:
     """Extend the right structure group along an equivariant hom.
 
-    The recomputed left group inherits its action by conjugating each
-    commuting permutation with the point action.  A permutation commuting
-    with the right action is fixed by where it sends point 0, so each
-    conjugate is read there.  A lookup that misses raises; the result is
-    otherwise built by formula."""
+    Pushed point t is the class of (0, t), so c sends it to the class of
+    (c.0, c(t)), point u(c.0).c(t).  The recomputed left group inherits its
+    action by conjugating each commuting permutation with the point action,
+    read at point 0, which fixes such a permutation.  A lookup that misses
+    raises; the result is otherwise built by formula."""
     if target.pi != p.pi or target.group != phi.dst:
         raise SignatureMismatch("target structure does not match the hom")
     if not is_pi_equivariant_hom(phi, p.right, target):
         raise NotPiEquivariant("the extension hom breaks the symmetry")
     pushed, can = bt.pushforward(p.bitorsor, phi)
     pi = p.pi
-    g2 = phi.dst
-    rows = []
-    for c in pi.elements:
-        row: list[int | None] = [None] * pushed.size
-        pa = p.pi_action_on_points[c]
-        at = target.action[c].map
-        for x in p.bitorsor.points:
-            base = can.point_map[x]
-            moved = can.point_map[pa[x]]
-            for t in g2.elements:
-                cls = pushed.right_act[base][t]
-                val = pushed.right_act[moved][at[t]]
-                if row[cls] is None:
-                    row[cls] = val
-                elif row[cls] != val:
-                    raise EquivariantError("point action fails to descend")
-        rows.append(tuple(row))
+    u, mul = can.point_map, phi.dst.mul
+    rows = tuple(
+        tuple(mul[u[pa[0]]][t] for t in target.action[c].map)
+        for c, pa in zip(pi.elements, p.pi_action_on_points)
+    )
     lg = pushed.left_group
     at_zero = {perm[0]: i for i, perm in enumerate(pushed.left_act)}
     acts = []
@@ -445,29 +423,22 @@ def pushforward_pi(
 def pushforward_left_pi(
     p: PiBitorsor, phi_left: GroupHom, target: PiGroup
 ) -> tuple[PiBitorsor, PiMorphism]:
-    """Mirror extension of the left structure group."""
+    """Mirror extension of the left structure group: c sends the class of
+    (t, 0) to the class of (c(t), c.0), both read off the pushed left
+    action at the images of points 0 and c.0."""
     if target.pi != p.pi or target.group != phi_left.dst:
         raise SignatureMismatch("target structure does not match the hom")
     if not is_pi_equivariant_hom(phi_left, p.left, target):
         raise NotPiEquivariant("the extension hom breaks the symmetry")
     pushed, can = bt.pushforward_left(p.bitorsor, phi_left)
     pi = p.pi
-    g2 = phi_left.dst
+    u, la = can.point_map, pushed.left_act
     rows = []
-    for c in pi.elements:
-        row: list[int | None] = [None] * pushed.size
-        pa = p.pi_action_on_points[c]
+    for c, pa in zip(pi.elements, p.pi_action_on_points):
         at = target.action[c].map
-        for x in p.bitorsor.points:
-            base = can.point_map[x]
-            moved = can.point_map[pa[x]]
-            for t in g2.elements:
-                cls = pushed.left_act[t][base]
-                val = pushed.left_act[at[t]][moved]
-                if row[cls] is None:
-                    row[cls] = val
-                elif row[cls] != val:
-                    raise EquivariantError("point action fails to descend")
+        row = [0] * pushed.size
+        for t in phi_left.dst.elements:
+            row[la[t][u[0]]] = la[at[t]][u[pa[0]]]
         rows.append(tuple(row))
     rg = pushed.right_group
     at_zero = {y: r for r, y in enumerate(pushed.right_act[0])}
@@ -601,7 +572,7 @@ class PiWedgeFactorization:
 def pi_factor_through_pushforwards(
     m: PiMorphism, p1: PiBitorsor, p2: PiBitorsor
 ) -> PiWedgeFactorization:
-    src_wedge, src_idx = contracted_product_pi(p1, p2)
+    src_wedge = compose_pi(p1, p2)
     if m.src != src_wedge:
         raise SignatureMismatch("morphism does not start at the glued carrier")
     pushed2, can2r = pushforward_pi(p2, m.inner.phi_right, m.dst.right)
@@ -609,9 +580,9 @@ def pi_factor_through_pushforwards(
     middle = pushed2.left
     pushed1, can1 = pushforward_pi(p1, phi2, middle)
     pushed2l, can2 = pushforward_left_pi(p2, phi2, middle)
-    dst_wedge, dst_idx = contracted_product_pi(pushed1, pushed2l)
+    dst_wedge = compose_pi(pushed1, pushed2l)
     glued_inner = bt.wedge_of_morphisms(
-        can1.inner, can2.inner, src_idx, dst_idx, src_wedge.bitorsor, dst_wedge.bitorsor
+        can1.inner, can2.inner, src_wedge.bitorsor, dst_wedge.bitorsor
     )
     PiMorphism(src_wedge, dst_wedge, glued_inner)  # the glued map must commute with pi
     right_isos = pi_equivariant_isos(

@@ -16,6 +16,11 @@ Restrictions: the sub-bitorsor constructions that each built their own
 restricted action tables, one orbit partition per side, and the
 symmetry-aware wrappers that built their own point-action rows.
 
+Gluing: the contracted products and pushforwards that sorted each orbit of
+pairs and looked pairs up in a dictionary, and the gluing maps that read
+each class at its smallest pair.  The factorization and pushed-action
+references below call these, not the library's.
+
 Completions: the torsor completions that closed permutations into a group,
 the pushed Pi-actions that conjugated whole permutations, and the wedge
 rewrites that searched right homs over unforced pools.
@@ -430,15 +435,15 @@ def sections_of(q):
 
 
 def factor_through_pushforwards(m, b1, b2):
-    src_wedge, src_index = B.contracted_product(b1, b2)
+    src_wedge, src_index = contracted_product(b1, b2)
     if m.src != src_wedge:
         raise B.SignatureMismatch("morphism does not start at the glued carrier")
-    pushed2, can2r = B.pushforward(b2, m.phi_right)
+    pushed2, can2r = pushforward(b2, m.phi_right)
     phi2 = can2r.phi_left
-    pushed1, can1 = B.pushforward(b1, phi2)
-    pushed2l, can2 = B.pushforward_left(b2, phi2)
-    dst_wedge, dst_index = B.contracted_product(pushed1, pushed2l)
-    glued = B.wedge_of_morphisms(can1, can2, src_index, dst_index, src_wedge, dst_wedge)
+    pushed1, can1 = pushforward(b1, phi2)
+    pushed2l, can2 = pushforward_left(b2, phi2)
+    dst_wedge, dst_index = contracted_product(pushed1, pushed2l)
+    glued = wedge_of_morphisms(can1, can2, src_index, dst_index, src_wedge, dst_wedge)
     w0 = glued.point_map[0]
     c0 = m.point_map[0]
     r_grp = dst_wedge.right_group
@@ -482,16 +487,16 @@ def pi_equivariant_isos(a, b):
 
 
 def pi_factor_through_pushforwards(m, p1, p2):
-    src_wedge, src_idx = E.contracted_product_pi(p1, p2)
+    src_wedge, src_idx = contracted_product_pi(p1, p2)
     if m.src != src_wedge:
         raise B.SignatureMismatch("morphism does not start at the glued carrier")
-    pushed2, can2r = E.pushforward_pi(p2, m.inner.phi_right, m.dst.right)
+    pushed2, can2r = pushforward_pi(p2, m.inner.phi_right, m.dst.right)
     phi2 = can2r.inner.phi_left
     middle = pushed2.left
-    pushed1, can1 = E.pushforward_pi(p1, phi2, middle)
-    pushed2l, can2 = E.pushforward_left_pi(p2, phi2, middle)
-    dst_wedge, dst_idx = E.contracted_product_pi(pushed1, pushed2l)
-    glued_inner = B.wedge_of_morphisms(
+    pushed1, can1 = pushforward_pi(p1, phi2, middle)
+    pushed2l, can2 = pushforward_left_pi(p2, phi2, middle)
+    dst_wedge, dst_idx = contracted_product_pi(pushed1, pushed2l)
+    glued_inner = wedge_of_morphisms(
         can1.inner, can2.inner, src_idx, dst_idx, src_wedge.bitorsor, dst_wedge.bitorsor
     )
     E.PiMorphism(src_wedge, dst_wedge, glued_inner)
@@ -813,6 +818,180 @@ def is_type_gamma(p, e):
     return None
 
 
+# ------------------------------------------------------------ gluing
+#
+# The contracted products and pushforwards that built each class as a
+# sorted orbit of pairs and filled the action tables through a dictionary
+# on pairs, and the gluing maps that read each class at its smallest pair.
+# The library's previous versions, with module prefixes and validating
+# constructors in place of by_formula.
+
+
+def contracted_product(b1, b2):
+    if b1.right_group != b2.left_group:
+        raise B.NotComposable("middle groups differ")
+    mid = b1.right_group
+    orbit_of = {}
+    reps = []
+    for x1 in b1.points:
+        for x2 in b2.points:
+            if (x1, x2) in orbit_of:
+                continue
+            orbit = sorted(
+                (b1.right_act[x1][g], b2.left_act[mid.inv[g]][x2]) for g in mid.elements
+            )
+            idx = len(reps)
+            reps.append(orbit[0])
+            for pair in orbit:
+                orbit_of[pair] = idx
+    left_rows = tuple(
+        tuple(orbit_of[(b1.left_act[gp][r1], r2)] for (r1, r2) in reps)
+        for gp in b1.left_group.elements
+    )
+    right_rows = tuple(
+        tuple(orbit_of[(r1, b2.right_act[r2][g])] for g in b2.right_group.elements)
+        for (r1, r2) in reps
+    )
+    out = B.Bitorsor(b1.left_group, b2.right_group, left_rows, right_rows)
+    return out, orbit_of
+
+
+def isom_canonical_iso(b1, b2):
+    wedge, orbit_of = contracted_product(b2, B.inverse(b1))
+    iso = B.isom_bitorsor(b1, b2)
+    maps = B.equivariant_maps(b1, b2)
+    pos = {f: i for i, f in enumerate(maps)}
+    reps = {}
+    for (y, x), idx in orbit_of.items():
+        if idx not in reps or (y, x) < reps[idx]:
+            reps[idx] = (y, x)
+    point_map = []
+    for idx in wedge.points:
+        y, x = reps[idx]
+        f = [0] * b1.size
+        for g in b1.right_group.elements:
+            f[b1.right_act[x][g]] = b2.right_act[y][g]
+        point_map.append(pos[tuple(f)])
+    return B.BitorsorMorphism(
+        wedge,
+        iso,
+        identity_hom(b2.left_group),
+        tuple(point_map),
+        identity_hom(b1.left_group),
+    )
+
+
+def pushforward(b, phi):
+    if phi.src != b.right_group:
+        raise B.SignatureMismatch("hom does not start at the right structure group")
+    g2 = phi.dst
+    orbit_of = {}
+    reps = []
+    for x in b.points:
+        for t in g2.elements:
+            if (x, t) in orbit_of:
+                continue
+            orbit = sorted(
+                (b.right_act[x][g], g2.mul[g2.inv[phi.map[g]]][t])
+                for g in b.right_group.elements
+            )
+            idx = len(reps)
+            reps.append(orbit[0])
+            for pair in orbit:
+                orbit_of[pair] = idx
+    k = len(reps)
+    right_rows = tuple(
+        tuple(orbit_of[(x, g2.mul[t][h])] for h in g2.elements) for (x, t) in reps
+    )
+    pushed = B.from_right_torsor(k, g2, right_rows)
+    u = tuple(orbit_of[(x, g2.identity)] for x in b.points)
+    perm_index = {row: i for i, row in enumerate(pushed.left_act)}
+    phi_left_map = []
+    for gp in b.left_group.elements:
+        row = tuple(orbit_of[(b.left_act[gp][x], t)] for (x, t) in reps)
+        if row not in perm_index:
+            raise InvalidBitorsor("old left action does not descend to the extension")
+        phi_left_map.append(perm_index[row])
+    phi_left = GroupHom(b.left_group, pushed.left_group, tuple(phi_left_map))
+    canonical = B.BitorsorMorphism(b, pushed, phi_left, u, phi)
+    return pushed, canonical
+
+
+def pushforward_left(b, phi_left):
+    if phi_left.src != b.left_group:
+        raise B.SignatureMismatch("hom does not start at the left structure group")
+    g2 = phi_left.dst
+    orbit_of = {}
+    reps = []
+    for t in g2.elements:
+        for x in b.points:
+            if (t, x) in orbit_of:
+                continue
+            orbit = sorted(
+                (g2.mul[t][g2.inv[phi_left.map[g]]], b.left_act[g][x])
+                for g in b.left_group.elements
+            )
+            idx = len(reps)
+            reps.append(orbit[0])
+            for pair in orbit:
+                orbit_of[pair] = idx
+    k = len(reps)
+    left_rows = tuple(
+        tuple(orbit_of[(g2.mul[h][t], x)] for (t, x) in reps) for h in g2.elements
+    )
+    pushed = B._from_left_torsor(k, g2, left_rows)
+    u = tuple(orbit_of[(g2.identity, x)] for x in b.points)
+    inv_rows = [
+        tuple(pushed.right_act[p][i] for p in pushed.points)
+        for i in pushed.right_group.elements
+    ]
+    perm_index = {row: i for i, row in enumerate(inv_rows)}
+    phi_right_map = []
+    for g in b.right_group.elements:
+        row = tuple(orbit_of[(t, b.right_act[x][g])] for (t, x) in reps)
+        if row not in perm_index:
+            raise InvalidBitorsor("old right action does not descend to the extension")
+        phi_right_map.append(perm_index[row])
+    phi_right = GroupHom(b.right_group, pushed.right_group, tuple(phi_right_map))
+    canonical = B.BitorsorMorphism(b, pushed, phi_left, u, phi_right)
+    return pushed, canonical
+
+
+def wedge_of_morphisms(m1, m2, src_index, dst_index, src_wedge, dst_wedge):
+    if m1.phi_right != m2.phi_left:
+        raise B.SignatureMismatch("middle homs differ")
+    reps = {}
+    for pair, idx in src_index.items():
+        if idx not in reps or pair < reps[idx]:
+            reps[idx] = pair
+    point_map = tuple(
+        dst_index[(m1.point_map[reps[i][0]], m2.point_map[reps[i][1]])]
+        for i in src_wedge.points
+    )
+    return B.BitorsorMorphism(src_wedge, dst_wedge, m1.phi_left, point_map, m2.phi_right)
+
+
+def contracted_product_pi(p1, p2):
+    if p1.pi != p2.pi:
+        raise B.SignatureMismatch("factors disagree on pi")
+    if p1.right != p2.left:
+        raise B.NotComposable("middle Pi-structures differ")
+    wedge, idx = contracted_product(p1.bitorsor, p2.bitorsor)
+    reps = {}
+    for pair, i in idx.items():
+        if i not in reps or pair < reps[i]:
+            reps[i] = pair
+    rows = []
+    for c in p1.pi.elements:
+        a1 = p1.pi_action_on_points[c]
+        a2 = p2.pi_action_on_points[c]
+        rows.append(
+            tuple(idx[(a1[reps[i][0]], a2[reps[i][1]])] for i in wedge.points)
+        )
+    out = E.PiBitorsor(p1.left, p2.right, wedge, tuple(rows))
+    return out, idx
+
+
 # ------------------------------------------------------------ completions
 #
 # The one-sided torsor completions that closed the k commuting
@@ -896,7 +1075,7 @@ def pushforward_pi(p, phi, target):
         raise B.SignatureMismatch("target structure does not match the hom")
     if not E.is_pi_equivariant_hom(phi, p.right, target):
         raise NotPiEquivariant("the extension hom breaks the symmetry")
-    pushed, can = B.pushforward(p.bitorsor, phi)
+    pushed, can = pushforward(p.bitorsor, phi)
     pi = p.pi
     g2 = phi.dst
     rows = []
@@ -940,7 +1119,7 @@ def pushforward_left_pi(p, phi_left, target):
         raise B.SignatureMismatch("target structure does not match the hom")
     if not E.is_pi_equivariant_hom(phi_left, p.left, target):
         raise NotPiEquivariant("the extension hom breaks the symmetry")
-    pushed, can = B.pushforward_left(p.bitorsor, phi_left)
+    pushed, can = pushforward_left(p.bitorsor, phi_left)
     pi = p.pi
     g2 = phi_left.dst
     rows = []
@@ -982,15 +1161,15 @@ def pushforward_left_pi(p, phi_left, target):
 
 
 def unforced_factor_through_pushforwards(m, b1, b2):
-    src_wedge, src_index = B.contracted_product(b1, b2)
+    src_wedge, src_index = contracted_product(b1, b2)
     if m.src != src_wedge:
         raise B.SignatureMismatch("morphism does not start at the glued carrier")
-    pushed2, can2r = B.pushforward(b2, m.phi_right)
+    pushed2, can2r = pushforward(b2, m.phi_right)
     phi2 = can2r.phi_left
-    pushed1, can1 = B.pushforward(b1, phi2)
-    pushed2l, can2 = B.pushforward_left(b2, phi2)
-    dst_wedge, dst_index = B.contracted_product(pushed1, pushed2l)
-    glued = B.wedge_of_morphisms(can1, can2, src_index, dst_index, src_wedge, dst_wedge)
+    pushed1, can1 = pushforward(b1, phi2)
+    pushed2l, can2 = pushforward_left(b2, phi2)
+    dst_wedge, dst_index = contracted_product(pushed1, pushed2l)
+    glued = wedge_of_morphisms(can1, can2, src_index, dst_index, src_wedge, dst_wedge)
     right_isos = iter_isomorphisms(dst_wedge.right_group, m.dst.right_group)
     psi = next(B.wedge_completions(glued, m, right_isos), None)
     if psi is None:
@@ -999,16 +1178,16 @@ def unforced_factor_through_pushforwards(m, b1, b2):
 
 
 def unforced_pi_factor_through_pushforwards(m, p1, p2):
-    src_wedge, src_idx = E.contracted_product_pi(p1, p2)
+    src_wedge, src_idx = contracted_product_pi(p1, p2)
     if m.src != src_wedge:
         raise B.SignatureMismatch("morphism does not start at the glued carrier")
-    pushed2, can2r = E.pushforward_pi(p2, m.inner.phi_right, m.dst.right)
+    pushed2, can2r = pushforward_pi(p2, m.inner.phi_right, m.dst.right)
     phi2 = can2r.inner.phi_left
     middle = pushed2.left
-    pushed1, can1 = E.pushforward_pi(p1, phi2, middle)
-    pushed2l, can2 = E.pushforward_left_pi(p2, phi2, middle)
-    dst_wedge, dst_idx = E.contracted_product_pi(pushed1, pushed2l)
-    glued_inner = B.wedge_of_morphisms(
+    pushed1, can1 = pushforward_pi(p1, phi2, middle)
+    pushed2l, can2 = pushforward_left_pi(p2, phi2, middle)
+    dst_wedge, dst_idx = contracted_product_pi(pushed1, pushed2l)
+    glued_inner = wedge_of_morphisms(
         can1.inner, can2.inner, src_idx, dst_idx, src_wedge.bitorsor, dst_wedge.bitorsor
     )
     E.PiMorphism(src_wedge, dst_wedge, glued_inner)  # the glued map must commute with pi

@@ -1,6 +1,7 @@
-"""The pushed carrier's symmetry group by construction: every torsor
-completion, every Pi-action on a pushed group and every wedge rewrite with
-forced right-hom pools returns exactly what the closing, conjugating and
+"""Values built by construction: every torsor completion, every contracted
+product, pushforward and gluing map built in base-point coordinates, every
+Pi-action on a pushed group and every wedge rewrite with forced right-hom
+pools returns exactly what the closing, orbit-sorting, conjugating and
 unforced references in reference_checks return, group labels and
 generators included."""
 
@@ -22,6 +23,14 @@ from conftest import scrambled_trivial
 from test_restrict import assert_same, labels
 from test_search import RELABELLED, UNIVERSE, _pi_wedge_cases, _plain_wedge_cases
 
+
+def _ref_wedge_of_morphisms(m1, m2, src_wedge, dst_wedge):
+    """The reference gluing map, given the pair indexes it reads."""
+    src_index = ref.contracted_product(m1.src, m2.src)[1]
+    dst_index = ref.contracted_product(m1.dst, m2.dst)[1]
+    return ref.wedge_of_morphisms(m1, m2, src_index, dst_index, src_wedge, dst_wedge)
+
+
 # (module, library function, reference) for every construction this file
 # checks; the references call back into the library for everything else.
 CHECKED = (
@@ -29,6 +38,12 @@ CHECKED = (
     (B, "_from_left_torsor", ref._from_left_torsor),
     (E, "pushforward_pi", ref.pushforward_pi),
     (E, "pushforward_left_pi", ref.pushforward_left_pi),
+    (B, "pushforward", ref.pushforward),
+    (B, "pushforward_left", ref.pushforward_left),
+    (B, "contracted_product", lambda b1, b2: ref.contracted_product(b1, b2)[0]),
+    (E, "compose_pi", lambda p1, p2: ref.contracted_product_pi(p1, p2)[0]),
+    (B, "wedge_of_morphisms", _ref_wedge_of_morphisms),
+    (B, "isom_canonical_iso", ref.isom_canonical_iso),
     (E, "pi_factor_through_pushforwards", ref.unforced_pi_factor_through_pushforwards),
 )
 
@@ -116,7 +131,30 @@ def test_pushforwards_match_reference_on_relabelled_groups(checked, rng):
                 E.pushforward_pi(p, f, E.constant_pi_group(c2, target))
                 E.pushforward_left_pi(p, f, twisted)
                 E.pushforward_pi(E.inverse_pi(p), f, twisted)
-    assert min(checked[name] for _, name, _ in CHECKED[:4]) > 5
+    assert min(checked[name] for _, name, _ in CHECKED[:6]) > 5
+
+
+def test_gluing_matches_reference_on_relabelled_groups(checked, rng):
+    """Plain and Pi contracted products, each way round, the Isom
+    identification, and a glued pair of morphisms whose first moves point 0,
+    on twisted and scrambled carriers over groups whose identity is not 0,
+    under a nontrivial theta."""
+    c2 = G.cyclic(2)
+    for g in RELABELLED:
+        theta = next(h for h in G.enumerate_homs(c2, g) if h.map != (g.identity,) * 2)
+        p = E.from_theta(E.ThetaBitorsor(_twisted(g, rng), theta))
+        q = E.from_theta(E.ThetaBitorsor(scrambled_trivial(g, rng), theta))
+        E.compose_pi(p, E.inverse_pi(q))
+        E.compose_pi(E.inverse_pi(q), p)
+        B.contracted_product(q.bitorsor, p.bitorsor)
+        B.isom_canonical_iso(p.bitorsor, q.bitorsor)
+        B.isom_canonical_iso(q.bitorsor, p.bitorsor)
+        b, qi = p.bitorsor, B.inverse(q.bitorsor)
+        m1 = next(m for m in B.bitorsor_isomorphisms(b, b, [G.identity_hom(g)]) if m(0) != 0)
+        wedge = B.contracted_product(b, qi)
+        B.wedge_of_morphisms(m1, B.identity_morphism(qi), wedge, wedge)
+    names = ("compose_pi", "isom_canonical_iso", "wedge_of_morphisms")
+    assert min(checked[name] for name in names) > 5
 
 
 def test_wedge_rewrites_match_unforced_search(checked, rng):

@@ -284,10 +284,10 @@ class TestPiFactorizations:
         assert alpha.inner.is_surjective() and beta.inner.is_injective()
 
     def test_wedge_rewrite_equivariant(self, z4):
-        m_ens, wedge_ens, idx = product_map(z4)
+        m_ens, wedge_ens = product_map(z4)
         a = E.from_theta(E.h1(z4, z4)[1])
         b = E.from_theta(E.h1(z4, z4)[1])
-        wedge, _ = E.contracted_product_pi(a, b)
+        wedge = E.compose_pi(a, b)
         assert wedge.bitorsor == wedge_ens
         dst = E.from_theta(E.h1(z4, z4)[2])
         m = E.PiMorphism(
@@ -308,10 +308,6 @@ class TestPiFactorizations:
             B.wedge_of_morphisms(
                 fac.left_canonical.inner,
                 fac.right_canonical.inner,
-                E.contracted_product_pi(a, b)[1],
-                E.contracted_product_pi(
-                    fac.left_canonical.dst, fac.right_canonical.dst
-                )[1],
                 wedge.bitorsor,
                 fac.wedge.bitorsor,
             ),
@@ -322,8 +318,8 @@ class TestPiFactorizations:
     def test_wedge_rewrite_identity_target(self, s3):
         triv_theta = G.GroupHom(s3, s3, tuple(s3.identity for _ in s3.elements))
         a = E.from_theta(E.ThetaBitorsor(B.trivial_bitorsor(s3), triv_theta))
-        wedge, _ = E.contracted_product_pi(a, a)
-        m_ens, wedge_ens, _ = product_map(s3)
+        wedge = E.compose_pi(a, a)
+        m_ens, wedge_ens = product_map(s3)
         m = E.PiMorphism(
             wedge,
             a,

@@ -165,19 +165,19 @@ def _plain_wedge_cases(rnd: random.Random):
     s3 = G.symmetric(3)
     cases = []
     for g in (G.cyclic(4), s3, G.dihedral(4), G.cyclic(6)):
-        m, _, _ = product_map(g)
+        m, _ = product_map(g)
         t = B.trivial_bitorsor(g)
         cases.append((m, t, t))
     a3 = G.subgroup(s3, [g for g in s3.elements if s3.element_order(g) != 2])
     gq, q = G.quotient(s3, a3)
-    m, _, _ = product_map(s3)
+    m, _ = product_map(s3)
     t = B.trivial_bitorsor(s3)
     tq = B.trivial_bitorsor(gq)
     collapse = B.BitorsorMorphism(t, tq, q, q.map, q)
     cases.append((B.compose_bimorphisms(collapse, m), t, t))
     for g in (G.cyclic(5), s3):
         b1, b2 = scrambled_trivial(g, rnd), scrambled_trivial(g, rnd)
-        wedge, _ = B.contracted_product(b1, b2)
+        wedge = B.contracted_product(b1, b2)
         iso = B.are_isomorphic(wedge, B.trivial_bitorsor(g))
         cases.append((iso, b1, b2))
     return cases
@@ -192,9 +192,9 @@ def test_plain_wedge_factorization_matches_reference(rng):
 def _pi_wedge_cases():
     """The inputs of test_equivariant's wedge rewrites."""
     z4, s3 = G.cyclic(4), G.symmetric(3)
-    m_ens, _, _ = product_map(z4)
+    m_ens, _ = product_map(z4)
     a = E.from_theta(E.h1(z4, z4)[1])
-    wedge, _ = E.contracted_product_pi(a, a)
+    wedge = E.compose_pi(a, a)
     dst = E.from_theta(E.h1(z4, z4)[2])
     m = E.PiMorphism(wedge, dst, B.BitorsorMorphism(
         wedge.bitorsor, dst.bitorsor, m_ens.phi_left, m_ens.point_map, m_ens.phi_right
@@ -203,8 +203,8 @@ def _pi_wedge_cases():
     cases = [(E.compose_pi_morphisms(mq, m), a, a)]
     triv_theta = G.GroupHom(s3, s3, tuple(s3.identity for _ in s3.elements))
     t = E.from_theta(E.ThetaBitorsor(B.trivial_bitorsor(s3), triv_theta))
-    wedge, _ = E.contracted_product_pi(t, t)
-    m_ens, _, _ = product_map(s3)
+    wedge = E.compose_pi(t, t)
+    m_ens, _ = product_map(s3)
     cases.append((E.PiMorphism(wedge, t, B.BitorsorMorphism(
         wedge.bitorsor, t.bitorsor, m_ens.phi_left, m_ens.point_map, m_ens.phi_right
     )), t, t))
