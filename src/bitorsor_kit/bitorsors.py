@@ -15,8 +15,10 @@ Gluing is written in base-point coordinates (Giraud, Cohomologie non
 abelienne, 1971): with x = 0.c, the class of (x, z) is that of (0, c.z), so
 a contracted product is the second factor with a twisted left action, and
 a pushforward's points are the elements of the new group.  The group
-completing a one-sided torsor (from_right_torsor, and so every pushforward)
-is its translations, with the product table read off the action.
+completing a one-sided torsor is its translations, with the product table
+read off the action at point 0.  from_right_torsor is the checked entry;
+the pushforwards complete by formula (_complete_right, _complete_left), and
+the transport of a normal subgroup is read through point 0 alone.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .groups import (
     compose_homs,
     generating_set,
     identity_hom,
-    invert_hom,
     iter_isomorphisms,
     quotient,
     subgroup,
@@ -142,12 +143,6 @@ class Bitorsor:
     def points(self) -> range:
         return range(self.size)
 
-    def left(self, gp: int, x: int) -> int:
-        return self.left_act[gp][x]
-
-    def right(self, x: int, g: int) -> int:
-        return self.right_act[x][g]
-
     def __repr__(self) -> str:
         return f"Bitorsor({self.left_group.label}|{self.size} pts|{self.right_group.label})"
 
@@ -222,17 +217,6 @@ def compose_bimorphisms(outer: BitorsorMorphism, inner: BitorsorMorphism) -> Bit
     )
 
 
-def invert_bimorphism(m: BitorsorMorphism) -> BitorsorMorphism:
-    if not m.is_isomorphism():
-        raise InvalidMorphism("only isomorphisms invert")
-    back = [0] * m.dst.size
-    for x, v in enumerate(m.point_map):
-        back[v] = x
-    return BitorsorMorphism(
-        m.dst, m.src, invert_hom(m.phi_left), tuple(back), invert_hom(m.phi_right)
-    )
-
-
 def trivial_bitorsor(g: FiniteGroup) -> Bitorsor:
     """The group acting on itself by translations on both sides."""
     return by_formula(Bitorsor, g, g, g.mul, g.mul)
@@ -264,13 +248,8 @@ def from_right_torsor(
 
     The left group is the group of symmetries commuting with the right
     action: Aut_G(P), the inner twist of G by P (Giraud, Cohomologie non
-    abelienne, 1971), made an explicit table by the base point 0.  Writing
-    y = 0.a_y, the symmetry p_y sending 0 to y is left multiplication by
-    a_y in base-point coordinates, p_y(0.g) = y.g, so p_y o p_y' is the
-    symmetry sending 0 to p_y(y').  Left element y is p_y: sorted as
-    tuples the p_y fall in this order, since p_y(0) = y, and the product
-    table is the left action table itself: its identity is 0, and the
-    inverse of y is where row y holds 0.
+    abelienne, 1971), made an explicit table by the base point 0 (see
+    _complete_right).
 
     The action law is checked with g2 over the generators, as in Bitorsor,
     and freeness and transitivity at point 0 (see _orbit_at_zero)."""
@@ -285,41 +264,39 @@ def from_right_torsor(
             for g2 in right_group.generators:
                 if ra[x][right_group.mul[g1][g2]] != ra[ra[x][g1]][g2]:
                     raise NotAnAction(f"right action breaks at ({x},{g1},{g2})")
-    a = _orbit_at_zero(ra[0], num_points, "right")
+    return _complete_right(right_group, ra)
+
+
+def _translation_group(table: tuple[tuple[int, ...], ...], label: str) -> FiniteGroup:
+    """The translations completing a one-sided torsor over the group called
+    `label`, numbered by where they send point 0, with `table` as product
+    table: its identity is 0, and the inverse of y is where row y holds 0."""
+    inv = tuple(row.index(0) for row in table)
+    return by_formula(FiniteGroup, table, 0, inv, generating_set(table, 0), f"Aut({label})")
+
+
+def _complete_right(group: FiniteGroup, ra: tuple[tuple[int, ...], ...]) -> Bitorsor:
+    """The bitorsor completing a right action of `group`, by formula; only
+    freeness and transitivity are checked, at point 0.
+
+    Writing y = 0.a_y, the symmetry p_y sending 0 to y is left
+    multiplication by a_y in base-point coordinates, p_y(0.g) = y.g, so
+    p_y o p_y' is the symmetry sending 0 to p_y(y').  Left element y is p_y:
+    sorted as tuples the p_y fall in this order, since p_y(0) = y, and the
+    product table is the left action table itself."""
+    a = _orbit_at_zero(ra[0], len(ra), "right")
     left_act = tuple(tuple(row[g] for g in a) for row in ra)
-    inv = tuple(row.index(0) for row in left_act)
-    grp = by_formula(
-        FiniteGroup, left_act, 0, inv, generating_set(left_act, 0), f"Aut({right_group.label})"
-    )
-    return by_formula(Bitorsor, grp, right_group, left_act, ra)
+    return by_formula(Bitorsor, _translation_group(left_act, group.label), group, left_act, ra)
 
 
-def _from_left_torsor(
-    num_points: int, left_group: FiniteGroup, left_act
-) -> Bitorsor:
-    """Mirror construction, after the same checks: with y = b_y.0, the
-    symmetry sending 0 to y is right multiplication by b_y, composed the
-    other way round.  Right element y sends x = b_x.0 to b_x.y, and the
-    product table is the right action table itself."""
-    la = tuple(tuple(int(v) for v in row) for row in left_act)
-    if len(la) != left_group.order or any(len(r) != num_points for r in la):
-        raise InvalidBitorsor("left action table has the wrong shape")
-    for x in range(num_points):
-        if la[left_group.identity][x] != x:
-            raise NotAnAction(f"left identity moves point {x}")
-    for g1 in left_group.elements:
-        for g2 in left_group.generators:
-            row, r1, r2 = la[left_group.mul[g1][g2]], la[g1], la[g2]
-            for x in range(num_points):
-                if row[x] != r1[r2[x]]:
-                    raise NotAnAction(f"left action breaks at ({g1},{g2},{x})")
-    b = _orbit_at_zero((row[0] for row in la), num_points, "left")
+def _complete_left(group: FiniteGroup, la: tuple[tuple[int, ...], ...]) -> Bitorsor:
+    """Mirror of _complete_right: with y = b_y.0, the symmetry sending 0 to y
+    is right multiplication by b_y, composed the other way round.  Right
+    element y sends x = b_x.0 to b_x.y, and the product table is the right
+    action table itself."""
+    b = _orbit_at_zero((row[0] for row in la), len(la[0]), "left")
     right_act = tuple(la[g] for g in b)
-    inv = tuple(row.index(0) for row in right_act)
-    grp = by_formula(
-        FiniteGroup, right_act, 0, inv, generating_set(right_act, 0), f"Aut({left_group.label})"
-    )
-    return by_formula(Bitorsor, left_group, grp, la, right_act)
+    return by_formula(Bitorsor, group, _translation_group(right_act, group.label), la, right_act)
 
 
 def point_conjugation(b: Bitorsor, x: int) -> GroupHom:
@@ -343,25 +320,17 @@ def trivialize(b: Bitorsor, x: int) -> tuple[GroupHom, BitorsorMorphism]:
 
 
 def corresponding_normal_subgroup(b: Bitorsor, h: Subgroup) -> Subgroup:
-    """The left-group subgroup matching a normal right-group subgroup.
+    """The left-group subgroup matching a normal right-group subgroup,
+    transported through point 0.
 
-    Independent of the transporting point; checked over every point."""
+    Any point gives the same: for x = 0.a, the transport through x is the
+    one through 0 after conjugation by a, which fixes a normal subgroup."""
     if h.parent != b.right_group:
         raise SignatureMismatch("subgroup lives in a different group")
     if not h.is_normal:
         raise NotNormal("only normal subgroups transport unambiguously")
-    first: tuple[int, ...] | None = None
-    for x in b.points:
-        conj = point_conjugation(b, x)
-        members = tuple(sorted(conj.map[g] for g in h.members))
-        if first is None:
-            first = members
-        elif members != first:
-            raise InvalidBitorsor("transport of a normal subgroup depended on the point")
-    out = subgroup(b.left_group, first)
-    if not out.is_normal:
-        raise InvalidBitorsor("transported subgroup lost normality")
-    return out
+    conj = point_conjugation(b, 0)
+    return subgroup(b.left_group, (conj.map[g] for g in h.members))
 
 
 def orbit_partition(
@@ -587,7 +556,7 @@ def pushforward(b: Bitorsor, phi: GroupHom) -> tuple[Bitorsor, BitorsorMorphism]
         raise SignatureMismatch("hom does not start at the right structure group")
     g2 = phi.dst
     u = tuple(phi.map[a] for a in _orbit_at_zero(b.right_act[0], b.size, "right"))
-    pushed = from_right_torsor(g2.order, g2, g2.mul)
+    pushed = _complete_right(g2, g2.mul)
     phi_left = by_formula(
         GroupHom, b.left_group, pushed.left_group,
         tuple(g2.mul[u[row[0]]][0] for row in b.left_act),
@@ -615,7 +584,7 @@ def pushforward_left(b: Bitorsor, phi_left: GroupHom) -> tuple[Bitorsor, Bitorso
         for vx in v:
             idx.setdefault(g2.mul[t][vx], len(idx))
     left_rows = tuple(tuple(idx[g2.mul[h][s]] for s in idx) for h in g2.elements)
-    pushed = _from_left_torsor(len(idx), g2, left_rows)
+    pushed = _complete_left(g2, left_rows)
     u = tuple(idx[vx] for vx in v)
     phi_right = by_formula(
         GroupHom, b.right_group, pushed.right_group,

@@ -8,8 +8,9 @@ homomorphism theta from Pi into the left group; ThetaBitorsor holds that
 presentation, and from_theta/to_theta realize the equivalence in both
 directions.  The first cohomology set h1 and its classification live here
 too, as do the Pi-aware versions of the product calculus, which read each
-glued or pushed point action at point 0 in the base-point coordinates of
-the plain layer.  The public
+glued or pushed point action, and the action on a pushed group, at point 0
+in the base-point coordinates of the plain layer; connectivity is decided
+by the orbit of point 0.  The public
 constructors check every compatibility law in full, on the generators of pi
 and of the structure groups (the closure argument of Light's associativity
 test, Clifford & Preston I, section 1.2); values computed by formula from
@@ -390,8 +391,9 @@ def pushforward_pi(
     Pushed point t is the class of (0, t), so c sends it to the class of
     (c.0, c(t)), point u(c.0).c(t).  The recomputed left group inherits its
     action by conjugating each commuting permutation with the point action,
-    read at point 0, which fixes such a permutation.  A lookup that misses
-    raises; the result is otherwise built by formula."""
+    read at point 0, which fixes such a permutation: left element y is the
+    symmetry sending 0 to y, so the conjugate of perm is the element
+    pa[perm[z]], with z the point that pa sends to 0."""
     if target.pi != p.pi or target.group != phi.dst:
         raise SignatureMismatch("target structure does not match the hom")
     if not is_pi_equivariant_hom(phi, p.right, target):
@@ -404,17 +406,10 @@ def pushforward_pi(
         for c, pa in zip(pi.elements, p.pi_action_on_points)
     )
     lg = pushed.left_group
-    at_zero = {perm[0]: i for i, perm in enumerate(pushed.left_act)}
     acts = []
     for pa in rows:
         z = pa.index(0)
-        images = []
-        for perm in pushed.left_act:
-            y = pa[perm[z]]
-            if y not in at_zero:
-                raise EquivariantError("left symmetries fail to descend")
-            images.append(at_zero[y])
-        acts.append(by_formula(GroupHom, lg, lg, tuple(images)))
+        acts.append(by_formula(GroupHom, lg, lg, tuple(pa[perm[z]] for perm in pushed.left_act)))
     left_pg = by_formula(PiGroup, lg, pi, tuple(acts))
     out = by_formula(PiBitorsor, left_pg, target, pushed, tuple(rows))
     return out, by_formula(PiMorphism, p, out, can)
@@ -425,7 +420,9 @@ def pushforward_left_pi(
 ) -> tuple[PiBitorsor, PiMorphism]:
     """Mirror extension of the left structure group: c sends the class of
     (t, 0) to the class of (c(t), c.0), both read off the pushed left
-    action at the images of points 0 and c.0."""
+    action at the images of points 0 and c.0.  Right row 0 of the pushed
+    carrier is the identity, so right element r goes to pa[row[r]], with row
+    the right row at the point that pa sends to 0."""
     if target.pi != p.pi or target.group != phi_left.dst:
         raise SignatureMismatch("target structure does not match the hom")
     if not is_pi_equivariant_hom(phi_left, p.left, target):
@@ -441,17 +438,10 @@ def pushforward_left_pi(
             row[la[t][u[0]]] = la[at[t]][u[pa[0]]]
         rows.append(tuple(row))
     rg = pushed.right_group
-    at_zero = {y: r for r, y in enumerate(pushed.right_act[0])}
     acts = []
     for pa in rows:
         row = pushed.right_act[pa.index(0)]
-        images = []
-        for r in rg.elements:
-            y = pa[row[r]]
-            if y not in at_zero:
-                raise EquivariantError("right symmetries fail to descend")
-            images.append(at_zero[y])
-        acts.append(by_formula(GroupHom, rg, rg, tuple(images)))
+        acts.append(by_formula(GroupHom, rg, rg, tuple(pa[row[r]] for r in rg.elements)))
     right_pg = by_formula(PiGroup, rg, pi, tuple(acts))
     out = by_formula(PiBitorsor, target, right_pg, pushed, tuple(rows))
     return out, by_formula(PiMorphism, p, out, can)
@@ -597,17 +587,13 @@ def pi_factor_through_pushforwards(
 
 
 def is_connected(t: ThetaBitorsor) -> bool:
-    """Surjectivity of theta, checked against both orbit characterizations."""
+    """Surjectivity of theta, checked against the orbit of point 0.  Pi moves
+    points by left translations, which commute with the right action, so
+    every orbit has the size of the orbit of 0."""
     p = from_theta(t)
-    k = t.bitorsor.size
     by_theta = t.theta.is_surjective()
-    orbit0 = {p.pi_action_on_points[c][0] for c in t.pi.elements}
-    by_basepoint = len(orbit0) == k
-    by_all = all(
-        len({p.pi_action_on_points[c][x] for c in t.pi.elements}) == k
-        for x in t.bitorsor.points
-    )
-    if not (by_theta == by_basepoint == by_all):
+    by_basepoint = len({pa[0] for pa in p.pi_action_on_points}) == t.bitorsor.size
+    if by_theta != by_basepoint:
         raise EquivariantError("connectivity characterizations disagree")
     return by_theta
 

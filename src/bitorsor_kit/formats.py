@@ -319,13 +319,27 @@ def _emit_table(rows: Sequence[Sequence[int]], order: int):
     return {"sha256": table_digest(rows)}
 
 
+def _json_ints(values) -> tuple[int, ...]:
+    """Numbers read from a JSON document: only JSON integers count, not
+    floats, strings or bools, which int() would coerce."""
+    out = tuple(values)
+    if not {int}.issuperset(map(type, out)):
+        bad = next(v for v in out if type(v) is not int)
+        raise ParseError(f"expected a JSON integer, got {bad!r}")
+    return out
+
+
 def _decode_table(obj, resolver: Mapping[str, Sequence]) -> tuple[tuple[int, ...], ...]:
+    """Every table of a document has at most one row per element of a group,
+    so one with more than MAX_ORDER rows is refused before it is read."""
     if isinstance(obj, dict):
         key = str(obj.get("sha256", ""))
         if key not in resolver:
             raise ParseError(f"unresolved table reference sha256:{key[:12]}")
         obj = resolver[key]
-    return tuple(tuple(int(v) for v in row) for row in obj)
+    if len(obj) > MAX_ORDER:
+        raise ParseError(f"table has {len(obj)} rows, above the supported maximum {MAX_ORDER}")
+    return tuple(_json_ints(row) for row in obj)
 
 
 def dumps_indented(value) -> str:
@@ -390,7 +404,7 @@ def group_to_json(g: FiniteGroup) -> dict:
 def group_from_json(entry: dict, resolver: Mapping[str, Sequence] | None = None) -> FiniteGroup:
     try:
         mul = _decode_table(entry["mul"], dict(resolver or {}))
-        gens = tuple(int(v) for v in entry["generators"])
+        gens = _json_ints(entry["generators"])
         label = str(entry["label"])
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed group document: {exc!r}") from None
@@ -477,18 +491,18 @@ class _Reader:
         return _decode_table(obj, self._resolver)
 
     def group(self, i) -> FiniteGroup:
-        i = int(i)
+        (i,) = _json_ints((i,))
         if not (0 <= i < len(self._groups)):
             raise ParseError(f"group reference {i} out of range")
         return self._groups[i]
 
     def hom(self, d: dict) -> GroupHom:
         return GroupHom(
-            self.group(d["src"]), self.group(d["dst"]), tuple(int(v) for v in d["map"])
+            self.group(d["src"]), self.group(d["dst"]), _json_ints(d["map"])
         )
 
     def sub(self, d: dict) -> Subgroup:
-        return subgroup(self.group(d["parent"]), (int(v) for v in d["members"]))
+        return subgroup(self.group(d["parent"]), _json_ints(d["members"]))
 
     @_once_per_document
     def bitorsor(self, d: dict) -> Bitorsor:
@@ -503,9 +517,7 @@ class _Reader:
     def pi_group(self, d: dict) -> eq.PiGroup:
         g = self.group(d["group"])
         pi = self.group(d["pi"])
-        action = tuple(
-            GroupHom(g, g, tuple(int(v) for v in row)) for row in d["action"]
-        )
+        action = tuple(GroupHom(g, g, _json_ints(row)) for row in d["action"])
         return eq.PiGroup(g, pi, action)
 
     @_once_per_document
@@ -524,7 +536,7 @@ class _Reader:
             src.bitorsor,
             dst.bitorsor,
             self.hom(d["phi_left"]),
-            tuple(int(v) for v in d["point_map"]),
+            _json_ints(d["point_map"]),
             self.hom(d["phi_right"]),
         )
         return eq.PiMorphism(src, dst, inner)
@@ -584,7 +596,7 @@ def decomposition_from_json(
         big = r.group(ed["pi_big"])
         e = dv.SplitExtension(
             big,
-            subgroup(big, (int(v) for v in ed["gamma"])),
+            subgroup(big, _json_ints(ed["gamma"])),
             r.group(ed["pi_small"]),
             r.hom(ed["p"]),
             r.hom(ed["s"]),

@@ -172,12 +172,6 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def op(self, a: int, b: int) -> int:
-        return self.mul[a][b]
-
-    def inverse(self, a: int) -> int:
-        return self.inv[a]
-
     def conjugate(self, g: int, x: int) -> int:
         """g x g^-1."""
         return self.mul[self.mul[g][x]][self.inv[g]]
@@ -279,15 +273,6 @@ def compose_homs(outer: GroupHom, inner: GroupHom) -> GroupHom:
     if inner.dst != outer.src:
         raise MixedSignatures("inner codomain differs from outer domain")
     return by_formula(GroupHom, inner.src, outer.dst, tuple(outer.map[v] for v in inner.map))
-
-
-def invert_hom(h: GroupHom) -> GroupHom:
-    if not h.is_bijective():
-        raise NotAHomomorphism("only bijective homomorphisms invert")
-    back = [0] * h.dst.order
-    for a, v in enumerate(h.map):
-        back[v] = a
-    return by_formula(GroupHom, h.dst, h.src, tuple(back))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from . import devissage as dv
 from . import equivariant as eq
 from .devissage import SplitExtension
 from .errors import DomainError
-from .groups import FiniteGroup, cyclic_power_action, kernel, semidirect_product
+from .groups import MAX_ORDER, FiniteGroup, cyclic_power_action, kernel, semidirect_product
 
 
 class LocalModelError(DomainError):
@@ -25,7 +25,8 @@ class BadParams(LocalModelError):
 @dataclass(frozen=True)
 class TameParams:
     """q: residue size analogue; n: inertia order, coprime to q; m: degree
-    of the unramified part, with q**m = 1 mod n so the twist closes up."""
+    of the unramified part, with q**m = 1 mod n so the twist closes up.  The
+    model's group has order n*m, at most MAX_ORDER."""
 
     q: int
     n: int
@@ -36,6 +37,10 @@ class TameParams:
             raise BadParams(f"q = {self.q} must be at least 2")
         if self.n < 1 or self.m < 1:
             raise BadParams(f"n = {self.n} and m = {self.m} must be at least 1")
+        if self.n * self.m > MAX_ORDER:
+            raise BadParams(
+                f"n*m = {self.n * self.m} is above the supported maximum order {MAX_ORDER}"
+            )
         g = math.gcd(self.n, self.q)
         if g != 1:
             raise BadParams(f"gcd(n, q) = gcd({self.n}, {self.q}) = {g}, not 1")

@@ -939,7 +939,7 @@ def pushforward_left(b, phi_left):
     left_rows = tuple(
         tuple(orbit_of[(g2.mul[h][t], x)] for (t, x) in reps) for h in g2.elements
     )
-    pushed = B._from_left_torsor(k, g2, left_rows)
+    pushed = _from_left_torsor(k, g2, left_rows)
     u = tuple(orbit_of[(g2.identity, x)] for x in b.points)
     inv_rows = [
         tuple(pushed.right_act[p][i] for p in pushed.points)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import reference_checks as ref
 from bitorsor_kit import bitorsors as B
 from bitorsor_kit import groups as G
-from bitorsor_kit.errors import DomainError
+from bitorsor_kit.errors import FULL_CHECK, DomainError
 
 from conftest import scrambled_trivial
 
@@ -64,9 +64,22 @@ class TestConstruction:
         ],
     )
     def test_left_completion_checks_before_building(self, order, left_act, error, message):
-        with pytest.raises(error) as exc:
-            B._from_left_torsor(len(left_act[0]), G.cyclic(order), left_act)
-        assert str(exc.value) == message
+        """`error` and `message` name each table's defect.  No malformed
+        table yields a Bitorsor: the builder reads only the orbit of point 0,
+        so it raises a freeness or transitivity error there, or, in
+        full-check mode, by_formula's AssertionError around the validator's
+        own diagnosis of the defect."""
+        assert FULL_CHECK
+        with pytest.raises((DomainError, AssertionError)) as exc:
+            B._complete_left(G.cyclic(order), left_act)
+        if exc.type is AssertionError:
+            cause = exc.value.__cause__
+            assert type(cause) is error and str(cause) == message
+        else:
+            assert type(exc.value) in (B.NotFree, B.NotTransitive)
+            assert "point 0" in str(exc.value)
+            if error in (B.NotFree, B.NotTransitive):
+                assert str(exc.value) == message
 
     @pytest.mark.parametrize(
         "left_order, right_order, left_act, right_act, error, message",

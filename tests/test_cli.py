@@ -16,6 +16,7 @@ from bitorsor_kit import cli
 from bitorsor_kit import devissage as D
 from bitorsor_kit import formats as F
 from bitorsor_kit import groups as G
+from bitorsor_kit import local_model as L
 
 S3_EXTENSION = (
     "extension tame\npi_big semidirect:3:2:2\ngamma 0 2 4\n"
@@ -346,6 +347,21 @@ class TestLocalSurvey:
             "--group", "cyclic:2",
         )
         assert code == 2 and "gcd" in err
+
+    def test_model_above_the_ceiling_fails_before_any_table(self, capsys, monkeypatch):
+        def boom(*args):
+            raise AssertionError("a table was built")
+
+        for name in ("cyclic_power_action", "semidirect_product"):
+            monkeypatch.setattr(L, name, boom)
+        code, out, err = run(
+            capsys, "local-survey", "--q", "2", "--n", "127", "--m", "7",
+            "--group", "cyclic:2",
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            "local_model.BadParams: n*m = 889 is above the supported maximum order 200\n"
+        )
 
     def test_json_byte_identical_across_runs(self, capsys):
         args = (

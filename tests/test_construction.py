@@ -34,8 +34,8 @@ def _ref_wedge_of_morphisms(m1, m2, src_wedge, dst_wedge):
 # (module, library function, reference) for every construction this file
 # checks; the references call back into the library for everything else.
 CHECKED = (
-    (B, "from_right_torsor", ref.from_right_torsor),
-    (B, "_from_left_torsor", ref._from_left_torsor),
+    (B, "_complete_right", lambda g, ra: ref.from_right_torsor(len(ra), g, ra)),
+    (B, "_complete_left", lambda g, la: ref._from_left_torsor(len(la[0]), g, la)),
     (E, "pushforward_pi", ref.pushforward_pi),
     (E, "pushforward_left_pi", ref.pushforward_left_pi),
     (B, "pushforward", ref.pushforward),
@@ -85,8 +85,8 @@ def assert_completions_match(b: B.Bitorsor) -> None:
     got, want = B.from_right_torsor(*args), ref.from_right_torsor(*args)
     assert_same(got, want)
     assert got.left_group.generators == want.left_group.generators
-    args = (b.size, b.left_group, b.left_act)
-    got, want = B._from_left_torsor(*args), ref._from_left_torsor(*args)
+    got = B._complete_left(b.left_group, b.left_act)
+    want = ref._from_left_torsor(b.size, b.left_group, b.left_act)
     assert_same(got, want)
     assert got.right_group.generators == want.right_group.generators
 
@@ -113,6 +113,32 @@ def test_completions_match_reference_on_test_carriers(rng):
     assert any(b.right_group.identity != 0 for b in carriers)
     for b in carriers:
         assert_completions_match(b)
+
+
+def test_point_zero_decides_transport_and_connectivity(rng):
+    """What corresponding_normal_subgroup and is_connected no longer check
+    over every point, on scrambled and twisted carriers over every group of
+    test_search, the relabelled ones included: every point transports each
+    normal subgroup to the same normal subgroup, and under every theta from
+    C2, C3, C4 or the identity, every point's Pi-orbit has the size of the
+    orbit of 0."""
+    pis = [G.cyclic(n) for n in (2, 3, 4)]
+    for g in UNIVERSE + RELABELLED:
+        normal = [h for h in G.all_subgroups(g) if h.is_normal]
+        thetas = [G.identity_hom(g)] + [th for pi in pis for th in G.enumerate_homs(pi, g)]
+        for b in (scrambled_trivial(g, rng), _twisted(g, rng)):
+            for h in normal:
+                hp = B.corresponding_normal_subgroup(b, h)
+                assert hp.is_normal
+                for x in b.points:
+                    conj = B.point_conjugation(b, x)
+                    assert G.subgroup(b.left_group, (conj.map[a] for a in h.members)) == hp
+            for theta in thetas:
+                t = E.ThetaBitorsor(b, theta)
+                pa = E.from_theta(t).pi_action_on_points
+                sizes = {len({row[x] for row in pa}) for x in b.points}
+                assert sizes == {len({row[0] for row in pa})}
+                assert E.is_connected(t) == (sizes == {b.size})
 
 
 def test_pushforwards_match_reference_on_relabelled_groups(checked, rng):
@@ -210,7 +236,7 @@ def test_survey_classes_match_reference(checked, monkeypatch, params, group):
         monkeypatch, lambda: report.append(L.survey(L.TameParams(*params), group))
     )
     assert all(r.verified for r in report[0].rows)
-    assert checked["from_right_torsor"] > 0
+    assert checked["_complete_right"] > 0
     assert inner and len(inner) == sum(not r.connected for r in report[0].rows)
     for m, b1, b2 in inner:
         got = B.factor_through_pushforwards(m, b1, b2)

@@ -301,6 +301,17 @@ class TestCertificateJson:
         with pytest.raises(DomainError):
             F.decomposition_from_json(doc)
 
+    def test_group_above_the_ceiling_is_refused_while_read(self, s3_certificate, monkeypatch):
+        def boom(*args):
+            raise AssertionError("a table was built")
+
+        t, e, d = s3_certificate
+        doc = copy.deepcopy(F.decomposition_to_json(t, e, d))
+        doc["groups"][0]["mul"] = [[(i + j) % 201 for j in range(201)] for i in range(201)]
+        monkeypatch.setattr(F, "make_group", boom)
+        with pytest.raises(F.ParseError, match="201 rows, above the supported maximum 200"):
+            F.decomposition_from_json(doc)
+
 
 class TestLargeTables:
     def test_group_json_uses_hash_above_threshold(self):

@@ -27,6 +27,17 @@ def _bump(row: list, i: int, n: int) -> None:
     row[i] = (row[i] + 1) % n
 
 
+def _retype(value):
+    """Write the first 1 of the input's left_act row 0 as `value`, which
+    int() would read back as 1."""
+
+    def edit(d: dict) -> None:
+        row = d["input"]["bitorsor"]["left_act"][0]
+        row[row.index(1)] = value
+
+    return edit
+
+
 # kind -> (edit of one entry of the document, the error the reader raises)
 TAMPERS = {
     # group 0 is pi_big, of order 6; its product 1.2 is moved
@@ -53,6 +64,13 @@ TAMPERS = {
     ),
     "extension p": (
         lambda d: _bump(d["extension"]["p"]["map"], 2, 2), "groups.NotAHomomorphism"
+    ),
+    "float entry": (_retype(1.9), "formats.ParseError"),
+    "string entry": (_retype("1"), "formats.ParseError"),
+    "bool entry": (_retype(True), "formats.ParseError"),
+    "float map": (
+        lambda d: d["input"]["theta"].update(map=[float(v) for v in d["input"]["theta"]["map"]]),
+        "formats.ParseError",
     ),
 }
 
