@@ -201,8 +201,9 @@ class BitorsorMorphism:
 
 
 def identity_morphism(b: Bitorsor) -> BitorsorMorphism:
-    return BitorsorMorphism(
-        b, b, identity_hom(b.left_group), tuple(b.points), identity_hom(b.right_group)
+    return by_formula(
+        BitorsorMorphism, b, b, identity_hom(b.left_group), tuple(b.points),
+        identity_hom(b.right_group),
     )
 
 
@@ -439,17 +440,6 @@ def induced_conditions(
             f"({cond_i},{cond_ii},{cond_iii},{cond_iv})"
         )
     return cond_i, cond_ii, cond_iii, cond_iv, witness_cls
-
-
-def is_induced_from(
-    b: Bitorsor, h: Subgroup
-) -> tuple[Bitorsor, BitorsorMorphism] | None:
-    """Witness that b restricts to an h-torsor on one coset class, if the
-    collapsed carrier admits a point (always, absent extra symmetry)."""
-    *_, witness_cls = induced_conditions(b, h)
-    if witness_cls is None:
-        return None
-    return sub_bitorsor_on_class(b, h, witness_cls)
 
 
 def glued_rows(b1: Bitorsor, b2: Bitorsor, ys: Iterable[int]) -> list[tuple[int, ...]]:

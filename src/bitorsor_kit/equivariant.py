@@ -6,11 +6,13 @@ compatible Pi-action.  When the right group is constant (Pi acts trivially
 on it) the whole structure is equivalent to a plain carrier plus a single
 homomorphism theta from Pi into the left group; ThetaBitorsor holds that
 presentation, and from_theta/to_theta realize the equivalence in both
-directions.  The first cohomology set h1 and its classification live here
-too, as do the Pi-aware versions of the product calculus, which read each
-glued or pushed point action, and the action on a pushed group, at point 0
-in the base-point coordinates of the plain layer; connectivity is decided
-by the orbit of point 0.  The public
+directions.  The first cohomology set h1 lives here too, with a table
+from every homomorphism's map to its class; a carrier is classified by
+looking up theta carried back through point 0, not by searching for an
+isomorphism to each representative.  So do the Pi-aware versions of the
+product calculus, which read each glued or pushed point action, and the
+action on a pushed group, at point 0 in the base-point coordinates of the
+plain layer; a carrier is connected exactly when theta is onto.  The public
 constructors check every compatibility law in full, on the generators of pi
 and of the structure groups (the closure argument of Light's associativity
 test, Clifford & Preston I, section 1.2); values computed by formula from
@@ -60,10 +62,6 @@ class NotPiStable(EquivariantError):
 
 
 class NotPiEquivariant(EquivariantError):
-    pass
-
-
-class NoMatch(EquivariantError):
     pass
 
 
@@ -350,7 +348,7 @@ class PiMorphism:
 
 
 def pi_identity_morphism(p: PiBitorsor) -> PiMorphism:
-    return PiMorphism(p, p, bt.identity_morphism(p.bitorsor))
+    return by_formula(PiMorphism, p, p, bt.identity_morphism(p.bitorsor))
 
 
 def compose_pi_morphisms(outer: PiMorphism, inner: PiMorphism) -> PiMorphism:
@@ -481,12 +479,6 @@ class PiInducedWitness:
     point_class: tuple[int, ...]
 
 
-def pi_induced_conditions(p: PiBitorsor, h: Subgroup) -> tuple[bool, bool, bool, bool]:
-    """The four equivalent descriptions of being induced from an h-torsor,
-    each computed independently at the symmetry-aware level."""
-    return bt.induced_conditions(p.bitorsor, h, stable_class_predicate(p))[:4]
-
-
 def pi_induced_witness(p: PiBitorsor, h: Subgroup) -> PiInducedWitness | None:
     *flags, cls = bt.induced_conditions(p.bitorsor, h, stable_class_predicate(p))
     if cls is None:
@@ -587,15 +579,11 @@ def pi_factor_through_pushforwards(
 
 
 def is_connected(t: ThetaBitorsor) -> bool:
-    """Surjectivity of theta, checked against the orbit of point 0.  Pi moves
-    points by left translations, which commute with the right action, so
-    every orbit has the size of the orbit of 0."""
-    p = from_theta(t)
-    by_theta = t.theta.is_surjective()
-    by_basepoint = len({pa[0] for pa in p.pi_action_on_points}) == t.bitorsor.size
-    if by_theta != by_basepoint:
-        raise EquivariantError("connectivity characterizations disagree")
-    return by_theta
+    """Surjectivity of theta: pi moves point 0 through theta's image, and the
+    left action is free and transitive, so the orbit of 0 is every point
+    exactly when theta is onto.  Pi moves points by left translations, which
+    commute with the right action, so every orbit has the size of that one."""
+    return t.theta.is_surjective()
 
 
 def connected_component(
@@ -612,10 +600,7 @@ def connected_component(
     sub, inclusion = bt.restrict(b, hp_incl, tuple(orbit), h_incl)
     hp_pos = {v: i for i, v in enumerate(hp_incl.map)}
     theta_sub = GroupHom(t.pi, hp_grp, tuple(hp_pos[v] for v in t.theta.map))
-    component = ThetaBitorsor(sub, theta_sub)
-    if not inclusion.is_injective():
-        raise EquivariantError("component inclusion failed to be injective")
-    return component, inclusion
+    return ThetaBitorsor(sub, theta_sub), inclusion
 
 
 def h1_representatives(pi: FiniteGroup, g: FiniteGroup) -> tuple[GroupHom, ...]:
@@ -631,6 +616,20 @@ def _h1_representatives(
 ) -> tuple[GroupHom, ...]:
     classes = conjugacy_classes_of_homs(enumerate_homs(pi, g))
     return tuple(cls[0] for cls in classes)
+
+
+@lru_cache(maxsize=None)
+def _class_index_by_map(pi: FiniteGroup, g: FiniteGroup) -> dict[tuple[int, ...], int]:
+    """Every homomorphism's map resolved to its conjugacy class index."""
+    table: dict[tuple[int, ...], int] = {}
+    for i, rep in enumerate(h1_representatives(pi, g)):
+        for c in g.elements:
+            table[tuple(g.conjugate(c, v) for v in rep.map)] = i
+    return table
+
+
+def class_index_of_hom(theta: GroupHom) -> int:
+    return _class_index_by_map(theta.src, theta.dst)[theta.map]
 
 
 def h1(pi: FiniteGroup, g: FiniteGroup) -> tuple[ThetaBitorsor, ...]:
@@ -649,21 +648,20 @@ def _h1(pi: FiniteGroup, g: FiniteGroup, labels: tuple[str, str]) -> tuple[Theta
 h1.cache_info = _h1.cache_info
 
 
-def classify(t: ThetaBitorsor, classes) -> int:
-    """Index of the unique representative equivariantly isomorphic to t."""
-    target = from_theta(t)
-    for i, rep in enumerate(classes):
-        if rep.pi != t.pi or rep.bitorsor.right_group != t.bitorsor.right_group:
-            raise SignatureMismatch("class list does not match the input's signature")
-        if pi_isomorphism(from_theta(rep), target, fix_right=True) is not None:
-            return i
-    raise NoMatch("no listed class matches; the list is not a full enumeration")
+def classify(t: ThetaBitorsor) -> int:
+    """Index in h1(pi, right group) of t's class, by lookup.
+
+    A class representative rep lives on the trivial carrier, and an
+    isomorphism from it to t over the identity of the right group sends
+    point 0 to some x = 0.a; it commutes with pi exactly when theta is rep
+    carried through x.  Carrying theta back through point 0 instead gives a
+    conjugate of rep, so its map names the class (Giraud, Cohomologie non
+    abelienne, 1971)."""
+    b = t.bitorsor
+    back = {v: g for g, v in enumerate(bt.point_conjugation(b, 0).map)}
+    theta0 = by_formula(GroupHom, t.pi, b.right_group, tuple(back[v] for v in t.theta.map))
+    return class_index_of_hom(theta0)
 
 
 def trivial_class_index(pi: FiniteGroup, g: FiniteGroup) -> int:
-    ident = GroupHom(pi, g, tuple(g.identity for _ in pi.elements))
-    reps = h1_representatives(pi, g)
-    for i, rep in enumerate(reps):
-        if rep.map == ident.map:
-            return i
-    raise NoMatch("trivial class missing from the enumeration")
+    return _class_index_by_map(pi, g)[(g.identity,) * pi.order]

@@ -3,9 +3,10 @@
 make_group, the named constructors and the public constructors check every
 axiom in full, each law on a generating set by Light's associativity test
 (Clifford & Preston, The Algebraic Theory of Semigroups I, 1961, section
-1.2).  Values computed by formula from checked ones (identity, composite,
-inverse and conjugate homs, subgroups as groups, quotients) skip the check
-through errors.by_formula, unless BITORSOR_CHECK=full, as in the tests.
+1.2).  Values computed by formula from checked ones (identity, composite
+and conjugate homs, the homs the hom search extends from generator images,
+subgroups as groups, quotients) skip the check through errors.by_formula,
+unless BITORSOR_CHECK=full, as in the tests.
 """
 
 from __future__ import annotations
@@ -408,7 +409,10 @@ def all_subgroups(g: FiniteGroup) -> tuple[Subgroup, ...]:
 def _extend_by_generators(
     src: FiniteGroup, dst: FiniteGroup, gens: Sequence[int], images: Sequence[int]
 ) -> tuple[int, ...] | None:
-    """Extend generator images along the Cayley graph; None if inconsistent."""
+    """Extend generator images along the Cayley graph; None if inconsistent.
+    A returned map sends the identity to the identity and satisfies
+    m[a.g] = m[a].m[g] for every a and every generator g, which is what
+    GroupHom checks, so the hom search builds its homs by formula."""
     n = src.order
     mapping: list[int | None] = [None] * n
     mapping[src.identity] = dst.identity
@@ -453,7 +457,7 @@ def _iter_homs(
     for images in itertools.product(*pools):
         m = _extend_by_generators(src, dst, gens, images)
         if m is not None:
-            yield GroupHom(src, dst, m)
+            yield by_formula(GroupHom, src, dst, m)
 
 
 def enumerate_homs(

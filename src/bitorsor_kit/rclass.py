@@ -1,6 +1,9 @@
 """Closure algebra over declared elementary classes: a registry of
 (group, class) pairs validated for trivials, inverses, and morphism images,
-plus shortest wedge factorizations inside the closure it generates."""
+plus shortest wedge factorizations inside the closure it generates.  Every
+class index here is a table lookup (equivariant.classify and
+class_index_of_hom); isomorphisms are searched only to build the witness
+of a factorization."""
 
 from __future__ import annotations
 
@@ -11,7 +14,7 @@ from functools import lru_cache
 from . import bitorsors as bt
 from . import equivariant as eq
 from .bitorsors import SignatureMismatch
-from .equivariant import PiBitorsor, PiMorphism, ThetaBitorsor
+from .equivariant import PiBitorsor, PiMorphism, ThetaBitorsor, class_index_of_hom
 from .errors import DomainError
 from .groups import FiniteGroup, GroupHom, compose_homs, enumerate_homs
 
@@ -62,9 +65,9 @@ class ElementaryClassRegistry:
         raise UnknownGroup(f"{g.label} is not in the declared universe")
 
     def contains(self, t: ThetaBitorsor) -> bool:
-        ui = self.group_index(t.bitorsor.right_group)
-        ci = eq.classify(t, eq.h1(self.pi, self.universe[ui]))
-        return (ui, ci) in self.members
+        if t.pi != self.pi:
+            raise SignatureMismatch("carrier symmetry group differs from the registry's")
+        return (self.group_index(t.bitorsor.right_group), eq.classify(t)) in self.members
 
 
 @dataclass(frozen=True)
@@ -84,21 +87,6 @@ def _has_central_image(theta: GroupHom) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _class_index_by_map(pi: FiniteGroup, g: FiniteGroup) -> dict[tuple[int, ...], int]:
-    """Every homomorphism's map resolved to its conjugacy class index."""
-    table: dict[tuple[int, ...], int] = {}
-    for i, rep in enumerate(eq.h1_representatives(pi, g)):
-        for c in g.elements:
-            conj = tuple(g.mul[g.mul[c][v]][g.inv[c]] for v in rep.map)
-            table[conj] = i
-    return table
-
-
-def class_index_of_hom(theta: GroupHom) -> int:
-    return _class_index_by_map(theta.src, theta.dst)[theta.map]
-
-
-@lru_cache(maxsize=None)
 def wedge_class_index(pi: FiniteGroup, g: FiniteGroup, a: int, b: int) -> int:
     """Class of the glued pair of two class representatives over g; the
     second factor must have a central image so the gluing is equivariant."""
@@ -108,7 +96,7 @@ def wedge_class_index(pi: FiniteGroup, g: FiniteGroup, a: int, b: int) -> int:
             "second factor twists its left structure away from the constant one"
         )
     w = eq.compose_pi(eq.from_theta(classes[a]), eq.from_theta(classes[b]))
-    return eq.classify(eq.to_theta(w), classes)
+    return eq.classify(eq.to_theta(w))
 
 
 def validate_registry(
@@ -131,7 +119,7 @@ def validate_registry(
             inv = eq.inverse_pi(eq.from_theta(classes[ci]))
             if not inv.right_constant:
                 continue
-            inv_ci = eq.classify(eq.to_theta(inv), classes)
+            inv_ci = eq.classify(eq.to_theta(inv))
             if (ui, inv_ci) not in r.members:
                 return RegistryCheck(
                     False,
@@ -194,7 +182,7 @@ def in_closure(
     ui = r.group_index(t.bitorsor.right_group)
     g = r.universe[ui]
     classes = eq.h1(r.pi, g)
-    target_ci = eq.classify(t, classes)
+    target_ci = eq.classify(t)
     members_here = sorted(ci for mi, ci in r.members if mi == ui)
     appendable = [ci for ci in members_here if _has_central_image(classes[ci].theta)]
     paths: dict[int, tuple[int, ...]] = {}

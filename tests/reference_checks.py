@@ -24,6 +24,9 @@ references below call these, not the library's.
 Completions: the torsor completions that closed permutations into a group,
 the pushed Pi-actions that conjugated whole permutations, and the wedge
 rewrites that searched right homs over unforced pools.
+
+Classes: the classification that searched for an equivariant isomorphism
+from each class representative in turn, and the scan for the trivial class.
 """
 
 from __future__ import annotations
@@ -601,6 +604,26 @@ def pi_isomorphism(p1, p2, fix_right=True):
             except DomainError:
                 continue
     return None
+
+
+def classify(t, classes):
+    """Index of the unique representative equivariantly isomorphic to t."""
+    target = E.from_theta(t)
+    for i, rep in enumerate(classes):
+        if rep.pi != t.pi or rep.bitorsor.right_group != t.bitorsor.right_group:
+            raise B.SignatureMismatch("class list does not match the input's signature")
+        if pi_isomorphism(E.from_theta(rep), target, fix_right=True) is not None:
+            return i
+    raise EquivariantError("no listed class matches; the list is not a full enumeration")
+
+
+def trivial_class_index(pi, g):
+    ident = GroupHom(pi, g, tuple(g.identity for _ in pi.elements))
+    reps = E.h1_representatives(pi, g)
+    for i, rep in enumerate(reps):
+        if rep.map == ident.map:
+            return i
+    raise EquivariantError("trivial class missing from the enumeration")
 
 
 def _right_orbit_partition(b, members):

@@ -217,5 +217,5 @@ def test_criterion_9_abelian_composition():
                     glued = E.compose_pi(
                         E.from_theta(classes[a]), E.from_theta(classes[b])
                     )
-                    got = E.classify(E.to_theta(glued), classes)
+                    got = E.classify(E.to_theta(glued))
                     assert got == (a + b) % n

@@ -212,12 +212,11 @@ class TestQuotients:
         for g, members in ((s3, a3), (z4, [0, 2]), (z4, [0])):
             b = scrambled_trivial(g, rng)
             h = G.subgroup(g, members)
-            found = B.is_induced_from(b, h)
-            assert found is not None
-            sub, incl = found
+            *flags, cls = B.induced_conditions(b, h)
+            assert cls is not None
+            sub, incl = B.sub_bitorsor_on_class(b, h, cls)
             assert sub.size == len(h.members)
             assert incl.is_injective()
-            flags = B.induced_conditions(b, h)[:4]
             assert set(flags) == {True}
 
 

@@ -121,7 +121,7 @@ def test_point_zero_decides_transport_and_connectivity(rng):
     test_search, the relabelled ones included: every point transports each
     normal subgroup to the same normal subgroup, and under every theta from
     C2, C3, C4 or the identity, every point's Pi-orbit has the size of the
-    orbit of 0."""
+    orbit of 0, and the component of point 0 embeds injectively."""
     pis = [G.cyclic(n) for n in (2, 3, 4)]
     for g in UNIVERSE + RELABELLED:
         normal = [h for h in G.all_subgroups(g) if h.is_normal]
@@ -139,6 +139,7 @@ def test_point_zero_decides_transport_and_connectivity(rng):
                 sizes = {len({row[x] for row in pa}) for x in b.points}
                 assert sizes == {len({row[0] for row in pa})}
                 assert E.is_connected(t) == (sizes == {b.size})
+                assert E.connected_component(t)[1].is_injective()
 
 
 def test_pushforwards_match_reference_on_relabelled_groups(checked, rng):

@@ -177,9 +177,9 @@ class TestDecomposeSymmetric:
     def test_z_is_the_sign_class(self, ext_s3, d_s3, s3):
         t, d = d_s3
         classes = E.h1(ext_s3.pi_big, s3)
-        zi = E.classify(E.to_theta(d.z), classes)
+        zi = E.classify(E.to_theta(d.z))
         via_hom = E.classify(
-            E.ThetaBitorsor(B.trivial_bitorsor(s3), d.certificate.theta_tilde), classes
+            E.ThetaBitorsor(B.trivial_bitorsor(s3), d.certificate.theta_tilde)
         )
         assert zi == via_hom
         assert zi != E.trivial_class_index(ext_s3.pi_big, s3)
@@ -213,7 +213,7 @@ class TestDecomposeCyclic:
         _, d = d_z6
         classes = E.h1(ext_z6.pi_big, z6)
         assert len(classes) == 6
-        zi = E.classify(E.to_theta(d.z), classes)
+        zi = E.classify(E.to_theta(d.z))
         assert zi == 3
         assert set(classes[zi].theta.map) == {0, 3}
 
@@ -232,8 +232,7 @@ class TestDecomposeCyclic:
         d = D.decompose(t, ext_z6)
         assert d.certificate.w_witness.bitorsor.left_group.order == 1
         assert D.is_type_pi(d.y, ext_z6)
-        classes = E.h1(pi, z2)
-        assert E.classify(E.to_theta(d.z), classes) == E.classify(t, classes)
+        assert E.classify(E.to_theta(d.z)) == E.classify(t)
         assert D.verify_decomposition(t, d, ext_z6)
 
 
@@ -294,11 +293,8 @@ class TestLifts:
         lift = lambda theta_bar: G.GroupHom(ext_s3.pi_small, s3, (s3.identity, other))  # noqa: E731
         d = D.decompose_with_lift(t, ext_s3, lift)
         assert D.verify_decomposition(t, d, ext_s3)
-        classes = E.h1(ext_s3.pi_big, s3)
         base = D.decompose(t, ext_s3)
-        assert E.classify(E.to_theta(d.z), classes) == E.classify(
-            E.to_theta(base.z), classes
-        )
+        assert E.classify(E.to_theta(d.z)) == E.classify(E.to_theta(base.z))
 
     def test_lift_missing_the_collapsed_theta_is_rejected(self, ext_s3, theta_s3, s3):
         t = translation_carrier(s3, theta_s3)

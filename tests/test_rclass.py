@@ -79,6 +79,8 @@ class TestRegistryValidation:
         assert not r.contains(classes[1])
         with pytest.raises(R.UnknownGroup):
             r.contains(E.h1(z4, s3)[0])
+        with pytest.raises(B.SignatureMismatch):
+            r.contains(E.h1(z2, z4)[1])
 
 
 class TestClassIndexing:
@@ -127,7 +129,7 @@ class TestClosureSearch:
         classes = E.h1(z4, z4)
         fac2 = R.in_closure(classes[2], r, 4)
         assert fac2 is not None and fac2.length == 2
-        assert [E.classify(E.to_theta(f), classes) for f in fac2.factors] == [1, 1]
+        assert [E.classify(E.to_theta(f)) for f in fac2.factors] == [1, 1]
         fac3 = R.in_closure(classes[3], r, 4)
         assert fac3 is not None and fac3.length == 3
         assert R.in_closure(classes[1], r, 4).length == 1
