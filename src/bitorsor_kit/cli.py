@@ -153,7 +153,7 @@ def _cmd_validate_group(ns: argparse.Namespace) -> int:
 
 def _cmd_h1(ns: argparse.Namespace) -> int:
     pi = fm.resolve_group_spec(ns.pi)
-    g = fm.resolve_group_spec(ns.group)
+    g = pi if ns.group == ns.pi else fm.resolve_group_spec(ns.group)
     classes = eq.h1(pi, g)
     if ns.format == "json":
         _emit_json(

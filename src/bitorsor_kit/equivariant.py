@@ -6,10 +6,10 @@ compatible Pi-action.  When the right group is constant (Pi acts trivially
 on it) the whole structure is equivalent to a plain carrier plus a single
 homomorphism theta from Pi into the left group; ThetaBitorsor holds that
 presentation, and from_theta/to_theta realize the equivalence in both
-directions.  The first cohomology set h1 lives here too, with a table
-from every homomorphism's map to its class; a carrier is classified by
-looking up theta carried back through point 0, not by searching for an
-isomorphism to each representative.  So do the Pi-aware versions of the
+directions.  The first cohomology set h1 lives here too; a carrier is
+classified by looking up the canonical conjugate of theta carried back
+through point 0, not by searching for an isomorphism to each
+representative.  So do the Pi-aware versions of the
 product calculus, which read each glued or pushed point action, and the
 action on a pushed group, at point 0 in the base-point coordinates of the
 plain layer; a carrier is connected exactly when theta is onto.  The public
@@ -38,7 +38,7 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
-    conjugacy_classes_of_homs,
+    canonical_conjugate,
     enumerate_homs,
     identity_hom,
     isomorphisms_between,  # noqa: F401  (perfbench/test_perfbench.py reads it here)
@@ -604,7 +604,7 @@ def connected_component(
 
 
 def h1_representatives(pi: FiniteGroup, g: FiniteGroup) -> tuple[GroupHom, ...]:
-    """One homomorphism per conjugacy class, smallest-map first.
+    """The canonical conjugate of each conjugacy class, in order of map.
 
     Memoized like from_theta, with the labels of both groups in the key."""
     return _h1_representatives(pi, g, (pi.label, g.label))
@@ -614,22 +614,18 @@ def h1_representatives(pi: FiniteGroup, g: FiniteGroup) -> tuple[GroupHom, ...]:
 def _h1_representatives(
     pi: FiniteGroup, g: FiniteGroup, labels: tuple[str, str]
 ) -> tuple[GroupHom, ...]:
-    classes = conjugacy_classes_of_homs(enumerate_homs(pi, g))
-    return tuple(cls[0] for cls in classes)
+    reps = {r.map: r for r in map(canonical_conjugate, enumerate_homs(pi, g))}
+    return tuple(reps[m] for m in sorted(reps))
 
 
 @lru_cache(maxsize=None)
 def _class_index_by_map(pi: FiniteGroup, g: FiniteGroup) -> dict[tuple[int, ...], int]:
-    """Every homomorphism's map resolved to its conjugacy class index."""
-    table: dict[tuple[int, ...], int] = {}
-    for i, rep in enumerate(h1_representatives(pi, g)):
-        for c in g.elements:
-            table[tuple(g.conjugate(c, v) for v in rep.map)] = i
-    return table
+    """Each representative's map resolved to its class index."""
+    return {rep.map: i for i, rep in enumerate(h1_representatives(pi, g))}
 
 
 def class_index_of_hom(theta: GroupHom) -> int:
-    return _class_index_by_map(theta.src, theta.dst)[theta.map]
+    return _class_index_by_map(theta.src, theta.dst)[canonical_conjugate(theta).map]
 
 
 def h1(pi: FiniteGroup, g: FiniteGroup) -> tuple[ThetaBitorsor, ...]:
@@ -655,8 +651,8 @@ def classify(t: ThetaBitorsor) -> int:
     isomorphism from it to t over the identity of the right group sends
     point 0 to some x = 0.a; it commutes with pi exactly when theta is rep
     carried through x.  Carrying theta back through point 0 instead gives a
-    conjugate of rep, so its map names the class (Giraud, Cohomologie non
-    abelienne, 1971)."""
+    conjugate of rep, so its canonical conjugate is rep (Giraud,
+    Cohomologie non abelienne, 1971)."""
     b = t.bitorsor
     back = {v: g for g, v in enumerate(bt.point_conjugation(b, 0).map)}
     theta0 = by_formula(GroupHom, t.pi, b.right_group, tuple(back[v] for v in t.theta.map))
@@ -664,4 +660,5 @@ def classify(t: ThetaBitorsor) -> int:
 
 
 def trivial_class_index(pi: FiniteGroup, g: FiniteGroup) -> int:
+    """The constant-identity map is its own canonical conjugate."""
     return _class_index_by_map(pi, g)[(g.identity,) * pi.order]

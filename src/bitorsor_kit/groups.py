@@ -6,7 +6,9 @@ axiom in full, each law on a generating set by Light's associativity test
 1.2).  Values computed by formula from checked ones (identity, composite
 and conjugate homs, the homs the hom search extends from generator images,
 subgroups as groups, quotients) skip the check through errors.by_formula,
-unless BITORSOR_CHECK=full, as in the tests.
+unless BITORSOR_CHECK=full, as in the tests.  A hom's class under
+conjugation in its codomain is named by one invariant, its canonical
+conjugate: the conjugate with the lexicographically least map.
 """
 
 from __future__ import annotations
@@ -515,28 +517,24 @@ def conjugate_hom(g: int, f: GroupHom) -> GroupHom:
     return by_formula(GroupHom, f.src, d, tuple(d.mul[d.mul[g][v]][d.inv[g]] for v in f.map))
 
 
-def conjugacy_classes_of_homs(homs: Sequence[GroupHom]) -> list[list[GroupHom]]:
-    """Partition under codomain conjugation; classes and members sorted by map."""
-    if not homs:
-        return []
-    src, dst = homs[0].src, homs[0].dst
-    for h in homs:
-        if h.src != src or h.dst != dst:
-            raise MixedSignatures("homomorphisms do not share source and target")
-    by_map = {h.map: h for h in homs}
-    ordered = sorted(by_map)
-    seen: set[tuple[int, ...]] = set()
-    classes: list[list[GroupHom]] = []
-    for m in ordered:
-        if m in seen:
+def canonical_conjugate(f: GroupHom) -> GroupHom:
+    """The conjugate of f with the lexicographically least map, which names
+    f's class under codomain conjugation (Jefferson, Jonauskyte, Pfeiffer &
+    Waldecker, Minimal and canonical images, J. Algebra 521, 2019).
+
+    Position by position, only the conjugators c that minimise c f(x) c^-1
+    are kept; an identity image cuts nothing.  Past the last generator the
+    survivors agree on every generator, so they give one and the same map."""
+    d = f.dst
+    mul, inv, e = d.mul, d.inv, d.identity
+    keep: Sequence[int] = d.elements
+    for v in f.map[: max(f.src.generators) + 1]:
+        if v == e:
             continue
-        orbit = set()
-        for g in dst.elements:
-            orbit.add(conjugate_hom(g, by_map[m]).map)
-        members = sorted(t for t in orbit if t in by_map)
-        seen.update(members)
-        classes.append([by_map[t] for t in members])
-    return classes
+        images = [mul[mul[c][v]][inv[c]] for c in keep]
+        low = min(images)
+        keep = [c for c, w in zip(keep, images) if w == low]
+    return conjugate_hom(keep[0], f)
 
 
 def cyclic(n: int) -> FiniteGroup:

@@ -1,9 +1,9 @@
 """Closure algebra over declared elementary classes: a registry of
 (group, class) pairs validated for trivials, inverses, and morphism images,
 plus shortest wedge factorizations inside the closure it generates.  Every
-class index here is a table lookup (equivariant.classify and
-class_index_of_hom); isomorphisms are searched only to build the witness
-of a factorization."""
+class index here is the lookup of a canonical conjugate (equivariant.classify
+and class_index_of_hom), the class of a glued pair included;
+isomorphisms are searched only to build the witness of a factorization."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from . import bitorsors as bt
 from . import equivariant as eq
 from .bitorsors import SignatureMismatch
 from .equivariant import PiBitorsor, PiMorphism, ThetaBitorsor, class_index_of_hom
-from .errors import DomainError
+from .errors import DomainError, by_formula
 from .groups import FiniteGroup, GroupHom, compose_homs, enumerate_homs
 
 
@@ -89,14 +89,16 @@ def _has_central_image(theta: GroupHom) -> bool:
 @lru_cache(maxsize=None)
 def wedge_class_index(pi: FiniteGroup, g: FiniteGroup, a: int, b: int) -> int:
     """Class of the glued pair of two class representatives over g; the
-    second factor must have a central image so the gluing is equivariant."""
-    classes = eq.h1(pi, g)
-    if not _has_central_image(classes[b].theta):
+    second factor must have a central image so the gluing is equivariant.
+    Glued trivial carriers are trivial, (x, y) going to x.y, which c moves
+    to theta_a(c).theta_b(c).x.y: the class of the pointwise product."""
+    reps = eq.h1_representatives(pi, g)
+    if not _has_central_image(reps[b]):
         raise bt.NotComposable(
             "second factor twists its left structure away from the constant one"
         )
-    w = eq.compose_pi(eq.from_theta(classes[a]), eq.from_theta(classes[b]))
-    return eq.classify(eq.to_theta(w))
+    product = tuple(g.mul[u][v] for u, v in zip(reps[a].map, reps[b].map))
+    return class_index_of_hom(by_formula(GroupHom, pi, g, product))
 
 
 def validate_registry(

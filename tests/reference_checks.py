@@ -26,17 +26,23 @@ the pushed Pi-actions that conjugated whole permutations, and the wedge
 rewrites that searched right homs over unforced pools.
 
 Classes: the classification that searched for an equivariant isomorphism
-from each class representative in turn, and the scan for the trivial class.
+from each class representative in turn, and the scan for the trivial class;
+the partition of every hom by its conjugation orbit, the table from every
+conjugate of a representative to its class, and the wedge class read off
+the glued carrier of two representatives.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
+from functools import lru_cache
 
 from bitorsor_kit import bitorsors as B
 from bitorsor_kit import devissage as D
 from bitorsor_kit import equivariant as E
 from bitorsor_kit import groups as G
+from bitorsor_kit import rclass as R
 from bitorsor_kit.bitorsors import InvalidBitorsor, InvalidMorphism, NotFree, NotTransitive
 from bitorsor_kit.equivariant import EquivariantError, NotPiEquivariant
 from bitorsor_kit.errors import DomainError
@@ -624,6 +630,68 @@ def trivial_class_index(pi, g):
         if rep.map == ident.map:
             return i
     raise EquivariantError("trivial class missing from the enumeration")
+
+
+def conjugacy_classes_of_homs(homs: Sequence[GroupHom]) -> list[list[GroupHom]]:
+    """Partition under codomain conjugation; classes and members sorted by map."""
+    if not homs:
+        return []
+    src, dst = homs[0].src, homs[0].dst
+    for h in homs:
+        if h.src != src or h.dst != dst:
+            raise MixedSignatures("homomorphisms do not share source and target")
+    by_map = {h.map: h for h in homs}
+    ordered = sorted(by_map)
+    seen: set[tuple[int, ...]] = set()
+    classes: list[list[GroupHom]] = []
+    for m in ordered:
+        if m in seen:
+            continue
+        orbit = set()
+        for g in dst.elements:
+            orbit.add(G.conjugate_hom(g, by_map[m]).map)
+        members = sorted(t for t in orbit if t in by_map)
+        seen.update(members)
+        classes.append([by_map[t] for t in members])
+    return classes
+
+
+def h1_representatives(pi: G.FiniteGroup, g: G.FiniteGroup) -> tuple[GroupHom, ...]:
+    """One homomorphism per conjugacy class, smallest-map first.
+
+    Memoized like from_theta, with the labels of both groups in the key."""
+    return _h1_representatives(pi, g, (pi.label, g.label))
+
+
+@lru_cache(maxsize=None)
+def _h1_representatives(
+    pi: G.FiniteGroup, g: G.FiniteGroup, labels: tuple[str, str]
+) -> tuple[GroupHom, ...]:
+    classes = conjugacy_classes_of_homs(G.enumerate_homs(pi, g))
+    return tuple(cls[0] for cls in classes)
+
+
+@lru_cache(maxsize=None)
+def _class_index_by_map(pi: G.FiniteGroup, g: G.FiniteGroup) -> dict[tuple[int, ...], int]:
+    """Every homomorphism's map resolved to its conjugacy class index."""
+    table: dict[tuple[int, ...], int] = {}
+    for i, rep in enumerate(h1_representatives(pi, g)):
+        for c in g.elements:
+            table[tuple(g.conjugate(c, v) for v in rep.map)] = i
+    return table
+
+
+@lru_cache(maxsize=None)
+def wedge_class_index(pi: G.FiniteGroup, g: G.FiniteGroup, a: int, b: int) -> int:
+    """Class of the glued pair of two class representatives over g; the
+    second factor must have a central image so the gluing is equivariant."""
+    classes = E.h1(pi, g)
+    if not R._has_central_image(classes[b].theta):
+        raise B.NotComposable(
+            "second factor twists its left structure away from the constant one"
+        )
+    w = E.compose_pi(E.from_theta(classes[a]), E.from_theta(classes[b]))
+    return E.classify(E.to_theta(w))
 
 
 def _right_orbit_partition(b, members):
