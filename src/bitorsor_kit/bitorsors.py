@@ -403,29 +403,22 @@ def sub_bitorsor_on_class(
 
 
 def induced_conditions(
-    b: Bitorsor, h: Subgroup, stable=None
+    b: Bitorsor, h: Subgroup
 ) -> tuple[bool, bool, bool, bool, tuple[int, ...] | None]:
     """Evaluate independently the four exchangeable descriptions of `b`
-    being induced from an h-torsor; `stable` filters admissible classes
-    (used by the equivariant layer).  Returns the flags plus the chosen class."""
-    if stable is None:
-        stable = lambda cls: True  # noqa: E731
+    being induced from an h-torsor.  Returns the flags plus the chosen class."""
     hp = corresponding_normal_subgroup(b, h)
     bq, _ = quotient_bitorsor(b, h)
     classes = orbit_partition(b, h.members, left=False)
-    # (i): the collapsed carrier has an admissible point
-    cond_i = any(stable(classes[p]) for p in bq.points)
-    # (ii): some right coset class is admissible as a sub right torsor
-    right_classes = [cls for cls in classes if stable(cls)]
-    cond_ii = bool(right_classes)
+    # (i): the collapsed carrier has a point
+    cond_i = bq.size > 0
+    # (ii): some right coset class is a sub right torsor
+    cond_ii = bool(classes)
     # (iii): mirrored on the left
-    left_classes = [cls for cls in orbit_partition(b, hp.members, left=True) if stable(cls)]
-    cond_iii = bool(left_classes)
+    cond_iii = bool(orbit_partition(b, hp.members, left=True))
     # (iv): an actual two-sided sub-bitorsor materializes on some class
     witness_cls = None
     for cls in classes:
-        if not stable(cls):
-            continue
         try:
             with validating():
                 sub_bitorsor_on_class(b, h, cls)
@@ -458,10 +451,6 @@ def contracted_product(b1: Bitorsor, b2: Bitorsor) -> Bitorsor:
         raise NotComposable("middle groups differ")
     left_rows = tuple(glued_rows(b1, b2, (row[0] for row in b1.left_act)))
     return by_formula(Bitorsor, b1.left_group, b2.right_group, left_rows, b2.right_act)
-
-
-def compose(b1: Bitorsor, b2: Bitorsor) -> Bitorsor:
-    return contracted_product(b1, b2)
 
 
 def inverse(b: Bitorsor) -> Bitorsor:
@@ -648,18 +637,6 @@ def are_isomorphic(
     return next(bitorsor_isomorphisms(b1, b2, right_isos), None)
 
 
-@dataclass(frozen=True)
-class WedgeFactorization:
-    """A morphism out of a glued pair, rewritten through middle-group
-    extension: original = iso after (left_canonical glued with right_canonical)."""
-
-    middle_hom: GroupHom
-    left_canonical: BitorsorMorphism
-    right_canonical: BitorsorMorphism
-    wedge: Bitorsor
-    iso: BitorsorMorphism
-
-
 def wedge_of_morphisms(
     m1: BitorsorMorphism, m2: BitorsorMorphism, src_wedge: Bitorsor, dst_wedge: Bitorsor
 ) -> BitorsorMorphism:
@@ -670,29 +647,6 @@ def wedge_of_morphisms(
     (row,) = glued_rows(m1.dst, m2.dst, (m1.point_map[0],))
     point_map = tuple(row[v] for v in m2.point_map)
     return BitorsorMorphism(src_wedge, dst_wedge, m1.phi_left, point_map, m2.phi_right)
-
-
-def factor_through_pushforwards(
-    m: BitorsorMorphism, b1: Bitorsor, b2: Bitorsor
-) -> WedgeFactorization:
-    """Rewrite a morphism out of b1 glued with b2 as canonical extensions of
-    both factors followed by an isomorphism of glued carriers."""
-    src_wedge = contracted_product(b1, b2)
-    if m.src != src_wedge:
-        raise SignatureMismatch("morphism does not start at the glued carrier")
-    pushed2, can2r = pushforward(b2, m.phi_right)
-    phi2 = can2r.phi_left
-    pushed1, can1 = pushforward(b1, phi2)
-    pushed2l, can2 = pushforward_left(b2, phi2)
-    dst_wedge = contracted_product(pushed1, pushed2l)
-    glued = wedge_of_morphisms(can1, can2, src_wedge, dst_wedge)
-    right_isos = iter_isomorphisms(
-        dst_wedge.right_group, m.dst.right_group, rho_pools(glued, m)
-    )
-    psi = next(wedge_completions(glued, m, right_isos), None)
-    if psi is None:
-        raise InvalidMorphism("no isomorphism completes the extension rewrite")
-    return WedgeFactorization(phi2, can1, can2, dst_wedge, psi)
 
 
 def rho_pools(glued: BitorsorMorphism, m: BitorsorMorphism) -> list[Sequence[int]]:

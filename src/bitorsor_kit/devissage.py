@@ -8,7 +8,12 @@ For a connected carrier x with type-pi factor z, the type-gamma factor is
 y = x glued with z-inverse, and y glued with z is x again through the
 identity on points (in base-point coordinates the class of (0, i) is point
 i), so the witness isomorphism is the identity and is built, not searched
-for.  A disconnected carrier's witness is transported from the connected
+for.  So is the type-gamma witness: y restricted to the class of point 0
+under h' = theta(gamma), over h' on both sides.  Transport through point 0
+of y is the identity, so h' is its own transported subgroup, and h' is
+normal, so the class of point 0 is pi-stable (Giraud, Cohomologie non
+abelienne, 1971); gamma surjects onto h' through theta by definition.  A
+disconnected carrier's witness is transported from the connected
 component of point 0.
 """
 
@@ -26,15 +31,13 @@ from .equivariant import (
     PiMorphism,
     ThetaBitorsor,
 )
-from .errors import DomainError, by_formula, validating
+from .errors import DomainError, by_formula
 from .rclass import Factorization
 from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
-    all_subgroups,
     compose_homs,
-    enumerate_homs,
     kernel,
     quotient,
     subgroup,
@@ -115,66 +118,6 @@ def is_type_pi(p: PiBitorsor, e: SplitExtension) -> bool:
 
 
 @dataclass(frozen=True)
-class TypeGammaWitness:
-    """An injective equivariant morphism whose source has a left structure
-    group surjected onto by gamma, compatibly with conjugation."""
-
-    sub: PiBitorsor
-    inclusion: PiMorphism
-    gamma_surjection: GroupHom
-
-
-def _gamma_surjections(e: SplitExtension, target: PiGroup) -> list[GroupHom]:
-    """Equivariant surjections from gamma (with conjugation action) onto a
-    stable subgroup's structure, in deterministic order."""
-    gamma_pg = gamma_conjugation_structure(e)
-    out = []
-    for f in enumerate_homs(gamma_pg.group, target.group):
-        if not f.is_surjective():
-            continue
-        if eq.is_pi_equivariant_hom(f, gamma_pg, target):
-            out.append(f)
-    return out
-
-
-def is_type_gamma(p: PiBitorsor, e: SplitExtension) -> TypeGammaWitness | None:
-    """Search for a sub-carrier witnessing type gamma.
-
-    Candidates: stable subgroups of the left structure group receiving an
-    equivariant surjection from gamma, restricted to a stable point class
-    whose right transporter is also stable.  First hit in deterministic
-    order wins; None when the exhaustive scan finds nothing."""
-    if p.pi != e.pi_big:
-        raise bt.SignatureMismatch("carrier symmetry group differs from pi_big")
-    b = p.bitorsor
-    for cand in all_subgroups(b.left_group):
-        try:
-            left_pg, left_incl = eq.restrict_pi_group(p.left, cand.members)
-        except eq.NotPiStable:
-            continue
-        surjections = _gamma_surjections(e, left_pg)
-        if not surjections:
-            continue
-        stable = eq.stable_class_predicate(p)
-        for cls in bt.orbit_partition(b, cand.members, left=True):
-            if not stable(cls):
-                continue
-            inside = set(cls)
-            h_members = [g for g in b.right_group.elements if b.right_act[cls[0]][g] in inside]
-            if any(b.right_act[y][g] not in inside for y in cls for g in h_members):
-                continue
-            try:
-                with validating():
-                    _, right_incl = subgroup_as_group(p.right.group, h_members)
-                    _, incl = bt.restrict(b, left_incl, cls, right_incl)
-                    sub_pi, incl_pi = eq.restrict_pi(p, incl)
-            except DomainError:
-                continue
-            return TypeGammaWitness(sub_pi, incl_pi, surjections[0])
-    return None
-
-
-@dataclass(frozen=True)
 class DecompositionCertificate:
     """The intermediate data of the decomposition, kept so a checker can
     replay every step."""
@@ -245,29 +188,20 @@ def _decompose_connected(
     if wedge_back != x:
         raise DevissageError("the glued factors failed to reproduce the input")
     witness_iso = eq.pi_identity_morphism(x)
-    h_in_y = subgroup(y.bitorsor.right_group, h_prime_members)
-    w = eq.pi_induced_witness(y, h_in_y)
-    if w is None:
-        raise DevissageError("no stable class witnesses the type-gamma factor")
+    yb = y.bitorsor
+    h_grp, h_incl = subgroup_as_group(yb.left_group, h_prime_members)
+    point_class = tuple(sorted({yb.right_act[0][g] for g in h_prime_members}))
+    _, incl = bt.restrict(yb, h_incl, point_class, h_incl)
+    w_sub, w_incl = eq.restrict_pi(y, incl)
     gamma_grp, gamma_incl = gamma_as_group(e)
-    w_left = w.sub.bitorsor.left_group
-    incl_map = w.inclusion.inner.phi_left.map
-    pos = {v: i for i, v in enumerate(incl_map)}
-    try:
-        gamma_surj = GroupHom(
-            gamma_grp,
-            w_left,
-            tuple(pos[theta.map[gamma_incl.map[a]]] for a in gamma_grp.elements),
-        )
-    except KeyError:
-        raise DevissageError(
-            "gamma does not surject onto the witness structure group"
-        ) from None
-    if not gamma_surj.is_surjective():
-        raise DevissageError("gamma covers only part of the witness structure group")
-    cert = DecompositionCertificate(
-        h_prime, q, s_low, theta_tilde, w.sub, w.inclusion, gamma_surj
+    pos = {v: i for i, v in enumerate(h_incl.map)}
+    gamma_surj = by_formula(
+        GroupHom,
+        gamma_grp,
+        h_grp,
+        tuple(pos[theta.map[gamma_incl.map[a]]] for a in gamma_grp.elements),
     )
+    cert = DecompositionCertificate(h_prime, q, s_low, theta_tilde, w_sub, w_incl, gamma_surj)
     return Decomposition(y, z, witness_iso, cert)
 
 

@@ -12,11 +12,14 @@ through point 0, not by searching for an isomorphism to each
 representative.  So do the Pi-aware versions of the
 product calculus, which read each glued or pushed point action, and the
 action on a pushed group, at point 0 in the base-point coordinates of the
-plain layer; a carrier is connected exactly when theta is onto.  The public
-constructors check every compatibility law in full, on the generators of pi
-and of the structure groups (the closure argument of Light's associativity
-test, Clifford & Preston I, section 1.2); values computed by formula from
-checked ones skip the check through errors.by_formula.
+plain layer; a carrier is connected exactly when theta is onto.  A
+pi-stable sub-carrier takes its structure from its plain inclusion
+(restrict_pi); the caller names the class, so none is searched for here.
+The public constructors check every compatibility law in full, on the
+generators of pi and of the structure groups (the closure argument of
+Light's associativity test, Clifford & Preston I, section 1.2); values
+computed by formula from checked ones skip the check through
+errors.by_formula.
 """
 
 from __future__ import annotations
@@ -460,31 +463,6 @@ def quotient_pi(p: PiBitorsor, h: Subgroup) -> tuple[PiBitorsor, PiMorphism]:
         rows.append(tuple(row))
     out = PiBitorsor(left_pg, right_pg, bq, tuple(rows))
     return out, PiMorphism(p, out, m)
-
-
-def stable_class_predicate(p: PiBitorsor):
-    pa = p.pi_action_on_points
-
-    def stable(cls: tuple[int, ...]) -> bool:
-        s = set(cls)
-        return all(pa[c][x] in s for c in p.pi.elements for x in cls)
-
-    return stable
-
-
-@dataclass(frozen=True)
-class PiInducedWitness:
-    sub: PiBitorsor
-    inclusion: PiMorphism
-    point_class: tuple[int, ...]
-
-
-def pi_induced_witness(p: PiBitorsor, h: Subgroup) -> PiInducedWitness | None:
-    *flags, cls = bt.induced_conditions(p.bitorsor, h, stable_class_predicate(p))
-    if cls is None:
-        return None
-    _, incl = bt.sub_bitorsor_on_class(p.bitorsor, h, cls)
-    return PiInducedWitness(*restrict_pi(p, incl), cls)
 
 
 def restrict_pi(p: PiBitorsor, incl: BitorsorMorphism) -> tuple[PiBitorsor, PiMorphism]:

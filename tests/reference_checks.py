@@ -30,11 +30,16 @@ from each class representative in turn, and the scan for the trivial class;
 the partition of every hom by its conjugation orbit, the table from every
 conjugate of a representative to its class, and the wedge class read off
 the glued carrier of two representatives.
+
+Witnesses: the searches for a type-gamma witness and for a Pi-stable
+induced class that decompose ran before it built its witness, and the plain
+wedge rewrite, with the records and helpers of the library they need.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from collections.abc import Sequence
 from functools import lru_cache
 
@@ -386,6 +391,66 @@ def pi_morphism(src, dst, inner) -> None:
         raise NotPiEquivariant("right hom breaks the symmetry")
 
 
+# ------------------------------------------------- deleted library helpers
+#
+# Records and helpers the library's witness searches and plain wedge rewrite
+# used, copied verbatim (with module prefixes) when decompose came to build
+# its type-gamma witness and the plain rewrite gave way to the Pi one over
+# the trivial group.
+
+
+def stable_class_predicate(p):
+    pa = p.pi_action_on_points
+
+    def stable(cls: tuple[int, ...]) -> bool:
+        s = set(cls)
+        return all(pa[c][x] in s for c in p.pi.elements for x in cls)
+
+    return stable
+
+
+@dataclass(frozen=True)
+class PiInducedWitness:
+    sub: E.PiBitorsor
+    inclusion: E.PiMorphism
+    point_class: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class TypeGammaWitness:
+    """An injective equivariant morphism whose source has a left structure
+    group surjected onto by gamma, compatibly with conjugation."""
+
+    sub: E.PiBitorsor
+    inclusion: E.PiMorphism
+    gamma_surjection: GroupHom
+
+
+def _gamma_surjections(e, target):
+    """Equivariant surjections from gamma (with conjugation action) onto a
+    stable subgroup's structure, in deterministic order."""
+    gamma_pg = D.gamma_conjugation_structure(e)
+    out = []
+    for f in G.enumerate_homs(gamma_pg.group, target.group):
+        if not f.is_surjective():
+            continue
+        if E.is_pi_equivariant_hom(f, gamma_pg, target):
+            out.append(f)
+    return out
+
+
+@dataclass(frozen=True)
+class WedgeFactorization:
+    """A morphism out of a glued pair, rewritten through middle-group
+    extension: original = iso after (left_canonical glued with right_canonical)."""
+
+    middle_hom: GroupHom
+    left_canonical: B.BitorsorMorphism
+    right_canonical: B.BitorsorMorphism
+    wedge: B.Bitorsor
+    iso: B.BitorsorMorphism
+
+
 # ------------------------------------------------------------------ searches
 
 
@@ -484,7 +549,7 @@ def factor_through_pushforwards(m, b1, b2):
             and composite.phi_left == m.phi_left
             and composite.phi_right == m.phi_right
         ):
-            return B.WedgeFactorization(phi2, can1, can2, dst_wedge, psi)
+            return WedgeFactorization(phi2, can1, can2, dst_wedge, psi)
     raise InvalidMorphism("no isomorphism completes the extension rewrite")
 
 
@@ -796,7 +861,7 @@ def factor_morphism(m):
 
 
 def pi_induced_witness(p, h):
-    *flags, cls = induced_conditions(p.bitorsor, h, E.stable_class_predicate(p))
+    *flags, cls = induced_conditions(p.bitorsor, h, stable_class_predicate(p))
     if cls is None:
         return None
     hp = B.corresponding_normal_subgroup(p.bitorsor, h)
@@ -808,7 +873,7 @@ def pi_induced_witness(p, h):
         tuple(pos[p.pi_action_on_points[c][x]] for x in cls) for c in p.pi.elements
     )
     sub_pi = E.PiBitorsor(left_pg, right_pg, sub, rows)
-    return E.PiInducedWitness(sub_pi, E.PiMorphism(sub_pi, p, incl), cls)
+    return PiInducedWitness(sub_pi, E.PiMorphism(sub_pi, p, incl), cls)
 
 
 def factor_morphism_pi(m):
@@ -864,10 +929,10 @@ def is_type_gamma(p, e):
             left_pg, left_incl = E.restrict_pi_group(p.left, cand.members)
         except E.NotPiStable:
             continue
-        surjections = D._gamma_surjections(e, left_pg)
+        surjections = _gamma_surjections(e, left_pg)
         if not surjections:
             continue
-        stable = E.stable_class_predicate(p)
+        stable = stable_class_predicate(p)
         seen = set()
         for x in b.points:
             if x in seen:
@@ -905,7 +970,7 @@ def is_type_gamma(p, e):
                 )
             except DomainError:
                 continue
-            return D.TypeGammaWitness(sub_pi, incl, surjections[0])
+            return TypeGammaWitness(sub_pi, incl, surjections[0])
     return None
 
 
@@ -1265,7 +1330,7 @@ def unforced_factor_through_pushforwards(m, b1, b2):
     psi = next(B.wedge_completions(glued, m, right_isos), None)
     if psi is None:
         raise InvalidMorphism("no isomorphism completes the extension rewrite")
-    return B.WedgeFactorization(phi2, can1, can2, dst_wedge, psi)
+    return WedgeFactorization(phi2, can1, can2, dst_wedge, psi)
 
 
 def unforced_pi_factor_through_pushforwards(m, p1, p2):

@@ -86,23 +86,23 @@ def test_criterion_3_composition_laws(group_universe):
         for g, pool in pools.items():
             triv = B.trivial_bitorsor(g)
             for b in pool:
-                assert B.are_isomorphic(B.compose(b, triv), b) is not None
-                assert B.are_isomorphic(B.compose(triv, b), b) is not None
-                unit = B.compose(b, B.inverse(b))
+                assert B.are_isomorphic(B.contracted_product(b, triv), b) is not None
+                assert B.are_isomorphic(B.contracted_product(triv, b), b) is not None
+                unit = B.contracted_product(b, B.inverse(b))
                 assert B.are_isomorphic(unit, B.trivial_bitorsor(g)) is not None
         groups = list(pools)
         for _ in range(200):
             g = rnd.choice(groups)
             a, b, c = (rnd.choice(pools[g]) for _ in range(3))
-            left = B.compose(B.compose(a, b), c)
-            right = B.compose(a, B.compose(b, c))
+            left = B.contracted_product(B.contracted_product(a, b), c)
+            right = B.contracted_product(a, B.contracted_product(b, c))
             assert B.are_isomorphic(left, right) is not None
         for _ in range(50):
             g = rnd.choice(groups)
             x, y = rnd.choice(pools[g]), rnd.choice(pools[g])
             iso = B.isom_canonical_iso(x, y)
             assert iso.is_isomorphism()
-            assert iso.src == B.compose(y, B.inverse(x))
+            assert iso.src == B.contracted_product(y, B.inverse(x))
             assert iso.dst == B.isom_bitorsor(x, y)
         assert time.perf_counter() - start < 60.0
 

@@ -14,7 +14,7 @@ from bitorsor_kit import bitorsors as B
 from bitorsor_kit import groups as G
 from bitorsor_kit.errors import FULL_CHECK, DomainError
 
-from conftest import scrambled_trivial
+from conftest import plain_rewrite, scrambled_trivial
 
 
 def product_map(g: G.FiniteGroup) -> tuple[B.BitorsorMorphism, B.Bitorsor]:
@@ -225,25 +225,25 @@ class TestCalculus:
         for g in group_universe:
             b1 = scrambled_trivial(g, rng)
             b2 = scrambled_trivial(g, rng)
-            assert B.compose(b1, b2).size == g.order
+            assert B.contracted_product(b1, b2).size == g.order
 
     def test_mismatched_middle_groups_refused(self, z2, z3):
         with pytest.raises(B.NotComposable):
-            B.compose(B.trivial_bitorsor(z2), B.trivial_bitorsor(z3))
+            B.contracted_product(B.trivial_bitorsor(z2), B.trivial_bitorsor(z3))
 
     def test_unit_laws(self, s3, z6, rng):
         for g in (s3, z6):
             t = B.trivial_bitorsor(g)
             b = scrambled_trivial(g, rng)
-            assert B.are_isomorphic(B.compose(t, b), b) is not None
-            assert B.are_isomorphic(B.compose(b, t), b) is not None
+            assert B.are_isomorphic(B.contracted_product(t, b), b) is not None
+            assert B.are_isomorphic(B.contracted_product(b, t), b) is not None
 
     def test_inverse_laws(self, s3, z4, rng):
         for g in (s3, z4):
             b = scrambled_trivial(g, rng)
             t = B.trivial_bitorsor(g)
-            assert B.are_isomorphic(B.compose(b, B.inverse(b)), t) is not None
-            assert B.are_isomorphic(B.compose(B.inverse(b), b), t) is not None
+            assert B.are_isomorphic(B.contracted_product(b, B.inverse(b)), t) is not None
+            assert B.are_isomorphic(B.contracted_product(B.inverse(b), b), t) is not None
 
     def test_double_inverse_is_literal_identity(self, group_universe, rng):
         for g in group_universe:
@@ -256,15 +256,15 @@ class TestCalculus:
                 b1 = scrambled_trivial(g, rng)
                 b2 = scrambled_trivial(g, rng)
                 b3 = scrambled_trivial(g, rng)
-                lhs = B.compose(B.compose(b1, b2), b3)
-                rhs = B.compose(b1, B.compose(b2, b3))
+                lhs = B.contracted_product(B.contracted_product(b1, b2), b3)
+                rhs = B.contracted_product(b1, B.contracted_product(b2, b3))
                 assert B.are_isomorphic(lhs, rhs) is not None
 
     def test_twisted_left_action_still_composes(self, z4, rng):
         twist = G.GroupHom(z4, z4, (0, 3, 2, 1))
         b1 = scrambled_trivial(z4, rng, twist)
         b2 = scrambled_trivial(z4, rng)
-        assert B.compose(b1, b2).size == 4
+        assert B.contracted_product(b1, b2).size == 4
 
 
 class TestIsomCarrier:
@@ -339,7 +339,7 @@ class TestWedgeFactorization:
         for g in (z4, s3):
             m, wedge = product_map(g)
             t = B.trivial_bitorsor(g)
-            fac = B.factor_through_pushforwards(m, t, t)
+            fac = plain_rewrite(m, t, t)
             assert fac.iso.is_isomorphism()
             assert fac.middle_hom.src == g
 
@@ -350,7 +350,7 @@ class TestWedgeFactorization:
         t = B.trivial_bitorsor(s3)
         tq = B.trivial_bitorsor(gq)
         collapse = B.BitorsorMorphism(t, tq, q, q.map, q)
-        fac = B.factor_through_pushforwards(B.compose_bimorphisms(collapse, m), t, t)
+        fac = plain_rewrite(B.compose_bimorphisms(collapse, m), t, t)
         assert fac.iso.is_isomorphism()
         assert fac.wedge.right_group.order == 2
 
@@ -363,6 +363,6 @@ def test_random_carrier_laws(seed, order):
     b1 = scrambled_trivial(g, rnd)
     b2 = scrambled_trivial(g, rnd)
     assert B.inverse(B.inverse(b1)) == b1
-    prod = B.compose(b1, b2)
+    prod = B.contracted_product(b1, b2)
     assert prod.size == order
     assert B.are_isomorphic(prod, B.trivial_bitorsor(g)) is not None

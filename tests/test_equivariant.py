@@ -249,19 +249,20 @@ class TestPiInduction:
         theta = G.GroupHom(z2, z4, (0, 2))
         p = E.from_theta(E.ThetaBitorsor(B.trivial_bitorsor(z4), theta))
         h = G.subgroup(z4, [0, 2])
-        flags = B.induced_conditions(p.bitorsor, h, E.stable_class_predicate(p))[:4]
-        assert set(flags) == {True}
-        w = E.pi_induced_witness(p, h)
-        assert w is not None
-        assert w.sub.bitorsor.size == 2
-        assert w.inclusion.inner.is_injective()
+        assert set(B.induced_conditions(p.bitorsor, h)[:4]) == {True}
+        cls = B.orbit_partition(p.bitorsor, h.members, left=False)[0]
+        _, incl = B.sub_bitorsor_on_class(p.bitorsor, h, cls)
+        sub, inclusion = E.restrict_pi(p, incl)
+        assert sub.bitorsor.size == 2
+        assert inclusion.inner.is_injective()
 
     def test_no_witness_when_quotient_class_survives(self, z4):
+        """Every class is induced on the plain carrier, and pi moves each."""
         p = E.from_theta(E.h1(z4, z4)[1])
         h = G.subgroup(z4, [0, 2])
-        flags = B.induced_conditions(p.bitorsor, h, E.stable_class_predicate(p))[:4]
-        assert set(flags) == {False}
-        assert E.pi_induced_witness(p, h) is None
+        assert set(B.induced_conditions(p.bitorsor, h)[:4]) == {True}
+        for cls in B.orbit_partition(p.bitorsor, h.members, left=False):
+            assert any(row[x] not in cls for row in p.pi_action_on_points for x in cls)
 
 
 class TestPiFactorizations:

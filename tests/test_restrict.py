@@ -1,7 +1,8 @@
 """The shared restriction (bitorsors.restrict, equivariant.restrict_pi) and
 the merged orbit partition: every caller returns exactly what its former
 hand-built copy in reference_checks returns, group labels included, on the
-inputs of test_search."""
+inputs of test_search; and the type-gamma witness decompose builds is the
+one the search it replaced finds."""
 
 from __future__ import annotations
 
@@ -12,8 +13,10 @@ from bitorsor_kit import bitorsors as B
 from bitorsor_kit import devissage as D
 from bitorsor_kit import equivariant as E
 from bitorsor_kit import groups as G
+from bitorsor_kit import local_model as L
 
-from conftest import scrambled_trivial
+from conftest import plain_rewrite, scrambled_trivial
+from test_acceptance import _acceptance_extensions
 from test_search import UNIVERSE, _pi_wedge_cases, _plain_wedge_cases
 
 
@@ -67,7 +70,7 @@ def test_sub_bitorsor_and_induced_conditions_match_reference(rng):
 
 def test_plain_image_factorization_matches_reference(rng):
     for m, b1, b2 in _plain_wedge_cases(rng):
-        fac = B.factor_through_pushforwards(m, b1, b2)
+        fac = plain_rewrite(m, b1, b2)
         for f in (m, fac.left_canonical, fac.right_canonical, fac.iso):
             assert_same(B.factor_morphism(f), ref.factor_morphism(f))
 
@@ -79,44 +82,76 @@ def test_pi_image_factorization_matches_reference():
             assert_same(E.factor_morphism_pi(f), ref.factor_morphism_pi(f))
 
 
-def test_sweep_restrictions_match_reference(monkeypatch):
-    """Every class over S3 and D4 along C3 x| C2, for each section: each
-    component at each basepoint, each witness and image factorization that
-    decompose builds, and the type-gamma search on the input and on both
-    factors."""
-    sd = G.semidirect_product(*G.cyclic_power_action(3, 2, 2))
-    calls = {"pi_induced_witness": [], "factor_morphism_pi": []}
+SURVEYS = (
+    ((3, 4, 2), G.symmetric(4)),
+    ((2, 3, 2), G.symmetric(4)),
+    ((2, 7, 3), G.symmetric(4)),
+    ((5, 4, 1), G.symmetric(4)),
+    ((2, 5, 4), G.symmetric(4)),
+    ((2, 3, 2), G.symmetric(5)),
+)
 
-    def recorder(name):
-        lib = getattr(E, name)
+
+def _carriers_to_decompose(rng):
+    """(carrier, extension, small) for every class of the criterion-6 sweep,
+    every class of the S4 and S5 surveys of the benchmark, and every theta
+    from S3 into S3, D4 and C6 over scrambled and automorphism-twisted
+    carriers, along C3 x| C2 for each section; `small` marks the inputs
+    whose components are compared at every basepoint."""
+    for e in _acceptance_extensions():
+        for g in (G.cyclic(2), G.cyclic(3), G.cyclic(4), G.cyclic(6), G.symmetric(3), G.dihedral(4)):
+            for t in E.h1(e.pi_big, g):
+                yield t, e, True
+    for params, g in SURVEYS:
+        e = L.build_tame_quotient(L.TameParams(*params))
+        for t in E.h1(e.pi_big, g):
+            yield t, e, False
+    for e in _acceptance_extensions()[:2]:
+        for g in (G.symmetric(3), G.dihedral(4), G.cyclic(6)):
+            autos = G.isomorphisms_between(g, g)
+            carriers = (scrambled_trivial(g, rng), scrambled_trivial(g, rng, autos[len(autos) // 2]))
+            for b in carriers:
+                for theta in G.enumerate_homs(e.pi_big, g):
+                    yield E.ThetaBitorsor(b, theta), e, True
+
+
+def test_sweep_restrictions_match_reference(monkeypatch, rng):
+    """Each type-gamma witness decompose builds is the first pi-stable
+    induced class that the reference search finds, and each image
+    factorization it makes is the reference's; each y factor passes the
+    reference type-gamma search, and each component at each basepoint of
+    the small inputs is the reference's."""
+    calls = {"_decompose_connected": [], "factor_morphism_pi": []}
+
+    def recorder(module, name):
+        lib = getattr(module, name)
 
         def record(*args):
             out = lib(*args)
             calls[name].append((args, out))
             return out
 
-        return record
+        monkeypatch.setattr(module, name, record)
 
-    for name in calls:
-        monkeypatch.setattr(E, name, recorder(name))
-    gamma_hits = disconnected = 0
-    for s in G.sections_of(sd.projection):
-        e = D.SplitExtension(sd.group, G.kernel(sd.projection), sd.projection.dst,
-                             sd.projection, s)
-        for g in (G.symmetric(3), G.dihedral(4)):
-            for t in E.h1(e.pi_big, g):
-                disconnected += not E.is_connected(t)
-                for x in t.bitorsor.points:
-                    assert_same(E.connected_component(t, x), ref.connected_component(t, x))
-                d = D.decompose(t, e)
-                for p in (E.from_theta(t), d.y, d.z):
-                    got = D.is_type_gamma(p, e)
-                    assert_same(got, ref.is_type_gamma(p, e))
-                    gamma_hits += got is not None
+    recorder(D, "_decompose_connected")
+    recorder(E, "factor_morphism_pi")
+    decomposed = disconnected = 0
+    for t, e, small in _carriers_to_decompose(rng):
+        disconnected += not E.is_connected(t)
+        if small:
+            for x in t.bitorsor.points:
+                assert_same(E.connected_component(t, x), ref.connected_component(t, x))
+        d = D.decompose(t, e)
+        assert ref.is_type_gamma(d.y, e) is not None
+        decomposed += 1
     monkeypatch.undo()
-    assert disconnected > 0 and gamma_hits > 0
-    assert calls["pi_induced_witness"] and calls["factor_morphism_pi"]
-    for args, out in calls["pi_induced_witness"]:
-        assert_same(out, ref.pi_induced_witness(*args))
+    assert decomposed > 400 and disconnected > 0 and calls["factor_morphism_pi"]
+    assert len(calls["_decompose_connected"]) == decomposed
+    for (t, e, _), inner in calls["_decompose_connected"]:
+        y = inner.y
+        h = G.subgroup(y.bitorsor.right_group, {t.theta.map[c] for c in e.gamma.members})
+        w = ref.pi_induced_witness(y, h)
+        cert = inner.certificate
+        assert_same((cert.w_witness, cert.w_inclusion), (w.sub, w.inclusion))
     for args, out in calls["factor_morphism_pi"]:
         assert_same(out, ref.factor_morphism_pi(*args))
