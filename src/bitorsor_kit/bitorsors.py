@@ -254,7 +254,7 @@ def from_right_torsor(
 
     The action law is checked with g2 over the generators, as in Bitorsor,
     and freeness and transitivity at point 0 (see _orbit_at_zero)."""
-    ra = tuple(tuple(int(v) for v in row) for row in right_act)
+    ra = tuple(tuple(map(int, row)) for row in right_act)
     if len(ra) != num_points or any(len(r) != right_group.order for r in ra):
         raise InvalidBitorsor("right action table has the wrong shape")
     for x in range(num_points):
@@ -286,7 +286,7 @@ def _complete_right(group: FiniteGroup, ra: tuple[tuple[int, ...], ...]) -> Bito
     sorted as tuples the p_y fall in this order, since p_y(0) = y, and the
     product table is the left action table itself."""
     a = _orbit_at_zero(ra[0], len(ra), "right")
-    left_act = tuple(tuple(row[g] for g in a) for row in ra)
+    left_act = tuple(tuple(map(row.__getitem__, a)) for row in ra)
     return by_formula(Bitorsor, _translation_group(left_act, group.label), group, left_act, ra)
 
 

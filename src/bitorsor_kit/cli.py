@@ -4,23 +4,26 @@ local models.
 
 Exit codes: 0 success, 1 usage error, 2 validation failure (the domain
 diagnostic is printed verbatim).  Output is deterministic for identical
-inputs and seed.  Everything runs in a single thread."""
+inputs and seed.  Everything runs in a single thread.  Each command
+imports the calculus modules it runs inside its handler, so a fresh
+process loads only those."""
 
 from __future__ import annotations
 
 import argparse
 import functools
 import json
-import random
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import devissage as dv
-from . import equivariant as eq
 from . import formats as fm
-from . import local_model as lm
-from . import rclass as rc
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    from . import devissage as dv
+    from . import equivariant as eq
+    from . import local_model as lm
 
 FORMATS = ("text", "json", "dot")
 
@@ -115,6 +118,8 @@ def _dot_node(name: str, title: str, p: eq.PiBitorsor) -> str:
 
 
 def _dot_decomposition(t: eq.ThetaBitorsor, d: dv.Decomposition) -> str:
+    from . import equivariant as eq
+
     x = eq.from_theta(t)
     wedge = eq.compose_pi(d.y, d.z)
     lines = ["digraph decomposition {"]
@@ -152,6 +157,8 @@ def _cmd_validate_group(ns: argparse.Namespace) -> int:
 
 
 def _cmd_h1(ns: argparse.Namespace) -> int:
+    from . import equivariant as eq
+
     pi = fm.resolve_group_spec(ns.pi)
     g = pi if ns.group == ns.pi else fm.resolve_group_spec(ns.group)
     classes = eq.h1(pi, g)
@@ -178,6 +185,8 @@ def _cmd_h1(ns: argparse.Namespace) -> int:
 
 
 def _class_rep(pi, g, index: int) -> eq.ThetaBitorsor:
+    from . import equivariant as eq
+
     classes = eq.h1(pi, g)
     if not (0 <= index < len(classes)):
         raise fm.ParseError(
@@ -187,6 +196,8 @@ def _class_rep(pi, g, index: int) -> eq.ThetaBitorsor:
 
 
 def _cmd_decompose(ns: argparse.Namespace) -> int:
+    from . import devissage as dv
+
     e = fm.parse_extension(
         _read_text(ns.extension, "extension file"), base_dir=ns.extension.parent
     )
@@ -210,6 +221,8 @@ def _cmd_decompose(ns: argparse.Namespace) -> int:
 
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
+    from . import devissage as dv
+
     raw = _read_text(ns.certificate, "certificate")
     try:
         doc = json.loads(raw)
@@ -234,11 +247,15 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
 
 
 def _cmd_closure(ns: argparse.Namespace) -> int:
-    pi = fm.resolve_group_spec(ns.pi)
+    from . import equivariant as eq
+    from . import rclass as rc
+
+    built: dict = {}  # each distinct group of the command is built once
+    pi = fm.resolve_group_spec(ns.pi, built=built)
     r = fm.parse_registry(
-        _read_text(ns.registry, "registry"), pi, base_dir=ns.registry.parent
+        _read_text(ns.registry, "registry"), pi, base_dir=ns.registry.parent, built=built
     )
-    g = fm.resolve_group_spec(ns.group)
+    g = fm.resolve_group_spec(ns.group, built=built)
     rep = _class_rep(pi, g, ns.class_index)
     fac = rc.in_closure(rep, r, ns.max_n)
     chain = []
@@ -299,6 +316,8 @@ def _print_survey(report: lm.SurveyReport) -> None:
 
 
 def _cmd_local_survey(ns: argparse.Namespace) -> int:
+    from . import local_model as lm
+
     params = lm.TameParams(ns.q, ns.n, ns.m)
     g = fm.resolve_group_spec(ns.group)
     report = lm.survey(params, g)
@@ -314,6 +333,10 @@ DEMO_GROUPS = ("cyclic:2", "cyclic:3", "cyclic:4", "cyclic:6", "symmetric:3")
 
 
 def _cmd_demo(ns: argparse.Namespace) -> int:
+    import random
+
+    from . import local_model as lm
+
     rng = random.Random(ns.seed)
     q, n, m = rng.choice(DEMO_PARAMS)
     spec = rng.choice(DEMO_GROUPS)

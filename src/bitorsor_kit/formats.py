@@ -4,21 +4,21 @@ versioned JSON encoding of decomposition certificates.
 Text files are line-based: blank lines and lines starting with `#` are
 skipped.  JSON documents intern groups in a top-level list and embed index
 tables inline only up to order 24; larger tables are replaced by a sha256
-reference that the reader resolves against caller-supplied sources."""
+reference that the reader resolves against caller-supplied sources.
+
+Only the group layer is imported with this module: the extension,
+registry and certificate readers and writers import the calculus modules
+they build."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import re
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from . import devissage as dv
-from . import equivariant as eq
-from .bitorsors import Bitorsor, BitorsorMorphism
 from .errors import DomainError
 from .groups import (
     MAX_ORDER,
@@ -34,7 +34,12 @@ from .groups import (
     subgroup,
     symmetric,
 )
-from .rclass import ElementaryClassRegistry
+
+if TYPE_CHECKING:
+    from . import devissage as dv
+    from . import equivariant as eq
+    from .bitorsors import Bitorsor
+    from .rclass import ElementaryClassRegistry
 
 SCHEMA = "bitorsor-kit/1"
 TABLE_EMBED_LIMIT = 24
@@ -77,16 +82,21 @@ def _take(lines: list[tuple[int, str]], cursor: int, what: str) -> tuple[int, st
     return lines[cursor]
 
 
-def _int_row(
-    toks: Sequence[tuple[str, int]], no: int, bound: int, what: str
-) -> tuple[int, ...]:
-    row = []
-    for tok, col in toks:
+def _int_row(words: Sequence[str], raw: str, no: int, bound: int, what: str) -> tuple[int, ...]:
+    """`words`, the last tokens of line `raw`, as integers in 0..bound-1.
+    The row is converted and bounded whole; only a row that fails is read
+    token by token, to report its first bad token and column."""
+    try:
+        row = tuple(map(int, words))
+        if not row or (min(row) >= 0 and max(row) < bound):
+            return row
+    except ValueError:
+        pass
+    for tok, col in _tokens(raw)[-len(words):]:
         v = _int_token(tok, no, col, what)
         if not (0 <= v < bound):
             raise ParseError(f"{what} {v} out of range 0..{bound - 1}", no, col)
-        row.append(v)
-    return tuple(row)
+    raise AssertionError("unreachable: the row failed but every token passed")
 
 
 def parse_group(text: str) -> FiniteGroup:
@@ -107,17 +117,17 @@ def parse_group(text: str) -> FiniteGroup:
     rows = []
     for r in range(n):
         no, raw = _take(lines, 1 + r, f"table row {r}")
-        toks = _tokens(raw)
-        if len(toks) != n:
+        words = raw.split()
+        if len(words) != n:
             raise ParseError(
-                f"table row {r} has {len(toks)} entries, expected {n}", no, toks[0][1]
+                f"table row {r} has {len(words)} entries, expected {n}", no, _tokens(raw)[0][1]
             )
-        rows.append(_int_row(toks, no, n, "table entry"))
+        rows.append(_int_row(words, raw, no, n, "table entry"))
     no, raw = _take(lines, 1 + n, "a 'generators' line")
     toks = _tokens(raw)
     if toks[0][0] != "generators" or len(toks) < 2:
         raise ParseError("expected: generators <i1> <i2> ...", no, toks[0][1])
-    gens = _int_row(toks[1:], no, n, "generator")
+    gens = _int_row(raw.split()[1:], raw, no, n, "generator")
     if len(lines) > 2 + n:
         no, raw = lines[2 + n]
         raise ParseError("unexpected trailing content", no, _tokens(raw)[0][1])
@@ -149,10 +159,33 @@ def _check_order(spec: str, order: int) -> None:
         raise ParseError(f"{spec!r} has order {order}, above the supported maximum {MAX_ORDER}")
 
 
-def resolve_group_spec(spec: str, base_dir: Path | None = None) -> FiniteGroup:
+_CONSTRUCTORS = ("cyclic", "dihedral", "symmetric", "semidirect")
+
+
+def _group_path(spec: str, base_dir: Path | None) -> Path:
+    path = Path(spec)
+    if base_dir is not None and not path.is_absolute():
+        path = base_dir / path
+    return path
+
+
+def resolve_group_spec(
+    spec: str, base_dir: Path | None = None, built: dict | None = None
+) -> FiniteGroup:
     """A constructor name (cyclic:n, dihedral:n, symmetric:n, semidirect:N:Q:k)
     or a path to a group file.  Orders above MAX_ORDER are refused before
-    any table is built."""
+    any table is built.  `built`, when given, holds the groups already
+    resolved, by constructor spec or by resolved file path: a spec found
+    there is not built again, and one built now is added."""
+    if built is None:
+        return _build_group_spec(spec, base_dir)
+    key = spec if spec.partition(":")[0] in _CONSTRUCTORS else _group_path(spec, base_dir).resolve()
+    if key not in built:
+        built[key] = _build_group_spec(spec, base_dir)
+    return built[key]
+
+
+def _build_group_spec(spec: str, base_dir: Path | None) -> FiniteGroup:
     head, _, rest = spec.partition(":")
     parts = rest.split(":") if rest else []
     if head == "cyclic":
@@ -180,11 +213,8 @@ def resolve_group_spec(spec: str, base_dir: Path | None = None) -> FiniteGroup:
         _check_order(spec, big_n * q)
         n_grp, q_grp, acts = cyclic_power_action(big_n, q, k)
         return semidirect_product(n_grp, q_grp, acts).group
-    path = Path(spec)
-    if base_dir is not None and not path.is_absolute():
-        path = base_dir / path
     try:
-        text = path.read_text()
+        text = _group_path(spec, base_dir).read_text()
     except OSError as exc:
         raise ParseError(f"cannot read group {spec!r}: {exc}") from None
     return parse_group(text)
@@ -209,7 +239,7 @@ def parse_extension(text: str, base_dir: Path | None = None) -> dv.SplitExtensio
     toks = _tokens(raw)
     if toks[0][0] != "gamma" or len(toks) < 2:
         raise ParseError("expected: gamma <i1> <i2> ...", no, toks[0][1])
-    gamma_members = _int_row(toks[1:], no, big.order, "gamma element")
+    gamma_members = _int_row(raw.split()[1:], raw, no, big.order, "gamma element")
 
     no, raw = _take(lines, 3, "a p line")
     toks = _tokens(raw)
@@ -217,7 +247,7 @@ def parse_extension(text: str, base_dir: Path | None = None) -> dv.SplitExtensio
         raise ParseError(
             f"expected: p with {big.order} labels, one per element", no, toks[0][1]
         )
-    labels = _int_row(toks[1:], no, big.order, "quotient label")
+    labels = _int_row(raw.split()[1:], raw, no, big.order, "quotient label")
     k = len(set(labels))
     if sorted(set(labels)) != list(range(k)):
         raise ParseError(f"quotient labels must be exactly 0..{k - 1}", no, toks[1][1])
@@ -228,12 +258,13 @@ def parse_extension(text: str, base_dir: Path | None = None) -> dv.SplitExtensio
         tuple(labels[big.mul[reps[a]][reps[b]]] for b in range(k)) for a in range(k)
     )
     for x in big.elements:
-        for y in big.elements:
-            if labels[big.mul[x][y]] != small_mul[labels[x]][labels[y]]:
-                raise ParseError(
-                    f"the p labels are not compatible with the product at ({x}, {y})",
-                    no,
-                )
+        row = small_mul[labels[x]]
+        if tuple(map(labels.__getitem__, big.mul[x])) != tuple(map(row.__getitem__, labels)):
+            y = next(y for y in big.elements if labels[big.mul[x][y]] != row[labels[y]])
+            raise ParseError(
+                f"the p labels are not compatible with the product at ({x}, {y})",
+                no,
+            )
     ident = labels[big.identity]
     small_gens = tuple(
         dict.fromkeys(labels[g] for g in big.generators if labels[g] != ident)
@@ -244,11 +275,13 @@ def parse_extension(text: str, base_dir: Path | None = None) -> dv.SplitExtensio
     toks = _tokens(raw)
     if toks[0][0] != "s" or len(toks) != 1 + k:
         raise ParseError(f"expected: s with {k} entries", no, toks[0][1])
-    s_map = _int_row(toks[1:], no, big.order, "section entry")
+    s_map = _int_row(raw.split()[1:], raw, no, big.order, "section entry")
     if len(lines) > 5:
         no, raw = lines[5]
         raise ParseError("unexpected trailing content", no, _tokens(raw)[0][1])
-    return dv.SplitExtension(
+    from .devissage import SplitExtension
+
+    return SplitExtension(
         big,
         subgroup(big, gamma_members),
         small,
@@ -269,10 +302,12 @@ def format_extension(e: dv.SplitExtension, pi_big_spec: str, label: str = "ext")
 
 
 def parse_registry(
-    text: str, pi: FiniteGroup, base_dir: Path | None = None
+    text: str, pi: FiniteGroup, base_dir: Path | None = None, built: dict | None = None
 ) -> ElementaryClassRegistry:
     """Read `elementary <group-spec> <class-index>` lines; the universe is
-    ordered by first appearance."""
+    ordered by first appearance.  `built` is passed to resolve_group_spec."""
+    from .rclass import ElementaryClassRegistry
+
     specs: list[str] = []
     resolved: dict[str, FiniteGroup] = {}
     members = set()
@@ -287,7 +322,7 @@ def parse_registry(
         if idx < 0:
             raise ParseError(f"class index {idx} must not be negative", no, toks[2][1])
         if name not in resolved:
-            resolved[name] = resolve_group_spec(name, base_dir)
+            resolved[name] = resolve_group_spec(name, base_dir, built)
             specs.append(name)
         members.add((specs.index(name), idx))
     if not specs:
@@ -304,6 +339,8 @@ def format_registry(r: ElementaryClassRegistry, specs: Sequence[str]) -> str:
 
 
 def table_digest(rows: Sequence[Sequence[int]]) -> str:
+    import hashlib
+
     payload = json.dumps([list(r) for r in rows], separators=(",", ":"))
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
@@ -379,7 +416,7 @@ def _write_indented(v, newline: str, out: list[str]) -> None:
             out.append("[]")
             return
         inner = newline + "  "
-        if all(type(x) is int for x in v):
+        if {int}.issuperset(map(type, v)):
             out.append("[" + inner + ("," + inner).join(map(int.__repr__, v)) + newline + "]")
             return
         sep = "[" + inner
@@ -506,6 +543,8 @@ class _Reader:
 
     @_once_per_document
     def bitorsor(self, d: dict) -> Bitorsor:
+        from .bitorsors import Bitorsor
+
         return Bitorsor(
             self.group(d["left_group"]),
             self.group(d["right_group"]),
@@ -515,6 +554,8 @@ class _Reader:
 
     @_once_per_document
     def pi_group(self, d: dict) -> eq.PiGroup:
+        from . import equivariant as eq
+
         g = self.group(d["group"])
         pi = self.group(d["pi"])
         action = tuple(GroupHom(g, g, _json_ints(row)) for row in d["action"])
@@ -522,6 +563,8 @@ class _Reader:
 
     @_once_per_document
     def pi_bitorsor(self, d: dict) -> eq.PiBitorsor:
+        from . import equivariant as eq
+
         return eq.PiBitorsor(
             self.pi_group(d["left"]),
             self.pi_group(d["right"]),
@@ -530,6 +573,9 @@ class _Reader:
         )
 
     def pi_morphism(self, d: dict) -> eq.PiMorphism:
+        from . import equivariant as eq
+        from .bitorsors import BitorsorMorphism
+
         src = self.pi_bitorsor(d["src"])
         dst = self.pi_bitorsor(d["dst"])
         inner = BitorsorMorphism(
@@ -586,6 +632,9 @@ def decomposition_from_json(
 ) -> tuple[eq.ThetaBitorsor, dv.SplitExtension, dv.Decomposition]:
     """Rebuild and re-validate a certificate document; every constructor on
     the way re-checks its own invariants."""
+    from . import devissage as dv
+    from . import equivariant as eq
+
     try:
         if doc.get("schema") != SCHEMA:
             raise ParseError(f"unsupported schema {doc.get('schema')!r}")

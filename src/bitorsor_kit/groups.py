@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, by_formula
@@ -108,6 +109,22 @@ def generating_set(mul: Sequence[Sequence[int]], identity: int) -> tuple[int, ..
     return tuple(gens) if gens else (identity,)
 
 
+def _check_square(mul: Sequence[Sequence[int]]) -> None:
+    """Every row has length n and every entry lies in 0..n-1.  Each row is
+    checked whole; the first bad entry of a row that fails is then found by
+    the entry-wise test."""
+    n = len(mul)
+    if n == 0:
+        raise MalformedTable("empty multiplication table")
+    valid = frozenset(range(n))
+    for i, row in enumerate(mul):
+        if len(row) != n:
+            raise MalformedTable(f"row {i} has length {len(row)}, expected {n}")
+        if not valid.issuperset(row):
+            j, v = next((j, v) for j, v in enumerate(row) if not (0 <= v < n))
+            raise MalformedTable(f"entry ({i},{j}) = {v} out of range")
+
+
 @dataclass(frozen=True)
 class FiniteGroup:
     """A finite group on indices 0..order-1 given by its full product table.
@@ -125,29 +142,25 @@ class FiniteGroup:
         """Complete by Light's test: once the generators are known to
         generate, the elements g with (a.g).c = a.(g.c) for all a, c contain
         the identity and are closed under products, so checking g over the
-        generators proves associativity for every g."""
-        n = len(self.mul)
-        if n == 0:
-            raise MalformedTable("empty multiplication table")
-        for i, row in enumerate(self.mul):
-            if len(row) != n:
-                raise MalformedTable(f"row {i} has length {len(row)}, expected {n}")
-            for j, v in enumerate(row):
-                if not (0 <= v < n):
-                    raise MalformedTable(f"entry ({i},{j}) = {v} out of range")
+        generators proves associativity for every g.  Each law is compared
+        a whole row at a time; the first failing element or triple is then
+        found in the row that failed."""
+        mul = self.mul
+        _check_square(mul)
+        n = len(mul)
         e = self.identity
         if not (0 <= e < n):
             raise NoIdentity(f"identity index {e} out of range")
-        for a in range(n):
-            if self.mul[e][a] != a or self.mul[a][e] != a:
-                raise NoIdentity(f"declared identity {e} is not neutral at {a}")
+        ident = tuple(range(n))
+        if tuple(mul[e]) != ident or tuple(map(itemgetter(e), mul)) != ident:
+            a = next(a for a in range(n) if mul[e][a] != a or mul[a][e] != a)
+            raise NoIdentity(f"declared identity {e} is not neutral at {a}")
         if len(self.inv) != n:
             raise NoInverse("inverse table has wrong length")
         for a in range(n):
             b = self.inv[a]
             if not (0 <= b < n) or self.mul[a][b] != e or self.mul[b][a] != e:
                 raise NoInverse(f"element {a} has no two-sided inverse (table says {b})")
-        mul = self.mul
         if not self.generators:
             raise GeneratorsDoNotGenerate("empty generator list")
         for g in self.generators:
@@ -157,15 +170,12 @@ class FiniteGroup:
         if len(got) != n:
             missing = min(set(range(n)) - got)
             raise GeneratorsDoNotGenerate(f"element {missing} not generated")
-        for a in range(n):
-            ra = mul[a]
+        for a, ra in enumerate(mul):
             for b in self.generators:
-                ab = ra[b]
-                rb = mul[b]
-                rab = mul[ab]
-                for c in range(n):
-                    if rab[c] != ra[rb[c]]:
-                        raise NotAssociative(f"first violating triple (a,b,c)=({a},{b},{c})")
+                rab, rb = mul[ra[b]], mul[b]
+                if tuple(rab) != tuple(map(ra.__getitem__, rb)):
+                    c = next(c for c in range(n) if rab[c] != ra[rb[c]])
+                    raise NotAssociative(f"first violating triple (a,b,c)=({a},{b},{c})")
 
     @cached_property
     def order(self) -> int:
@@ -197,31 +207,29 @@ class FiniteGroup:
 
 
 def make_group(mul_table: Sequence[Sequence[int]], generators: Iterable[int], label: str = "G") -> FiniteGroup:
-    """Validate a raw table and package it, discovering identity and inverses."""
-    mul = tuple(tuple(int(v) for v in row) for row in mul_table)
+    """Validate a raw table and package it, discovering identity and inverses:
+    the first element whose row and column are the identity permutation,
+    and for each a the first b in its row with a.b = b.a = identity."""
+    mul = tuple(tuple(map(int, row)) for row in mul_table)
+    _check_square(mul)
     n = len(mul)
-    if n == 0:
-        raise MalformedTable("empty multiplication table")
-    for i, row in enumerate(mul):
-        if len(row) != n:
-            raise MalformedTable(f"row {i} has length {len(row)}, expected {n}")
-        for j, v in enumerate(row):
-            if not (0 <= v < n):
-                raise MalformedTable(f"entry ({i},{j}) = {v} out of range")
-    identity = None
-    for e in range(n):
-        if all(mul[e][a] == a and mul[a][e] == a for a in range(n)):
-            identity = e
-            break
+    ident = tuple(range(n))
+    identity = next(
+        (e for e in range(n) if mul[e] == ident and tuple(map(itemgetter(e), mul)) == ident),
+        None,
+    )
     if identity is None:
         raise NoIdentity("no two-sided neutral element")
     inv = []
-    for a in range(n):
-        b = next((b for b in range(n) if mul[a][b] == identity and mul[b][a] == identity), None)
-        if b is None:
-            raise NoInverse(f"element {a} has no two-sided inverse")
+    for a, row in enumerate(mul):
+        try:
+            b = row.index(identity)
+            while mul[b][a] != identity:
+                b = row.index(identity, b + 1)
+        except ValueError:
+            raise NoInverse(f"element {a} has no two-sided inverse") from None
         inv.append(b)
-    return FiniteGroup(mul, identity, tuple(inv), tuple(int(g) for g in generators), label)
+    return FiniteGroup(mul, identity, tuple(inv), tuple(map(int, generators)), label)
 
 
 @dataclass(frozen=True)
@@ -540,7 +548,8 @@ def canonical_conjugate(f: GroupHom) -> GroupHom:
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise MalformedTable("cyclic group needs order >= 1")
-    mul = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+    row = tuple(range(n))
+    mul = tuple(row[i:] + row[:i] for i in range(n))
     return make_group(mul, (1 % n,), f"C{n}")
 
 
@@ -550,9 +559,7 @@ def symmetric(n: int) -> FiniteGroup:
         raise MalformedTable(f"symmetric group supported for 1 <= n <= {SYMMETRIC_MAX_DEGREE}")
     perms = sorted(itertools.permutations(range(n)))
     pos = {p: i for i, p in enumerate(perms)}
-    mul = tuple(
-        tuple(pos[tuple(p[q[k]] for k in range(n))] for q in perms) for p in perms
-    )
+    mul = tuple(tuple(pos[tuple(map(p.__getitem__, q))] for q in perms) for p in perms)
     if n == 1:
         gens: tuple[int, ...] = (0,)
     else:
@@ -590,19 +597,21 @@ def semidirect_product(
     for q1 in q_grp.elements:
         for q2 in q_grp.generators:
             want = act[q_grp.mul[q1][q2]].map
-            got = tuple(act[q1].map[act[q2].map[x]] for x in n_grp.elements)
-            if want != got:
+            if want != tuple(map(act[q1].map.__getitem__, act[q2].map)):
                 raise NotAnAction(f"action fails to be a homomorphism at ({q1},{q2})")
     qn = q_grp.order
     enc = lambda n, q: n * qn + q  # noqa: E731
-
-    def law(i: int, j: int) -> int:
-        n1, q1 = divmod(i, qn)
-        n2, q2 = divmod(j, qn)
-        return enc(n_grp.mul[n1][act[q1].map[n2]], q_grp.mul[q1][q2])
-
+    # Row (n1, q1) runs over (n2, q2) as n1.act(q1)(n2) in N, then q1.q2 in
+    # Q: blocks[q1][x] is the run of encoded entries (x, q1.q2) over q2.
+    blocks = [tuple(tuple(enc(x, q) for q in q_row) for x in n_grp.elements) for q_row in q_grp.mul]
+    table = tuple(
+        tuple(itertools.chain.from_iterable(
+            map(blocks[q1].__getitem__, map(n_grp.mul[n1].__getitem__, act[q1].map))
+        ))
+        for n1 in n_grp.elements
+        for q1 in q_grp.elements
+    )
     size = n_grp.order * qn
-    table = tuple(tuple(law(i, j) for j in range(size)) for i in range(size))
     enc_id = enc(n_grp.identity, q_grp.identity)
     gens = list(dict.fromkeys(
         g for g in (

@@ -34,6 +34,10 @@ the glued carrier of two representatives.
 Witnesses: the searches for a type-gamma witness and for a Pi-stable
 induced class that decompose ran before it built its witness, and the plain
 wedge rewrite, with the records and helpers of the library they need.
+
+Table readers: the group-file and extension parsers, make_group, the
+FiniteGroup validator and the semidirect and symmetric constructors that
+read, checked and built each table entry by entry.
 """
 
 from __future__ import annotations
@@ -51,9 +55,13 @@ from bitorsor_kit import rclass as R
 from bitorsor_kit.bitorsors import InvalidBitorsor, InvalidMorphism, NotFree, NotTransitive
 from bitorsor_kit.equivariant import EquivariantError, NotPiEquivariant
 from bitorsor_kit.errors import DomainError
+from bitorsor_kit.formats import ParseError, _content_lines, _int_token, _take, _tokens, resolve_group_spec
 from bitorsor_kit.groups import (
+    MAX_ORDER,
+    SYMMETRIC_MAX_DEGREE,
     GeneratorsDoNotGenerate,
     GroupHom,
+    SemidirectProduct,
     MixedSignatures,
     MalformedTable,
     NoIdentity,
@@ -1354,3 +1362,269 @@ def unforced_pi_factor_through_pushforwards(m, p1, p2):
     if psi is None:
         raise InvalidMorphism("no equivariant isomorphism completes the rewrite")
     return E.PiWedgeFactorization(phi2, middle, can1, can2, dst_wedge, psi)
+
+
+# Table readers: the per-entry loops of the group-file parser, the
+# extension parser, make_group, the FiniteGroup validator, and the
+# semidirect and symmetric constructors, as they stood before each was
+# made to check or build a whole row at a time.  Only the names differ:
+# each loop_* function calls the loop_* versions of the others, and
+# loop_make_group builds a LoopFiniteGroup, whose validator is the loop one;
+# G.subgroup stands for the library's subgroup, which a validator reference
+# above shadows.
+
+
+class LoopFiniteGroup(G.FiniteGroup):
+    def __post_init__(self) -> None:
+        """Complete by Light's test: once the generators are known to
+        generate, the elements g with (a.g).c = a.(g.c) for all a, c contain
+        the identity and are closed under products, so checking g over the
+        generators proves associativity for every g."""
+        n = len(self.mul)
+        if n == 0:
+            raise MalformedTable("empty multiplication table")
+        for i, row in enumerate(self.mul):
+            if len(row) != n:
+                raise MalformedTable(f"row {i} has length {len(row)}, expected {n}")
+            for j, v in enumerate(row):
+                if not (0 <= v < n):
+                    raise MalformedTable(f"entry ({i},{j}) = {v} out of range")
+        e = self.identity
+        if not (0 <= e < n):
+            raise NoIdentity(f"identity index {e} out of range")
+        for a in range(n):
+            if self.mul[e][a] != a or self.mul[a][e] != a:
+                raise NoIdentity(f"declared identity {e} is not neutral at {a}")
+        if len(self.inv) != n:
+            raise NoInverse("inverse table has wrong length")
+        for a in range(n):
+            b = self.inv[a]
+            if not (0 <= b < n) or self.mul[a][b] != e or self.mul[b][a] != e:
+                raise NoInverse(f"element {a} has no two-sided inverse (table says {b})")
+        mul = self.mul
+        if not self.generators:
+            raise GeneratorsDoNotGenerate("empty generator list")
+        for g in self.generators:
+            if not (0 <= g < n):
+                raise GeneratorsDoNotGenerate(f"generator {g} out of range")
+        got = closure(mul, self.generators, e)
+        if len(got) != n:
+            missing = min(set(range(n)) - got)
+            raise GeneratorsDoNotGenerate(f"element {missing} not generated")
+        for a in range(n):
+            ra = mul[a]
+            for b in self.generators:
+                ab = ra[b]
+                rb = mul[b]
+                rab = mul[ab]
+                for c in range(n):
+                    if rab[c] != ra[rb[c]]:
+                        raise NotAssociative(f"first violating triple (a,b,c)=({a},{b},{c})")
+
+
+def loop_make_group(mul_table: Sequence[Sequence[int]], generators: Iterable[int], label: str = "G") -> LoopFiniteGroup:
+    """Validate a raw table and package it, discovering identity and inverses."""
+    mul = tuple(tuple(int(v) for v in row) for row in mul_table)
+    n = len(mul)
+    if n == 0:
+        raise MalformedTable("empty multiplication table")
+    for i, row in enumerate(mul):
+        if len(row) != n:
+            raise MalformedTable(f"row {i} has length {len(row)}, expected {n}")
+        for j, v in enumerate(row):
+            if not (0 <= v < n):
+                raise MalformedTable(f"entry ({i},{j}) = {v} out of range")
+    identity = None
+    for e in range(n):
+        if all(mul[e][a] == a and mul[a][e] == a for a in range(n)):
+            identity = e
+            break
+    if identity is None:
+        raise NoIdentity("no two-sided neutral element")
+    inv = []
+    for a in range(n):
+        b = next((b for b in range(n) if mul[a][b] == identity and mul[b][a] == identity), None)
+        if b is None:
+            raise NoInverse(f"element {a} has no two-sided inverse")
+        inv.append(b)
+    return LoopFiniteGroup(mul, identity, tuple(inv), tuple(int(g) for g in generators), label)
+
+
+def loop_int_row(
+    toks: Sequence[tuple[str, int]], no: int, bound: int, what: str
+) -> tuple[int, ...]:
+    row = []
+    for tok, col in toks:
+        v = _int_token(tok, no, col, what)
+        if not (0 <= v < bound):
+            raise ParseError(f"{what} {v} out of range 0..{bound - 1}", no, col)
+        row.append(v)
+    return tuple(row)
+
+
+def loop_parse_group(text: str) -> LoopFiniteGroup:
+    """Read `group <label> order <n>`, n table rows, `generators ...`."""
+    lines = _content_lines(text)
+    no, raw = _take(lines, 0, "a group header")
+    toks = _tokens(raw)
+    if toks[0][0] != "group":
+        raise ParseError("expected a 'group' header", no, toks[0][1])
+    if len(toks) != 4 or toks[2][0] != "order":
+        raise ParseError("header must read: group <label> order <n>", no, toks[0][1])
+    label = toks[1][0]
+    n = _int_token(toks[3][0], no, toks[3][1], "order")
+    if n < 1:
+        raise ParseError(f"order {n} must be positive", no, toks[3][1])
+    if n > MAX_ORDER:
+        raise ParseError(f"order {n} exceeds the supported maximum {MAX_ORDER}", no, toks[3][1])
+    rows = []
+    for r in range(n):
+        no, raw = _take(lines, 1 + r, f"table row {r}")
+        toks = _tokens(raw)
+        if len(toks) != n:
+            raise ParseError(
+                f"table row {r} has {len(toks)} entries, expected {n}", no, toks[0][1]
+            )
+        rows.append(loop_int_row(toks, no, n, "table entry"))
+    no, raw = _take(lines, 1 + n, "a 'generators' line")
+    toks = _tokens(raw)
+    if toks[0][0] != "generators" or len(toks) < 2:
+        raise ParseError("expected: generators <i1> <i2> ...", no, toks[0][1])
+    gens = loop_int_row(toks[1:], no, n, "generator")
+    if len(lines) > 2 + n:
+        no, raw = lines[2 + n]
+        raise ParseError("unexpected trailing content", no, _tokens(raw)[0][1])
+    return loop_make_group(tuple(rows), gens, label)
+
+
+def loop_parse_extension(text: str, base_dir: Path | None = None) -> D.SplitExtension:
+    """Read an `extension` header, then pi_big, gamma, p, s lines.  The small
+    quotient group is derived from the labels of the p line."""
+    lines = _content_lines(text)
+    no, raw = _take(lines, 0, "an extension header")
+    toks = _tokens(raw)
+    if toks[0][0] != "extension" or len(toks) > 2:
+        raise ParseError("expected: extension <label>", no, toks[0][1])
+
+    no, raw = _take(lines, 1, "a pi_big line")
+    toks = _tokens(raw)
+    if toks[0][0] != "pi_big" or len(toks) != 2:
+        raise ParseError("expected: pi_big <group-spec>", no, toks[0][1])
+    big = resolve_group_spec(toks[1][0], base_dir)
+
+    no, raw = _take(lines, 2, "a gamma line")
+    toks = _tokens(raw)
+    if toks[0][0] != "gamma" or len(toks) < 2:
+        raise ParseError("expected: gamma <i1> <i2> ...", no, toks[0][1])
+    gamma_members = loop_int_row(toks[1:], no, big.order, "gamma element")
+
+    no, raw = _take(lines, 3, "a p line")
+    toks = _tokens(raw)
+    if toks[0][0] != "p" or len(toks) != 1 + big.order:
+        raise ParseError(
+            f"expected: p with {big.order} labels, one per element", no, toks[0][1]
+        )
+    labels = loop_int_row(toks[1:], no, big.order, "quotient label")
+    k = len(set(labels))
+    if sorted(set(labels)) != list(range(k)):
+        raise ParseError(f"quotient labels must be exactly 0..{k - 1}", no, toks[1][1])
+    reps = {}
+    for x, a in enumerate(labels):
+        reps.setdefault(a, x)
+    small_mul = tuple(
+        tuple(labels[big.mul[reps[a]][reps[b]]] for b in range(k)) for a in range(k)
+    )
+    for x in big.elements:
+        for y in big.elements:
+            if labels[big.mul[x][y]] != small_mul[labels[x]][labels[y]]:
+                raise ParseError(
+                    f"the p labels are not compatible with the product at ({x}, {y})",
+                    no,
+                )
+    ident = labels[big.identity]
+    small_gens = tuple(
+        dict.fromkeys(labels[g] for g in big.generators if labels[g] != ident)
+    ) or (ident,)
+    small = loop_make_group(small_mul, small_gens, "pi_small")
+
+    no, raw = _take(lines, 4, "an s line")
+    toks = _tokens(raw)
+    if toks[0][0] != "s" or len(toks) != 1 + k:
+        raise ParseError(f"expected: s with {k} entries", no, toks[0][1])
+    s_map = loop_int_row(toks[1:], no, big.order, "section entry")
+    if len(lines) > 5:
+        no, raw = lines[5]
+        raise ParseError("unexpected trailing content", no, _tokens(raw)[0][1])
+    return D.SplitExtension(
+        big,
+        G.subgroup(big, gamma_members),
+        small,
+        GroupHom(big, small, labels),
+        GroupHom(small, big, s_map),
+    )
+
+
+def loop_symmetric(n: int) -> LoopFiniteGroup:
+    """Permutations of 0..n-1 in lexicographic order; (s.t)(i) = s(t(i))."""
+    if not (1 <= n <= SYMMETRIC_MAX_DEGREE):
+        raise MalformedTable(f"symmetric group supported for 1 <= n <= {SYMMETRIC_MAX_DEGREE}")
+    perms = sorted(itertools.permutations(range(n)))
+    pos = {p: i for i, p in enumerate(perms)}
+    mul = tuple(
+        tuple(pos[tuple(p[q[k]] for k in range(n))] for q in perms) for p in perms
+    )
+    if n == 1:
+        gens: tuple[int, ...] = (0,)
+    else:
+        swap = tuple([1, 0] + list(range(2, n)))
+        cycle = tuple(list(range(1, n)) + [0])
+        gens = tuple(dict.fromkeys((pos[swap], pos[cycle])))
+    return loop_make_group(mul, gens, f"S{n}")
+
+
+def loop_semidirect_product(
+    n_grp: FiniteGroup,
+    q_grp: FiniteGroup,
+    act: Sequence[GroupHom],
+    label: str | None = None,
+) -> SemidirectProduct:
+    """Build N x| Q with law (n1,q1)(n2,q2) = (n1 . act(q1)(n2), q1 q2).
+
+    The action is checked to be a hom on Q's generators in the second slot,
+    which is complete: those q2 form a set closed under products."""
+    if len(act) != q_grp.order:
+        raise NotAnAction("one automorphism per element of the acting group required")
+    for q, a in enumerate(act):
+        if a.src != n_grp or a.dst != n_grp or not a.is_bijective():
+            raise NotAnAction(f"entry {q} is not an automorphism of {n_grp.label}")
+    if act[q_grp.identity].map != tuple(range(n_grp.order)):
+        raise NotAnAction("identity of the acting group must act trivially")
+    for q1 in q_grp.elements:
+        for q2 in q_grp.generators:
+            want = act[q_grp.mul[q1][q2]].map
+            got = tuple(act[q1].map[act[q2].map[x]] for x in n_grp.elements)
+            if want != got:
+                raise NotAnAction(f"action fails to be a homomorphism at ({q1},{q2})")
+    qn = q_grp.order
+    enc = lambda n, q: n * qn + q  # noqa: E731
+
+    def law(i: int, j: int) -> int:
+        n1, q1 = divmod(i, qn)
+        n2, q2 = divmod(j, qn)
+        return enc(n_grp.mul[n1][act[q1].map[n2]], q_grp.mul[q1][q2])
+
+    size = n_grp.order * qn
+    table = tuple(tuple(law(i, j) for j in range(size)) for i in range(size))
+    enc_id = enc(n_grp.identity, q_grp.identity)
+    gens = list(dict.fromkeys(
+        g for g in (
+            [enc(g, q_grp.identity) for g in n_grp.generators]
+            + [enc(n_grp.identity, g) for g in q_grp.generators]
+        )
+        if g != enc_id
+    )) or [enc_id]
+    grp = loop_make_group(table, gens, label or f"{n_grp.label}:{q_grp.label}")
+    inclusion = GroupHom(n_grp, grp, tuple(enc(n, q_grp.identity) for n in n_grp.elements))
+    projection = GroupHom(grp, q_grp, tuple(i % qn for i in range(size)))
+    section = GroupHom(q_grp, grp, tuple(enc(n_grp.identity, q) for q in q_grp.elements))
+    return SemidirectProduct(grp, inclusion, projection, section)

@@ -329,6 +329,35 @@ class TestClosure:
         assert code == 0 and doc["found"]
         assert [c["class"] for c in doc["chain"]] == [1, 1, 1]
 
+    def test_each_group_is_built_once(self, capsys, monkeypatch, tmp_path):
+        """--pi, the registry lines and --group that name one constructor
+        spec, or one file by different relative paths, build it once."""
+        labels = []
+
+        def counting(mul, gens, label="G"):
+            labels.append(label)
+            return make_group(mul, gens, label)
+
+        make_group = G.make_group
+        monkeypatch.setattr(G, "make_group", counting)
+        monkeypatch.setattr(F, "make_group", counting)
+        (tmp_path / "f6.txt").write_text(F.format_group(G.dihedral(6)).replace("D6", "F6"))
+        reg = tmp_path / "sub" / "reg.txt"
+        reg.parent.mkdir()
+        monkeypatch.chdir(tmp_path)
+        for lines, group, built in (
+            ("elementary dihedral:6 0\nelementary cyclic:2 1\n", "dihedral:6", "D6"),
+            ("elementary ../f6.txt 0\nelementary cyclic:2 1\n", "f6.txt", "F6"),
+        ):
+            reg.write_text(lines)
+            labels.clear()
+            code, out, _ = run(
+                capsys, "closure", "--pi", "cyclic:2", "--registry", str(reg),
+                "--group", group, "--class", "1", "--max-n", "2",
+            )
+            assert code == 0 and out.startswith(f"class 1 of {built}: ")
+            assert labels.count(built) == 1
+
 
 class TestLocalSurvey:
     def test_all_classes_decomposed(self, capsys):

@@ -365,6 +365,10 @@ class TestIndentedWriter:
             {"\u00e9\u2603\U0001f600": "tab\tquote\"back\\slash\u0000"},
             (1, -2, 3),
             [2**100, -(2**100), 1.0, -0.0, 1e300],
+            [1, True, 2],
+            [0, 1, None],
+            [3, 2.5, -0.0, float("nan")],
+            {"rows": [[0, 1], [1, False], [None, 0]]},
         ],
     )
     def test_edge_cases(self, value):
