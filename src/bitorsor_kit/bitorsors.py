@@ -23,11 +23,10 @@ the transport of a normal subgroup is read through point 0 alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DomainError, by_formula, validating
+from .errors import DomainError, by_formula, record, validating
 from .groups import (
     FiniteGroup,
     GroupHom,
@@ -71,7 +70,7 @@ class InvalidMorphism(BitorsorError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Bitorsor:
     """Points 0..k-1 carrying a left and a right group action that commute,
     each free and transitive."""
@@ -147,7 +146,7 @@ class Bitorsor:
         return f"Bitorsor({self.left_group.label}|{self.size} pts|{self.right_group.label})"
 
 
-@dataclass(frozen=True)
+@record
 class BitorsorMorphism:
     """A triple (left hom, point map, right hom), equivariant on both sides."""
 

@@ -19,7 +19,6 @@ component of point 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from . import bitorsors as bt
@@ -31,7 +30,7 @@ from .equivariant import (
     PiMorphism,
     ThetaBitorsor,
 )
-from .errors import DomainError, by_formula
+from .errors import DomainError, by_formula, record
 from .rclass import Factorization
 from .groups import (
     FiniteGroup,
@@ -56,7 +55,7 @@ class OracleRefused(DomainError):
         self.factor = factor
 
 
-@dataclass(frozen=True)
+@record
 class SplitExtension:
     """A surjection p with kernel gamma and a homomorphic section s."""
 
@@ -117,7 +116,7 @@ def is_type_pi(p: PiBitorsor, e: SplitExtension) -> bool:
     return all(p.pi_action_on_points[c] == ident for c in e.gamma.members)
 
 
-@dataclass(frozen=True)
+@record
 class DecompositionCertificate:
     """The intermediate data of the decomposition, kept so a checker can
     replay every step."""
@@ -131,7 +130,7 @@ class DecompositionCertificate:
     gamma_surjection: GroupHom
 
 
-@dataclass(frozen=True)
+@record
 class Decomposition:
     y: PiBitorsor
     z: PiBitorsor
@@ -139,7 +138,7 @@ class Decomposition:
     certificate: DecompositionCertificate
 
 
-@dataclass(frozen=True)
+@record
 class VerificationResult:
     ok: bool
     diagnosis: str
@@ -356,7 +355,7 @@ def _check_collapse(
     return None
 
 
-@dataclass(frozen=True)
+@record
 class MembershipCertificate:
     """The decomposition plus the two-factor wedge it induces."""
 

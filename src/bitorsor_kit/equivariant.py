@@ -24,7 +24,6 @@ errors.by_formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -36,7 +35,7 @@ from .bitorsors import (
     NotComposable,
     SignatureMismatch,
 )
-from .errors import DomainError, by_formula
+from .errors import DomainError, by_formula, record
 from .groups import (
     FiniteGroup,
     GroupHom,
@@ -68,7 +67,7 @@ class NotPiEquivariant(EquivariantError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class PiGroup:
     """A group together with an action of pi on it by automorphisms."""
 
@@ -180,7 +179,7 @@ def quotient_pi_group(pg: PiGroup, h: Subgroup) -> tuple[PiGroup, GroupHom]:
     return PiGroup(gq, pg.pi, acts), q
 
 
-@dataclass(frozen=True)
+@record
 class PiBitorsor:
     """A bitorsor whose structure groups and points carry compatible
     Pi-actions.  The right structure is stored explicitly even when
@@ -247,7 +246,7 @@ class PiBitorsor:
         return f"PiBitorsor({self.pi.label} acting, {self.bitorsor!r})"
 
 
-@dataclass(frozen=True)
+@record
 class ThetaBitorsor:
     """A carrier plus a homomorphism theta from pi into its left group;
     the compact presentation of a PiBitorsor with constant right group."""
@@ -312,7 +311,7 @@ def to_theta(p: PiBitorsor) -> ThetaBitorsor:
     return ThetaBitorsor(b, GroupHom(p.pi, b.left_group, theta_map))
 
 
-@dataclass(frozen=True)
+@record
 class PiMorphism:
     """A carrier morphism whose three components commute with the
     Pi-actions on both sides."""
@@ -516,7 +515,7 @@ def factor_morphism_pi(
     return PiMorphism(m.src, img_pi, alpha), beta_pi, img_pi
 
 
-@dataclass(frozen=True)
+@record
 class PiWedgeFactorization:
     """An equivariant morphism out of a glued pair, rewritten as canonical
     middle-group extensions of both factors followed by an isomorphism."""

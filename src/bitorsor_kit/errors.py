@@ -1,5 +1,6 @@
 """Shared error root so the CLI can map any domain failure to one exit code,
-and the one constructor for values the calculus builds by formula."""
+the frozen record every value class is, and the one constructor for values
+the calculus builds by formula."""
 
 import os
 from contextlib import contextmanager
@@ -14,13 +15,55 @@ FULL_CHECK = os.environ.get("BITORSOR_CHECK") == "full"
 _probing = False
 
 
+class FrozenError(AttributeError):
+    """Assignment to, or deletion of, an attribute of a record."""
+
+
+def _frozen(self, name, *value):
+    raise FrozenError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+def record(cls=None, *, uncompared=()):
+    """`cls` as an immutable record of its annotated fields, with what
+    @dataclass(frozen=True) gives it: __init__ over the fields in order, then
+    self.__post_init__() if the class defines one; __eq__ (same class only)
+    and __hash__ over the tuple of the fields not `uncompared`; __repr__;
+    __match_args__; FrozenError on assignment or deletion.  Methods the class
+    defines are kept.  One generated source per class holds the methods."""
+    if cls is None:
+        return lambda c: record(c, uncompared=uncompared)
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    keys = "".join(f"self.{n}," for n in names if n not in uncompared)
+    ns = {"_set": object.__setattr__}
+    exec(
+        f"def __init__(self, {', '.join(names)}):\n"
+        + "".join(f"    _set(self, {n!r}, {n})\n" for n in names)
+        + ("    self.__post_init__()\n" if "__post_init__" in cls.__dict__ else "")
+        + "def __eq__(self, other):\n    if self is other:\n        return True\n"
+        "    if other.__class__ is self.__class__:\n"
+        f"        return ({keys}) == ({keys.replace('self.', 'other.')})\n"
+        "    return NotImplemented\n"
+        f"def __hash__(self):\n    return hash(({keys}))\n"
+        "def __repr__(self):\n    return self.__class__.__qualname__ + "
+        f"f'({', '.join(f'{n}={{self.{n}!r}}' for n in names)})'\n",
+        ns,
+    )
+    for attr in ("__init__", "__eq__", "__hash__", "__repr__"):
+        ns[attr].__qualname__ = f"{cls.__qualname__}.{attr}"
+        if attr not in cls.__dict__:
+            setattr(cls, attr, ns[attr])
+    cls.__setattr__ = cls.__delattr__ = _frozen
+    cls.__match_args__ = names
+    return cls
+
+
 def by_formula(cls, *values):
-    """The frozen dataclass `cls` with these field values, for a value
-    computed by formula from validated inputs: its invariants hold by
-    construction, so its __post_init__ validator is skipped.  With
-    BITORSOR_CHECK=full it runs, and a failure raises AssertionError, which
-    no `except DomainError` swallows; inside `validating()` it runs and
-    raises as the constructor would."""
+    """The record `cls` with these field values, for a value computed by
+    formula from validated inputs: its invariants hold by construction, so
+    its __post_init__ validator is skipped.  With BITORSOR_CHECK=full it
+    runs, and a failure raises AssertionError, which no `except DomainError`
+    swallows; inside `validating()` it runs and raises as the constructor
+    would."""
     obj = object.__new__(cls)
     obj.__dict__.update(zip(cls.__match_args__, values))
     if _probing:

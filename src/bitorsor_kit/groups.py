@@ -14,12 +14,11 @@ conjugate: the conjugate with the lexicographically least map.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DomainError, by_formula
+from .errors import DomainError, by_formula, record
 
 
 class GroupError(DomainError):
@@ -125,7 +124,7 @@ def _check_square(mul: Sequence[Sequence[int]]) -> None:
             raise MalformedTable(f"entry ({i},{j}) = {v} out of range")
 
 
-@dataclass(frozen=True)
+@record(uncompared=("label",))
 class FiniteGroup:
     """A finite group on indices 0..order-1 given by its full product table.
 
@@ -136,7 +135,7 @@ class FiniteGroup:
     identity: int
     inv: tuple[int, ...]
     generators: tuple[int, ...]
-    label: str = field(compare=False)
+    label: str
 
     def __post_init__(self) -> None:
         """Complete by Light's test: once the generators are known to
@@ -170,11 +169,12 @@ class FiniteGroup:
         if len(got) != n:
             missing = min(set(range(n)) - got)
             raise GeneratorsDoNotGenerate(f"element {missing} not generated")
+        # row a of a.(b.c) is row a read through row b; order 1 is associative
+        through = [(b, itemgetter(*mul[b])) for b in self.generators] if n > 1 else []
         for a, ra in enumerate(mul):
-            for b in self.generators:
-                rab, rb = mul[ra[b]], mul[b]
-                if tuple(rab) != tuple(map(ra.__getitem__, rb)):
-                    c = next(c for c in range(n) if rab[c] != ra[rb[c]])
+            for b, read in through:
+                if read(ra) != tuple(mul[ra[b]]):
+                    c = next(c for c in range(n) if mul[ra[b]][c] != ra[mul[b][c]])
                     raise NotAssociative(f"first violating triple (a,b,c)=({a},{b},{c})")
 
     @cached_property
@@ -210,7 +210,9 @@ def make_group(mul_table: Sequence[Sequence[int]], generators: Iterable[int], la
     """Validate a raw table and package it, discovering identity and inverses:
     the first element whose row and column are the identity permutation,
     and for each a the first b in its row with a.b = b.a = identity."""
-    mul = tuple(tuple(map(int, row)) for row in mul_table)
+    mul = tuple(mul_table)
+    if {*map(type, mul)} != {tuple} or {*map(type, itertools.chain.from_iterable(mul))} != {int}:
+        mul = tuple(tuple(map(int, row)) for row in mul)
     _check_square(mul)
     n = len(mul)
     ident = tuple(range(n))
@@ -232,7 +234,7 @@ def make_group(mul_table: Sequence[Sequence[int]], generators: Iterable[int], la
     return FiniteGroup(mul, identity, tuple(inv), tuple(map(int, generators)), label)
 
 
-@dataclass(frozen=True)
+@record
 class GroupHom:
     """A homomorphism given pointwise; validated on construction."""
 
@@ -286,7 +288,7 @@ def compose_homs(outer: GroupHom, inner: GroupHom) -> GroupHom:
     return by_formula(GroupHom, inner.src, outer.dst, tuple(outer.map[v] for v in inner.map))
 
 
-@dataclass(frozen=True)
+@record
 class Subgroup:
     """A subgroup as a sorted member list of the parent's indices."""
 
@@ -569,7 +571,7 @@ def symmetric(n: int) -> FiniteGroup:
     return make_group(mul, gens, f"S{n}")
 
 
-@dataclass(frozen=True)
+@record
 class SemidirectProduct:
     group: FiniteGroup
     inclusion: GroupHom  # N -> group

@@ -5,12 +5,11 @@ decompositions over a chosen structure group."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import devissage as dv
 from . import equivariant as eq
 from .devissage import SplitExtension
-from .errors import DomainError
+from .errors import DomainError, record
 from .groups import MAX_ORDER, FiniteGroup, cyclic_power_action, kernel, semidirect_product
 
 
@@ -22,7 +21,7 @@ class BadParams(LocalModelError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class TameParams:
     """q: residue size analogue; n: inertia order, coprime to q; m: degree
     of the unramified part, with q**m = 1 mod n so the twist closes up.  The
@@ -60,7 +59,7 @@ def build_tame_quotient(p: TameParams) -> SplitExtension:
     )
 
 
-@dataclass(frozen=True)
+@record
 class SurveyRow:
     class_index: int
     theta: tuple[int, ...]
@@ -73,7 +72,7 @@ class SurveyRow:
     diagnosis: str
 
 
-@dataclass(frozen=True)
+@record
 class SurveyReport:
     params: TameParams
     group_label: str

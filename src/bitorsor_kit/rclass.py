@@ -8,14 +8,13 @@ isomorphisms are searched only to build the witness of a factorization."""
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import bitorsors as bt
 from . import equivariant as eq
 from .bitorsors import SignatureMismatch
 from .equivariant import PiBitorsor, PiMorphism, ThetaBitorsor, class_index_of_hom
-from .errors import DomainError, by_formula
+from .errors import DomainError, by_formula, record
 from .groups import FiniteGroup, GroupHom, compose_homs, enumerate_homs
 
 
@@ -35,7 +34,7 @@ class InvalidFactorization(RClassError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class ElementaryClassRegistry:
     """An explicit finite stand-in for the class of elementary carriers:
     members are (universe index, class index) pairs into the h1 enumeration
@@ -70,7 +69,7 @@ class ElementaryClassRegistry:
         return (self.group_index(t.bitorsor.right_group), eq.classify(t)) in self.members
 
 
-@dataclass(frozen=True)
+@record
 class RegistryCheck:
     ok: bool
     violation: str
@@ -144,7 +143,7 @@ def validate_registry(
     return RegistryCheck(True, "")
 
 
-@dataclass(frozen=True)
+@record
 class Factorization:
     """A target rewritten as a wedge of composable factors, with the
     connecting isomorphism revalidated on construction."""

@@ -100,6 +100,14 @@ def scrambled_trivial(
     return B.Bitorsor(g, g, left, right)
 
 
+def replace(value, **changes):
+    """A copy of a record with `changes` applied, built through its
+    constructor (so validated) as dataclasses.replace builds one; a name
+    that is not a field raises TypeError."""
+    fields = {name: getattr(value, name) for name in value.__match_args__}
+    return type(value)(**{**fields, **changes})
+
+
 @pytest.fixture
 def make_carrier():
     return scrambled_trivial

@@ -38,12 +38,15 @@ wedge rewrite, with the records and helpers of the library they need.
 Table readers: the group-file and extension parsers, make_group, the
 FiniteGroup validator and the semidirect and symmetric constructors that
 read, checked and built each table entry by entry.
+
+Records: the @dataclass(frozen=True) each value class was before
+errors.record replaced dataclasses in the library.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field, make_dataclass
 from collections.abc import Sequence
 from functools import lru_cache
 
@@ -1628,3 +1631,27 @@ def loop_semidirect_product(
     projection = GroupHom(grp, q_grp, tuple(i % qn for i in range(size)))
     section = GroupHom(q_grp, grp, tuple(enc(n_grp.identity, q) for q in q_grp.elements))
     return SemidirectProduct(grp, inclusion, projection, section)
+
+
+# What errors.record generates or sets; a twin gets its own from dataclass.
+_RECORD_MADE = {
+    "__init__", "__eq__", "__hash__", "__setattr__", "__delattr__", "__match_args__",
+    "__dict__", "__weakref__", "__annotations__", "__module__", "__qualname__", "__doc__",
+}
+
+
+def dataclass_twin(cls):
+    """The frozen dataclass a record class stands for: the fields of its
+    annotations in order (FiniteGroup.label with compare=False), and every
+    method its body defines, __post_init__ and cached properties included.
+    A __repr__ generated by errors.record (compiled from "<string>") is left
+    for dataclass to generate."""
+    uncompared = ("label",) if cls is G.FiniteGroup else ()
+    fields = [
+        (name, object, field(compare=False)) if name in uncompared else (name, object)
+        for name in vars(cls)["__annotations__"]
+    ]
+    own = {k: v for k, v in vars(cls).items() if k not in _RECORD_MADE}
+    if own["__repr__"].__code__.co_filename == "<string>":
+        del own["__repr__"]
+    return make_dataclass(cls.__name__, fields, namespace=own, frozen=True)

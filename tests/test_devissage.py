@@ -4,8 +4,6 @@ membership."""
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 import reference_checks as ref
@@ -14,7 +12,7 @@ from bitorsor_kit import devissage as D
 from bitorsor_kit import equivariant as E
 from bitorsor_kit import groups as G
 
-from conftest import scrambled_trivial
+from conftest import replace, scrambled_trivial
 
 
 def split_from_semidirect(sd: G.SemidirectProduct) -> D.SplitExtension:
@@ -301,14 +299,14 @@ class TestLifts:
 class TestVerifyNegatives:
     def test_swapped_factors_fail_to_glue(self, ext_s3, d_s3):
         t, d = d_s3
-        bad = dataclasses.replace(d, y=d.z, z=d.y)
+        bad = replace(d, y=d.z, z=d.y)
         res = D.verify_decomposition(t, bad, ext_s3)
         assert not res
         assert res.diagnosis.startswith("factors do not glue")
 
     def test_swapped_factors_fail_the_type_check(self, ext_z6, d_z6):
         t, d = d_z6
-        bad = dataclasses.replace(d, y=d.z, z=d.y)
+        bad = replace(d, y=d.z, z=d.y)
         res = D.verify_decomposition(t, bad, ext_z6)
         assert not res
         assert res.diagnosis in (
@@ -318,7 +316,7 @@ class TestVerifyNegatives:
 
     def test_witness_with_wrong_endpoints_does_not_connect(self, ext_s3, d_s3):
         t, d = d_s3
-        bad = dataclasses.replace(d, witness_iso=E.pi_identity_morphism(d.y))
+        bad = replace(d, witness_iso=E.pi_identity_morphism(d.y))
         res = D.verify_decomposition(t, bad, ext_s3)
         assert not res
         assert res.diagnosis == "witness iso does not connect the wedge to the input"
@@ -334,7 +332,7 @@ class TestVerifyNegatives:
             tuple(0 for _ in wedge.bitorsor.points),
             trivial_theta(wedge.bitorsor.right_group, x.bitorsor.right_group),
         )
-        bad = dataclasses.replace(
+        bad = replace(
             d, witness_iso=E.PiMorphism(wedge, x, collapse)
         )
         res = D.verify_decomposition(t, bad, ext_z6)
@@ -344,36 +342,36 @@ class TestVerifyNegatives:
     def test_collapsed_gamma_surjection_is_not_onto(self, ext_s3, d_s3):
         t, d = d_s3
         gs = d.certificate.gamma_surjection
-        cert = dataclasses.replace(
+        cert = replace(
             d.certificate,
             gamma_surjection=trivial_theta(gs.src, gs.dst),
         )
-        res = D.verify_decomposition(t, dataclasses.replace(d, certificate=cert), ext_s3)
+        res = D.verify_decomposition(t, replace(d, certificate=cert), ext_s3)
         assert not res
         assert res.diagnosis == "gamma surjection is not onto"
 
     def test_gamma_surjection_with_wrong_target(self, ext_s3, d_s3):
         t, d = d_s3
-        cert = dataclasses.replace(
+        cert = replace(
             d.certificate,
             gamma_surjection=trivial_theta(
                 d.certificate.gamma_surjection.src, ext_s3.pi_small
             ),
         )
-        res = D.verify_decomposition(t, dataclasses.replace(d, certificate=cert), ext_s3)
+        res = D.verify_decomposition(t, replace(d, certificate=cert), ext_s3)
         assert not res
         assert res.diagnosis == "gamma surjection has the wrong signature"
 
     def test_mismatched_witness_morphism(self, ext_s3, d_s3):
         t, d = d_s3
-        cert = dataclasses.replace(d.certificate, w_witness=d.z)
-        res = D.verify_decomposition(t, dataclasses.replace(d, certificate=cert), ext_s3)
+        cert = replace(d.certificate, w_witness=d.z)
+        res = D.verify_decomposition(t, replace(d, certificate=cert), ext_s3)
         assert not res
         assert res.diagnosis == "stored witness morphism does not map into the y factor"
 
     def _tampered(self, t, d, e, **fields):
-        cert = dataclasses.replace(d.certificate, **fields)
-        return D.verify_decomposition(t, dataclasses.replace(d, certificate=cert), e)
+        cert = replace(d.certificate, **fields)
+        return D.verify_decomposition(t, replace(d, certificate=cert), e)
 
     def test_h_prime_must_be_the_image_of_gamma(self, ext_s3, d_s3, s3):
         t, d = d_s3
@@ -416,10 +414,10 @@ class TestVerifyNegatives:
         )
         assert other.certificate.s_low != d.certificate.s_low
         keep = ("h_prime", "quotient_map", "s_low", "theta_tilde")
-        cert = dataclasses.replace(
+        cert = replace(
             other.certificate, **{f: getattr(d.certificate, f) for f in keep}
         )
-        res = D.verify_decomposition(t, dataclasses.replace(other, certificate=cert), ext_s3)
+        res = D.verify_decomposition(t, replace(other, certificate=cert), ext_s3)
         assert not res
         assert res.diagnosis == "z is not the expansion of theta_tilde"
 
@@ -432,8 +430,8 @@ class TestVerifyNegatives:
         gs = d.certificate.gamma_surjection
         flipped = G.GroupHom(gs.src, gs.dst, tuple(gs.dst.inv[v] for v in gs.map))
         assert flipped != gs
-        cert = dataclasses.replace(d.certificate, gamma_surjection=flipped)
-        res = D.verify_decomposition(t, dataclasses.replace(d, certificate=cert), ext_z6)
+        cert = replace(d.certificate, gamma_surjection=flipped)
+        res = D.verify_decomposition(t, replace(d, certificate=cert), ext_z6)
         assert not res
         assert res.diagnosis == "the witness's left group is not the image of gamma"
 

@@ -1,16 +1,19 @@
 """The package's public names: every name in __all__ resolves, and each
-command loads only the modules it runs."""
+command loads only the modules it runs, never dataclasses or inspect."""
 
 from __future__ import annotations
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
 import bitorsor_kit
+from bitorsor_kit import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CORE = ["bitorsor_kit", "bitorsor_kit.cli", "bitorsor_kit.errors", "bitorsor_kit.formats", "bitorsor_kit.groups"]
@@ -49,16 +52,43 @@ def test_dir_covers_all_and_the_exporting_modules():
     assert bitorsor_kit.groups.make_group is bitorsor_kit.make_group
 
 
+# Standard modules no command may load: importing dataclasses, which
+# imports inspect, costs a fresh process about 12 ms (python -X importtime).
+NEVER = ["dataclasses", "inspect"]
+CALCULUS = ["bitorsor_kit.bitorsors", "bitorsor_kit.equivariant"]
+DEVISSAGE = CALCULUS + ["bitorsor_kit.devissage", "bitorsor_kit.rclass"]
+EXTENSION = "extension tame\npi_big semidirect:3:2:2\ngamma 0 2 4\np 0 1 0 1 0 1\ns 0 1\n"
+
+
 def loaded_after(code: str) -> list[str]:
-    """The bitorsor_kit modules a fresh interpreter holds after `code`."""
+    """The bitorsor_kit modules a fresh interpreter holds after `code`; it
+    must hold none of NEVER."""
     script = (
         f"import sys; sys.path.insert(0, {str(SRC)!r})\n{code}\n"
-        "print(__import__('json').dumps(sorted(m for m in sys.modules if m.startswith('bitorsor_kit'))))"
+        "print(__import__('json').dumps(sorted(m for m in sys.modules if m.startswith('bitorsor_kit') "
+        f"or m in {NEVER!r})))"
     )
     out = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True
     ).stdout
-    return json.loads(out.splitlines()[-1])
+    loaded = json.loads(out.splitlines()[-1])
+    assert [m for m in NEVER if m in loaded] == []
+    return loaded
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory) -> dict[str, str]:
+    """An extension, a registry, and a certificate decompose wrote."""
+    work = tmp_path_factory.mktemp("inputs")
+    (work / "tame.ext").write_text(EXTENSION)
+    (work / "reg.txt").write_text("elementary cyclic:4 0\nelementary cyclic:4 1\n")
+    out = io.StringIO()
+    with redirect_stdout(out):
+        argv = ["decompose", "--extension", str(work / "tame.ext"), "--group", "symmetric:3",
+                "--class", "2", "--format", "json"]
+        assert cli.main(argv) == 0
+    (work / "cert.json").write_text(out.getvalue())
+    return {"ext": str(work / "tame.ext"), "reg": str(work / "reg.txt"), "cert": str(work / "cert.json")}
 
 
 @pytest.mark.parametrize(
@@ -68,12 +98,28 @@ def loaded_after(code: str) -> list[str]:
         ("from bitorsor_kit import cli; cli.main(['validate-group', '--group', 'dihedral:5'])", []),
         (
             "from bitorsor_kit import cli; cli.main(['h1', '--pi', 'cyclic:2', '--group', 'symmetric:3'])",
-            ["bitorsor_kit.bitorsors", "bitorsor_kit.equivariant"],
+            CALCULUS,
+        ),
+        (
+            "from bitorsor_kit import cli; cli.main(['decompose', '--extension', '{ext}', "
+            "'--group', 'symmetric:3', '--class', '2'])",
+            DEVISSAGE,
+        ),
+        ("from bitorsor_kit import cli; cli.main(['verify', '--certificate', '{cert}'])", DEVISSAGE),
+        (
+            "from bitorsor_kit import cli; cli.main(['closure', '--pi', 'cyclic:4', '--registry', "
+            "'{reg}', '--group', 'cyclic:4', '--class', '2', '--max-n', '3'])",
+            CALCULUS + ["bitorsor_kit.rclass"],
+        ),
+        (
+            "from bitorsor_kit import cli; cli.main(['local-survey', '--q', '2', '--n', '3', "
+            "'--m', '2', '--group', 'cyclic:2'])",
+            DEVISSAGE + ["bitorsor_kit.local_model"],
         ),
     ],
 )
-def test_a_command_loads_only_what_it_runs(code, extra):
-    assert loaded_after(code) == sorted(CORE + extra)
+def test_a_command_loads_only_what_it_runs(code, extra, inputs):
+    assert loaded_after(code.format(**inputs)) == sorted(CORE + extra)
 
 
 def test_importing_the_package_loads_no_module():

@@ -6,8 +6,6 @@ one the search it replaced finds."""
 
 from __future__ import annotations
 
-import dataclasses
-
 import reference_checks as ref
 from bitorsor_kit import bitorsors as B
 from bitorsor_kit import devissage as D
@@ -15,7 +13,7 @@ from bitorsor_kit import equivariant as E
 from bitorsor_kit import groups as G
 from bitorsor_kit import local_model as L
 
-from conftest import plain_rewrite, scrambled_trivial
+from conftest import over_c1, plain_rewrite, scrambled_trivial
 from test_acceptance import _acceptance_extensions
 from test_search import UNIVERSE, _pi_wedge_cases, _plain_wedge_cases
 
@@ -25,8 +23,8 @@ def labels(x) -> list[str]:
     ignores labels, but labels reach the output."""
     if isinstance(x, G.FiniteGroup):
         return [x.label]
-    if dataclasses.is_dataclass(x):
-        return [s for f in dataclasses.fields(x) for s in labels(getattr(x, f.name))]
+    if hasattr(type(x), "__match_args__"):
+        return [s for f in x.__match_args__ for s in labels(getattr(x, f))]
     if isinstance(x, tuple) and x and not isinstance(x[0], int):
         return [s for v in x for s in labels(v)]
     return []
@@ -35,6 +33,14 @@ def labels(x) -> list[str]:
 def assert_same(got, want) -> None:
     assert got == want
     assert labels(got) == labels(want)
+
+
+def test_labels_walks_the_fields_of_a_record(rng):
+    """A PiBitorsor over C1: each side is (group, pi, its one action hom's
+    source and target), then the carrier's two groups."""
+    p = over_c1(scrambled_trivial(G.symmetric(3), rng))
+    side = ["S3", "C1", "S3", "S3"]
+    assert labels(p) == side + side + ["S3", "S3"]
 
 
 def test_orbit_partition_matches_reference(rng):
