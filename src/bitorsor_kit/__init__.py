@@ -13,7 +13,7 @@ _EXPORTS = {
         "pushforward", "trivial_bitorsor",
     ),
     "devissage": (
-        "Decomposition", "SplitExtension", "decompose", "decompose_with_lift", "is_type_pi",
+        "Decomposition", "SplitExtension", "decompose", "is_type_pi",
         "th_ppal_membership", "verify_decomposition",
     ),
     "equivariant": (

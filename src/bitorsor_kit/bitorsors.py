@@ -9,7 +9,9 @@ generators of the groups involved (the closure argument of Light's
 associativity test, Clifford & Preston I, section 1.2), and freeness and
 transitivity at point 0 only, which decides them everywhere once the action
 laws hold.  Carriers and morphisms computed by formula from checked ones
-skip the check through errors.by_formula; searches keep it as predicate.
+skip the check through errors.by_formula; so do the isomorphisms, built at a
+base point (base_point_iso).  The one probe that filters on a validator,
+condition (iv) of induced_conditions, calls the checked constructors.
 
 Gluing is written in base-point coordinates (Giraud, Cohomologie non
 abelienne, 1971): with x = 0.c, the class of (x, z) is that of (0, c.z), so
@@ -26,7 +28,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DomainError, by_formula, record, validating
+from .errors import DomainError, by_formula, record
 from .groups import (
     FiniteGroup,
     GroupHom,
@@ -311,12 +313,9 @@ def point_conjugation(b: Bitorsor, x: int) -> GroupHom:
 
 def trivialize(b: Bitorsor, x: int) -> tuple[GroupHom, BitorsorMorphism]:
     """Identify b with the trivial carrier through the point x."""
-    conj = point_conjugation(b, x)
-    u = tuple(b.right_act[x][g] for g in b.right_group.elements)
-    m = BitorsorMorphism(
-        trivial_bitorsor(b.right_group), b, conj, u, identity_hom(b.right_group)
-    )
-    return conj, m
+    g = b.right_group
+    m = base_point_iso(trivial_bitorsor(g), g.identity, b, x, identity_hom(g))
+    return m.phi_left, m
 
 
 def corresponding_normal_subgroup(b: Bitorsor, h: Subgroup) -> Subgroup:
@@ -415,12 +414,14 @@ def induced_conditions(
     cond_ii = bool(classes)
     # (iii): mirrored on the left
     cond_iii = bool(orbit_partition(b, hp.members, left=True))
-    # (iv): an actual two-sided sub-bitorsor materializes on some class
+    # (iv): an actual two-sided sub-bitorsor materializes on some class,
+    # through the checked constructors, whose validators are the predicate
     witness_cls = None
     for cls in classes:
+        sub, incl = sub_bitorsor_on_class(b, h, cls)
         try:
-            with validating():
-                sub_bitorsor_on_class(b, h, cls)
+            Bitorsor(sub.left_group, sub.right_group, sub.left_act, sub.right_act)
+            BitorsorMorphism(sub, b, incl.phi_left, incl.point_map, incl.phi_right)
         except DomainError:
             continue
         witness_cls = cls
@@ -593,33 +594,34 @@ def factor_morphism(
     return alpha, beta, img
 
 
+def base_point_iso(
+    b1: Bitorsor, x0: int, b2: Bitorsor, y0: int, rho: GroupHom
+) -> BitorsorMorphism:
+    """The isomorphism b1 -> b2 sending x0.g to y0.rho(g), for an isomorphism
+    rho of the right groups.  Its left hom is rho transported through the
+    two points: a left element of a bitorsor is a symmetry of its right
+    torsor, and the point map carries each symmetry of b1 to one of b2
+    (Giraud, Cohomologie non abelienne, 1971)."""
+    v = [0] * b1.size
+    for g in b1.right_group.elements:
+        v[b1.right_act[x0][g]] = b2.right_act[y0][rho.map[g]]
+    into = {b2.left_act[gp][y0]: gp for gp in b2.left_group.elements}
+    lam = by_formula(
+        GroupHom, b1.left_group, b2.left_group,
+        tuple(into[v[row[x0]]] for row in b1.left_act),
+    )
+    return by_formula(BitorsorMorphism, b1, b2, lam, tuple(v), rho)
+
+
 def bitorsor_isomorphisms(
     b1: Bitorsor, b2: Bitorsor, right_isos: Iterable[GroupHom]
 ) -> Iterator[BitorsorMorphism]:
     """Yield every isomorphism b1 -> b2 whose right hom is one of right_isos,
     lazily: for each right hom rho in the given order, for each image y0 of
     point 0 in point order."""
-    if b1.size != b2.size:
-        return
     for rho in right_isos:
         for y0 in b2.points:
-            v = [0] * b1.size
-            for g in b1.right_group.elements:
-                v[b1.right_act[0][g]] = b2.right_act[y0][rho.map[g]]
-            into = {}
-            for gp in b2.left_group.elements:
-                into[b2.left_act[gp][y0]] = gp
-            try:
-                lam = GroupHom(
-                    b1.left_group,
-                    b2.left_group,
-                    tuple(into[v[b1.left_act[gp][0]]] for gp in b1.left_group.elements),
-                )
-                m = BitorsorMorphism(b1, b2, lam, tuple(v), rho)
-            except DomainError:
-                continue
-            if m.is_isomorphism():
-                yield m
+            yield base_point_iso(b1, 0, b2, y0, rho)
 
 
 def are_isomorphic(
@@ -649,53 +651,13 @@ def wedge_of_morphisms(
 
 
 def rho_pools(glued: BitorsorMorphism, m: BitorsorMorphism) -> list[Sequence[int]]:
-    """Image pools, per generator of glued's right group, for the right hom
-    rho of wedge_completions(glued, m, ...).  Its check rho o glued.phi_right
-    = m.phi_right fixes rho on the image of glued.phi_right, so a generator
-    there gets its one admissible image.  A search over these pools keeps
-    its order and drops only homs that the check rejects, so it yields the
-    same completions, first hit included."""
+    """Image pools, per generator of glued's right group, for a right hom rho
+    with rho o glued.phi_right = m.phi_right: the equation fixes rho on the
+    image of glued.phi_right, so a generator there gets its one admissible
+    image.  A search over these pools keeps its order and drops only homs
+    that the equation rejects."""
     forced = dict(zip(glued.phi_right.map, m.phi_right.map))
     every = range(m.dst.right_group.order)
     return [
         (forced[r],) if r in forced else every for r in glued.dst.right_group.generators
     ]
-
-
-def wedge_completions(
-    glued: BitorsorMorphism, m: BitorsorMorphism, right_isos: Iterable[GroupHom]
-) -> Iterator[BitorsorMorphism]:
-    """Yield every isomorphism psi with psi o glued = m whose right hom is one
-    of right_isos, lazily and in their order.  psi sends the image of point
-    0 under glued to the image of point 0 under m, so rho fixes it."""
-    dst_wedge = glued.dst
-    w0 = glued.point_map[0]
-    c0 = m.point_map[0]
-    into_dst_left = {}
-    for hp in m.dst.left_group.elements:
-        into_dst_left[m.dst.left_act[hp][c0]] = hp
-    for rho in right_isos:
-        v = [0] * dst_wedge.size
-        for r in dst_wedge.right_group.elements:
-            v[dst_wedge.right_act[w0][r]] = m.dst.right_act[c0][rho.map[r]]
-        try:
-            lam = GroupHom(
-                dst_wedge.left_group,
-                m.dst.left_group,
-                tuple(
-                    into_dst_left[v[dst_wedge.left_act[lp][w0]]]
-                    for lp in dst_wedge.left_group.elements
-                ),
-            )
-            psi = BitorsorMorphism(dst_wedge, m.dst, lam, tuple(v), rho)
-        except DomainError:
-            continue
-        if not psi.is_isomorphism():
-            continue
-        composite = compose_bimorphisms(psi, glued)
-        if (
-            composite.point_map == m.point_map
-            and composite.phi_left == m.phi_left
-            and composite.phi_right == m.phi_right
-        ):
-            yield psi

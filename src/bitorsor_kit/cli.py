@@ -94,13 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_text(path: Path, what: str) -> str:
-    try:
-        return path.read_text()
-    except OSError as exc:
-        raise fm.ParseError(f"cannot read {what} {str(path)!r}: {exc}") from None
-
-
 def _emit_json(doc: dict) -> None:
     print(fm.dumps_indented(doc))
 
@@ -198,9 +191,8 @@ def _class_rep(pi, g, index: int) -> eq.ThetaBitorsor:
 def _cmd_decompose(ns: argparse.Namespace) -> int:
     from . import devissage as dv
 
-    e = fm.parse_extension(
-        _read_text(ns.extension, "extension file"), base_dir=ns.extension.parent
-    )
+    text = fm.read_text(ns.extension, f"extension file {str(ns.extension)!r}")
+    e = fm.parse_extension(text, base_dir=ns.extension.parent)
     g = fm.resolve_group_spec(ns.group)
     rep = _class_rep(e.pi_big, g, ns.class_index)
     d = dv.decompose(rep, e)
@@ -223,10 +215,10 @@ def _cmd_decompose(ns: argparse.Namespace) -> int:
 def _cmd_verify(ns: argparse.Namespace) -> int:
     from . import devissage as dv
 
-    raw = _read_text(ns.certificate, "certificate")
+    raw = fm.read_text(ns.certificate, f"certificate {str(ns.certificate)!r}")
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise fm.ParseError(f"certificate is not valid JSON: {exc}") from None
     t, e, d = fm.decomposition_from_json(doc)
     res = dv.verify_decomposition(t, d, e)
@@ -252,9 +244,8 @@ def _cmd_closure(ns: argparse.Namespace) -> int:
 
     built: dict = {}  # each distinct group of the command is built once
     pi = fm.resolve_group_spec(ns.pi, built=built)
-    r = fm.parse_registry(
-        _read_text(ns.registry, "registry"), pi, base_dir=ns.registry.parent, built=built
-    )
+    text = fm.read_text(ns.registry, f"registry {str(ns.registry)!r}")
+    r = fm.parse_registry(text, pi, base_dir=ns.registry.parent, built=built)
     g = fm.resolve_group_spec(ns.group, built=built)
     rep = _class_rep(pi, g, ns.class_index)
     fac = rc.in_closure(rep, r, ns.max_n)

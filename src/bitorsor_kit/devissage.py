@@ -12,9 +12,12 @@ for.  So is the type-gamma witness: y restricted to the class of point 0
 under h' = theta(gamma), over h' on both sides.  Transport through point 0
 of y is the identity, so h' is its own transported subgroup, and h' is
 normal, so the class of point 0 is pi-stable (Giraud, Cohomologie non
-abelienne, 1971); gamma surjects onto h' through theta by definition.  A
-disconnected carrier's witness is transported from the connected
-component of point 0.
+abelienne, 1971); gamma surjects onto h' through theta by definition.  The
+type-pi factor comes from s_low = theta o s, which covers the collapsed
+theta and sends gamma to the identity by construction.  A disconnected
+carrier's decomposition is transported from the connected component of
+point 0, the wedge rewrite's isomorphism built at a base point
+(equivariant.pi_factor_through_pushforwards).
 """
 
 from __future__ import annotations
@@ -147,11 +150,7 @@ class VerificationResult:
         return self.ok
 
 
-def _decompose_connected(
-    t: ThetaBitorsor,
-    e: SplitExtension,
-    lift: Callable[[GroupHom], GroupHom] | None,
-) -> Decomposition:
+def _decompose_connected(t: ThetaBitorsor, e: SplitExtension) -> Decomposition:
     b = t.bitorsor
     theta = t.theta
     if not theta.is_surjective():
@@ -160,25 +159,9 @@ def _decompose_connected(
     h_prime = subgroup(b.left_group, h_prime_members)
     if not h_prime.is_normal:
         raise DevissageError("image of gamma failed to be normal in the left group")
-    g_bar, q = quotient(b.left_group, h_prime)
-    theta_bar = GroupHom(
-        e.pi_small,
-        g_bar,
-        tuple(q.map[theta.map[e.s.map[a]]] for a in e.pi_small.elements),
-    )
-    if lift is None:
-        s_low = compose_homs(theta, e.s)
-    else:
-        s_low = lift(theta_bar)
-        if s_low.src != e.pi_small or s_low.dst != b.left_group:
-            raise bt.SignatureMismatch("lift has the wrong signature")
-    for a in e.pi_small.elements:
-        if q.map[s_low.map[a]] != theta_bar.map[a]:
-            raise DevissageError("the lift does not cover the collapsed theta")
+    _, q = quotient(b.left_group, h_prime)
+    s_low = compose_homs(theta, e.s)
     theta_tilde = compose_homs(s_low, e.p)
-    for c in e.gamma.members:
-        if theta_tilde.map[c] != b.left_group.identity:
-            raise DevissageError("gamma escaped the kernel of theta tilde")
     z_theta = ThetaBitorsor(b, theta_tilde)
     z = eq.from_theta(z_theta)
     x = eq.from_theta(t)
@@ -205,14 +188,14 @@ def _decompose_connected(
 
 
 def _transport_disconnected(
-    t: ThetaBitorsor, e: SplitExtension, inner: Decomposition, incl: BitorsorMorphism
+    t: ThetaBitorsor, comp: ThetaBitorsor, incl: BitorsorMorphism, inner: Decomposition
 ) -> Decomposition:
-    """Push a component's decomposition forward along its inclusion."""
+    """Push the decomposition of the component `comp` forward along its
+    inclusion; inner's witness is the identity, so the inclusion is the
+    morphism out of inner's glued factors."""
     x = eq.from_theta(t)
-    comp_theta = ThetaBitorsor(incl.src, _component_theta(t, incl))
-    incl_pi = PiMorphism(eq.from_theta(comp_theta), x, incl)
-    full = eq.compose_pi_morphisms(incl_pi, inner.witness_iso)
-    fac = eq.pi_factor_through_pushforwards(full, inner.y, inner.z)
+    incl_pi = PiMorphism(eq.from_theta(comp), x, incl)
+    fac = eq.pi_factor_through_pushforwards(incl_pi, inner.y, inner.z)
     y = fac.left_canonical.dst
     z = fac.right_canonical.dst
     witness_iso = fac.iso
@@ -233,34 +216,14 @@ def _transport_disconnected(
     return Decomposition(y, z, witness_iso, cert)
 
 
-def _component_theta(t: ThetaBitorsor, incl: BitorsorMorphism) -> GroupHom:
-    """theta reindexed into the component's structure group."""
-    pos = {v: i for i, v in enumerate(incl.phi_left.map)}
-    return GroupHom(
-        t.pi, incl.src.left_group, tuple(pos[v] for v in t.theta.map)
-    )
-
-
 def decompose(t: ThetaBitorsor, e: SplitExtension) -> Decomposition:
-    return decompose_with_lift(t, e, None)
-
-
-def decompose_with_lift(
-    t: ThetaBitorsor,
-    e: SplitExtension,
-    lift: Callable[[GroupHom], GroupHom] | None,
-) -> Decomposition:
-    """Split t into a type-gamma and a type-pi factor.
-
-    `lift` optionally supplies a hom pi_small -> left group covering the
-    collapsed theta, replacing the default theta-after-section choice."""
+    """Split t into a type-gamma and a type-pi factor."""
     if t.pi != e.pi_big:
         raise bt.SignatureMismatch("carrier symmetry group differs from pi_big")
     if eq.is_connected(t):
-        return _decompose_connected(t, e, lift)
+        return _decompose_connected(t, e)
     comp, incl = eq.connected_component(t, basepoint=0)
-    inner = _decompose_connected(comp, e, lift)
-    return _transport_disconnected(t, e, inner, incl)
+    return _transport_disconnected(t, comp, incl, _decompose_connected(comp, e))
 
 
 def verify_decomposition(

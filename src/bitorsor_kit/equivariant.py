@@ -540,19 +540,19 @@ def pi_factor_through_pushforwards(
     pushed1, can1 = pushforward_pi(p1, phi2, middle)
     pushed2l, can2 = pushforward_left_pi(p2, phi2, middle)
     dst_wedge = compose_pi(pushed1, pushed2l)
-    glued_inner = bt.wedge_of_morphisms(
-        can1.inner, can2.inner, src_wedge.bitorsor, dst_wedge.bitorsor
-    )
-    PiMorphism(src_wedge, dst_wedge, glued_inner)  # the glued map must commute with pi
-    right_isos = pi_equivariant_isos(
-        dst_wedge.right, m.dst.right, bt.rho_pools(glued_inner, m.inner)
-    )
-    psi = _first_pi_morphism(
-        dst_wedge, m.dst, bt.wedge_completions(glued_inner, m.inner, right_isos)
-    )
-    if psi is None:
+    glued = bt.wedge_of_morphisms(can1.inner, can2.inner, src_wedge.bitorsor, dst_wedge.bitorsor)
+    # psi o glued = m holds for every rho of the forced pools: the image of
+    # glued.phi_right is the initial segment of the elements of
+    # pushforward_left's right group, so the greedy generating_set generates
+    # it with the generators inside it, and the pools pin rho on all of it.
+    # psi is then pi-equivariant because rho is.
+    pools = bt.rho_pools(glued, m.inner)
+    rho = next(pi_equivariant_isos(dst_wedge.right, m.dst.right, pools), None)
+    if rho is None:
         raise InvalidMorphism("no equivariant isomorphism completes the rewrite")
-    return PiWedgeFactorization(phi2, middle, can1, can2, dst_wedge, psi)
+    psi = bt.base_point_iso(dst_wedge.bitorsor, glued(0), m.dst.bitorsor, m.inner(0), rho)
+    iso = by_formula(PiMorphism, dst_wedge, m.dst, psi)
+    return PiWedgeFactorization(phi2, middle, can1, can2, dst_wedge, iso)
 
 
 def is_connected(t: ThetaBitorsor) -> bool:

@@ -1,9 +1,9 @@
 """Shared error root so the CLI can map any domain failure to one exit code,
 the frozen record every value class is, and the one constructor for values
-the calculus builds by formula."""
+the calculus builds by formula, whose validators run only with
+BITORSOR_CHECK=full."""
 
 import os
-from contextlib import contextmanager
 
 
 class DomainError(Exception):
@@ -12,7 +12,6 @@ class DomainError(Exception):
 
 # Read once, at import; the test suite sets it.
 FULL_CHECK = os.environ.get("BITORSOR_CHECK") == "full"
-_probing = False
 
 
 class FrozenError(AttributeError):
@@ -62,27 +61,13 @@ def by_formula(cls, *values):
     formula from validated inputs: its invariants hold by construction, so
     its __post_init__ validator is skipped.  With BITORSOR_CHECK=full it
     runs, and a failure raises AssertionError, which no `except DomainError`
-    swallows; inside `validating()` it runs and raises as the constructor
-    would."""
+    swallows.  A search whose predicate is a validator calls the checked
+    constructor instead."""
     obj = object.__new__(cls)
     obj.__dict__.update(zip(cls.__match_args__, values))
-    if _probing:
-        obj.__post_init__()
-    elif FULL_CHECK:
+    if FULL_CHECK:
         try:
             obj.__post_init__()
         except DomainError as exc:
             raise AssertionError(f"{cls.__name__} built by formula is invalid: {exc}") from exc
     return obj
-
-
-@contextmanager
-def validating():
-    """Validate values built by formula, for searches whose predicate is
-    the validator."""
-    global _probing
-    outer, _probing = _probing, True
-    try:
-        yield
-    finally:
-        _probing = outer

@@ -55,6 +55,15 @@ class ParseError(DomainError):
         super().__init__(message + where)
 
 
+def read_text(path: Path, what: str) -> str:
+    """The text of the file at `path`; a file that cannot be read or is not
+    valid text is a ParseError naming `what`."""
+    try:
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {what}: {exc}") from None
+
+
 def _content_lines(text: str) -> list[tuple[int, str]]:
     out = []
     for no, raw in enumerate(text.splitlines(), start=1):
@@ -213,11 +222,7 @@ def _build_group_spec(spec: str, base_dir: Path | None) -> FiniteGroup:
         _check_order(spec, big_n * q)
         n_grp, q_grp, acts = cyclic_power_action(big_n, q, k)
         return semidirect_product(n_grp, q_grp, acts).group
-    try:
-        text = _group_path(spec, base_dir).read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read group {spec!r}: {exc}") from None
-    return parse_group(text)
+    return parse_group(read_text(_group_path(spec, base_dir), f"group {spec!r}"))
 
 
 def parse_extension(text: str, base_dir: Path | None = None) -> dv.SplitExtension:

@@ -35,6 +35,12 @@ Witnesses: the searches for a type-gamma witness and for a Pi-stable
 induced class that decompose ran before it built its witness, and the plain
 wedge rewrite, with the records and helpers of the library they need.
 
+Base points: the isomorphism search that built every candidate through the
+checked constructors and filtered on the outcome, the wedge completions
+that also filtered on the composite, the trivialization through the checked
+constructor, and the decomposition with a caller-supplied lift of the
+collapsed theta.
+
 Table readers: the group-file and extension parsers, make_group, the
 FiniteGroup validator and the semidirect and symmetric constructors that
 read, checked and built each table entry by entry.
@@ -57,7 +63,7 @@ from bitorsor_kit import groups as G
 from bitorsor_kit import rclass as R
 from bitorsor_kit.bitorsors import InvalidBitorsor, InvalidMorphism, NotFree, NotTransitive
 from bitorsor_kit.equivariant import EquivariantError, NotPiEquivariant
-from bitorsor_kit.errors import DomainError
+from bitorsor_kit.errors import DomainError, by_formula
 from bitorsor_kit.formats import ParseError, _content_lines, _int_token, _take, _tokens, resolve_group_spec
 from bitorsor_kit.groups import (
     MAX_ORDER,
@@ -1338,7 +1344,7 @@ def unforced_factor_through_pushforwards(m, b1, b2):
     dst_wedge, dst_index = contracted_product(pushed1, pushed2l)
     glued = wedge_of_morphisms(can1, can2, src_index, dst_index, src_wedge, dst_wedge)
     right_isos = iter_isomorphisms(dst_wedge.right_group, m.dst.right_group)
-    psi = next(B.wedge_completions(glued, m, right_isos), None)
+    psi = next(wedge_completions(glued, m, right_isos), None)
     if psi is None:
         raise InvalidMorphism("no isomorphism completes the extension rewrite")
     return WedgeFactorization(phi2, can1, can2, dst_wedge, psi)
@@ -1360,11 +1366,195 @@ def unforced_pi_factor_through_pushforwards(m, p1, p2):
     E.PiMorphism(src_wedge, dst_wedge, glued_inner)  # the glued map must commute with pi
     right_isos = E.pi_equivariant_isos(dst_wedge.right, m.dst.right)
     psi = E._first_pi_morphism(
-        dst_wedge, m.dst, B.wedge_completions(glued_inner, m.inner, right_isos)
+        dst_wedge, m.dst, wedge_completions(glued_inner, m.inner, right_isos)
     )
     if psi is None:
         raise InvalidMorphism("no equivariant isomorphism completes the rewrite")
     return E.PiWedgeFactorization(phi2, middle, can1, can2, dst_wedge, psi)
+
+
+# ------------------------------------------------------------ base points
+#
+# The isomorphism search and the wedge completions that built each
+# candidate through the checked constructors and kept those that passed, the
+# trivialization through the checked morphism constructor, and the
+# decomposition that took an optional lift of the collapsed theta.
+
+
+def bitorsor_isomorphisms(b1, b2, right_isos):
+    """Yield every isomorphism b1 -> b2 whose right hom is one of right_isos,
+    lazily: for each right hom rho in the given order, for each image y0 of
+    point 0 in point order."""
+    if b1.size != b2.size:
+        return
+    for rho in right_isos:
+        for y0 in b2.points:
+            v = [0] * b1.size
+            for g in b1.right_group.elements:
+                v[b1.right_act[0][g]] = b2.right_act[y0][rho.map[g]]
+            into = {}
+            for gp in b2.left_group.elements:
+                into[b2.left_act[gp][y0]] = gp
+            try:
+                lam = GroupHom(
+                    b1.left_group,
+                    b2.left_group,
+                    tuple(into[v[b1.left_act[gp][0]]] for gp in b1.left_group.elements),
+                )
+                m = B.BitorsorMorphism(b1, b2, lam, tuple(v), rho)
+            except DomainError:
+                continue
+            if m.is_isomorphism():
+                yield m
+
+
+def wedge_completions(glued, m, right_isos):
+    """Yield every isomorphism psi with psi o glued = m whose right hom is one
+    of right_isos, lazily and in their order.  psi sends the image of point
+    0 under glued to the image of point 0 under m, so rho fixes it."""
+    dst_wedge = glued.dst
+    w0 = glued.point_map[0]
+    c0 = m.point_map[0]
+    into_dst_left = {}
+    for hp in m.dst.left_group.elements:
+        into_dst_left[m.dst.left_act[hp][c0]] = hp
+    for rho in right_isos:
+        v = [0] * dst_wedge.size
+        for r in dst_wedge.right_group.elements:
+            v[dst_wedge.right_act[w0][r]] = m.dst.right_act[c0][rho.map[r]]
+        try:
+            lam = GroupHom(
+                dst_wedge.left_group,
+                m.dst.left_group,
+                tuple(
+                    into_dst_left[v[dst_wedge.left_act[lp][w0]]]
+                    for lp in dst_wedge.left_group.elements
+                ),
+            )
+            psi = B.BitorsorMorphism(dst_wedge, m.dst, lam, tuple(v), rho)
+        except DomainError:
+            continue
+        if not psi.is_isomorphism():
+            continue
+        composite = B.compose_bimorphisms(psi, glued)
+        if (
+            composite.point_map == m.point_map
+            and composite.phi_left == m.phi_left
+            and composite.phi_right == m.phi_right
+        ):
+            yield psi
+
+
+def trivialize(b, x):
+    """Identify b with the trivial carrier through the point x."""
+    conj = B.point_conjugation(b, x)
+    u = tuple(b.right_act[x][g] for g in b.right_group.elements)
+    m = B.BitorsorMorphism(
+        B.trivial_bitorsor(b.right_group), b, conj, u, identity_hom(b.right_group)
+    )
+    return conj, m
+
+
+def _decompose_connected(t, e, lift):
+    b = t.bitorsor
+    theta = t.theta
+    if not theta.is_surjective():
+        raise D.DevissageError("connected decomposition needs a surjective theta")
+    h_prime_members = sorted({theta.map[c] for c in e.gamma.members})
+    h_prime = G.subgroup(b.left_group, h_prime_members)
+    if not h_prime.is_normal:
+        raise D.DevissageError("image of gamma failed to be normal in the left group")
+    g_bar, q = G.quotient(b.left_group, h_prime)
+    theta_bar = GroupHom(
+        e.pi_small,
+        g_bar,
+        tuple(q.map[theta.map[e.s.map[a]]] for a in e.pi_small.elements),
+    )
+    if lift is None:
+        s_low = G.compose_homs(theta, e.s)
+    else:
+        s_low = lift(theta_bar)
+        if s_low.src != e.pi_small or s_low.dst != b.left_group:
+            raise B.SignatureMismatch("lift has the wrong signature")
+    for a in e.pi_small.elements:
+        if q.map[s_low.map[a]] != theta_bar.map[a]:
+            raise D.DevissageError("the lift does not cover the collapsed theta")
+    theta_tilde = G.compose_homs(s_low, e.p)
+    for c in e.gamma.members:
+        if theta_tilde.map[c] != b.left_group.identity:
+            raise D.DevissageError("gamma escaped the kernel of theta tilde")
+    z_theta = E.ThetaBitorsor(b, theta_tilde)
+    z = E.from_theta(z_theta)
+    x = E.from_theta(t)
+    y = E.compose_pi(x, E.inverse_pi(z))
+    wedge_back = E.compose_pi(y, z)
+    if wedge_back != x:
+        raise D.DevissageError("the glued factors failed to reproduce the input")
+    witness_iso = E.pi_identity_morphism(x)
+    yb = y.bitorsor
+    h_grp, h_incl = subgroup_as_group(yb.left_group, h_prime_members)
+    point_class = tuple(sorted({yb.right_act[0][g] for g in h_prime_members}))
+    _, incl = B.restrict(yb, h_incl, point_class, h_incl)
+    w_sub, w_incl = E.restrict_pi(y, incl)
+    gamma_grp, gamma_incl = D.gamma_as_group(e)
+    pos = {v: i for i, v in enumerate(h_incl.map)}
+    gamma_surj = by_formula(
+        GroupHom,
+        gamma_grp,
+        h_grp,
+        tuple(pos[theta.map[gamma_incl.map[a]]] for a in gamma_grp.elements),
+    )
+    cert = D.DecompositionCertificate(h_prime, q, s_low, theta_tilde, w_sub, w_incl, gamma_surj)
+    return D.Decomposition(y, z, witness_iso, cert)
+
+
+def _transport_disconnected(t, e, inner, incl):
+    """Push a component's decomposition forward along its inclusion."""
+    x = E.from_theta(t)
+    comp_theta = E.ThetaBitorsor(incl.src, _component_theta(t, incl))
+    incl_pi = E.PiMorphism(E.from_theta(comp_theta), x, incl)
+    full = E.compose_pi_morphisms(incl_pi, inner.witness_iso)
+    fac = E.pi_factor_through_pushforwards(full, inner.y, inner.z)
+    y = fac.left_canonical.dst
+    z = fac.right_canonical.dst
+    witness_iso = fac.iso
+    w_incl = E.compose_pi_morphisms(fac.left_canonical, inner.certificate.w_inclusion)
+    alpha, beta, w_img = E.factor_morphism_pi(w_incl)
+    gamma_surj = G.compose_homs(alpha.inner.phi_left, inner.certificate.gamma_surjection)
+    if not gamma_surj.is_surjective():
+        raise D.DevissageError("transported witness lost gamma coverage")
+    cert = D.DecompositionCertificate(
+        inner.certificate.h_prime,
+        inner.certificate.quotient_map,
+        inner.certificate.s_low,
+        inner.certificate.theta_tilde,
+        w_img,
+        beta,
+        gamma_surj,
+    )
+    return D.Decomposition(y, z, witness_iso, cert)
+
+
+def _component_theta(t, incl):
+    """theta reindexed into the component's structure group."""
+    pos = {v: i for i, v in enumerate(incl.phi_left.map)}
+    return GroupHom(
+        t.pi, incl.src.left_group, tuple(pos[v] for v in t.theta.map)
+    )
+
+
+def decompose_with_lift(t, e, lift):
+    """Split t into a type-gamma and a type-pi factor.
+
+    `lift` optionally supplies a hom pi_small -> left group covering the
+    collapsed theta, replacing the default theta-after-section choice."""
+    if t.pi != e.pi_big:
+        raise B.SignatureMismatch("carrier symmetry group differs from pi_big")
+    if E.is_connected(t):
+        return _decompose_connected(t, e, lift)
+    comp, incl = E.connected_component(t, basepoint=0)
+    inner = _decompose_connected(comp, e, lift)
+    return _transport_disconnected(t, e, inner, incl)
 
 
 # Table readers: the per-entry loops of the group-file parser, the

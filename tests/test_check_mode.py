@@ -8,7 +8,7 @@ import pytest
 from bitorsor_kit import bitorsors as B
 from bitorsor_kit import errors
 from bitorsor_kit import groups as G
-from bitorsor_kit.errors import DomainError, by_formula, validating
+from bitorsor_kit.errors import DomainError, by_formula
 
 from conftest import cli_in_fresh_process
 from test_cli import S3_EXTENSION
@@ -61,8 +61,6 @@ def test_default_mode_builds_without_checking(monkeypatch):
     assert (bad.src, bad.dst, bad.map) == (c3, c2, (0, 1, 1))
     with pytest.raises(G.NotAHomomorphism):
         G.GroupHom(c3, c2, (0, 1, 1))
-    with pytest.raises(G.NotAHomomorphism), validating():
-        by_formula(G.GroupHom, c3, c2, (0, 1, 1))
 
 
 @pytest.mark.parametrize("probe", ["induced_conditions"])

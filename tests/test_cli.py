@@ -359,6 +359,34 @@ class TestClosure:
             assert labels.count(built) == 1
 
 
+# (command before the file, file contents, command after the file)
+UNREADABLE = {
+    "group": (("validate-group", "--group"), b"\xff", ()),
+    "extension": (
+        ("decompose", "--extension"), b"extension tame\n\xff\n",
+        ("--group", "symmetric:3", "--class", "0"),
+    ),
+    "registry": (
+        ("closure", "--pi", "cyclic:4", "--registry"), b"\xff",
+        ("--group", "cyclic:4", "--class", "0"),
+    ),
+    "certificate": (("verify", "--certificate"), b'{"schema": "\xff"}', ()),
+    "deep-certificate": (("verify", "--certificate"), b"[" * 200_000, ()),
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE)
+def test_unreadable_input_exits_2_with_a_parse_error(capsys, tmp_path, case):
+    """A file holding a byte that is not UTF-8, or a certificate nested
+    deeper than the recursion limit, is a ParseError, not a traceback."""
+    before, contents, after = UNREADABLE[case]
+    path = tmp_path / "input"
+    path.write_bytes(contents)
+    code, out, err = run(capsys, *before, str(path), *after)
+    assert (code, out) == (2, "")
+    assert err.startswith("formats.ParseError: ") and err.count("\n") == 1
+
+
 class TestLocalSurvey:
     def test_all_classes_decomposed(self, capsys):
         code, out, _ = run(

@@ -1,9 +1,9 @@
 """Values built by construction: every torsor completion, every contracted
 product, pushforward and gluing map built in base-point coordinates, every
-Pi-action on a pushed group and every wedge rewrite with forced right-hom
-pools returns exactly what the closing, orbit-sorting, conjugating and
-unforced references in reference_checks return, group labels and
-generators included."""
+Pi-action on a pushed group, every isomorphism built at a base point and
+every wedge rewrite with forced right-hom pools returns exactly what the
+closing, orbit-sorting, conjugating, filtering and unforced references in
+reference_checks return, group labels and generators included."""
 
 from __future__ import annotations
 
@@ -21,7 +21,10 @@ from bitorsor_kit import local_model as L
 
 from conftest import plain_rewrite, scrambled_trivial
 from test_restrict import assert_same, labels
-from test_search import RELABELLED, UNIVERSE, _pi_wedge_cases, _plain_wedge_cases
+from test_acceptance import _acceptance_extensions
+from test_search import (
+    RELABELLED, UNIVERSE, _pi_wedge_cases, _plain_wedge_cases, _record_wedge_calls,
+)
 
 
 def _ref_wedge_of_morphisms(m1, m2, src_wedge, dst_wedge):
@@ -217,7 +220,8 @@ def _survey_inner_rewrites(monkeypatch, work) -> list:
     return calls
 
 
-@pytest.mark.parametrize(
+# The S4 surveys of the survey ladder and the S5 (2,3,2) survey.
+SURVEYS = pytest.mark.parametrize(
     "params, group",
     [
         ((3, 4, 2), G.symmetric(4)),
@@ -229,6 +233,9 @@ def _survey_inner_rewrites(monkeypatch, work) -> list:
     ],
     ids=lambda v: getattr(v, "label", None) or "-".join(map(str, v)),
 )
+
+
+@SURVEYS
 def test_survey_classes_match_reference(checked, monkeypatch, params, group):
     """Every class of the S4 surveys of the survey ladder and of the S5
     (2,3,2) survey: each completion, pushed Pi-action and rewrite, plain
@@ -246,21 +253,22 @@ def test_survey_classes_match_reference(checked, monkeypatch, params, group):
 
 
 def test_forced_pools_drop_only_rejected_right_homs(monkeypatch, rng):
-    """Over the pools of rho_pools the right isomorphisms that pass
-    rho o glued.phi_right = m.phi_right are the unforced search's, in its
-    order, and the pools cut the search in some rewrite."""
+    """Every right isomorphism over the pools of rho_pools passes
+    rho o glued.phi_right = m.phi_right, the ones that pass are the unforced
+    search's, in its order, and the pools cut the search in some rewrite."""
     seen = []
-    lib = B.wedge_completions
+    lib = B.rho_pools
 
-    def record(glued, m, right_isos):
+    def record(glued, m):
         seen.append((glued, m))
-        return lib(glued, m, right_isos)
+        return lib(glued, m)
 
-    monkeypatch.setattr(B, "wedge_completions", record)
+    monkeypatch.setattr(B, "rho_pools", record)
     for m, b1, b2 in _plain_wedge_cases(rng):
         plain_rewrite(m, b1, b2)
     for m, p1, p2 in _pi_wedge_cases():
         E.pi_factor_through_pushforwards(m, p1, p2)
+    assert seen
     cut = 0
     for glued, m in seen:
         a, b = glued.dst.right_group, m.dst.right_group
@@ -269,7 +277,59 @@ def test_forced_pools_drop_only_rejected_right_homs(monkeypatch, rng):
             return [r.map for r in homs if G.compose_homs(r, glued.phi_right) == m.phi_right]
 
         unforced = list(G.iter_isomorphisms(a, b))
-        forced = list(G.iter_isomorphisms(a, b, B.rho_pools(glued, m)))
-        assert passing(forced) == passing(unforced) != []
+        forced = list(G.iter_isomorphisms(a, b, lib(glued, m)))
+        assert passing(forced) == [r.map for r in forced] == passing(unforced) != []
         cut += len(forced) < len(unforced)
     assert cut > 0
+
+
+def test_isomorphisms_match_reference_on_test_carriers(rng):
+    """Every candidate of bitorsor_isomorphisms, for every right isomorphism
+    and every image of point 0, is the checked search's, in its order, on
+    scrambled and twisted carriers over every group of test_search, the
+    relabelled ones included; so is the trivialization through each point."""
+    candidates = 0
+    for g in UNIVERSE + RELABELLED:
+        isos = list(G.iter_isomorphisms(g, g))
+        carriers = (scrambled_trivial(g, rng), _twisted(g, rng))
+        for b1 in carriers:
+            for b2 in carriers:
+                got = list(B.bitorsor_isomorphisms(b1, b2, isos))
+                assert got == list(ref.bitorsor_isomorphisms(b1, b2, isos))
+                assert len(got) == len(isos) * g.order
+                candidates += len(got)
+            for x in b1.points:
+                assert B.trivialize(b1, x) == ref.trivialize(b1, x)
+    assert candidates > 9000
+
+
+def _assert_rewrites_complete_as_reference(monkeypatch, work) -> None:
+    """The isomorphism of each wedge rewrite `work` makes is the first
+    completion that the checked search keeps over the forced pools."""
+    calls = _record_wedge_calls(monkeypatch, work)
+    assert calls
+    for m, _, _, fac in calls:
+        glued = B.wedge_of_morphisms(
+            fac.left_canonical.inner, fac.right_canonical.inner, m.src.bitorsor, fac.wedge.bitorsor
+        )
+        pools = B.rho_pools(glued, m.inner)
+        right_isos = E.pi_equivariant_isos(fac.wedge.right, m.dst.right, pools)
+        completions = ref.wedge_completions(glued, m.inner, right_isos)
+        assert fac.iso == E._first_pi_morphism(fac.wedge, m.dst, completions)
+
+
+def test_rewrites_complete_as_reference_on_criterion_6(monkeypatch, group_universe):
+    def work():
+        for e in _acceptance_extensions():
+            for g in group_universe:
+                for rep in E.h1(e.pi_big, g):
+                    D.decompose(rep, e)
+
+    _assert_rewrites_complete_as_reference(monkeypatch, work)
+
+
+@SURVEYS
+def test_rewrites_complete_as_reference_on_surveys(monkeypatch, params, group):
+    _assert_rewrites_complete_as_reference(
+        monkeypatch, lambda: L.survey(L.TameParams(*params), group)
+    )

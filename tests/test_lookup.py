@@ -92,8 +92,8 @@ def _connected_decompositions(monkeypatch, work) -> list:
     calls = []
     lib = D._decompose_connected
 
-    def record(t, e, lift):
-        d = lib(t, e, lift)
+    def record(t, e):
+        d = lib(t, e)
         calls.append((t, d))
         return d
 

@@ -153,7 +153,7 @@ def test_sweep_restrictions_match_reference(monkeypatch, rng):
     monkeypatch.undo()
     assert decomposed > 400 and disconnected > 0 and calls["factor_morphism_pi"]
     assert len(calls["_decompose_connected"]) == decomposed
-    for (t, e, _), inner in calls["_decompose_connected"]:
+    for (t, e), inner in calls["_decompose_connected"]:
         y = inner.y
         h = G.subgroup(y.bitorsor.right_group, {t.theta.map[c] for c in e.gamma.members})
         w = ref.pi_induced_witness(y, h)
