@@ -9,9 +9,11 @@ generators of the groups involved (the closure argument of Light's
 associativity test, Clifford & Preston I, section 1.2), and freeness and
 transitivity at point 0 only, which decides them everywhere once the action
 laws hold.  Carriers and morphisms computed by formula from checked ones
-skip the check through errors.by_formula; so do the isomorphisms, built at a
-base point (base_point_iso).  The one probe that filters on a validator,
-condition (iv) of induced_conditions, calls the checked constructors.
+skip the check through errors.by_formula; so do the isomorphisms, each built
+at a base point (base_point_iso; are_isomorphic sends point 0 to point 0),
+and the glued map of two morphisms (wedge_of_morphisms).  The one probe
+that filters on a validator, condition (iv) of induced_conditions, calls the
+checked constructors.
 
 Gluing is written in base-point coordinates (Giraud, Cohomologie non
 abelienne, 1971): with x = 0.c, the class of (x, z) is that of (0, c.z), so
@@ -26,7 +28,7 @@ the transport of a normal subgroup is read through point 0 alone.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DomainError, by_formula, record
 from .groups import (
@@ -36,7 +38,6 @@ from .groups import (
     compose_homs,
     generating_set,
     identity_hom,
-    iter_isomorphisms,
     quotient,
     subgroup,
     subgroup_as_group,
@@ -613,29 +614,12 @@ def base_point_iso(
     return by_formula(BitorsorMorphism, b1, b2, lam, tuple(v), rho)
 
 
-def bitorsor_isomorphisms(
-    b1: Bitorsor, b2: Bitorsor, right_isos: Iterable[GroupHom]
-) -> Iterator[BitorsorMorphism]:
-    """Yield every isomorphism b1 -> b2 whose right hom is one of right_isos,
-    lazily: for each right hom rho in the given order, for each image y0 of
-    point 0 in point order."""
-    for rho in right_isos:
-        for y0 in b2.points:
-            yield base_point_iso(b1, 0, b2, y0, rho)
-
-
-def are_isomorphic(
-    b1: Bitorsor, b2: Bitorsor, fix_right: bool = True
-) -> BitorsorMorphism | None:
-    """Search for an isomorphism; with fix_right the right groups must be
-    equal and the right hom is the identity.  Deterministic first hit."""
-    if fix_right:
-        if b1.right_group != b2.right_group:
-            return None
-        right_isos = [identity_hom(b1.right_group)]
-    else:
-        right_isos = iter_isomorphisms(b1.right_group, b2.right_group)
-    return next(bitorsor_isomorphisms(b1, b2, right_isos), None)
+def are_isomorphic(b1: Bitorsor, b2: Bitorsor) -> BitorsorMorphism | None:
+    """An isomorphism over the identity of the right group, the one sending
+    point 0 to point 0, or None when the right groups differ."""
+    if b1.right_group != b2.right_group:
+        return None
+    return base_point_iso(b1, 0, b2, 0, identity_hom(b1.right_group))
 
 
 def wedge_of_morphisms(
@@ -647,7 +631,9 @@ def wedge_of_morphisms(
         raise SignatureMismatch("middle homs differ")
     (row,) = glued_rows(m1.dst, m2.dst, (m1.point_map[0],))
     point_map = tuple(row[v] for v in m2.point_map)
-    return BitorsorMorphism(src_wedge, dst_wedge, m1.phi_left, point_map, m2.phi_right)
+    return by_formula(
+        BitorsorMorphism, src_wedge, dst_wedge, m1.phi_left, point_map, m2.phi_right
+    )
 
 
 def rho_pools(glued: BitorsorMorphism, m: BitorsorMorphism) -> list[Sequence[int]]:

@@ -194,7 +194,7 @@ def _transport_disconnected(
     inclusion; inner's witness is the identity, so the inclusion is the
     morphism out of inner's glued factors."""
     x = eq.from_theta(t)
-    incl_pi = PiMorphism(eq.from_theta(comp), x, incl)
+    incl_pi = by_formula(PiMorphism, eq.from_theta(comp), x, incl)
     fac = eq.pi_factor_through_pushforwards(incl_pi, inner.y, inner.z)
     y = fac.left_canonical.dst
     z = fac.right_canonical.dst
@@ -339,5 +339,5 @@ def th_ppal_membership(
         raise OracleRefused("y", "the type-gamma oracle rejected the y factor")
     if not pi_oracle(d.z):
         raise OracleRefused("z", "the type-pi oracle rejected the z factor")
-    fac = Factorization((d.y, d.z), eq.from_theta(t), d.witness_iso)
+    fac = by_formula(Factorization, (d.y, d.z), eq.from_theta(t), d.witness_iso)
     return MembershipCertificate(d, fac)

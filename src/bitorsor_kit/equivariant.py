@@ -9,12 +9,14 @@ presentation, and from_theta/to_theta realize the equivalence in both
 directions.  The first cohomology set h1 lives here too; a carrier is
 classified by looking up the canonical conjugate of theta carried back
 through point 0, not by searching for an isomorphism to each
-representative.  So do the Pi-aware versions of the
-product calculus, which read each glued or pushed point action, and the
-action on a pushed group, at point 0 in the base-point coordinates of the
-plain layer; a carrier is connected exactly when theta is onto.  A
-pi-stable sub-carrier takes its structure from its plain inclusion
-(restrict_pi); the caller names the class, so none is searched for here.
+representative, and an isomorphism of two carriers is built at the point
+named by the conjugators taking both to that map.  So do the Pi-aware
+versions of the product calculus, which read each glued or pushed point
+action, and the action on a pushed group, at point 0 in the base-point
+coordinates of the plain layer; a carrier is connected exactly when theta
+is onto.  A pi-stable sub-carrier takes its structure from its plain
+inclusion (restrict_pi); the caller names the class, so none is searched
+for here.
 The public constructors check every compatibility law in full, on the
 generators of pi and of the structure groups (the closure argument of
 Light's associativity test, Clifford & Preston I, section 1.2); values
@@ -25,7 +27,7 @@ errors.by_formula.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from . import bitorsors as bt
 from .bitorsors import (
@@ -39,13 +41,13 @@ from .errors import DomainError, by_formula, record
 from .groups import (
     FiniteGroup,
     GroupHom,
-    Subgroup,
+    _canonical_conjugators,
     canonical_conjugate,
+    conjugate_hom,
     enumerate_homs,
     identity_hom,
     isomorphisms_between,  # noqa: F401  (perfbench/test_perfbench.py reads it here)
     iter_isomorphisms,
-    quotient,
     subgroup_as_group,
 )
 from .groups import NotAnAction
@@ -136,11 +138,11 @@ def is_pi_equivariant_hom(f: GroupHom, src: PiGroup, dst: PiGroup) -> bool:
 
 
 def pi_equivariant_isos(
-    a: PiGroup, b: PiGroup, candidates: Sequence[Sequence[int]] | None = None
+    a: PiGroup, b: PiGroup, candidates: Sequence[Sequence[int]]
 ) -> Iterator[GroupHom]:
     """Yield the Pi-equivariant isomorphisms lazily, in lexicographic order
     of generator images, each generator's image drawn from its pool in
-    `candidates` when given."""
+    `candidates`."""
     for f in iter_isomorphisms(a.group, b.group, candidates):
         if is_pi_equivariant_hom(f, a, b):
             yield f
@@ -161,22 +163,6 @@ def restrict_pi_group(pg: PiGroup, members) -> tuple[PiGroup, GroupHom]:
             ) from None
         acts.append(by_formula(GroupHom, sub, sub, image))
     return by_formula(PiGroup, sub, pg.pi, tuple(acts)), incl
-
-
-def quotient_pi_group(pg: PiGroup, h: Subgroup) -> tuple[PiGroup, GroupHom]:
-    """Quotient by a stable normal subgroup with the induced action."""
-    for c in pg.pi.elements:
-        if any(pg.action[c].map[m] not in set(h.members) for m in h.members):
-            raise NotPiStable(f"subgroup is moved by symmetry element {c}")
-    gq, q = quotient(pg.group, h)
-    rep = [0] * gq.order
-    for x in reversed(pg.group.elements):
-        rep[q.map[x]] = x
-    acts = tuple(
-        GroupHom(gq, gq, tuple(q.map[pg.action[c].map[rep[a]]] for a in gq.elements))
-        for c in pg.pi.elements
-    )
-    return PiGroup(gq, pg.pi, acts), q
 
 
 @record
@@ -447,23 +433,6 @@ def pushforward_left_pi(
     return out, by_formula(PiMorphism, p, out, can)
 
 
-def quotient_pi(p: PiBitorsor, h: Subgroup) -> tuple[PiBitorsor, PiMorphism]:
-    """Collapse a stable normal subgroup of the right structure group."""
-    hp = bt.corresponding_normal_subgroup(p.bitorsor, h)
-    bq, m = bt.quotient_bitorsor(p.bitorsor, h)
-    right_pg, _ = quotient_pi_group(p.right, h)
-    left_pg, _ = quotient_pi_group(p.left, hp)
-    rows = []
-    for c in p.pi.elements:
-        row = [0] * bq.size
-        pa = p.pi_action_on_points[c]
-        for x in p.bitorsor.points:
-            row[m.point_map[x]] = m.point_map[pa[x]]
-        rows.append(tuple(row))
-    out = PiBitorsor(left_pg, right_pg, bq, tuple(rows))
-    return out, PiMorphism(p, out, m)
-
-
 def restrict_pi(p: PiBitorsor, incl: BitorsorMorphism) -> tuple[PiBitorsor, PiMorphism]:
     """The symmetry structure p induces on a stable sub-carrier, given the
     carrier's inclusion (from bt.restrict), with the equivariant inclusion."""
@@ -477,33 +446,25 @@ def restrict_pi(p: PiBitorsor, incl: BitorsorMorphism) -> tuple[PiBitorsor, PiMo
     return sub, by_formula(PiMorphism, sub, p, incl)
 
 
-def _first_pi_morphism(
-    src: PiBitorsor, dst: PiBitorsor, candidates: Iterable[BitorsorMorphism]
-) -> PiMorphism | None:
-    """The first candidate carrier morphism that commutes with pi."""
-    for m in candidates:
-        try:
-            return PiMorphism(src, dst, m)
-        except DomainError:
-            continue
-    return None
+def pi_isomorphism(p1: PiBitorsor, p2: PiBitorsor) -> PiMorphism | None:
+    """The equivariant isomorphism over the identity of the right group
+    that sends point 0 to the least point it can, or None, by lookup.
 
-
-def pi_isomorphism(
-    p1: PiBitorsor, p2: PiBitorsor, fix_right: bool = True
-) -> PiMorphism | None:
-    """Equivariant isomorphism search: the first carrier isomorphism over a
-    pi-equivariant right hom that commutes with pi, or None."""
-    if p1.pi != p2.pi:
+    With theta carried back through point 0 (a1, a2, as classify does),
+    an isomorphism sending 0 to 0.h commutes with pi exactly when
+    a2 = h a1 h^-1.  If k2 a2 k2^-1 is the canonical conjugate, the valid h
+    are k2^-1 k over the conjugators k taking a1 to it; there are none when
+    the canonical conjugates differ.  A twisted right structure raises
+    RightGroupNotConstant."""
+    if p1.pi != p2.pi or p1.right != p2.right:
         return None
-    if fix_right:
-        if p1.right != p2.right:
-            return None
-        right_isos = [identity_hom(p1.bitorsor.right_group)]
-    else:
-        right_isos = pi_equivariant_isos(p1.right, p2.right)
-    isos = bt.bitorsor_isomorphisms(p1.bitorsor, p2.bitorsor, right_isos)
-    return _first_pi_morphism(p1, p2, isos)
+    a1, a2 = _theta_at_zero(to_theta(p1)), _theta_at_zero(to_theta(p2))
+    survivors, k2 = _canonical_conjugators(a1), _canonical_conjugators(a2)[0]
+    if conjugate_hom(survivors[0], a1) != conjugate_hom(k2, a2):
+        return None
+    b1, b2, g = p1.bitorsor, p2.bitorsor, p1.bitorsor.right_group
+    y0 = min(b2.right_act[0][g.mul[g.inv[k2]][k]] for k in survivors)
+    return by_formula(PiMorphism, p1, p2, bt.base_point_iso(b1, 0, b2, y0, identity_hom(g)))
 
 
 def factor_morphism_pi(
@@ -630,10 +591,15 @@ def classify(t: ThetaBitorsor) -> int:
     carried through x.  Carrying theta back through point 0 instead gives a
     conjugate of rep, so its canonical conjugate is rep (Giraud,
     Cohomologie non abelienne, 1971)."""
+    return class_index_of_hom(_theta_at_zero(t))
+
+
+def _theta_at_zero(t: ThetaBitorsor) -> GroupHom:
+    """Theta carried back to the right group through point 0: c moves 0 to
+    0.a(c)."""
     b = t.bitorsor
     back = {v: g for g, v in enumerate(bt.point_conjugation(b, 0).map)}
-    theta0 = by_formula(GroupHom, t.pi, b.right_group, tuple(back[v] for v in t.theta.map))
-    return class_index_of_hom(theta0)
+    return by_formula(GroupHom, t.pi, b.right_group, tuple(back[v] for v in t.theta.map))
 
 
 def trivial_class_index(pi: FiniteGroup, g: FiniteGroup) -> int:

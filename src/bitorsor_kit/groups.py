@@ -532,9 +532,18 @@ def canonical_conjugate(f: GroupHom) -> GroupHom:
     f's class under codomain conjugation (Jefferson, Jonauskyte, Pfeiffer &
     Waldecker, Minimal and canonical images, J. Algebra 521, 2019).
 
+    Any of its conjugators (_canonical_conjugators) gives it."""
+    return conjugate_hom(_canonical_conjugators(f)[0], f)
+
+
+def _canonical_conjugators(f: GroupHom) -> Sequence[int]:
+    """Every c, in element order, with c f c^-1 the canonical conjugate: a
+    coset of the centralizer of f's image.
+
     Position by position, only the conjugators c that minimise c f(x) c^-1
     are kept; an identity image cuts nothing.  Past the last generator the
-    survivors agree on every generator, so they give one and the same map."""
+    survivors agree on every generator, so they give one and the same map,
+    and a conjugator giving that map survives every cut."""
     d = f.dst
     mul, inv, e = d.mul, d.inv, d.identity
     keep: Sequence[int] = d.elements
@@ -544,7 +553,7 @@ def canonical_conjugate(f: GroupHom) -> GroupHom:
         images = [mul[mul[c][v]][inv[c]] for c in keep]
         low = min(images)
         keep = [c for c, w in zip(keep, images) if w == low]
-    return conjugate_hom(keep[0], f)
+    return keep
 
 
 def cyclic(n: int) -> FiniteGroup:

@@ -2,8 +2,9 @@
 (group, class) pairs validated for trivials, inverses, and morphism images,
 plus shortest wedge factorizations inside the closure it generates.  Every
 class index here is the lookup of a canonical conjugate (equivariant.classify
-and class_index_of_hom), the class of a glued pair included;
-isomorphisms are searched only to build the witness of a factorization."""
+and class_index_of_hom), the class of a glued pair included, and the
+witness of a factorization is built from the same conjugates
+(equivariant.pi_isomorphism), not searched for."""
 
 from __future__ import annotations
 
@@ -146,7 +147,9 @@ def validate_registry(
 @record
 class Factorization:
     """A target rewritten as a wedge of composable factors, with the
-    connecting isomorphism revalidated on construction."""
+    connecting isomorphism checked by the public constructor.  in_closure
+    and devissage.th_ppal_membership glue the wedge themselves and build
+    theirs by formula."""
 
     factors: tuple[PiBitorsor, ...]
     target: PiBitorsor
@@ -214,10 +217,10 @@ def in_closure(
     for nxt_factor in factors[1:]:
         wedge = eq.compose_pi(wedge, nxt_factor)
     target = eq.from_theta(t)
-    iso = eq.pi_isomorphism(wedge, target, fix_right=True)
+    iso = eq.pi_isomorphism(wedge, target)
     if iso is None:
         raise RClassError("classified chain failed to reproduce the target")
-    return Factorization(factors, target, iso)
+    return by_formula(Factorization, factors, target, iso)
 
 
 def fixed_point_closure(r: ElementaryClassRegistry) -> frozenset[tuple[int, int]]:
@@ -262,7 +265,7 @@ def requiv_related(
     if fac is None:
         return None
     glued = eq.compose_pi(fac.target, x_pi)
-    iso = eq.pi_isomorphism(glued, y_pi, fix_right=True)
+    iso = eq.pi_isomorphism(glued, y_pi)
     if iso is None:
         raise RClassError("closure witness failed to recombine with the base carrier")
     return fac, iso

@@ -41,6 +41,11 @@ that also filtered on the composite, the trivialization through the checked
 constructor, and the decomposition with a caller-supplied lift of the
 collapsed theta.
 
+Lookups: the helper that kept the first candidate the checked PiMorphism
+constructor accepted, and the closure witnesses that took their
+isomorphism from the search and their factorization from the checked
+constructor.
+
 Table readers: the group-file and extension parsers, make_group, the
 FiniteGroup validator and the semidirect and symmetric constructors that
 read, checked and built each table entry by entry.
@@ -1364,8 +1369,11 @@ def unforced_pi_factor_through_pushforwards(m, p1, p2):
         can1.inner, can2.inner, src_idx, dst_idx, src_wedge.bitorsor, dst_wedge.bitorsor
     )
     E.PiMorphism(src_wedge, dst_wedge, glued_inner)  # the glued map must commute with pi
-    right_isos = E.pi_equivariant_isos(dst_wedge.right, m.dst.right)
-    psi = E._first_pi_morphism(
+    right_isos = (
+        f for f in G.iter_isomorphisms(dst_wedge.right.group, m.dst.right.group)
+        if E.is_pi_equivariant_hom(f, dst_wedge.right, m.dst.right)
+    )
+    psi = _first_pi_morphism(
         dst_wedge, m.dst, wedge_completions(glued_inner, m.inner, right_isos)
     )
     if psi is None:
@@ -1555,6 +1563,95 @@ def decompose_with_lift(t, e, lift):
     comp, incl = E.connected_component(t, basepoint=0)
     inner = _decompose_connected(comp, e, lift)
     return _transport_disconnected(t, e, inner, incl)
+
+
+# ------------------------------------------------------------ lookups
+#
+# The helper that tried each candidate through the checked PiMorphism
+# constructor and kept the first that passed, and the closure witnesses
+# that took their isomorphism from the search over every point (the
+# fix_right=True pi_isomorphism above) and glued their chain a second time
+# in the checked Factorization constructor.
+
+
+def _first_pi_morphism(src, dst, candidates):
+    """The first candidate carrier morphism that commutes with pi."""
+    for m in candidates:
+        try:
+            return E.PiMorphism(src, dst, m)
+        except DomainError:
+            continue
+    return None
+
+
+def in_closure(t, r, max_n):
+    """Shortest chain of registry members over t's group whose wedge is
+    isomorphic to t, breadth-first with lexicographic tie-breaking, or None
+    when no chain of length <= max_n exists."""
+    if max_n < 1:
+        raise R.RClassError("the search bound must be at least 1")
+    if t.pi != r.pi:
+        raise B.SignatureMismatch("carrier symmetry group differs from the registry's")
+    ui = r.group_index(t.bitorsor.right_group)
+    g = r.universe[ui]
+    classes = E.h1(r.pi, g)
+    target_ci = E.classify(t)
+    members_here = sorted(ci for mi, ci in r.members if mi == ui)
+    appendable = [ci for ci in members_here if R._has_central_image(classes[ci].theta)]
+    paths = {}
+    frontier = []
+    for ci in members_here:
+        if ci not in paths:
+            paths[ci] = (ci,)
+            frontier.append(ci)
+    depth = 1
+    while target_ci not in paths and frontier and depth < max_n:
+        nxt = []
+        for state in frontier:
+            for ci in appendable:
+                ns = R.wedge_class_index(r.pi, g, state, ci)
+                if ns not in paths:
+                    paths[ns] = paths[state] + (ci,)
+                    nxt.append(ns)
+        frontier = nxt
+        depth += 1
+    if target_ci not in paths:
+        return None
+    chain = paths[target_ci]
+    for ci in chain:
+        if (ui, ci) not in r.members:
+            raise R.RClassError("search escaped the registry")
+    factors = tuple(E.from_theta(classes[ci]) for ci in chain)
+    wedge = factors[0]
+    for nxt_factor in factors[1:]:
+        wedge = E.compose_pi(wedge, nxt_factor)
+    target = E.from_theta(t)
+    iso = pi_isomorphism(wedge, target, fix_right=True)
+    if iso is None:
+        raise R.RClassError("classified chain failed to reproduce the target")
+    return R.Factorization(factors, target, iso)
+
+
+def requiv_related(x, y, r, max_n):
+    """Witness that y differs from x by a closure element: factor
+    z0 = y (glued with) x-inverse inside the closure and return it with the
+    isomorphism from z0 (glued with) x back to y."""
+    if x.bitorsor.right_group != y.bitorsor.right_group:
+        raise B.SignatureMismatch("the two carriers have different structure groups")
+    if x.pi != y.pi or x.pi != r.pi:
+        raise B.SignatureMismatch("carrier symmetry group differs from the registry's")
+    x_pi = E.from_theta(x)
+    y_pi = E.from_theta(y)
+    z0 = E.compose_pi(y_pi, E.inverse_pi(x_pi))
+    z0_theta = E.to_theta(z0)
+    fac = in_closure(z0_theta, r, max_n)
+    if fac is None:
+        return None
+    glued = E.compose_pi(fac.target, x_pi)
+    iso = pi_isomorphism(glued, y_pi, fix_right=True)
+    if iso is None:
+        raise R.RClassError("closure witness failed to recombine with the base carrier")
+    return fac, iso
 
 
 # Table readers: the per-entry loops of the group-file parser, the

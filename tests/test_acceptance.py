@@ -133,7 +133,7 @@ def test_criterion_5_theta_roundtrip(z2, z4, z6, s3, group_universe):
                 p = E.from_theta(t)
                 assert E.to_theta(p) == t
                 back = E.from_theta(E.to_theta(p))
-                assert E.pi_isomorphism(back, p, fix_right=True) is not None
+                assert E.pi_isomorphism(back, p) is not None
 
 
 def _acceptance_extensions() -> list[D.SplitExtension]:
@@ -167,25 +167,31 @@ def test_criterion_6_every_class_decomposes(group_universe):
         assert time.perf_counter() - start < 300.0
 
 
+def _criterion_7_registries(z2, z4) -> list[R.ElementaryClassRegistry]:
+    """Every valid registry over C2 and C4 under C4."""
+    universe = (z2, z4)
+    slots = [(0, c) for c in range(len(E.h1(z4, z2)))] + [
+        (1, c) for c in range(len(E.h1(z4, z4)))
+    ]
+    valid = []
+    for take in itertools.product((False, True), repeat=len(slots)):
+        members = frozenset(s for s, keep in zip(slots, take) if keep)
+        r = R.ElementaryClassRegistry(z4, universe, members)
+        if R.validate_registry(r):
+            valid.append(r)
+    return valid
+
+
 def test_criterion_7_closure_matches_fixed_point(z2, z4):
     with criterion(7, "in_closure agrees with the fixed-point closure on all registries"):
-        universe = (z2, z4)
-        slots = [(0, c) for c in range(len(E.h1(z4, z2)))] + [
-            (1, c) for c in range(len(E.h1(z4, z4)))
-        ]
-        valid = 0
-        for take in itertools.product((False, True), repeat=len(slots)):
-            members = frozenset(s for s, keep in zip(slots, take) if keep)
-            r = R.ElementaryClassRegistry(z4, universe, members)
-            if not R.validate_registry(r):
-                continue
-            valid += 1
+        registries = _criterion_7_registries(z2, z4)
+        for r in registries:
             fixed = R.fixed_point_closure(r)
-            for ui, g in enumerate(universe):
+            for ui, g in enumerate(r.universe):
                 for ci, rep in enumerate(E.h1(z4, g)):
                     found = R.in_closure(rep, r, 8) is not None
                     assert found == ((ui, ci) in fixed)
-        assert valid >= 4
+        assert len(registries) >= 4
 
 
 def test_criterion_8_local_surveys(z2, z4, s3):

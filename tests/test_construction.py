@@ -180,7 +180,7 @@ def test_gluing_matches_reference_on_relabelled_groups(checked, rng):
         B.isom_canonical_iso(p.bitorsor, q.bitorsor)
         B.isom_canonical_iso(q.bitorsor, p.bitorsor)
         b, qi = p.bitorsor, B.inverse(q.bitorsor)
-        m1 = next(m for m in B.bitorsor_isomorphisms(b, b, [G.identity_hom(g)]) if m(0) != 0)
+        m1 = B.base_point_iso(b, 0, b, 1, G.identity_hom(g))
         wedge = B.contracted_product(b, qi)
         B.wedge_of_morphisms(m1, B.identity_morphism(qi), wedge, wedge)
     names = ("compose_pi", "isom_canonical_iso", "wedge_of_morphisms")
@@ -284,23 +284,23 @@ def test_forced_pools_drop_only_rejected_right_homs(monkeypatch, rng):
 
 
 def test_isomorphisms_match_reference_on_test_carriers(rng):
-    """Every candidate of bitorsor_isomorphisms, for every right isomorphism
-    and every image of point 0, is the checked search's, in its order, on
-    scrambled and twisted carriers over every group of test_search, the
-    relabelled ones included; so is the trivialization through each point."""
-    candidates = 0
+    """are_isomorphic is the first hit of the checked search over the
+    identity right hom, on scrambled and twisted carriers over every group of
+    test_search, the relabelled ones included, and None between different
+    right groups; so is the trivialization through each point."""
+    found = 0
+    previous = B.trivial_bitorsor(G.cyclic(2))
     for g in UNIVERSE + RELABELLED:
-        isos = list(G.iter_isomorphisms(g, g))
         carriers = (scrambled_trivial(g, rng), _twisted(g, rng))
         for b1 in carriers:
-            for b2 in carriers:
-                got = list(B.bitorsor_isomorphisms(b1, b2, isos))
-                assert got == list(ref.bitorsor_isomorphisms(b1, b2, isos))
-                assert len(got) == len(isos) * g.order
-                candidates += len(got)
+            for b2 in carriers + (previous,):
+                got = B.are_isomorphic(b1, b2)
+                assert got == ref.are_isomorphic(b1, b2)
+                found += got is not None
             for x in b1.points:
                 assert B.trivialize(b1, x) == ref.trivialize(b1, x)
-    assert candidates > 9000
+        previous = carriers[1]
+    assert found == 4 * len(UNIVERSE + RELABELLED)
 
 
 def _assert_rewrites_complete_as_reference(monkeypatch, work) -> None:
@@ -315,7 +315,7 @@ def _assert_rewrites_complete_as_reference(monkeypatch, work) -> None:
         pools = B.rho_pools(glued, m.inner)
         right_isos = E.pi_equivariant_isos(fac.wedge.right, m.dst.right, pools)
         completions = ref.wedge_completions(glued, m.inner, right_isos)
-        assert fac.iso == E._first_pi_morphism(fac.wedge, m.dst, completions)
+        assert fac.iso == ref._first_pi_morphism(fac.wedge, m.dst, completions)
 
 
 def test_rewrites_complete_as_reference_on_criterion_6(monkeypatch, group_universe):

@@ -48,11 +48,15 @@ class TestPiGroup:
 
     def test_restrict_and_quotient(self, z2, s3):
         t = next(g for g in s3.elements if s3.element_order(g) == 2)
-        conj = E.conjugation_pi_group(G.GroupHom(z2, s3, (s3.identity, t)))
+        theta = G.GroupHom(z2, s3, (s3.identity, t))
+        conj = E.conjugation_pi_group(theta)
         a3 = [g for g in s3.elements if s3.element_order(g) != 2]
         sub_pg, _ = E.restrict_pi_group(conj, a3)
         assert sub_pg.group.order == 3 and not sub_pg.is_constant
-        quot_pg, _ = E.quotient_pi_group(conj, G.subgroup(s3, a3))
+        _, q = G.quotient(s3, G.subgroup(s3, a3))
+        p = E.from_theta(E.ThetaBitorsor(B.trivial_bitorsor(s3), theta))
+        assert p.left == conj
+        quot_pg = E.pushforward_pi(p, q, E.constant_pi_group(z2, q.dst))[0].left
         assert quot_pg.group.order == 2 and quot_pg.is_constant
         with pytest.raises(E.NotPiStable):
             E.restrict_pi_group(conj, [s3.identity, [g for g in s3.elements if s3.element_order(g) == 2][1]])
@@ -221,15 +225,6 @@ class TestEquivariantCalculus:
         assert pushed.bitorsor.size == 2
         assert can.inner.phi_left == proj
 
-    def test_quotient_collapses_class(self, z4):
-        p = E.from_theta(E.h1(z4, z4)[1])
-        h = G.subgroup(z4, [0, 2])
-        q, qm = E.quotient_pi(p, h)
-        assert q.bitorsor.size == 2
-        assert q.right_constant
-        got = E.classify(E.to_theta(q))
-        assert got == 1
-
     def test_normal_transport_ignores_theta(self, s3, z2, z4):
         carrier = B.trivial_bitorsor(s3)
         a3 = G.subgroup(s3, [g for g in s3.elements if s3.element_order(g) != 2])
@@ -291,7 +286,8 @@ class TestPiFactorizations:
             ),
         )
         h = G.subgroup(z4, [0, 2])
-        dq, mq = E.quotient_pi(dst, h)
+        _, q = G.quotient(z4, h)
+        dq, mq = E.pushforward_pi(dst, q, E.constant_pi_group(z4, q.dst))
         m2 = E.compose_pi_morphisms(mq, m)
         fac = E.pi_factor_through_pushforwards(m2, a, b)
         assert fac.iso.is_isomorphism()

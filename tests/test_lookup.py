@@ -1,7 +1,8 @@
 """Classes and witnesses by construction: classify's lookup of theta carried
-back through point 0, trivial_class_index's lookup and the identity witness
-of a connected decomposition return exactly what the isomorphism scans and
-searches in reference_checks return."""
+back through point 0, trivial_class_index's lookup, the identity witness
+of a connected decomposition, pi_isomorphism's lookup of the conjugators of
+both thetas, and the closure witnesses built from it return exactly what
+the isomorphism scans and searches in reference_checks return."""
 
 from __future__ import annotations
 
@@ -13,10 +14,13 @@ from bitorsor_kit import devissage as D
 from bitorsor_kit import equivariant as E
 from bitorsor_kit import groups as G
 from bitorsor_kit import local_model as L
+from bitorsor_kit import rclass as R
+from bitorsor_kit.errors import DomainError
 
 from conftest import scrambled_trivial
-from test_acceptance import _acceptance_extensions
+from test_acceptance import _acceptance_extensions, _criterion_7_registries
 from test_construction import _twisted
+from test_rclass import all_members, registry, trivial_members
 from test_search import RELABELLED, UNIVERSE
 
 SMALL = (G.cyclic(2), G.cyclic(3), G.cyclic(4), G.cyclic(6), G.symmetric(3), G.dihedral(4))
@@ -82,7 +86,8 @@ def test_classify_matches_scan_on_calculus_outputs(z2, z3, z4, s3):
         pa = E.from_theta(a)
         pushed, _ = E.pushforward_pi(pa, proj, E.constant_pi_group(z4, z2))
         assert_classified_as_scan(E.to_theta(pushed))
-        q, _ = E.quotient_pi(pa, G.subgroup(z4, [0, 2]))
+        _, collapse = G.quotient(z4, G.subgroup(z4, [0, 2]))
+        q, _ = E.pushforward_pi(pa, collapse, E.constant_pi_group(z4, collapse.dst))
         assert_classified_as_scan(E.to_theta(q))
 
 
@@ -151,3 +156,88 @@ def test_wedge_that_misses_the_input_is_refused(monkeypatch):
     with pytest.raises(D.DevissageError, match="failed to reproduce the input"):
         D.decompose(t, e)
     assert len(glued) == 2
+
+
+def _theta_carriers(rnd):
+    """For each group of test_search, the relabelled ones included, and each
+    pi of C2, C4 and S3: its scrambled and twisted carriers under every
+    theta."""
+    for g in UNIVERSE + RELABELLED:
+        carriers = (scrambled_trivial(g, rnd), _twisted(g, rnd))
+        for pi in (G.cyclic(2), G.cyclic(4), G.symmetric(3)):
+            yield [
+                E.from_theta(E.ThetaBitorsor(b, theta))
+                for b in carriers
+                for theta in G.enumerate_homs(pi, b.left_group)
+            ]
+
+
+def test_pi_isomorphism_matches_search_on_test_carriers(rng):
+    """Each theta-carrier against every other over the same group and pi, or
+    against about eight evenly spaced ones where there are more, gets the
+    first isomorphism of the search over every point, or None."""
+    pairs = found = moved = 0
+    for carriers in _theta_carriers(rng):
+        for p1 in carriers:
+            for p2 in carriers[:: 1 + len(carriers) // 8]:
+                got = E.pi_isomorphism(p1, p2)
+                assert got == ref.pi_isomorphism(p1, p2, fix_right=True)
+                found += got is not None
+                moved += got is not None and got(0) != 0
+                pairs += 1
+    assert found > 1000 and pairs - found > 1000 and moved > 500
+
+
+def test_pi_isomorphism_refuses_a_twisted_right_structure(s3):
+    """The search accepted the identity of a carrier whose right structure
+    pi twists; the lookup collapses both sides to theta first, and refuses."""
+    p = E.inverse_pi(E.from_theta(E.h1(s3, s3)[1]))
+    assert not p.right_constant
+    assert ref.pi_isomorphism(p, p, fix_right=True) is not None
+    with pytest.raises(E.RightGroupNotConstant):
+        E.pi_isomorphism(p, p)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except DomainError as exc:
+        return type(exc)
+
+
+def _rclass_registries():
+    """The registries of test_rclass."""
+    z2, z3, z4, s3 = G.cyclic(2), G.cyclic(3), G.cyclic(4), G.symmetric(3)
+    u = (z2, z4)
+    base = trivial_members(z4, u)
+    return [
+        registry(z4, (z2, z3), trivial_members(z4, (z2, z3))),
+        registry(z4, u, all_members(z4, u)),
+        registry(z4, (z4,), trivial_members(z4, (z4,)) | {(0, 1)}),
+        registry(z4, (z4,), trivial_members(z4, (z4,)) | {(0, 2)}),
+        registry(z4, (z4,), {(0, 0), (0, 2)}),
+        registry(s3, (s3,), {(0, 0), (0, 2)}),
+        *(registry(z4, u, base | extra) for extra in ({(1, 1)}, {(1, 2)})),
+    ]
+
+
+def test_closure_witnesses_match_search_on_registries(rng, z2, z4):
+    """in_closure and requiv_related on test_rclass's registries and
+    criterion 7's, for every theta over each group of the universe on a
+    scrambled carrier, against the copies that searched every point and
+    glued the chain again in the checked Factorization."""
+    built = 0
+    for r in _rclass_registries() + _criterion_7_registries(z2, z4):
+        for g in r.universe:
+            b = scrambled_trivial(g, rng)
+            ts = [E.ThetaBitorsor(b, theta) for theta in G.enumerate_homs(r.pi, g)]
+            for t in ts:
+                for n in (1, 3):
+                    got = _outcome(R.in_closure, t, r, n)
+                    assert got == _outcome(ref.in_closure, t, r, n)
+                    built += isinstance(got, R.Factorization)
+                for y in ts:
+                    got = _outcome(R.requiv_related, t, y, r, 3)
+                    assert got == _outcome(ref.requiv_related, t, y, r, 3)
+                    built += isinstance(got, tuple)
+    assert built > 200

@@ -199,7 +199,8 @@ def _pi_wedge_cases():
     m = E.PiMorphism(wedge, dst, B.BitorsorMorphism(
         wedge.bitorsor, dst.bitorsor, m_ens.phi_left, m_ens.point_map, m_ens.phi_right
     ))
-    _, mq = E.quotient_pi(dst, G.subgroup(z4, [0, 2]))
+    _, q = G.quotient(z4, G.subgroup(z4, [0, 2]))
+    _, mq = E.pushforward_pi(dst, q, E.constant_pi_group(z4, q.dst))
     cases = [(E.compose_pi_morphisms(mq, m), a, a)]
     triv_theta = G.GroupHom(s3, s3, tuple(s3.identity for _ in s3.elements))
     t = E.from_theta(E.ThetaBitorsor(B.trivial_bitorsor(s3), triv_theta))
@@ -267,25 +268,3 @@ def test_sweep_wedge_factorizations_match_reference(monkeypatch):
         assert fac == ref.pi_factor_through_pushforwards(m, p1, p2)
         got = plain_rewrite(m.inner, p1.bitorsor, p2.bitorsor)
         assert got == ref.factor_through_pushforwards(m.inner, p1.bitorsor, p2.bitorsor)
-
-
-def test_isomorphism_search_without_fixed_right_matches_reference(rng):
-    """are_isomorphic and pi_isomorphism with fix_right=False pick the
-    reference's first hit; several right isomorphisms work here."""
-    s3, z4 = G.symmetric(3), G.cyclic(4)
-    twist = G.isomorphisms_between(s3, s3)[3]
-    plain = [
-        (scrambled_trivial(s3, rng), scrambled_trivial(s3, rng, twist)),
-        (scrambled_trivial(z4, rng), B.trivial_bitorsor(z4)),
-    ]
-    for x, y in plain:
-        got = B.are_isomorphic(x, y, fix_right=False)
-        assert got is not None and got == ref.are_isomorphic(x, y, fix_right=False)
-    found = 0
-    for x in E.h1(z4, z4):
-        for y in E.h1(z4, z4):
-            px, py = E.from_theta(x), E.from_theta(y)
-            got = E.pi_isomorphism(px, py, fix_right=False)
-            assert got == ref.pi_isomorphism(px, py, fix_right=False)
-            found += got is not None
-    assert 0 < found < len(E.h1(z4, z4)) ** 2
