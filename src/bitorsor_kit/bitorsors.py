@@ -1,7 +1,7 @@
 """Two-sided torsors: a point set with commuting free transitive left and
 right group actions, plus the calculus on them (contracted products,
 inverses, pushforwards along group homomorphisms, quotients, Isom carriers,
-morphism factorizations).
+restrictions).
 
 All actions are dense index tables: left_act[g'][x] and right_act[x][g].
 The public constructors check every invariant in full, each law on the
@@ -10,10 +10,9 @@ associativity test, Clifford & Preston I, section 1.2), and freeness and
 transitivity at point 0 only, which decides them everywhere once the action
 laws hold.  Carriers and morphisms computed by formula from checked ones
 skip the check through errors.by_formula; so do the isomorphisms, each built
-at a base point (base_point_iso; are_isomorphic sends point 0 to point 0),
-and the glued map of two morphisms (wedge_of_morphisms).  The one probe
-that filters on a validator, condition (iv) of induced_conditions, calls the
-checked constructors.
+at a base point (base_point_iso; are_isomorphic sends point 0 to point 0).
+The one probe that filters on a validator, condition (iv) of
+induced_conditions, calls the checked constructors.
 
 Gluing is written in base-point coordinates (Giraud, Cohomologie non
 abelienne, 1971): with x = 0.c, the class of (x, z) is that of (0, c.z), so
@@ -28,14 +27,13 @@ the transport of a normal subgroup is read through point 0 alone.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import DomainError, by_formula, record
 from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
-    compose_homs,
     generating_set,
     identity_hom,
     quotient,
@@ -209,17 +207,6 @@ def identity_morphism(b: Bitorsor) -> BitorsorMorphism:
     )
 
 
-def compose_bimorphisms(outer: BitorsorMorphism, inner: BitorsorMorphism) -> BitorsorMorphism:
-    if inner.dst != outer.src:
-        raise SignatureMismatch("morphisms do not chain")
-    return by_formula(
-        BitorsorMorphism, inner.src, outer.dst,
-        compose_homs(outer.phi_left, inner.phi_left),
-        tuple(outer.point_map[v] for v in inner.point_map),
-        compose_homs(outer.phi_right, inner.phi_right),
-    )
-
-
 def trivial_bitorsor(g: FiniteGroup) -> Bitorsor:
     """The group acting on itself by translations on both sides."""
     return by_formula(Bitorsor, g, g, g.mul, g.mul)
@@ -310,13 +297,6 @@ def point_conjugation(b: Bitorsor, x: int) -> GroupHom:
         GroupHom, b.right_group, b.left_group,
         tuple(into[b.right_act[x][g]] for g in b.right_group.elements),
     )
-
-
-def trivialize(b: Bitorsor, x: int) -> tuple[GroupHom, BitorsorMorphism]:
-    """Identify b with the trivial carrier through the point x."""
-    g = b.right_group
-    m = base_point_iso(trivial_bitorsor(g), g.identity, b, x, identity_hom(g))
-    return m.phi_left, m
 
 
 def corresponding_normal_subgroup(b: Bitorsor, h: Subgroup) -> Subgroup:
@@ -574,27 +554,6 @@ def pushforward_left(b: Bitorsor, phi_left: GroupHom) -> tuple[Bitorsor, Bitorso
     return pushed, canonical
 
 
-def factor_morphism(
-    m: BitorsorMorphism,
-) -> tuple[BitorsorMorphism, BitorsorMorphism, Bitorsor]:
-    """Surjection onto the image sub-bitorsor followed by an injection."""
-    img_points = tuple(sorted(set(m.point_map)))
-    pos = {x: i for i, x in enumerate(img_points)}
-    lg, l_incl = subgroup_as_group(m.dst.left_group, set(m.phi_left.map))
-    rg, r_incl = subgroup_as_group(m.dst.right_group, set(m.phi_right.map))
-    l_pos = {v: i for i, v in enumerate(l_incl.map)}
-    r_pos = {v: i for i, v in enumerate(r_incl.map)}
-    img, beta = restrict(m.dst, l_incl, img_points, r_incl)
-    alpha = BitorsorMorphism(
-        m.src,
-        img,
-        GroupHom(m.src.left_group, lg, tuple(l_pos[v] for v in m.phi_left.map)),
-        tuple(pos[v] for v in m.point_map),
-        GroupHom(m.src.right_group, rg, tuple(r_pos[v] for v in m.phi_right.map)),
-    )
-    return alpha, beta, img
-
-
 def base_point_iso(
     b1: Bitorsor, x0: int, b2: Bitorsor, y0: int, rho: GroupHom
 ) -> BitorsorMorphism:
@@ -620,30 +579,3 @@ def are_isomorphic(b1: Bitorsor, b2: Bitorsor) -> BitorsorMorphism | None:
     if b1.right_group != b2.right_group:
         return None
     return base_point_iso(b1, 0, b2, 0, identity_hom(b1.right_group))
-
-
-def wedge_of_morphisms(
-    m1: BitorsorMorphism, m2: BitorsorMorphism, src_wedge: Bitorsor, dst_wedge: Bitorsor
-) -> BitorsorMorphism:
-    """Glue two morphisms sharing their middle hom: the class of (0, i)
-    goes to the class of (m1(0), m2(i))."""
-    if m1.phi_right != m2.phi_left:
-        raise SignatureMismatch("middle homs differ")
-    (row,) = glued_rows(m1.dst, m2.dst, (m1.point_map[0],))
-    point_map = tuple(row[v] for v in m2.point_map)
-    return by_formula(
-        BitorsorMorphism, src_wedge, dst_wedge, m1.phi_left, point_map, m2.phi_right
-    )
-
-
-def rho_pools(glued: BitorsorMorphism, m: BitorsorMorphism) -> list[Sequence[int]]:
-    """Image pools, per generator of glued's right group, for a right hom rho
-    with rho o glued.phi_right = m.phi_right: the equation fixes rho on the
-    image of glued.phi_right, so a generator there gets its one admissible
-    image.  A search over these pools keeps its order and drops only homs
-    that the equation rejects."""
-    forced = dict(zip(glued.phi_right.map, m.phi_right.map))
-    every = range(m.dst.right_group.order)
-    return [
-        (forced[r],) if r in forced else every for r in glued.dst.right_group.generators
-    ]

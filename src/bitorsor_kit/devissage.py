@@ -15,9 +15,9 @@ normal, so the class of point 0 is pi-stable (Giraud, Cohomologie non
 abelienne, 1971); gamma surjects onto h' through theta by definition.  The
 type-pi factor comes from s_low = theta o s, which covers the collapsed
 theta and sends gamma to the identity by construction.  A disconnected
-carrier's decomposition is transported from the connected component of
-point 0, the wedge rewrite's isomorphism built at a base point
-(equivariant.pi_factor_through_pushforwards).
+carrier's decomposition is that of the connected component of point 0
+with both structure groups extended back along the component's inclusion,
+its witness isomorphism built at a base point.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .groups import (
     GroupHom,
     Subgroup,
     compose_homs,
+    iter_isomorphisms,
     kernel,
     quotient,
     subgroup,
@@ -188,20 +189,51 @@ def _decompose_connected(t: ThetaBitorsor, e: SplitExtension) -> Decomposition:
 
 
 def _transport_disconnected(
-    t: ThetaBitorsor, comp: ThetaBitorsor, incl: BitorsorMorphism, inner: Decomposition
+    t: ThetaBitorsor, incl: BitorsorMorphism, inner: Decomposition
 ) -> Decomposition:
-    """Push the decomposition of the component `comp` forward along its
-    inclusion; inner's witness is the identity, so the inclusion is the
-    morphism out of inner's glued factors."""
+    """Extend the structure groups of inner, the decomposition of a
+    component of t, back along the component's inclusion; extension along
+    a hom commutes with gluing (Giraud, Cohomologie non abelienne, 1971).
+    inner's witness is the identity, so the inclusion is a morphism out of
+    inner's glued factors.
+
+    The middle map phi is the left hom of z0 extended along the inclusion's
+    right hom, and y and z are y0 and z0 extended along phi on the right
+    and on the left.  The witness isomorphism sends the glued point of
+    (can_y(0), can_z(0)) to the image of point 0, over the first right
+    isomorphism rho that agrees with the inclusion on the image of can_z's
+    right hom (rho is pinned on the generators inside that image).  x's
+    right structure is constant, so rho commutes with pi exactly when z's
+    is constant too.  The type-gamma witness is y restricted to the image
+    of inner's."""
     x = eq.from_theta(t)
-    incl_pi = by_formula(PiMorphism, eq.from_theta(comp), x, incl)
-    fac = eq.pi_factor_through_pushforwards(incl_pi, inner.y, inner.z)
-    y = fac.left_canonical.dst
-    z = fac.right_canonical.dst
-    witness_iso = fac.iso
-    w_incl = eq.compose_pi_morphisms(fac.left_canonical, inner.certificate.w_inclusion)
-    alpha, beta, w_img = eq.factor_morphism_pi(w_incl)
-    gamma_surj = compose_homs(alpha.inner.phi_left, inner.certificate.gamma_surjection)
+    y0, z0 = inner.y, inner.z
+    pushed, can = eq.pushforward_pi(z0, incl.phi_right, x.right)
+    phi, middle = can.inner.phi_left, pushed.left
+    y, can_y = eq.pushforward_pi(y0, phi, middle)
+    z, can_z = eq.pushforward_left_pi(z0, phi, middle)
+    if not z.right.is_constant:
+        raise DevissageError("the transported type-pi factor has a twisted right group")
+    rg, target = z.bitorsor.right_group, x.bitorsor.right_group
+    forced = dict(zip(can_z.inner.phi_right.map, incl.phi_right.map))
+    pools = [(forced[r],) if r in forced else target.elements for r in rg.generators]
+    rho = next(iter_isomorphisms(rg, target, pools), None)
+    if rho is None:
+        raise DevissageError("no right isomorphism completes the transport")
+    wedge = eq.compose_pi(y, z)
+    (row,) = bt.glued_rows(y.bitorsor, z.bitorsor, (can_y(0),))
+    psi = bt.base_point_iso(wedge.bitorsor, row[can_z(0)], x.bitorsor, incl(0), rho)
+    witness_iso = by_formula(PiMorphism, wedge, x, psi)
+    w = inner.certificate.w_inclusion.inner
+    left = [can_y.inner.phi_left.map[v] for v in w.phi_left.map]
+    _, l_incl = subgroup_as_group(y.bitorsor.left_group, left)
+    right = {can_y.inner.phi_right.map[v] for v in w.phi_right.map}
+    _, r_incl = subgroup_as_group(y.bitorsor.right_group, right)
+    points = tuple(sorted({can_y(v) for v in w.point_map}))
+    w_img, w_incl = eq.restrict_pi(y, bt.restrict(y.bitorsor, l_incl, points, r_incl)[1])
+    pos = {v: i for i, v in enumerate(l_incl.map)}
+    gs = inner.certificate.gamma_surjection
+    gamma_surj = by_formula(GroupHom, gs.src, w_img.left.group, tuple(pos[left[v]] for v in gs.map))
     if not gamma_surj.is_surjective():
         raise DevissageError("transported witness lost gamma coverage")
     cert = DecompositionCertificate(
@@ -210,7 +242,7 @@ def _transport_disconnected(
         inner.certificate.s_low,
         inner.certificate.theta_tilde,
         w_img,
-        beta,
+        w_incl,
         gamma_surj,
     )
     return Decomposition(y, z, witness_iso, cert)
@@ -222,8 +254,8 @@ def decompose(t: ThetaBitorsor, e: SplitExtension) -> Decomposition:
         raise bt.SignatureMismatch("carrier symmetry group differs from pi_big")
     if eq.is_connected(t):
         return _decompose_connected(t, e)
-    comp, incl = eq.connected_component(t, basepoint=0)
-    return _transport_disconnected(t, comp, incl, _decompose_connected(comp, e))
+    comp, incl = eq.connected_component(t)
+    return _transport_disconnected(t, incl, _decompose_connected(comp, e))
 
 
 def verify_decomposition(
@@ -272,7 +304,7 @@ def verify_decomposition(
         return VerificationResult(False, f"gamma surjection invalid: {exc}")
     try:
         connected = eq.is_connected(t)
-        base = t if connected else eq.connected_component(t, basepoint=0)[0]
+        base = t if connected else eq.connected_component(t)[0]
         bad = _check_collapse(base, cert, e)
     except DomainError as exc:
         return VerificationResult(False, f"collapse data invalid: {exc}")

@@ -11,8 +11,9 @@ classified by looking up the canonical conjugate of theta carried back
 through point 0, not by searching for an isomorphism to each
 representative, and an isomorphism of two carriers is built at the point
 named by the conjugators taking both to that map.  So do the Pi-aware
-versions of the product calculus, which read each glued or pushed point
-action, and the action on a pushed group, at point 0 in the base-point
+versions of the product calculus (gluing, inversion and extension of
+either structure group), which read each glued or pushed point action,
+and the action on a pushed group, at point 0 in the base-point
 coordinates of the plain layer; a carrier is connected exactly when theta
 is onto.  A pi-stable sub-carrier takes its structure from its plain
 inclusion (restrict_pi); the caller names the class, so none is searched
@@ -27,13 +28,10 @@ errors.by_formula.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, Sequence
-
 from . import bitorsors as bt
 from .bitorsors import (
     Bitorsor,
     BitorsorMorphism,
-    InvalidMorphism,
     NotComposable,
     SignatureMismatch,
 )
@@ -47,7 +45,6 @@ from .groups import (
     enumerate_homs,
     identity_hom,
     isomorphisms_between,  # noqa: F401  (perfbench/test_perfbench.py reads it here)
-    iter_isomorphisms,
     subgroup_as_group,
 )
 from .groups import NotAnAction
@@ -135,17 +132,6 @@ def is_pi_equivariant_hom(f: GroupHom, src: PiGroup, dst: PiGroup) -> bool:
         for c in src.pi.generators
         for g in src.group.generators
     )
-
-
-def pi_equivariant_isos(
-    a: PiGroup, b: PiGroup, candidates: Sequence[Sequence[int]]
-) -> Iterator[GroupHom]:
-    """Yield the Pi-equivariant isomorphisms lazily, in lexicographic order
-    of generator images, each generator's image drawn from its pool in
-    `candidates`."""
-    for f in iter_isomorphisms(a.group, b.group, candidates):
-        if is_pi_equivariant_hom(f, a, b):
-            yield f
 
 
 def restrict_pi_group(pg: PiGroup, members) -> tuple[PiGroup, GroupHom]:
@@ -339,12 +325,6 @@ def pi_identity_morphism(p: PiBitorsor) -> PiMorphism:
     return by_formula(PiMorphism, p, p, bt.identity_morphism(p.bitorsor))
 
 
-def compose_pi_morphisms(outer: PiMorphism, inner: PiMorphism) -> PiMorphism:
-    return by_formula(
-        PiMorphism, inner.src, outer.dst, bt.compose_bimorphisms(outer.inner, inner.inner)
-    )
-
-
 def compose_pi(p1: PiBitorsor, p2: PiBitorsor) -> PiBitorsor:
     """Glue two equivariant carriers; the middle structures must be equal
     as PiGroups, not merely isomorphic, for the diagonal action to descend.
@@ -467,55 +447,6 @@ def pi_isomorphism(p1: PiBitorsor, p2: PiBitorsor) -> PiMorphism | None:
     return by_formula(PiMorphism, p1, p2, bt.base_point_iso(b1, 0, b2, y0, identity_hom(g)))
 
 
-def factor_morphism_pi(
-    m: PiMorphism,
-) -> tuple[PiMorphism, PiMorphism, PiBitorsor]:
-    """Image factorization with the inherited symmetry structure."""
-    alpha, beta, _ = bt.factor_morphism(m.inner)
-    img_pi, beta_pi = restrict_pi(m.dst, beta)
-    return PiMorphism(m.src, img_pi, alpha), beta_pi, img_pi
-
-
-@record
-class PiWedgeFactorization:
-    """An equivariant morphism out of a glued pair, rewritten as canonical
-    middle-group extensions of both factors followed by an isomorphism."""
-
-    middle_hom: GroupHom
-    middle: PiGroup
-    left_canonical: PiMorphism
-    right_canonical: PiMorphism
-    wedge: PiBitorsor
-    iso: PiMorphism
-
-
-def pi_factor_through_pushforwards(
-    m: PiMorphism, p1: PiBitorsor, p2: PiBitorsor
-) -> PiWedgeFactorization:
-    src_wedge = compose_pi(p1, p2)
-    if m.src != src_wedge:
-        raise SignatureMismatch("morphism does not start at the glued carrier")
-    pushed2, can2r = pushforward_pi(p2, m.inner.phi_right, m.dst.right)
-    phi2 = can2r.inner.phi_left
-    middle = pushed2.left
-    pushed1, can1 = pushforward_pi(p1, phi2, middle)
-    pushed2l, can2 = pushforward_left_pi(p2, phi2, middle)
-    dst_wedge = compose_pi(pushed1, pushed2l)
-    glued = bt.wedge_of_morphisms(can1.inner, can2.inner, src_wedge.bitorsor, dst_wedge.bitorsor)
-    # psi o glued = m holds for every rho of the forced pools: the image of
-    # glued.phi_right is the initial segment of the elements of
-    # pushforward_left's right group, so the greedy generating_set generates
-    # it with the generators inside it, and the pools pin rho on all of it.
-    # psi is then pi-equivariant because rho is.
-    pools = bt.rho_pools(glued, m.inner)
-    rho = next(pi_equivariant_isos(dst_wedge.right, m.dst.right, pools), None)
-    if rho is None:
-        raise InvalidMorphism("no equivariant isomorphism completes the rewrite")
-    psi = bt.base_point_iso(dst_wedge.bitorsor, glued(0), m.dst.bitorsor, m.inner(0), rho)
-    iso = by_formula(PiMorphism, dst_wedge, m.dst, psi)
-    return PiWedgeFactorization(phi2, middle, can1, can2, dst_wedge, iso)
-
-
 def is_connected(t: ThetaBitorsor) -> bool:
     """Surjectivity of theta: pi moves point 0 through theta's image, and the
     left action is free and transitive, so the orbit of 0 is every point
@@ -524,15 +455,13 @@ def is_connected(t: ThetaBitorsor) -> bool:
     return t.theta.is_surjective()
 
 
-def connected_component(
-    t: ThetaBitorsor, basepoint: int = 0
-) -> tuple[ThetaBitorsor, BitorsorMorphism]:
-    """Restrict to the symmetry orbit of a basepoint: the carrier over
+def connected_component(t: ThetaBitorsor) -> tuple[ThetaBitorsor, BitorsorMorphism]:
+    """Restrict to the symmetry orbit of point 0: the carrier over
     (image of theta, orbit, transporter subgroup), with its inclusion."""
     b = t.bitorsor
     h_prime = sorted(set(t.theta.map))
-    orbit = sorted({b.left_act[gp][basepoint] for gp in h_prime})
-    h = [g for g in b.right_group.elements if b.right_act[basepoint][g] in set(orbit)]
+    orbit = sorted({b.left_act[gp][0] for gp in h_prime})
+    h = [g for g in b.right_group.elements if b.right_act[0][g] in set(orbit)]
     hp_grp, hp_incl = subgroup_as_group(b.left_group, h_prime)
     _, h_incl = subgroup_as_group(b.right_group, h)
     sub, inclusion = bt.restrict(b, hp_incl, tuple(orbit), h_incl)

@@ -333,14 +333,6 @@ def subgroup(parent: FiniteGroup, members: Iterable[int]) -> Subgroup:
     return Subgroup(parent, ms, _normalized_by_generators(parent, ms))
 
 
-def trivial_subgroup(parent: FiniteGroup) -> Subgroup:
-    return subgroup(parent, (parent.identity,))
-
-
-def full_subgroup(parent: FiniteGroup) -> Subgroup:
-    return subgroup(parent, parent.elements)
-
-
 def kernel(f: GroupHom) -> Subgroup:
     e = f.dst.identity
     return subgroup(f.src, (a for a in f.src.elements if f.map[a] == e))

@@ -252,11 +252,20 @@ def requiv_related(
 ) -> tuple[Factorization, PiMorphism] | None:
     """Witness that y differs from x by a closure element: factor
     z0 = y (glued with) x-inverse inside the closure and return it with the
-    isomorphism from z0 (glued with) x back to y."""
+    isomorphism from z0 (glued with) x back to y.
+
+    x's theta must have a central image: pi acts on z0's right group by
+    conjugation through x's theta, so otherwise that group is twisted and
+    z0 has no theta presentation.  Such an x raises RightGroupNotConstant
+    before anything is glued."""
     if x.bitorsor.right_group != y.bitorsor.right_group:
         raise SignatureMismatch("the two carriers have different structure groups")
     if x.pi != y.pi or x.pi != r.pi:
         raise SignatureMismatch("carrier symmetry group differs from the registry's")
+    if not _has_central_image(x.theta):
+        raise eq.RightGroupNotConstant(
+            "x's theta must have a central image, or y glued with x-inverse has a twisted right group"
+        )
     x_pi = eq.from_theta(x)
     y_pi = eq.from_theta(y)
     z0 = eq.compose_pi(y_pi, eq.inverse_pi(x_pi))

@@ -122,21 +122,6 @@ def over_c1(b):
     return E.PiBitorsor(left, right, b, (tuple(b.points),))
 
 
-def plain_rewrite(m, b1, b2):
-    """The wedge rewrite of a plain morphism m out of b1 glued with b2: the
-    Pi rewrite over the trivial group, with its plain parts in the record of
-    the former plain rewrite."""
-    import reference_checks as ref
-    from bitorsor_kit import equivariant as E
-
-    pm = E.PiMorphism(over_c1(m.src), over_c1(m.dst), m)
-    fac = E.pi_factor_through_pushforwards(pm, over_c1(b1), over_c1(b2))
-    return ref.WedgeFactorization(
-        fac.middle_hom, fac.left_canonical.inner, fac.right_canonical.inner,
-        fac.wedge.bitorsor, fac.iso.inner,
-    )
-
-
 _CLI_RUNNER = """
 import contextlib, io, json, sys
 from bitorsor_kit import cli, errors

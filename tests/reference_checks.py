@@ -46,6 +46,11 @@ constructor accepted, and the closure witnesses that took their
 isomorphism from the search and their factorization from the checked
 constructor.
 
+Transport: the disconnected decomposition that factored the component's
+inclusion through the wedge of canonical extensions, searched its right
+isomorphism over forced pools with an equivariance filter, and took the
+transported witness from a checked image factorization.
+
 Table readers: the group-file and extension parsers, make_group, the
 FiniteGroup validator and the semidirect and symmetric constructors that
 read, checked and built each table entry by entry.
@@ -58,7 +63,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, make_dataclass
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
 
 from bitorsor_kit import bitorsors as B
@@ -68,7 +73,7 @@ from bitorsor_kit import groups as G
 from bitorsor_kit import rclass as R
 from bitorsor_kit.bitorsors import InvalidBitorsor, InvalidMorphism, NotFree, NotTransitive
 from bitorsor_kit.equivariant import EquivariantError, NotPiEquivariant
-from bitorsor_kit.errors import DomainError, by_formula
+from bitorsor_kit.errors import DomainError, by_formula, record
 from bitorsor_kit.formats import ParseError, _content_lines, _int_token, _take, _tokens, resolve_group_spec
 from bitorsor_kit.groups import (
     MAX_ORDER,
@@ -565,7 +570,7 @@ def factor_through_pushforwards(m, b1, b2):
             continue
         if not psi.is_isomorphism():
             continue
-        composite = B.compose_bimorphisms(psi, glued)
+        composite = compose_bimorphisms(psi, glued)
         if (
             composite.point_map == m.point_map
             and composite.phi_left == m.phi_left
@@ -620,7 +625,7 @@ def pi_factor_through_pushforwards(m, p1, p2):
             continue
         if not psi_inner.is_isomorphism():
             continue
-        composite = B.compose_bimorphisms(psi_inner, glued_inner)
+        composite = compose_bimorphisms(psi_inner, glued_inner)
         if (
             composite.point_map != m.inner.point_map
             or composite.phi_left != m.inner.phi_left
@@ -631,7 +636,7 @@ def pi_factor_through_pushforwards(m, p1, p2):
             psi = E.PiMorphism(dst_wedge, m.dst, psi_inner)
         except DomainError:
             continue
-        return E.PiWedgeFactorization(phi2, middle, can1, can2, dst_wedge, psi)
+        return PiWedgeFactorization(phi2, middle, can1, can2, dst_wedge, psi)
     raise InvalidMorphism("no equivariant isomorphism completes the rewrite")
 
 
@@ -1378,7 +1383,7 @@ def unforced_pi_factor_through_pushforwards(m, p1, p2):
     )
     if psi is None:
         raise InvalidMorphism("no equivariant isomorphism completes the rewrite")
-    return E.PiWedgeFactorization(phi2, middle, can1, can2, dst_wedge, psi)
+    return PiWedgeFactorization(phi2, middle, can1, can2, dst_wedge, psi)
 
 
 # ------------------------------------------------------------ base points
@@ -1444,7 +1449,7 @@ def wedge_completions(glued, m, right_isos):
             continue
         if not psi.is_isomorphism():
             continue
-        composite = B.compose_bimorphisms(psi, glued)
+        composite = compose_bimorphisms(psi, glued)
         if (
             composite.point_map == m.point_map
             and composite.phi_left == m.phi_left
@@ -1521,13 +1526,13 @@ def _transport_disconnected(t, e, inner, incl):
     x = E.from_theta(t)
     comp_theta = E.ThetaBitorsor(incl.src, _component_theta(t, incl))
     incl_pi = E.PiMorphism(E.from_theta(comp_theta), x, incl)
-    full = E.compose_pi_morphisms(incl_pi, inner.witness_iso)
-    fac = E.pi_factor_through_pushforwards(full, inner.y, inner.z)
+    full = rewrite_compose_pi_morphisms(incl_pi, inner.witness_iso)
+    fac = rewrite_pi_factor_through_pushforwards(full, inner.y, inner.z)
     y = fac.left_canonical.dst
     z = fac.right_canonical.dst
     witness_iso = fac.iso
-    w_incl = E.compose_pi_morphisms(fac.left_canonical, inner.certificate.w_inclusion)
-    alpha, beta, w_img = E.factor_morphism_pi(w_incl)
+    w_incl = rewrite_compose_pi_morphisms(fac.left_canonical, inner.certificate.w_inclusion)
+    alpha, beta, w_img = rewrite_factor_morphism_pi(w_incl)
     gamma_surj = G.compose_homs(alpha.inner.phi_left, inner.certificate.gamma_surjection)
     if not gamma_surj.is_surjective():
         raise D.DevissageError("transported witness lost gamma coverage")
@@ -1560,7 +1565,7 @@ def decompose_with_lift(t, e, lift):
         raise B.SignatureMismatch("carrier symmetry group differs from pi_big")
     if E.is_connected(t):
         return _decompose_connected(t, e, lift)
-    comp, incl = E.connected_component(t, basepoint=0)
+    comp, incl = E.connected_component(t)
     inner = _decompose_connected(comp, e, lift)
     return _transport_disconnected(t, e, inner, incl)
 
@@ -1652,6 +1657,182 @@ def requiv_related(x, y, r, max_n):
     if iso is None:
         raise R.RClassError("closure witness failed to recombine with the base carrier")
     return fac, iso
+
+
+# ------------------------------------------------------------ transport
+#
+# The disconnected decomposition that rewrote the component's inclusion as
+# canonical extensions of both factors glued and followed by an
+# isomorphism: the right-hom search filtered on pi-equivariance over forced
+# pools, the glued map of the two extensions, and the checked image
+# factorization of the transported witness, with the composition of
+# carrier morphisms they used.  The library's previous versions with module
+# prefixes; the functions of the transport carry the prefix rewrite_, as
+# older references above hold some of their names.
+
+
+def compose_bimorphisms(outer: B.BitorsorMorphism, inner: B.BitorsorMorphism) -> B.BitorsorMorphism:
+    if inner.dst != outer.src:
+        raise B.SignatureMismatch("morphisms do not chain")
+    return by_formula(
+        B.BitorsorMorphism, inner.src, outer.dst,
+        G.compose_homs(outer.phi_left, inner.phi_left),
+        tuple(outer.point_map[v] for v in inner.point_map),
+        G.compose_homs(outer.phi_right, inner.phi_right),
+    )
+
+
+def rewrite_factor_morphism(
+    m: B.BitorsorMorphism,
+) -> tuple[B.BitorsorMorphism, B.BitorsorMorphism, B.Bitorsor]:
+    """Surjection onto the image sub-bitorsor followed by an injection."""
+    img_points = tuple(sorted(set(m.point_map)))
+    pos = {x: i for i, x in enumerate(img_points)}
+    lg, l_incl = subgroup_as_group(m.dst.left_group, set(m.phi_left.map))
+    rg, r_incl = subgroup_as_group(m.dst.right_group, set(m.phi_right.map))
+    l_pos = {v: i for i, v in enumerate(l_incl.map)}
+    r_pos = {v: i for i, v in enumerate(r_incl.map)}
+    img, beta = B.restrict(m.dst, l_incl, img_points, r_incl)
+    alpha = B.BitorsorMorphism(
+        m.src,
+        img,
+        GroupHom(m.src.left_group, lg, tuple(l_pos[v] for v in m.phi_left.map)),
+        tuple(pos[v] for v in m.point_map),
+        GroupHom(m.src.right_group, rg, tuple(r_pos[v] for v in m.phi_right.map)),
+    )
+    return alpha, beta, img
+
+
+def rewrite_wedge_of_morphisms(
+    m1: B.BitorsorMorphism, m2: B.BitorsorMorphism, src_wedge: B.Bitorsor, dst_wedge: B.Bitorsor
+) -> B.BitorsorMorphism:
+    """Glue two morphisms sharing their middle hom: the class of (0, i)
+    goes to the class of (m1(0), m2(i))."""
+    if m1.phi_right != m2.phi_left:
+        raise B.SignatureMismatch("middle homs differ")
+    (row,) = B.glued_rows(m1.dst, m2.dst, (m1.point_map[0],))
+    point_map = tuple(row[v] for v in m2.point_map)
+    return by_formula(
+        B.BitorsorMorphism, src_wedge, dst_wedge, m1.phi_left, point_map, m2.phi_right
+    )
+
+
+def rewrite_rho_pools(glued: B.BitorsorMorphism, m: B.BitorsorMorphism) -> list[Sequence[int]]:
+    """Image pools, per generator of glued's right group, for a right hom rho
+    with rho o glued.phi_right = m.phi_right: the equation fixes rho on the
+    image of glued.phi_right, so a generator there gets its one admissible
+    image.  A search over these pools keeps its order and drops only homs
+    that the equation rejects."""
+    forced = dict(zip(glued.phi_right.map, m.phi_right.map))
+    every = range(m.dst.right_group.order)
+    return [
+        (forced[r],) if r in forced else every for r in glued.dst.right_group.generators
+    ]
+
+
+def rewrite_pi_equivariant_isos(
+    a: E.PiGroup, b: E.PiGroup, candidates: Sequence[Sequence[int]]
+) -> Iterator[GroupHom]:
+    """Yield the Pi-equivariant isomorphisms lazily, in lexicographic order
+    of generator images, each generator's image drawn from its pool in
+    `candidates`."""
+    for f in iter_isomorphisms(a.group, b.group, candidates):
+        if E.is_pi_equivariant_hom(f, a, b):
+            yield f
+
+
+def rewrite_compose_pi_morphisms(outer: E.PiMorphism, inner: E.PiMorphism) -> E.PiMorphism:
+    return by_formula(
+        E.PiMorphism, inner.src, outer.dst, compose_bimorphisms(outer.inner, inner.inner)
+    )
+
+
+def rewrite_factor_morphism_pi(
+    m: E.PiMorphism,
+) -> tuple[E.PiMorphism, E.PiMorphism, E.PiBitorsor]:
+    """Image factorization with the inherited symmetry structure."""
+    alpha, beta, _ = rewrite_factor_morphism(m.inner)
+    img_pi, beta_pi = E.restrict_pi(m.dst, beta)
+    return E.PiMorphism(m.src, img_pi, alpha), beta_pi, img_pi
+
+
+@record
+class PiWedgeFactorization:
+    """An equivariant morphism out of a glued pair, rewritten as canonical
+    middle-group extensions of both factors followed by an isomorphism."""
+
+    middle_hom: GroupHom
+    middle: E.PiGroup
+    left_canonical: E.PiMorphism
+    right_canonical: E.PiMorphism
+    wedge: E.PiBitorsor
+    iso: E.PiMorphism
+
+
+def rewrite_pi_factor_through_pushforwards(
+    m: E.PiMorphism, p1: E.PiBitorsor, p2: E.PiBitorsor
+) -> PiWedgeFactorization:
+    src_wedge = E.compose_pi(p1, p2)
+    if m.src != src_wedge:
+        raise B.SignatureMismatch("morphism does not start at the glued carrier")
+    pushed2, can2r = E.pushforward_pi(p2, m.inner.phi_right, m.dst.right)
+    phi2 = can2r.inner.phi_left
+    middle = pushed2.left
+    pushed1, can1 = E.pushforward_pi(p1, phi2, middle)
+    pushed2l, can2 = E.pushforward_left_pi(p2, phi2, middle)
+    dst_wedge = E.compose_pi(pushed1, pushed2l)
+    glued = rewrite_wedge_of_morphisms(can1.inner, can2.inner, src_wedge.bitorsor, dst_wedge.bitorsor)
+    # psi o glued = m holds for every rho of the forced pools: the image of
+    # glued.phi_right is the initial segment of the elements of
+    # pushforward_left's right group, so the greedy generating_set generates
+    # it with the generators inside it, and the pools pin rho on all of it.
+    # psi is then pi-equivariant because rho is.
+    pools = rewrite_rho_pools(glued, m.inner)
+    rho = next(rewrite_pi_equivariant_isos(dst_wedge.right, m.dst.right, pools), None)
+    if rho is None:
+        raise InvalidMorphism("no equivariant isomorphism completes the rewrite")
+    psi = B.base_point_iso(dst_wedge.bitorsor, glued(0), m.dst.bitorsor, m.inner(0), rho)
+    iso = by_formula(E.PiMorphism, dst_wedge, m.dst, psi)
+    return PiWedgeFactorization(phi2, middle, can1, can2, dst_wedge, iso)
+
+
+def rewrite_transport_disconnected(
+    t: E.ThetaBitorsor, comp: E.ThetaBitorsor, incl: B.BitorsorMorphism, inner: D.Decomposition
+) -> D.Decomposition:
+    """Push the decomposition of the component `comp` forward along its
+    inclusion; inner's witness is the identity, so the inclusion is the
+    morphism out of inner's glued factors."""
+    x = E.from_theta(t)
+    incl_pi = by_formula(E.PiMorphism, E.from_theta(comp), x, incl)
+    fac = rewrite_pi_factor_through_pushforwards(incl_pi, inner.y, inner.z)
+    y = fac.left_canonical.dst
+    z = fac.right_canonical.dst
+    witness_iso = fac.iso
+    w_incl = rewrite_compose_pi_morphisms(fac.left_canonical, inner.certificate.w_inclusion)
+    alpha, beta, w_img = rewrite_factor_morphism_pi(w_incl)
+    gamma_surj = G.compose_homs(alpha.inner.phi_left, inner.certificate.gamma_surjection)
+    if not gamma_surj.is_surjective():
+        raise D.DevissageError("transported witness lost gamma coverage")
+    cert = D.DecompositionCertificate(
+        inner.certificate.h_prime,
+        inner.certificate.quotient_map,
+        inner.certificate.s_low,
+        inner.certificate.theta_tilde,
+        w_img,
+        beta,
+        gamma_surj,
+    )
+    return D.Decomposition(y, z, witness_iso, cert)
+
+
+def rewrite_decompose(t: E.ThetaBitorsor, e: D.SplitExtension) -> D.Decomposition:
+    """Split t into a type-gamma and a type-pi factor."""
+    if t.pi != e.pi_big:
+        raise B.SignatureMismatch("carrier symmetry group differs from pi_big")
+    if E.is_connected(t):
+        return D._decompose_connected(t, e)
+    comp, incl = E.connected_component(t)
+    return rewrite_transport_disconnected(t, comp, incl, D._decompose_connected(comp, e))
 
 
 # Table readers: the per-entry loops of the group-file parser, the

@@ -1,5 +1,5 @@
-"""Carrier construction, the product/inverse/Isom calculus, pushforwards,
-quotients, and the factorization theorems."""
+"""Carrier construction, the product/inverse/Isom calculus, pushforwards
+and quotients."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from bitorsor_kit import bitorsors as B
 from bitorsor_kit import groups as G
 from bitorsor_kit.errors import FULL_CHECK, DomainError
 
-from conftest import plain_rewrite, scrambled_trivial
+from conftest import scrambled_trivial
 
 
 def product_map(g: G.FiniteGroup) -> tuple[B.BitorsorMorphism, B.Bitorsor]:
@@ -150,9 +150,9 @@ class TestTrivialization:
     def test_trivialization_is_isomorphism(self, group_universe, rng):
         for g in group_universe:
             b = scrambled_trivial(g, rng)
-            conj, m = B.trivialize(b, 0)
+            m = B.base_point_iso(B.trivial_bitorsor(g), g.identity, b, 0, G.identity_hom(g))
             assert m.is_isomorphism()
-            assert m.phi_left == conj
+            assert m.phi_left == B.point_conjugation(b, 0)
 
 
 class TestNormalTransport:
@@ -189,9 +189,9 @@ class TestQuotients:
 
     def test_trivial_and_full_quotients(self, z6, rng):
         b = scrambled_trivial(z6, rng)
-        bq, _ = B.quotient_bitorsor(b, G.trivial_subgroup(z6))
+        bq, _ = B.quotient_bitorsor(b, G.subgroup(z6, (z6.identity,)))
         assert bq.size == 6
-        bq2, _ = B.quotient_bitorsor(b, G.full_subgroup(z6))
+        bq2, _ = B.quotient_bitorsor(b, G.subgroup(z6, z6.elements))
         assert bq2.size == 1
 
     def test_quotient_agrees_with_extension_along_projection(self, s3, z6, rng):
@@ -316,43 +316,14 @@ class TestPushforward:
             B.pushforward(t4, G.GroupHom(z4, z2, (0, 1, 0, 1)))[1],
             B.pushforward(t4, G.GroupHom(z4, z4, (0, 2, 0, 2)))[1],
             B.pushforward(B.trivial_bitorsor(z2), G.GroupHom(z2, z4, (0, 2)))[1],
-            B.trivialize(scrambled_trivial(s3, rng), 1)[1],
+            B.base_point_iso(
+                B.trivial_bitorsor(s3), s3.identity, scrambled_trivial(s3, rng), 1,
+                G.identity_hom(s3),
+            ),
         ]
         for m in samples:
             assert m.is_injective() == m.phi_right.is_injective() == m.phi_left.is_injective()
             assert m.is_surjective() == m.phi_right.is_surjective() == m.phi_left.is_surjective()
-
-    def test_image_factorization(self, z4):
-        t = B.trivial_bitorsor(z4)
-        doubling = G.GroupHom(z4, z4, (0, 2, 0, 2))
-        _, can = B.pushforward(t, doubling)
-        alpha, beta, img = B.factor_morphism(can)
-        assert img.size == 2
-        assert alpha.is_surjective() and beta.is_injective()
-        back = B.compose_bimorphisms(beta, alpha)
-        assert back.point_map == can.point_map
-        assert back.phi_left == can.phi_left and back.phi_right == can.phi_right
-
-
-class TestWedgeFactorization:
-    def test_multiplication_morphism_rewrites(self, z4, s3):
-        for g in (z4, s3):
-            m, wedge = product_map(g)
-            t = B.trivial_bitorsor(g)
-            fac = plain_rewrite(m, t, t)
-            assert fac.iso.is_isomorphism()
-            assert fac.middle_hom.src == g
-
-    def test_rewrite_with_collapsing_target(self, s3):
-        a3 = G.subgroup(s3, [g for g in s3.elements if s3.element_order(g) != 2])
-        gq, q = G.quotient(s3, a3)
-        m, wedge = product_map(s3)
-        t = B.trivial_bitorsor(s3)
-        tq = B.trivial_bitorsor(gq)
-        collapse = B.BitorsorMorphism(t, tq, q, q.map, q)
-        fac = plain_rewrite(B.compose_bimorphisms(collapse, m), t, t)
-        assert fac.iso.is_isomorphism()
-        assert fac.wedge.right_group.order == 2
 
 
 @settings(max_examples=25, deadline=None)

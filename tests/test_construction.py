@@ -1,9 +1,10 @@
 """Values built by construction: every torsor completion, every contracted
-product, pushforward and gluing map built in base-point coordinates, every
-Pi-action on a pushed group, every isomorphism built at a base point and
-every wedge rewrite with forced right-hom pools returns exactly what the
-closing, orbit-sorting, conjugating, filtering and unforced references in
-reference_checks return, group labels and generators included."""
+product and pushforward built in base-point coordinates, every Pi-action
+on a pushed group, every isomorphism built at a base point and every
+disconnected decomposition transported along its component's inclusion
+with a pinned right isomorphism returns exactly what the closing,
+orbit-sorting, conjugating, filtering, unforced and rewriting references
+in reference_checks return, group labels and generators included."""
 
 from __future__ import annotations
 
@@ -19,19 +20,13 @@ from bitorsor_kit import equivariant as E
 from bitorsor_kit import groups as G
 from bitorsor_kit import local_model as L
 
-from conftest import plain_rewrite, scrambled_trivial
+from conftest import scrambled_trivial
 from test_restrict import assert_same, labels
 from test_acceptance import _acceptance_extensions
 from test_search import (
-    RELABELLED, UNIVERSE, _pi_wedge_cases, _plain_wedge_cases, _record_wedge_calls,
+    RELABELLED, UNIVERSE, _pi_wedge_cases, _plain_wedge_cases, _record_transports,
+    canonical_extensions, sweep_c3_c2,
 )
-
-
-def _ref_wedge_of_morphisms(m1, m2, src_wedge, dst_wedge):
-    """The reference gluing map, given the pair indexes it reads."""
-    src_index = ref.contracted_product(m1.src, m2.src)[1]
-    dst_index = ref.contracted_product(m1.dst, m2.dst)[1]
-    return ref.wedge_of_morphisms(m1, m2, src_index, dst_index, src_wedge, dst_wedge)
 
 
 # (module, library function, reference) for every construction this file
@@ -45,9 +40,7 @@ CHECKED = (
     (B, "pushforward_left", ref.pushforward_left),
     (B, "contracted_product", lambda b1, b2: ref.contracted_product(b1, b2)[0]),
     (E, "compose_pi", lambda p1, p2: ref.contracted_product_pi(p1, p2)[0]),
-    (B, "wedge_of_morphisms", _ref_wedge_of_morphisms),
     (B, "isom_canonical_iso", ref.isom_canonical_iso),
-    (E, "pi_factor_through_pushforwards", ref.unforced_pi_factor_through_pushforwards),
 )
 
 
@@ -107,11 +100,11 @@ def test_completions_match_reference_on_test_carriers(rng):
     for g in UNIVERSE + RELABELLED:
         carriers += [B.trivial_bitorsor(g), scrambled_trivial(g, rng), _twisted(g, rng)]
     for m, b1, b2 in _plain_wedge_cases(rng):
-        fac = plain_rewrite(m, b1, b2)
+        fac = ref.factor_through_pushforwards(m, b1, b2)
         carriers += [b1, b2, m.src, m.dst, fac.wedge]
         carriers += [fac.left_canonical.dst, fac.right_canonical.dst]
     for m, p1, p2 in _pi_wedge_cases():
-        fac = E.pi_factor_through_pushforwards(m, p1, p2)
+        fac = ref.pi_factor_through_pushforwards(m, p1, p2)
         carriers += [p.bitorsor for p in (p1, p2, m.src, m.dst, fac.wedge)]
     assert any(b.right_group.identity != 0 for b in carriers)
     for b in carriers:
@@ -165,10 +158,9 @@ def test_pushforwards_match_reference_on_relabelled_groups(checked, rng):
 
 
 def test_gluing_matches_reference_on_relabelled_groups(checked, rng):
-    """Plain and Pi contracted products, each way round, the Isom
-    identification, and a glued pair of morphisms whose first moves point 0,
-    on twisted and scrambled carriers over groups whose identity is not 0,
-    under a nontrivial theta."""
+    """Plain and Pi contracted products, each way round, and the Isom
+    identification, on twisted and scrambled carriers over groups whose
+    identity is not 0, under a nontrivial theta."""
     c2 = G.cyclic(2)
     for g in RELABELLED:
         theta = next(h for h in G.enumerate_homs(c2, g) if h.map != (g.identity,) * 2)
@@ -179,58 +171,35 @@ def test_gluing_matches_reference_on_relabelled_groups(checked, rng):
         B.contracted_product(q.bitorsor, p.bitorsor)
         B.isom_canonical_iso(p.bitorsor, q.bitorsor)
         B.isom_canonical_iso(q.bitorsor, p.bitorsor)
-        b, qi = p.bitorsor, B.inverse(q.bitorsor)
-        m1 = B.base_point_iso(b, 0, b, 1, G.identity_hom(g))
-        wedge = B.contracted_product(b, qi)
-        B.wedge_of_morphisms(m1, B.identity_morphism(qi), wedge, wedge)
-    names = ("compose_pi", "isom_canonical_iso", "wedge_of_morphisms")
+    names = ("compose_pi", "isom_canonical_iso")
     assert min(checked[name] for name in names) > 5
 
 
-def test_wedge_rewrites_match_unforced_search(checked, rng):
-    """The wedge cases of test_search, and every class over S3 and D4 along
-    C3 x| C2 for each section: several right isomorphisms pass there."""
-    for m, b1, b2 in _plain_wedge_cases(rng):
-        got = plain_rewrite(m, b1, b2)
-        assert_same(got, ref.unforced_factor_through_pushforwards(m, b1, b2))
-    for m, p1, p2 in _pi_wedge_cases():
-        E.pi_factor_through_pushforwards(m, p1, p2)
-    sd = G.semidirect_product(*G.cyclic_power_action(3, 2, 2))
-    for s in G.sections_of(sd.projection):
-        e = D.SplitExtension(sd.group, G.kernel(sd.projection), sd.projection.dst,
-                             sd.projection, s)
-        for g in (G.symmetric(3), G.dihedral(4)):
-            for t in E.h1(e.pi_big, g):
-                D.decompose(t, e)
-    assert checked["pi_factor_through_pushforwards"] > 5
-
-
-def _survey_inner_rewrites(monkeypatch, work) -> list:
-    """The plain rewrite of every Pi rewrite that `work` makes."""
-    calls = []
-    lib = E.pi_factor_through_pushforwards
-
-    def record(m, p1, p2):
-        calls.append((m.inner, p1.bitorsor, p2.bitorsor))
-        return lib(m, p1, p2)
-
-    with monkeypatch.context() as mp:
-        mp.setattr(E, "pi_factor_through_pushforwards", record)
-        work()
-    return calls
+def test_wedge_rewrites_match_unforced_search(checked, monkeypatch):
+    """Each transport of the C3 x| C2 sweep is the rewrite of the
+    component's inclusion that the unforced search completes, and each
+    pushforward it makes is its reference's."""
+    calls = _record_transports(monkeypatch, sweep_c3_c2)
+    for m, inner, d in calls:
+        fac = ref.unforced_pi_factor_through_pushforwards(m, inner.y, inner.z)
+        assert_same(
+            (d.y, d.z, d.witness_iso), (fac.left_canonical.dst, fac.right_canonical.dst, fac.iso)
+        )
+    assert len(calls) > 5 and checked["pushforward_left_pi"] > 5
 
 
 # The S4 surveys of the survey ladder and the S5 (2,3,2) survey.
+SURVEY_CASES = [
+    ((3, 4, 2), G.symmetric(4)),
+    ((2, 3, 2), G.symmetric(4)),
+    ((2, 7, 3), G.symmetric(4)),
+    ((5, 4, 1), G.symmetric(4)),
+    ((2, 5, 4), G.symmetric(4)),
+    ((2, 3, 2), G.symmetric(5)),
+]
 SURVEYS = pytest.mark.parametrize(
     "params, group",
-    [
-        ((3, 4, 2), G.symmetric(4)),
-        ((2, 3, 2), G.symmetric(4)),
-        ((2, 7, 3), G.symmetric(4)),
-        ((5, 4, 1), G.symmetric(4)),
-        ((2, 5, 4), G.symmetric(4)),
-        ((2, 3, 2), G.symmetric(5)),
-    ],
+    SURVEY_CASES,
     ids=lambda v: getattr(v, "label", None) or "-".join(map(str, v)),
 )
 
@@ -238,47 +207,83 @@ SURVEYS = pytest.mark.parametrize(
 @SURVEYS
 def test_survey_classes_match_reference(checked, monkeypatch, params, group):
     """Every class of the S4 surveys of the survey ladder and of the S5
-    (2,3,2) survey: each completion, pushed Pi-action and rewrite, plain
-    and Pi, as its reference builds it."""
+    (2,3,2) survey: each completion and pushed Pi-action as its reference
+    builds it, and each transport as the unforced search's rewrite."""
     report = []
-    inner = _survey_inner_rewrites(
+    calls = _record_transports(
         monkeypatch, lambda: report.append(L.survey(L.TameParams(*params), group))
     )
     assert all(r.verified for r in report[0].rows)
     assert checked["_complete_right"] > 0
-    assert inner and len(inner) == sum(not r.connected for r in report[0].rows)
-    for m, b1, b2 in inner:
-        got = plain_rewrite(m, b1, b2)
-        assert_same(got, ref.unforced_factor_through_pushforwards(m, b1, b2))
+    assert calls and len(calls) == sum(not r.connected for r in report[0].rows)
+    for m, inner, d in calls:
+        fac = ref.unforced_pi_factor_through_pushforwards(m, inner.y, inner.z)
+        assert_same(
+            (d.y, d.z, d.witness_iso), (fac.left_canonical.dst, fac.right_canonical.dst, fac.iso)
+        )
 
 
-def test_forced_pools_drop_only_rejected_right_homs(monkeypatch, rng):
-    """Every right isomorphism over the pools of rho_pools passes
-    rho o glued.phi_right = m.phi_right, the ones that pass are the unforced
-    search's, in its order, and the pools cut the search in some rewrite."""
-    seen = []
-    lib = B.rho_pools
+def _decompose_cases(case):
+    """(carrier, extension) for every class of the criterion-6 sweep, of a
+    survey in SURVEYS, or of the criterion-6 extensions over the relabelled
+    groups of test_search, whose identities are not 0."""
+    if case in ("criterion-6", "relabelled"):
+        groups = RELABELLED if case == "relabelled" else (
+            G.cyclic(2), G.cyclic(3), G.cyclic(4), G.cyclic(6), G.symmetric(3), G.dihedral(4),
+        )
+        for e in _acceptance_extensions():
+            for g in groups:
+                for t in E.h1(e.pi_big, g):
+                    yield t, e
+        return
+    params, group = case
+    e = L.build_tame_quotient(L.TameParams(*params))
+    for t in E.h1(e.pi_big, group):
+        yield t, e
 
-    def record(glued, m):
-        seen.append((glued, m))
-        return lib(glued, m)
 
-    monkeypatch.setattr(B, "rho_pools", record)
-    for m, b1, b2 in _plain_wedge_cases(rng):
-        plain_rewrite(m, b1, b2)
-    for m, p1, p2 in _pi_wedge_cases():
-        E.pi_factor_through_pushforwards(m, p1, p2)
-    assert seen
+@pytest.mark.parametrize(
+    "case",
+    ["criterion-6", "relabelled", *SURVEY_CASES],
+    ids=lambda v: v if isinstance(v, str) else "-".join(map(str, v[0])) + "-" + v[1].label,
+)
+def test_decompose_matches_wedge_rewrite(case):
+    """decompose returns what the transport through the wedge rewrite
+    (reference_checks.rewrite_decompose) returns: the factors, the witness
+    isomorphism and every certificate field, labels included."""
+    disconnected = 0
+    for t, e in _decompose_cases(case):
+        assert_same(D.decompose(t, e), ref.rewrite_decompose(t, e))
+        disconnected += not E.is_connected(t)
+    assert disconnected > 0
+
+
+def _glued(m, inner, d):
+    """The glued map of the canonical extensions of inner's factors, from
+    their glued carrier to d's."""
+    can_y, can_z = canonical_extensions(m, inner.y, inner.z)
+    return ref.rewrite_wedge_of_morphisms(
+        can_y.inner, can_z.inner, m.src.bitorsor, d.witness_iso.src.bitorsor
+    )
+
+
+def test_forced_pools_drop_only_rejected_right_homs(monkeypatch):
+    """Over the forced pools of each transport of the C3 x| C2 sweep, every
+    right isomorphism passes rho o glued.phi_right = m.phi_right, the ones
+    that pass are the unforced search's, in its order, the transport's is
+    the first, and the pools cut the search in some transport."""
     cut = 0
-    for glued, m in seen:
-        a, b = glued.dst.right_group, m.dst.right_group
+    for m, inner, d in _record_transports(monkeypatch, sweep_c3_c2):
+        glued = _glued(m, inner, d)
+        a, b = glued.dst.right_group, m.inner.dst.right_group
 
         def passing(homs):
-            return [r.map for r in homs if G.compose_homs(r, glued.phi_right) == m.phi_right]
+            return [r.map for r in homs if G.compose_homs(r, glued.phi_right) == m.inner.phi_right]
 
         unforced = list(G.iter_isomorphisms(a, b))
-        forced = list(G.iter_isomorphisms(a, b, lib(glued, m)))
+        forced = list(G.iter_isomorphisms(a, b, ref.rewrite_rho_pools(glued, m.inner)))
         assert passing(forced) == [r.map for r in forced] == passing(unforced) != []
+        assert d.witness_iso.inner.phi_right == forced[0]
         cut += len(forced) < len(unforced)
     assert cut > 0
 
@@ -287,7 +292,8 @@ def test_isomorphisms_match_reference_on_test_carriers(rng):
     """are_isomorphic is the first hit of the checked search over the
     identity right hom, on scrambled and twisted carriers over every group of
     test_search, the relabelled ones included, and None between different
-    right groups; so is the trivialization through each point."""
+    right groups; so is the isomorphism from the trivial carrier sending the
+    identity to each point."""
     found = 0
     previous = B.trivial_bitorsor(G.cyclic(2))
     for g in UNIVERSE + RELABELLED:
@@ -298,24 +304,25 @@ def test_isomorphisms_match_reference_on_test_carriers(rng):
                 assert got == ref.are_isomorphic(b1, b2)
                 found += got is not None
             for x in b1.points:
-                assert B.trivialize(b1, x) == ref.trivialize(b1, x)
+                got = B.base_point_iso(B.trivial_bitorsor(g), g.identity, b1, x, G.identity_hom(g))
+                assert got == ref.trivialize(b1, x)[1]
         previous = carriers[1]
     assert found == 4 * len(UNIVERSE + RELABELLED)
 
 
 def _assert_rewrites_complete_as_reference(monkeypatch, work) -> None:
-    """The isomorphism of each wedge rewrite `work` makes is the first
-    completion that the checked search keeps over the forced pools."""
-    calls = _record_wedge_calls(monkeypatch, work)
+    """The witness of each transport `work` makes is the first completion of
+    the rewrite of its component's inclusion that the checked search keeps
+    over the forced pools."""
+    calls = _record_transports(monkeypatch, work)
     assert calls
-    for m, _, _, fac in calls:
-        glued = B.wedge_of_morphisms(
-            fac.left_canonical.inner, fac.right_canonical.inner, m.src.bitorsor, fac.wedge.bitorsor
-        )
-        pools = B.rho_pools(glued, m.inner)
-        right_isos = E.pi_equivariant_isos(fac.wedge.right, m.dst.right, pools)
+    for m, inner, d in calls:
+        glued = _glued(m, inner, d)
+        wedge = d.witness_iso.src
+        pools = ref.rewrite_rho_pools(glued, m.inner)
+        right_isos = ref.rewrite_pi_equivariant_isos(wedge.right, m.dst.right, pools)
         completions = ref.wedge_completions(glued, m.inner, right_isos)
-        assert fac.iso == ref._first_pi_morphism(fac.wedge, m.dst, completions)
+        assert d.witness_iso == ref._first_pi_morphism(wedge, m.dst, completions)
 
 
 def test_rewrites_complete_as_reference_on_criterion_6(monkeypatch, group_universe):

@@ -87,7 +87,7 @@ class TestSplitExtension:
         with pytest.raises(B.InvalidMorphism):
             D.SplitExtension(
                 ext_s3.pi_big,
-                G.trivial_subgroup(ext_s3.pi_big),
+                G.subgroup(ext_s3.pi_big, (ext_s3.pi_big.identity,)),
                 ext_s3.pi_small,
                 ext_s3.p,
                 ext_s3.s,
@@ -363,7 +363,7 @@ class TestVerifyNegatives:
 
     def test_h_prime_must_be_the_image_of_gamma(self, ext_s3, d_s3, s3):
         t, d = d_s3
-        res = self._tampered(t, d, ext_s3, h_prime=G.trivial_subgroup(s3))
+        res = self._tampered(t, d, ext_s3, h_prime=G.subgroup(s3, (s3.identity,)))
         assert not res
         assert res.diagnosis == "h_prime is not the image of gamma under theta"
 
@@ -428,10 +428,11 @@ class TestVerifyNegatives:
         theta = G.GroupHom(pi, z6, tuple(2 * (x // 2) % 6 for x in pi.elements))
         t = translation_carrier(z6, theta)
         d = D.decompose(t, ext_z6)
-        comp, _ = E.connected_component(t, basepoint=0)
+        comp, _ = E.connected_component(t)
         assert d.certificate.h_prime.parent == comp.bitorsor.left_group
         assert D.verify_decomposition(t, d, ext_z6)
-        trivial = G.trivial_subgroup(comp.bitorsor.left_group)
+        left = comp.bitorsor.left_group
+        trivial = G.subgroup(left, (left.identity,))
         res = self._tampered(t, d, ext_z6, h_prime=trivial)
         assert not res
         assert res.diagnosis == "h_prime is not the image of gamma under theta"
@@ -443,7 +444,7 @@ class TestImageLemmas:
         pi = ext_z6.pi_big
         doubling = G.GroupHom(z6, z6, tuple(2 * x % 6 for x in z6.elements))
         pushed, can = E.pushforward_pi(d.y, doubling, E.constant_pi_group(pi, z6))
-        _, _, img = E.factor_morphism_pi(can)
+        _, _, img = ref.factor_morphism_pi(can)
         assert ref.is_type_gamma(img, ext_z6) is not None
 
     def test_gamma_factor_left_extension_stays_gamma(self, ext_z6, d_z6, z6):
@@ -451,7 +452,7 @@ class TestImageLemmas:
         pi = ext_z6.pi_big
         doubling = G.GroupHom(z6, z6, tuple(2 * x % 6 for x in z6.elements))
         pushed, can = E.pushforward_left_pi(d.y, doubling, E.constant_pi_group(pi, z6))
-        _, _, img = E.factor_morphism_pi(can)
+        _, _, img = ref.factor_morphism_pi(can)
         assert ref.is_type_gamma(img, ext_z6) is not None
 
     def test_pi_factor_extension_iff_target_unmoved(self, ext_s3, theta_s3, s3, z2):

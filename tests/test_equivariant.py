@@ -11,7 +11,6 @@ from bitorsor_kit import groups as G
 from bitorsor_kit.errors import DomainError
 
 from conftest import scrambled_trivial
-from test_bitorsors import product_map
 
 
 def theta_into(pi: G.FiniteGroup, g: G.FiniteGroup, gen_image: int) -> G.GroupHom:
@@ -134,11 +133,11 @@ class TestConnectivity:
         theta = G.GroupHom(z2, z4, (0, 2))
         t = E.ThetaBitorsor(B.trivial_bitorsor(z4), theta)
         assert not E.is_connected(t)
-        comp, incl = E.connected_component(t, basepoint=1)
+        comp, incl = E.connected_component(t)
         assert comp.bitorsor.size == 2
         assert comp.bitorsor.right_group.order == 2
         assert E.is_connected(comp)
-        assert sorted(incl.point_map) == [1, 3]
+        assert sorted(incl.point_map) == [0, 2]
 
     def test_component_at_default_basepoint(self, s3, z2):
         t0 = next(g for g in s3.elements if s3.element_order(g) == 2)
@@ -258,64 +257,3 @@ class TestPiInduction:
         assert set(B.induced_conditions(p.bitorsor, h)[:4]) == {True}
         for cls in B.orbit_partition(p.bitorsor, h.members, left=False):
             assert any(row[x] not in cls for row in p.pi_action_on_points for x in cls)
-
-
-class TestPiFactorizations:
-    def test_image_factorization_restricts_structures(self, z4, z2):
-        p = E.from_theta(E.h1(z4, z4)[2])
-        incl = G.GroupHom(z2, z4, (0, 2))
-        pushed, can = E.pushforward_pi(
-            E.from_theta(E.h1(z4, z2)[1]), incl, E.constant_pi_group(z4, z4)
-        )
-        alpha, beta, img = E.factor_morphism_pi(can)
-        assert img.bitorsor.size == 2
-        assert alpha.inner.is_surjective() and beta.inner.is_injective()
-
-    def test_wedge_rewrite_equivariant(self, z4):
-        m_ens, wedge_ens = product_map(z4)
-        a = E.from_theta(E.h1(z4, z4)[1])
-        b = E.from_theta(E.h1(z4, z4)[1])
-        wedge = E.compose_pi(a, b)
-        assert wedge.bitorsor == wedge_ens
-        dst = E.from_theta(E.h1(z4, z4)[2])
-        m = E.PiMorphism(
-            wedge,
-            dst,
-            B.BitorsorMorphism(
-                wedge.bitorsor, dst.bitorsor, m_ens.phi_left, m_ens.point_map, m_ens.phi_right
-            ),
-        )
-        h = G.subgroup(z4, [0, 2])
-        _, q = G.quotient(z4, h)
-        dq, mq = E.pushforward_pi(dst, q, E.constant_pi_group(z4, q.dst))
-        m2 = E.compose_pi_morphisms(mq, m)
-        fac = E.pi_factor_through_pushforwards(m2, a, b)
-        assert fac.iso.is_isomorphism()
-        assert fac.wedge.bitorsor.right_group.order == 2
-        rebuilt = B.compose_bimorphisms(
-            fac.iso.inner,
-            B.wedge_of_morphisms(
-                fac.left_canonical.inner,
-                fac.right_canonical.inner,
-                wedge.bitorsor,
-                fac.wedge.bitorsor,
-            ),
-        )
-        assert rebuilt.point_map == m2.inner.point_map
-        assert rebuilt.phi_right == m2.inner.phi_right
-
-    def test_wedge_rewrite_identity_target(self, s3):
-        triv_theta = G.GroupHom(s3, s3, tuple(s3.identity for _ in s3.elements))
-        a = E.from_theta(E.ThetaBitorsor(B.trivial_bitorsor(s3), triv_theta))
-        wedge = E.compose_pi(a, a)
-        m_ens, wedge_ens = product_map(s3)
-        m = E.PiMorphism(
-            wedge,
-            a,
-            B.BitorsorMorphism(
-                wedge.bitorsor, a.bitorsor, m_ens.phi_left, m_ens.point_map, m_ens.phi_right
-            ),
-        )
-        fac = E.pi_factor_through_pushforwards(m, a, a)
-        assert fac.iso.is_isomorphism()
-        assert fac.middle_hom.src == s3

@@ -1,10 +1,13 @@
-"""The package's public names: every name in __all__ resolves, and each
-command loads only the modules it runs, never dataclasses or inspect."""
+"""The package's public names: every name in __all__ resolves, each
+command loads only the modules it runs, never dataclasses or inspect, and
+every public definition is reached from outside the unit tests."""
 
 from __future__ import annotations
 
+import ast
 import io
 import json
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -124,3 +127,40 @@ def test_a_command_loads_only_what_it_runs(code, extra, inputs):
 
 def test_importing_the_package_loads_no_module():
     assert loaded_after("import bitorsor_kit") == ["bitorsor_kit"]
+
+
+ROOT = SRC.parent
+
+
+def test_every_public_definition_is_reached():
+    """Every public top-level function or class of the library is named
+    somewhere other than its own definition: by another line under src/,
+    by the package's _EXPORTS, under scripts/ or perfbench/, or by
+    tests/test_acceptance.py.  A name only other tests reach is dead code."""
+    sources = {p: p.read_text().splitlines() for p in sorted((SRC / "bitorsor_kit").glob("*.py"))}
+    elsewhere = [
+        p.read_text()
+        for p in [*ROOT.glob("scripts/*.py"), *ROOT.glob("perfbench/*"), ROOT / "tests/test_acceptance.py"]
+        if p.is_file()
+    ]
+    exported = {n for names in bitorsor_kit._EXPORTS.values() for n in names}
+    unreached = []
+    for path, lines in sources.items():
+        for node in ast.parse("\n".join(lines)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            word = re.compile(rf"\b{node.name}\b")
+            own = node.lineno - 1
+            named = (
+                node.name in exported
+                or any(word.search(text) for text in elsewhere)
+                or any(
+                    word.search(line)
+                    for p, ls in sources.items()
+                    for i, line in enumerate(ls)
+                    if (p, i) != (path, own)
+                )
+            )
+            if not named:
+                unreached.append(f"{path.stem}.{node.name}")
+    assert unreached == []

@@ -241,3 +241,36 @@ def test_closure_witnesses_match_search_on_registries(rng, z2, z4):
                     assert got == _outcome(ref.requiv_related, t, y, r, 3)
                     built += isinstance(got, tuple)
     assert built > 200
+
+
+def test_requiv_related_refuses_a_non_central_theta_before_gluing(monkeypatch, rng):
+    """Over the S3 registry of test_rclass, every x whose theta has a
+    non-central image raises RightGroupNotConstant, naming the
+    precondition, before any carrier is glued; every other x glues."""
+    r = _rclass_registries()[5]
+    s3 = r.universe[0]
+    glued = []
+    lib = E.compose_pi
+
+    def record(p1, p2):
+        glued.append((p1, p2))
+        return lib(p1, p2)
+
+    monkeypatch.setattr(E, "compose_pi", record)
+    b = scrambled_trivial(s3, rng)
+    ts = [E.ThetaBitorsor(b, theta) for theta in G.enumerate_homs(r.pi, s3)]
+    refused = 0
+    for x in ts:
+        central = R._has_central_image(x.theta)
+        for y in ts:
+            glued.clear()
+            if central:
+                R.requiv_related(x, y, r, 3)
+                assert glued
+                continue
+            with pytest.raises(E.RightGroupNotConstant, match="central image"):
+                R.requiv_related(x, y, r, 3)
+            assert glued == []
+            refused += 1
+    assert refused > 0 and any(R._has_central_image(x.theta) for x in ts)
+

@@ -19,8 +19,6 @@ from bitorsor_kit import local_model as L
 from bitorsor_kit import rclass as R
 from bitorsor_kit.errors import record
 
-from test_search import _pi_wedge_cases
-
 MODULES = (G, B, E, D, R, L)
 PER_CLASS = 3
 
@@ -78,13 +76,11 @@ def pool() -> list:
     t = E.h1(e.pi_big, s3)[-1]
     d = D.decompose(t, e)
     registry = R.ElementaryClassRegistry(G.cyclic(2), (G.cyclic(2), c3), frozenset({(0, 0), (1, 0)}))
-    m, p1, p2 = _pi_wedge_cases()[0]
     roots = [
         t, e, D.th_ppal_membership(t, e, lambda p: True, lambda p: True),
         D.verify_decomposition(t, d, e),
         L.survey(L.TameParams(3, 2, 2), s3),
         G.semidirect_product(*G.cyclic_power_action(3, 2, 2)),
-        E.pi_factor_through_pushforwards(m, p1, p2),
         registry, R.validate_registry(registry), G.all_subgroups(s3),
     ]
     found: dict = {}
@@ -115,7 +111,7 @@ def one_per_class(pool) -> list:
 
 
 def test_every_library_class_is_a_record():
-    assert len(library_records()) == 22
+    assert len(library_records()) == 21
     for cls in library_records():
         assert "__dataclass_fields__" not in vars(cls), cls
 

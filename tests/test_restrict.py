@@ -13,9 +13,9 @@ from bitorsor_kit import equivariant as E
 from bitorsor_kit import groups as G
 from bitorsor_kit import local_model as L
 
-from conftest import over_c1, plain_rewrite, scrambled_trivial
+from conftest import over_c1, scrambled_trivial
 from test_acceptance import _acceptance_extensions
-from test_search import UNIVERSE, _pi_wedge_cases, _plain_wedge_cases
+from test_search import UNIVERSE, _record_transports, canonical_extensions
 
 
 def labels(x) -> list[str]:
@@ -74,20 +74,6 @@ def test_sub_bitorsor_and_induced_conditions_match_reference(rng):
     assert checked > 50
 
 
-def test_plain_image_factorization_matches_reference(rng):
-    for m, b1, b2 in _plain_wedge_cases(rng):
-        fac = plain_rewrite(m, b1, b2)
-        for f in (m, fac.left_canonical, fac.right_canonical, fac.iso):
-            assert_same(B.factor_morphism(f), ref.factor_morphism(f))
-
-
-def test_pi_image_factorization_matches_reference():
-    for m, p1, p2 in _pi_wedge_cases():
-        fac = E.pi_factor_through_pushforwards(m, p1, p2)
-        for f in (m, fac.left_canonical, fac.right_canonical, fac.iso):
-            assert_same(E.factor_morphism_pi(f), ref.factor_morphism_pi(f))
-
-
 SURVEYS = (
     ((3, 4, 2), G.symmetric(4)),
     ((2, 3, 2), G.symmetric(4)),
@@ -99,65 +85,72 @@ SURVEYS = (
 
 
 def _carriers_to_decompose(rng):
-    """(carrier, extension, small) for every class of the criterion-6 sweep,
-    every class of the S4 and S5 surveys of the benchmark, and every theta
-    from S3 into S3, D4 and C6 over scrambled and automorphism-twisted
-    carriers, along C3 x| C2 for each section; `small` marks the inputs
-    whose components are compared at every basepoint."""
+    """(carrier, extension) for every class of the criterion-6 sweep, every
+    class of the S4 and S5 surveys of the benchmark, and every theta from S3
+    into S3, D4 and C6 over scrambled and automorphism-twisted carriers,
+    along C3 x| C2 for each section."""
     for e in _acceptance_extensions():
         for g in (G.cyclic(2), G.cyclic(3), G.cyclic(4), G.cyclic(6), G.symmetric(3), G.dihedral(4)):
             for t in E.h1(e.pi_big, g):
-                yield t, e, True
+                yield t, e
     for params, g in SURVEYS:
         e = L.build_tame_quotient(L.TameParams(*params))
         for t in E.h1(e.pi_big, g):
-            yield t, e, False
+            yield t, e
     for e in _acceptance_extensions()[:2]:
         for g in (G.symmetric(3), G.dihedral(4), G.cyclic(6)):
             autos = G.isomorphisms_between(g, g)
             carriers = (scrambled_trivial(g, rng), scrambled_trivial(g, rng, autos[len(autos) // 2]))
             for b in carriers:
                 for theta in G.enumerate_homs(e.pi_big, g):
-                    yield E.ThetaBitorsor(b, theta), e, True
+                    yield E.ThetaBitorsor(b, theta), e
 
 
 def test_sweep_restrictions_match_reference(monkeypatch, rng):
     """Each type-gamma witness decompose builds is the first pi-stable
-    induced class that the reference search finds, and each image
-    factorization it makes is the reference's; each y factor passes the
-    reference type-gamma search, and each component at each basepoint of
-    the small inputs is the reference's."""
-    calls = {"_decompose_connected": [], "factor_morphism_pi": []}
+    induced class that the reference search finds, and each transported
+    witness is the image of the component's under y's canonical extension,
+    as the reference image factorization builds it; each y factor passes
+    the reference type-gamma search, and each component of point 0 is the
+    reference's."""
+    connected = []
+    lib = D._decompose_connected
 
-    def recorder(module, name):
-        lib = getattr(module, name)
+    def record(t, e):
+        out = lib(t, e)
+        connected.append(((t, e), out))
+        return out
 
-        def record(*args):
-            out = lib(*args)
-            calls[name].append((args, out))
-            return out
-
-        monkeypatch.setattr(module, name, record)
-
-    recorder(D, "_decompose_connected")
-    recorder(E, "factor_morphism_pi")
+    monkeypatch.setattr(D, "_decompose_connected", record)
     decomposed = disconnected = 0
-    for t, e, small in _carriers_to_decompose(rng):
-        disconnected += not E.is_connected(t)
-        if small:
-            for x in t.bitorsor.points:
-                assert_same(E.connected_component(t, x), ref.connected_component(t, x))
-        d = D.decompose(t, e)
-        assert ref.is_type_gamma(d.y, e) is not None
-        decomposed += 1
+
+    def work():
+        nonlocal decomposed, disconnected
+        for t, e in _carriers_to_decompose(rng):
+            disconnected += not E.is_connected(t)
+            assert_same(E.connected_component(t), ref.connected_component(t))
+            d = D.decompose(t, e)
+            assert ref.is_type_gamma(d.y, e) is not None
+            decomposed += 1
+
+    transports = _record_transports(monkeypatch, work)
     monkeypatch.undo()
-    assert decomposed > 400 and disconnected > 0 and calls["factor_morphism_pi"]
-    assert len(calls["_decompose_connected"]) == decomposed
-    for (t, e), inner in calls["_decompose_connected"]:
+    assert decomposed > 400 and disconnected > 0 and len(transports) == disconnected
+    assert len(connected) == decomposed
+    for (t, e), inner in connected:
         y = inner.y
         h = G.subgroup(y.bitorsor.right_group, {t.theta.map[c] for c in e.gamma.members})
         w = ref.pi_induced_witness(y, h)
         cert = inner.certificate
         assert_same((cert.w_witness, cert.w_inclusion), (w.sub, w.inclusion))
-    for args, out in calls["factor_morphism_pi"]:
-        assert_same(out, ref.factor_morphism_pi(*args))
+    for m, inner, d in transports:
+        can_y, _ = canonical_extensions(m, inner.y, inner.z)
+        w = inner.certificate
+        w_incl = E.PiMorphism(
+            w.w_witness, d.y, ref.compose_bimorphisms(can_y.inner, w.w_inclusion.inner)
+        )
+        alpha, beta, img = ref.factor_morphism_pi(w_incl)
+        cert = d.certificate
+        assert_same((cert.w_witness, cert.w_inclusion), (img, beta))
+        gamma_surj = G.compose_homs(alpha.inner.phi_left, w.gamma_surjection)
+        assert_same(cert.gamma_surjection, gamma_surj)

@@ -18,7 +18,7 @@ from bitorsor_kit import equivariant as E
 from bitorsor_kit import groups as G
 from bitorsor_kit import local_model as L
 
-from conftest import plain_rewrite, scrambled_trivial
+from conftest import scrambled_trivial
 from test_bitorsors import product_map
 from test_validators import relabel
 
@@ -174,7 +174,7 @@ def _plain_wedge_cases(rnd: random.Random):
     t = B.trivial_bitorsor(s3)
     tq = B.trivial_bitorsor(gq)
     collapse = B.BitorsorMorphism(t, tq, q, q.map, q)
-    cases.append((B.compose_bimorphisms(collapse, m), t, t))
+    cases.append((ref.compose_bimorphisms(collapse, m), t, t))
     for g in (G.cyclic(5), s3):
         b1, b2 = scrambled_trivial(g, rnd), scrambled_trivial(g, rnd)
         wedge = B.contracted_product(b1, b2)
@@ -183,14 +183,10 @@ def _plain_wedge_cases(rnd: random.Random):
     return cases
 
 
-def test_plain_wedge_factorization_matches_reference(rng):
-    for m, b1, b2 in _plain_wedge_cases(rng):
-        got = plain_rewrite(m, b1, b2)
-        assert got == ref.factor_through_pushforwards(m, b1, b2)
-
-
 def _pi_wedge_cases():
-    """The inputs of test_equivariant's wedge rewrites."""
+    """(morphism, left factor, right factor) triples of Pi-carriers over C4
+    and S3, each morphism out of the glued factors; the first collapses its
+    target's right group."""
     z4, s3 = G.cyclic(4), G.symmetric(3)
     m_ens, _ = product_map(z4)
     a = E.from_theta(E.h1(z4, z4)[1])
@@ -201,7 +197,7 @@ def _pi_wedge_cases():
     ))
     _, q = G.quotient(z4, G.subgroup(z4, [0, 2]))
     _, mq = E.pushforward_pi(dst, q, E.constant_pi_group(z4, q.dst))
-    cases = [(E.compose_pi_morphisms(mq, m), a, a)]
+    cases = [(E.PiMorphism(m.src, mq.dst, ref.compose_bimorphisms(mq.inner, m.inner)), a, a)]
     triv_theta = G.GroupHom(s3, s3, tuple(s3.identity for _ in s3.elements))
     t = E.from_theta(E.ThetaBitorsor(B.trivial_bitorsor(s3), triv_theta))
     wedge = E.compose_pi(t, t)
@@ -212,59 +208,79 @@ def _pi_wedge_cases():
     return cases
 
 
-def test_pi_wedge_factorization_matches_reference():
-    for m, p1, p2 in _pi_wedge_cases():
-        got = E.pi_factor_through_pushforwards(m, p1, p2)
-        assert got == ref.pi_factor_through_pushforwards(m, p1, p2)
-
-
-def _record_wedge_calls(monkeypatch, work) -> list:
-    """Run `work` and return (m, p1, p2, factorization) for every call of
-    pi_factor_through_pushforwards it makes."""
+def _record_transports(monkeypatch, work) -> list:
+    """Run `work` and return (m, inner, d) for every disconnected decompose
+    it makes: m is the inclusion of the component of point 0, as a morphism
+    out of the glued factors of inner, the component's decomposition, and d
+    is the transported decomposition."""
     calls = []
-    lib = E.pi_factor_through_pushforwards
+    lib = D._transport_disconnected
 
-    def record(m, p1, p2):
-        fac = lib(m, p1, p2)
-        calls.append((m, p1, p2, fac))
-        return fac
+    def record(t, incl, inner):
+        d = lib(t, incl, inner)
+        m = E.PiMorphism(E.compose_pi(inner.y, inner.z), E.from_theta(t), incl)
+        calls.append((m, inner, d))
+        return d
 
     with monkeypatch.context() as mp:
-        mp.setattr(E, "pi_factor_through_pushforwards", record)
+        mp.setattr(D, "_transport_disconnected", record)
         work()
     return calls
 
 
+def canonical_extensions(m, y0, z0) -> tuple[E.PiMorphism, E.PiMorphism]:
+    """The extensions of y0 on the right and of z0 on the left along the
+    middle map of the rewrite of m: z0's left hom extended along m's right
+    hom."""
+    pushed, can = E.pushforward_pi(z0, m.inner.phi_right, m.dst.right)
+    phi, middle = can.inner.phi_left, pushed.left
+    return E.pushforward_pi(y0, phi, middle)[1], E.pushforward_left_pi(z0, phi, middle)[1]
+
+
+def assert_transport_is_rewrite(d, fac) -> None:
+    """d's factors are the targets of the canonical extensions of the
+    rewrite fac, and d's witness is fac's isomorphism."""
+    assert (d.y, d.z, d.witness_iso) == (
+        fac.left_canonical.dst, fac.right_canonical.dst, fac.iso
+    )
+
+
 def test_survey_wedge_factorizations_match_reference(monkeypatch):
-    """Every disconnected class of the (3,4,2) survey over S4 completes its
-    rewrite with the isomorphism the list-then-filter reference picks."""
+    """Every disconnected class of the (3,4,2) survey over S4 transports its
+    component's decomposition through the rewrite the list-then-filter
+    reference finds."""
     report = []
-    calls = _record_wedge_calls(
+    calls = _record_transports(
         monkeypatch, lambda: report.append(L.survey(L.TameParams(3, 4, 2), G.symmetric(4)))
     )
     disconnected = sum(not r.connected for r in report[0].rows)
     assert disconnected > 0 and len(calls) == disconnected
-    for m, p1, p2, fac in calls:
-        assert fac == ref.pi_factor_through_pushforwards(m, p1, p2)
+    for m, inner, d in calls:
+        assert_transport_is_rewrite(d, ref.pi_factor_through_pushforwards(m, inner.y, inner.z))
+
+
+def sweep_c3_c2() -> None:
+    """Decompose every class over S3 and D4 along C3 x| C2, for each
+    section: several right isomorphisms pass there."""
+    sd = G.semidirect_product(*G.cyclic_power_action(3, 2, 2))
+    for s in G.sections_of(sd.projection):
+        e = D.SplitExtension(sd.group, G.kernel(sd.projection), sd.projection.dst,
+                             sd.projection, s)
+        for g in (G.symmetric(3), G.dihedral(4)):
+            for t in E.h1(e.pi_big, g):
+                D.decompose(t, e)
 
 
 def test_sweep_wedge_factorizations_match_reference(monkeypatch):
     """Every class over S3 and D4 along C3 x| C2, for each section.  Here
     most rewrites have several isomorphisms that pass every check, so the
-    first hit must be the reference's first, in both layers."""
-    sd = G.semidirect_product(*G.cyclic_power_action(3, 2, 2))
-
-    def work():
-        for s in G.sections_of(sd.projection):
-            e = D.SplitExtension(sd.group, G.kernel(sd.projection), sd.projection.dst,
-                                 sd.projection, s)
-            for g in (G.symmetric(3), G.dihedral(4)):
-                for t in E.h1(e.pi_big, g):
-                    D.decompose(t, e)
-
-    calls = _record_wedge_calls(monkeypatch, work)
+    transport's must be the reference's first, in both layers."""
+    calls = _record_transports(monkeypatch, sweep_c3_c2)
     assert calls
-    for m, p1, p2, fac in calls:
-        assert fac == ref.pi_factor_through_pushforwards(m, p1, p2)
-        got = plain_rewrite(m.inner, p1.bitorsor, p2.bitorsor)
-        assert got == ref.factor_through_pushforwards(m.inner, p1.bitorsor, p2.bitorsor)
+    for m, inner, d in calls:
+        y0, z0 = inner.y, inner.z
+        assert_transport_is_rewrite(d, ref.pi_factor_through_pushforwards(m, y0, z0))
+        plain = ref.factor_through_pushforwards(m.inner, y0.bitorsor, z0.bitorsor)
+        assert (d.y.bitorsor, d.z.bitorsor, d.witness_iso.inner) == (
+            plain.left_canonical.dst, plain.right_canonical.dst, plain.iso
+        )

@@ -170,7 +170,10 @@ def test_morphism_point_map_corruptions_rejected(mutation_groups, name):
     morphisms = []
     for t in [None] + automorphisms(g)[1:3]:
         b = scrambled_trivial(g, rnd, twist=t)
-        morphisms += [B.trivialize(b, x)[1] for x in (0, g.order - 1)]
+        morphisms += [
+            B.base_point_iso(B.trivial_bitorsor(g), g.identity, b, x, G.identity_hom(g))
+            for x in (0, g.order - 1)
+        ]
     for alpha in automorphisms(g)[:4]:
         h = rnd.randrange(g.order)
         morphisms.append(B.BitorsorMorphism(*left_mult_morphism(g, h, alpha, conj_after(g, h, alpha), alpha)))
