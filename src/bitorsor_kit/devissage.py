@@ -17,7 +17,9 @@ type-pi factor comes from s_low = theta o s, which covers the collapsed
 theta and sends gamma to the identity by construction.  A disconnected
 carrier's decomposition is that of the connected component of point 0
 with both structure groups extended back along the component's inclusion,
-its witness isomorphism built at a base point.
+its witness isomorphism built at a base point over the identification of
+two left torsors at a point, and its type-gamma witness the same
+restriction at the image of point 0; decompose runs no search.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .groups import (
     GroupHom,
     Subgroup,
     compose_homs,
-    iter_isomorphisms,
+    identity_hom,
     kernel,
     quotient,
     subgroup,
@@ -156,8 +158,8 @@ def _decompose_connected(t: ThetaBitorsor, e: SplitExtension) -> Decomposition:
     theta = t.theta
     if not theta.is_surjective():
         raise DevissageError("connected decomposition needs a surjective theta")
-    h_prime_members = sorted({theta.map[c] for c in e.gamma.members})
-    h_prime = subgroup(b.left_group, h_prime_members)
+    images = [theta.map[c] for c in e.gamma.members]
+    h_prime = subgroup(b.left_group, images)
     if not h_prime.is_normal:
         raise DevissageError("image of gamma failed to be normal in the left group")
     _, q = quotient(b.left_group, h_prime)
@@ -171,21 +173,27 @@ def _decompose_connected(t: ThetaBitorsor, e: SplitExtension) -> Decomposition:
     if wedge_back != x:
         raise DevissageError("the glued factors failed to reproduce the input")
     witness_iso = eq.pi_identity_morphism(x)
-    yb = y.bitorsor
-    h_grp, h_incl = subgroup_as_group(yb.left_group, h_prime_members)
-    point_class = tuple(sorted({yb.right_act[0][g] for g in h_prime_members}))
-    _, incl = bt.restrict(yb, h_incl, point_class, h_incl)
-    w_sub, w_incl = eq.restrict_pi(y, incl)
-    gamma_grp, gamma_incl = gamma_as_group(e)
-    pos = {v: i for i, v in enumerate(h_incl.map)}
-    gamma_surj = by_formula(
-        GroupHom,
-        gamma_grp,
-        h_grp,
-        tuple(pos[theta.map[gamma_incl.map[a]]] for a in gamma_grp.elements),
-    )
+    w_sub, w_incl, gamma_surj = _type_gamma_witness(y, 0, images, gamma_as_group(e)[0])
     cert = DecompositionCertificate(h_prime, q, s_low, theta_tilde, w_sub, w_incl, gamma_surj)
     return Decomposition(y, z, witness_iso, cert)
+
+
+def _type_gamma_witness(
+    y: PiBitorsor, p: int, images: list[int], gamma: FiniteGroup
+) -> tuple[PiBitorsor, PiMorphism, GroupHom]:
+    """y restricted to the class of point p under the left subgroup h
+    spanned by `images`, the image of each element of gamma in turn, over
+    the right elements that keep p inside that class; with its inclusion
+    and gamma's surjection onto h."""
+    yb = y.bitorsor
+    h_grp, l_incl = subgroup_as_group(yb.left_group, images)
+    points = tuple(sorted({yb.left_act[g][p] for g in l_incl.map}))
+    inside = set(points)
+    right = [r for r in yb.right_group.elements if yb.right_act[p][r] in inside]
+    _, r_incl = subgroup_as_group(yb.right_group, right)
+    w_sub, w_incl = eq.restrict_pi(y, bt.restrict(yb, l_incl, points, r_incl)[1])
+    pos = {v: i for i, v in enumerate(l_incl.map)}
+    return w_sub, w_incl, by_formula(GroupHom, gamma, h_grp, tuple(pos[v] for v in images))
 
 
 def _transport_disconnected(
@@ -199,13 +207,14 @@ def _transport_disconnected(
 
     The middle map phi is the left hom of z0 extended along the inclusion's
     right hom, and y and z are y0 and z0 extended along phi on the right
-    and on the left.  The witness isomorphism sends the glued point of
-    (can_y(0), can_z(0)) to the image of point 0, over the first right
-    isomorphism rho that agrees with the inclusion on the image of can_z's
-    right hom (rho is pinned on the generators inside that image).  x's
-    right structure is constant, so rho commutes with pi exactly when z's
-    is constant too.  The type-gamma witness is y restricted to the image
-    of inner's."""
+    and on the left.  z and that right extension of z0 are left torsors
+    under the middle group that both receive z0; rho is their
+    identification at the images of point 0, read on the right groups.  The
+    witness isomorphism sends the glued point of (can_y(0), can_z(0)) to
+    the image of point 0 over rho.  x's right structure is constant, so rho
+    commutes with pi exactly when z's is constant too.  The type-gamma
+    witness is the class of can_y(0) under the image of inner's left
+    group."""
     x = eq.from_theta(t)
     y0, z0 = inner.y, inner.z
     pushed, can = eq.pushforward_pi(z0, incl.phi_right, x.right)
@@ -214,36 +223,20 @@ def _transport_disconnected(
     z, can_z = eq.pushforward_left_pi(z0, phi, middle)
     if not z.right.is_constant:
         raise DevissageError("the transported type-pi factor has a twisted right group")
-    rg, target = z.bitorsor.right_group, x.bitorsor.right_group
-    forced = dict(zip(can_z.inner.phi_right.map, incl.phi_right.map))
-    pools = [(forced[r],) if r in forced else target.elements for r in rg.generators]
-    rho = next(iter_isomorphisms(rg, target, pools), None)
-    if rho is None:
-        raise DevissageError("no right isomorphism completes the transport")
+    rho = bt.base_point_iso(
+        bt.inverse(z.bitorsor), can_z(0), bt.inverse(pushed.bitorsor), can(0),
+        identity_hom(middle.group),
+    ).phi_left
     wedge = eq.compose_pi(y, z)
     (row,) = bt.glued_rows(y.bitorsor, z.bitorsor, (can_y(0),))
     psi = bt.base_point_iso(wedge.bitorsor, row[can_z(0)], x.bitorsor, incl(0), rho)
     witness_iso = by_formula(PiMorphism, wedge, x, psi)
-    w = inner.certificate.w_inclusion.inner
-    left = [can_y.inner.phi_left.map[v] for v in w.phi_left.map]
-    _, l_incl = subgroup_as_group(y.bitorsor.left_group, left)
-    right = {can_y.inner.phi_right.map[v] for v in w.phi_right.map}
-    _, r_incl = subgroup_as_group(y.bitorsor.right_group, right)
-    points = tuple(sorted({can_y(v) for v in w.point_map}))
-    w_img, w_incl = eq.restrict_pi(y, bt.restrict(y.bitorsor, l_incl, points, r_incl)[1])
-    pos = {v: i for i, v in enumerate(l_incl.map)}
-    gs = inner.certificate.gamma_surjection
-    gamma_surj = by_formula(GroupHom, gs.src, w_img.left.group, tuple(pos[left[v]] for v in gs.map))
-    if not gamma_surj.is_surjective():
-        raise DevissageError("transported witness lost gamma coverage")
+    cert = inner.certificate
+    gs, w = cert.gamma_surjection, cert.w_inclusion.inner
+    images = [can_y.inner.phi_left.map[w.phi_left.map[v]] for v in gs.map]
+    w_img, w_incl, gamma_surj = _type_gamma_witness(y, can_y(0), images, gs.src)
     cert = DecompositionCertificate(
-        inner.certificate.h_prime,
-        inner.certificate.quotient_map,
-        inner.certificate.s_low,
-        inner.certificate.theta_tilde,
-        w_img,
-        w_incl,
-        gamma_surj,
+        cert.h_prime, cert.quotient_map, cert.s_low, cert.theta_tilde, w_img, w_incl, gamma_surj
     )
     return Decomposition(y, z, witness_iso, cert)
 
@@ -312,9 +305,10 @@ def verify_decomposition(
         return VerificationResult(False, bad)
     if connected and d.z != eq.from_theta(ThetaBitorsor(t.bitorsor, cert.theta_tilde)):
         return VerificationResult(False, "z is not the expansion of theta_tilde")
-    if connected and tuple(
-        cert.w_inclusion.inner.phi_left.map[v] for v in cert.gamma_surjection.map
-    ) != tuple(t.theta.map[c] for c in e.gamma.members):
+    psi_left, w_left = iso.inner.phi_left.map, cert.w_inclusion.inner.phi_left.map
+    if tuple(psi_left[w_left[v]] for v in cert.gamma_surjection.map) != tuple(
+        t.theta.map[c] for c in e.gamma.members
+    ):
         return VerificationResult(False, "the witness's left group is not the image of gamma")
     return VerificationResult(True, "all checks passed")
 

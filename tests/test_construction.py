@@ -2,7 +2,7 @@
 product and pushforward built in base-point coordinates, every Pi-action
 on a pushed group, every isomorphism built at a base point and every
 disconnected decomposition transported along its component's inclusion
-with a pinned right isomorphism returns exactly what the closing,
+at canonical labels returns exactly what the closing,
 orbit-sorting, conjugating, filtering, unforced and rewriting references
 in reference_checks return, group labels and generators included."""
 
@@ -242,20 +242,77 @@ def _decompose_cases(case):
         yield t, e
 
 
-@pytest.mark.parametrize(
-    "case",
-    ["criterion-6", "relabelled", *SURVEY_CASES],
-    ids=lambda v: v if isinstance(v, str) else "-".join(map(str, v[0])) + "-" + v[1].label,
-)
+def _case_id(case) -> str:
+    return case if isinstance(case, str) else "-".join(map(str, case[0])) + "-" + case[1].label
+
+
+@pytest.mark.parametrize("case", ["criterion-6", "relabelled", *SURVEY_CASES], ids=_case_id)
 def test_decompose_matches_wedge_rewrite(case):
     """decompose returns what the transport through the wedge rewrite
     (reference_checks.rewrite_decompose) returns: the factors, the witness
-    isomorphism and every certificate field, labels included."""
+    isomorphism and every certificate field, labels included.  Over the
+    relabelled groups the rewrite's first right isomorphism depends on how
+    elements are numbered, so there a disconnected input's witness is one
+    of the rewrite's completions, over the left-torsor identification."""
     disconnected = 0
     for t, e in _decompose_cases(case):
-        assert_same(D.decompose(t, e), ref.rewrite_decompose(t, e))
+        d, want = D.decompose(t, e), ref.rewrite_decompose(t, e)
+        if case == "relabelled" and not E.is_connected(t):
+            assert_same((d.y, d.z, d.certificate), (want.y, want.z, want.certificate))
+            assert_witness_is_left_identification(t, e, d)
+        else:
+            assert_same(d, want)
         disconnected += not E.is_connected(t)
     assert disconnected > 0
+
+
+@pytest.mark.parametrize("case", ["criterion-6", *SURVEY_CASES], ids=_case_id)
+def test_decompose_runs_no_hom_search(monkeypatch, case):
+    """decompose builds every piece by formula: with the classes listed
+    first, it never enters the hom search."""
+    cases = list(_decompose_cases(case))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("decompose searched for a hom")
+
+    monkeypatch.setattr(G, "_iter_homs", refuse)
+    disconnected = 0
+    for t, e in cases:
+        D.decompose(t, e)
+        disconnected += not E.is_connected(t)
+    assert disconnected > 0
+
+
+def left_identification(b1: B.Bitorsor, p1: int, b2: B.Bitorsor, p2: int) -> tuple[int, ...]:
+    """The right hom of the map of left torsors b1 -> b2 sending g.p1 to
+    g.p2 (same left group): r goes to the s with p2.s = g.p2, where
+    p1.r = g.p1."""
+    left_of = {b1.left_act[g][p1]: g for g in b1.left_group.elements}
+    right_of = {b2.right_act[p2][s]: s for s in b2.right_group.elements}
+    return tuple(
+        right_of[b2.left_act[left_of[b1.right_act[p1][r]]][p2]]
+        for r in b1.right_group.elements
+    )
+
+
+def assert_witness_is_left_identification(t, e, d) -> None:
+    """d's witness is one of the wedge rewrite's completions over the forced
+    pools, and its right hom identifies d.z with z0 extended on the right
+    along the component's inclusion, as left torsors under the middle
+    group, at the images of point 0."""
+    comp, incl = E.connected_component(t)
+    inner = D._decompose_connected(comp, e)
+    x = E.from_theta(t)
+    m = E.PiMorphism(E.compose_pi(inner.y, inner.z), x, incl)
+    glued = _glued(m, inner, d)
+    pools = ref.rewrite_rho_pools(glued, m.inner)
+    right_isos = ref.rewrite_pi_equivariant_isos(d.witness_iso.src.right, x.right, pools)
+    assert d.witness_iso.inner in list(ref.wedge_completions(glued, m.inner, right_isos))
+    pushed, can = E.pushforward_pi(inner.z, incl.phi_right, x.right)
+    _, can_z = canonical_extensions(m, inner.y, inner.z)
+    assert d.witness_iso.inner.phi_right.map == left_identification(
+        d.z.bitorsor, can_z(0), pushed.bitorsor, can(0)
+    )
 
 
 def _glued(m, inner, d):

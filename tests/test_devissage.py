@@ -423,6 +423,24 @@ class TestVerifyNegatives:
         assert not res
         assert res.diagnosis == "the witness's left group is not the image of gamma"
 
+    @pytest.mark.parametrize("order", [6, 12])
+    def test_disconnected_witness_left_group_must_be_the_image_of_gamma(self, ext_z6, order):
+        """The same flip on a disconnected input, theta into C6 or C12 with
+        image of order 3: the witness's left group is read into the input's
+        through the witness isomorphism."""
+        pi, g = ext_z6.pi_big, G.cyclic(order)
+        theta = G.GroupHom(pi, g, tuple(order // 3 * (x // 2) for x in pi.elements))
+        t = translation_carrier(g, theta)
+        assert not E.is_connected(t)
+        d = D.decompose(t, ext_z6)
+        assert D.verify_decomposition(t, d, ext_z6)
+        gs = d.certificate.gamma_surjection
+        flipped = G.GroupHom(gs.src, gs.dst, tuple(gs.dst.inv[v] for v in gs.map))
+        assert flipped != gs
+        res = self._tampered(t, d, ext_z6, gamma_surjection=flipped)
+        assert not res
+        assert res.diagnosis == "the witness's left group is not the image of gamma"
+
     def test_disconnected_fields_are_checked_on_the_component(self, ext_z6, z6):
         pi = ext_z6.pi_big
         theta = G.GroupHom(pi, z6, tuple(2 * (x // 2) % 6 for x in pi.elements))

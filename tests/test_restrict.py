@@ -74,6 +74,30 @@ def test_sub_bitorsor_and_induced_conditions_match_reference(rng):
     assert checked > 50
 
 
+def test_type_gamma_witness_is_the_class_of_its_point(rng):
+    """At every point p of scrambled carriers over S3, D4, D6 and S4, seen
+    over C1, and for every normal subgroup of the right group, with h' its
+    transport to the left, the type-gamma witness of h' at p is the
+    sub-bitorsor on the class of p, as sub_bitorsor_on_class builds it,
+    with h' mapped onto itself."""
+    checked = 0
+    for g in UNIVERSE[12:16]:
+        b = scrambled_trivial(g, rng)
+        y = over_c1(b)
+        for k in G.all_subgroups(b.right_group):
+            if not k.is_normal:
+                continue
+            h = B.corresponding_normal_subgroup(b, k)
+            h_grp, _ = G.subgroup_as_group(b.left_group, h.members)
+            for cls in B.orbit_partition(b, k.members, left=False):
+                for p in cls:
+                    w, w_incl, gs = D._type_gamma_witness(y, p, list(h.members), h_grp)
+                    assert_same((w.bitorsor, w_incl.inner), B.sub_bitorsor_on_class(b, k, cls))
+                    assert gs == G.identity_hom(h_grp)
+                    checked += p != 0
+    assert checked > 100
+
+
 SURVEYS = (
     ((3, 4, 2), G.symmetric(4)),
     ((2, 3, 2), G.symmetric(4)),
