@@ -1,6 +1,6 @@
 """Two-sided torsors: a point set with commuting free transitive left and
 right group actions, plus the calculus on them (contracted products,
-inverses, pushforwards along group homomorphisms, quotients, Isom carriers,
+inverses, pushforwards along group homomorphisms, Isom carriers,
 restrictions).
 
 All actions are dense index tables: left_act[g'][x] and right_act[x][g].
@@ -11,8 +11,6 @@ transitivity at point 0 only, which decides them everywhere once the action
 laws hold.  Carriers and morphisms computed by formula from checked ones
 skip the check through errors.by_formula; so do the isomorphisms, each built
 at a base point (base_point_iso; are_isomorphic sends point 0 to point 0).
-The one probe that filters on a validator, condition (iv) of
-induced_conditions, calls the checked constructors.
 
 Gluing is written in base-point coordinates (Giraud, Cohomologie non
 abelienne, 1971): with x = 0.c, the class of (x, z) is that of (0, c.z), so
@@ -36,9 +34,7 @@ from .groups import (
     Subgroup,
     generating_set,
     identity_hom,
-    quotient,
     subgroup,
-    subgroup_as_group,
 )
 from .groups import NotAnAction, NotNormal
 
@@ -332,33 +328,6 @@ def orbit_partition(
     return classes
 
 
-def quotient_bitorsor(b: Bitorsor, h: Subgroup) -> tuple[Bitorsor, BitorsorMorphism]:
-    """Collapse right cosets of a normal subgroup; the left group collapses
-    by the transported subgroup, and the two partitions must coincide."""
-    hp = corresponding_normal_subgroup(b, h)
-    classes = orbit_partition(b, h.members, left=False)
-    if classes != orbit_partition(b, hp.members, left=True):
-        raise InvalidBitorsor("left and right coset partitions disagree")
-    idx_of = {x: i for i, cls in enumerate(classes) for x in cls}
-    gq, qr = quotient(b.right_group, h)
-    gpq, ql = quotient(b.left_group, hp)
-    k = len(classes)
-    left_rows = []
-    for gp in gpq.elements:
-        rep_gp = next(g for g in b.left_group.elements if ql.map[g] == gp)
-        left_rows.append(tuple(idx_of[b.left_act[rep_gp][cls[0]]] for cls in classes))
-    right_rows = []
-    for cls in classes:
-        row = []
-        for g in gq.elements:
-            rep_g = next(gg for gg in b.right_group.elements if qr.map[gg] == g)
-            row.append(idx_of[b.right_act[cls[0]][rep_g]])
-        right_rows.append(tuple(row))
-    bq = Bitorsor(gpq, gq, tuple(left_rows), tuple(right_rows))
-    m = BitorsorMorphism(b, bq, ql, tuple(idx_of[x] for x in b.points), qr)
-    return bq, m
-
-
 def restrict(
     b: Bitorsor, l_incl: GroupHom, points: tuple[int, ...], r_incl: GroupHom
 ) -> tuple[Bitorsor, BitorsorMorphism]:
@@ -369,51 +338,6 @@ def restrict(
     right_rows = tuple(tuple(pos[b.right_act[x][a]] for a in r_incl.map) for x in points)
     sub = by_formula(Bitorsor, l_incl.src, r_incl.src, left_rows, right_rows)
     return sub, by_formula(BitorsorMorphism, sub, b, l_incl, tuple(points), r_incl)
-
-
-def sub_bitorsor_on_class(
-    b: Bitorsor, h: Subgroup, cls: tuple[int, ...]
-) -> tuple[Bitorsor, BitorsorMorphism]:
-    """Restrict b to one right-coset class of h, with both groups shrunk."""
-    hp = corresponding_normal_subgroup(b, h)
-    _, h_incl = subgroup_as_group(b.right_group, h.members)
-    _, hp_incl = subgroup_as_group(b.left_group, hp.members)
-    return restrict(b, hp_incl, cls, h_incl)
-
-
-def induced_conditions(
-    b: Bitorsor, h: Subgroup
-) -> tuple[bool, bool, bool, bool, tuple[int, ...] | None]:
-    """Evaluate independently the four exchangeable descriptions of `b`
-    being induced from an h-torsor.  Returns the flags plus the chosen class."""
-    hp = corresponding_normal_subgroup(b, h)
-    bq, _ = quotient_bitorsor(b, h)
-    classes = orbit_partition(b, h.members, left=False)
-    # (i): the collapsed carrier has a point
-    cond_i = bq.size > 0
-    # (ii): some right coset class is a sub right torsor
-    cond_ii = bool(classes)
-    # (iii): mirrored on the left
-    cond_iii = bool(orbit_partition(b, hp.members, left=True))
-    # (iv): an actual two-sided sub-bitorsor materializes on some class,
-    # through the checked constructors, whose validators are the predicate
-    witness_cls = None
-    for cls in classes:
-        sub, incl = sub_bitorsor_on_class(b, h, cls)
-        try:
-            Bitorsor(sub.left_group, sub.right_group, sub.left_act, sub.right_act)
-            BitorsorMorphism(sub, b, incl.phi_left, incl.point_map, incl.phi_right)
-        except DomainError:
-            continue
-        witness_cls = cls
-        break
-    cond_iv = witness_cls is not None
-    if len({cond_i, cond_ii, cond_iii, cond_iv}) != 1:
-        raise InvalidBitorsor(
-            "induction criteria disagree: "
-            f"({cond_i},{cond_ii},{cond_iii},{cond_iv})"
-        )
-    return cond_i, cond_ii, cond_iii, cond_iv, witness_cls
 
 
 def glued_rows(b1: Bitorsor, b2: Bitorsor, ys: Iterable[int]) -> list[tuple[int, ...]]:

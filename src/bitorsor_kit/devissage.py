@@ -24,7 +24,7 @@ restriction at the image of point 0; decompose runs no search.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from . import bitorsors as bt
 from . import equivariant as eq
@@ -36,7 +36,6 @@ from .equivariant import (
     ThetaBitorsor,
 )
 from .errors import DomainError, by_formula, record
-from .rclass import Factorization
 from .groups import (
     FiniteGroup,
     GroupHom,
@@ -48,6 +47,9 @@ from .groups import (
     subgroup,
     subgroup_as_group,
 )
+
+if TYPE_CHECKING:
+    from .rclass import Factorization
 
 
 class DevissageError(DomainError):
@@ -360,6 +362,8 @@ def th_ppal_membership(
 ) -> MembershipCertificate:
     """Decompose and consult the two membership oracles; the wedge then
     exhibits t inside the closure generated by what the oracles accept."""
+    from .rclass import Factorization
+
     d = decompose(t, e)
     if not gamma_oracle(d.y):
         raise OracleRefused("y", "the type-gamma oracle rejected the y factor")

@@ -17,7 +17,8 @@ and the action on a pushed group, at point 0 in the base-point
 coordinates of the plain layer; a carrier is connected exactly when theta
 is onto.  A pi-stable sub-carrier takes its structure from its plain
 inclusion (restrict_pi); the caller names the class, so none is searched
-for here.
+for here.  Whether a carrier reduces to a normal subgroup of its right
+group is read off the pi-action four independent ways (induced_conditions).
 The public constructors check every compatibility law in full, on the
 generators of pi and of the structure groups (the closure argument of
 Light's associativity test, Clifford & Preston I, section 1.2); values
@@ -39,12 +40,14 @@ from .errors import DomainError, by_formula, record
 from .groups import (
     FiniteGroup,
     GroupHom,
+    Subgroup,
     _canonical_conjugators,
     canonical_conjugate,
     conjugate_hom,
     enumerate_homs,
     identity_hom,
     isomorphisms_between,  # noqa: F401  (perfbench/test_perfbench.py reads it here)
+    quotient,
     subgroup_as_group,
 )
 from .groups import NotAnAction
@@ -529,6 +532,36 @@ def _theta_at_zero(t: ThetaBitorsor) -> GroupHom:
     b = t.bitorsor
     back = {v: g for g, v in enumerate(bt.point_conjugation(b, 0).map)}
     return by_formula(GroupHom, t.pi, b.right_group, tuple(back[v] for v in t.theta.map))
+
+
+def induced_conditions(
+    t: ThetaBitorsor, h: Subgroup
+) -> tuple[bool, bool, bool, bool, tuple[int, ...] | None]:
+    """Four independent descriptions of t reducing to the normal subgroup h
+    of its right group G (Giraud, Cohomologie non abelienne, 1971): (i) the
+    collapse along G -> G/h has a pi-fixed point; (ii) some right h-class
+    is pi-stable; (iii) some left orbit of h', h transported to the left
+    group, is pi-stable; (iv) theta carried back through point 0 lands in h.
+    Returns the four flags and the first stable right class, or None.
+
+    Pi moves points by left translations, which commute with the right
+    action, and h is normal, so one class is stable exactly when all are."""
+    b, p = t.bitorsor, from_theta(t)
+    hp = bt.corresponding_normal_subgroup(b, h)
+    moves = [p.pi_action_on_points[c] for c in t.pi.generators]
+
+    def stable(cls: tuple[int, ...]) -> bool:
+        inside = set(cls)
+        return all(row[x] in inside for row in moves for x in cls)
+
+    _, q = quotient(b.right_group, h)
+    collapse, _ = pushforward_pi(p, q, constant_pi_group(t.pi, q.dst))
+    fixed = [collapse.pi_action_on_points[c] for c in t.pi.generators]
+    cond_i = any(all(row[x] == x for row in fixed) for x in collapse.bitorsor.points)
+    right = [cls for cls in bt.orbit_partition(b, h.members, left=False) if stable(cls)]
+    cond_iii = any(map(stable, bt.orbit_partition(b, hp.members, left=True)))
+    cond_iv = set(_theta_at_zero(t).map) <= set(h.members)
+    return cond_i, bool(right), cond_iii, cond_iv, right[0] if right else None
 
 
 def trivial_class_index(pi: FiniteGroup, g: FiniteGroup) -> int:

@@ -61,8 +61,7 @@ def by_formula(cls, *values):
     formula from validated inputs: its invariants hold by construction, so
     its __post_init__ validator is skipped.  With BITORSOR_CHECK=full it
     runs, and a failure raises AssertionError, which no `except DomainError`
-    swallows.  A search whose predicate is a validator calls the checked
-    constructor instead."""
+    swallows."""
     obj = object.__new__(cls)
     obj.__dict__.update(zip(cls.__match_args__, values))
     if FULL_CHECK:

@@ -32,8 +32,11 @@ conjugate of a representative to its class, and the wedge class read off
 the glued carrier of two representatives.
 
 Witnesses: the searches for a type-gamma witness and for a Pi-stable
-induced class that decompose ran before it built its witness, and the plain
-wedge rewrite, with the records and helpers of the library they need.
+induced class that decompose ran before it built its witness, the
+collapse of a carrier along a quotient of both groups and the induction
+criterion probed through the checked constructors on top of it, and the
+plain wedge rewrite, with the records and helpers of the library they
+need.
 
 Base points: the isomorphism search that built every candidate through the
 checked constructors and filtered on the outcome, the wedge completions
@@ -71,7 +74,16 @@ from bitorsor_kit import devissage as D
 from bitorsor_kit import equivariant as E
 from bitorsor_kit import groups as G
 from bitorsor_kit import rclass as R
-from bitorsor_kit.bitorsors import InvalidBitorsor, InvalidMorphism, NotFree, NotTransitive
+from bitorsor_kit.bitorsors import (
+    Bitorsor,
+    BitorsorMorphism,
+    InvalidBitorsor,
+    InvalidMorphism,
+    NotFree,
+    NotTransitive,
+    corresponding_normal_subgroup,
+    orbit_partition,
+)
 from bitorsor_kit.equivariant import EquivariantError, NotPiEquivariant
 from bitorsor_kit.errors import DomainError, by_formula, record
 from bitorsor_kit.formats import ParseError, _content_lines, _int_token, _take, _tokens, resolve_group_spec
@@ -81,6 +93,7 @@ from bitorsor_kit.groups import (
     GeneratorsDoNotGenerate,
     GroupHom,
     SemidirectProduct,
+    Subgroup,
     MixedSignatures,
     MalformedTable,
     NoIdentity,
@@ -94,6 +107,7 @@ from bitorsor_kit.groups import (
     closure,
     identity_hom,
     iter_isomorphisms,
+    quotient,
     subgroup_as_group,
 )
 
@@ -826,11 +840,38 @@ def sub_bitorsor_on_class(b, h, cls):
     return sub, incl
 
 
+def quotient_bitorsor(b: Bitorsor, h: Subgroup) -> tuple[Bitorsor, BitorsorMorphism]:
+    """Collapse right cosets of a normal subgroup; the left group collapses
+    by the transported subgroup, and the two partitions must coincide."""
+    hp = corresponding_normal_subgroup(b, h)
+    classes = orbit_partition(b, h.members, left=False)
+    if classes != orbit_partition(b, hp.members, left=True):
+        raise InvalidBitorsor("left and right coset partitions disagree")
+    idx_of = {x: i for i, cls in enumerate(classes) for x in cls}
+    gq, qr = quotient(b.right_group, h)
+    gpq, ql = quotient(b.left_group, hp)
+    k = len(classes)
+    left_rows = []
+    for gp in gpq.elements:
+        rep_gp = next(g for g in b.left_group.elements if ql.map[g] == gp)
+        left_rows.append(tuple(idx_of[b.left_act[rep_gp][cls[0]]] for cls in classes))
+    right_rows = []
+    for cls in classes:
+        row = []
+        for g in gq.elements:
+            rep_g = next(gg for gg in b.right_group.elements if qr.map[gg] == g)
+            row.append(idx_of[b.right_act[cls[0]][rep_g]])
+        right_rows.append(tuple(row))
+    bq = Bitorsor(gpq, gq, tuple(left_rows), tuple(right_rows))
+    m = BitorsorMorphism(b, bq, ql, tuple(idx_of[x] for x in b.points), qr)
+    return bq, m
+
+
 def induced_conditions(b, h, stable=None):
     if stable is None:
         stable = lambda cls: True  # noqa: E731
     hp = B.corresponding_normal_subgroup(b, h)
-    bq, _ = B.quotient_bitorsor(b, h)
+    bq, _ = quotient_bitorsor(b, h)
     classes = _right_orbit_partition(b, h.members)
     # (i): the collapsed carrier has an admissible point
     cond_i = any(stable(classes[p]) for p in bq.points)

@@ -107,19 +107,27 @@ def test_criterion_3_composition_laws(group_universe):
         assert time.perf_counter() - start < 60.0
 
 
-def test_criterion_4_induction_conditions_agree(group_universe):
+def induction_fixtures(pis, universe, rnd: random.Random):
+    """(theta-carrier, normal subgroup of its right group): every h1 class
+    from each pi into each group, carried through point 0 of each carrier of
+    carrier_pool, against every normal subgroup."""
+    for g in universe:
+        normal = [h for h in G.all_subgroups(g) if h.is_normal]
+        for b in carrier_pool(g, rnd):
+            conj = B.point_conjugation(b, 0)
+            for pi in pis:
+                for rep in E.h1(pi, g):
+                    t = E.ThetaBitorsor(b, G.compose_homs(conj, rep.theta))
+                    for h in normal:
+                        yield t, h
+
+
+def test_criterion_4_induction_conditions_agree(z2, z4, s3, group_universe):
     with criterion(4, "the four induced-torsor conditions agree on every fixture"):
-        rnd = random.Random(4)
-        checked = 0
-        for g in group_universe:
-            for b in carrier_pool(g, rnd):
-                for h in G.all_subgroups(b.right_group):
-                    if not h.is_normal:
-                        continue
-                    flags = B.induced_conditions(b, h)[:4]
-                    assert len(set(flags)) == 1
-                    checked += 1
-        assert checked > 50
+        fixtures = induction_fixtures((z2, z4, s3), group_universe, random.Random(4))
+        flags = [E.induced_conditions(t, h)[:4] for t, h in fixtures]
+        assert set(flags) == {(False,) * 4, (True,) * 4}
+        assert len(flags) > 300
 
 
 def test_criterion_5_theta_roundtrip(z2, z4, z6, s3, group_universe):

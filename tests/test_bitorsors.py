@@ -178,48 +178,6 @@ class TestNormalTransport:
             assert len(moved.members) == 3 and moved.is_normal
 
 
-class TestQuotients:
-    def test_quotient_by_alternating_has_two_points(self, s3, rng):
-        b = scrambled_trivial(s3, rng)
-        a3 = G.subgroup(s3, [g for g in s3.elements if s3.element_order(g) != 2])
-        bq, m = B.quotient_bitorsor(b, a3)
-        assert bq.size == 2
-        assert bq.right_group.order == 2
-        assert m.is_surjective() and m.phi_right.is_surjective()
-
-    def test_trivial_and_full_quotients(self, z6, rng):
-        b = scrambled_trivial(z6, rng)
-        bq, _ = B.quotient_bitorsor(b, G.subgroup(z6, (z6.identity,)))
-        assert bq.size == 6
-        bq2, _ = B.quotient_bitorsor(b, G.subgroup(z6, z6.elements))
-        assert bq2.size == 1
-
-    def test_quotient_agrees_with_extension_along_projection(self, s3, z6, rng):
-        cases = [
-            (s3, [g for g in s3.elements if s3.element_order(g) != 2]),
-            (z6, [0, 3]),
-            (z6, [0, 2, 4]),
-        ]
-        for g, members in cases:
-            b = scrambled_trivial(g, rng)
-            h = G.subgroup(g, members)
-            bq, mq = B.quotient_bitorsor(b, h)
-            pushed, can = B.pushforward(b, mq.phi_right)
-            assert B.are_isomorphic(bq, pushed) is not None
-
-    def test_induction_conditions_agree_and_witness(self, s3, z4, rng):
-        a3 = [g for g in s3.elements if s3.element_order(g) != 2]
-        for g, members in ((s3, a3), (z4, [0, 2]), (z4, [0])):
-            b = scrambled_trivial(g, rng)
-            h = G.subgroup(g, members)
-            *flags, cls = B.induced_conditions(b, h)
-            assert cls is not None
-            sub, incl = B.sub_bitorsor_on_class(b, h, cls)
-            assert sub.size == len(h.members)
-            assert incl.is_injective()
-            assert set(flags) == {True}
-
-
 class TestCalculus:
     def test_product_has_group_many_points(self, group_universe, rng):
         for g in group_universe:

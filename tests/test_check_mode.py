@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import pytest
 
-from bitorsor_kit import bitorsors as B
 from bitorsor_kit import errors
 from bitorsor_kit import groups as G
 from bitorsor_kit.errors import DomainError, by_formula
@@ -61,20 +60,6 @@ def test_default_mode_builds_without_checking(monkeypatch):
     assert (bad.src, bad.dst, bad.map) == (c3, c2, (0, 1, 1))
     with pytest.raises(G.NotAHomomorphism):
         G.GroupHom(c3, c2, (0, 1, 1))
-
-
-@pytest.mark.parametrize("probe", ["induced_conditions"])
-def test_probes_validate_what_they_build_in_default_mode(monkeypatch, probe):
-    """A search whose predicate is a validator keeps it without
-    BITORSOR_CHECK: the carrier each probe materializes is checked."""
-    monkeypatch.setattr(errors, "FULL_CHECK", False)
-    sizes = []
-    check = B.Bitorsor.__post_init__
-    monkeypatch.setattr(B.Bitorsor, "__post_init__", lambda b: sizes.append(b.size) or check(b))
-    s3 = G.symmetric(3)
-    a3 = [g for g in s3.elements if s3.element_order(g) != 2]
-    B.induced_conditions(B.trivial_bitorsor(s3), G.subgroup(s3, a3))
-    assert 3 in sizes  # the class of A3, a sub-carrier of 3 points
 
 
 def test_built_values_equal_constructed_ones():

@@ -240,20 +240,23 @@ class TestEquivariantCalculus:
 
 class TestPiInduction:
     def test_witness_when_class_dies_in_quotient(self, z4, z2):
-        theta = G.GroupHom(z2, z4, (0, 2))
-        p = E.from_theta(E.ThetaBitorsor(B.trivial_bitorsor(z4), theta))
+        """theta lands in h = {0, 2}: pi keeps the class of point 0, which
+        restricts to a pi-stable sub-carrier."""
+        t = E.ThetaBitorsor(B.trivial_bitorsor(z4), G.GroupHom(z2, z4, (0, 2)))
         h = G.subgroup(z4, [0, 2])
-        assert set(B.induced_conditions(p.bitorsor, h)[:4]) == {True}
-        cls = B.orbit_partition(p.bitorsor, h.members, left=False)[0]
-        _, incl = B.sub_bitorsor_on_class(p.bitorsor, h, cls)
-        sub, inclusion = E.restrict_pi(p, incl)
+        assert E.induced_conditions(t, h) == (True, True, True, True, (0, 2))
+        _, h_incl = G.subgroup_as_group(z4, h.members)
+        _, incl = B.restrict(t.bitorsor, h_incl, (0, 2), h_incl)
+        sub, inclusion = E.restrict_pi(E.from_theta(t), incl)
         assert sub.bitorsor.size == 2
         assert inclusion.inner.is_injective()
 
     def test_no_witness_when_quotient_class_survives(self, z4):
-        """Every class is induced on the plain carrier, and pi moves each."""
-        p = E.from_theta(E.h1(z4, z4)[1])
+        """Every class restricts on the plain carrier, but pi moves each, so
+        none of the four conditions holds."""
+        t = E.h1(z4, z4)[1]
         h = G.subgroup(z4, [0, 2])
-        assert set(B.induced_conditions(p.bitorsor, h)[:4]) == {True}
+        assert E.induced_conditions(t, h) == (False, False, False, False, None)
+        p = E.from_theta(t)
         for cls in B.orbit_partition(p.bitorsor, h.members, left=False):
             assert any(row[x] not in cls for row in p.pi_action_on_points for x in cls)

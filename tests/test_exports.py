@@ -59,7 +59,7 @@ def test_dir_covers_all_and_the_exporting_modules():
 # imports inspect, costs a fresh process about 12 ms (python -X importtime).
 NEVER = ["dataclasses", "inspect"]
 CALCULUS = ["bitorsor_kit.bitorsors", "bitorsor_kit.equivariant"]
-DEVISSAGE = CALCULUS + ["bitorsor_kit.devissage", "bitorsor_kit.rclass"]
+DEVISSAGE = CALCULUS + ["bitorsor_kit.devissage"]
 EXTENSION = "extension tame\npi_big semidirect:3:2:2\ngamma 0 2 4\np 0 1 0 1 0 1\ns 0 1\n"
 
 

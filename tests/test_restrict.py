@@ -1,10 +1,13 @@
 """The shared restriction (bitorsors.restrict, equivariant.restrict_pi) and
 the merged orbit partition: every caller returns exactly what its former
 hand-built copy in reference_checks returns, group labels included, on the
-inputs of test_search; and the type-gamma witness decompose builds is the
-one the search it replaced finds."""
+inputs of test_search; the induction criterion reads the reference's
+flags; and the type-gamma witness decompose builds is the one the search
+it replaced finds."""
 
 from __future__ import annotations
+
+import random
 
 import reference_checks as ref
 from bitorsor_kit import bitorsors as B
@@ -14,7 +17,7 @@ from bitorsor_kit import groups as G
 from bitorsor_kit import local_model as L
 
 from conftest import over_c1, scrambled_trivial
-from test_acceptance import _acceptance_extensions
+from test_acceptance import _acceptance_extensions, induction_fixtures
 from test_search import UNIVERSE, _record_transports, canonical_extensions
 
 
@@ -58,28 +61,24 @@ def test_orbit_partition_matches_reference(rng):
             assert got == ref._right_orbit_partition(b, h.members)
 
 
-def test_sub_bitorsor_and_induced_conditions_match_reference(rng):
-    """Every class of every normal subgroup of scrambled carriers over S3,
-    D4, D6, S4, C2xC2 and C2xC6."""
+def test_induced_conditions_match_reference(z2, z4, s3, group_universe):
+    """On every criterion-4 fixture, the four flags and the class are those
+    the reference reads off the plain carrier, its quotient and its
+    checked sub-bitorsors, counting a class only when pi keeps it."""
     checked = 0
-    for g in UNIVERSE[12:]:
-        b = scrambled_trivial(g, rng)
-        for h in G.all_subgroups(g):
-            if not h.is_normal:
-                continue
-            assert_same(B.induced_conditions(b, h), ref.induced_conditions(b, h))
-            for cls in B.orbit_partition(b, h.members, left=False):
-                assert_same(B.sub_bitorsor_on_class(b, h, cls), ref.sub_bitorsor_on_class(b, h, cls))
-                checked += 1
-    assert checked > 50
+    for t, h in induction_fixtures((z2, z4, s3), group_universe, random.Random(4)):
+        stable = ref.stable_class_predicate(E.from_theta(t))
+        assert E.induced_conditions(t, h) == ref.induced_conditions(t.bitorsor, h, stable)
+        checked += 1
+    assert checked > 300
 
 
 def test_type_gamma_witness_is_the_class_of_its_point(rng):
     """At every point p of scrambled carriers over S3, D4, D6 and S4, seen
     over C1, and for every normal subgroup of the right group, with h' its
     transport to the left, the type-gamma witness of h' at p is the
-    sub-bitorsor on the class of p, as sub_bitorsor_on_class builds it,
-    with h' mapped onto itself."""
+    sub-bitorsor on the class of p, as the reference sub_bitorsor_on_class
+    builds it, with h' mapped onto itself."""
     checked = 0
     for g in UNIVERSE[12:16]:
         b = scrambled_trivial(g, rng)
@@ -92,7 +91,7 @@ def test_type_gamma_witness_is_the_class_of_its_point(rng):
             for cls in B.orbit_partition(b, k.members, left=False):
                 for p in cls:
                     w, w_incl, gs = D._type_gamma_witness(y, p, list(h.members), h_grp)
-                    assert_same((w.bitorsor, w_incl.inner), B.sub_bitorsor_on_class(b, k, cls))
+                    assert_same((w.bitorsor, w_incl.inner), ref.sub_bitorsor_on_class(b, k, cls))
                     assert gs == G.identity_hom(h_grp)
                     checked += p != 0
     assert checked > 100
