@@ -23,7 +23,9 @@ The public constructors check every compatibility law in full, on the
 generators of pi and of the structure groups (the closure argument of
 Light's associativity test, Clifford & Preston I, section 1.2); values
 computed by formula from checked ones skip the check through
-errors.by_formula.
+errors.by_formula.  A pi_group read from a document is checked as homs only
+at pi's generators: its composition law makes every other row a product
+of those (pi_group_from_rows).
 """
 
 from __future__ import annotations
@@ -81,24 +83,10 @@ class PiGroup:
         """Complete on generators: with the identity acting trivially, the
         c2 with action[c1.c2] = action[c1] o action[c2] for every c1 are
         closed under products."""
-        if len(self.action) != self.pi.order:
-            raise NotAnAction("need one automorphism per symmetry element")
         for f in self.action:
             if f.src != self.group or f.dst != self.group:
                 raise NotAnAction("action entries must be endomorphisms of the group")
-            if not f.is_bijective():
-                raise NotAnAction("action entries must be automorphisms")
-        ident = tuple(self.group.elements)
-        if self.action[self.pi.identity].map != ident:
-            raise NotAnAction("identity symmetry must act trivially")
-        for c1 in self.pi.elements:
-            for c2 in self.pi.generators:
-                composed = tuple(
-                    self.action[c1].map[self.action[c2].map[g]]
-                    for g in self.group.elements
-                )
-                if self.action[self.pi.mul[c1][c2]].map != composed:
-                    raise NotAnAction(f"action breaks at symmetry pair ({c1},{c2})")
+        _check_action(self.group, self.pi, [f.map for f in self.action])
 
     @property
     def is_constant(self) -> bool:
@@ -108,6 +96,30 @@ class PiGroup:
     def __repr__(self) -> str:
         kind = "const" if self.is_constant else "twisted"
         return f"PiGroup({self.pi.label} on {self.group.label}, {kind})"
+
+
+def _check_action(g: FiniteGroup, pi: FiniteGroup, maps) -> None:
+    """Permutation maps, the identity acting trivially, the composition law."""
+    if len(maps) != pi.order:
+        raise NotAnAction("need one automorphism per symmetry element")
+    ident = tuple(g.elements)
+    if any(tuple(sorted(m)) != ident for m in maps):
+        raise NotAnAction("action entries must be automorphisms")
+    if tuple(maps[pi.identity]) != ident:
+        raise NotAnAction("identity symmetry must act trivially")
+    for c1, m1 in enumerate(maps):
+        for c2 in pi.generators:
+            if tuple(maps[pi.mul[c1][c2]]) != tuple(map(m1.__getitem__, maps[c2])):
+                raise NotAnAction(f"action breaks at symmetry pair ({c1},{c2})")
+
+
+def pi_group_from_rows(g: FiniteGroup, pi: FiniteGroup, rows) -> PiGroup:
+    """The PiGroup with these maps, checked in full: the rows at pi's
+    generators as homs, every row by _check_action, the rest by formula."""
+    at_gens = {c: GroupHom(g, g, rows[c]) for c in pi.generators if c < len(rows)}
+    _check_action(g, pi, rows)
+    action = tuple(at_gens.get(c) or by_formula(GroupHom, g, g, r) for c, r in enumerate(rows))
+    return by_formula(PiGroup, g, pi, action)
 
 
 def constant_pi_group(pi: FiniteGroup, g: FiniteGroup) -> PiGroup:
@@ -186,12 +198,12 @@ class PiBitorsor:
                 raise EquivariantError("point action rows must be permutations")
         if pa[pi.identity] != tuple(range(k)):
             raise NotAnAction("identity symmetry moves points")
-        for c1 in pi.elements:
+        for c1, row1 in enumerate(pa):
             for c2 in pi.generators:
-                row = pa[pi.mul[c1][c2]]
-                for x in range(k):
-                    if row[x] != pa[c1][pa[c2][x]]:
-                        raise NotAnAction(f"point action breaks at ({c1},{c2},{x})")
+                row = tuple(pa[pi.mul[c1][c2]])
+                if row != tuple(map(row1.__getitem__, pa[c2])):
+                    x = next(x for x in range(k) if row[x] != row1[pa[c2][x]])
+                    raise NotAnAction(f"point action breaks at ({c1},{c2},{x})")
         la, ra = self.bitorsor.left_act, self.bitorsor.right_act
         for c in pi.generators:
             al = self.left.action[c].map
@@ -459,7 +471,7 @@ def is_connected(t: ThetaBitorsor) -> bool:
 
 
 def connected_component(t: ThetaBitorsor) -> tuple[ThetaBitorsor, BitorsorMorphism]:
-    """Restrict to the symmetry orbit of point 0: the carrier over
+    """Restrict to the symmetry orbit of point 0, by formula: the carrier over
     (image of theta, orbit, transporter subgroup), with its inclusion."""
     b = t.bitorsor
     h_prime = sorted(set(t.theta.map))
@@ -469,8 +481,8 @@ def connected_component(t: ThetaBitorsor) -> tuple[ThetaBitorsor, BitorsorMorphi
     _, h_incl = subgroup_as_group(b.right_group, h)
     sub, inclusion = bt.restrict(b, hp_incl, tuple(orbit), h_incl)
     hp_pos = {v: i for i, v in enumerate(hp_incl.map)}
-    theta_sub = GroupHom(t.pi, hp_grp, tuple(hp_pos[v] for v in t.theta.map))
-    return ThetaBitorsor(sub, theta_sub), inclusion
+    theta_sub = by_formula(GroupHom, t.pi, hp_grp, tuple(hp_pos[v] for v in t.theta.map))
+    return by_formula(ThetaBitorsor, sub, theta_sub), inclusion
 
 
 def h1_representatives(pi: FiniteGroup, g: FiniteGroup) -> tuple[GroupHom, ...]:
@@ -480,7 +492,7 @@ def h1_representatives(pi: FiniteGroup, g: FiniteGroup) -> tuple[GroupHom, ...]:
     return _h1_representatives(pi, g, (pi.label, g.label))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)  # a decompose-sweep pass meets 120 (pi, group) pairs
 def _h1_representatives(
     pi: FiniteGroup, g: FiniteGroup, labels: tuple[str, str]
 ) -> tuple[GroupHom, ...]:
@@ -488,7 +500,7 @@ def _h1_representatives(
     return tuple(reps[m] for m in sorted(reps))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _class_index_by_map(pi: FiniteGroup, g: FiniteGroup) -> dict[tuple[int, ...], int]:
     """Each representative's map resolved to its class index."""
     return {rep.map: i for i, rep in enumerate(h1_representatives(pi, g))}
@@ -505,7 +517,7 @@ def h1(pi: FiniteGroup, g: FiniteGroup) -> tuple[ThetaBitorsor, ...]:
     return _h1(pi, g, (pi.label, g.label))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _h1(pi: FiniteGroup, g: FiniteGroup, labels: tuple[str, str]) -> tuple[ThetaBitorsor, ...]:
     triv = bt.trivial_bitorsor(g)
     return tuple(ThetaBitorsor(triv, rep) for rep in h1_representatives(pi, g))

@@ -5,6 +5,10 @@ Text files are line-based: blank lines and lines starting with `#` are
 skipped.  JSON documents intern groups in a top-level list and embed index
 tables inline only up to order 24; larger tables are replaced by a sha256
 reference that the reader resolves against caller-supplied sources.
+Per process, parse_group is memoized on its text (128 entries), and
+parse_extension after pi_big on the text and the resolved group with its
+label (32); failures are not cached.  The certificate reader builds each
+decoded sub-document once, and the writer writes a repeated carrier once.
 
 Only the group layer is imported with this module: the extension,
 registry and certificate readers and writers import the calculus modules
@@ -12,9 +16,11 @@ they build."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -108,6 +114,7 @@ def _int_row(words: Sequence[str], raw: str, no: int, bound: int, what: str) -> 
     raise AssertionError("unreachable: the row failed but every token passed")
 
 
+@lru_cache(maxsize=128)
 def parse_group(text: str) -> FiniteGroup:
     """Read `group <label> order <n>`, n table rows, `generators ...`."""
     lines = _content_lines(text)
@@ -227,7 +234,9 @@ def _build_group_spec(spec: str, base_dir: Path | None) -> FiniteGroup:
 
 def parse_extension(text: str, base_dir: Path | None = None) -> dv.SplitExtension:
     """Read an `extension` header, then pi_big, gamma, p, s lines.  The small
-    quotient group is derived from the labels of the p line."""
+    quotient group is derived from the labels of the p line.  pi_big is
+    resolved on every call, so a changed group file is seen; the rest is
+    memoized on the text, the resolved group and its label."""
     lines = _content_lines(text)
     no, raw = _take(lines, 0, "an extension header")
     toks = _tokens(raw)
@@ -239,7 +248,12 @@ def parse_extension(text: str, base_dir: Path | None = None) -> dv.SplitExtensio
     if toks[0][0] != "pi_big" or len(toks) != 2:
         raise ParseError("expected: pi_big <group-spec>", no, toks[0][1])
     big = resolve_group_spec(toks[1][0], base_dir)
+    return _extension_over(text, big, big.label)
 
+
+@lru_cache(maxsize=32)
+def _extension_over(text: str, big: FiniteGroup, label: str) -> dv.SplitExtension:
+    lines = _content_lines(text)
     no, raw = _take(lines, 2, "a gamma line")
     toks = _tokens(raw)
     if toks[0][0] != "gamma" or len(toks) < 2:
@@ -361,6 +375,13 @@ def _emit_table(rows: Sequence[Sequence[int]], order: int):
     return {"sha256": table_digest(rows)}
 
 
+def _json_rows(rows) -> tuple[tuple[int, ...], ...]:
+    """Rows of JSON integers, type-checked in one pass over the table."""
+    out = tuple(map(tuple, rows))
+    _json_ints(itertools.chain.from_iterable(out))
+    return out
+
+
 def _json_ints(values) -> tuple[int, ...]:
     """Numbers read from a JSON document: only JSON integers count, not
     floats, strings or bools, which int() would coerce."""
@@ -381,7 +402,7 @@ def _decode_table(obj, resolver: Mapping[str, Sequence]) -> tuple[tuple[int, ...
         obj = resolver[key]
     if len(obj) > MAX_ORDER:
         raise ParseError(f"table has {len(obj)} rows, above the supported maximum {MAX_ORDER}")
-    return tuple(_json_ints(row) for row in obj)
+    return _json_rows(obj)
 
 
 def dumps_indented(value) -> str:
@@ -391,13 +412,14 @@ def dumps_indented(value) -> str:
     With `indent` set, json.dumps falls back to its pure-Python encoder;
     this writer makes one pass instead, joins each list of plain ints in one
     string operation, and sends every scalar other than an int or a str
-    (bools, None, floats, subclasses) through json.dumps."""
+    (bools, None, floats, subclasses) through json.dumps.  A dict object met
+    again is re-indented from its text: no encoded string holds a newline."""
     out: list[str] = []
-    _write_indented(value, "\n", out)
+    _write_indented(value, "\n", out, {})
     return "".join(out)
 
 
-def _write_indented(v, newline: str, out: list[str]) -> None:
+def _write_indented(v, newline: str, out: list[str], seen: dict) -> None:
     t = type(v)
     if t is str:
         out.append(_encode_str(v))
@@ -407,15 +429,19 @@ def _write_indented(v, newline: str, out: list[str]) -> None:
         if not v:
             out.append("{}")
             return
-        inner = newline + "  "
+        if (hit := seen.get(id(v))) is not None:
+            out.append("".join(out[hit[0]:hit[1]]).replace(hit[2], newline))
+            return
+        start, inner = len(out), newline + "  "
         sep = "{" + inner
         for k in sorted(v):
             out.append(sep)
             out.append(_encode_str(k))
             out.append(": ")
-            _write_indented(v[k], inner, out)
+            _write_indented(v[k], inner, out, seen)
             sep = "," + inner
         out.append(newline + "}")
+        seen[id(v)] = (start, len(out), newline)
     elif isinstance(v, (list, tuple)):
         if not v:
             out.append("[]")
@@ -427,7 +453,7 @@ def _write_indented(v, newline: str, out: list[str]) -> None:
         sep = "[" + inner
         for x in v:
             out.append(sep)
-            _write_indented(x, inner, out)
+            _write_indented(x, inner, out, seen)
             sep = "," + inner
         out.append(newline + "]")
     else:
@@ -453,13 +479,25 @@ def group_from_json(entry: dict, resolver: Mapping[str, Sequence] | None = None)
     return make_group(mul, gens, label)
 
 
+def _once_per_object(build):
+    """Memoize a _Writer method on the identity of its argument, kept alive."""
+
+    def method(self, v):
+        return (self._by_id.get(id(v)) or self._by_id.setdefault(id(v), (v, build(self, v))))[1]
+
+    return method
+
+
 class _Writer:
-    """Interns groups so the document stores each table once."""
+    """Interns groups (by equality, behind a fast path on identity) and
+    carrier records (by identity), so the document stores each once."""
 
     def __init__(self):
         self.groups: list[dict] = []
         self._ids: dict[FiniteGroup, int] = {}
+        self._by_id: dict[int, tuple] = {}
 
+    @_once_per_object
     def group(self, g: FiniteGroup) -> int:
         if g not in self._ids:
             self._ids[g] = len(self.groups)
@@ -472,6 +510,7 @@ class _Writer:
     def sub(self, s: Subgroup) -> dict:
         return {"parent": self.group(s.parent), "members": list(s.members)}
 
+    @_once_per_object
     def bitorsor(self, b: Bitorsor) -> dict:
         return {
             "left_group": self.group(b.left_group),
@@ -480,6 +519,7 @@ class _Writer:
             "right_act": _emit_table(b.right_act, b.size),
         }
 
+    @_once_per_object
     def pi_group(self, pg: eq.PiGroup) -> dict:
         return {
             "group": self.group(pg.group),
@@ -487,6 +527,7 @@ class _Writer:
             "action": [list(h.map) for h in pg.action],
         }
 
+    @_once_per_object
     def pi_bitorsor(self, p: eq.PiBitorsor) -> dict:
         return {
             "left": self.pi_group(p.left),
@@ -505,29 +546,19 @@ class _Writer:
         }
 
 
-def _once_per_document(build):
-    """Memoize a _Reader method on the text of its sub-document: equal text
-    gives an equal value, so each distinct sub-document is built, and so
-    validated, once per document."""
-
-    def method(self, d):
-        key = (build.__name__, json.dumps(d))
-        if key not in self._built:
-            self._built[key] = build(self, d)
-        return self._built[key]
-
-    return method
-
-
 class _Reader:
     """Rebuilds the values of one document.  A certificate repeats some
     sub-documents (a factor is also the target of the witness inclusion),
-    so bitorsors, pi_groups and pi_bitorsors are built once per text."""
+    so bitorsors, pi_groups and pi_bitorsors are built once per decoded value,
+    keyed on strictly decoded tables and the ids of values already built."""
 
     def __init__(self, doc: dict, resolver: Mapping[str, Sequence] | None):
         self._resolver = dict(resolver or {})
         self._groups = [group_from_json(entry, self._resolver) for entry in doc["groups"]]
-        self._built: dict[tuple[str, str], object] = {}
+        self._built: dict[tuple, object] = {}
+
+    def _once(self, key: tuple, build, *args):
+        return self._built.get(key) or self._built.setdefault(key, build(*args))
 
     def table(self, obj) -> tuple[tuple[int, ...], ...]:
         return _decode_table(obj, self._resolver)
@@ -546,36 +577,26 @@ class _Reader:
     def sub(self, d: dict) -> Subgroup:
         return subgroup(self.group(d["parent"]), _json_ints(d["members"]))
 
-    @_once_per_document
     def bitorsor(self, d: dict) -> Bitorsor:
         from .bitorsors import Bitorsor
 
-        return Bitorsor(
-            self.group(d["left_group"]),
-            self.group(d["right_group"]),
-            self.table(d["left_act"]),
-            self.table(d["right_act"]),
-        )
+        lg, rg = self.group(d["left_group"]), self.group(d["right_group"])
+        la, ra = self.table(d["left_act"]), self.table(d["right_act"])
+        return self._once((Bitorsor, id(lg), id(rg), la, ra), Bitorsor, lg, rg, la, ra)
 
-    @_once_per_document
     def pi_group(self, d: dict) -> eq.PiGroup:
         from . import equivariant as eq
 
-        g = self.group(d["group"])
-        pi = self.group(d["pi"])
-        action = tuple(GroupHom(g, g, _json_ints(row)) for row in d["action"])
-        return eq.PiGroup(g, pi, action)
+        g, pi, rows = self.group(d["group"]), self.group(d["pi"]), _json_rows(d["action"])
+        return self._once((eq.PiGroup, id(g), id(pi), rows), eq.pi_group_from_rows, g, pi, rows)
 
-    @_once_per_document
     def pi_bitorsor(self, d: dict) -> eq.PiBitorsor:
         from . import equivariant as eq
 
-        return eq.PiBitorsor(
-            self.pi_group(d["left"]),
-            self.pi_group(d["right"]),
-            self.bitorsor(d["bitorsor"]),
-            self.table(d["points_action"]),
-        )
+        left, right = self.pi_group(d["left"]), self.pi_group(d["right"])
+        b, pa = self.bitorsor(d["bitorsor"]), self.table(d["points_action"])
+        key = (eq.PiBitorsor, id(left), id(right), id(b), pa)
+        return self._once(key, eq.PiBitorsor, left, right, b, pa)
 
     def pi_morphism(self, d: dict) -> eq.PiMorphism:
         from . import equivariant as eq

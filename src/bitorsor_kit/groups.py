@@ -6,9 +6,11 @@ axiom in full, each law on a generating set by Light's associativity test
 1.2).  Values computed by formula from checked ones (identity, composite
 and conjugate homs, the homs the hom search extends from generator images,
 subgroups as groups, quotients) skip the check through errors.by_formula,
-unless BITORSOR_CHECK=full, as in the tests.  A hom's class under
-conjugation in its codomain is named by one invariant, its canonical
-conjugate: the conjugate with the lexicographically least map.
+unless BITORSOR_CHECK=full, as in the tests.  make_group memoizes 512
+groups per process on (table, generators, label), since labels reach the
+output and group equality ignores them; failures are not cached.  A hom's
+class under conjugation in its codomain is named by one invariant, its
+canonical conjugate: the conjugate with the lexicographically least map.
 """
 
 from __future__ import annotations
@@ -213,6 +215,11 @@ def make_group(mul_table: Sequence[Sequence[int]], generators: Iterable[int], la
     mul = tuple(mul_table)
     if {*map(type, mul)} != {tuple} or {*map(type, itertools.chain.from_iterable(mul))} != {int}:
         mul = tuple(tuple(map(int, row)) for row in mul)
+    return _make_group(mul, tuple(map(int, generators)), label)
+
+
+@lru_cache(maxsize=512)
+def _make_group(mul: tuple, generators: tuple[int, ...], label: str) -> FiniteGroup:
     _check_square(mul)
     n = len(mul)
     ident = tuple(range(n))
@@ -231,7 +238,7 @@ def make_group(mul_table: Sequence[Sequence[int]], generators: Iterable[int], la
         except ValueError:
             raise NoInverse(f"element {a} has no two-sided inverse") from None
         inv.append(b)
-    return FiniteGroup(mul, identity, tuple(inv), tuple(map(int, generators)), label)
+    return FiniteGroup(mul, identity, tuple(inv), generators, label)
 
 
 @record
@@ -392,7 +399,7 @@ def subgroup_as_group(parent: FiniteGroup, members: Iterable[int], label: str | 
     return sub, by_formula(GroupHom, sub, parent, ms)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def all_subgroups(g: FiniteGroup) -> tuple[Subgroup, ...]:
     """Every subgroup, sorted by (order, member list)."""
     found: set[frozenset[int]] = {frozenset({g.identity})}

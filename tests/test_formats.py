@@ -293,6 +293,24 @@ class TestCertificateJson:
         assert d2.certificate.w_inclusion.dst is d2.y
         assert d2.certificate.w_inclusion.src is d2.certificate.w_witness
 
+    def test_a_repeated_carrier_is_one_dict(self, s3_certificate):
+        doc = F.decomposition_to_json(*s3_certificate)
+        dd = doc["decomposition"]
+        assert dd["certificate"]["w_inclusion"]["dst"] is dd["y"]
+
+    def test_action_row_at_a_non_generator_is_refused_by_the_law(self, s3_certificate):
+        """Only the rows at pi's generators are read as homs; a row elsewhere
+        that is still a permutation is refused by the composition law, as a
+        DomainError, also when values built by formula are checked."""
+        doc = json.loads(json.dumps(F.decomposition_to_json(*s3_certificate)))
+        pg = doc["decomposition"]["y"]["left"]
+        pi = doc["groups"][pg["pi"]]
+        c = next(c for c in range(1, pi["order"]) if c not in pi["generators"])
+        row = pg["action"][c]
+        row[1], row[2] = row[2], row[1]
+        with pytest.raises(G.NotAnAction, match=r"action breaks at symmetry pair"):
+            F.decomposition_from_json(doc)
+
     def test_corrupted_group_table_rejected(self, s3_certificate):
         t, e, d = s3_certificate
         doc = copy.deepcopy(F.decomposition_to_json(t, e, d))
@@ -339,6 +357,7 @@ JSON_SCALARS = (
     | st.floats(allow_nan=True, allow_infinity=True)
     | st.text()
 )
+NEWLINE_TEXT = st.text(alphabet="a\n\"\\ \u00e9", max_size=6)
 JSON_VALUES = st.recursive(
     JSON_SCALARS,
     lambda inner: st.lists(inner, max_size=5)
@@ -352,6 +371,25 @@ class TestIndentedWriter:
     @settings(max_examples=150, deadline=None)
     @given(value=JSON_VALUES)
     def test_matches_json_dumps(self, value):
+        assert F.dumps_indented(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shared=st.one_of(
+            st.dictionaries(NEWLINE_TEXT, JSON_VALUES, min_size=1, max_size=4),
+            st.lists(JSON_VALUES | NEWLINE_TEXT, min_size=1, max_size=4),
+        ),
+        text=NEWLINE_TEXT,
+        depth=st.integers(0, 3),
+    )
+    def test_one_object_at_two_depths(self, shared, text, depth):
+        """The writer writes a repeated dict once and re-indents its text;
+        strings with a newline in them must come out escaped all the same."""
+        nested = {"s": text, "v": shared}
+        deeper = nested
+        for _ in range(depth):
+            deeper = {"k": [deeper, text]}
+        value = {"a": nested, "b": [deeper, shared], text: [shared]}
         assert F.dumps_indented(value) == json.dumps(value, indent=2, sort_keys=True)
 
     @pytest.mark.parametrize(

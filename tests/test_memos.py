@@ -1,0 +1,98 @@
+"""The per-process memos: make_group on (table, generators, label),
+parse_group on its text, and parse_extension after pi_big on (text, the
+resolved group, its label).  Within one process a changed file is always
+seen, a label is never lost, a failure is never cached, and every memo of
+groups, formats and equivariant is bounded."""
+
+from __future__ import annotations
+
+import functools
+
+import pytest
+
+from bitorsor_kit import cli
+from bitorsor_kit import equivariant as E
+from bitorsor_kit import formats as F
+from bitorsor_kit import groups as G
+
+from test_cli import S3_EXTENSION, run
+
+
+def _labelled(g: G.FiniteGroup, label: str) -> str:
+    return F.format_group(G.make_group(g.mul, g.generators, label))
+
+
+def test_one_table_under_two_labels_keeps_both_labels(tmp_path, capsys):
+    s3 = G.symmetric(3)
+    a, b = (G.make_group(s3.mul, s3.generators, label) for label in ("A", "B"))
+    assert a == b and (a.label, b.label) == ("A", "B")
+    for label in ("X", "Y"):
+        path = tmp_path / f"{label}.grp"
+        path.write_text(_labelled(s3, label))
+        code, out, _ = run(capsys, "validate-group", "--group", str(path))
+        assert code == 0 and out.startswith(f"valid group {label} of order 6\n")
+
+
+def test_a_group_file_rewritten_between_commands_is_seen(tmp_path, capsys):
+    path = tmp_path / "g.grp"
+    for g in (G.cyclic(4), G.symmetric(3), G.cyclic(4)):
+        path.write_text(F.format_group(g))
+        code, out, _ = run(capsys, "validate-group", "--group", str(path))
+        assert code == 0 and out.startswith(f"valid group {g.label} of order {g.order}\n")
+
+
+def _decompose(capsys, ext):
+    return run(capsys, "decompose", "--extension", str(ext), "--group", "symmetric:3", "--class", "2")
+
+
+def test_a_rewritten_pi_big_file_is_seen_under_the_same_extension_text(tmp_path, capsys):
+    big = F.resolve_group_spec("semidirect:3:2:2")
+    pi_file, ext = tmp_path / "pi.grp", tmp_path / "tame.ext"
+    ext.write_text(S3_EXTENSION.replace("semidirect:3:2:2", "pi.grp"))
+    for label in ("P", "Q"):
+        pi_file.write_text(_labelled(big, label))
+        code, out, _ = _decompose(capsys, ext)
+        assert code == 0 and out.startswith(f"decomposed class 2 of S3 over {label}\n")
+    # C6 under the same p and s lines: 1 has order 6, so s is no hom
+    pi_file.write_text(F.format_group(G.cyclic(6)))
+    code, out, err = _decompose(capsys, ext)
+    assert (code, out) == (2, "") and err.startswith("groups.NotAHomomorphism: ")
+
+
+def test_a_failed_parse_is_not_cached(tmp_path, capsys):
+    path = tmp_path / "g.grp"
+    good = F.format_group(G.cyclic(3))
+    path.write_text(good.replace("\n0 1 2\n", "\n0 1 3\n", 1))
+    code, _, err = run(capsys, "validate-group", "--group", str(path))
+    assert code == 2 and err.startswith("formats.ParseError: table entry 3 out of range")
+    path.write_text(good)
+    assert run(capsys, "validate-group", "--group", str(path))[0] == 0
+
+    # a pi_big file that fails, then is mended, under one extension text
+    pi_file, ext = tmp_path / "pi.grp", tmp_path / "tame.ext"
+    ext.write_text(S3_EXTENSION.replace("semidirect:3:2:2", "pi.grp"))
+    big = F.format_group(F.resolve_group_spec("semidirect:3:2:2"))
+    pi_file.write_text(big.replace("generators", "generators 9"))
+    code, _, err = _decompose(capsys, ext)
+    assert code == 2 and err.startswith("formats.ParseError: generator 9 out of range")
+    pi_file.write_text(big)
+    assert _decompose(capsys, ext)[0] == 0
+
+
+def _memos():
+    return [
+        (f"{mod.__name__}.{name}", obj)
+        for mod in (G, F, E)
+        for name, obj in sorted(vars(mod).items())
+        if isinstance(obj, functools._lru_cache_wrapper)
+    ]
+
+
+def test_the_memos_are_the_ones_documented():
+    names = {name.rpartition(".")[2] for name, _ in _memos()}
+    assert {"_make_group", "parse_group", "_extension_over", "_expand_theta"} <= names
+
+
+@pytest.mark.parametrize("name, memo", _memos(), ids=[name for name, _ in _memos()])
+def test_every_memo_reports_a_finite_maxsize(name, memo):
+    assert isinstance(memo.cache_info().maxsize, int)

@@ -38,6 +38,34 @@ def _retype(value):
     return edit
 
 
+def _swap_at_non_generator(d: dict) -> None:
+    """Swap two entries of y's left action row at a symmetry that is neither
+    the identity nor a generator of pi.  The row stays a permutation and is
+    not read as a hom, so only the composition law can refuse it."""
+    pg = d["decomposition"]["y"]["left"]
+    pi = d["groups"][pg["pi"]]
+    ident = pi["mul"].index(list(range(pi["order"])))
+    c = next(c for c in range(pi["order"]) if c != ident and c not in pi["generators"])
+    row = pg["action"][c]
+    row[1], row[2] = row[2], row[1]
+
+
+def _one_copy(path: str, edit):
+    """Edit one copy only of the carrier that the certificate stores twice,
+    as the factor y and as the target of the witness inclusion."""
+
+    def apply(d: dict) -> None:
+        dec = d["decomposition"]
+        edit(dec["y"] if path == "y" else dec["certificate"]["w_inclusion"]["dst"])
+
+    return apply
+
+
+def _true_for_a_one(p: dict) -> None:
+    row = p["points_action"][0]
+    row[row.index(1)] = True
+
+
 # kind -> (edit of one entry of the document, the error the reader raises)
 TAMPERS = {
     # group 0 is pi_big, of order 6; its product 1.2 is moved
@@ -65,6 +93,21 @@ TAMPERS = {
     "extension p": (
         lambda d: _bump(d["extension"]["p"]["map"], 2, 2), "groups.NotAHomomorphism"
     ),
+    "action row at a non-generator": (_swap_at_non_generator, "groups.NotAnAction"),
+    # y is read after the certificate's witness inclusion, so a memo that
+    # treated the two copies as one would skip the check of y's copy
+    "bumped copy of y in w_inclusion": (
+        _one_copy("w_inclusion", lambda p: _bump(p["points_action"][1], 2, 6)),
+        "equivariant.EquivariantError",
+    ),
+    "bumped y beside w_inclusion": (
+        _one_copy("y", lambda p: _bump(p["points_action"][1], 2, 6)),
+        "equivariant.EquivariantError",
+    ),
+    "true in the copy of y in w_inclusion": (
+        _one_copy("w_inclusion", _true_for_a_one), "formats.ParseError"
+    ),
+    "true in y beside w_inclusion": (_one_copy("y", _true_for_a_one), "formats.ParseError"),
     "float entry": (_retype(1.9), "formats.ParseError"),
     "string entry": (_retype("1"), "formats.ParseError"),
     "bool entry": (_retype(True), "formats.ParseError"),
@@ -86,6 +129,7 @@ def default_mode_runs(tmp_path_factory):
     cert = work / "cert.json"
     argv = ["decompose", "--extension", str(ext), "--group", "symmetric:3", "--class", "2"]
     doc = _emit_json(argv + ["--format", "json"])
+    assert doc["decomposition"]["certificate"]["w_inclusion"]["dst"] == doc["decomposition"]["y"]
     cert.write_text(json.dumps(doc))
     commands = [("verify", "--certificate", str(cert))]
     for kind, (edit, _) in TAMPERS.items():
