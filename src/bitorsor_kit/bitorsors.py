@@ -1,7 +1,7 @@
 """Two-sided torsors: a point set with commuting free transitive left and
 right group actions, plus the calculus on them (contracted products,
-inverses, pushforwards along group homomorphisms, Isom carriers,
-restrictions).
+inverses, pushforwards along group homomorphisms, Isom carriers, and
+orbit_restriction, the one restriction to the orbit of a point).
 
 All actions are dense index tables: left_act[g'][x] and right_act[x][g].
 The public constructors check every invariant in full, each law on the
@@ -35,6 +35,7 @@ from .groups import (
     generating_set,
     identity_hom,
     subgroup,
+    subgroup_as_group,
 )
 from .groups import NotAnAction, NotNormal
 
@@ -328,16 +329,20 @@ def orbit_partition(
     return classes
 
 
-def restrict(
-    b: Bitorsor, l_incl: GroupHom, points: tuple[int, ...], r_incl: GroupHom
-) -> tuple[Bitorsor, BitorsorMorphism]:
-    """The sub-bitorsor of b on `points` over the subgroups that l_incl and
-    r_incl embed, with its inclusion into b."""
+def orbit_restriction(b: Bitorsor, p: int, members: Iterable[int]) -> BitorsorMorphism:
+    """The inclusion of the sub-bitorsor of b on the orbit of point p under
+    the left subgroup `members` (repeats allowed), over the right elements
+    that keep p inside that orbit."""
+    _, l_incl = subgroup_as_group(b.left_group, members)
+    points = tuple(sorted({b.left_act[a][p] for a in l_incl.map}))
     pos = {x: i for i, x in enumerate(points)}
+    _, r_incl = subgroup_as_group(
+        b.right_group, (a for a in b.right_group.elements if b.right_act[p][a] in pos)
+    )
     left_rows = tuple(tuple(pos[b.left_act[a][x]] for x in points) for a in l_incl.map)
     right_rows = tuple(tuple(pos[b.right_act[x][a]] for a in r_incl.map) for x in points)
     sub = by_formula(Bitorsor, l_incl.src, r_incl.src, left_rows, right_rows)
-    return sub, by_formula(BitorsorMorphism, sub, b, l_incl, tuple(points), r_incl)
+    return by_formula(BitorsorMorphism, sub, b, l_incl, points, r_incl)
 
 
 def glued_rows(b1: Bitorsor, b2: Bitorsor, ys: Iterable[int]) -> list[tuple[int, ...]]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -153,7 +154,7 @@ def _cmd_h1(ns: argparse.Namespace) -> int:
     from . import equivariant as eq
 
     pi = fm.resolve_group_spec(ns.pi)
-    g = pi if ns.group == ns.pi else fm.resolve_group_spec(ns.group)
+    g = fm.resolve_group_spec(ns.group)
     classes = eq.h1(pi, g)
     if ns.format == "json":
         _emit_json(
@@ -242,11 +243,10 @@ def _cmd_closure(ns: argparse.Namespace) -> int:
     from . import equivariant as eq
     from . import rclass as rc
 
-    built: dict = {}  # each distinct group of the command is built once
-    pi = fm.resolve_group_spec(ns.pi, built=built)
+    pi = fm.resolve_group_spec(ns.pi)
     text = fm.read_text(ns.registry, f"registry {str(ns.registry)!r}")
-    r = fm.parse_registry(text, pi, base_dir=ns.registry.parent, built=built)
-    g = fm.resolve_group_spec(ns.group, built=built)
+    r = fm.parse_registry(text, pi, base_dir=ns.registry.parent)
+    g = fm.resolve_group_spec(ns.group)
     rep = _class_rep(pi, g, ns.class_index)
     fac = rc.in_closure(rep, r, ns.max_n)
     chain = []
@@ -369,7 +369,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    """Run main and exit with its code.  A reader that closes stdout early
+    (`| head`) ends the command quietly with 0: stdout is pointed at
+    os.devnull so the flush at exit has nowhere left to fail."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

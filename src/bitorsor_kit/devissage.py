@@ -18,8 +18,9 @@ theta and sends gamma to the identity by construction.  A disconnected
 carrier's decomposition is that of the connected component of point 0
 with both structure groups extended back along the component's inclusion,
 its witness isomorphism built at a base point over the identification of
-two left torsors at a point, and its type-gamma witness the same
-restriction at the image of point 0; decompose runs no search.
+two left torsors at a point, and its type-gamma witness the same orbit
+restriction (bt.orbit_restriction, as for the component) at the image of
+point 0; decompose runs no search.
 """
 
 from __future__ import annotations
@@ -183,19 +184,15 @@ def _decompose_connected(t: ThetaBitorsor, e: SplitExtension) -> Decomposition:
 def _type_gamma_witness(
     y: PiBitorsor, p: int, images: list[int], gamma: FiniteGroup
 ) -> tuple[PiBitorsor, PiMorphism, GroupHom]:
-    """y restricted to the class of point p under the left subgroup h
-    spanned by `images`, the image of each element of gamma in turn, over
-    the right elements that keep p inside that class; with its inclusion
-    and gamma's surjection onto h."""
-    yb = y.bitorsor
-    h_grp, l_incl = subgroup_as_group(yb.left_group, images)
-    points = tuple(sorted({yb.left_act[g][p] for g in l_incl.map}))
-    inside = set(points)
-    right = [r for r in yb.right_group.elements if yb.right_act[p][r] in inside]
-    _, r_incl = subgroup_as_group(yb.right_group, right)
-    w_sub, w_incl = eq.restrict_pi(y, bt.restrict(yb, l_incl, points, r_incl)[1])
-    pos = {v: i for i, v in enumerate(l_incl.map)}
-    return w_sub, w_incl, by_formula(GroupHom, gamma, h_grp, tuple(pos[v] for v in images))
+    """y restricted to the class of point p under the left subgroup h of
+    `images`, the image of each element of gamma in turn
+    (bt.orbit_restriction); with its inclusion and gamma's surjection onto
+    h."""
+    incl = bt.orbit_restriction(y.bitorsor, p, images)
+    w_sub, w_incl = eq.restrict_pi(y, incl)
+    h = incl.phi_left
+    pos = {v: i for i, v in enumerate(h.map)}
+    return w_sub, w_incl, by_formula(GroupHom, gamma, h.src, tuple(pos[v] for v in images))
 
 
 def _transport_disconnected(

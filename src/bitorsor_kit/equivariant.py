@@ -15,9 +15,9 @@ versions of the product calculus (gluing, inversion and extension of
 either structure group), which read each glued or pushed point action,
 and the action on a pushed group, at point 0 in the base-point
 coordinates of the plain layer; a carrier is connected exactly when theta
-is onto.  A pi-stable sub-carrier takes its structure from its plain
-inclusion (restrict_pi); the caller names the class, so none is searched
-for here.  Whether a carrier reduces to a normal subgroup of its right
+is onto, and its connected component is bt.orbit_restriction at point 0.
+A pi-stable sub-carrier takes its structure from its plain inclusion
+(restrict_pi); the caller names the class, so none is searched for here.  Whether a carrier reduces to a normal subgroup of its right
 group is read off the pi-action four independent ways (induced_conditions).
 The public constructors check every compatibility law in full, on the
 generators of pi and of the structure groups (the closure argument of
@@ -471,18 +471,13 @@ def is_connected(t: ThetaBitorsor) -> bool:
 
 
 def connected_component(t: ThetaBitorsor) -> tuple[ThetaBitorsor, BitorsorMorphism]:
-    """Restrict to the symmetry orbit of point 0, by formula: the carrier over
-    (image of theta, orbit, transporter subgroup), with its inclusion."""
-    b = t.bitorsor
-    h_prime = sorted(set(t.theta.map))
-    orbit = sorted({b.left_act[gp][0] for gp in h_prime})
-    h = [g for g in b.right_group.elements if b.right_act[0][g] in set(orbit)]
-    hp_grp, hp_incl = subgroup_as_group(b.left_group, h_prime)
-    _, h_incl = subgroup_as_group(b.right_group, h)
-    sub, inclusion = bt.restrict(b, hp_incl, tuple(orbit), h_incl)
-    hp_pos = {v: i for i, v in enumerate(hp_incl.map)}
-    theta_sub = by_formula(GroupHom, t.pi, hp_grp, tuple(hp_pos[v] for v in t.theta.map))
-    return by_formula(ThetaBitorsor, sub, theta_sub), inclusion
+    """Restrict to the symmetry orbit of point 0, by formula: the orbit
+    restriction at point 0 under theta's image (bt.orbit_restriction), with
+    theta corestricted to that image, and the inclusion."""
+    incl = bt.orbit_restriction(t.bitorsor, 0, t.theta.map)
+    pos = {v: i for i, v in enumerate(incl.phi_left.map)}
+    theta_sub = by_formula(GroupHom, t.pi, incl.phi_left.src, tuple(pos[v] for v in t.theta.map))
+    return by_formula(ThetaBitorsor, incl.src, theta_sub), incl
 
 
 def h1_representatives(pi: FiniteGroup, g: FiniteGroup) -> tuple[GroupHom, ...]:

@@ -5,9 +5,10 @@ Text files are line-based: blank lines and lines starting with `#` are
 skipped.  JSON documents intern groups in a top-level list and embed index
 tables inline only up to order 24; larger tables are replaced by a sha256
 reference that the reader resolves against caller-supplied sources.
-Per process, parse_group is memoized on its text (128 entries), and
-parse_extension after pi_big on the text and the resolved group with its
-label (32); failures are not cached.  The certificate reader builds each
+Per process, a constructor spec is built once (64 specs), parse_group is
+memoized on its text (128), and parse_extension after pi_big on the text
+and the resolved group with its label (32); a group file is read on every
+call, and failures are not cached.  The certificate reader builds each
 decoded sub-document once, and the writer writes a repeated carrier once.
 
 Only the group layer is imported with this module: the extension,
@@ -178,30 +179,19 @@ def _check_order(spec: str, order: int) -> None:
 _CONSTRUCTORS = ("cyclic", "dihedral", "symmetric", "semidirect")
 
 
-def _group_path(spec: str, base_dir: Path | None) -> Path:
-    path = Path(spec)
-    if base_dir is not None and not path.is_absolute():
-        path = base_dir / path
-    return path
-
-
-def resolve_group_spec(
-    spec: str, base_dir: Path | None = None, built: dict | None = None
-) -> FiniteGroup:
+def resolve_group_spec(spec: str, base_dir: Path | None = None) -> FiniteGroup:
     """A constructor name (cyclic:n, dihedral:n, symmetric:n, semidirect:N:Q:k)
     or a path to a group file.  Orders above MAX_ORDER are refused before
-    any table is built.  `built`, when given, holds the groups already
-    resolved, by constructor spec or by resolved file path: a spec found
-    there is not built again, and one built now is added."""
-    if built is None:
-        return _build_group_spec(spec, base_dir)
-    key = spec if spec.partition(":")[0] in _CONSTRUCTORS else _group_path(spec, base_dir).resolve()
-    if key not in built:
-        built[key] = _build_group_spec(spec, base_dir)
-    return built[key]
+    any table is built.  A constructor spec is built once per process; a
+    group file is read on every call, so a changed file is seen."""
+    if spec.partition(":")[0] in _CONSTRUCTORS:
+        return _constructed(spec)
+    path = Path(spec) if base_dir is None else base_dir / spec  # an absolute spec wins
+    return parse_group(read_text(path, f"group {spec!r}"))
 
 
-def _build_group_spec(spec: str, base_dir: Path | None) -> FiniteGroup:
+@lru_cache(maxsize=64)
+def _constructed(spec: str) -> FiniteGroup:
     head, _, rest = spec.partition(":")
     parts = rest.split(":") if rest else []
     if head == "cyclic":
@@ -222,14 +212,12 @@ def _build_group_spec(spec: str, base_dir: Path | None) -> FiniteGroup:
             raise ParseError(f"symmetric degree {n} must lie in 1..{SYMMETRIC_MAX_DEGREE}")
         _check_order(spec, math.factorial(n))
         return symmetric(n)
-    if head == "semidirect":
-        big_n, q, k = _constructor_ints(spec, parts, 3)
-        if big_n < 1 or q < 1:
-            raise ParseError(f"semidirect sizes in {spec!r} must be positive")
-        _check_order(spec, big_n * q)
-        n_grp, q_grp, acts = cyclic_power_action(big_n, q, k)
-        return semidirect_product(n_grp, q_grp, acts).group
-    return parse_group(read_text(_group_path(spec, base_dir), f"group {spec!r}"))
+    big_n, q, k = _constructor_ints(spec, parts, 3)  # semidirect
+    if big_n < 1 or q < 1:
+        raise ParseError(f"semidirect sizes in {spec!r} must be positive")
+    _check_order(spec, big_n * q)
+    n_grp, q_grp, acts = cyclic_power_action(big_n, q, k)
+    return semidirect_product(n_grp, q_grp, acts).group
 
 
 def parse_extension(text: str, base_dir: Path | None = None) -> dv.SplitExtension:
@@ -320,11 +308,9 @@ def format_extension(e: dv.SplitExtension, pi_big_spec: str, label: str = "ext")
     return "\n".join(lines) + "\n"
 
 
-def parse_registry(
-    text: str, pi: FiniteGroup, base_dir: Path | None = None, built: dict | None = None
-) -> ElementaryClassRegistry:
+def parse_registry(text: str, pi: FiniteGroup, base_dir: Path | None = None) -> ElementaryClassRegistry:
     """Read `elementary <group-spec> <class-index>` lines; the universe is
-    ordered by first appearance.  `built` is passed to resolve_group_spec."""
+    ordered by first appearance."""
     from .rclass import ElementaryClassRegistry
 
     specs: list[str] = []
@@ -341,7 +327,7 @@ def parse_registry(
         if idx < 0:
             raise ParseError(f"class index {idx} must not be negative", no, toks[2][1])
         if name not in resolved:
-            resolved[name] = resolve_group_spec(name, base_dir, built)
+            resolved[name] = resolve_group_spec(name, base_dir)
             specs.append(name)
         members.add((specs.index(name), idx))
     if not specs:

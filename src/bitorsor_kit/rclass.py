@@ -86,7 +86,9 @@ def _has_central_image(theta: GroupHom) -> bool:
     )
 
 
-@lru_cache(maxsize=None)
+# 64 keys: a closure command of perfbench's cold ladder meets at most 10
+# distinct (pi, G, a, b), a default scripts/registry_closures.py run 20.
+@lru_cache(maxsize=64)
 def wedge_class_index(pi: FiniteGroup, g: FiniteGroup, a: int, b: int) -> int:
     """Class of the glued pair of two class representatives over g; the
     second factor must have a central image so the gluing is equivariant.

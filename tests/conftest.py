@@ -71,9 +71,21 @@ def hom_oracle():
     return brute_force_hom_maps
 
 
+RNG_SEED = 20260814
+
+
 @pytest.fixture
 def rng():
-    return random.Random(20260814)
+    return random.Random(RNG_SEED)
+
+
+@pytest.fixture(scope="session")
+def sweep_decompositions():
+    """test_restrict's sweep of carriers, decomposed once per session for
+    the tests of test_restrict and test_construction that check it."""
+    from test_restrict import decompose_the_sweep
+
+    return decompose_the_sweep()
 
 
 def scrambled_trivial(

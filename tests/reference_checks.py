@@ -824,6 +824,18 @@ def _left_orbit_partition(b, members):
     return classes
 
 
+def restrict(
+    b: B.Bitorsor, l_incl: GroupHom, points: tuple[int, ...], r_incl: GroupHom
+) -> tuple[B.Bitorsor, B.BitorsorMorphism]:
+    """The sub-bitorsor of b on `points` over the subgroups that l_incl and
+    r_incl embed, with its inclusion into b."""
+    pos = {x: i for i, x in enumerate(points)}
+    left_rows = tuple(tuple(pos[b.left_act[a][x]] for x in points) for a in l_incl.map)
+    right_rows = tuple(tuple(pos[b.right_act[x][a]] for a in r_incl.map) for x in points)
+    sub = by_formula(B.Bitorsor, l_incl.src, r_incl.src, left_rows, right_rows)
+    return sub, by_formula(B.BitorsorMorphism, sub, b, l_incl, tuple(points), r_incl)
+
+
 def sub_bitorsor_on_class(b, h, cls):
     hp = B.corresponding_normal_subgroup(b, h)
     pos = {x: i for i, x in enumerate(cls)}
@@ -1548,7 +1560,7 @@ def _decompose_connected(t, e, lift):
     yb = y.bitorsor
     h_grp, h_incl = subgroup_as_group(yb.left_group, h_prime_members)
     point_class = tuple(sorted({yb.right_act[0][g] for g in h_prime_members}))
-    _, incl = B.restrict(yb, h_incl, point_class, h_incl)
+    _, incl = restrict(yb, h_incl, point_class, h_incl)
     w_sub, w_incl = E.restrict_pi(y, incl)
     gamma_grp, gamma_incl = D.gamma_as_group(e)
     pos = {v: i for i, v in enumerate(h_incl.map)}
@@ -1733,7 +1745,7 @@ def rewrite_factor_morphism(
     rg, r_incl = subgroup_as_group(m.dst.right_group, set(m.phi_right.map))
     l_pos = {v: i for i, v in enumerate(l_incl.map)}
     r_pos = {v: i for i, v in enumerate(r_incl.map)}
-    img, beta = B.restrict(m.dst, l_incl, img_points, r_incl)
+    img, beta = restrict(m.dst, l_incl, img_points, r_incl)
     alpha = B.BitorsorMorphism(
         m.src,
         img,

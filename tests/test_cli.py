@@ -117,6 +117,42 @@ class TestH1:
         assert code == 0 and len(doc["classes"]) == 2
         assert doc["classes"][0]["theta"] == [0, 0]
 
+    def test_one_spec_for_pi_and_group(self, capsys):
+        code, out, _ = run(capsys, "h1", "--pi", "symmetric:3", "--group", "symmetric:3")
+        assert (code, out) == (0, (
+            "3 classes of maps from S3 into S3\n"
+            "class 0: theta (0, 0, 0, 0, 0, 0) image size 1\n"
+            "class 1: theta (0, 1, 1, 0, 0, 1) image size 2\n"
+            "class 2: theta (0, 1, 2, 3, 4, 5) image size 6\n"
+        ))
+        code, out, _ = run(
+            capsys, "h1", "--pi", "cyclic:4", "--group", "cyclic:4", "--format", "json"
+        )
+        assert code == 0 and json.loads(out) == {
+            "classes": [
+                {"image_size": size, "index": i, "theta": theta}
+                for i, (size, theta) in enumerate((
+                    (1, [0, 0, 0, 0]), (4, [0, 1, 2, 3]), (2, [0, 2, 0, 2]), (4, [0, 3, 2, 1]),
+                ))
+            ],
+            "group": "C4", "kind": "h1", "pi": "C4", "schema": F.SCHEMA,
+        }
+
+
+def test_a_closed_stdout_ends_the_command_quietly():
+    """A reader that stops after the first line (`| head -1`): the command
+    exits 0 with nothing on stderr.  The output, 183 kB, is larger than a
+    pipe holds, so the command is still writing when the pipe closes."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bitorsor_kit.cli", "h1", "--pi", "cyclic:200", "--group", "cyclic:200"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"200 classes of maps from C200 into C200\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (0, b"")
+
 
 @pytest.fixture
 def ext_file(tmp_path):
@@ -341,6 +377,7 @@ class TestClosure:
         make_group = G.make_group
         monkeypatch.setattr(G, "make_group", counting)
         monkeypatch.setattr(F, "make_group", counting)
+        F._constructed.cache_clear()  # constructor specs are built once per process
         (tmp_path / "f6.txt").write_text(F.format_group(G.dihedral(6)).replace("D6", "F6"))
         reg = tmp_path / "sub" / "reg.txt"
         reg.parent.mkdir()
@@ -357,6 +394,21 @@ class TestClosure:
             )
             assert code == 0 and out.startswith(f"class 1 of {built}: ")
             assert labels.count(built) == 1
+
+    def test_one_spec_for_pi_and_group(self, capsys, registry_file):
+        """--pi and --group naming one spec print what they print when the
+        two are resolved apart."""
+        argv = (
+            "closure", "--pi", "cyclic:4", "--registry", str(registry_file),
+            "--group", "cyclic:4", "--class", "3", "--max-n", "3",
+        )
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (0, "class 3 of C4: in the closure with 3 factors: (C4, 1) (C4, 1) (C4, 1)\n")
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0 and json.loads(out) == {
+            "chain": [{"class": 1, "group": "C4"}] * 3, "class": 3, "found": True,
+            "group": "C4", "kind": "closure", "max_n": 3, "schema": F.SCHEMA,
+        }
 
 
 # (command before the file, file contents, command after the file)

@@ -21,7 +21,7 @@ from bitorsor_kit import groups as G
 from bitorsor_kit import local_model as L
 
 from conftest import scrambled_trivial
-from test_restrict import assert_same, labels
+from test_restrict import assert_same, decompose_recorded, labels, survey_id
 from test_acceptance import _acceptance_extensions
 from test_search import (
     RELABELLED, UNIVERSE, _pi_wedge_cases, _plain_wedge_cases, _record_transports,
@@ -44,13 +44,32 @@ CHECKED = (
 )
 
 
+@pytest.fixture(scope="session")
+def closed_permutation_groups() -> dict:
+    """The groups the reference completions close permutations into, once
+    per session for each (permutations, side, label): the closure is the
+    slow step of every reference completion and pushforward, and one survey
+    meets each torsor in several of them (the S5 survey: 5 of 20 calls)."""
+    return {}
+
+
 @pytest.fixture
-def checked(monkeypatch):
+def checked(monkeypatch, closed_permutation_groups):
     """Route each CHECKED function through a comparison with its reference
     (value and labels; group equality compares generators), once per
     distinct argument list, labels included.  Yields the number of
-    comparisons made per function."""
+    comparisons made per function.  The references close each distinct
+    set of permutations once per session."""
     counts: Counter = Counter()
+    close = ref._permutation_group_from_perms
+
+    def closed(perms, compose_left, label):
+        key = (tuple(sorted(set(perms))), compose_left, label)
+        if key not in closed_permutation_groups:
+            closed_permutation_groups[key] = close(perms, compose_left, label)
+        return closed_permutation_groups[key]
+
+    monkeypatch.setattr(ref, "_permutation_group_from_perms", closed)
 
     def wrap(module, name, reference):
         lib = getattr(module, name)
@@ -243,23 +262,35 @@ def _decompose_cases(case):
 
 
 def _case_id(case) -> str:
-    return case if isinstance(case, str) else "-".join(map(str, case[0])) + "-" + case[1].label
+    return case if isinstance(case, str) else survey_id(*case)
+
+
+@pytest.fixture(scope="session")
+def relabelled_decompositions():
+    """The relabelled cases decomposed once, as decompose_recorded's rows."""
+    return decompose_recorded(list(_decompose_cases("relabelled")))[0]
 
 
 @pytest.mark.parametrize("case", ["criterion-6", "relabelled", *SURVEY_CASES], ids=_case_id)
-def test_decompose_matches_wedge_rewrite(case):
+def test_decompose_matches_wedge_rewrite(case, request):
     """decompose returns what the transport through the wedge rewrite
     (reference_checks.rewrite_decompose) returns: the factors, the witness
     isomorphism and every certificate field, labels included.  Over the
     relabelled groups the rewrite's first right isomorphism depends on how
     elements are numbered, so there a disconnected input's witness is one
-    of the rewrite's completions, over the left-torsor identification."""
+    of the rewrite's completions, over the left-torsor identification.
+    The decompositions come from session fixtures that other tests share."""
+    if case == "relabelled":
+        rows = request.getfixturevalue("relabelled_decompositions")
+    else:
+        rows = request.getfixturevalue("sweep_decompositions")[0][_case_id(case)]
+    assert [(t, e) for t, e, _, _ in rows] == list(_decompose_cases(case))
     disconnected = 0
-    for t, e in _decompose_cases(case):
-        d, want = D.decompose(t, e), ref.rewrite_decompose(t, e)
+    for t, e, d, transport in rows:
+        want = ref.rewrite_decompose(t, e)
         if case == "relabelled" and not E.is_connected(t):
             assert_same((d.y, d.z, d.certificate), (want.y, want.z, want.certificate))
-            assert_witness_is_left_identification(t, e, d)
+            assert_witness_is_left_identification(*transport, d)
         else:
             assert_same(d, want)
         disconnected += not E.is_connected(t)
@@ -295,30 +326,26 @@ def left_identification(b1: B.Bitorsor, p1: int, b2: B.Bitorsor, p2: int) -> tup
     )
 
 
-def assert_witness_is_left_identification(t, e, d) -> None:
+def assert_witness_is_left_identification(m, inner, d) -> None:
     """d's witness is one of the wedge rewrite's completions over the forced
     pools, and its right hom identifies d.z with z0 extended on the right
-    along the component's inclusion, as left torsors under the middle
-    group, at the images of point 0."""
-    comp, incl = E.connected_component(t)
-    inner = D._decompose_connected(comp, e)
-    x = E.from_theta(t)
-    m = E.PiMorphism(E.compose_pi(inner.y, inner.z), x, incl)
-    glued = _glued(m, inner, d)
+    along the component's inclusion m, as left torsors under the middle
+    group, at the images of point 0; inner is the component's
+    decomposition."""
+    can_y, can_z = canonical_extensions(m, inner.y, inner.z)
+    glued = _glued(m, d, can_y, can_z)
     pools = ref.rewrite_rho_pools(glued, m.inner)
-    right_isos = ref.rewrite_pi_equivariant_isos(d.witness_iso.src.right, x.right, pools)
+    right_isos = ref.rewrite_pi_equivariant_isos(d.witness_iso.src.right, m.dst.right, pools)
     assert d.witness_iso.inner in list(ref.wedge_completions(glued, m.inner, right_isos))
-    pushed, can = E.pushforward_pi(inner.z, incl.phi_right, x.right)
-    _, can_z = canonical_extensions(m, inner.y, inner.z)
+    pushed, can = E.pushforward_pi(inner.z, m.inner.phi_right, m.dst.right)
     assert d.witness_iso.inner.phi_right.map == left_identification(
         d.z.bitorsor, can_z(0), pushed.bitorsor, can(0)
     )
 
 
-def _glued(m, inner, d):
-    """The glued map of the canonical extensions of inner's factors, from
-    their glued carrier to d's."""
-    can_y, can_z = canonical_extensions(m, inner.y, inner.z)
+def _glued(m, d, can_y, can_z):
+    """The glued map of the canonical extensions can_y and can_z of the
+    factors of m's component, from their glued carrier to d's."""
     return ref.rewrite_wedge_of_morphisms(
         can_y.inner, can_z.inner, m.src.bitorsor, d.witness_iso.src.bitorsor
     )
@@ -331,7 +358,7 @@ def test_forced_pools_drop_only_rejected_right_homs(monkeypatch):
     the first, and the pools cut the search in some transport."""
     cut = 0
     for m, inner, d in _record_transports(monkeypatch, sweep_c3_c2):
-        glued = _glued(m, inner, d)
+        glued = _glued(m, d, *canonical_extensions(m, inner.y, inner.z))
         a, b = glued.dst.right_group, m.inner.dst.right_group
 
         def passing(homs):
@@ -374,7 +401,7 @@ def _assert_rewrites_complete_as_reference(monkeypatch, work) -> None:
     calls = _record_transports(monkeypatch, work)
     assert calls
     for m, inner, d in calls:
-        glued = _glued(m, inner, d)
+        glued = _glued(m, d, *canonical_extensions(m, inner.y, inner.z))
         wedge = d.witness_iso.src
         pools = ref.rewrite_rho_pools(glued, m.inner)
         right_isos = ref.rewrite_pi_equivariant_isos(wedge.right, m.dst.right, pools)

@@ -245,8 +245,8 @@ class TestPiInduction:
         t = E.ThetaBitorsor(B.trivial_bitorsor(z4), G.GroupHom(z2, z4, (0, 2)))
         h = G.subgroup(z4, [0, 2])
         assert E.induced_conditions(t, h) == (True, True, True, True, (0, 2))
-        _, h_incl = G.subgroup_as_group(z4, h.members)
-        _, incl = B.restrict(t.bitorsor, h_incl, (0, 2), h_incl)
+        incl = B.orbit_restriction(t.bitorsor, 0, h.members)
+        assert incl.point_map == (0, 2)
         sub, inclusion = E.restrict_pi(E.from_theta(t), incl)
         assert sub.bitorsor.size == 2
         assert inclusion.inner.is_injective()

@@ -1,8 +1,9 @@
 """The per-process memos: make_group on (table, generators, label),
-parse_group on its text, and parse_extension after pi_big on (text, the
-resolved group, its label).  Within one process a changed file is always
-seen, a label is never lost, a failure is never cached, and every memo of
-groups, formats and equivariant is bounded."""
+resolve_group_spec on a constructor spec, parse_group on its text, and
+parse_extension after pi_big on (text, the resolved group, its label).
+Within one process a changed file is always seen, a label is never lost, a
+failure is never cached, and every memo of groups, formats, equivariant
+and rclass is bounded."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from bitorsor_kit import cli
 from bitorsor_kit import equivariant as E
 from bitorsor_kit import formats as F
 from bitorsor_kit import groups as G
+from bitorsor_kit import rclass as R
 
 from test_cli import S3_EXTENSION, run
 
@@ -79,10 +81,30 @@ def test_a_failed_parse_is_not_cached(tmp_path, capsys):
     assert _decompose(capsys, ext)[0] == 0
 
 
+@pytest.mark.parametrize("spec", ["cyclic:6", "dihedral:5", "symmetric:4", "semidirect:7:3:2"])
+def test_a_constructor_spec_is_built_once(monkeypatch, spec):
+    first = F.resolve_group_spec(spec)
+
+    def boom(*args):
+        raise AssertionError("a group was built again")
+
+    for name in ("cyclic", "dihedral", "symmetric", "semidirect_product"):
+        monkeypatch.setattr(F, name, boom)
+    assert F.resolve_group_spec(spec) is first
+
+
+def test_a_failing_constructor_spec_fails_on_every_call():
+    before = F._constructed.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(G.NotAnAction, match="is not an automorphism"):
+            F.resolve_group_spec("semidirect:4:2:2")
+    assert F._constructed.cache_info().currsize == before
+
+
 def _memos():
     return [
         (f"{mod.__name__}.{name}", obj)
-        for mod in (G, F, E)
+        for mod in (G, F, E, R)
         for name, obj in sorted(vars(mod).items())
         if isinstance(obj, functools._lru_cache_wrapper)
     ]
@@ -90,7 +112,10 @@ def _memos():
 
 def test_the_memos_are_the_ones_documented():
     names = {name.rpartition(".")[2] for name, _ in _memos()}
-    assert {"_make_group", "parse_group", "_extension_over", "_expand_theta"} <= names
+    assert {
+        "_make_group", "_constructed", "parse_group", "_extension_over", "_expand_theta",
+        "wedge_class_index",
+    } <= names
 
 
 @pytest.mark.parametrize("name, memo", _memos(), ids=[name for name, _ in _memos()])

@@ -1,13 +1,15 @@
-"""The shared restriction (bitorsors.restrict, equivariant.restrict_pi) and
-the merged orbit partition: every caller returns exactly what its former
-hand-built copy in reference_checks returns, group labels included, on the
-inputs of test_search; the induction criterion reads the reference's
-flags; and the type-gamma witness decompose builds is the one the search
-it replaced finds."""
+"""The shared restriction (bitorsors.orbit_restriction,
+equivariant.restrict_pi) and the merged orbit partition: every caller
+returns exactly what its former hand-built copy in reference_checks
+returns, group labels included, on the inputs of test_search; the
+induction criterion reads the reference's flags; and the type-gamma
+witness decompose builds is the one the search it replaced finds."""
 
 from __future__ import annotations
 
 import random
+
+import pytest
 
 import reference_checks as ref
 from bitorsor_kit import bitorsors as B
@@ -16,7 +18,7 @@ from bitorsor_kit import equivariant as E
 from bitorsor_kit import groups as G
 from bitorsor_kit import local_model as L
 
-from conftest import over_c1, scrambled_trivial
+from conftest import RNG_SEED, over_c1, scrambled_trivial
 from test_acceptance import _acceptance_extensions, induction_fixtures
 from test_search import UNIVERSE, _record_transports, canonical_extensions
 
@@ -107,36 +109,40 @@ SURVEYS = (
 )
 
 
+def survey_id(params, group) -> str:
+    return "-".join(map(str, params)) + "-" + group.label
+
+
 def _carriers_to_decompose(rng):
-    """(carrier, extension) for every class of the criterion-6 sweep, every
-    class of the S4 and S5 surveys of the benchmark, and every theta from S3
-    into S3, D4 and C6 over scrambled and automorphism-twisted carriers,
-    along C3 x| C2 for each section."""
+    """(case, carrier, extension) for every class of the criterion-6 sweep,
+    every class of the S4 and S5 surveys of the benchmark, and every theta
+    from S3 into S3, D4 and C6 over scrambled and automorphism-twisted
+    carriers, along C3 x| C2 for each section; case is "criterion-6", the
+    survey's survey_id or "scrambled"."""
     for e in _acceptance_extensions():
         for g in (G.cyclic(2), G.cyclic(3), G.cyclic(4), G.cyclic(6), G.symmetric(3), G.dihedral(4)):
             for t in E.h1(e.pi_big, g):
-                yield t, e
+                yield "criterion-6", t, e
     for params, g in SURVEYS:
         e = L.build_tame_quotient(L.TameParams(*params))
         for t in E.h1(e.pi_big, g):
-            yield t, e
+            yield survey_id(params, g), t, e
     for e in _acceptance_extensions()[:2]:
         for g in (G.symmetric(3), G.dihedral(4), G.cyclic(6)):
             autos = G.isomorphisms_between(g, g)
             carriers = (scrambled_trivial(g, rng), scrambled_trivial(g, rng, autos[len(autos) // 2]))
             for b in carriers:
                 for theta in G.enumerate_homs(e.pi_big, g):
-                    yield E.ThetaBitorsor(b, theta), e
+                    yield "scrambled", E.ThetaBitorsor(b, theta), e
 
 
-def test_sweep_restrictions_match_reference(monkeypatch, rng):
-    """Each type-gamma witness decompose builds is the first pi-stable
-    induced class that the reference search finds, and each transported
-    witness is the image of the component's under y's canonical extension,
-    as the reference image factorization builds it; each y factor passes
-    the reference type-gamma search, and each component of point 0 is the
-    reference's."""
-    connected = []
+def decompose_recorded(cases) -> tuple[list, list, list]:
+    """Decompose each (t, e) of `cases` in turn and return (rows, connected,
+    transports): rows holds (t, e, d, transport), with transport the (m,
+    inner) that _record_transports records for d, or None; connected holds
+    ((t, e), inner) for every _decompose_connected call, components
+    included; transports is _record_transports's list."""
+    rows, connected = [], []
     lib = D._decompose_connected
 
     def record(t, e):
@@ -144,20 +150,42 @@ def test_sweep_restrictions_match_reference(monkeypatch, rng):
         connected.append(((t, e), out))
         return out
 
-    monkeypatch.setattr(D, "_decompose_connected", record)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(D, "_decompose_connected", record)
+        transports = _record_transports(
+            mp, lambda: rows.extend((t, e, D.decompose(t, e)) for t, e in cases)
+        )
+    recorded = {id(d): (m, inner) for m, inner, d in transports}
+    return [(t, e, d, recorded.get(id(d))) for t, e, d in rows], connected, transports
+
+
+def decompose_the_sweep() -> tuple[dict, list, list]:
+    """The carriers of _carriers_to_decompose decomposed once: (rows by
+    case, connected, transports) from decompose_recorded.  conftest's
+    session fixture sweep_decompositions holds it for this module and for
+    test_construction."""
+    cases = list(_carriers_to_decompose(random.Random(RNG_SEED)))
+    rows, connected, transports = decompose_recorded([(t, e) for _, t, e in cases])
+    by_case: dict[str, list] = {}
+    for (case, _, _), row in zip(cases, rows):
+        by_case.setdefault(case, []).append(row)
+    return by_case, connected, transports
+
+
+def test_sweep_restrictions_match_reference(sweep_decompositions):
+    """Each type-gamma witness decompose builds is the first pi-stable
+    induced class that the reference search finds, and each transported
+    witness is the image of the component's under y's canonical extension,
+    as the reference image factorization builds it; each y factor passes
+    the reference type-gamma search, and each component of point 0 is the
+    reference's."""
+    by_case, connected, transports = sweep_decompositions
     decomposed = disconnected = 0
-
-    def work():
-        nonlocal decomposed, disconnected
-        for t, e in _carriers_to_decompose(rng):
-            disconnected += not E.is_connected(t)
-            assert_same(E.connected_component(t), ref.connected_component(t))
-            d = D.decompose(t, e)
-            assert ref.is_type_gamma(d.y, e) is not None
-            decomposed += 1
-
-    transports = _record_transports(monkeypatch, work)
-    monkeypatch.undo()
+    for t, e, d, _ in (row for rows in by_case.values() for row in rows):
+        disconnected += not E.is_connected(t)
+        assert_same(E.connected_component(t), ref.connected_component(t))
+        assert ref.is_type_gamma(d.y, e) is not None
+        decomposed += 1
     assert decomposed > 400 and disconnected > 0 and len(transports) == disconnected
     assert len(connected) == decomposed
     for (t, e), inner in connected:
