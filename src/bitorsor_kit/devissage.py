@@ -25,6 +25,7 @@ point 0; decompose runs no search.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable
 
 from . import bitorsors as bt
@@ -43,9 +44,9 @@ from .groups import (
     Subgroup,
     compose_homs,
     identity_hom,
+    image,
     kernel,
     quotient,
-    subgroup,
     subgroup_as_group,
 )
 
@@ -102,7 +103,13 @@ def gamma_as_group(e: SplitExtension) -> tuple[FiniteGroup, GroupHom]:
 
 def gamma_conjugation_structure(e: SplitExtension) -> PiGroup:
     """pi_big acting on gamma by conjugation; gamma is normal so this is
-    well defined."""
+    well defined.  Memoized on e and pi_big's label, which the value
+    carries; a decompose-sweep pass meets 20 extensions."""
+    return _gamma_structure(e, e.pi_big.label)
+
+
+@lru_cache(maxsize=32)
+def _gamma_structure(e: SplitExtension, label: str) -> PiGroup:
     g_grp, incl = gamma_as_group(e)
     pos = {v: i for i, v in enumerate(incl.map)}
     acts = tuple(
@@ -162,7 +169,7 @@ def _decompose_connected(t: ThetaBitorsor, e: SplitExtension) -> Decomposition:
     if not theta.is_surjective():
         raise DevissageError("connected decomposition needs a surjective theta")
     images = [theta.map[c] for c in e.gamma.members]
-    h_prime = subgroup(b.left_group, images)
+    h_prime = image(theta, e.gamma)
     if not h_prime.is_normal:
         raise DevissageError("image of gamma failed to be normal in the left group")
     _, q = quotient(b.left_group, h_prime)
@@ -176,7 +183,8 @@ def _decompose_connected(t: ThetaBitorsor, e: SplitExtension) -> Decomposition:
     if wedge_back != x:
         raise DevissageError("the glued factors failed to reproduce the input")
     witness_iso = eq.pi_identity_morphism(x)
-    w_sub, w_incl, gamma_surj = _type_gamma_witness(y, 0, images, gamma_as_group(e)[0])
+    gamma = gamma_conjugation_structure(e).group
+    w_sub, w_incl, gamma_surj = _type_gamma_witness(y, 0, images, gamma)
     cert = DecompositionCertificate(h_prime, q, s_low, theta_tilde, w_sub, w_incl, gamma_surj)
     return Decomposition(y, z, witness_iso, cert)
 

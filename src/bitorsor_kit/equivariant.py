@@ -253,23 +253,25 @@ class ThetaBitorsor:
         return f"ThetaBitorsor({self.pi.label} -> {self.bitorsor!r})"
 
 
-# Expansions from_theta keeps.  A decompose or verify command expands at
-# most three distinct inputs (the input, its connected component and the
-# unramified factor); a fixed bound keeps memory flat over long runs.
+# Expansions from_theta keeps, and components connected_component keeps.  A
+# decompose or verify command expands at most three distinct inputs (the
+# input, its connected component and the unramified factor) and meets at
+# most one component; a fixed bound keeps memory flat over long runs.
 FROM_THETA_CACHE = 32
+
+
+def _labels(t: ThetaBitorsor) -> tuple[str, ...]:
+    """Group equality ignores labels, but labels reach the output, so the
+    labels of every group involved are part of a memo's key."""
+    b = t.bitorsor
+    return (t.pi.label, t.theta.dst.label, b.left_group.label, b.right_group.label)
 
 
 def from_theta(t: ThetaBitorsor) -> PiBitorsor:
     """Expand the compact presentation: pi moves points through theta and
     the left action, twists the left group by conjugation, and leaves the
-    right group alone.
-
-    Expansions are memoized.  Group equality ignores labels, but labels
-    reach the output, so the labels of every group involved are part of
-    the key."""
-    b = t.bitorsor
-    labels = (t.pi.label, t.theta.dst.label, b.left_group.label, b.right_group.label)
-    return _expand_theta(t, labels)
+    right group alone.  Expansions are memoized on t and its labels."""
+    return _expand_theta(t, _labels(t))
 
 
 @lru_cache(maxsize=FROM_THETA_CACHE)
@@ -473,7 +475,14 @@ def is_connected(t: ThetaBitorsor) -> bool:
 def connected_component(t: ThetaBitorsor) -> tuple[ThetaBitorsor, BitorsorMorphism]:
     """Restrict to the symmetry orbit of point 0, by formula: the orbit
     restriction at point 0 under theta's image (bt.orbit_restriction), with
-    theta corestricted to that image, and the inclusion."""
+    theta corestricted to that image, and the inclusion.  Memoized like
+    from_theta: decompose, its own check and a later verify of the same
+    input share one component."""
+    return _component(t, _labels(t))
+
+
+@lru_cache(maxsize=FROM_THETA_CACHE)
+def _component(t: ThetaBitorsor, labels: tuple[str, ...]) -> tuple[ThetaBitorsor, BitorsorMorphism]:
     incl = bt.orbit_restriction(t.bitorsor, 0, t.theta.map)
     pos = {v: i for i, v in enumerate(incl.phi_left.map)}
     theta_sub = by_formula(GroupHom, t.pi, incl.phi_left.src, tuple(pos[v] for v in t.theta.map))

@@ -364,7 +364,8 @@ def _emit_table(rows: Sequence[Sequence[int]], order: int):
 def _json_rows(rows) -> tuple[tuple[int, ...], ...]:
     """Rows of JSON integers, type-checked in one pass over the table."""
     out = tuple(map(tuple, rows))
-    _json_ints(itertools.chain.from_iterable(out))
+    if not {int}.issuperset(map(type, itertools.chain.from_iterable(out))):
+        _json_ints(itertools.chain.from_iterable(out))  # names the first bad entry
     return out
 
 
@@ -396,10 +397,13 @@ def dumps_indented(value) -> str:
     values built from dicts with str keys, lists, tuples and JSON scalars.
 
     With `indent` set, json.dumps falls back to its pure-Python encoder;
-    this writer makes one pass instead, joins each list of plain ints in one
-    string operation, and sends every scalar other than an int or a str
-    (bools, None, floats, subclasses) through json.dumps.  A dict object met
-    again is re-indented from its text: no encoded string holds a newline."""
+    this writer makes one pass instead.  A list of plain ints is joined in
+    one string operation, and a table (a list whose items are all non-empty
+    lists of plain ints) is written from its repr by two replacements, the
+    row break and the entry break.  An int or str value of a dict is written
+    inline; every other scalar (bools, None, floats, subclasses) goes through
+    json.dumps.  A dict object met again is re-indented from its text: no
+    encoded string holds a newline."""
     out: list[str] = []
     _write_indented(value, "\n", out, {})
     return "".join(out)
@@ -421,10 +425,14 @@ def _write_indented(v, newline: str, out: list[str], seen: dict) -> None:
         start, inner = len(out), newline + "  "
         sep = "{" + inner
         for k in sorted(v):
-            out.append(sep)
-            out.append(_encode_str(k))
-            out.append(": ")
-            _write_indented(v[k], inner, out, seen)
+            x, head = v[k], sep + _encode_str(k) + ": "
+            if type(x) is int:
+                out.append(head + int.__repr__(x))
+            elif type(x) is str:
+                out.append(head + _encode_str(x))
+            else:
+                out.append(head)
+                _write_indented(x, inner, out, seen)
             sep = "," + inner
         out.append(newline + "}")
         seen[id(v)] = (start, len(out), newline)
@@ -435,6 +443,18 @@ def _write_indented(v, newline: str, out: list[str], seen: dict) -> None:
         inner = newline + "  "
         if {int}.issuperset(map(type, v)):
             out.append("[" + inner + ("," + inner).join(map(int.__repr__, v)) + newline + "]")
+            return
+        if (
+            t is list
+            and {*map(type, v)} == {list}
+            and all(v)
+            and {int}.issuperset(map(type, itertools.chain.from_iterable(v)))
+        ):
+            # repr gives "[[a, b], [c, d]]": its rows meet at "], [" and its
+            # entries at ", ", and no int's repr holds either
+            row = inner + "  "
+            body = repr(v)[2:-2].replace("], [", inner + "]," + inner + "[" + row)
+            out.append("[" + inner + "[" + row + body.replace(", ", "," + row) + inner + "]" + newline + "]")
             return
         sep = "[" + inner
         for x in v:
@@ -550,7 +570,8 @@ class _Reader:
         return _decode_table(obj, self._resolver)
 
     def group(self, i) -> FiniteGroup:
-        (i,) = _json_ints((i,))
+        if type(i) is not int:
+            raise ParseError(f"expected a JSON integer, got {i!r}")
         if not (0 <= i < len(self._groups)):
             raise ParseError(f"group reference {i} out of range")
         return self._groups[i]

@@ -5,12 +5,13 @@ axiom in full, each law on a generating set by Light's associativity test
 (Clifford & Preston, The Algebraic Theory of Semigroups I, 1961, section
 1.2).  Values computed by formula from checked ones (identity, composite
 and conjugate homs, the homs the hom search extends from generator images,
-subgroups as groups, quotients) skip the check through errors.by_formula,
-unless BITORSOR_CHECK=full, as in the tests.  make_group memoizes 512
-groups per process on (table, generators, label), since labels reach the
-output and group equality ignores them; failures are not cached.  A hom's
-class under conjugation in its codomain is named by one invariant, its
-canonical conjugate: the conjugate with the lexicographically least map.
+kernels and images, subgroups as groups, quotients) skip the check through
+errors.by_formula, unless BITORSOR_CHECK=full, as in the tests.  make_group
+memoizes 512 groups per process on (table, generators, label), since
+labels reach the output and group equality ignores them; failures are not
+cached.  A hom's class under conjugation in its codomain is named by one
+invariant, its canonical conjugate: the conjugate with the
+lexicographically least map.
 """
 
 from __future__ import annotations
@@ -220,24 +221,30 @@ def make_group(mul_table: Sequence[Sequence[int]], generators: Iterable[int], la
 
 @lru_cache(maxsize=512)
 def _make_group(mul: tuple, generators: tuple[int, ...], label: str) -> FiniteGroup:
-    _check_square(mul)
+    """FiniteGroup's validator runs the range check of the table; only a
+    table whose identity or inverses cannot be read runs it here, first, so
+    a malformed table is refused as one."""
     n = len(mul)
     ident = tuple(range(n))
-    identity = next(
-        (e for e in range(n) if mul[e] == ident and tuple(map(itemgetter(e), mul)) == ident),
-        None,
-    )
-    if identity is None:
-        raise NoIdentity("no two-sided neutral element")
-    inv = []
-    for a, row in enumerate(mul):
-        try:
-            b = row.index(identity)
-            while mul[b][a] != identity:
-                b = row.index(identity, b + 1)
-        except ValueError:
-            raise NoInverse(f"element {a} has no two-sided inverse") from None
-        inv.append(b)
+    try:
+        identity = next(
+            (e for e in range(n) if mul[e] == ident and tuple(map(itemgetter(e), mul)) == ident),
+            None,
+        )
+        if identity is None:
+            raise NoIdentity("no two-sided neutral element")
+        inv = []
+        for a, row in enumerate(mul):
+            try:
+                b = row.index(identity)
+                while mul[b][a] != identity:
+                    b = row.index(identity, b + 1)
+            except ValueError:
+                raise NoInverse(f"element {a} has no two-sided inverse") from None
+            inv.append(b)
+    except (GroupError, IndexError):
+        _check_square(mul)
+        raise
     return FiniteGroup(mul, identity, tuple(inv), generators, label)
 
 
@@ -341,12 +348,24 @@ def subgroup(parent: FiniteGroup, members: Iterable[int]) -> Subgroup:
 
 
 def kernel(f: GroupHom) -> Subgroup:
+    """A normal subgroup by construction, built by formula."""
     e = f.dst.identity
-    return subgroup(f.src, (a for a in f.src.elements if f.map[a] == e))
+    return _subgroup_by_formula(f.src, (a for a in f.src.elements if f.map[a] == e))
 
 
-def image(f: GroupHom) -> Subgroup:
-    return subgroup(f.dst, set(f.map))
+def image(f: GroupHom, sub: Subgroup | None = None) -> Subgroup:
+    """f's image of the subgroup `sub` of its source (all of it by default),
+    a subgroup by construction, built by formula."""
+    if sub is not None and sub.parent != f.src:
+        raise MixedSignatures("subgroup belongs to a different group")
+    members = f.map if sub is None else map(f.map.__getitem__, sub.members)
+    return _subgroup_by_formula(f.dst, members)
+
+
+def _subgroup_by_formula(parent: FiniteGroup, members: Iterable[int]) -> Subgroup:
+    """The validator is skipped; normality is decided as `subgroup` does."""
+    ms = tuple(sorted(set(members)))
+    return by_formula(Subgroup, parent, ms, _normalized_by_generators(parent, ms))
 
 
 def quotient(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:

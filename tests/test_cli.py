@@ -84,6 +84,20 @@ class TestValidateGroup:
         assert code == 2
         assert "NoInverse" in err or "NotAssociative" in err
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0 1\n1\n", "table row 1 has 1 entries, expected 2 (line 3, column 1)"),
+            ("0 7\n1 0\n", "table entry 7 out of range 0..1 (line 2, column 3)"),
+        ],
+        ids=["ragged", "out of range"],
+    )
+    def test_malformed_table_file_rejected(self, capsys, tmp_path, rows, message):
+        path = tmp_path / "bad.grp"
+        path.write_text("group C2 order 2\n" + rows + "generators 1\n")
+        code, out, err = run(capsys, "validate-group", "--group", str(path))
+        assert (code, out, err) == (2, "", f"formats.ParseError: {message}\n")
+
     def test_order_above_the_ceiling_exits_2(self, capsys):
         code, out, err = run(capsys, "validate-group", "--group", "cyclic:201")
         assert code == 2 and out == ""

@@ -367,6 +367,30 @@ JSON_VALUES = st.recursive(
 )
 
 
+@st.composite
+def tables(draw):
+    """Lists of int lists, as certificates hold them, and their near misses:
+    one-entry rows (the tables of C1), an empty row, a True, None or float
+    entry, a tuple row, a tuple of rows."""
+    rows = draw(
+        st.lists(st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=4), min_size=1, max_size=5)
+    )
+    i = draw(st.integers(0, len(rows) - 1))
+    kinds = ["plain", "one-entry rows", "empty row", "odd entry", "tuple row", "tuple of rows"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "one-entry rows":
+        rows = [r[:1] for r in rows]
+    elif kind == "empty row":
+        rows[i] = []
+    elif kind == "odd entry":
+        rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.sampled_from([True, None, 2.5]))
+    elif kind == "tuple row":
+        rows[i] = tuple(rows[i])
+    elif kind == "tuple of rows":
+        rows = tuple(rows)
+    return rows
+
+
 class TestIndentedWriter:
     @settings(max_examples=150, deadline=None)
     @given(value=JSON_VALUES)
@@ -392,11 +416,26 @@ class TestIndentedWriter:
         value = {"a": nested, "b": [deeper, shared], text: [shared]}
         assert F.dumps_indented(value) == json.dumps(value, indent=2, sort_keys=True)
 
+    @settings(max_examples=200, deadline=None)
+    @given(table=tables(), depth=st.integers(0, 3))
+    def test_tables_match_json_dumps(self, table, depth):
+        """A table is written from its repr; a near miss takes the general
+        path.  The same table object sits at two depths, and inside a list
+        of tables (three levels of lists)."""
+        assert F.dumps_indented(table) == json.dumps(table, indent=2, sort_keys=True)
+        value = [table, [table]]
+        for _ in range(depth):
+            value = {"t": value, "n": 1, "s": "x"}
+        value = {"at": table, "deeper": value}
+        assert F.dumps_indented(value) == json.dumps(value, indent=2, sort_keys=True)
+
     @pytest.mark.parametrize(
         "value",
         [
             {},
             [],
+            [[0]],
+            {"generators": [0], "label": "C1", "mul": [[0]], "order": 1},
             {"": [], "b": {}, "a": [[]]},
             [True, False, 1, 0, None],
             [True, 1, False],

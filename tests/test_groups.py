@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bitorsor_kit import errors
 from bitorsor_kit import groups as G
 
 
@@ -43,7 +44,7 @@ class TestMakeGroup:
             G.make_group(bad, (1,))
 
     def test_no_identity(self):
-        with pytest.raises(G.NoIdentity):
+        with pytest.raises(G.NoIdentity, match="^no two-sided neutral element$"):
             G.make_group([[1, 1], [1, 1]], (0,))
 
     def test_non_generating_set(self, z6):
@@ -51,10 +52,25 @@ class TestMakeGroup:
             G.make_group(z6.mul, (2,))  # <2> = {0,2,4}
 
     def test_malformed(self):
-        with pytest.raises(G.MalformedTable):
-            G.make_group([[0, 1], [1]], (1,))
-        with pytest.raises(G.MalformedTable):
-            G.make_group([[0, 7], [1, 0]], (1,))
+        """A malformed table is refused as one, also where the identity or
+        an inverse cannot be read off it."""
+        for table, message in [
+            ([[0, 1], [1]], "row 1 has length 1, expected 2"),
+            ([[0, 7], [1, 0]], "entry (0,1) = 7 out of range"),
+            ([[0, -1], [1, 0]], "entry (0,1) = -1 out of range"),
+            ([[0, 1], [1, -2]], "entry (1,1) = -2 out of range"),
+            ([[0, 1, 2], [1, 2], [2, 0, 1]], "row 1 has length 2, expected 3"),
+            ([], "empty multiplication table"),
+        ]:
+            with pytest.raises(G.MalformedTable) as err:
+                G.make_group(table, (1,))
+            assert str(err.value) == message
+
+    def test_each_table_is_range_checked_once(self, monkeypatch):
+        calls, table, check = [], G.cyclic(7).mul, G._check_square
+        monkeypatch.setattr(G, "_check_square", lambda mul: calls.append(mul) or check(mul))
+        g = G.make_group(table, (1,), "C7 checked once")
+        assert g.order == 7 and len(calls) == 1
 
     def test_all_single_entry_corruptions_of_s3_rejected(self, s3, rng):
         # changing one cell always breaks the row permutation property
@@ -131,6 +147,24 @@ class TestSubgroupsQuotients:
         ker = G.kernel(sign)
         assert ker.order == 3 and ker.is_normal
         assert G.image(sign).members == (0, 1)
+
+    @pytest.mark.parametrize("full", [False, True], ids=["default mode", "full-check mode"])
+    def test_kernel_and_image_are_built_by_formula(self, s3, z2, monkeypatch, full):
+        """A kernel and the image of a subgroup are subgroups by construction:
+        validated only in full-check mode, normality decided by generators
+        either way."""
+        sign = next(h for h in G.enumerate_homs(s3, z2) if h.is_surjective())
+        swap = G.subgroup(s3, [0, 1])  # a transposition: not normal
+        monkeypatch.setattr(errors, "FULL_CHECK", full)
+        checked, post = [], G.Subgroup.__post_init__
+        monkeypatch.setattr(G.Subgroup, "__post_init__", lambda self: checked.append(self) or post(self))
+        ker, img = G.kernel(sign), G.image(G.identity_hom(s3), swap)
+        assert (ker.members, ker.is_normal) == ((0, 3, 4), True)
+        assert (img.members, img.is_normal) == ((0, 1), False)
+        assert G.image(sign, swap).members == (0, 1)
+        assert len(checked) == (3 if full else 0)
+        with pytest.raises(G.MixedSignatures):
+            G.image(sign, G.subgroup(z2, [0]))
 
     def test_quotient_s3_by_a3(self, s3, z2):
         sign = next(h for h in G.enumerate_homs(s3, z2) if h.is_surjective())

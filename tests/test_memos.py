@@ -1,9 +1,10 @@
 """The per-process memos: make_group on (table, generators, label),
-resolve_group_spec on a constructor spec, parse_group on its text, and
-parse_extension after pi_big on (text, the resolved group, its label).
-Within one process a changed file is always seen, a label is never lost, a
-failure is never cached, and every memo of groups, formats, equivariant
-and rclass is bounded."""
+resolve_group_spec on a constructor spec, parse_group on its text,
+parse_extension after pi_big on (text, the resolved group, its label), and
+an extension's conjugation action and a carrier's connected component on
+the value and its labels.  Within one process a changed file is always
+seen, a label is never lost, a failure is never cached, and every memo of
+groups, formats, equivariant, devissage and rclass is bounded."""
 
 from __future__ import annotations
 
@@ -11,7 +12,9 @@ import functools
 
 import pytest
 
+from bitorsor_kit import bitorsors as B
 from bitorsor_kit import cli
+from bitorsor_kit import devissage as D
 from bitorsor_kit import equivariant as E
 from bitorsor_kit import formats as F
 from bitorsor_kit import groups as G
@@ -101,10 +104,43 @@ def test_a_failing_constructor_spec_fails_on_every_call():
     assert F._constructed.cache_info().currsize == before
 
 
+def test_a_second_verify_builds_no_gamma_action_and_no_component(tmp_path, capsys, monkeypatch):
+    ext, cert = tmp_path / "tame.ext", tmp_path / "cert.json"
+    ext.write_text(S3_EXTENSION)
+    argv = ("--extension", str(ext), "--group", "symmetric:3", "--class", "0", "--format", "json")
+    code, out, _ = run(capsys, "decompose", *argv)
+    assert code == 0
+    cert.write_text(out)
+    built = []
+    for mod, name in ((G, "subgroup_as_group"), (D, "subgroup_as_group"), (B, "orbit_restriction")):
+        orig = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, _f=orig, _n=name, **k: built.append(_n) or _f(*a, **k))
+    D._gamma_structure.cache_clear()
+    E._component.cache_clear()
+    for calls in (["orbit_restriction", "subgroup_as_group"], []):
+        built.clear()
+        assert run(capsys, "verify", "--certificate", str(cert)) == (0, "all checks passed\n", "")
+        assert sorted(set(built)) == calls  # the class-0 carrier is disconnected
+
+
+def test_the_gamma_action_and_the_component_keep_their_labels():
+    """Equal values under other labels: each memo keys on the labels too."""
+    n, q, acts = G.cyclic_power_action(3, 2, 2)
+    s3 = G.symmetric(3)
+    for label in ("A", "B"):
+        sd = G.semidirect_product(n, q, acts, label)
+        e = D.SplitExtension(sd.group, G.kernel(sd.projection), q, sd.projection, sd.section)
+        assert D.gamma_conjugation_structure(e).pi.label == label
+        g = G.make_group(s3.mul, s3.generators, label)
+        comp, incl = E.connected_component(E.h1(sd.group, g)[0])  # class 0: theta is trivial
+        assert (comp.pi.label, comp.bitorsor.right_group.label) == (label, f"{label}<0>")
+        assert incl.dst.left_group.label == label
+
+
 def _memos():
     return [
         (f"{mod.__name__}.{name}", obj)
-        for mod in (G, F, E, R)
+        for mod in (G, F, E, D, R)
         for name, obj in sorted(vars(mod).items())
         if isinstance(obj, functools._lru_cache_wrapper)
     ]
@@ -114,7 +150,7 @@ def test_the_memos_are_the_ones_documented():
     names = {name.rpartition(".")[2] for name, _ in _memos()}
     assert {
         "_make_group", "_constructed", "parse_group", "_extension_over", "_expand_theta",
-        "wedge_class_index",
+        "wedge_class_index", "_gamma_structure", "_component",
     } <= names
 
 

@@ -61,6 +61,18 @@ def _one_copy(path: str, edit):
     return apply
 
 
+def _group_ref(value):
+    """Write the extension's reference to the group that int(value) names
+    (pi_big is group 0, pi_small group 1) as `value`."""
+
+    def edit(d: dict) -> None:
+        ext = d["extension"]
+        key = next(k for k in ("pi_big", "pi_small") if ext[k] == int(value))
+        ext[key] = value
+
+    return edit
+
+
 def _true_for_a_one(p: dict) -> None:
     row = p["points_action"][0]
     row[row.index(1)] = True
@@ -111,6 +123,9 @@ TAMPERS = {
     "float entry": (_retype(1.9), "formats.ParseError"),
     "string entry": (_retype("1"), "formats.ParseError"),
     "bool entry": (_retype(True), "formats.ParseError"),
+    "group reference true": (_group_ref(True), "formats.ParseError"),
+    "group reference 0.0": (_group_ref(0.0), "formats.ParseError"),
+    "group reference string": (_group_ref("0"), "formats.ParseError"),
     "float map": (
         lambda d: d["input"]["theta"].update(map=[float(v) for v in d["input"]["theta"]["map"]]),
         "formats.ParseError",
