@@ -257,9 +257,8 @@ def from_right_torsor(
 def _translation_group(table: tuple[tuple[int, ...], ...], label: str) -> FiniteGroup:
     """The translations completing a one-sided torsor over the group called
     `label`, numbered by where they send point 0, with `table` as product
-    table: its identity is 0, and the inverse of y is where row y holds 0."""
-    inv = tuple(row.index(0) for row in table)
-    return by_formula(FiniteGroup, table, 0, inv, generating_set(table, 0), f"Aut({label})")
+    table: its identity is 0."""
+    return by_formula(FiniteGroup, table, generating_set(table, 0), f"Aut({label})")
 
 
 def _complete_right(group: FiniteGroup, ra: tuple[tuple[int, ...], ...]) -> Bitorsor:

@@ -8,7 +8,8 @@ homomorphism theta from Pi into the left group; ThetaBitorsor holds that
 presentation, and from_theta/to_theta realize the equivalence in both
 directions.  The first cohomology set h1 lives here too; a carrier is
 classified by looking up the canonical conjugate of theta carried back
-through point 0, not by searching for an isomorphism to each
+through point 0 in one label-free table from each class's canonical map
+to its index (_class_maps), not by searching for an isomorphism to each
 representative, and an isomorphism of two carriers is built at the point
 named by the conjugators taking both to that map.  So do the Pi-aware
 versions of the product calculus (gluing, inversion and extension of
@@ -17,8 +18,9 @@ and the action on a pushed group, at point 0 in the base-point
 coordinates of the plain layer; a carrier is connected exactly when theta
 is onto, and its connected component is bt.orbit_restriction at point 0.
 A pi-stable sub-carrier takes its structure from its plain inclusion
-(restrict_pi); the caller names the class, so none is searched for here.  Whether a carrier reduces to a normal subgroup of its right
-group is read off the pi-action four independent ways (induced_conditions).
+(restrict_pi); the caller names the class, so none is searched for here.
+Whether a carrier reduces to a normal subgroup of its right group is read
+off the pi-action four independent ways (induced_conditions).
 The public constructors check every compatibility law in full, on the
 generators of pi and of the structure groups (the closure argument of
 Light's associativity test, Clifford & Preston I, section 1.2); values
@@ -490,28 +492,20 @@ def _component(t: ThetaBitorsor, labels: tuple[str, ...]) -> tuple[ThetaBitorsor
 
 
 def h1_representatives(pi: FiniteGroup, g: FiniteGroup) -> tuple[GroupHom, ...]:
-    """The canonical conjugate of each conjugacy class, in order of map.
-
-    Memoized like from_theta, with the labels of both groups in the key."""
-    return _h1_representatives(pi, g, (pi.label, g.label))
+    """The canonical conjugate of each conjugacy class, in order of map."""
+    return tuple(t.theta for t in h1(pi, g))
 
 
 @lru_cache(maxsize=256)  # a decompose-sweep pass meets 120 (pi, group) pairs
-def _h1_representatives(
-    pi: FiniteGroup, g: FiniteGroup, labels: tuple[str, str]
-) -> tuple[GroupHom, ...]:
-    reps = {r.map: r for r in map(canonical_conjugate, enumerate_homs(pi, g))}
-    return tuple(reps[m] for m in sorted(reps))
-
-
-@lru_cache(maxsize=256)
-def _class_index_by_map(pi: FiniteGroup, g: FiniteGroup) -> dict[tuple[int, ...], int]:
-    """Each representative's map resolved to its class index."""
-    return {rep.map: i for i, rep in enumerate(h1_representatives(pi, g))}
+def _class_maps(pi: FiniteGroup, g: FiniteGroup) -> dict[tuple[int, ...], int]:
+    """Each class's canonical map, in sorted order, to its index.  Maps
+    carry no labels, so neither does the key."""
+    maps = sorted({canonical_conjugate(h).map for h in enumerate_homs(pi, g)})
+    return {m: i for i, m in enumerate(maps)}
 
 
 def class_index_of_hom(theta: GroupHom) -> int:
-    return _class_index_by_map(theta.src, theta.dst)[canonical_conjugate(theta).map]
+    return _class_maps(theta.src, theta.dst)[canonical_conjugate(theta).map]
 
 
 def h1(pi: FiniteGroup, g: FiniteGroup) -> tuple[ThetaBitorsor, ...]:
@@ -524,7 +518,7 @@ def h1(pi: FiniteGroup, g: FiniteGroup) -> tuple[ThetaBitorsor, ...]:
 @lru_cache(maxsize=256)
 def _h1(pi: FiniteGroup, g: FiniteGroup, labels: tuple[str, str]) -> tuple[ThetaBitorsor, ...]:
     triv = bt.trivial_bitorsor(g)
-    return tuple(ThetaBitorsor(triv, rep) for rep in h1_representatives(pi, g))
+    return tuple(ThetaBitorsor(triv, by_formula(GroupHom, pi, g, m)) for m in _class_maps(pi, g))
 
 
 h1.cache_info = _h1.cache_info
@@ -582,4 +576,4 @@ def induced_conditions(
 
 def trivial_class_index(pi: FiniteGroup, g: FiniteGroup) -> int:
     """The constant-identity map is its own canonical conjugate."""
-    return _class_index_by_map(pi, g)[(g.identity,) * pi.order]
+    return _class_maps(pi, g)[(g.identity,) * pi.order]

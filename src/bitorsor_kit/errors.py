@@ -61,9 +61,13 @@ def by_formula(cls, *values):
     formula from validated inputs: its invariants hold by construction, so
     its __post_init__ validator is skipped.  With BITORSOR_CHECK=full it
     runs, and a failure raises AssertionError, which no `except DomainError`
-    swallows."""
+    swallows.  A count of values other than the record's field count
+    raises TypeError, as the constructor would."""
+    names = cls.__match_args__
+    if len(values) != len(names):
+        raise TypeError(f"{cls.__name__} has {len(names)} fields, got {len(values)} values")
     obj = object.__new__(cls)
-    obj.__dict__.update(zip(cls.__match_args__, values))
+    obj.__dict__.update(zip(names, values))
     if FULL_CHECK:
         try:
             obj.__post_init__()

@@ -1,16 +1,19 @@
 """Finite groups on index sets 0..n-1, stored as dense multiplication tables.
 
-make_group, the named constructors and the public constructors check every
-axiom in full, each law on a generating set by Light's associativity test
-(Clifford & Preston, The Algebraic Theory of Semigroups I, 1961, section
-1.2).  Values computed by formula from checked ones (identity, composite
-and conjugate homs, the homs the hom search extends from generator images,
-kernels and images, subgroups as groups, quotients) skip the check through
-errors.by_formula, unless BITORSOR_CHECK=full, as in the tests.  make_group
-memoizes 512 groups per process on (table, generators, label), since
-labels reach the output and group equality ignores them; failures are not
-cached.  A hom's class under conjugation in its codomain is named by one
-invariant, its canonical conjugate: the conjugate with the
+A group stores its table, generators and label; its identity and inverses
+are read off the table, and a subgroup's normality off the parent's
+generators.  make_group, the named constructors and the public
+constructors check every axiom in full, each law on a generating set by
+Light's associativity test (Clifford & Preston, The Algebraic Theory of
+Semigroups I, 1961, section 1.2).  Values computed by formula from checked
+ones (identity, composite and conjugate homs, the homs the hom search
+extends from generator images, kernels and images, subgroups as groups,
+quotients) skip the check through errors.by_formula, unless
+BITORSOR_CHECK=full, as in the tests.  make_group's memo is the FiniteGroup
+constructor itself, keeping 512 groups per process on (table, generators,
+label), since labels reach the output and group equality ignores them;
+failures are not cached.  A hom's class under conjugation in its codomain
+is named by one invariant, its canonical conjugate: the conjugate with the
 lexicographically least map.
 """
 
@@ -131,12 +134,11 @@ def _check_square(mul: Sequence[Sequence[int]]) -> None:
 class FiniteGroup:
     """A finite group on indices 0..order-1 given by its full product table.
 
-    The identity is discovered by the validator, not assumed to sit at 0.
+    The identity and the inverses are read off the table, not stored, so
+    no caller can state them wrongly; the identity need not sit at 0.
     """
 
     mul: tuple[tuple[int, ...], ...]
-    identity: int
-    inv: tuple[int, ...]
     generators: tuple[int, ...]
     label: str
 
@@ -150,19 +152,7 @@ class FiniteGroup:
         mul = self.mul
         _check_square(mul)
         n = len(mul)
-        e = self.identity
-        if not (0 <= e < n):
-            raise NoIdentity(f"identity index {e} out of range")
-        ident = tuple(range(n))
-        if tuple(mul[e]) != ident or tuple(map(itemgetter(e), mul)) != ident:
-            a = next(a for a in range(n) if mul[e][a] != a or mul[a][e] != a)
-            raise NoIdentity(f"declared identity {e} is not neutral at {a}")
-        if len(self.inv) != n:
-            raise NoInverse("inverse table has wrong length")
-        for a in range(n):
-            b = self.inv[a]
-            if not (0 <= b < n) or self.mul[a][b] != e or self.mul[b][a] != e:
-                raise NoInverse(f"element {a} has no two-sided inverse (table says {b})")
+        e, _ = self.identity, self.inv  # reading them checks that they exist
         if not self.generators:
             raise GeneratorsDoNotGenerate("empty generator list")
         for g in self.generators:
@@ -179,6 +169,32 @@ class FiniteGroup:
                 if read(ra) != tuple(mul[ra[b]]):
                     c = next(c for c in range(n) if mul[ra[b]][c] != ra[mul[b][c]])
                     raise NotAssociative(f"first violating triple (a,b,c)=({a},{b},{c})")
+
+    @cached_property
+    def identity(self) -> int:
+        """The first element whose row and column are the identity
+        permutation."""
+        mul = self.mul
+        ident = tuple(range(len(mul)))
+        for e, row in enumerate(mul):
+            if tuple(row) == ident and tuple(map(itemgetter(e), mul)) == ident:
+                return e
+        raise NoIdentity("no two-sided neutral element")
+
+    @cached_property
+    def inv(self) -> tuple[int, ...]:
+        """For each a, the first b in its row with a.b = b.a = identity."""
+        mul, e = self.mul, self.identity
+        inv = []
+        for a, row in enumerate(mul):
+            try:
+                b = row.index(e)
+                while mul[b][a] != e:
+                    b = row.index(e, b + 1)
+            except ValueError:
+                raise NoInverse(f"element {a} has no two-sided inverse") from None
+            inv.append(b)
+        return tuple(inv)
 
     @cached_property
     def order(self) -> int:
@@ -210,42 +226,15 @@ class FiniteGroup:
 
 
 def make_group(mul_table: Sequence[Sequence[int]], generators: Iterable[int], label: str = "G") -> FiniteGroup:
-    """Validate a raw table and package it, discovering identity and inverses:
-    the first element whose row and column are the identity permutation,
-    and for each a the first b in its row with a.b = b.a = identity."""
+    """Validate a raw table and package it; FiniteGroup reads off its
+    identity and inverses."""
     mul = tuple(mul_table)
     if {*map(type, mul)} != {tuple} or {*map(type, itertools.chain.from_iterable(mul))} != {int}:
         mul = tuple(tuple(map(int, row)) for row in mul)
     return _make_group(mul, tuple(map(int, generators)), label)
 
 
-@lru_cache(maxsize=512)
-def _make_group(mul: tuple, generators: tuple[int, ...], label: str) -> FiniteGroup:
-    """FiniteGroup's validator runs the range check of the table; only a
-    table whose identity or inverses cannot be read runs it here, first, so
-    a malformed table is refused as one."""
-    n = len(mul)
-    ident = tuple(range(n))
-    try:
-        identity = next(
-            (e for e in range(n) if mul[e] == ident and tuple(map(itemgetter(e), mul)) == ident),
-            None,
-        )
-        if identity is None:
-            raise NoIdentity("no two-sided neutral element")
-        inv = []
-        for a, row in enumerate(mul):
-            try:
-                b = row.index(identity)
-                while mul[b][a] != identity:
-                    b = row.index(identity, b + 1)
-            except ValueError:
-                raise NoInverse(f"element {a} has no two-sided inverse") from None
-            inv.append(b)
-    except (GroupError, IndexError):
-        _check_square(mul)
-        raise
-    return FiniteGroup(mul, identity, tuple(inv), generators, label)
+_make_group = lru_cache(maxsize=512)(FiniteGroup)
 
 
 @record
@@ -308,11 +297,8 @@ class Subgroup:
 
     parent: FiniteGroup
     members: tuple[int, ...]
-    is_normal: bool
 
     def __post_init__(self) -> None:
-        """Normality is decided by the parent's generators: the g with
-        g.H.g^-1 inside H are closed under products."""
         if not self.members:
             raise NotASubgroup("empty member list")
         if list(self.members) != sorted(set(self.members)):
@@ -329,22 +315,21 @@ class Subgroup:
             for b in self.members:
                 if mul[a][b] not in inside:
                     raise NotASubgroup(f"product of ({a},{b}) escapes the subgroup")
-        if self.is_normal != _normalized_by_generators(self.parent, self.members):
-            raise NotASubgroup("is_normal flag contradicts the table")
 
     @property
     def order(self) -> int:
         return len(self.members)
 
-
-def _normalized_by_generators(parent: FiniteGroup, members: Sequence[int]) -> bool:
-    inside = set(members)
-    return all(parent.conjugate(g, h) in inside for g in parent.generators for h in members)
+    @cached_property
+    def is_normal(self) -> bool:
+        """Decided by the parent's generators: the g with g.H.g^-1 inside H
+        are closed under products."""
+        p, inside = self.parent, set(self.members)
+        return all(p.conjugate(g, h) in inside for g in p.generators for h in self.members)
 
 
 def subgroup(parent: FiniteGroup, members: Iterable[int]) -> Subgroup:
-    ms = tuple(sorted(set(int(m) for m in members)))
-    return Subgroup(parent, ms, _normalized_by_generators(parent, ms))
+    return Subgroup(parent, tuple(sorted(set(int(m) for m in members))))
 
 
 def kernel(f: GroupHom) -> Subgroup:
@@ -363,9 +348,8 @@ def image(f: GroupHom, sub: Subgroup | None = None) -> Subgroup:
 
 
 def _subgroup_by_formula(parent: FiniteGroup, members: Iterable[int]) -> Subgroup:
-    """The validator is skipped; normality is decided as `subgroup` does."""
-    ms = tuple(sorted(set(members)))
-    return by_formula(Subgroup, parent, ms, _normalized_by_generators(parent, ms))
+    """`subgroup` with the validator skipped."""
+    return by_formula(Subgroup, parent, tuple(sorted(set(members))))
 
 
 def quotient(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
@@ -395,8 +379,7 @@ def quotient(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     if not gens:
         gens = [idx_of[g.identity]]
     label = f"{g.label}/[{','.join(map(str, n.members))}]"
-    inv = tuple(idx_of[g.inv[cs[0]]] for cs in cosets)
-    q = by_formula(FiniteGroup, table, idx_of[g.identity], inv, tuple(gens), label)
+    q = by_formula(FiniteGroup, table, tuple(gens), label)
     return q, by_formula(GroupHom, g, q, tuple(idx_of[x] for x in g.elements))
 
 
@@ -409,12 +392,10 @@ def subgroup_as_group(parent: FiniteGroup, members: Iterable[int], label: str | 
             if parent.mul[a][b] not in pos:
                 raise NotASubgroup(f"product of ({a},{b}) escapes the subgroup")
     table = tuple(tuple(pos[parent.mul[a][b]] for b in ms) for a in ms)
-    ident = pos[parent.identity] if parent.identity in pos else None
-    if ident is None:
+    if parent.identity not in pos:
         raise NotASubgroup("identity missing")
-    inv = tuple(pos[parent.inv[a]] for a in ms)  # a^-1 is a power of a
     name = label or f"{parent.label}<{','.join(map(str, ms))}>"
-    sub = by_formula(FiniteGroup, table, ident, inv, generating_set(table, ident), name)
+    sub = by_formula(FiniteGroup, table, generating_set(table, pos[parent.identity]), name)
     return sub, by_formula(GroupHom, sub, parent, ms)
 
 

@@ -82,24 +82,12 @@ class SurveyReport:
     warnings: tuple[str, ...]
 
     def to_dict(self) -> dict:
+        """Params and each row by field; a tuple is written as a list."""
         return {
-            "params": {"q": self.params.q, "n": self.params.n, "m": self.params.m},
+            "params": {k: getattr(self.params, k) for k in TameParams.__match_args__},
             "group": {"label": self.group_label, "order": self.group_order},
             "pi_order": self.pi_order,
-            "rows": [
-                {
-                    "class_index": r.class_index,
-                    "theta": list(r.theta),
-                    "image_size": r.image_size,
-                    "connected": r.connected,
-                    "gamma_in_kernel": r.gamma_in_kernel,
-                    "z_is_type_pi": r.z_is_type_pi,
-                    "witness_order": r.witness_order,
-                    "verified": r.verified,
-                    "diagnosis": r.diagnosis,
-                }
-                for r in self.rows
-            ],
+            "rows": [{k: getattr(r, k) for k in SurveyRow.__match_args__} for r in self.rows],
             "warnings": list(self.warnings),
         }
 

@@ -107,7 +107,12 @@ def validate_registry(
     r: ElementaryClassRegistry, universe: Sequence[FiniteGroup] | None = None
 ) -> RegistryCheck:
     """Containment of trivials, stability under inverse, and stability under
-    every homomorphism image, each reported at the first violation."""
+    every homomorphism image, each reported at the first violation.
+
+    The inverse of a class's carrier has a constant right group exactly when
+    theta's image is central (conjugation through theta is how pi acts on
+    it); its class is then that of c |-> theta(c)^-1, a hom since the image
+    is abelian.  Other inverses are skipped."""
     groups = tuple(universe) if universe is not None else r.universe
     indexed = []
     for g in groups:
@@ -116,14 +121,12 @@ def validate_registry(
         if (ui, eq.trivial_class_index(r.pi, g)) not in r.members:
             return RegistryCheck(False, f"missing the trivial class over {g.label}")
     for ui, g in indexed:
-        classes = eq.h1(r.pi, g)
+        reps = eq.h1_representatives(r.pi, g)
         for mi, ci in sorted(r.members):
-            if mi != ui:
+            if mi != ui or not _has_central_image(reps[ci]):
                 continue
-            inv = eq.inverse_pi(eq.from_theta(classes[ci]))
-            if not inv.right_constant:
-                continue
-            inv_ci = eq.classify(eq.to_theta(inv))
+            inv = tuple(g.inv[v] for v in reps[ci].map)
+            inv_ci = class_index_of_hom(by_formula(GroupHom, r.pi, g, inv))
             if (ui, inv_ci) not in r.members:
                 return RegistryCheck(
                     False,

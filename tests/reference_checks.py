@@ -28,8 +28,9 @@ rewrites that searched right homs over unforced pools.
 Classes: the classification that searched for an equivariant isomorphism
 from each class representative in turn, and the scan for the trivial class;
 the partition of every hom by its conjugation orbit, the table from every
-conjugate of a representative to its class, and the wedge class read off
-the glued carrier of two representatives.
+conjugate of a representative to its class, the wedge class read off
+the glued carrier of two representatives, and the registry check that read
+each inverse class off the inverse carrier.
 
 Witnesses: the searches for a type-gamma witness and for a Pi-stable
 induced class that decompose ran before it built its witness, the
@@ -67,7 +68,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, make_dataclass
 from collections.abc import Iterator, Sequence
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from bitorsor_kit import bitorsors as B
 from bitorsor_kit import devissage as D
@@ -798,6 +799,53 @@ def wedge_class_index(pi: G.FiniteGroup, g: G.FiniteGroup, a: int, b: int) -> in
         )
     w = E.compose_pi(E.from_theta(classes[a]), E.from_theta(classes[b]))
     return E.classify(E.to_theta(w))
+
+
+def inverse_class_index(t: E.ThetaBitorsor) -> int | None:
+    """Class of the inverse carrier of t, or None when its right group is
+    twisted: the round trip through from_theta, inverse_pi and to_theta."""
+    inv = E.inverse_pi(E.from_theta(t))
+    return E.classify(E.to_theta(inv)) if inv.right_constant else None
+
+
+def validate_registry(r: R.ElementaryClassRegistry, universe=None) -> R.RegistryCheck:
+    """Containment of trivials, stability under inverse, and stability under
+    every homomorphism image, each reported at the first violation."""
+    groups = tuple(universe) if universe is not None else r.universe
+    indexed = []
+    for g in groups:
+        indexed.append((r.group_index(g), g))
+    for ui, g in indexed:
+        if (ui, E.trivial_class_index(r.pi, g)) not in r.members:
+            return R.RegistryCheck(False, f"missing the trivial class over {g.label}")
+    for ui, g in indexed:
+        classes = E.h1(r.pi, g)
+        for mi, ci in sorted(r.members):
+            if mi != ui:
+                continue
+            inv_ci = inverse_class_index(classes[ci])
+            if inv_ci is None:
+                continue
+            if (ui, inv_ci) not in r.members:
+                return R.RegistryCheck(
+                    False,
+                    f"inverse of class {ci} over {g.label} lands outside (class {inv_ci})",
+                )
+    for ui, g in indexed:
+        for mi, ci in sorted(r.members):
+            if mi != ui:
+                continue
+            theta = E.h1_representatives(r.pi, g)[ci]
+            for uj, g2 in indexed:
+                for phi in G.enumerate_homs(g, g2):
+                    img_ci = E.class_index_of_hom(G.compose_homs(phi, theta))
+                    if (uj, img_ci) not in r.members:
+                        return R.RegistryCheck(
+                            False,
+                            f"image of class {ci} over {g.label} under a hom into "
+                            f"{g2.label} lands outside (class {img_ci})",
+                        )
+    return R.RegistryCheck(True, "")
 
 
 def _right_orbit_partition(b, members):
@@ -1893,12 +1941,25 @@ def rewrite_decompose(t: E.ThetaBitorsor, e: D.SplitExtension) -> D.Decompositio
 # semidirect and symmetric constructors, as they stood before each was
 # made to check or build a whole row at a time.  Only the names differ:
 # each loop_* function calls the loop_* versions of the others, and
-# loop_make_group builds a LoopFiniteGroup, whose validator is the loop one;
+# loop_make_group builds a LoopFiniteGroup, the five-field record FiniteGroup
+# was while it stored its identity and inverses, with the loop validator;
 # G.subgroup stands for the library's subgroup, which a validator reference
 # above shadows.
 
 
-class LoopFiniteGroup(G.FiniteGroup):
+@record(uncompared=("label",))
+class LoopFiniteGroup:
+    """A finite group on indices 0..order-1 given by its full product table.
+
+    The identity is discovered by the validator, not assumed to sit at 0.
+    """
+
+    mul: tuple[tuple[int, ...], ...]
+    identity: int
+    inv: tuple[int, ...]
+    generators: tuple[int, ...]
+    label: str
+
     def __post_init__(self) -> None:
         """Complete by Light's test: once the generators are known to
         generate, the elements g with (a.g).c = a.(g.c) for all a, c contain
@@ -1945,10 +2006,44 @@ class LoopFiniteGroup(G.FiniteGroup):
                     if rab[c] != ra[rb[c]]:
                         raise NotAssociative(f"first violating triple (a,b,c)=({a},{b},{c})")
 
+    @cached_property
+    def order(self) -> int:
+        return len(self.mul)
+
+    @cached_property
+    def elements(self) -> range:
+        return range(self.order)
+
+    def conjugate(self, g: int, x: int) -> int:
+        """g x g^-1."""
+        return self.mul[self.mul[g][x]][self.inv[g]]
+
+    def element_order(self, a: int) -> int:
+        k, x = 1, a
+        while x != self.identity:
+            x = self.mul[x][a]
+            k += 1
+        return k
+
+    def is_abelian(self) -> bool:
+        return all(r[j] == self.mul[j][i] for i, r in enumerate(self.mul) for j in range(i))
+
+    def is_cyclic(self) -> bool:
+        return any(self.element_order(a) == self.order for a in self.elements)
+
+    def __repr__(self) -> str:
+        return f"FiniteGroup({self.label!r}, order={self.order})"
+
 
 def loop_make_group(mul_table: Sequence[Sequence[int]], generators: Iterable[int], label: str = "G") -> LoopFiniteGroup:
     """Validate a raw table and package it, discovering identity and inverses."""
     mul = tuple(tuple(int(v) for v in row) for row in mul_table)
+    return loop_finite_group(mul, tuple(int(g) for g in generators), label)
+
+
+def loop_finite_group(mul, generators, label: str) -> LoopFiniteGroup:
+    """loop_make_group on a table and generators taken as given, with no
+    conversion to int: what FiniteGroup(mul, generators, label) checks."""
     n = len(mul)
     if n == 0:
         raise MalformedTable("empty multiplication table")
@@ -1971,7 +2066,7 @@ def loop_make_group(mul_table: Sequence[Sequence[int]], generators: Iterable[int
         if b is None:
             raise NoInverse(f"element {a} has no two-sided inverse")
         inv.append(b)
-    return LoopFiniteGroup(mul, identity, tuple(inv), tuple(int(g) for g in generators), label)
+    return LoopFiniteGroup(mul, identity, tuple(inv), generators, label)
 
 
 def loop_int_row(

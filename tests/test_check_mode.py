@@ -62,6 +62,17 @@ def test_default_mode_builds_without_checking(monkeypatch):
         G.GroupHom(c3, c2, (0, 1, 1))
 
 
+@pytest.mark.parametrize("full", [False, True], ids=["default mode", "full-check mode"])
+@pytest.mark.parametrize("extra", [(), ((0, 0, 0), "surplus")], ids=["one value short", "one value over"])
+def test_a_wrong_count_of_values_raises_type_error(monkeypatch, full, extra):
+    """A missing field is not left unset and a surplus value is not dropped,
+    in either mode."""
+    c3, c2 = G.cyclic(3), G.cyclic(2)
+    monkeypatch.setattr(errors, "FULL_CHECK", full)
+    with pytest.raises(TypeError, match="^GroupHom has 3 fields, got [24] values$"):
+        by_formula(G.GroupHom, c3, c2, *extra)
+
+
 def test_built_values_equal_constructed_ones():
     s3 = G.symmetric(3)
     built = by_formula(G.GroupHom, s3, s3, tuple(s3.elements))

@@ -497,6 +497,18 @@ class TestLocalSurvey:
         doc = json.loads(first)
         assert doc["kind"] == "local-survey" and len(doc["rows"]) == 4
 
+    def test_json_bytes_are_unchanged(self, capsys):
+        """The digest of the JSON written field by field, which writing
+        params and rows from the records' fields must keep."""
+        code, out, _ = run(
+            capsys, "local-survey", "--q", "3", "--n", "4", "--m", "2",
+            "--group", "symmetric:3", "--format", "json",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "da2f21718cb154d9a66718c09f9cefe326327a00b992ded969a72b56fa17e6ec"
+        )
+
     def test_s4_survey_decomposes_every_class(self, capsys):
         code, out, _ = run(
             capsys, "local-survey", "--q", "3", "--n", "4", "--m", "2",

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_checks as ref
+from bitorsor_kit import bitorsors as B
 from bitorsor_kit import errors
 from bitorsor_kit import groups as G
 
@@ -281,3 +283,48 @@ def test_random_relabelings_still_validate(n, seed):
     g = G.make_group(table, (perm[1 % n],), "shuffled")
     assert g.identity == perm[0]
     assert g.is_abelian()
+
+
+def _moved(g: G.FiniteGroup, shift: int) -> G.FiniteGroup:
+    """g with x renamed (x + shift) mod its order, so the identity leaves 0."""
+    n = g.order
+    back = [(x - shift) % n for x in g.elements]
+    table = [[(g.mul[back[a]][back[b]] + shift) % n for b in range(n)] for a in range(n)]
+    return G.make_group(table, [(x + shift) % n for x in g.generators], f"{g.label}+{shift}")
+
+
+def _assert_discovered(h: G.FiniteGroup, f: G.GroupHom) -> None:
+    """h's identity and inverses are what the reference make_group discovers
+    on h's table, and the hom f into or out of h carries them; normality of
+    every subgroup of h is what the reference decides on all elements."""
+    want = ref.loop_make_group(h.mul, h.generators, h.label)
+    assert (h.identity, h.inv) == (want.identity, want.inv)
+    assert f.map[f.src.identity] == f.dst.identity
+    assert all(f.map[f.src.inv[x]] == f.dst.inv[f.map[x]] for x in f.src.elements)
+    for s in G.all_subgroups(h):
+        assert s.is_normal == ref.is_normal(h, s.members)
+
+
+def test_groups_built_by_formula_agree_with_discovery(group_universe):
+    """Quotients, subgroups as groups and the translation groups of
+    pushforwards store only their tables: what is read off them is what the
+    formulas they replaced gave (the image of the parent's identity and
+    inverses), over the universe and two copies whose identity is not 0."""
+    groups = (*group_universe, _moved(G.symmetric(3), 2), _moved(G.dihedral(4), 5))
+    for g in groups:
+        for n in G.all_subgroups(g):
+            assert n.is_normal == G.Subgroup(g, n.members).is_normal == ref.is_normal(g, n.members)
+            sub, incl = G.subgroup_as_group(g, n.members)
+            _assert_discovered(sub, incl)
+            if n.is_normal:
+                q, proj = G.quotient(g, n)
+                _assert_discovered(q, proj)
+        for g2 in group_universe:
+            for phi in G.enumerate_homs(g, g2):
+                assert G.kernel(phi).is_normal and ref.is_normal(g, G.kernel(phi).members)
+                image = G.image(phi)
+                assert image.is_normal == ref.is_normal(g2, image.members)
+                pushed, canonical = B.pushforward(B.trivial_bitorsor(g), phi)
+                _assert_discovered(pushed.left_group, canonical.phi_left)
+                pushed, canonical = B.pushforward_left(B.trivial_bitorsor(g), phi)
+                _assert_discovered(pushed.right_group, canonical.phi_right)

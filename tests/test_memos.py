@@ -4,14 +4,17 @@ parse_extension after pi_big on (text, the resolved group, its label), and
 an extension's conjugation action and a carrier's connected component on
 the value and its labels.  Within one process a changed file is always
 seen, a label is never lost, a failure is never cached, and every memo of
-groups, formats, equivariant, devissage and rclass is bounded."""
+every module of the package is bounded."""
 
 from __future__ import annotations
 
 import functools
+import importlib
+import pkgutil
 
 import pytest
 
+import bitorsor_kit
 from bitorsor_kit import bitorsors as B
 from bitorsor_kit import cli
 from bitorsor_kit import devissage as D
@@ -138,9 +141,10 @@ def test_the_gamma_action_and_the_component_keep_their_labels():
 
 
 def _memos():
+    modules = [importlib.import_module(f"bitorsor_kit.{m.name}") for m in pkgutil.iter_modules(bitorsor_kit.__path__)]
     return [
         (f"{mod.__name__}.{name}", obj)
-        for mod in (G, F, E, D, R)
+        for mod in modules
         for name, obj in sorted(vars(mod).items())
         if isinstance(obj, functools._lru_cache_wrapper)
     ]
@@ -150,7 +154,7 @@ def test_the_memos_are_the_ones_documented():
     names = {name.rpartition(".")[2] for name, _ in _memos()}
     assert {
         "_make_group", "_constructed", "parse_group", "_extension_over", "_expand_theta",
-        "wedge_class_index", "_gamma_structure", "_component",
+        "wedge_class_index", "_gamma_structure", "_component", "_class_maps", "_h1",
     } <= names
 
 

@@ -3,8 +3,11 @@ cross-check, and the relatedness witness."""
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
+import reference_checks as ref
 from bitorsor_kit import bitorsors as B
 from bitorsor_kit import equivariant as E
 from bitorsor_kit import groups as G
@@ -81,6 +84,50 @@ class TestRegistryValidation:
             r.contains(E.h1(z4, s3)[0])
         with pytest.raises(B.SignatureMismatch):
             r.contains(E.h1(z2, z4)[1])
+
+
+class TestInverseByFormula:
+    """validate_registry reads an inverse class as that of c |-> theta(c)^-1
+    when theta's image is central, in place of the round trip through the
+    inverse carrier (reference_checks)."""
+
+    def test_central_classes_invert_as_the_round_trip_does(self, group_universe):
+        seen = 0
+        for pi in group_universe:
+            for g in group_universe:
+                for t in E.h1(pi, g):
+                    want = ref.inverse_class_index(t)
+                    assert (want is not None) == R._has_central_image(t.theta)
+                    if want is not None:
+                        inv = G.GroupHom(pi, g, tuple(g.inv[v] for v in t.theta.map))
+                        assert R.class_index_of_hom(inv) == want
+                        seen += 1
+        assert seen == 76
+
+    def test_twisted_inverses_are_skipped_as_before(self, z2, z3, s3, d4):
+        """A class whose image is not central has an inverse carrier with a
+        twisted right group, which neither check classifies."""
+        seen = 0
+        for pi in (z2, z3, s3):
+            for g in (s3, d4):
+                for ci, t in enumerate(E.h1(pi, g)):
+                    if not R._has_central_image(t.theta):
+                        r = registry(pi, (g,), trivial_members(pi, (g,)) | {(0, ci)})
+                        assert R.validate_registry(r) == ref.validate_registry(r)
+                        seen += 1
+        assert seen == 8
+
+    def test_every_default_registry_check_is_unchanged(self):
+        """The registries scripts/registry_closures.py enumerates by default."""
+        pi, universe = G.cyclic(4), (G.cyclic(2), G.cyclic(4))
+        slots = [(ui, ci) for ui, g in enumerate(universe) for ci in range(len(E.h1(pi, g)))]
+        checks = set()
+        for take in itertools.product((False, True), repeat=len(slots)):
+            r = registry(pi, universe, {s for s, keep in zip(slots, take) if keep})
+            got = R.validate_registry(r)
+            assert got == ref.validate_registry(r)
+            checks.add(got.violation.partition(" ")[0])
+        assert checks == {"", "missing", "inverse", "image"}
 
 
 class TestClassIndexing:

@@ -3,6 +3,7 @@ input."""
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -36,3 +37,13 @@ def load(name: str):
 def test_script_runs_on_a_tiny_input(capsys, name, argv, last_line):
     assert load(name).main(argv) == 0
     assert capsys.readouterr().out.splitlines()[-1] == last_line
+
+
+def test_survey_json_bytes_are_unchanged(capsys):
+    """The digest of the survey JSON written field by field, which writing
+    params and rows from the records' fields must keep."""
+    argv = ["--q-max", "3", "--n-max", "4", "--m-max", "2", "--groups", "cyclic:2", "symmetric:3", "--json"]
+    assert load("survey_tame_models").main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "08263fa01807a52e822690507e249fd6a0cd944749018fcc1c4bc2afa1924fd4"
+    )

@@ -424,10 +424,9 @@ def test_homs_and_normality_agree_with_reference(i, j, seed):
         m = tuple(dst.identity if a == src.identity else rnd.randrange(dst.order) for a in src.elements)
     assert outcome(G.GroupHom, src, dst, m) == outcome(ref.group_hom, src, dst, m)
     members = tuple(sorted(G.closure(dst.mul, rnd.sample(dst.elements, rnd.randrange(min(3, dst.order + 1))), dst.identity)))
-    h = G.subgroup(dst, members)
-    assert h.is_normal == ref.is_normal(dst, members)
-    flag = rnd.choice([True, False])
-    assert outcome(G.Subgroup, dst, members, flag) == outcome(ref.subgroup, dst, members, flag)
+    normal = ref.is_normal(dst, members)
+    assert G.subgroup(dst, members).is_normal == G.Subgroup(dst, members).is_normal == normal
+    assert outcome(G.Subgroup, dst, members) == outcome(ref.subgroup, dst, members, normal)
 
 
 @settings(max_examples=60, deadline=None)
@@ -629,9 +628,9 @@ def test_small_cases_agree_with_reference():
     multi = _multi_generator_groups() + [_relabelled_d6()]
     for g in multi:
         for h in G.all_subgroups(g):
-            assert h.is_normal == ref.is_normal(g, h.members)
-            for flag in (True, False):
-                assert outcome(G.Subgroup, g, h.members, flag) == outcome(ref.subgroup, g, h.members, flag)
+            normal = ref.is_normal(g, h.members)
+            assert h.is_normal == G.Subgroup(g, h.members).is_normal == normal
+            assert outcome(G.Subgroup, g, h.members) == outcome(ref.subgroup, g, h.members, normal)
     for n in range(2, 8):
         for m in range(2, 5):
             for k in range(n):
