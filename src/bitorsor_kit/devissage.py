@@ -113,12 +113,7 @@ def _gamma_structure(e: SplitExtension, label: str) -> PiGroup:
     g_grp, incl = gamma_as_group(e)
     pos = {v: i for i, v in enumerate(incl.map)}
     acts = tuple(
-        by_formula(
-            GroupHom,
-            g_grp,
-            g_grp,
-            tuple(pos[e.pi_big.conjugate(c, incl.map[a])] for a in g_grp.elements),
-        )
+        tuple(pos[e.pi_big.conjugate(c, incl.map[a])] for a in g_grp.elements)
         for c in e.pi_big.elements
     )
     return by_formula(PiGroup, g_grp, e.pi_big, acts)

@@ -25,9 +25,9 @@ The public constructors check every compatibility law in full, on the
 generators of pi and of the structure groups (the closure argument of
 Light's associativity test, Clifford & Preston I, section 1.2); values
 computed by formula from checked ones skip the check through
-errors.by_formula.  A pi_group read from a document is checked as homs only
-at pi's generators: its composition law makes every other row a product
-of those (pi_group_from_rows).
+errors.by_formula.  A Pi-action is a table, one row per element of pi; the
+checked PiGroup constructor checks rows as homs only at pi's generators:
+its composition law makes every other row a product of those.
 """
 
 from __future__ import annotations
@@ -75,67 +75,53 @@ class NotPiEquivariant(EquivariantError):
 
 @record
 class PiGroup:
-    """A group together with an action of pi on it by automorphisms."""
+    """A group together with an action of pi on it by automorphisms: row c
+    of the action is the permutation of the group that c acts by."""
 
     group: FiniteGroup
     pi: FiniteGroup
-    action: tuple[GroupHom, ...]
+    action: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        """Complete on generators: with the identity acting trivially, the
-        c2 with action[c1.c2] = action[c1] o action[c2] for every c1 are
-        closed under products."""
-        for f in self.action:
-            if f.src != self.group or f.dst != self.group:
-                raise NotAnAction("action entries must be endomorphisms of the group")
-        _check_action(self.group, self.pi, [f.map for f in self.action])
+        """Rows at pi's generators are homs and every row a permutation.
+        Complete on generators: with the identity acting trivially, the c2
+        with action[c1.c2] = action[c1] o action[c2] for every c1 are
+        closed under products, so every row is an automorphism."""
+        g, pi, maps = self.group, self.pi, self.action
+        for c in pi.generators:
+            if c < len(maps):
+                GroupHom(g, g, maps[c])
+        if len(maps) != pi.order:
+            raise NotAnAction("need one automorphism per symmetry element")
+        ident = tuple(g.elements)
+        if any(tuple(sorted(m)) != ident for m in maps):
+            raise NotAnAction("action entries must be automorphisms")
+        if tuple(maps[pi.identity]) != ident:
+            raise NotAnAction("identity symmetry must act trivially")
+        for c1, m1 in enumerate(maps):
+            for c2 in pi.generators:
+                if tuple(maps[pi.mul[c1][c2]]) != tuple(map(m1.__getitem__, maps[c2])):
+                    raise NotAnAction(f"action breaks at symmetry pair ({c1},{c2})")
 
     @property
     def is_constant(self) -> bool:
         ident = tuple(self.group.elements)
-        return all(f.map == ident for f in self.action)
+        return all(row == ident for row in self.action)
 
     def __repr__(self) -> str:
         kind = "const" if self.is_constant else "twisted"
         return f"PiGroup({self.pi.label} on {self.group.label}, {kind})"
 
 
-def _check_action(g: FiniteGroup, pi: FiniteGroup, maps) -> None:
-    """Permutation maps, the identity acting trivially, the composition law."""
-    if len(maps) != pi.order:
-        raise NotAnAction("need one automorphism per symmetry element")
-    ident = tuple(g.elements)
-    if any(tuple(sorted(m)) != ident for m in maps):
-        raise NotAnAction("action entries must be automorphisms")
-    if tuple(maps[pi.identity]) != ident:
-        raise NotAnAction("identity symmetry must act trivially")
-    for c1, m1 in enumerate(maps):
-        for c2 in pi.generators:
-            if tuple(maps[pi.mul[c1][c2]]) != tuple(map(m1.__getitem__, maps[c2])):
-                raise NotAnAction(f"action breaks at symmetry pair ({c1},{c2})")
-
-
-def pi_group_from_rows(g: FiniteGroup, pi: FiniteGroup, rows) -> PiGroup:
-    """The PiGroup with these maps, checked in full: the rows at pi's
-    generators as homs, every row by _check_action, the rest by formula."""
-    at_gens = {c: GroupHom(g, g, rows[c]) for c in pi.generators if c < len(rows)}
-    _check_action(g, pi, rows)
-    action = tuple(at_gens.get(c) or by_formula(GroupHom, g, g, r) for c, r in enumerate(rows))
-    return by_formula(PiGroup, g, pi, action)
-
-
 def constant_pi_group(pi: FiniteGroup, g: FiniteGroup) -> PiGroup:
-    return by_formula(PiGroup, g, pi, (identity_hom(g),) * pi.order)
+    return by_formula(PiGroup, g, pi, (tuple(g.elements),) * pi.order)
 
 
 def conjugation_pi_group(theta: GroupHom) -> PiGroup:
     """Pi acting on theta's codomain by inner automorphisms through theta;
-    one automorphism is built per distinct image theta(c)."""
+    one row is built per distinct image theta(c)."""
     g = theta.dst
-    inner = {
-        h: by_formula(GroupHom, g, g, tuple(g.conjugate(h, x) for x in g.elements))
-        for h in set(theta.map)
-    }
+    inner = {h: tuple(g.conjugate(h, x) for x in g.elements) for h in set(theta.map)}
     return by_formula(PiGroup, g, theta.src, tuple(inner[h] for h in theta.map))
 
 
@@ -145,7 +131,7 @@ def is_pi_equivariant_hom(f: GroupHom, src: PiGroup, dst: PiGroup) -> bool:
     if f.src != src.group or f.dst != dst.group or src.pi != dst.pi:
         raise SignatureMismatch("hom does not connect the two structures")
     return all(
-        f.map[src.action[c].map[g]] == dst.action[c].map[f.map[g]]
+        f.map[src.action[c][g]] == dst.action[c][f.map[g]]
         for c in src.pi.generators
         for g in src.group.generators
     )
@@ -156,15 +142,13 @@ def restrict_pi_group(pg: PiGroup, members) -> tuple[PiGroup, GroupHom]:
     sub, incl = subgroup_as_group(pg.group, members)
     pos = {v: i for i, v in enumerate(incl.map)}
     acts = []
-    for c in pg.pi.elements:
-        outer = pg.action[c].map
+    for c, outer in enumerate(pg.action):
         try:
-            image = tuple(pos[outer[incl.map[a]]] for a in sub.elements)
+            acts.append(tuple(pos[outer[incl.map[a]]] for a in sub.elements))
         except KeyError:
             raise NotPiStable(
                 f"subgroup {tuple(incl.map)} is moved by symmetry element {c}"
             ) from None
-        acts.append(by_formula(GroupHom, sub, sub, image))
     return by_formula(PiGroup, sub, pg.pi, tuple(acts)), incl
 
 
@@ -208,8 +192,8 @@ class PiBitorsor:
                     raise NotAnAction(f"point action breaks at ({c1},{c2},{x})")
         la, ra = self.bitorsor.left_act, self.bitorsor.right_act
         for c in pi.generators:
-            al = self.left.action[c].map
-            ar = self.right.action[c].map
+            al = self.left.action[c]
+            ar = self.right.action[c]
             for gp in self.left.group.generators:
                 for x in range(k):
                     if pa[c][la[gp][x]] != la[al[gp]][pa[c][x]]:
@@ -387,15 +371,14 @@ def pushforward_pi(
     pi = p.pi
     u, mul = can.point_map, phi.dst.mul
     rows = tuple(
-        tuple(mul[u[pa[0]]][t] for t in target.action[c].map)
-        for c, pa in zip(pi.elements, p.pi_action_on_points)
+        tuple(mul[u[pa[0]]][t] for t in at)
+        for at, pa in zip(target.action, p.pi_action_on_points)
     )
-    lg = pushed.left_group
     acts = []
     for pa in rows:
         z = pa.index(0)
-        acts.append(by_formula(GroupHom, lg, lg, tuple(pa[perm[z]] for perm in pushed.left_act)))
-    left_pg = by_formula(PiGroup, lg, pi, tuple(acts))
+        acts.append(tuple(pa[perm[z]] for perm in pushed.left_act))
+    left_pg = by_formula(PiGroup, pushed.left_group, pi, tuple(acts))
     out = by_formula(PiBitorsor, left_pg, target, pushed, tuple(rows))
     return out, by_formula(PiMorphism, p, out, can)
 
@@ -416,18 +399,14 @@ def pushforward_left_pi(
     pi = p.pi
     u, la = can.point_map, pushed.left_act
     rows = []
-    for c, pa in zip(pi.elements, p.pi_action_on_points):
-        at = target.action[c].map
+    for at, pa in zip(target.action, p.pi_action_on_points):
         row = [0] * pushed.size
         for t in phi_left.dst.elements:
             row[la[t][u[0]]] = la[at[t]][u[pa[0]]]
         rows.append(tuple(row))
-    rg = pushed.right_group
-    acts = []
-    for pa in rows:
-        row = pushed.right_act[pa.index(0)]
-        acts.append(by_formula(GroupHom, rg, rg, tuple(pa[row[r]] for r in rg.elements)))
-    right_pg = by_formula(PiGroup, rg, pi, tuple(acts))
+    ra = pushed.right_act
+    acts = tuple(tuple(map(pa.__getitem__, ra[pa.index(0)])) for pa in rows)
+    right_pg = by_formula(PiGroup, pushed.right_group, pi, acts)
     out = by_formula(PiBitorsor, target, right_pg, pushed, tuple(rows))
     return out, by_formula(PiMorphism, p, out, can)
 

@@ -9,7 +9,8 @@ Per process, a constructor spec is built once (64 specs), parse_group is
 memoized on its text (128), and parse_extension after pi_big on the text
 and the resolved group with its label (32); a group file is read on every
 call, and failures are not cached.  The certificate reader builds each
-decoded sub-document once, and the writer writes a repeated carrier once.
+decoded sub-document once, and the writer writes a repeated carrier once
+and keeps the text of 256 tables taken from records (_table_text).
 
 Only the group layer is imported with this module: the extension,
 registry and certificate readers and writers import the calculus modules
@@ -355,9 +356,14 @@ def resolver_for_groups(groups: Iterable[FiniteGroup]) -> dict[str, tuple]:
     return {table_digest(g.mul): g.mul for g in groups}
 
 
+class _Table(tuple):
+    """A table the writer took from a checked record, such as a group's
+    product table: dumps_indented writes it from a memo (_table_text)."""
+
+
 def _emit_table(rows: Sequence[Sequence[int]], order: int):
     if order <= TABLE_EMBED_LIMIT:
-        return [list(r) for r in rows]
+        return _Table(rows)
     return {"sha256": table_digest(rows)}
 
 
@@ -400,7 +406,9 @@ def dumps_indented(value) -> str:
     this writer makes one pass instead.  A list of plain ints is joined in
     one string operation, and a table (a list whose items are all non-empty
     lists of plain ints) is written from its repr by two replacements, the
-    row break and the entry break.  An int or str value of a dict is written
+    row break and the entry break.  A table the writer took from a record
+    (_Table) is written so once per process and indent (_table_text), with
+    no type check on a repeat.  An int or str value of a dict is written
     inline; every other scalar (bools, None, floats, subclasses) goes through
     json.dumps.  A dict object met again is re-indented from its text: no
     encoded string holds a newline."""
@@ -415,6 +423,11 @@ def _write_indented(v, newline: str, out: list[str], seen: dict) -> None:
         out.append(_encode_str(v))
     elif t is int:
         out.append(int.__repr__(v))
+    elif t is _Table:
+        try:
+            out.append(_table_text(v, newline))
+        except TypeError:  # an entry that is no int, or an unhashable row
+            _write_indented([list(r) for r in v], newline, out, seen)
     elif isinstance(v, dict):
         if not v:
             out.append("{}")
@@ -464,6 +477,15 @@ def _write_indented(v, newline: str, out: list[str], seen: dict) -> None:
         out.append(newline + "]")
     else:
         out.append(json.dumps(v))
+
+
+@lru_cache(maxsize=256)  # a decompose-sweep pass renders 9,805 tables, 901 distinct
+def _table_text(rows: _Table, newline: str) -> str:
+    if not {int}.issuperset(map(type, itertools.chain.from_iterable(rows))):
+        raise TypeError("only a table of ints is kept: no equal table of bools is written from it")
+    out: list[str] = []
+    _write_indented([list(r) for r in rows], newline, out, {})
+    return "".join(out)
 
 
 def group_to_json(g: FiniteGroup) -> dict:
@@ -530,7 +552,7 @@ class _Writer:
         return {
             "group": self.group(pg.group),
             "pi": self.group(pg.pi),
-            "action": [list(h.map) for h in pg.action],
+            "action": _Table(pg.action),
         }
 
     @_once_per_object
@@ -595,7 +617,7 @@ class _Reader:
         from . import equivariant as eq
 
         g, pi, rows = self.group(d["group"]), self.group(d["pi"]), _json_rows(d["action"])
-        return self._once((eq.PiGroup, id(g), id(pi), rows), eq.pi_group_from_rows, g, pi, rows)
+        return self._once((eq.PiGroup, id(g), id(pi), rows), eq.PiGroup, g, pi, rows)
 
     def pi_bitorsor(self, d: dict) -> eq.PiBitorsor:
         from . import equivariant as eq

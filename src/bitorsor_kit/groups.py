@@ -115,12 +115,15 @@ def generating_set(mul: Sequence[Sequence[int]], identity: int) -> tuple[int, ..
 
 
 def _check_square(mul: Sequence[Sequence[int]]) -> None:
-    """Every row has length n and every entry lies in 0..n-1.  Each row is
-    checked whole; the first bad entry of a row that fails is then found by
-    the entry-wise test."""
+    """Every entry is an int (a bool or a float would pass for one), every
+    row has length n and every entry lies in 0..n-1: the types in one pass,
+    each row whole, then the first bad entry of a failed check by itself."""
     n = len(mul)
     if n == 0:
         raise MalformedTable("empty multiplication table")
+    if not {int}.issuperset(map(type, itertools.chain.from_iterable(mul))):
+        i, j, v = next((i, j, v) for i, row in enumerate(mul) for j, v in enumerate(row) if type(v) is not int)
+        raise MalformedTable(f"entry ({i},{j}) = {v!r} is not an int")
     valid = frozenset(range(n))
     for i, row in enumerate(mul):
         if len(row) != n:

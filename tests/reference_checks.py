@@ -61,6 +61,10 @@ read, checked and built each table entry by entry.
 
 Records: the @dataclass(frozen=True) each value class was before
 errors.record replaced dataclasses in the library.
+
+Pi-groups: the PiGroup record as it stood while its action was one GroupHom
+per element of pi, with its action check and pi_group_from_rows, the
+builder the certificate reader called before the record held rows.
 """
 
 from __future__ import annotations
@@ -377,7 +381,7 @@ def pi_group(group, pi, action) -> None:
 
 def is_pi_equivariant_hom(f, src, dst) -> bool:
     return all(
-        f.map[src.action[c].map[g]] == dst.action[c].map[f.map[g]]
+        f.map[src.action[c][g]] == dst.action[c][f.map[g]]
         for c in src.pi.elements
         for g in src.group.elements
     )
@@ -402,8 +406,8 @@ def pi_bitorsor(left, right, bitorsor, pi_action_on_points) -> None:
                     raise NotAnAction(f"point action breaks at ({c1},{c2},{x})")
     la, ra = bitorsor.left_act, bitorsor.right_act
     for c in pi.elements:
-        al = left.action[c].map
-        ar = right.action[c].map
+        al = left.action[c]
+        ar = right.action[c]
         for gp in left.group.elements:
             for x in range(k):
                 if pa[c][la[gp][x]] != la[al[gp]][pa[c][x]]:
@@ -1366,7 +1370,7 @@ def pushforward_pi(p, phi, target):
     for c in pi.elements:
         row = [None] * pushed.size
         pa = p.pi_action_on_points[c]
-        at = target.action[c].map
+        at = target.action[c]
         for x in p.bitorsor.points:
             base = can.point_map[x]
             moved = can.point_map[pa[x]]
@@ -1393,7 +1397,7 @@ def pushforward_pi(p, phi, target):
                 raise EquivariantError("left symmetries fail to descend")
             images.append(perm_index[conj])
         acts.append(GroupHom(lg, lg, tuple(images)))
-    left_pg = E.PiGroup(lg, pi, tuple(acts))
+    left_pg = E.PiGroup(lg, pi, tuple(f.map for f in acts))
     out = E.PiBitorsor(left_pg, target, pushed, tuple(rows))
     return out, E.PiMorphism(p, out, can)
 
@@ -1410,7 +1414,7 @@ def pushforward_left_pi(p, phi_left, target):
     for c in pi.elements:
         row = [None] * pushed.size
         pa = p.pi_action_on_points[c]
-        at = target.action[c].map
+        at = target.action[c]
         for x in p.bitorsor.points:
             base = can.point_map[x]
             moved = can.point_map[pa[x]]
@@ -1439,7 +1443,7 @@ def pushforward_left_pi(p, phi_left, target):
                 raise EquivariantError("right symmetries fail to descend")
             images.append(col[conj])
         acts.append(GroupHom(rg, rg, tuple(images)))
-    right_pg = E.PiGroup(rg, pi, tuple(acts))
+    right_pg = E.PiGroup(rg, pi, tuple(f.map for f in acts))
     out = E.PiBitorsor(target, right_pg, pushed, tuple(rows))
     return out, E.PiMorphism(p, out, can)
 
@@ -2271,3 +2275,58 @@ def dataclass_twin(cls):
     if own["__repr__"].__code__.co_filename == "<string>":
         del own["__repr__"]
     return make_dataclass(cls.__name__, fields, namespace=own, frozen=True)
+
+
+# The Pi-group record and the certificate reader's builder as they stood
+# while the action was one GroupHom per element of pi, verbatim.
+
+
+@record
+class PiGroup:
+    """A group together with an action of pi on it by automorphisms."""
+
+    group: FiniteGroup
+    pi: FiniteGroup
+    action: tuple[GroupHom, ...]
+
+    def __post_init__(self) -> None:
+        """Complete on generators: with the identity acting trivially, the
+        c2 with action[c1.c2] = action[c1] o action[c2] for every c1 are
+        closed under products."""
+        for f in self.action:
+            if f.src != self.group or f.dst != self.group:
+                raise NotAnAction("action entries must be endomorphisms of the group")
+        _check_action(self.group, self.pi, [f.map for f in self.action])
+
+    @property
+    def is_constant(self) -> bool:
+        ident = tuple(self.group.elements)
+        return all(f.map == ident for f in self.action)
+
+    def __repr__(self) -> str:
+        kind = "const" if self.is_constant else "twisted"
+        return f"PiGroup({self.pi.label} on {self.group.label}, {kind})"
+
+
+def _check_action(g: FiniteGroup, pi: FiniteGroup, maps) -> None:
+    """Permutation maps, the identity acting trivially, the composition law."""
+    if len(maps) != pi.order:
+        raise NotAnAction("need one automorphism per symmetry element")
+    ident = tuple(g.elements)
+    if any(tuple(sorted(m)) != ident for m in maps):
+        raise NotAnAction("action entries must be automorphisms")
+    if tuple(maps[pi.identity]) != ident:
+        raise NotAnAction("identity symmetry must act trivially")
+    for c1, m1 in enumerate(maps):
+        for c2 in pi.generators:
+            if tuple(maps[pi.mul[c1][c2]]) != tuple(map(m1.__getitem__, maps[c2])):
+                raise NotAnAction(f"action breaks at symmetry pair ({c1},{c2})")
+
+
+def pi_group_from_rows(g: FiniteGroup, pi: FiniteGroup, rows) -> PiGroup:
+    """The PiGroup with these maps, checked in full: the rows at pi's
+    generators as homs, every row by _check_action, the rest by formula."""
+    at_gens = {c: GroupHom(g, g, rows[c]) for c in pi.generators if c < len(rows)}
+    _check_action(g, pi, rows)
+    action = tuple(at_gens.get(c) or by_formula(GroupHom, g, g, r) for c, r in enumerate(rows))
+    return by_formula(PiGroup, g, pi, action)

@@ -9,6 +9,7 @@ in reference_checks return, group labels and generators included."""
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -19,6 +20,7 @@ from bitorsor_kit import devissage as D
 from bitorsor_kit import equivariant as E
 from bitorsor_kit import groups as G
 from bitorsor_kit import local_model as L
+from bitorsor_kit.errors import by_formula
 
 from conftest import scrambled_trivial
 from test_restrict import assert_same, decompose_recorded, labels, survey_id
@@ -312,6 +314,38 @@ def test_decompose_runs_no_hom_search(monkeypatch, case):
         D.decompose(t, e)
         disconnected += not E.is_connected(t)
     assert disconnected > 0
+
+
+# The functions that build a Pi-group's action.
+PI_BUILDERS = (
+    "constant_pi_group", "conjugation_pi_group", "restrict_pi_group",
+    "pushforward_pi", "pushforward_left_pi", "_gamma_structure",
+)
+
+
+@pytest.mark.parametrize("case", ["criterion-6", *SURVEY_CASES], ids=_case_id)
+def test_pi_actions_are_rows_not_homs(monkeypatch, case):
+    """A Pi-action is a table of rows: over decompose and verify of every
+    class, with the memos that would hide a builder cleared, no Pi builder
+    builds a GroupHom by formula, and every builder builds its Pi-group."""
+    built = Counter()
+
+    def counting(cls, *values):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension's frame
+            frame = frame.f_back
+        built[cls.__name__, frame.f_code.co_name] += 1
+        return by_formula(cls, *values)
+
+    for mod in (E, D):
+        monkeypatch.setattr(mod, "by_formula", counting)
+    E._expand_theta.cache_clear()
+    D._gamma_structure.cache_clear()
+    for t, e in _decompose_cases(case):
+        d = D.decompose(t, e)
+        assert D.verify_decomposition(t, d, e).ok
+    assert [k for k in built if k[0] == "GroupHom" and k[1] in PI_BUILDERS] == []
+    assert {name for cls, name in built if cls == "PiGroup"} >= set(PI_BUILDERS)
 
 
 def left_identification(b1: B.Bitorsor, p1: int, b2: B.Bitorsor, p2: int) -> tuple[int, ...]:

@@ -108,8 +108,8 @@ class TestSplitExtension:
         pg = D.gamma_conjugation_structure(ext_s3)
         assert pg.group.order == 3
         flip = ext_s3.s.map[1]
-        assert pg.action[flip].map == (0, 2, 1)
-        assert pg.action[ext_s3.pi_big.identity].map == (0, 1, 2)
+        assert pg.action[flip] == (0, 2, 1)
+        assert pg.action[ext_s3.pi_big.identity] == (0, 1, 2)
 
     def test_gamma_as_group_inclusion(self, ext_z6):
         grp, incl = D.gamma_as_group(ext_z6)

@@ -30,20 +30,20 @@ class TestPiGroup:
         theta = G.GroupHom(z2, s3, (s3.identity, t))
         conj = E.conjugation_pi_group(theta)
         assert not conj.is_constant
-        fixed = [g for g in s3.elements if conj.action[1].map[g] == g]
+        fixed = [g for g in s3.elements if conj.action[1][g] == g]
         centralizer = [g for g in s3.elements if s3.mul[g][t] == s3.mul[t][g]]
         assert fixed == centralizer and len(fixed) == 2
 
     def test_rejects_non_automorphism(self, z4, z2):
         doubling = G.GroupHom(z4, z4, (0, 2, 0, 2))
         with pytest.raises(G.NotAnAction):
-            E.PiGroup(z4, z2, (G.identity_hom(z4), doubling))
+            E.PiGroup(z4, z2, (tuple(z4.elements), doubling.map))
 
     def test_rejects_non_action(self, z2):
         z5 = G.cyclic(5)
         alpha = G.GroupHom(z5, z5, (0, 2, 4, 1, 3))
         with pytest.raises(G.NotAnAction):
-            E.PiGroup(z5, z2, (G.identity_hom(z5), alpha))
+            E.PiGroup(z5, z2, (tuple(z5.elements), alpha.map))
 
     def test_restrict_and_quotient(self, z2, s3):
         t = next(g for g in s3.elements if s3.element_order(g) == 2)

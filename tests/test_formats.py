@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bitorsor_kit import bitorsors as B
 from bitorsor_kit import devissage as D
 from bitorsor_kit import equivariant as E
 from bitorsor_kit import formats as F
@@ -313,7 +314,7 @@ class TestCertificateJson:
 
     def test_corrupted_group_table_rejected(self, s3_certificate):
         t, e, d = s3_certificate
-        doc = copy.deepcopy(F.decomposition_to_json(t, e, d))
+        doc = json.loads(json.dumps(F.decomposition_to_json(t, e, d)))
         row = doc["groups"][0]["mul"][0]
         row[0], row[1] = row[1], row[0]
         with pytest.raises(DomainError):
@@ -346,7 +347,7 @@ class TestLargeTables:
 
     def test_small_group_embeds_table(self, z6):
         entry = F.group_to_json(z6)
-        assert entry["mul"] == [list(r) for r in z6.mul]
+        assert list(map(list, entry["mul"])) == [list(r) for r in z6.mul]
         assert F.group_from_json(entry) == z6
 
 
@@ -450,6 +451,42 @@ class TestIndentedWriter:
     )
     def test_edge_cases(self, value):
         assert F.dumps_indented(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_every_criterion_6_certificate_in_one_process(self, sweep_decompositions):
+        """One certificate after another, so the memo of record tables is
+        warm across documents and depths: each is written as json.dumps
+        writes it."""
+        rows = sweep_decompositions[0]["criterion-6"]
+        hits = F._table_text.cache_info().hits
+        for t, e, d, _ in rows:
+            doc = F.decomposition_to_json(t, e, d)
+            assert F.dumps_indented(doc) == json.dumps(doc, indent=2, sort_keys=True)
+        assert len(rows) > 100 and F._table_text.cache_info().hits > hits
+
+    def test_a_record_table_at_two_depths(self, s3):
+        table = F._emit_table(s3.mul, s3.order)
+        for value in (table, {"a": table, "b": [{"c": table}], "d": [[table, 1]]}):
+            assert F.dumps_indented(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_a_plain_table_is_checked_after_an_equal_record_table(self):
+        """A plain table takes the checked path: a True in it is written
+        true, even once an equal table of ints is kept by the memo."""
+        record_table = F._emit_table(((0, 1), (1, 0)), 2)
+        for value in (record_table, [[0, True], [True, 0]], [[0, 1], [1, 0]], ((0, True), (1, 0))):
+            assert F.dumps_indented(value) == json.dumps(value, indent=2, sort_keys=True)
+        assert "true" in F.dumps_indented([[0, True], [True, 0]])
+
+    def test_a_record_table_of_bools_is_not_kept(self):
+        """The checked Bitorsor takes True for 1: such a table is written
+        with true, as json.dumps writes it, and is not kept, so an equal
+        table of ints written next is written with 1."""
+        c2 = G.cyclic(2)
+        b = B.Bitorsor(c2, c2, ((0, 1), (True, 0)), ((0, 1), (1, 0)))
+        F._table_text.cache_clear()
+        bools, ints = (F._emit_table(rows, b.size) for rows in (b.left_act, b.right_act))
+        assert "true" in F.dumps_indented(bools)
+        for value in (bools, ints):
+            assert F.dumps_indented(value) == json.dumps(value, indent=2, sort_keys=True)
 
     def test_certificate_bytes(self, s3_certificate):
         doc = F.decomposition_to_json(*s3_certificate)

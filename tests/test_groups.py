@@ -68,6 +68,22 @@ class TestMakeGroup:
                 G.make_group(table, (1,))
             assert str(err.value) == message
 
+    @pytest.mark.parametrize("full", [False, True], ids=["default mode", "full-check mode"])
+    def test_an_entry_that_is_no_int_is_malformed(self, monkeypatch, full):
+        """A bool or a float equals an int and passes a range check, so the
+        checked constructor checks the types first and names the first bad
+        entry; make_group still converts every entry with int()."""
+        monkeypatch.setattr(errors, "FULL_CHECK", full)
+        for table, message in [
+            (((0, True), (True, 0)), "entry (0,1) = True is not an int"),
+            (((0, 1), (1.0, 0)), "entry (1,0) = 1.0 is not an int"),
+            (((0, 1), (1, "0")), "entry (1,1) = '0' is not an int"),
+        ]:
+            with pytest.raises(G.MalformedTable) as err:
+                G.FiniteGroup(table, (1,), "X")
+            assert str(err.value) == message
+        assert G.make_group(((0, True), (1.0, 0)), (True,)).mul == ((0, 1), (1, 0))
+
     def test_each_table_is_range_checked_once(self, monkeypatch):
         calls, table, check = [], G.cyclic(7).mul, G._check_square
         monkeypatch.setattr(G, "_check_square", lambda mul: calls.append(mul) or check(mul))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -151,11 +152,17 @@ def _memos():
 
 
 def test_the_memos_are_the_ones_documented():
-    names = {name.rpartition(".")[2] for name, _ in _memos()}
-    assert {
+    """Every memo of the package is named, module and all, in README's
+    Memos section, so no memo lands undocumented."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Memos\n", 1)[1].split("\n## ", 1)[0]
+    names = [name.removeprefix("bitorsor_kit.") for name, _ in _memos()]
+    assert [name for name in names if f"`{name}`" not in section] == []
+    assert {name.rpartition(".")[2] for name in names} >= {
         "_make_group", "_constructed", "parse_group", "_extension_over", "_expand_theta",
         "wedge_class_index", "_gamma_structure", "_component", "_class_maps", "_h1",
-    } <= names
+        "_table_text",
+    }
 
 
 @pytest.mark.parametrize("name, memo", _memos(), ids=[name for name, _ in _memos()])

@@ -41,10 +41,10 @@ def assert_same(got, want) -> None:
 
 
 def test_labels_walks_the_fields_of_a_record(rng):
-    """A PiBitorsor over C1: each side is (group, pi, its one action hom's
-    source and target), then the carrier's two groups."""
+    """A PiBitorsor over C1: each side is (group, pi), its action rows of
+    ints carrying no label, then the carrier's two groups."""
     p = over_c1(scrambled_trivial(G.symmetric(3), rng))
-    side = ["S3", "C1", "S3", "S3"]
+    side = ["S3", "C1"]
     assert labels(p) == side + side + ["S3", "S3"]
 
 

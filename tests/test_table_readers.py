@@ -211,14 +211,24 @@ def test_make_group_fails_as_the_reference_does(spec):
 def test_finite_group_validator_fails_as_the_reference_does(spec):
     """The constructor takes its table and generators as given and reads
     off the identity and inverses as the reference make_group discovers
-    them, with no conversion to int."""
+    them, with no conversion to int.  The reference took any entry; the
+    constructor refuses a table with an entry that is not an int first,
+    naming that entry."""
     g = F.resolve_group_spec(spec)
     n = g.order
+    typed = 0
     for seed in range(40):
         rnd = random.Random(f"{spec}/{seed}")
         mul = tuple(map(tuple, corrupt_table(g.mul, rnd))) if rnd.randrange(2) else g.mul
         gens = rnd.choice([g.generators, (), (n,), g.generators[:1]])
-        assert outcome(G.FiniteGroup, mul, gens, "X") == outcome(ref.loop_finite_group, mul, gens, "X")
+        bad = [(i, j, v) for i, row in enumerate(mul) for j, v in enumerate(row) if type(v) is not int]
+        if bad:
+            message = "entry ({},{}) = {!r} is not an int".format(*bad[0])
+            assert outcome(G.FiniteGroup, mul, gens, "X")[:2] == ("MalformedTable", message)
+            typed += 1
+        else:
+            assert outcome(G.FiniteGroup, mul, gens, "X") == outcome(ref.loop_finite_group, mul, gens, "X")
+    assert typed > 0
     loop = (LOOP6, (1, 2), "L")
     assert outcome(G.FiniteGroup, *loop) == outcome(ref.loop_make_group, *loop)
     assert outcome(G.FiniteGroup, *loop)[0] == "NotAssociative"

@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 
 import reference_checks as ref
 from bitorsor_kit import bitorsors as B
+from bitorsor_kit import devissage as D
 from bitorsor_kit import equivariant as E
 from bitorsor_kit import groups as G
 from bitorsor_kit.errors import DomainError
 
 from conftest import scrambled_trivial
+from test_formats import s3_extension
 
 CORRUPTIONS_PER_GROUP = 100
 
@@ -195,7 +197,7 @@ def _pi_groups(mutation_groups, pi: G.FiniteGroup, rnd: random.Random) -> list[E
 
 
 def _build_pi_group(group, pi, maps):
-    return E.PiGroup(group, pi, tuple(G.GroupHom(group, group, m) for m in maps))
+    return E.PiGroup(group, pi, tuple(G.GroupHom(group, group, m).map for m in maps))
 
 
 def _ref_pi_group(group, pi, maps):
@@ -212,7 +214,7 @@ def test_pi_group_action_corruptions_rejected(mutation_groups, name):
     auts = {pg.group: [f.map for f in automorphisms(pg.group)] for pg in structures}
     for _ in range(CORRUPTIONS_PER_GROUP):
         pg = rnd.choice(structures)
-        maps = [f.map for f in pg.action]
+        maps = list(pg.action)
         c = rnd.randrange(pi.order)
         if rnd.randrange(2):
             # one entry of one automorphism
@@ -224,6 +226,53 @@ def test_pi_group_action_corruptions_rejected(mutation_groups, name):
             maps[c] = rnd.choice(choices)
         assert rejects(_build_pi_group, pg.group, pi, maps)
         assert rejects(_ref_pi_group, pg.group, pi, maps)
+
+
+def _pi_groups_in(value) -> list[E.PiGroup]:
+    """Every Pi-group inside a record, in field order."""
+    if isinstance(value, E.PiGroup):
+        return [value]
+    if hasattr(type(value), "__match_args__"):
+        return [pg for f in value.__match_args__ for pg in _pi_groups_in(getattr(value, f))]
+    if isinstance(value, tuple):
+        return [pg for v in value for pg in _pi_groups_in(v)]
+    return []
+
+
+def _kind(build, *args) -> str | None:
+    try:
+        build(*args)
+    except DomainError as exc:
+        return type(exc).__name__
+    return None
+
+
+def test_pi_group_constructor_agrees_with_the_hom_builder(mutation_groups, s3):
+    """PiGroup(group, pi, rows) accepts and rejects, with the same exception
+    type, exactly what pi_group_from_rows, the reader's builder over one
+    GroupHom per element of pi, did: on the Pi-groups of the corruption
+    fixtures above and of test_formats' S3 certificate, on every
+    single-entry tamper of each, to every value from -1 to the order, and
+    on each row replaced by another row of the table."""
+    structures = []
+    for name in GROUP_NAMES:
+        structures += _pi_groups(mutation_groups, mutation_groups[name], random.Random(f"pigroup-{name}"))
+    e = s3_extension()
+    rep = E.h1(e.pi_big, s3)[-1]
+    structures += _pi_groups_in(D.decompose(rep, e))
+    distinct, tampers = dict.fromkeys(structures), 0
+    for pg in distinct:
+        g, pi, rows = pg.group, pg.pi, pg.action
+        built = ref.pi_group_from_rows(g, pi, rows)
+        assert E.PiGroup(g, pi, rows) == pg and tuple(f.map for f in built.action) == rows
+        for c, row in enumerate(rows):
+            tampered = [replace_at(rows, c, other) for other in set(rows) - {row}]
+            for x, v in enumerate(row):
+                tampered += [replace_at(rows, c, replace_at(row, x, w)) for w in range(-1, g.order + 1) if w != v]
+            for bad in tampered:
+                assert _kind(E.PiGroup, g, pi, bad) == _kind(ref.pi_group_from_rows, g, pi, bad)
+            tampers += len(tampered)
+    assert len(distinct) >= 40 and tampers > 20_000
 
 
 @pytest.mark.parametrize("name", GROUP_NAMES)
