@@ -32,6 +32,7 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    check_ints,
     generating_set,
     identity_hom,
     subgroup,
@@ -84,6 +85,8 @@ class Bitorsor:
         products, and so do the left and right elements commuting with all
         generators of the other side.  Both sides are then group actions, so
         freeness and transitivity are decided at point 0 (_orbit_at_zero)."""
+        check_ints(self.left_act, InvalidBitorsor, "left action entry")
+        check_ints(self.right_act, InvalidBitorsor, "right action entry")
         gl, gr = self.left_group, self.right_group
         k = len(self.right_act)
         if len(self.left_act) != gl.order:
@@ -158,6 +161,7 @@ class BitorsorMorphism:
         """Complete on generators: both actions and both homs are already
         validated, so the group elements along which the point map is
         equivariant are closed under products."""
+        check_ints(self.point_map, InvalidMorphism, "point_map", table=False)
         if self.phi_left.src != self.src.left_group or self.phi_left.dst != self.dst.left_group:
             raise SignatureMismatch("left hom does not match the left groups")
         if self.phi_right.src != self.src.right_group or self.phi_right.dst != self.dst.right_group:

@@ -17,8 +17,8 @@ type-pi factor comes from s_low = theta o s, which covers the collapsed
 theta and sends gamma to the identity by construction.  A disconnected
 carrier's decomposition is that of the connected component of point 0
 with both structure groups extended back along the component's inclusion,
-its witness isomorphism built at a base point over the identification of
-two left torsors at a point, and its type-gamma witness the same orbit
+its witness isomorphism built at a base point over rho, read from two
+point conjugations, and its type-gamma witness the same orbit
 restriction (bt.orbit_restriction, as for the component) at the image of
 point 0; decompose runs no search.
 """
@@ -102,21 +102,15 @@ def gamma_as_group(e: SplitExtension) -> tuple[FiniteGroup, GroupHom]:
 
 
 def gamma_conjugation_structure(e: SplitExtension) -> PiGroup:
-    """pi_big acting on gamma by conjugation; gamma is normal so this is
-    well defined.  Memoized on e and pi_big's label, which the value
-    carries; a decompose-sweep pass meets 20 extensions."""
+    """pi_big acting on gamma by conjugation, its conjugation action on
+    itself restricted to gamma, which is normal.  Memoized on e and pi_big's
+    label, which the value carries; a decompose-sweep pass meets 20."""
     return _gamma_structure(e, e.pi_big.label)
 
 
 @lru_cache(maxsize=32)
 def _gamma_structure(e: SplitExtension, label: str) -> PiGroup:
-    g_grp, incl = gamma_as_group(e)
-    pos = {v: i for i, v in enumerate(incl.map)}
-    acts = tuple(
-        tuple(pos[e.pi_big.conjugate(c, incl.map[a])] for a in g_grp.elements)
-        for c in e.pi_big.elements
-    )
-    return by_formula(PiGroup, g_grp, e.pi_big, acts)
+    return eq.restrict_pi_group(eq.conjugation_pi_group(identity_hom(e.pi_big)), gamma_as_group(e)[1])
 
 
 def is_type_pi(p: PiBitorsor, e: SplitExtension) -> bool:
@@ -210,13 +204,13 @@ def _transport_disconnected(
     The middle map phi is the left hom of z0 extended along the inclusion's
     right hom, and y and z are y0 and z0 extended along phi on the right
     and on the left.  z and that right extension of z0 are left torsors
-    under the middle group that both receive z0; rho is their
-    identification at the images of point 0, read on the right groups.  The
-    witness isomorphism sends the glued point of (can_y(0), can_z(0)) to
-    the image of point 0 over rho.  x's right structure is constant, so rho
-    commutes with pi exactly when z's is constant too.  The type-gamma
-    witness is the class of can_y(0) under the image of inner's left
-    group."""
+    under the middle group that both receive z0; rho identifies them at the
+    images of point 0, on the right groups: z's point conjugation there,
+    then the inverse of the other's.  The witness isomorphism sends the
+    glued point of (can_y(0), can_z(0)) to the image of point 0 over rho.
+    x's right structure is constant, so rho commutes with pi exactly when
+    z's is constant too.  The type-gamma witness is the class of can_y(0)
+    under the image of inner's left group."""
     x = eq.from_theta(t)
     y0, z0 = inner.y, inner.z
     pushed, can = eq.pushforward_pi(z0, incl.phi_right, x.right)
@@ -225,10 +219,11 @@ def _transport_disconnected(
     z, can_z = eq.pushforward_left_pi(z0, phi, middle)
     if not z.right.is_constant:
         raise DevissageError("the transported type-pi factor has a twisted right group")
-    rho = bt.base_point_iso(
-        bt.inverse(z.bitorsor), can_z(0), bt.inverse(pushed.bitorsor), can(0),
-        identity_hom(middle.group),
-    ).phi_left
+    back = {v: r for r, v in enumerate(bt.point_conjugation(pushed.bitorsor, can(0)).map)}
+    rho = by_formula(
+        GroupHom, z.bitorsor.right_group, pushed.bitorsor.right_group,
+        tuple(back[v] for v in bt.point_conjugation(z.bitorsor, can_z(0)).map),
+    )
     wedge = eq.compose_pi(y, z)
     (row,) = bt.glued_rows(y.bitorsor, z.bitorsor, (can_y(0),))
     psi = bt.base_point_iso(wedge.bitorsor, row[can_z(0)], x.bitorsor, incl(0), rho)

@@ -47,12 +47,12 @@ from .groups import (
     Subgroup,
     _canonical_conjugators,
     canonical_conjugate,
+    check_ints,
     conjugate_hom,
     enumerate_homs,
     identity_hom,
     isomorphisms_between,  # noqa: F401  (perfbench/test_perfbench.py reads it here)
     quotient,
-    subgroup_as_group,
 )
 from .groups import NotAnAction
 
@@ -87,6 +87,7 @@ class PiGroup:
         Complete on generators: with the identity acting trivially, the c2
         with action[c1.c2] = action[c1] o action[c2] for every c1 are
         closed under products, so every row is an automorphism."""
+        check_ints(self.action, EquivariantError, "action entry")
         g, pi, maps = self.group, self.pi, self.action
         for c in pi.generators:
             if c < len(maps):
@@ -137,19 +138,19 @@ def is_pi_equivariant_hom(f: GroupHom, src: PiGroup, dst: PiGroup) -> bool:
     )
 
 
-def restrict_pi_group(pg: PiGroup, members) -> tuple[PiGroup, GroupHom]:
-    """A stable subgroup with the induced action, plus its inclusion."""
-    sub, incl = subgroup_as_group(pg.group, members)
+def restrict_pi_group(pg: PiGroup, incl: GroupHom) -> PiGroup:
+    """The induced action on a stable subgroup, given its inclusion into
+    pg's group: row c is row c of pg read on the subgroup's elements."""
     pos = {v: i for i, v in enumerate(incl.map)}
     acts = []
     for c, outer in enumerate(pg.action):
         try:
-            acts.append(tuple(pos[outer[incl.map[a]]] for a in sub.elements))
+            acts.append(tuple(pos[outer[v]] for v in incl.map))
         except KeyError:
             raise NotPiStable(
                 f"subgroup {tuple(incl.map)} is moved by symmetry element {c}"
             ) from None
-    return by_formula(PiGroup, sub, pg.pi, tuple(acts)), incl
+    return by_formula(PiGroup, incl.src, pg.pi, tuple(acts))
 
 
 @record
@@ -168,6 +169,7 @@ class PiBitorsor:
         """Complete on generators: with the groups, their pi-actions and the
         carrier already validated, the symmetries and group elements along
         which each law holds are closed under products."""
+        check_ints(self.pi_action_on_points, EquivariantError, "point action entry")
         if self.left.pi != self.right.pi:
             raise SignatureMismatch("left and right structures disagree on pi")
         if self.left.group != self.bitorsor.left_group:
@@ -413,9 +415,10 @@ def pushforward_left_pi(
 
 def restrict_pi(p: PiBitorsor, incl: BitorsorMorphism) -> tuple[PiBitorsor, PiMorphism]:
     """The symmetry structure p induces on a stable sub-carrier, given the
-    carrier's inclusion (from bt.restrict), with the equivariant inclusion."""
-    left_pg, _ = restrict_pi_group(p.left, incl.phi_left.map)
-    right_pg, _ = restrict_pi_group(p.right, incl.phi_right.map)
+    carrier's inclusion (from bt.orbit_restriction), with the equivariant
+    inclusion; the sub-carrier's groups are the sources of its two homs."""
+    left_pg = restrict_pi_group(p.left, incl.phi_left)
+    right_pg = restrict_pi_group(p.right, incl.phi_right)
     pos = {x: i for i, x in enumerate(incl.point_map)}
     rows = tuple(
         tuple(pos[row[x]] for x in incl.point_map) for row in p.pi_action_on_points

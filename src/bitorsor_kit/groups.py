@@ -114,16 +114,23 @@ def generating_set(mul: Sequence[Sequence[int]], identity: int) -> tuple[int, ..
     return tuple(gens) if gens else (identity,)
 
 
+def check_ints(values: Sequence, error: type[DomainError], what: str = "entry", table: bool = True) -> None:
+    """Every entry of `values`, a table's rows or, with table=False, one
+    row, is an int: a bool or a float would pass a range check for one.
+    The types are tested in one pass; a failure raises `error` naming the
+    first bad entry, as `what` (row,column) or as `what`[index]."""
+    rows = values if table else (values,)
+    if not {int}.issuperset(map(type, itertools.chain.from_iterable(rows))):
+        i, j, v = next((i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if type(v) is not int)
+        raise error(f"{what} ({i},{j}) = {v!r} is not an int" if table else f"{what}[{j}] = {v!r} is not an int")
+
+
 def _check_square(mul: Sequence[Sequence[int]]) -> None:
-    """Every entry is an int (a bool or a float would pass for one), every
-    row has length n and every entry lies in 0..n-1: the types in one pass,
-    each row whole, then the first bad entry of a failed check by itself."""
+    """Every row has length n and every entry lies in 0..n-1: each row
+    whole, then the first bad entry of a failed check by itself."""
     n = len(mul)
     if n == 0:
         raise MalformedTable("empty multiplication table")
-    if not {int}.issuperset(map(type, itertools.chain.from_iterable(mul))):
-        i, j, v = next((i, j, v) for i, row in enumerate(mul) for j, v in enumerate(row) if type(v) is not int)
-        raise MalformedTable(f"entry ({i},{j}) = {v!r} is not an int")
     valid = frozenset(range(n))
     for i, row in enumerate(mul):
         if len(row) != n:
@@ -153,6 +160,8 @@ class FiniteGroup:
         a whole row at a time; the first failing element or triple is then
         found in the row that failed."""
         mul = self.mul
+        check_ints(mul, MalformedTable)
+        check_ints(self.generators, GeneratorsDoNotGenerate, "generators", table=False)
         _check_square(mul)
         n = len(mul)
         e, _ = self.identity, self.inv  # reading them checks that they exist
@@ -251,6 +260,7 @@ class GroupHom:
     def __post_init__(self) -> None:
         """Complete on generators: the b with f(a.b) = f(a).f(b) for every a
         contain the identity and are closed under products."""
+        check_ints(self.map, NotAHomomorphism, "map", table=False)
         if len(self.map) != self.src.order:
             raise NotAHomomorphism("map length differs from source order")
         for v in self.map:
@@ -302,6 +312,7 @@ class Subgroup:
     members: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        check_ints(self.members, NotASubgroup, "members", table=False)
         if not self.members:
             raise NotASubgroup("empty member list")
         if list(self.members) != sorted(set(self.members)):

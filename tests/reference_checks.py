@@ -65,6 +65,10 @@ errors.record replaced dataclasses in the library.
 Pi-groups: the PiGroup record as it stood while its action was one GroupHom
 per element of pi, with its action check and pi_group_from_rows, the
 builder the certificate reader called before the record held rows.
+
+Thrown-away values: the transport's rho read off an isomorphism of the two
+inverse carriers, the Pi-restriction that materialized its subgroup again
+from a member list, and the Gamma-action that conjugated row by row.
 """
 
 from __future__ import annotations
@@ -998,8 +1002,8 @@ def pi_induced_witness(p, h):
         return None
     hp = B.corresponding_normal_subgroup(p.bitorsor, h)
     sub, incl = sub_bitorsor_on_class(p.bitorsor, h, cls)
-    left_pg, _ = E.restrict_pi_group(p.left, hp.members)
-    right_pg, _ = E.restrict_pi_group(p.right, h.members)
+    left_pg = E.restrict_pi_group(p.left, subgroup_as_group(p.left.group, hp.members)[1])
+    right_pg = E.restrict_pi_group(p.right, subgroup_as_group(p.right.group, h.members)[1])
     pos = {x: i for i, x in enumerate(cls)}
     rows = tuple(
         tuple(pos[p.pi_action_on_points[c][x]] for x in cls) for c in p.pi.elements
@@ -1010,8 +1014,8 @@ def pi_induced_witness(p, h):
 
 def factor_morphism_pi(m):
     alpha, beta, img = factor_morphism(m.inner)
-    left_pg, _ = E.restrict_pi_group(m.dst.left, set(m.inner.phi_left.map))
-    right_pg, _ = E.restrict_pi_group(m.dst.right, set(m.inner.phi_right.map))
+    left_pg = E.restrict_pi_group(m.dst.left, beta.phi_left)
+    right_pg = E.restrict_pi_group(m.dst.right, beta.phi_right)
     img_points = beta.point_map
     pos = {x: i for i, x in enumerate(img_points)}
     rows = tuple(
@@ -1058,7 +1062,8 @@ def is_type_gamma(p, e):
     b = p.bitorsor
     for cand in all_subgroups(b.left_group):
         try:
-            left_pg, left_incl = E.restrict_pi_group(p.left, cand.members)
+            left_incl = subgroup_as_group(b.left_group, cand.members)[1]
+            left_pg = E.restrict_pi_group(p.left, left_incl)
         except E.NotPiStable:
             continue
         surjections = _gamma_surjections(e, left_pg)
@@ -1078,7 +1083,8 @@ def is_type_gamma(p, e):
             if any(b.right_act[y][g] not in inside for y in cls for g in h_members):
                 continue
             try:
-                right_pg, right_incl = E.restrict_pi_group(p.right, h_members)
+                right_incl = subgroup_as_group(b.right_group, h_members)[1]
+                right_pg = E.restrict_pi_group(p.right, right_incl)
             except (E.NotPiStable, DomainError):
                 continue
             try:
@@ -2330,3 +2336,48 @@ def pi_group_from_rows(g: FiniteGroup, pi: FiniteGroup, rows) -> PiGroup:
     _check_action(g, pi, rows)
     action = tuple(at_gens.get(c) or by_formula(GroupHom, g, g, r) for c, r in enumerate(rows))
     return by_formula(PiGroup, g, pi, action)
+
+
+# ------------------------------------------------------- thrown-away values
+#
+# The library's previous versions with module prefixes.
+
+
+def transport_rho(t, incl, inner) -> GroupHom:
+    """rho of devissage._transport_disconnected: both extensions of the
+    component's z inverted in full and identified at the images of point 0
+    over the identity of the middle group; their left hom."""
+    x = E.from_theta(t)
+    pushed, can = E.pushforward_pi(inner.z, incl.phi_right, x.right)
+    phi, middle = can.inner.phi_left, pushed.left
+    z, can_z = E.pushforward_left_pi(inner.z, phi, middle)
+    return B.base_point_iso(
+        B.inverse(z.bitorsor), can_z(0), B.inverse(pushed.bitorsor), can(0),
+        identity_hom(middle.group),
+    ).phi_left
+
+
+def restrict_pi_group(pg: E.PiGroup, members) -> tuple[E.PiGroup, GroupHom]:
+    """A stable subgroup with the induced action, plus its inclusion."""
+    sub, incl = subgroup_as_group(pg.group, members)
+    pos = {v: i for i, v in enumerate(incl.map)}
+    acts = []
+    for c, outer in enumerate(pg.action):
+        try:
+            acts.append(tuple(pos[outer[incl.map[a]]] for a in sub.elements))
+        except KeyError:
+            raise E.NotPiStable(
+                f"subgroup {tuple(incl.map)} is moved by symmetry element {c}"
+            ) from None
+    return by_formula(E.PiGroup, sub, pg.pi, tuple(acts)), incl
+
+
+def gamma_structure(e: D.SplitExtension) -> E.PiGroup:
+    """devissage._gamma_structure: pi_big acting on gamma by conjugation."""
+    g_grp, incl = D.gamma_as_group(e)
+    pos = {v: i for i, v in enumerate(incl.map)}
+    acts = tuple(
+        tuple(pos[e.pi_big.conjugate(c, incl.map[a])] for a in g_grp.elements)
+        for c in e.pi_big.elements
+    )
+    return by_formula(E.PiGroup, g_grp, e.pi_big, acts)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -316,10 +317,11 @@ def test_decompose_runs_no_hom_search(monkeypatch, case):
     assert disconnected > 0
 
 
-# The functions that build a Pi-group's action.
+# The functions that build a Pi-group's action.  _gamma_structure builds
+# none of its own: it restricts conjugation_pi_group's action.
 PI_BUILDERS = (
     "constant_pi_group", "conjugation_pi_group", "restrict_pi_group",
-    "pushforward_pi", "pushforward_left_pi", "_gamma_structure",
+    "pushforward_pi", "pushforward_left_pi",
 )
 
 
@@ -346,6 +348,113 @@ def test_pi_actions_are_rows_not_homs(monkeypatch, case):
         assert D.verify_decomposition(t, d, e).ok
     assert [k for k in built if k[0] == "GroupHom" and k[1] in PI_BUILDERS] == []
     assert {name for cls, name in built if cls == "PiGroup"} >= set(PI_BUILDERS)
+
+
+@pytest.mark.parametrize("case", ["criterion-6", *SURVEY_CASES], ids=_case_id)
+def test_decompose_builds_nothing_it_throws_away(monkeypatch, case):
+    """With the memos cleared, decompose inverts one carrier per connected
+    decomposition (its z), none to transport a disconnected one (rho is read
+    from two point conjugations), and equivariant never materializes a
+    subgroup: a restriction reads its groups off the inclusion it is given."""
+    stacks, materialized = [], []
+    inverse = B.inverse
+
+    def counting_inverse(b):
+        frame, callers = sys._getframe(1), set()
+        while frame is not None:
+            callers.add(frame.f_code.co_name)
+            frame = frame.f_back
+        stacks.append(callers)
+        return inverse(b)
+
+    def tracking(lib):
+        def wrapped(*args, **kwargs):
+            materialized.append(sys._getframe(1).f_globals["__name__"])
+            return lib(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(B, "inverse", counting_inverse)
+    for mod in (G, B, E, D):
+        if hasattr(mod, "subgroup_as_group"):
+            monkeypatch.setattr(mod, "subgroup_as_group", tracking(mod.subgroup_as_group))
+    E._expand_theta.cache_clear()
+    E._component.cache_clear()
+    D._gamma_structure.cache_clear()
+    decompositions = 0
+    for t, e in _decompose_cases(case):
+        d = D.decompose(t, e)
+        assert D.verify_decomposition(t, d, e).ok
+        decompositions += 1
+    assert len(stacks) == decompositions
+    assert [callers for callers in stacks if "_transport_disconnected" in callers] == []
+    assert materialized and "bitorsor_kit.equivariant" not in materialized
+
+
+def _sweep_cases(seed, work):
+    """(carrier, extension) for every decompose of perfbench's
+    decompose-sweep at `seed`, read from the files that seed writes."""
+    from bitorsor_kit import formats as F
+    from test_golden import GOLDEN, load_inputs
+
+    inputs = load_inputs().generate("decompose-sweep", seed, work, GOLDEN["class_counts"])
+    for op in inputs.ops:
+        if op.kind == "decompose":
+            args = dict(zip(op.argv[1::2], op.argv[2::2]))
+            path = Path(args["--extension"])
+            e = F.parse_extension(path.read_text(), base_dir=path.parent)
+            yield E.h1(e.pi_big, F.resolve_group_spec(args["--group"]))[int(args["--class"])], e
+
+
+@pytest.mark.parametrize(
+    "case", [0, 1, 2, *SURVEY_CASES], ids=lambda c: f"sweep-seed{c}" if c in (0, 1, 2) else _case_id(c)
+)
+def test_values_read_off_built_ones_equal_the_previous_constructions(monkeypatch, tmp_path, case):
+    """rho, every Pi-restriction and every Gamma-action equal the previous
+    constructions (reference_checks), labels included, over every decompose
+    of the seeded sweep and every class of a survey: rho read from two point
+    conjugations is the identification of the two inverse carriers, a
+    restriction read off its inclusion is the one that rebuilt the subgroup,
+    and the restricted conjugation action is the row-by-row one."""
+    transports, restrictions, extensions = [], [], {}
+    transport, restrict = D._transport_disconnected, E.restrict_pi_group
+
+    def checked_transport(t, incl, inner):
+        d = transport(t, incl, inner)
+        want, got = ref.transport_rho(t, incl, inner), d.witness_iso.inner.phi_right
+        assert (got, got.src.label, got.dst.label) == (want, want.src.label, want.dst.label)
+        transports.append(got)
+        return d
+
+    def checked_restriction(pg, incl):
+        got = restrict(pg, incl)
+        if sys._getframe(1).f_code.co_name != "restrict_pi":  # the Gamma-action, checked below
+            return got
+        want, want_incl = ref.restrict_pi_group(pg, incl.map)
+        assert (got, got.group.label) == (want, want.group.label)
+        assert (incl, incl.src.label) == (want_incl, want_incl.src.label)
+        restrictions.append(got)
+        return got
+
+    monkeypatch.setattr(D, "_transport_disconnected", checked_transport)
+    monkeypatch.setattr(E, "restrict_pi_group", checked_restriction)
+    D._gamma_structure.cache_clear()
+    if isinstance(case, int):
+        cases = _sweep_cases(case, tmp_path)
+    else:
+        e = L.build_tame_quotient(L.TameParams(*case[0]))
+        cases = ((t, e) for t in E.h1(e.pi_big, case[1]))
+    decompositions = 0
+    for t, e in cases:
+        D.decompose(t, e)
+        extensions[e, e.pi_big.label] = e
+        decompositions += 1
+    # two per type-gamma witness: one for the component, one transported
+    assert transports and len(restrictions) == 2 * (decompositions + len(transports))
+    for e in extensions.values():
+        got, want = D.gamma_conjugation_structure(e), ref.gamma_structure(e)
+        assert (got.action, got.group, got.group.label, got.pi.label) == (
+            want.action, want.group, "Gamma", want.pi.label
+        )
 
 
 def left_identification(b1: B.Bitorsor, p1: int, b2: B.Bitorsor, p2: int) -> tuple[int, ...]:

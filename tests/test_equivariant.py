@@ -50,7 +50,7 @@ class TestPiGroup:
         theta = G.GroupHom(z2, s3, (s3.identity, t))
         conj = E.conjugation_pi_group(theta)
         a3 = [g for g in s3.elements if s3.element_order(g) != 2]
-        sub_pg, _ = E.restrict_pi_group(conj, a3)
+        sub_pg = E.restrict_pi_group(conj, G.subgroup_as_group(s3, a3)[1])
         assert sub_pg.group.order == 3 and not sub_pg.is_constant
         _, q = G.quotient(s3, G.subgroup(s3, a3))
         p = E.from_theta(E.ThetaBitorsor(B.trivial_bitorsor(s3), theta))
@@ -58,7 +58,8 @@ class TestPiGroup:
         quot_pg = E.pushforward_pi(p, q, E.constant_pi_group(z2, q.dst))[0].left
         assert quot_pg.group.order == 2 and quot_pg.is_constant
         with pytest.raises(E.NotPiStable):
-            E.restrict_pi_group(conj, [s3.identity, [g for g in s3.elements if s3.element_order(g) == 2][1]])
+            moved = [s3.identity, [g for g in s3.elements if s3.element_order(g) == 2][1]]
+            E.restrict_pi_group(conj, G.subgroup_as_group(s3, moved)[1])
 
 
 class TestThetaRoundtrip:

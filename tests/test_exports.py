@@ -164,3 +164,79 @@ def test_every_public_definition_is_reached():
             if not named:
                 unreached.append(f"{path.stem}.{node.name}")
     assert unreached == []
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text()) for p in sorted((SRC / "bitorsor_kit").glob("*.py"))}
+
+
+def test_every_imported_name_is_read():
+    """No linter runs here, so this is its unused-import check: each name a
+    module of src/ imports is read in that module, unless its line says
+    `# noqa: F401` and why."""
+    unread = []
+    for name, tree in _modules().items():
+        lines = (SRC / "bitorsor_kit" / f"{name}.py").read_text().splitlines()
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", "") == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.partition(".")[0]
+                noqa = re.search(r"# noqa: F401\s+\S", lines[alias.lineno - 1])
+                if bound not in read and not noqa:
+                    unread.append(f"{name}.{bound}")
+    assert unread == []
+
+
+# The aliases src/ gives its modules: `import bitorsors as bt` and so on.
+ALIASES = {"bt": "bitorsors", "eq": "equivariant", "dv": "devissage", "fm": "formats"}
+
+
+def _qualified_names(text: str, modules: set[str]) -> list[str]:
+    """Every `module.name` (or `alias.name`, with attribute chains) in
+    `text` whose module is not itself preceded by a dot; a file name such
+    as groups.py is none."""
+    heads = "|".join(sorted(modules | set(ALIASES)))
+    found = re.findall(rf"(?<![\w.])((?:{heads})(?:\.[A-Za-z_]\w*)+)", text)
+    return [name for name in found if not name.endswith(".py")]
+
+
+def _unresolved(names: list[str]) -> list[str]:
+    from importlib import import_module
+
+    out = []
+    for qualified in names:
+        head, *chain = qualified.split(".")
+        obj = import_module(f"bitorsor_kit.{ALIASES.get(head, head)}")
+        for attr in chain:
+            if not hasattr(obj, attr):
+                out.append(qualified)
+                break
+            obj = getattr(obj, attr)
+    return out
+
+
+def test_every_qualified_name_in_the_docs_resolves():
+    """Every module-qualified name that a docstring or comment of src/
+    names, and every one in backticks in README, is a real attribute: a
+    deleted or renamed function leaves none behind."""
+    import tokenize
+
+    trees = _modules()
+    texts = []
+    for name, tree in trees.items():
+        texts += [
+            ast.get_docstring(node) or ""
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        with open(SRC / "bitorsor_kit" / f"{name}.py", "rb") as f:
+            texts += [tok.string for tok in tokenize.tokenize(f.readline) if tok.type == tokenize.COMMENT]
+    readme = (ROOT / "README.md").read_text()
+    spans = re.findall(r"`([^`\n]+)`", readme)
+    found = [n for text in texts for n in _qualified_names(text, set(trees))]
+    in_readme = [n for span in spans for n in _qualified_names(span, set(trees))]
+    assert found and in_readme
+    assert _unresolved(found) == []
+    assert _unresolved(in_readme) == []

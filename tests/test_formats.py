@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitorsor_kit import bitorsors as B
 from bitorsor_kit import devissage as D
 from bitorsor_kit import equivariant as E
 from bitorsor_kit import formats as F
@@ -477,13 +476,12 @@ class TestIndentedWriter:
         assert "true" in F.dumps_indented([[0, True], [True, 0]])
 
     def test_a_record_table_of_bools_is_not_kept(self):
-        """The checked Bitorsor takes True for 1: such a table is written
-        with true, as json.dumps writes it, and is not kept, so an equal
-        table of ints written next is written with 1."""
-        c2 = G.cyclic(2)
-        b = B.Bitorsor(c2, c2, ((0, 1), (True, 0)), ((0, 1), (1, 0)))
+        """A record table holding True for 1 (no checked constructor takes
+        one, so it is built directly) is written with true, as json.dumps
+        writes it, and is not kept, so an equal table of ints written next
+        is written with 1."""
         F._table_text.cache_clear()
-        bools, ints = (F._emit_table(rows, b.size) for rows in (b.left_act, b.right_act))
+        bools, ints = F._Table(((0, 1), (True, 0))), F._emit_table(((0, 1), (1, 0)), 2)
         assert "true" in F.dumps_indented(bools)
         for value in (bools, ints):
             assert F.dumps_indented(value) == json.dumps(value, indent=2, sort_keys=True)

@@ -13,6 +13,10 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -187,3 +191,60 @@ def test_non_associative_group_file_rejected(default_mode_runs):
     assert code == 2 and out == ""
     assert err.startswith("groups.NotAssociative: first violating triple")
 
+
+# Each checked constructor given a bool, then a float, where an int belongs:
+# (the call with the entry as {v}, the layer's error, the entry named).
+NOT_INTS = {
+    "FiniteGroup": ("G.FiniteGroup(c2.mul, ({v},), 'X')", "groups.GeneratorsDoNotGenerate", "generators[0]"),
+    "GroupHom": ("G.GroupHom(c2, c2, (0, {v}))", "groups.NotAHomomorphism", "map[1]"),
+    "Subgroup": ("G.Subgroup(c2, (0, {v}))", "groups.NotASubgroup", "members[1]"),
+    "Bitorsor": (
+        "B.Bitorsor(c2, c2, ((0, 1), ({v}, 0)), c2.mul)", "bitorsors.InvalidBitorsor", "left action entry (1,0)"
+    ),
+    "BitorsorMorphism": ("B.BitorsorMorphism(t, t, i, (0, {v}), i)", "bitorsors.InvalidMorphism", "point_map[1]"),
+    "PiGroup": ("E.PiGroup(c2, c2, ((0, 1), (0, {v})))", "equivariant.EquivariantError", "action entry (1,1)"),
+    "PiBitorsor": (
+        "E.PiBitorsor(k, k, t, ((0, 1), ({v}, 0)))", "equivariant.EquivariantError", "point action entry (1,0)"
+    ),
+}
+
+_CONSTRUCT = """
+import json, sys
+from bitorsor_kit import bitorsors as B, equivariant as E, errors, groups as G
+c2 = G.cyclic(2)
+t, i, k = B.trivial_bitorsor(c2), G.identity_hom(c2), E.constant_pi_group(c2, c2)
+out = {}
+for name, call in json.load(sys.stdin).items():
+    for v in ("True", "1.0"):
+        try:
+            eval(call.format(v=v))
+            out[name + " " + v] = "accepted"
+        except Exception as exc:
+            module = type(exc).__module__.removeprefix("bitorsor_kit.")
+            out[name + " " + v] = f"{module}.{type(exc).__name__}: {exc}"
+json.dump({"full_check": errors.FULL_CHECK, "out": out}, sys.stdout)
+"""
+
+
+@pytest.fixture(scope="module")
+def not_int_constructions():
+    """Every NOT_INTS call, in one fresh interpreter with BITORSOR_CHECK
+    unset: the checked constructors check whatever the mode."""
+    env = {k: v for k, v in os.environ.items() if k != "BITORSOR_CHECK"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _CONSTRUCT], input=json.dumps({n: c for n, (c, _, _) in NOT_INTS.items()}),
+        capture_output=True, text=True, env=env, check=True,
+    )
+    doc = json.loads(proc.stdout)
+    assert not doc["full_check"]
+    return doc["out"]
+
+
+@pytest.mark.parametrize("name", list(NOT_INTS))
+def test_a_checked_constructor_takes_only_ints(not_int_constructions, name):
+    """A bool would pass for 1 and be written true, which the certificate
+    reader refuses; a float would reach an index as a bare TypeError."""
+    _, error, entry = NOT_INTS[name]
+    for v in ("True", "1.0"):
+        assert not_int_constructions[f"{name} {v}"] == f"{error}: {entry} = {v} is not an int"
