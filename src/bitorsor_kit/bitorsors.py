@@ -9,8 +9,11 @@ generators of the groups involved (the closure argument of Light's
 associativity test, Clifford & Preston I, section 1.2), and freeness and
 transitivity at point 0 only, which decides them everywhere once the action
 laws hold.  Carriers and morphisms computed by formula from checked ones
-skip the check through errors.by_formula; so do the isomorphisms, each built
-at a base point (base_point_iso; are_isomorphic sends point 0 to point 0).
+skip the check through errors.by_formula.  A morphism is fixed by the image
+of one point and its right hom, and base_point_morphism builds every one but
+orbit_restriction's inclusion from those: the identity, the pushforwards'
+canonical morphisms, the Isom identification, and are_isomorphic, which
+sends point 0 to point 0.
 
 Gluing is written in base-point coordinates (Giraud, Cohomologie non
 abelienne, 1971): with x = 0.c, the class of (x, z) is that of (0, c.z), so
@@ -35,7 +38,7 @@ from .groups import (
     check_ints,
     generating_set,
     identity_hom,
-    subgroup,
+    image,
     subgroup_as_group,
 )
 from .groups import NotAnAction, NotNormal
@@ -201,11 +204,28 @@ class BitorsorMorphism:
         )
 
 
-def identity_morphism(b: Bitorsor) -> BitorsorMorphism:
-    return by_formula(
-        BitorsorMorphism, b, b, identity_hom(b.left_group), tuple(b.points),
-        identity_hom(b.right_group),
+def base_point_morphism(
+    b1: Bitorsor, x0: int, b2: Bitorsor, y0: int, rho: GroupHom
+) -> BitorsorMorphism:
+    """The morphism b1 -> b2 sending x0.g to y0.rho(g), for a hom rho of the
+    right groups; every morphism with right hom rho and x0 -> y0 is this one.
+    Its left hom is rho transported through the two points: a left element
+    of a bitorsor is a symmetry of its right torsor, and the point map
+    carries each symmetry of b1 to one of b2 (Giraud, Cohomologie non
+    abelienne, 1971)."""
+    v = [0] * b1.size
+    for g in b1.right_group.elements:
+        v[b1.right_act[x0][g]] = b2.right_act[y0][rho.map[g]]
+    into = {b2.left_act[gp][y0]: gp for gp in b2.left_group.elements}
+    lam = by_formula(
+        GroupHom, b1.left_group, b2.left_group,
+        tuple(into[v[row[x0]]] for row in b1.left_act),
     )
+    return by_formula(BitorsorMorphism, b1, b2, lam, tuple(v), rho)
+
+
+def identity_morphism(b: Bitorsor) -> BitorsorMorphism:
+    return base_point_morphism(b, 0, b, 0, identity_hom(b.right_group))
 
 
 def trivial_bitorsor(g: FiniteGroup) -> Bitorsor:
@@ -309,8 +329,7 @@ def corresponding_normal_subgroup(b: Bitorsor, h: Subgroup) -> Subgroup:
         raise SignatureMismatch("subgroup lives in a different group")
     if not h.is_normal:
         raise NotNormal("only normal subgroups transport unambiguously")
-    conj = point_conjugation(b, 0)
-    return subgroup(b.left_group, (conj.map[g] for g in h.members))
+    return image(point_conjugation(b, 0), h)
 
 
 def orbit_partition(
@@ -407,30 +426,17 @@ def isom_bitorsor(b1: Bitorsor, b2: Bitorsor) -> Bitorsor:
         tuple(pos[tuple(f[b1.left_act[gp][x]] for x in b1.points)] for gp in b1.left_group.elements)
         for f in maps
     )
-    return Bitorsor(b2.left_group, b1.left_group, left_rows, right_rows)
+    return by_formula(Bitorsor, b2.left_group, b1.left_group, left_rows, right_rows)
 
 
 def isom_canonical_iso(b1: Bitorsor, b2: Bitorsor) -> BitorsorMorphism:
     """The identification of b2 glued to the inverse of b1 with the carrier
     of equivariant maps: the glued class of (0, x) becomes the map
-    x.g -> 0.g."""
+    x.g -> 0.g.  So it sends the class of (0, 0) to map 0, the map
+    0.g -> 0.g (equivariant_maps lists the map sending 0 to y at y), over
+    the identity of b1's left group."""
     wedge = contracted_product(b2, inverse(b1))
-    iso = isom_bitorsor(b1, b2)
-    maps = equivariant_maps(b1, b2)
-    pos = {f: i for i, f in enumerate(maps)}
-    point_map = []
-    for x in wedge.points:
-        f = [0] * b1.size
-        for g in b1.right_group.elements:
-            f[b1.right_act[x][g]] = b2.right_act[0][g]
-        point_map.append(pos[tuple(f)])
-    return BitorsorMorphism(
-        wedge,
-        iso,
-        identity_hom(b2.left_group),
-        tuple(point_map),
-        identity_hom(b1.left_group),
-    )
+    return base_point_morphism(wedge, 0, isom_bitorsor(b1, b2), 0, identity_hom(b1.left_group))
 
 
 def pushforward(b: Bitorsor, phi: GroupHom) -> tuple[Bitorsor, BitorsorMorphism]:
@@ -439,22 +445,14 @@ def pushforward(b: Bitorsor, phi: GroupHom) -> tuple[Bitorsor, BitorsorMorphism]
     Points are classes of (point, new group element) pairs glued over the
     old group.  Writing x = 0.c_x, the class of (x, t) is that of
     (0, phi(c_x).t), so point t is the class of (0, t): the new group acts
-    by right multiplication, x goes to u(x) = phi(c_x), and an old left
-    element moving 0 to y multiplies on the left by u(y).  The left group
-    completes the new right action; the old left element maps to the
-    symmetry that sends point 0 where it does.
+    by right multiplication, and the left group completes that action.  The
+    canonical morphism over phi sends point 0 to the class of (0, 1), the
+    identity of the new group (base_point_morphism).
     """
     if phi.src != b.right_group:
         raise SignatureMismatch("hom does not start at the right structure group")
-    g2 = phi.dst
-    u = tuple(phi.map[a] for a in _orbit_at_zero(b.right_act[0], b.size, "right"))
-    pushed = _complete_right(g2, g2.mul)
-    phi_left = by_formula(
-        GroupHom, b.left_group, pushed.left_group,
-        tuple(g2.mul[u[row[0]]][0] for row in b.left_act),
-    )
-    canonical = by_formula(BitorsorMorphism, b, pushed, phi_left, u, phi)
-    return pushed, canonical
+    pushed = _complete_right(phi.dst, phi.dst.mul)
+    return pushed, base_point_morphism(b, 0, pushed, phi.dst.identity, phi)
 
 
 def pushforward_left(b: Bitorsor, phi_left: GroupHom) -> tuple[Bitorsor, BitorsorMorphism]:
@@ -465,7 +463,9 @@ def pushforward_left(b: Bitorsor, phi_left: GroupHom) -> tuple[Bitorsor, Bitorso
     numbered in order of first appearance over (t, x).  The new group acts
     on them by left multiplication.  Point 0 is the class of (0, 0), and an
     old right element moving 0 to y maps to the symmetry sending it to the
-    class of (0, y)."""
+    class of (0, y).  The canonical morphism over that right hom sends
+    point 0 to the class of (1, 0), 1 the identity of the new group
+    (base_point_morphism)."""
     if phi_left.src != b.left_group:
         raise SignatureMismatch("hom does not start at the left structure group")
     g2 = phi_left.dst
@@ -477,32 +477,11 @@ def pushforward_left(b: Bitorsor, phi_left: GroupHom) -> tuple[Bitorsor, Bitorso
             idx.setdefault(g2.mul[t][vx], len(idx))
     left_rows = tuple(tuple(idx[g2.mul[h][s]] for s in idx) for h in g2.elements)
     pushed = _complete_left(g2, left_rows)
-    u = tuple(idx[vx] for vx in v)
     phi_right = by_formula(
         GroupHom, b.right_group, pushed.right_group,
         tuple(idx[g2.mul[0][v[y]]] for y in b.right_act[0]),
     )
-    canonical = by_formula(BitorsorMorphism, b, pushed, phi_left, u, phi_right)
-    return pushed, canonical
-
-
-def base_point_iso(
-    b1: Bitorsor, x0: int, b2: Bitorsor, y0: int, rho: GroupHom
-) -> BitorsorMorphism:
-    """The isomorphism b1 -> b2 sending x0.g to y0.rho(g), for an isomorphism
-    rho of the right groups.  Its left hom is rho transported through the
-    two points: a left element of a bitorsor is a symmetry of its right
-    torsor, and the point map carries each symmetry of b1 to one of b2
-    (Giraud, Cohomologie non abelienne, 1971)."""
-    v = [0] * b1.size
-    for g in b1.right_group.elements:
-        v[b1.right_act[x0][g]] = b2.right_act[y0][rho.map[g]]
-    into = {b2.left_act[gp][y0]: gp for gp in b2.left_group.elements}
-    lam = by_formula(
-        GroupHom, b1.left_group, b2.left_group,
-        tuple(into[v[row[x0]]] for row in b1.left_act),
-    )
-    return by_formula(BitorsorMorphism, b1, b2, lam, tuple(v), rho)
+    return pushed, base_point_morphism(b, 0, pushed, idx[v[0]], phi_right)
 
 
 def are_isomorphic(b1: Bitorsor, b2: Bitorsor) -> BitorsorMorphism | None:
@@ -510,4 +489,4 @@ def are_isomorphic(b1: Bitorsor, b2: Bitorsor) -> BitorsorMorphism | None:
     point 0 to point 0, or None when the right groups differ."""
     if b1.right_group != b2.right_group:
         return None
-    return base_point_iso(b1, 0, b2, 0, identity_hom(b1.right_group))
+    return base_point_morphism(b1, 0, b2, 0, identity_hom(b1.right_group))

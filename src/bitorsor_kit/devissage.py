@@ -226,7 +226,7 @@ def _transport_disconnected(
     )
     wedge = eq.compose_pi(y, z)
     (row,) = bt.glued_rows(y.bitorsor, z.bitorsor, (can_y(0),))
-    psi = bt.base_point_iso(wedge.bitorsor, row[can_z(0)], x.bitorsor, incl(0), rho)
+    psi = bt.base_point_morphism(wedge.bitorsor, row[can_z(0)], x.bitorsor, incl(0), rho)
     witness_iso = by_formula(PiMorphism, wedge, x, psi)
     cert = inner.certificate
     gs, w = cert.gamma_surjection, cert.w_inclusion.inner

@@ -274,18 +274,17 @@ def _expand_theta(t: ThetaBitorsor, labels: tuple[str, ...]) -> PiBitorsor:
 
 
 def to_theta(p: PiBitorsor) -> ThetaBitorsor:
-    """Collapse a constant-right PiBitorsor back to its theta presentation."""
+    """Collapse a constant-right PiBitorsor back to its theta presentation,
+    by formula.  Pi acting trivially on the right group, each point
+    permutation commutes with the free transitive right action, so it is
+    the left translation by the element sending 0 where it does; theta is a
+    hom because the point action is an action and the left action is free."""
     if not p.right_constant:
         raise RightGroupNotConstant("the right structure group is twisted")
     b = p.bitorsor
     into = {b.left_act[gp][0]: gp for gp in b.left_group.elements}
-    theta_map = tuple(into[p.pi_action_on_points[c][0]] for c in p.pi.elements)
-    for c in p.pi.elements:
-        if p.pi_action_on_points[c] != b.left_act[theta_map[c]]:
-            raise EquivariantError(
-                f"point action of symmetry {c} is not a left translation"
-            )
-    return ThetaBitorsor(b, GroupHom(p.pi, b.left_group, theta_map))
+    theta_map = tuple(into[row[0]] for row in p.pi_action_on_points)
+    return by_formula(ThetaBitorsor, b, by_formula(GroupHom, p.pi, b.left_group, theta_map))
 
 
 @record
@@ -445,7 +444,7 @@ def pi_isomorphism(p1: PiBitorsor, p2: PiBitorsor) -> PiMorphism | None:
         return None
     b1, b2, g = p1.bitorsor, p2.bitorsor, p1.bitorsor.right_group
     y0 = min(b2.right_act[0][g.mul[g.inv[k2]][k]] for k in survivors)
-    return by_formula(PiMorphism, p1, p2, bt.base_point_iso(b1, 0, b2, y0, identity_hom(g)))
+    return by_formula(PiMorphism, p1, p2, bt.base_point_morphism(b1, 0, b2, y0, identity_hom(g)))
 
 
 def is_connected(t: ThetaBitorsor) -> bool:

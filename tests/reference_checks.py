@@ -42,8 +42,8 @@ need.
 Base points: the isomorphism search that built every candidate through the
 checked constructors and filtered on the outcome, the wedge completions
 that also filtered on the composite, the trivialization through the checked
-constructor, and the decomposition with a caller-supplied lift of the
-collapsed theta.
+constructor, the identity morphism assembled from its three parts, and the
+decomposition with a caller-supplied lift of the collapsed theta.
 
 Lookups: the helper that kept the first candidate the checked PiMorphism
 constructor accepted, and the closure witnesses that took their
@@ -1150,6 +1150,13 @@ def contracted_product(b1, b2):
     return out, orbit_of
 
 
+def identity_morphism(b):
+    return by_formula(
+        BitorsorMorphism, b, b, identity_hom(b.left_group), tuple(b.points),
+        identity_hom(b.right_group),
+    )
+
+
 def isom_canonical_iso(b1, b2):
     wedge, orbit_of = contracted_product(b2, B.inverse(b1))
     iso = B.isom_bitorsor(b1, b2)
@@ -1902,7 +1909,7 @@ def rewrite_pi_factor_through_pushforwards(
     rho = next(rewrite_pi_equivariant_isos(dst_wedge.right, m.dst.right, pools), None)
     if rho is None:
         raise InvalidMorphism("no equivariant isomorphism completes the rewrite")
-    psi = B.base_point_iso(dst_wedge.bitorsor, glued(0), m.dst.bitorsor, m.inner(0), rho)
+    psi = B.base_point_morphism(dst_wedge.bitorsor, glued(0), m.dst.bitorsor, m.inner(0), rho)
     iso = by_formula(E.PiMorphism, dst_wedge, m.dst, psi)
     return PiWedgeFactorization(phi2, middle, can1, can2, dst_wedge, iso)
 
@@ -2351,7 +2358,7 @@ def transport_rho(t, incl, inner) -> GroupHom:
     pushed, can = E.pushforward_pi(inner.z, incl.phi_right, x.right)
     phi, middle = can.inner.phi_left, pushed.left
     z, can_z = E.pushforward_left_pi(inner.z, phi, middle)
-    return B.base_point_iso(
+    return B.base_point_morphism(
         B.inverse(z.bitorsor), can_z(0), B.inverse(pushed.bitorsor), can(0),
         identity_hom(middle.group),
     ).phi_left

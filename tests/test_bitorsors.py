@@ -150,7 +150,7 @@ class TestTrivialization:
     def test_trivialization_is_isomorphism(self, group_universe, rng):
         for g in group_universe:
             b = scrambled_trivial(g, rng)
-            m = B.base_point_iso(B.trivial_bitorsor(g), g.identity, b, 0, G.identity_hom(g))
+            m = B.base_point_morphism(B.trivial_bitorsor(g), g.identity, b, 0, G.identity_hom(g))
             assert m.is_isomorphism()
             assert m.phi_left == B.point_conjugation(b, 0)
 
@@ -274,7 +274,7 @@ class TestPushforward:
             B.pushforward(t4, G.GroupHom(z4, z2, (0, 1, 0, 1)))[1],
             B.pushforward(t4, G.GroupHom(z4, z4, (0, 2, 0, 2)))[1],
             B.pushforward(B.trivial_bitorsor(z2), G.GroupHom(z2, z4, (0, 2)))[1],
-            B.base_point_iso(
+            B.base_point_morphism(
                 B.trivial_bitorsor(s3), s3.identity, scrambled_trivial(s3, rng), 1,
                 G.identity_hom(s3),
             ),

@@ -44,6 +44,7 @@ CHECKED = (
     (B, "contracted_product", lambda b1, b2: ref.contracted_product(b1, b2)[0]),
     (E, "compose_pi", lambda p1, p2: ref.contracted_product_pi(p1, p2)[0]),
     (B, "isom_canonical_iso", ref.isom_canonical_iso),
+    (B, "identity_morphism", ref.identity_morphism),
 )
 
 
@@ -180,9 +181,10 @@ def test_pushforwards_match_reference_on_relabelled_groups(checked, rng):
 
 
 def test_gluing_matches_reference_on_relabelled_groups(checked, rng):
-    """Plain and Pi contracted products, each way round, and the Isom
-    identification, on twisted and scrambled carriers over groups whose
-    identity is not 0, under a nontrivial theta."""
+    """Plain and Pi contracted products, each way round, the Isom
+    identification and the identity morphism, on twisted and scrambled
+    carriers over groups whose identity is not 0, under a nontrivial
+    theta."""
     c2 = G.cyclic(2)
     for g in RELABELLED:
         theta = next(h for h in G.enumerate_homs(c2, g) if h.map != (g.identity,) * 2)
@@ -193,7 +195,9 @@ def test_gluing_matches_reference_on_relabelled_groups(checked, rng):
         B.contracted_product(q.bitorsor, p.bitorsor)
         B.isom_canonical_iso(p.bitorsor, q.bitorsor)
         B.isom_canonical_iso(q.bitorsor, p.bitorsor)
-    names = ("compose_pi", "isom_canonical_iso")
+        B.identity_morphism(p.bitorsor)
+        B.identity_morphism(q.bitorsor)
+    names = ("compose_pi", "isom_canonical_iso", "identity_morphism")
     assert min(checked[name] for name in names) > 5
 
 
@@ -348,6 +352,48 @@ def test_pi_actions_are_rows_not_homs(monkeypatch, case):
         assert D.verify_decomposition(t, d, e).ok
     assert [k for k in built if k[0] == "GroupHom" and k[1] in PI_BUILDERS] == []
     assert {name for cls, name in built if cls == "PiGroup"} >= set(PI_BUILDERS)
+
+
+@pytest.mark.parametrize("case", ["criterion-6", *SURVEY_CASES], ids=_case_id)
+def test_every_morphism_is_built_at_a_base_point(monkeypatch, case):
+    """A carrier morphism is fixed by the image of one point and its right
+    hom: over decompose and verify of every class, with the memos that would
+    hide a builder cleared, and one Isom identification, every
+    BitorsorMorphism, built by formula or checked, is built by
+    bitorsors.base_point_morphism, except orbit_restriction's inclusion."""
+    built = Counter()
+
+    def caller():
+        frame = sys._getframe(2)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension's frame
+            frame = frame.f_back
+        return frame.f_globals["__name__"].rpartition(".")[2], frame.f_code.co_name
+
+    def counting(cls, *values):
+        if cls is B.BitorsorMorphism:
+            built[caller()] += 1
+        return by_formula(cls, *values)
+
+    init = B.BitorsorMorphism.__init__
+
+    def checked_init(self, *values):
+        built[caller()] += 1
+        init(self, *values)
+
+    for mod in (B, E, D):
+        monkeypatch.setattr(mod, "by_formula", counting)
+    monkeypatch.setattr(B.BitorsorMorphism, "__init__", checked_init)
+    E._expand_theta.cache_clear()
+    E._component.cache_clear()
+    D._gamma_structure.cache_clear()
+    cases = list(_decompose_cases(case))
+    B.isom_canonical_iso(cases[0][0].bitorsor, cases[0][0].bitorsor)
+    for t, e in cases:
+        d = D.decompose(t, e)
+        assert D.verify_decomposition(t, d, e).ok
+    assert set(built) == {
+        ("bitorsors", "base_point_morphism"), ("bitorsors", "orbit_restriction"),
+    }
 
 
 @pytest.mark.parametrize("case", ["criterion-6", *SURVEY_CASES], ids=_case_id)
@@ -531,7 +577,7 @@ def test_isomorphisms_match_reference_on_test_carriers(rng):
                 assert got == ref.are_isomorphic(b1, b2)
                 found += got is not None
             for x in b1.points:
-                got = B.base_point_iso(B.trivial_bitorsor(g), g.identity, b1, x, G.identity_hom(g))
+                got = B.base_point_morphism(B.trivial_bitorsor(g), g.identity, b1, x, G.identity_hom(g))
                 assert got == ref.trivialize(b1, x)[1]
         previous = carriers[1]
     assert found == 4 * len(UNIVERSE + RELABELLED)

@@ -173,7 +173,7 @@ def test_morphism_point_map_corruptions_rejected(mutation_groups, name):
     for t in [None] + automorphisms(g)[1:3]:
         b = scrambled_trivial(g, rnd, twist=t)
         morphisms += [
-            B.base_point_iso(B.trivial_bitorsor(g), g.identity, b, x, G.identity_hom(g))
+            B.base_point_morphism(B.trivial_bitorsor(g), g.identity, b, x, G.identity_hom(g))
             for x in (0, g.order - 1)
         ]
     for alpha in automorphisms(g)[:4]:
