@@ -4,22 +4,16 @@ as (type-gamma factor) glued with (type-pi factor), and the split is
 certified so an independent checker can re-validate it from the stored
 pieces alone.
 
-For a connected carrier x with type-pi factor z, the type-gamma factor is
-y = x glued with z-inverse, and y glued with z is x again through the
-identity on points (in base-point coordinates the class of (0, i) is point
-i), so the witness isomorphism is the identity and is built, not searched
-for.  So is the type-gamma witness: y restricted to the class of point 0
-under h' = theta(gamma), over h' on both sides.  Transport through point 0
-of y is the identity, so h' is its own transported subgroup, and h' is
-normal, so the class of point 0 is pi-stable (Giraud, Cohomologie non
-abelienne, 1971); gamma surjects onto h' through theta by definition.  The
-type-pi factor comes from s_low = theta o s, which covers the collapsed
-theta and sends gamma to the identity by construction.  A disconnected
-carrier's decomposition is that of the connected component of point 0
-with both structure groups extended back along the component's inclusion,
-its witness isomorphism built at a base point over rho, read from two
-point conjugations, and its type-gamma witness the same orbit
-restriction (bt.orbit_restriction, as for the component) at the image of
+For a connected carrier x with type-pi factor z, from s_low = theta o s,
+the type-gamma factor is y = x glued with z-inverse, and y glued with z is
+x again through the identity on points, so the witness isomorphism is the
+identity.  The type-gamma witness is y restricted to the class of point 0
+under h' = theta(gamma), which is pi-stable since h' is normal and y's
+transport through point 0 is the identity (Giraud, Cohomologie non
+abelienne, 1971).  A disconnected carrier's decomposition is that of the
+component of point 0 extended back along the component's inclusion, its
+witness built at a base point over rho, read from two point conjugations,
+and its type-gamma witness the same orbit restriction at the image of
 point 0; decompose runs no search.
 """
 
@@ -114,11 +108,12 @@ def _gamma_structure(e: SplitExtension, label: str) -> PiGroup:
 
 
 def is_type_pi(p: PiBitorsor, e: SplitExtension) -> bool:
-    """True when every element of gamma fixes every point."""
+    """True when every element of gamma fixes every point: c moves 0.r to
+    0.a(c).c(r), so a(c) = 1 and c acts trivially on the right group."""
     if p.pi != e.pi_big:
         raise bt.SignatureMismatch("carrier symmetry group differs from pi_big")
-    ident = tuple(p.bitorsor.points)
-    return all(p.pi_action_on_points[c] == ident for c in e.gamma.members)
+    ident, one = tuple(p.right.group.elements), p.right.group.identity
+    return all(p.cocycle[c] == one and p.right.action[c] == ident for c in e.gamma.members)
 
 
 @record
@@ -178,9 +173,7 @@ def _decompose_connected(t: ThetaBitorsor, e: SplitExtension) -> Decomposition:
     return Decomposition(y, z, witness_iso, cert)
 
 
-def _type_gamma_witness(
-    y: PiBitorsor, p: int, images: list[int], gamma: FiniteGroup
-) -> tuple[PiBitorsor, PiMorphism, GroupHom]:
+def _type_gamma_witness(y: PiBitorsor, p: int, images: list[int], gamma: FiniteGroup) -> tuple[PiBitorsor, PiMorphism, GroupHom]:
     """y restricted to the class of point p under the left subgroup h of
     `images`, the image of each element of gamma in turn
     (bt.orbit_restriction); with its inclusion and gamma's surjection onto
@@ -192,25 +185,19 @@ def _type_gamma_witness(
     return w_sub, w_incl, by_formula(GroupHom, gamma, h.src, tuple(pos[v] for v in images))
 
 
-def _transport_disconnected(
-    t: ThetaBitorsor, incl: BitorsorMorphism, inner: Decomposition
-) -> Decomposition:
+def _transport_disconnected(t: ThetaBitorsor, incl: BitorsorMorphism, inner: Decomposition) -> Decomposition:
     """Extend the structure groups of inner, the decomposition of a
-    component of t, back along the component's inclusion; extension along
-    a hom commutes with gluing (Giraud, Cohomologie non abelienne, 1971).
-    inner's witness is the identity, so the inclusion is a morphism out of
-    inner's glued factors.
-
-    The middle map phi is the left hom of z0 extended along the inclusion's
-    right hom, and y and z are y0 and z0 extended along phi on the right
-    and on the left.  z and that right extension of z0 are left torsors
-    under the middle group that both receive z0; rho identifies them at the
-    images of point 0, on the right groups: z's point conjugation there,
-    then the inverse of the other's.  The witness isomorphism sends the
-    glued point of (can_y(0), can_z(0)) to the image of point 0 over rho.
-    x's right structure is constant, so rho commutes with pi exactly when
-    z's is constant too.  The type-gamma witness is the class of can_y(0)
-    under the image of inner's left group."""
+    component of t, back along the component's inclusion, out of inner's
+    glued factors since inner's witness is the identity; extension commutes
+    with gluing (Giraud, Cohomologie non abelienne, 1971).  The middle map
+    phi is z0's left hom extended along the inclusion's right hom, and y and
+    z are y0 and z0 extended along phi on the right and on the left.  z and
+    z0's right extension are left torsors under the middle group; rho
+    identifies them at the images of point 0: z's point conjugation there,
+    then the inverse of the other's.  The witness sends the glued point of
+    (can_y(0), can_z(0)) to the image of point 0 over rho, which commutes
+    with pi when z's right structure is constant, as x's is.  The type-gamma
+    witness is the class of can_y(0) under the image of inner's."""
     x = eq.from_theta(t)
     y0, z0 = inner.y, inner.z
     pushed, can = eq.pushforward_pi(z0, incl.phi_right, x.right)
@@ -220,13 +207,11 @@ def _transport_disconnected(
     if not z.right.is_constant:
         raise DevissageError("the transported type-pi factor has a twisted right group")
     back = {v: r for r, v in enumerate(bt.point_conjugation(pushed.bitorsor, can(0)).map)}
-    rho = by_formula(
-        GroupHom, z.bitorsor.right_group, pushed.bitorsor.right_group,
-        tuple(back[v] for v in bt.point_conjugation(z.bitorsor, can_z(0)).map),
-    )
+    rho = tuple(back[v] for v in bt.point_conjugation(z.bitorsor, can_z(0)).map)
+    rho = by_formula(GroupHom, z.bitorsor.right_group, pushed.bitorsor.right_group, rho)
     wedge = eq.compose_pi(y, z)
-    (row,) = bt.glued_rows(y.bitorsor, z.bitorsor, (can_y(0),))
-    psi = bt.base_point_morphism(wedge.bitorsor, row[can_z(0)], x.bitorsor, incl(0), rho)
+    glued = bt.glued_point(y.bitorsor, z.bitorsor, can_y(0), can_z(0))
+    psi = bt.base_point_morphism(wedge.bitorsor, glued, x.bitorsor, incl(0), rho)
     witness_iso = by_formula(PiMorphism, wedge, x, psi)
     cert = inner.certificate
     gs, w = cert.gamma_surjection, cert.w_inclusion.inner

@@ -1,38 +1,21 @@
 """Carriers with a symmetry group Pi acting compatibly on everything.
 
-A PiGroup is a group with a Pi-action by automorphisms; a PiBitorsor is a
-bitorsor whose two structure groups are PiGroups and whose points carry a
-compatible Pi-action.  When the right group is constant (Pi acts trivially
-on it) the whole structure is equivalent to a plain carrier plus a single
-homomorphism theta from Pi into the left group; ThetaBitorsor holds that
-presentation, and from_theta/to_theta realize the equivalence in both
-directions.  The first cohomology set h1 lives here too; a carrier is
-classified by looking up the canonical conjugate of theta carried back
-through point 0 in one label-free table from each class's canonical map
-to its index (_class_maps), not by searching for an isomorphism to each
-representative, and an isomorphism of two carriers is built at the point
-named by the conjugators taking both to that map.  So do the Pi-aware
-versions of the product calculus (gluing, inversion and extension of
-either structure group), which read each glued or pushed point action,
-and the action on a pushed group, at point 0 in the base-point
-coordinates of the plain layer; a carrier is connected exactly when theta
-is onto, and its connected component is bt.orbit_restriction at point 0.
-A pi-stable sub-carrier takes its structure from its plain inclusion
-(restrict_pi); the caller names the class, so none is searched for here.
-Whether a carrier reduces to a normal subgroup of its right group is read
-off the pi-action four independent ways (induced_conditions).
-The public constructors check every compatibility law in full, on the
-generators of pi and of the structure groups (the closure argument of
-Light's associativity test, Clifford & Preston I, section 1.2); values
-computed by formula from checked ones skip the check through
-errors.by_formula.  A Pi-action is a table, one row per element of pi; the
-checked PiGroup constructor checks rows as homs only at pi's generators:
-its composition law makes every other row a product of those.
+A PiGroup is a group with a Pi-action by automorphisms, one row per
+element of pi.  A PiBitorsor is a carrier with PiGroups on both sides and a
+compatible action on points, stored as its cocycle at point 0 (Giraud,
+Cohomologie non abelienne, 1971), c.0 = 0.a(c); the Pi-aware calculus is
+hom algebra on cocycles, and the point action is derived on first use.
+With a constant right group it is a carrier plus theta: pi -> left group
+(ThetaBitorsor), a = u o theta.  A carrier is classified by the canonical
+conjugate of a (_class_maps), is connected exactly when theta is onto, and
+its component is bt.orbit_restriction at point 0.  The checked entries
+check every law on generators (Light's test, Clifford & Preston I, section
+1.2); values computed by formula skip it through errors.by_formula.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from . import bitorsors as bt
 from .bitorsors import (
     Bitorsor,
@@ -40,7 +23,7 @@ from .bitorsors import (
     NotComposable,
     SignatureMismatch,
 )
-from .errors import DomainError, by_formula, record
+from .errors import DomainError, by_formula, formula_check, record
 from .groups import (
     FiniteGroup,
     GroupHom,
@@ -122,7 +105,7 @@ def conjugation_pi_group(theta: GroupHom) -> PiGroup:
     """Pi acting on theta's codomain by inner automorphisms through theta;
     one row is built per distinct image theta(c)."""
     g = theta.dst
-    inner = {h: tuple(g.conjugate(h, x) for x in g.elements) for h in set(theta.map)}
+    inner = {h: tuple(map(_column(g.mul, g.inv[h]), g.mul[h])) for h in set(theta.map)}
     return by_formula(PiGroup, g, theta.src, tuple(inner[h] for h in theta.map))
 
 
@@ -156,58 +139,56 @@ def restrict_pi_group(pg: PiGroup, incl: GroupHom) -> PiGroup:
 @record
 class PiBitorsor:
     """A bitorsor whose structure groups and points carry compatible
-    Pi-actions.  The right structure is stored explicitly even when
-    constant, so that twisted right actions (as produced by inversion)
-    stay first-class."""
+    Pi-actions, the points' through the cocycle a: pi -> right group with
+    c.(0.r) = 0.a(c).c(r).  The right structure is stored even when constant,
+    so that twisted right actions (as inversion makes) stay first-class."""
 
     left: PiGroup
     right: PiGroup
     bitorsor: Bitorsor
-    pi_action_on_points: tuple[tuple[int, ...], ...]
+    cocycle: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        """Complete on generators: with the groups, their pi-actions and the
-        carrier already validated, the symmetries and group elements along
-        which each law holds are closed under products."""
-        check_ints(self.pi_action_on_points, EquivariantError, "point action entry")
-        if self.left.pi != self.right.pi:
-            raise SignatureMismatch("left and right structures disagree on pi")
-        if self.left.group != self.bitorsor.left_group:
-            raise SignatureMismatch("left structure group differs from the carrier's")
-        if self.right.group != self.bitorsor.right_group:
-            raise SignatureMismatch("right structure group differs from the carrier's")
-        pi = self.left.pi
-        k = self.bitorsor.size
-        pa = self.pi_action_on_points
-        if len(pa) != pi.order or any(len(row) != k for row in pa):
-            raise EquivariantError("point action table has the wrong shape")
-        for row in pa:
-            if sorted(row) != list(range(k)):
-                raise EquivariantError("point action rows must be permutations")
-        if pa[pi.identity] != tuple(range(k)):
-            raise NotAnAction("identity symmetry moves points")
-        for c1, row1 in enumerate(pa):
+        """The cocycle law a(c1.c2) = a(c1).c1(a(c2)) makes the point action an
+        action compatible with the right one, and the left action is
+        compatible when u(c.l) = a(c).c(u(l)).a(c)^-1; each is checked on
+        generators, the elements where it holds being closed under products."""
+        check_ints(self.cocycle, EquivariantError, "cocycle", table=False)
+        _check_signature(self.left, self.right, self.bitorsor)
+        pi, b, a, g = self.left.pi, self.bitorsor, self.cocycle, self.bitorsor.right_group
+        if len(a) != pi.order or not all(0 <= v < g.order for v in a):
+            raise EquivariantError("the cocycle needs one right group element per symmetry")
+        if a[pi.identity] != g.identity:
+            raise NotAnAction("identity symmetry moves point 0")
+        mul, act = g.mul, self.right.action
+        for c1 in pi.elements:
             for c2 in pi.generators:
-                row = tuple(pa[pi.mul[c1][c2]])
-                if row != tuple(map(row1.__getitem__, pa[c2])):
-                    x = next(x for x in range(k) if row[x] != row1[pa[c2][x]])
-                    raise NotAnAction(f"point action breaks at ({c1},{c2},{x})")
-        la, ra = self.bitorsor.left_act, self.bitorsor.right_act
+                if a[pi.mul[c1][c2]] != mul[a[c1]][act[c1][a[c2]]]:
+                    raise NotAnAction(f"cocycle law breaks at ({c1},{c2})")
         for c in pi.generators:
-            al = self.left.action[c]
-            ar = self.right.action[c]
-            for gp in self.left.group.generators:
-                for x in range(k):
-                    if pa[c][la[gp][x]] != la[al[gp]][pa[c][x]]:
-                        raise EquivariantError(
-                            f"left compatibility fails at ({c},{gp},{x})"
-                        )
-            for x in range(k):
-                for g in self.right.group.generators:
-                    if pa[c][ra[x][g]] != ra[pa[c][x]][ar[g]]:
-                        raise EquivariantError(
-                            f"right compatibility fails at ({c},{x},{g})"
-                        )
+            row = _induced(b, (act[c],), (a[c],), left=True)[0]
+            if bad := [gp for gp in b.left_group.generators if self.left.action[c][gp] != row[gp]]:
+                raise EquivariantError(f"left compatibility fails at ({c},{bad[0]})")
+        formula_check("PiBitorsor", lambda: self.pi_action_on_points)
+
+    @classmethod
+    def from_tables(cls, left: PiGroup, right: PiGroup, bitorsor: Bitorsor, pi_action_on_points) -> PiBitorsor:
+        """The checked entry from a point action table (_check_point_action):
+        the cocycle is read at point 0, and the table is kept as the derived
+        one."""
+        _check_point_action(left, right, bitorsor, pi_action_on_points)
+        p = by_formula(cls, left, right, bitorsor, tuple(bitorsor.coord_of[row[0]] for row in pi_action_on_points))
+        p.__dict__["pi_action_on_points"] = pi_action_on_points
+        return p
+
+    @cached_property
+    def pi_action_on_points(self) -> tuple[tuple[int, ...], ...]:
+        """Row c is the point 0.a(c).c(r) at each point 0.r."""
+        b, act = self.bitorsor, self.right.action
+        c, mul, at = b.coords, b.right_group.mul, b.coord_of
+        rows = tuple(tuple(map(c.__getitem__, map(mul[a].__getitem__, map(act[i].__getitem__, at)))) for i, a in enumerate(self.cocycle))
+        formula_check("PiBitorsor", _check_point_action, self.left, self.right, b, rows)
+        return rows
 
     @property
     def pi(self) -> FiniteGroup:
@@ -219,6 +200,70 @@ class PiBitorsor:
 
     def __repr__(self) -> str:
         return f"PiBitorsor({self.pi.label} acting, {self.bitorsor!r})"
+
+
+def _check_signature(left: PiGroup, right: PiGroup, b: Bitorsor) -> None:
+    if left.pi != right.pi:
+        raise SignatureMismatch("left and right structures disagree on pi")
+    if left.group != b.left_group:
+        raise SignatureMismatch("left structure group differs from the carrier's")
+    if right.group != b.right_group:
+        raise SignatureMismatch("right structure group differs from the carrier's")
+
+
+def _check_point_action(left: PiGroup, right: PiGroup, b: Bitorsor, pa) -> None:
+    """Every law of a point action table, complete on generators: with the
+    groups, their actions and the carrier valid, the elements along which
+    each law holds are closed under products."""
+    check_ints(pa, EquivariantError, "point action entry")
+    _check_signature(left, right, b)
+    pi, k = left.pi, b.size
+    if len(pa) != pi.order or any(len(row) != k for row in pa):
+        raise EquivariantError("point action table has the wrong shape")
+    if any(sorted(row) != list(range(k)) for row in pa):
+        raise EquivariantError("point action rows must be permutations")
+    if pa[pi.identity] != tuple(range(k)):
+        raise NotAnAction("identity symmetry moves points")
+    for c1, row1 in enumerate(pa):
+        for c2 in pi.generators:
+            row = tuple(pa[pi.mul[c1][c2]])
+            if row != tuple(map(row1.__getitem__, pa[c2])):
+                x = next(x for x in range(k) if row[x] != row1[pa[c2][x]])
+                raise NotAnAction(f"point action breaks at ({c1},{c2},{x})")
+    la, ra = b.left_act, b.right_act
+    for c in pi.generators:
+        al = left.action[c]
+        ar = right.action[c]
+        for gp in left.group.generators:
+            for x in range(k):
+                if pa[c][la[gp][x]] != la[al[gp]][pa[c][x]]:
+                    raise EquivariantError(f"left compatibility fails at ({c},{gp},{x})")
+        for x in range(k):
+            for g in right.group.generators:
+                if pa[c][ra[x][g]] != ra[pa[c][x]][ar[g]]:
+                    raise EquivariantError(f"right compatibility fails at ({c},{x},{g})")
+
+
+def _induced(b: Bitorsor, action, cocycle, left: bool) -> tuple[tuple[int, ...], ...]:
+    """The rows of the pi-action on b's left (or right) group that the
+    cocycle and the action on the other group induce, by c.(l.0) =
+    (c.l).(c.0): u(c.l) = a(c).c(u(l)).a(c)^-1, or c(r) =
+    a(c)^-1.u(c.u^-1(r)).a(c); one row per distinct (a(c), row)."""
+    mul, inv, u, ui = b.right_group.mul, b.right_group.inv, b.u, b.u_inv
+    rows: dict[tuple[int, int], tuple[int, ...]] = {}
+    for a, act in zip(cocycle, action):
+        if (a, id(act)) not in rows:
+            if left:
+                row = map(ui.__getitem__, map(_column(mul, inv[a]), map(mul[a].__getitem__, map(act.__getitem__, u))))
+            else:
+                row = map(_column(mul, a), map(mul[inv[a]].__getitem__, map(u.__getitem__, map(act.__getitem__, ui))))
+            rows[a, id(act)] = tuple(row)
+    return tuple(rows[a, id(act)] for a, act in zip(cocycle, action))
+
+
+def _column(mul, a: int):
+    """x -> x.a, for map."""
+    return [row[a] for row in mul].__getitem__
 
 
 @record
@@ -265,25 +310,21 @@ def from_theta(t: ThetaBitorsor) -> PiBitorsor:
 @lru_cache(maxsize=FROM_THETA_CACHE)
 def _expand_theta(t: ThetaBitorsor, labels: tuple[str, ...]) -> PiBitorsor:
     b = t.bitorsor
-    left = conjugation_pi_group(t.theta)
-    right = constant_pi_group(t.pi, b.right_group)
-    pa = tuple(b.left_act[t.theta.map[c]] for c in t.pi.elements)
-    out = by_formula(PiBitorsor, left, right, b, pa)
+    left, right = conjugation_pi_group(t.theta), constant_pi_group(t.pi, b.right_group)
+    out = by_formula(PiBitorsor, left, right, b, tuple(map(b.u.__getitem__, t.theta.map)))
     assert out.right_constant
     return out
 
 
 def to_theta(p: PiBitorsor) -> ThetaBitorsor:
     """Collapse a constant-right PiBitorsor back to its theta presentation,
-    by formula.  Pi acting trivially on the right group, each point
-    permutation commutes with the free transitive right action, so it is
-    the left translation by the element sending 0 where it does; theta is a
-    hom because the point action is an action and the left action is free."""
+    by formula: each point permutation commutes with the right action, so it
+    is the left translation u^-1(a(c)), and a is a hom for the trivial
+    action."""
     if not p.right_constant:
         raise RightGroupNotConstant("the right structure group is twisted")
     b = p.bitorsor
-    into = {b.left_act[gp][0]: gp for gp in b.left_group.elements}
-    theta_map = tuple(into[row[0]] for row in p.pi_action_on_points)
+    theta_map = tuple(map(b.u_inv.__getitem__, p.cocycle))
     return by_formula(ThetaBitorsor, b, by_formula(GroupHom, p.pi, b.left_group, theta_map))
 
 
@@ -313,9 +354,7 @@ class PiMorphism:
                     raise NotPiEquivariant(f"point map breaks symmetry {c} at {x}")
         if not is_pi_equivariant_hom(self.inner.phi_left, self.src.left, self.dst.left):
             raise NotPiEquivariant("left hom breaks the symmetry")
-        if not is_pi_equivariant_hom(
-            self.inner.phi_right, self.src.right, self.dst.right
-        ):
+        if not is_pi_equivariant_hom(self.inner.phi_right, self.src.right, self.dst.right):
             raise NotPiEquivariant("right hom breaks the symmetry")
 
     def __call__(self, x: int) -> int:
@@ -332,110 +371,83 @@ def pi_identity_morphism(p: PiBitorsor) -> PiMorphism:
 def compose_pi(p1: PiBitorsor, p2: PiBitorsor) -> PiBitorsor:
     """Glue two equivariant carriers; the middle structures must be equal
     as PiGroups, not merely isomorphic, for the diagonal action to descend.
-    Glued point i is the class of (0, i), which c sends to the class of
-    (c.0, c.i)."""
+    c sends the class of (0, 0) to that of (0.a1(c), 0.a2(c)), the class of
+    (0, 0.u2(a1(c)).a2(c))."""
     if p1.pi != p2.pi:
         raise SignatureMismatch("factors disagree on pi")
     if p1.right != p2.left:
         raise NotComposable("middle Pi-structures differ")
     b1, b2 = p1.bitorsor, p2.bitorsor
-    slides = bt.glued_rows(b1, b2, (pa[0] for pa in p1.pi_action_on_points))
-    rows = tuple(
-        tuple(row[z] for z in pa) for row, pa in zip(slides, p2.pi_action_on_points)
-    )
-    return by_formula(PiBitorsor, p1.left, p2.right, bt.contracted_product(b1, b2), rows)
+    mul, u2 = b2.right_group.mul, b2.u
+    cocycle = tuple(mul[u2[a1]][a2] for a1, a2 in zip(p1.cocycle, p2.cocycle))
+    return by_formula(PiBitorsor, p1.left, p2.right, bt.contracted_product(b1, b2), cocycle)
 
 
 def inverse_pi(p: PiBitorsor) -> PiBitorsor:
-    """Sides swapped, points and point action unchanged."""
-    return by_formula(
-        PiBitorsor, p.right, p.left, bt.inverse(p.bitorsor), p.pi_action_on_points
-    )
+    """Sides swapped, points and point action unchanged: c.0 = 0.a(c) is
+    0 moved by the inverse carrier's right element u^-1(a(c)^-1)."""
+    b = p.bitorsor
+    inv, into = b.right_group.inv, b.u_inv
+    cocycle = tuple(into[inv[a]] for a in p.cocycle)
+    return by_formula(PiBitorsor, p.right, p.left, bt.inverse(b), cocycle)
 
 
-def pushforward_pi(
-    p: PiBitorsor, phi: GroupHom, target: PiGroup
-) -> tuple[PiBitorsor, PiMorphism]:
-    """Extend the right structure group along an equivariant hom.
-
-    Pushed point t is the class of (0, t), so c sends it to the class of
-    (c.0, c(t)), point u(c.0).c(t).  The recomputed left group inherits its
-    action by conjugating each commuting permutation with the point action,
-    read at point 0, which fixes such a permutation: left element y is the
-    symmetry sending 0 to y, so the conjugate of perm is the element
-    pa[perm[z]], with z the point that pa sends to 0."""
+def pushforward_pi(p: PiBitorsor, phi: GroupHom, target: PiGroup) -> tuple[PiBitorsor, PiMorphism]:
+    """Extend the right structure group along an equivariant hom: c sends
+    point 0, the class of (0, 0), to that of (0.a(c), c(0)), point
+    phi(a(c)).c(0); the new left group's action is the induced one."""
     if target.pi != p.pi or target.group != phi.dst:
         raise SignatureMismatch("target structure does not match the hom")
     if not is_pi_equivariant_hom(phi, p.right, target):
         raise NotPiEquivariant("the extension hom breaks the symmetry")
     pushed, can = bt.pushforward(p.bitorsor, phi)
-    pi = p.pi
-    u, mul = can.point_map, phi.dst.mul
-    rows = tuple(
-        tuple(mul[u[pa[0]]][t] for t in at)
-        for at, pa in zip(target.action, p.pi_action_on_points)
-    )
-    acts = []
-    for pa in rows:
-        z = pa.index(0)
-        acts.append(tuple(pa[perm[z]] for perm in pushed.left_act))
-    left_pg = by_formula(PiGroup, pushed.left_group, pi, tuple(acts))
-    out = by_formula(PiBitorsor, left_pg, target, pushed, tuple(rows))
+    mul, at, f = phi.dst.mul, pushed.coord_of, phi.map
+    cocycle = tuple(at[mul[f[a]][act[0]]] for a, act in zip(p.cocycle, target.action))
+    left_pg = by_formula(PiGroup, pushed.left_group, p.pi, _induced(pushed, target.action, cocycle, left=True))
+    out = by_formula(PiBitorsor, left_pg, target, pushed, cocycle)
     return out, by_formula(PiMorphism, p, out, can)
 
 
-def pushforward_left_pi(
-    p: PiBitorsor, phi_left: GroupHom, target: PiGroup
-) -> tuple[PiBitorsor, PiMorphism]:
-    """Mirror extension of the left structure group: c sends the class of
-    (t, 0) to the class of (c(t), c.0), both read off the pushed left
-    action at the images of points 0 and c.0.  Right row 0 of the pushed
-    carrier is the identity, so right element r goes to pa[row[r]], with row
-    the right row at the point that pa sends to 0."""
+def pushforward_left_pi(p: PiBitorsor, phi_left: GroupHom, target: PiGroup) -> tuple[PiBitorsor, PiMorphism]:
+    """Mirror extension of the left structure group: c sends point 0, the
+    class of (0, 0), to that of (c(0), 0.a(c)), c(0) moving can(0) = 0.k0
+    moved by psi(a(c)), psi the canonical right hom: 0.u(c(0)).k0.psi(a(c)).
+    The new right group's action is the induced one."""
     if target.pi != p.pi or target.group != phi_left.dst:
         raise SignatureMismatch("target structure does not match the hom")
     if not is_pi_equivariant_hom(phi_left, p.left, target):
         raise NotPiEquivariant("the extension hom breaks the symmetry")
     pushed, can = bt.pushforward_left(p.bitorsor, phi_left)
-    pi = p.pi
-    u, la = can.point_map, pushed.left_act
-    rows = []
-    for at, pa in zip(target.action, p.pi_action_on_points):
-        row = [0] * pushed.size
-        for t in phi_left.dst.elements:
-            row[la[t][u[0]]] = la[at[t]][u[pa[0]]]
-        rows.append(tuple(row))
-    ra = pushed.right_act
-    acts = tuple(tuple(map(pa.__getitem__, ra[pa.index(0)])) for pa in rows)
-    right_pg = by_formula(PiGroup, pushed.right_group, pi, acts)
-    out = by_formula(PiBitorsor, target, right_pg, pushed, tuple(rows))
+    mul, u, psi = pushed.right_group.mul, pushed.u, can.phi_right.map
+    k0 = pushed.coord_of[can(0)]
+    cocycle = tuple(mul[mul[u[act[0]]][k0]][psi[a]] for a, act in zip(p.cocycle, target.action))
+    right_pg = by_formula(PiGroup, pushed.right_group, p.pi, _induced(pushed, target.action, cocycle, left=False))
+    out = by_formula(PiBitorsor, target, right_pg, pushed, cocycle)
     return out, by_formula(PiMorphism, p, out, can)
 
 
 def restrict_pi(p: PiBitorsor, incl: BitorsorMorphism) -> tuple[PiBitorsor, PiMorphism]:
     """The symmetry structure p induces on a stable sub-carrier, given the
     carrier's inclusion (from bt.orbit_restriction), with the equivariant
-    inclusion; the sub-carrier's groups are the sources of its two homs."""
+    inclusion.  The sub-carrier's point 0 is 0.q in p, which c sends to
+    0.a(c).c(q): its cocycle is q^-1.a(c).c(q), in the right subgroup."""
     left_pg = restrict_pi_group(p.left, incl.phi_left)
     right_pg = restrict_pi_group(p.right, incl.phi_right)
-    pos = {x: i for i, x in enumerate(incl.point_map)}
-    rows = tuple(
-        tuple(pos[row[x]] for x in incl.point_map) for row in p.pi_action_on_points
-    )
-    sub = by_formula(PiBitorsor, left_pg, right_pg, incl.src, rows)
+    g = p.bitorsor.right_group
+    mul, q = g.mul, p.bitorsor.coord_of[incl.point_map[0]]
+    back, pos = mul[g.inv[q]], {v: i for i, v in enumerate(incl.phi_right.map)}
+    cocycle = tuple(pos[mul[back[a]][act[q]]] for a, act in zip(p.cocycle, p.right.action))
+    sub = by_formula(PiBitorsor, left_pg, right_pg, incl.src, cocycle)
     return sub, by_formula(PiMorphism, sub, p, incl)
 
 
 def pi_isomorphism(p1: PiBitorsor, p2: PiBitorsor) -> PiMorphism | None:
     """The equivariant isomorphism over the identity of the right group
-    that sends point 0 to the least point it can, or None, by lookup.
-
-    With theta carried back through point 0 (a1, a2, as classify does),
-    an isomorphism sending 0 to 0.h commutes with pi exactly when
-    a2 = h a1 h^-1.  If k2 a2 k2^-1 is the canonical conjugate, the valid h
-    are k2^-1 k over the conjugators k taking a1 to it; there are none when
-    the canonical conjugates differ.  A twisted right structure raises
-    RightGroupNotConstant."""
+    that sends point 0 to the least point it can, or None, by lookup.  With
+    the cocycles a1, a2, one sending 0 to 0.h commutes with pi exactly when
+    a2 = h a1 h^-1: if k2 a2 k2^-1 is the canonical conjugate, h is k2^-1 k
+    over the conjugators k taking a1 to it.  A twisted right structure
+    raises RightGroupNotConstant."""
     if p1.pi != p2.pi or p1.right != p2.right:
         return None
     a1, a2 = _theta_at_zero(to_theta(p1)), _theta_at_zero(to_theta(p2))
@@ -443,7 +455,7 @@ def pi_isomorphism(p1: PiBitorsor, p2: PiBitorsor) -> PiMorphism | None:
     if conjugate_hom(survivors[0], a1) != conjugate_hom(k2, a2):
         return None
     b1, b2, g = p1.bitorsor, p2.bitorsor, p1.bitorsor.right_group
-    y0 = min(b2.right_act[0][g.mul[g.inv[k2]][k]] for k in survivors)
+    y0 = min(b2.coords[g.mul[g.inv[k2]][k]] for k in survivors)
     return by_formula(PiMorphism, p1, p2, bt.base_point_morphism(b1, 0, b2, y0, identity_hom(g)))
 
 
@@ -506,14 +518,10 @@ h1.cache_info = _h1.cache_info
 
 
 def classify(t: ThetaBitorsor) -> int:
-    """Index in h1(pi, right group) of t's class, by lookup.
-
-    A class representative rep lives on the trivial carrier, and an
-    isomorphism from it to t over the identity of the right group sends
-    point 0 to some x = 0.a; it commutes with pi exactly when theta is rep
-    carried through x.  Carrying theta back through point 0 instead gives a
-    conjugate of rep, so its canonical conjugate is rep (Giraud,
-    Cohomologie non abelienne, 1971)."""
+    """Index in h1(pi, right group) of t's class, by lookup: an isomorphism
+    from a representative rep on the trivial carrier sends 0 to some x, and
+    commutes with pi exactly when theta is rep carried through x, so theta
+    carried back through point 0 is conjugate to rep (Giraud 1971)."""
     return class_index_of_hom(_theta_at_zero(t))
 
 
@@ -521,13 +529,10 @@ def _theta_at_zero(t: ThetaBitorsor) -> GroupHom:
     """Theta carried back to the right group through point 0: c moves 0 to
     0.a(c)."""
     b = t.bitorsor
-    back = {v: g for g, v in enumerate(bt.point_conjugation(b, 0).map)}
-    return by_formula(GroupHom, t.pi, b.right_group, tuple(back[v] for v in t.theta.map))
+    return by_formula(GroupHom, t.pi, b.right_group, tuple(map(b.u.__getitem__, t.theta.map)))
 
 
-def induced_conditions(
-    t: ThetaBitorsor, h: Subgroup
-) -> tuple[bool, bool, bool, bool, tuple[int, ...] | None]:
+def induced_conditions(t: ThetaBitorsor, h: Subgroup) -> tuple[bool, bool, bool, bool, tuple[int, ...] | None]:
     """Four independent descriptions of t reducing to the normal subgroup h
     of its right group G (Giraud, Cohomologie non abelienne, 1971): (i) the
     collapse along G -> G/h has a pi-fixed point; (ii) some right h-class
@@ -535,20 +540,21 @@ def induced_conditions(
     group, is pi-stable; (iv) theta carried back through point 0 lands in h.
     Returns the four flags and the first stable right class, or None.
 
-    Pi moves points by left translations, which commute with the right
-    action, and h is normal, so one class is stable exactly when all are."""
+    Pi moves 0.r to 0.a(c).r, commuting with the right action, and h is
+    normal, so one class is stable exactly when all are, and a point of the
+    collapse is fixed by c exactly when the collapse's a(c) is 1."""
     b, p = t.bitorsor, from_theta(t)
     hp = bt.corresponding_normal_subgroup(b, h)
-    moves = [p.pi_action_on_points[c] for c in t.pi.generators]
+    c, at, mul = b.coords, b.coord_of, b.right_group.mul
+    moves = [mul[p.cocycle[g]] for g in t.pi.generators]
 
     def stable(cls: tuple[int, ...]) -> bool:
         inside = set(cls)
-        return all(row[x] in inside for row in moves for x in cls)
+        return all(c[row[at[x]]] in inside for row in moves for x in cls)
 
     _, q = quotient(b.right_group, h)
     collapse, _ = pushforward_pi(p, q, constant_pi_group(t.pi, q.dst))
-    fixed = [collapse.pi_action_on_points[c] for c in t.pi.generators]
-    cond_i = any(all(row[x] == x for row in fixed) for x in collapse.bitorsor.points)
+    cond_i = all(collapse.cocycle[g] == q.dst.identity for g in t.pi.generators)
     right = [cls for cls in bt.orbit_partition(b, h.members, left=False) if stable(cls)]
     cond_iii = any(map(stable, bt.orbit_partition(b, hp.members, left=True)))
     cond_iv = set(_theta_at_zero(t).map) <= set(h.members)

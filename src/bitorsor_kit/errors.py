@@ -68,9 +68,15 @@ def by_formula(cls, *values):
         raise TypeError(f"{cls.__name__} has {len(names)} fields, got {len(values)} values")
     obj = object.__new__(cls)
     obj.__dict__.update(zip(names, values))
+    formula_check(cls.__name__, obj.__post_init__)
+    return obj
+
+
+def formula_check(name: str, check, *args) -> None:
+    """With BITORSOR_CHECK=full, check(*args) for a value `name` built by
+    formula, a DomainError raising AssertionError; otherwise nothing."""
     if FULL_CHECK:
         try:
-            obj.__post_init__()
+            check(*args)
         except DomainError as exc:
-            raise AssertionError(f"{cls.__name__} built by formula is invalid: {exc}") from exc
-    return obj
+            raise AssertionError(f"{name} built by formula is invalid: {exc}") from exc

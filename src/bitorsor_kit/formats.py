@@ -611,7 +611,7 @@ class _Reader:
 
         lg, rg = self.group(d["left_group"]), self.group(d["right_group"])
         la, ra = self.table(d["left_act"]), self.table(d["right_act"])
-        return self._once((Bitorsor, id(lg), id(rg), la, ra), Bitorsor, lg, rg, la, ra)
+        return self._once((Bitorsor, id(lg), id(rg), la, ra), Bitorsor.from_tables, lg, rg, la, ra)
 
     def pi_group(self, d: dict) -> eq.PiGroup:
         from . import equivariant as eq
@@ -625,7 +625,7 @@ class _Reader:
         left, right = self.pi_group(d["left"]), self.pi_group(d["right"])
         b, pa = self.bitorsor(d["bitorsor"]), self.table(d["points_action"])
         key = (eq.PiBitorsor, id(left), id(right), id(b), pa)
-        return self._once(key, eq.PiBitorsor, left, right, b, pa)
+        return self._once(key, eq.PiBitorsor.from_tables, left, right, b, pa)
 
     def pi_morphism(self, d: dict) -> eq.PiMorphism:
         from . import equivariant as eq

@@ -182,6 +182,13 @@ class FiniteGroup:
                     c = next(c for c in range(n) if mul[ra[b]][c] != ra[mul[b][c]])
                     raise NotAssociative(f"first violating triple (a,b,c)=({a},{b},{c})")
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:  # computed once: groups key most memos
+        return hash((self.mul, self.generators))
+
     @cached_property
     def identity(self) -> int:
         """The first element whose row and column are the identity

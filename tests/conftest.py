@@ -109,7 +109,7 @@ def scrambled_trivial(
     right = tuple(
         tuple(inv_sigma[g.mul[sigma[x]][h]] for h in g.elements) for x in g.elements
     )
-    return B.Bitorsor(g, g, left, right)
+    return B.Bitorsor.from_tables(g, g, left, right)
 
 
 def replace(value, **changes):
@@ -131,7 +131,7 @@ def over_c1(b):
 
     c1 = G.cyclic(1)
     left, right = E.constant_pi_group(c1, b.left_group), E.constant_pi_group(c1, b.right_group)
-    return E.PiBitorsor(left, right, b, (tuple(b.points),))
+    return E.PiBitorsor.from_tables(left, right, b, (tuple(b.points),))
 
 
 _CLI_RUNNER = """

@@ -69,6 +69,10 @@ builder the certificate reader called before the record held rows.
 Thrown-away values: the transport's rho read off an isomorphism of the two
 inverse carriers, the Pi-restriction that materialized its subgroup again
 from a member list, and the Gamma-action that conjugated row by row.
+
+Tables: the validators of the records that stored a carrier's two action
+tables and a Pi-carrier's point action table, and every builder that built
+those tables, each record built through its checked table entry.
 """
 
 from __future__ import annotations
@@ -113,6 +117,7 @@ from bitorsor_kit.groups import (
     NotASubgroup,
     NotSurjective,
     all_subgroups,
+    check_ints,
     closure,
     identity_hom,
     iter_isomorphisms,
@@ -888,7 +893,7 @@ def restrict(
     pos = {x: i for i, x in enumerate(points)}
     left_rows = tuple(tuple(pos[b.left_act[a][x]] for x in points) for a in l_incl.map)
     right_rows = tuple(tuple(pos[b.right_act[x][a]] for a in r_incl.map) for x in points)
-    sub = by_formula(B.Bitorsor, l_incl.src, r_incl.src, left_rows, right_rows)
+    sub = B.Bitorsor.from_tables(l_incl.src, r_incl.src, left_rows, right_rows)
     return sub, by_formula(B.BitorsorMorphism, sub, b, l_incl, tuple(points), r_incl)
 
 
@@ -903,7 +908,7 @@ def sub_bitorsor_on_class(b, h, cls):
     right_rows = tuple(
         tuple(pos[b.right_act[x][h_incl.map[a]]] for a in h_grp.elements) for x in cls
     )
-    sub = B.Bitorsor(hp_grp, h_grp, left_rows, right_rows)
+    sub = B.Bitorsor.from_tables(hp_grp, h_grp, left_rows, right_rows)
     incl = B.BitorsorMorphism(sub, b, hp_incl, cls, h_incl)
     return sub, incl
 
@@ -930,7 +935,7 @@ def quotient_bitorsor(b: Bitorsor, h: Subgroup) -> tuple[Bitorsor, BitorsorMorph
             rep_g = next(gg for gg in b.right_group.elements if qr.map[gg] == g)
             row.append(idx_of[b.right_act[cls[0]][rep_g]])
         right_rows.append(tuple(row))
-    bq = Bitorsor(gpq, gq, tuple(left_rows), tuple(right_rows))
+    bq = Bitorsor.from_tables(gpq, gq, tuple(left_rows), tuple(right_rows))
     m = BitorsorMorphism(b, bq, ql, tuple(idx_of[x] for x in b.points), qr)
     return bq, m
 
@@ -984,7 +989,7 @@ def factor_morphism(m):
         tuple(pos[m.dst.right_act[x][r_incl.map[a]]] for a in rg.elements)
         for x in img_points
     )
-    img = B.Bitorsor(lg, rg, left_rows, right_rows)
+    img = B.Bitorsor.from_tables(lg, rg, left_rows, right_rows)
     alpha = B.BitorsorMorphism(
         m.src,
         img,
@@ -1008,7 +1013,7 @@ def pi_induced_witness(p, h):
     rows = tuple(
         tuple(pos[p.pi_action_on_points[c][x]] for x in cls) for c in p.pi.elements
     )
-    sub_pi = E.PiBitorsor(left_pg, right_pg, sub, rows)
+    sub_pi = E.PiBitorsor.from_tables(left_pg, right_pg, sub, rows)
     return PiInducedWitness(sub_pi, E.PiMorphism(sub_pi, p, incl), cls)
 
 
@@ -1022,7 +1027,7 @@ def factor_morphism_pi(m):
         tuple(pos[m.dst.pi_action_on_points[c][x]] for x in img_points)
         for c in m.src.pi.elements
     )
-    img_pi = E.PiBitorsor(left_pg, right_pg, img, rows)
+    img_pi = E.PiBitorsor.from_tables(left_pg, right_pg, img, rows)
     return (
         E.PiMorphism(m.src, img_pi, alpha),
         E.PiMorphism(img_pi, m.dst, beta),
@@ -1046,7 +1051,7 @@ def connected_component(t, basepoint=0):
         tuple(pos[b.right_act[x][h_incl.map[a]]] for a in h_grp.elements)
         for x in orbit
     )
-    sub = B.Bitorsor(hp_grp, h_grp, left_rows, right_rows)
+    sub = B.Bitorsor.from_tables(hp_grp, h_grp, left_rows, right_rows)
     hp_pos = {v: i for i, v in enumerate(hp_incl.map)}
     theta_sub = GroupHom(t.pi, hp_grp, tuple(hp_pos[v] for v in t.theta.map))
     component = E.ThetaBitorsor(sub, theta_sub)
@@ -1097,12 +1102,12 @@ def is_type_gamma(p, e):
                     tuple(pos[b.right_act[y][right_incl.map[a]]] for a in right_pg.group.elements)
                     for y in cls
                 )
-                sub_b = B.Bitorsor(left_pg.group, right_pg.group, left_rows, right_rows)
+                sub_b = B.Bitorsor.from_tables(left_pg.group, right_pg.group, left_rows, right_rows)
                 rows = tuple(
                     tuple(pos[p.pi_action_on_points[c][y]] for y in cls)
                     for c in p.pi.elements
                 )
-                sub_pi = E.PiBitorsor(left_pg, right_pg, sub_b, rows)
+                sub_pi = E.PiBitorsor.from_tables(left_pg, right_pg, sub_b, rows)
                 incl = E.PiMorphism(
                     sub_pi, p, B.BitorsorMorphism(sub_b, b, left_incl, cls, right_incl)
                 )
@@ -1146,7 +1151,7 @@ def contracted_product(b1, b2):
         tuple(orbit_of[(r1, b2.right_act[r2][g])] for g in b2.right_group.elements)
         for (r1, r2) in reps
     )
-    out = B.Bitorsor(b1.left_group, b2.right_group, left_rows, right_rows)
+    out = B.Bitorsor.from_tables(b1.left_group, b2.right_group, left_rows, right_rows)
     return out, orbit_of
 
 
@@ -1289,7 +1294,7 @@ def contracted_product_pi(p1, p2):
         rows.append(
             tuple(idx[(a1[reps[i][0]], a2[reps[i][1]])] for i in wedge.points)
         )
-    out = E.PiBitorsor(p1.left, p2.right, wedge, tuple(rows))
+    out = E.PiBitorsor.from_tables(p1.left, p2.right, wedge, tuple(rows))
     return out, idx
 
 
@@ -1351,7 +1356,7 @@ def from_right_torsor(num_points, right_group, right_act):
     grp, pos = _permutation_group_from_perms(perms, True, f"Aut({right_group.label})")
     ordered = sorted(pos, key=pos.get)
     left_act = tuple(ordered)
-    return B.Bitorsor(grp, right_group, left_act, ra)
+    return B.Bitorsor.from_tables(grp, right_group, left_act, ra)
 
 
 def _from_left_torsor(num_points, left_group, left_act):
@@ -1368,7 +1373,7 @@ def _from_left_torsor(num_points, left_group, left_act):
     right_act = tuple(
         tuple(ordered[i][x] for i in range(len(ordered))) for x in range(num_points)
     )
-    return B.Bitorsor(left_group, grp, la, right_act)
+    return B.Bitorsor.from_tables(left_group, grp, la, right_act)
 
 
 def pushforward_pi(p, phi, target):
@@ -1411,7 +1416,7 @@ def pushforward_pi(p, phi, target):
             images.append(perm_index[conj])
         acts.append(GroupHom(lg, lg, tuple(images)))
     left_pg = E.PiGroup(lg, pi, tuple(f.map for f in acts))
-    out = E.PiBitorsor(left_pg, target, pushed, tuple(rows))
+    out = E.PiBitorsor.from_tables(left_pg, target, pushed, tuple(rows))
     return out, E.PiMorphism(p, out, can)
 
 
@@ -1457,7 +1462,7 @@ def pushforward_left_pi(p, phi_left, target):
             images.append(col[conj])
         acts.append(GroupHom(rg, rg, tuple(images)))
     right_pg = E.PiGroup(rg, pi, tuple(f.map for f in acts))
-    out = E.PiBitorsor(target, right_pg, pushed, tuple(rows))
+    out = E.PiBitorsor.from_tables(target, right_pg, pushed, tuple(rows))
     return out, E.PiMorphism(p, out, can)
 
 
@@ -1828,7 +1833,7 @@ def rewrite_wedge_of_morphisms(
     goes to the class of (m1(0), m2(i))."""
     if m1.phi_right != m2.phi_left:
         raise B.SignatureMismatch("middle homs differ")
-    (row,) = B.glued_rows(m1.dst, m2.dst, (m1.point_map[0],))
+    (row,) = glued_rows(m1.dst, m2.dst, (m1.point_map[0],))
     point_map = tuple(row[v] for v in m2.point_map)
     return by_formula(
         B.BitorsorMorphism, src_wedge, dst_wedge, m1.phi_left, point_map, m2.phi_right
@@ -2388,3 +2393,365 @@ def gamma_structure(e: D.SplitExtension) -> E.PiGroup:
         for c in e.pi_big.elements
     )
     return by_formula(E.PiGroup, g_grp, e.pi_big, acts)
+
+
+# ------------------------------------------------------------------ tables
+#
+# The library's builders and validators while a carrier stored its two
+# action tables and a Pi-carrier its point action table, with module
+# prefixes, a table_ prefix, and each record built through its checked
+# table entry where the library built it by formula.
+
+
+def table_bitorsor_check(gl, gr, la, ra) -> None:
+    """Bitorsor.__post_init__ on the tables (left_act, right_act)."""
+    check_ints(la, InvalidBitorsor, "left action entry")
+    check_ints(ra, InvalidBitorsor, "right action entry")
+    k = len(ra)
+    if len(la) != gl.order:
+        raise InvalidBitorsor("left action needs one row per left group element")
+    if any(len(r) != k for r in la):
+        raise InvalidBitorsor("left action rows must cover all points")
+    if any(len(r) != gr.order for r in ra):
+        raise InvalidBitorsor("right action rows must cover the right group")
+    if k == 0:
+        raise InvalidBitorsor("empty point set")
+    for row in la:
+        for v in row:
+            if not (0 <= v < k):
+                raise InvalidBitorsor("left action leaves the point set")
+    for row in ra:
+        for v in row:
+            if not (0 <= v < k):
+                raise InvalidBitorsor("right action leaves the point set")
+    el, er = gl.identity, gr.identity
+    for x in range(k):
+        if la[el][x] != x:
+            raise NotAnAction(f"left identity moves point {x}")
+        if ra[x][er] != x:
+            raise NotAnAction(f"right identity moves point {x}")
+    for g1 in gl.elements:
+        for g2 in gl.generators:
+            row = la[gl.mul[g1][g2]]
+            r2 = la[g2]
+            r1 = la[g1]
+            for x in range(k):
+                if row[x] != r1[r2[x]]:
+                    raise NotAnAction(f"left action breaks at ({g1},{g2},{x})")
+    for g1 in gr.elements:
+        for g2 in gr.generators:
+            g12 = gr.mul[g1][g2]
+            for x in range(k):
+                if ra[x][g12] != ra[ra[x][g1]][g2]:
+                    raise NotAnAction(f"right action breaks at ({x},{g1},{g2})")
+    for gp in gl.generators:
+        for x in range(k):
+            gx = la[gp][x]
+            for g in gr.generators:
+                if ra[gx][g] != la[gp][ra[x][g]]:
+                    raise InvalidBitorsor(f"actions fail to commute at ({gp},{x},{g})")
+    B._orbit_at_zero((row[0] for row in la), k, "left")
+    B._orbit_at_zero(ra[0], k, "right")
+
+
+def table_pi_bitorsor_check(left, right, bitorsor, pa) -> None:
+    """PiBitorsor.__post_init__ on the table pi_action_on_points."""
+    check_ints(pa, EquivariantError, "point action entry")
+    if left.pi != right.pi:
+        raise B.SignatureMismatch("left and right structures disagree on pi")
+    if left.group != bitorsor.left_group:
+        raise B.SignatureMismatch("left structure group differs from the carrier's")
+    if right.group != bitorsor.right_group:
+        raise B.SignatureMismatch("right structure group differs from the carrier's")
+    pi = left.pi
+    k = bitorsor.size
+    if len(pa) != pi.order or any(len(row) != k for row in pa):
+        raise EquivariantError("point action table has the wrong shape")
+    for row in pa:
+        if sorted(row) != list(range(k)):
+            raise EquivariantError("point action rows must be permutations")
+    if pa[pi.identity] != tuple(range(k)):
+        raise NotAnAction("identity symmetry moves points")
+    for c1, row1 in enumerate(pa):
+        for c2 in pi.generators:
+            row = tuple(pa[pi.mul[c1][c2]])
+            if row != tuple(map(row1.__getitem__, pa[c2])):
+                x = next(x for x in range(k) if row[x] != row1[pa[c2][x]])
+                raise NotAnAction(f"point action breaks at ({c1},{c2},{x})")
+    la, ra = bitorsor.left_act, bitorsor.right_act
+    for c in pi.generators:
+        al = left.action[c]
+        ar = right.action[c]
+        for gp in left.group.generators:
+            for x in range(k):
+                if pa[c][la[gp][x]] != la[al[gp]][pa[c][x]]:
+                    raise EquivariantError(
+                        f"left compatibility fails at ({c},{gp},{x})"
+                    )
+        for x in range(k):
+            for g in right.group.generators:
+                if pa[c][ra[x][g]] != ra[pa[c][x]][ar[g]]:
+                    raise EquivariantError(
+                        f"right compatibility fails at ({c},{x},{g})"
+                    )
+
+
+def table_base_point_morphism(b1, x0, b2, y0, rho):
+    v = [0] * b1.size
+    for g in b1.right_group.elements:
+        v[b1.right_act[x0][g]] = b2.right_act[y0][rho.map[g]]
+    into = {b2.left_act[gp][y0]: gp for gp in b2.left_group.elements}
+    lam = by_formula(
+        GroupHom, b1.left_group, b2.left_group,
+        tuple(into[v[row[x0]]] for row in b1.left_act),
+    )
+    return by_formula(B.BitorsorMorphism, b1, b2, lam, tuple(v), rho)
+
+
+def table_trivial_bitorsor(g):
+    return B.Bitorsor.from_tables(g, g, g.mul, g.mul)
+
+
+def table_complete_right(group, ra):
+    a = B._orbit_at_zero(ra[0], len(ra), "right")
+    left_act = tuple(tuple(map(row.__getitem__, a)) for row in ra)
+    return B.Bitorsor.from_tables(B._translation_group(left_act, group.label), group, left_act, ra)
+
+
+def table_complete_left(group, la):
+    b = B._orbit_at_zero((row[0] for row in la), len(la[0]), "left")
+    right_act = tuple(la[g] for g in b)
+    return B.Bitorsor.from_tables(group, B._translation_group(right_act, group.label), la, right_act)
+
+
+def table_point_conjugation(b, x):
+    into = {b.left_act[gp][x]: gp for gp in b.left_group.elements}
+    return by_formula(
+        GroupHom, b.right_group, b.left_group,
+        tuple(into[b.right_act[x][g]] for g in b.right_group.elements),
+    )
+
+
+def table_orbit_partition(b, members, left):
+    classes = []
+    seen = set()
+    for x in b.points:
+        if x in seen:
+            continue
+        if left:
+            cls = tuple(sorted({b.left_act[h][x] for h in members}))
+        else:
+            cls = tuple(sorted({b.right_act[x][h] for h in members}))
+        classes.append(cls)
+        seen.update(cls)
+    return classes
+
+
+def table_orbit_restriction(b, p, members):
+    _, l_incl = subgroup_as_group(b.left_group, members)
+    points = tuple(sorted({b.left_act[a][p] for a in l_incl.map}))
+    pos = {x: i for i, x in enumerate(points)}
+    _, r_incl = subgroup_as_group(
+        b.right_group, (a for a in b.right_group.elements if b.right_act[p][a] in pos)
+    )
+    left_rows = tuple(tuple(pos[b.left_act[a][x]] for x in points) for a in l_incl.map)
+    right_rows = tuple(tuple(pos[b.right_act[x][a]] for a in r_incl.map) for x in points)
+    sub = B.Bitorsor.from_tables(l_incl.src, r_incl.src, left_rows, right_rows)
+    return by_formula(B.BitorsorMorphism, sub, b, l_incl, points, r_incl)
+
+
+def glued_rows(b1, b2, ys):
+    c = B._orbit_at_zero(b1.right_act[0], b1.size, "right")
+    return [b2.left_act[c[y]] for y in ys]
+
+
+def table_contracted_product(b1, b2):
+    if b1.right_group != b2.left_group:
+        raise B.NotComposable("middle groups differ")
+    left_rows = tuple(glued_rows(b1, b2, (row[0] for row in b1.left_act)))
+    return B.Bitorsor.from_tables(b1.left_group, b2.right_group, left_rows, b2.right_act)
+
+
+def table_inverse(b):
+    gl, gr = b.right_group, b.left_group
+    left_rows = tuple(
+        tuple(b.right_act[x][gl.inv[g]] for x in b.points) for g in gl.elements
+    )
+    right_rows = tuple(
+        tuple(b.left_act[gr.inv[gp]][x] for gp in gr.elements) for x in b.points
+    )
+    return B.Bitorsor.from_tables(gl, gr, left_rows, right_rows)
+
+
+def table_equivariant_maps(b1, b2):
+    if b1.right_group != b2.right_group:
+        raise B.SignatureMismatch("carriers live over different right groups")
+    g = b1.right_group
+    maps = []
+    for y in b2.points:
+        f = [0] * b1.size
+        for gg in g.elements:
+            f[b1.right_act[0][gg]] = b2.right_act[y][gg]
+        maps.append(tuple(f))
+    return sorted(maps)
+
+
+def table_isom_bitorsor(b1, b2):
+    maps = table_equivariant_maps(b1, b2)
+    pos = {f: i for i, f in enumerate(maps)}
+    left_rows = tuple(
+        tuple(pos[tuple(b2.left_act[gp][v] for v in f)] for f in maps)
+        for gp in b2.left_group.elements
+    )
+    right_rows = tuple(
+        tuple(pos[tuple(f[b1.left_act[gp][x]] for x in b1.points)] for gp in b1.left_group.elements)
+        for f in maps
+    )
+    return B.Bitorsor.from_tables(b2.left_group, b1.left_group, left_rows, right_rows)
+
+
+def table_pushforward(b, phi):
+    if phi.src != b.right_group:
+        raise B.SignatureMismatch("hom does not start at the right structure group")
+    pushed = table_complete_right(phi.dst, phi.dst.mul)
+    return pushed, table_base_point_morphism(b, 0, pushed, phi.dst.identity, phi)
+
+
+def table_pushforward_left(b, phi_left):
+    if phi_left.src != b.left_group:
+        raise B.SignatureMismatch("hom does not start at the left structure group")
+    g2 = phi_left.dst
+    c = B._orbit_at_zero((row[0] for row in b.left_act), b.size, "left")
+    v = [phi_left.map[a] for a in c]
+    idx = {}
+    for t in g2.elements:
+        for vx in v:
+            idx.setdefault(g2.mul[t][vx], len(idx))
+    left_rows = tuple(tuple(idx[g2.mul[h][s]] for s in idx) for h in g2.elements)
+    pushed = table_complete_left(g2, left_rows)
+    phi_right = by_formula(
+        GroupHom, b.right_group, pushed.right_group,
+        tuple(idx[g2.mul[0][v[y]]] for y in b.right_act[0]),
+    )
+    return pushed, table_base_point_morphism(b, 0, pushed, idx[v[0]], phi_right)
+
+
+def table_from_theta(t):
+    b = t.bitorsor
+    left = E.conjugation_pi_group(t.theta)
+    right = E.constant_pi_group(t.pi, b.right_group)
+    pa = tuple(b.left_act[t.theta.map[c]] for c in t.pi.elements)
+    return E.PiBitorsor.from_tables(left, right, b, pa)
+
+
+def table_to_theta(p):
+    if not p.right_constant:
+        raise E.RightGroupNotConstant("the right structure group is twisted")
+    b = p.bitorsor
+    into = {b.left_act[gp][0]: gp for gp in b.left_group.elements}
+    theta_map = tuple(into[row[0]] for row in p.pi_action_on_points)
+    return by_formula(E.ThetaBitorsor, b, by_formula(GroupHom, p.pi, b.left_group, theta_map))
+
+
+def table_compose_pi(p1, p2):
+    if p1.pi != p2.pi:
+        raise B.SignatureMismatch("factors disagree on pi")
+    if p1.right != p2.left:
+        raise B.NotComposable("middle Pi-structures differ")
+    b1, b2 = p1.bitorsor, p2.bitorsor
+    slides = glued_rows(b1, b2, (pa[0] for pa in p1.pi_action_on_points))
+    rows = tuple(
+        tuple(row[z] for z in pa) for row, pa in zip(slides, p2.pi_action_on_points)
+    )
+    return E.PiBitorsor.from_tables(p1.left, p2.right, table_contracted_product(b1, b2), rows)
+
+
+def table_inverse_pi(p):
+    return E.PiBitorsor.from_tables(
+        p.right, p.left, table_inverse(p.bitorsor), p.pi_action_on_points
+    )
+
+
+def table_pushforward_pi(p, phi, target):
+    if target.pi != p.pi or target.group != phi.dst:
+        raise B.SignatureMismatch("target structure does not match the hom")
+    if not E.is_pi_equivariant_hom(phi, p.right, target):
+        raise NotPiEquivariant("the extension hom breaks the symmetry")
+    pushed, can = table_pushforward(p.bitorsor, phi)
+    pi = p.pi
+    u, mul = can.point_map, phi.dst.mul
+    rows = tuple(
+        tuple(mul[u[pa[0]]][t] for t in at)
+        for at, pa in zip(target.action, p.pi_action_on_points)
+    )
+    acts = []
+    for pa in rows:
+        z = pa.index(0)
+        acts.append(tuple(pa[perm[z]] for perm in pushed.left_act))
+    left_pg = by_formula(E.PiGroup, pushed.left_group, pi, tuple(acts))
+    out = E.PiBitorsor.from_tables(left_pg, target, pushed, tuple(rows))
+    return out, by_formula(E.PiMorphism, p, out, can)
+
+
+def table_pushforward_left_pi(p, phi_left, target):
+    if target.pi != p.pi or target.group != phi_left.dst:
+        raise B.SignatureMismatch("target structure does not match the hom")
+    if not E.is_pi_equivariant_hom(phi_left, p.left, target):
+        raise NotPiEquivariant("the extension hom breaks the symmetry")
+    pushed, can = table_pushforward_left(p.bitorsor, phi_left)
+    pi = p.pi
+    u, la = can.point_map, pushed.left_act
+    rows = []
+    for at, pa in zip(target.action, p.pi_action_on_points):
+        row = [0] * pushed.size
+        for t in phi_left.dst.elements:
+            row[la[t][u[0]]] = la[at[t]][u[pa[0]]]
+        rows.append(tuple(row))
+    ra = pushed.right_act
+    acts = tuple(tuple(map(pa.__getitem__, ra[pa.index(0)])) for pa in rows)
+    right_pg = by_formula(E.PiGroup, pushed.right_group, pi, acts)
+    out = E.PiBitorsor.from_tables(target, right_pg, pushed, tuple(rows))
+    return out, by_formula(E.PiMorphism, p, out, can)
+
+
+def table_restrict_pi(p, incl):
+    left_pg = E.restrict_pi_group(p.left, incl.phi_left)
+    right_pg = E.restrict_pi_group(p.right, incl.phi_right)
+    pos = {x: i for i, x in enumerate(incl.point_map)}
+    rows = tuple(
+        tuple(pos[row[x]] for x in incl.point_map) for row in p.pi_action_on_points
+    )
+    sub = E.PiBitorsor.from_tables(left_pg, right_pg, incl.src, rows)
+    return sub, by_formula(E.PiMorphism, sub, p, incl)
+
+
+def table_theta_at_zero(t):
+    b = t.bitorsor
+    back = {v: g for g, v in enumerate(table_point_conjugation(b, 0).map)}
+    return by_formula(GroupHom, t.pi, b.right_group, tuple(back[v] for v in t.theta.map))
+
+
+def table_induced_conditions(t, h):
+    b, p = t.bitorsor, table_from_theta(t)
+    hp = G.image(table_point_conjugation(b, 0), h)
+    moves = [p.pi_action_on_points[c] for c in t.pi.generators]
+
+    def stable(cls):
+        inside = set(cls)
+        return all(row[x] in inside for row in moves for x in cls)
+
+    _, q = quotient(b.right_group, h)
+    collapse, _ = table_pushforward_pi(p, q, E.constant_pi_group(t.pi, q.dst))
+    fixed = [collapse.pi_action_on_points[c] for c in t.pi.generators]
+    cond_i = any(all(row[x] == x for row in fixed) for x in collapse.bitorsor.points)
+    right = [cls for cls in table_orbit_partition(b, h.members, left=False) if stable(cls)]
+    cond_iii = any(map(stable, table_orbit_partition(b, hp.members, left=True)))
+    cond_iv = set(table_theta_at_zero(t).map) <= set(h.members)
+    return cond_i, bool(right), cond_iii, cond_iv, right[0] if right else None
+
+
+def table_is_type_pi(p, e):
+    if p.pi != e.pi_big:
+        raise B.SignatureMismatch("carrier symmetry group differs from pi_big")
+    ident = tuple(p.bitorsor.points)
+    return all(p.pi_action_on_points[c] == ident for c in e.gamma.members)

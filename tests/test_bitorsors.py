@@ -100,7 +100,7 @@ class TestConstruction:
         gl, gr = G.cyclic(left_order), G.cyclic(right_order)
         args = (gl, gr, left_act or gl.mul, right_act or gr.mul)
         with pytest.raises(error) as exc:
-            B.Bitorsor(*args)
+            B.Bitorsor.from_tables(*args)
         assert str(exc.value) == message
         with pytest.raises(error) as exc:
             ref.bitorsor(*args)
@@ -111,7 +111,7 @@ class TestConstruction:
             tuple(s3.mul[s3.inv[g]][x] for g in s3.elements) for x in s3.elements
         )
         with pytest.raises(B.InvalidBitorsor):
-            B.Bitorsor(s3, s3, s3.mul, right)
+            B.Bitorsor.from_tables(s3, s3, s3.mul, right)
 
     def test_corrupted_entry_rejected(self, s3, rng):
         t = B.trivial_bitorsor(s3)
@@ -121,7 +121,7 @@ class TestConstruction:
             j = rng.randrange(6)
             rows[i][j] = (rows[i][j] + 1 + rng.randrange(5)) % 6
             with pytest.raises(DomainError):
-                B.Bitorsor(s3, s3, tuple(tuple(r) for r in rows), t.right_act)
+                B.Bitorsor.from_tables(s3, s3, tuple(tuple(r) for r in rows), t.right_act)
 
     def test_scrambled_carriers_validate(self, group_universe, rng):
         for g in group_universe:

@@ -66,7 +66,7 @@ class TestThetaRoundtrip:
     def test_translation_action_recovers_theta(self, z2):
         t = B.trivial_bitorsor(z2)
         pg = E.constant_pi_group(z2, z2)
-        pb = E.PiBitorsor(pg, pg, t, ((0, 1), (1, 0)))
+        pb = E.PiBitorsor.from_tables(pg, pg, t, ((0, 1), (1, 0)))
         assert E.to_theta(pb).theta.map == (0, 1)
 
     def test_trivial_action_gives_trivial_theta(self, s3, z2):

@@ -212,13 +212,15 @@ def _record_transports(monkeypatch, work) -> list:
     """Run `work` and return (m, inner, d) for every disconnected decompose
     it makes: m is the inclusion of the component of point 0, as a morphism
     out of the glued factors of inner, the component's decomposition, and d
-    is the transported decomposition."""
+    is the transported decomposition.  m starts at inner's witness source,
+    which _decompose_connected checked equal to the glued factors, so they
+    are not glued a second time."""
     calls = []
     lib = D._transport_disconnected
 
     def record(t, incl, inner):
         d = lib(t, incl, inner)
-        m = E.PiMorphism(E.compose_pi(inner.y, inner.z), E.from_theta(t), incl)
+        m = E.PiMorphism(inner.witness_iso.src, E.from_theta(t), incl)
         calls.append((m, inner, d))
         return d
 

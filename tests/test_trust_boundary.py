@@ -199,12 +199,12 @@ NOT_INTS = {
     "GroupHom": ("G.GroupHom(c2, c2, (0, {v}))", "groups.NotAHomomorphism", "map[1]"),
     "Subgroup": ("G.Subgroup(c2, (0, {v}))", "groups.NotASubgroup", "members[1]"),
     "Bitorsor": (
-        "B.Bitorsor(c2, c2, ((0, 1), ({v}, 0)), c2.mul)", "bitorsors.InvalidBitorsor", "left action entry (1,0)"
+        "B.Bitorsor.from_tables(c2, c2, ((0, 1), ({v}, 0)), c2.mul)", "bitorsors.InvalidBitorsor", "left action entry (1,0)"
     ),
     "BitorsorMorphism": ("B.BitorsorMorphism(t, t, i, (0, {v}), i)", "bitorsors.InvalidMorphism", "point_map[1]"),
     "PiGroup": ("E.PiGroup(c2, c2, ((0, 1), (0, {v})))", "equivariant.EquivariantError", "action entry (1,1)"),
     "PiBitorsor": (
-        "E.PiBitorsor(k, k, t, ((0, 1), ({v}, 0)))", "equivariant.EquivariantError", "point action entry (1,0)"
+        "E.PiBitorsor.from_tables(k, k, t, ((0, 1), ({v}, 0)))", "equivariant.EquivariantError", "point action entry (1,0)"
     ),
 }
 
