@@ -88,10 +88,11 @@ class Bitorsor:
     @classmethod
     def from_tables(cls, left_group: FiniteGroup, right_group: FiniteGroup, left_act, right_act) -> Bitorsor:
         """The checked entry from action tables (_check_tables): the pointed
-        data is read at point 0, and the tables are kept as the derived
-        ones."""
+        data is read at point 0, and the checked tables are kept as the
+        derived ones, so BITORSOR_CHECK=full does not check them again."""
         at = _check_tables(left_group, right_group, left_act, right_act)
-        return _carrier(left_group, right_group, left_act, right_act, tuple(right_act[0]), tuple(at[row[0]] for row in left_act))
+        coords, u = tuple(right_act[0]), tuple(at[row[0]] for row in left_act)
+        return by_formula(cls, left_group, right_group, coords, u, left_act=left_act, right_act=right_act)
 
     @cached_property
     def left_act(self) -> tuple[tuple[int, ...], ...]:
@@ -183,15 +184,6 @@ def _check_tables(gl: FiniteGroup, gr: FiniteGroup, la, ra) -> list[int]:
     return _orbit_at_zero(ra[0], k, "right")
 
 
-def _carrier(gl: FiniteGroup, gr: FiniteGroup, la, ra, coords, u) -> Bitorsor:
-    """A carrier built by formula with its tables at hand, kept as the
-    derived ones, and checked first with BITORSOR_CHECK=full."""
-    formula_check("Bitorsor", _check_tables, gl, gr, la, ra)
-    b = by_formula(Bitorsor, gl, gr, coords, u)
-    b.__dict__.update(left_act=la, right_act=ra)
-    return b
-
-
 @record
 class BitorsorMorphism:
     """A triple (left hom, point map, right hom), equivariant on both sides."""
@@ -261,10 +253,10 @@ def identity_morphism(b: Bitorsor) -> BitorsorMorphism:
 
 
 def trivial_bitorsor(g: FiniteGroup) -> Bitorsor:
-    """The group acting on itself by translations on both sides, its table
-    both action tables: point 0 is element 0, and u(l) = 0^-1.l.0."""
+    """The group acting on itself by translations on both sides: point 0 is
+    element 0, u(l) = 0^-1.l.0, and both derived tables are its table."""
     mul, start = g.mul, g.mul[g.inv[0]]
-    return _carrier(g, g, mul, mul, mul[0], tuple(mul[start[l]][0] for l in g.elements))
+    return by_formula(Bitorsor, g, g, mul[0], tuple(mul[start[l]][0] for l in g.elements))
 
 
 def _orbit_at_zero(orbit: Iterable[int], k: int, side: str) -> list[int]:
@@ -312,19 +304,21 @@ def _complete_right(group: FiniteGroup, ra: tuple[tuple[int, ...], ...]) -> Bito
     """The bitorsor completing a right action of `group`, by formula; only
     freeness and transitivity are checked, at point 0.  With y = 0.a_y, left
     element y is the symmetry p_y(0.g) = y.g, so u(y) = a_y, and p_y o p_y'
-    sends 0 to p_y(y'): the product table is the left action table."""
+    sends 0 to p_y(y'): the product table is the left action table, which
+    the carrier derives again on first use."""
     a = _orbit_at_zero(ra[0], len(ra), "right")
     left_act = tuple(tuple(map(row.__getitem__, a)) for row in ra)
-    return _carrier(_translation_group(left_act, group.label), group, left_act, ra, ra[0], tuple(a))
+    return by_formula(Bitorsor, _translation_group(left_act, group.label), group, ra[0], tuple(a))
 
 
 def _complete_left(group: FiniteGroup, la: tuple[tuple[int, ...], ...]) -> Bitorsor:
     """Mirror of _complete_right: right element y sends x = b_x.0 to b_x.y,
-    so 0.y = y, u(g) = g.0, and the product table is the right action's."""
+    so 0.y = y, u(g) = g.0, and the product table is the right action's,
+    which the carrier derives again on first use."""
     b = _orbit_at_zero((row[0] for row in la), len(la[0]), "left")
     right_act = tuple(la[g] for g in b)
     right = _translation_group(right_act, group.label)
-    return _carrier(group, right, la, right_act, tuple(right.elements), tuple(row[0] for row in la))
+    return by_formula(Bitorsor, group, right, tuple(right.elements), tuple(row[0] for row in la))
 
 
 @lru_cache(maxsize=64)
@@ -417,18 +411,9 @@ def inverse(b: Bitorsor) -> Bitorsor:
     return by_formula(Bitorsor, b.right_group, b.left_group, tuple(c[inv[a]] for a in b.u), b.u_inv)
 
 
-def equivariant_maps(b1: Bitorsor, b2: Bitorsor) -> list[tuple[int, ...]]:
-    """All right-equivariant bijections between two carriers over the same
-    right group, one per point: map y sends 0.g to y.g, so 0 to y."""
-    if b1.right_group != b2.right_group:
-        raise SignatureMismatch("carriers live over different right groups")
-    mul, c2 = b1.right_group.mul, b2.coords
-    return [tuple(c2[mul[s][g]] for g in b1.coord_of) for s in b2.coord_of]
-
-
 def isom_bitorsor(b1: Bitorsor, b2: Bitorsor) -> Bitorsor:
-    """Carrier of right-equivariant bijections b1 -> b2, map y at point y
-    (equivariant_maps); b2's left group post-composes, b1's pre-composes.
+    """Carrier of right-equivariant bijections b1 -> b2, the map sending
+    0.g to y.g at point y; b2's left group post-composes, b1's pre-composes.
     Map 0 after l1, or l2 after map 0, sends 0 to 0.u1(l1), or 0.u2(l2)."""
     if b1.right_group != b2.right_group:
         raise SignatureMismatch("carriers live over different right groups")

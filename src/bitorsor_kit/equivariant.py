@@ -174,12 +174,11 @@ class PiBitorsor:
     @classmethod
     def from_tables(cls, left: PiGroup, right: PiGroup, bitorsor: Bitorsor, pi_action_on_points) -> PiBitorsor:
         """The checked entry from a point action table (_check_point_action):
-        the cocycle is read at point 0, and the table is kept as the derived
-        one."""
+        the cocycle is read at point 0, and the checked table is kept as the
+        derived one, so BITORSOR_CHECK=full does not check it again."""
         _check_point_action(left, right, bitorsor, pi_action_on_points)
-        p = by_formula(cls, left, right, bitorsor, tuple(bitorsor.coord_of[row[0]] for row in pi_action_on_points))
-        p.__dict__["pi_action_on_points"] = pi_action_on_points
-        return p
+        cocycle = tuple(bitorsor.coord_of[row[0]] for row in pi_action_on_points)
+        return by_formula(cls, left, right, bitorsor, cocycle, pi_action_on_points=pi_action_on_points)
 
     @cached_property
     def pi_action_on_points(self) -> tuple[tuple[int, ...], ...]:

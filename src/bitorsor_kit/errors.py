@@ -56,18 +56,19 @@ def record(cls=None, *, uncompared=()):
     return cls
 
 
-def by_formula(cls, *values):
+def by_formula(cls, *values, **cached):
     """The record `cls` with these field values, for a value computed by
     formula from validated inputs: its invariants hold by construction, so
     its __post_init__ validator is skipped.  With BITORSOR_CHECK=full it
     runs, and a failure raises AssertionError, which no `except DomainError`
-    swallows.  A count of values other than the record's field count
-    raises TypeError, as the constructor would."""
+    swallows.  `cached` holds derived values the caller has just checked,
+    stored before the validator runs.  A count of values other than the
+    record's field count raises TypeError, as the constructor would."""
     names = cls.__match_args__
     if len(values) != len(names):
         raise TypeError(f"{cls.__name__} has {len(names)} fields, got {len(values)} values")
     obj = object.__new__(cls)
-    obj.__dict__.update(zip(names, values))
+    obj.__dict__.update(zip(names, values), **cached)
     formula_check(cls.__name__, obj.__post_init__)
     return obj
 

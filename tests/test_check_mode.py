@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import pytest
 
+from bitorsor_kit import bitorsors as B
+from bitorsor_kit import equivariant as E
 from bitorsor_kit import errors
 from bitorsor_kit import groups as G
 from bitorsor_kit.errors import DomainError, by_formula
 
-from conftest import cli_in_fresh_process
+from conftest import cli_in_fresh_process, scrambled_trivial
 from test_cli import S3_EXTENSION
 
 
@@ -81,3 +83,30 @@ def test_built_values_equal_constructed_ones():
     fresh = G.symmetric(3)
     assert (s3.order, s3.elements) == (6, range(6))  # now stored on s3 alone
     assert fresh == s3 and hash(fresh) == hash(s3)
+
+
+def test_a_table_read_is_checked_once(monkeypatch, rng):
+    """Each checked table entry runs its table validator once in full-check
+    mode: the tables it checked are the derived ones the value keeps, so
+    the value's own validator does not derive and check them again."""
+    assert errors.FULL_CHECK
+    g = G.dihedral(4)
+    b = scrambled_trivial(g, rng)
+    theta = next(h for h in G.enumerate_homs(G.cyclic(2), g) if h.map != (g.identity,) * 2)
+    p = E.from_theta(E.ThetaBitorsor(b, theta))
+    la, ra, pa = b.left_act, b.right_act, p.pi_action_on_points
+    calls = []
+
+    def count(module, name):
+        check = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append(name) or check(*args))
+
+    count(B, "_check_tables")
+    count(E, "_check_point_action")
+    read = B.Bitorsor.from_tables(g, g, la, ra)
+    assert calls == ["_check_tables"]
+    assert read == b and read.left_act is la and read.right_act is ra
+    calls.clear()
+    read_pi = E.PiBitorsor.from_tables(p.left, p.right, read, pa)
+    assert calls == ["_check_point_action"]
+    assert read_pi == p and read_pi.pi_action_on_points is pa

@@ -313,20 +313,19 @@ def test_the_survey_ladder_derives_no_table():
 
 
 def test_trivial_carrier_reuses_the_product_table():
-    """trivial_bitorsor builds no table: both of its tables are the
-    group's own."""
+    """Both tables trivial_bitorsor derives are the group's own table."""
     for g in (G.dihedral(100), *RELABELLED):
         t = B.trivial_bitorsor(g)
-        assert t.left_act is g.mul and t.right_act is g.mul
+        assert t.left_act == g.mul and t.right_act == g.mul
 
 
 def test_equivariant_map_y_sends_zero_to_y(rng):
     """On relabelled carriers, whose right identity is not 0, map y of
-    equivariant_maps sends 0 to y and 0.g to y.g."""
+    the reference equivariant_maps sends 0 to y and 0.g to y.g."""
     checked = 0
     for g in RELABELLED:
         b1, b2 = scrambled_trivial(g, rng), scrambled_trivial(g, rng)
-        maps = B.equivariant_maps(b1, b2)
+        maps = ref.equivariant_maps(b1, b2)
         assert len(maps) == b2.size
         for y, f in enumerate(maps):
             assert f[0] == y
@@ -369,3 +368,90 @@ def test_cyclic_h1_counts_the_classes_of_admissible_order(n):
         assert len(reps) == len(admissible), (n, g.label)
         hits = sorted(next(i for i, c in enumerate(admissible) if rep.map[gen] in c) for rep in reps)
         assert hits == list(range(len(admissible))), (n, g.label)
+
+
+def _square_roots_of_one(g: G.FiniteGroup) -> list[int]:
+    return [x for x in g.elements if g.mul[x][x] == g.identity]
+
+
+def _commutes(g: G.FiniteGroup, x: int, t: tuple[int, ...]) -> bool:
+    return all(g.mul[x][y] == g.mul[y][x] for y in t)
+
+
+def _dihedral_pairs(n: int, g: G.FiniteGroup) -> list[tuple[int, int]]:
+    """The pairs (a, b) of g with a^n = b^2 = 1 and b a b^-1 = a^-1: by the
+    presentation of D_n, the images of its generators under the homs
+    D_n -> g."""
+    mul, inv = g.mul, g.inv
+    return [
+        (a, b) for a in g.elements if n % g.element_order(a) == 0
+        for b in _square_roots_of_one(g) if mul[mul[b][a]][b] == inv[a]
+    ]
+
+
+def _commuting_tuples(k: int, g: G.FiniteGroup) -> list[tuple[int, ...]]:
+    """The k-tuples of pairwise commuting elements of g whose square is 1:
+    the images of a basis under the homs (C_2)^k -> g."""
+    tuples: list[tuple[int, ...]] = [()]
+    for _ in range(k):
+        tuples = [t + (x,) for t in tuples for x in _square_roots_of_one(g) if _commutes(g, x, t)]
+    return tuples
+
+
+def _burnside_orbits(g: G.FiniteGroup, tuples: list[tuple[int, ...]]) -> int:
+    """The orbits of g on `tuples` under simultaneous conjugation, by the
+    Cauchy-Frobenius lemma: x fixes the tuples inside its centralizer, and
+    x is taken once per conjugacy class, weighted by the class size."""
+    fixed = sum(len(c) * sum(_commutes(g, min(c), t) for t in tuples) for c in _conjugacy_classes(g))
+    assert fixed % g.order == 0
+    return fixed // g.order
+
+
+def _assert_h1_is_the_orbits(pi: G.FiniteGroup, basis: tuple[int, ...], g: G.FiniteGroup, tuples) -> None:
+    """h1(pi, g) for the trivial action is Hom(pi, g) up to conjugation
+    (Giraud 1971).  `tuples` are the images of pi's generators `basis` under
+    all homs, so the representatives must be homs onto tuples of that set,
+    in pairwise distinct conjugation orbits, as many as Burnside counts."""
+    assert G.closure(pi.mul, basis, pi.identity) == set(pi.elements)
+    reps, admissible, orbits = E.h1_representatives(pi, g), set(tuples), set()
+    for rep in reps:
+        f = rep.map
+        assert all(f[pi.mul[x][y]] == g.mul[f[x]][f[y]] for x in pi.elements for y in pi.elements)
+        images = tuple(f[s] for s in basis)
+        assert images in admissible, (pi.label, g.label)
+        orbits.add(min(tuple(g.conjugate(h, y) for y in images) for h in g.elements))
+    assert len(reps) == len(orbits) == _burnside_orbits(g, tuples), (pi.label, g.label)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_dihedral_h1_counts_the_orbits_of_presentation_pairs(n):
+    """H1(D_n, G) for the trivial action, against Burnside over the pairs
+    (a, b) with a^n = b^2 = 1 and b a b^-1 = a^-1; a and b are found in
+    D_n itself, not read off its generators."""
+    pi = G.dihedral(n)
+    a, b = next(
+        (a, b) for a in pi.elements if pi.element_order(a) == n
+        for b in pi.elements if pi.element_order(b) == 2 and b != a
+        and pi.conjugate(b, a) == pi.inv[a] and G.closure(pi.mul, (a, b), pi.identity) == set(pi.elements)
+    )
+    for g in _h1_oracle_groups():
+        _assert_h1_is_the_orbits(pi, (a, b), g, _dihedral_pairs(n, g))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_elementary_abelian_h1_counts_the_orbits_of_commuting_involutions(k):
+    """H1((C_2)^k, G) for the trivial action, against Burnside over the
+    centralizers: x fixes the commuting k-tuples of square roots of 1 in
+    its centralizer.  Into D10 and S5 and relabelled copies: h1 takes
+    seconds on E8 into D100 and does not finish on E32 into D100 (ROADMAP
+    item 9)."""
+    c2 = G.cyclic(2)
+    pi = c2
+    for _ in range(k - 1):
+        pi = G.direct_product(pi, c2).group
+    basis = pi.generators
+    assert len(basis) == k and all(pi.element_order(s) == 2 for s in basis)
+    canonical = [G.dihedral(10), G.symmetric(5)]
+    rnd = random.Random(17)
+    for g in canonical + [relabel_off_zero(g, rnd) for g in canonical]:
+        _assert_h1_is_the_orbits(pi, basis, g, _commuting_tuples(k, g))
