@@ -1,6 +1,8 @@
 """Shared error root so the CLI can map any domain failure to one exit code,
 the frozen record every value class is, and the one constructor for values
-the calculus builds by formula, whose validators run only with
+the calculus builds by formula: it calls the record's generated `_formula`
+constructor, which stores the fields as __init__ does, so a built value
+keeps the same instance layout, and runs the validator only with
 BITORSOR_CHECK=full."""
 
 import os
@@ -28,17 +30,22 @@ def record(cls=None, *, uncompared=()):
     self.__post_init__() if the class defines one; __eq__ (same class only)
     and __hash__ over the tuple of the fields not `uncompared`; __repr__;
     __match_args__; FrozenError on assignment or deletion.  Methods the class
-    defines are kept.  One generated source per class holds the methods."""
+    defines are kept.  One generated source per class holds the methods and
+    the classmethod `_formula`, by_formula's constructor: it takes the fields
+    in order and stores them as __init__ does, with no __post_init__."""
     if cls is None:
         return lambda c: record(c, uncompared=uncompared)
     names = tuple(cls.__dict__.get("__annotations__", ()))
     keys = "".join(f"self.{n}," for n in names if n not in uncompared)
-    ns = {"_set": object.__setattr__}
+    args = ", ".join(names)
+    sets = "".join(f"    _set(self, {n!r}, {n})\n" for n in names)
+    ns = {"_set": object.__setattr__, "_new": object.__new__}
     exec(
-        f"def __init__(self, {', '.join(names)}):\n"
-        + "".join(f"    _set(self, {n!r}, {n})\n" for n in names)
+        f"def __init__(self, {args}):\n"
+        + sets
         + ("    self.__post_init__()\n" if "__post_init__" in cls.__dict__ else "")
-        + "def __eq__(self, other):\n    if self is other:\n        return True\n"
+        + f"def _formula(cls, {args}):\n    self = _new(cls)\n{sets}    return self\n"
+        "def __eq__(self, other):\n    if self is other:\n        return True\n"
         "    if other.__class__ is self.__class__:\n"
         f"        return ({keys}) == ({keys.replace('self.', 'other.')})\n"
         "    return NotImplemented\n"
@@ -47,10 +54,12 @@ def record(cls=None, *, uncompared=()):
         f"f'({', '.join(f'{n}={{self.{n}!r}}' for n in names)})'\n",
         ns,
     )
-    for attr in ("__init__", "__eq__", "__hash__", "__repr__"):
+    for attr in ("__init__", "__eq__", "__hash__", "__repr__", "_formula"):
         ns[attr].__qualname__ = f"{cls.__qualname__}.{attr}"
+    for attr in ("__init__", "__eq__", "__hash__", "__repr__"):
         if attr not in cls.__dict__:
             setattr(cls, attr, ns[attr])
+    cls._formula = classmethod(ns["_formula"])
     cls.__setattr__ = cls.__delattr__ = _frozen
     cls.__match_args__ = names
     return cls
@@ -59,17 +68,22 @@ def record(cls=None, *, uncompared=()):
 def by_formula(cls, *values, **cached):
     """The record `cls` with these field values, for a value computed by
     formula from validated inputs: its invariants hold by construction, so
-    its __post_init__ validator is skipped.  With BITORSOR_CHECK=full it
-    runs, and a failure raises AssertionError, which no `except DomainError`
-    swallows.  `cached` holds derived values the caller has just checked,
-    stored before the validator runs.  A count of values other than the
-    record's field count raises TypeError, as the constructor would."""
-    names = cls.__match_args__
-    if len(values) != len(names):
-        raise TypeError(f"{cls.__name__} has {len(names)} fields, got {len(values)} values")
-    obj = object.__new__(cls)
-    obj.__dict__.update(zip(names, values), **cached)
-    formula_check(cls.__name__, obj.__post_init__)
+    the record's generated `_formula` constructor stores the fields as
+    __init__ would and skips the __post_init__ validator.  With
+    BITORSOR_CHECK=full the validator runs, and a failure raises
+    AssertionError, which no `except DomainError` swallows.  `cached` holds
+    derived values the caller has just checked, stored before the validator
+    runs.  A count of values other than the record's field count raises
+    TypeError, as the constructor would."""
+    try:
+        obj = cls._formula(*values)
+    except TypeError:
+        names = cls.__match_args__
+        raise TypeError(f"{cls.__name__} has {len(names)} fields, got {len(values)} values") from None
+    for name, value in cached.items():
+        object.__setattr__(obj, name, value)
+    if FULL_CHECK and hasattr(cls, "__post_init__"):
+        formula_check(cls.__name__, obj.__post_init__)
     return obj
 
 

@@ -12,9 +12,10 @@ quotients) skip the check through errors.by_formula, unless
 BITORSOR_CHECK=full, as in the tests.  make_group's memo is the FiniteGroup
 constructor itself, keeping 512 groups per process on (table, generators,
 label), since labels reach the output and group equality ignores them;
-failures are not cached.  A hom's class under conjugation in its codomain
-is named by one invariant, its canonical conjugate: the conjugate with the
-lexicographically least map.
+subgroup_as_group keeps 128 subgroups on (parent, its label, members,
+label) for the same reason; failures are not cached.  A hom's class under
+conjugation in its codomain is named by one invariant, its canonical
+conjugate: the conjugate with the lexicographically least map.
 """
 
 from __future__ import annotations
@@ -406,7 +407,13 @@ def quotient(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
 
 def subgroup_as_group(parent: FiniteGroup, members: Iterable[int], label: str | None = None) -> tuple[FiniteGroup, GroupHom]:
     """Materialize a subgroup as a standalone group plus its inclusion."""
-    ms = tuple(sorted(set(int(m) for m in members)))
+    return _subgroup_as_group(parent, parent.label, tuple(sorted(set(int(m) for m in members))), label)
+
+
+@lru_cache(maxsize=128)  # a survey-ladder pass meets 89 distinct keys in 298 calls
+def _subgroup_as_group(parent: FiniteGroup, parent_label: str, ms: tuple[int, ...], label: str | None) -> tuple[FiniteGroup, GroupHom]:
+    """Both labels key the memo: they reach the output, and group equality
+    ignores them."""
     pos = {m: i for i, m in enumerate(ms)}
     for a in ms:
         for b in ms:
@@ -415,7 +422,7 @@ def subgroup_as_group(parent: FiniteGroup, members: Iterable[int], label: str | 
     table = tuple(tuple(pos[parent.mul[a][b]] for b in ms) for a in ms)
     if parent.identity not in pos:
         raise NotASubgroup("identity missing")
-    name = label or f"{parent.label}<{','.join(map(str, ms))}>"
+    name = label or f"{parent_label}<{','.join(map(str, ms))}>"
     sub = by_formula(FiniteGroup, table, generating_set(table, pos[parent.identity]), name)
     return sub, by_formula(GroupHom, sub, parent, ms)
 

@@ -1,7 +1,8 @@
 """errors.record against dataclasses: every value class of the library
 behaves as the @dataclass(frozen=True) it was (reference_checks.dataclass_twin)
 in equality, hashing, repr, construction, immutability, validation and
-cached properties, on instances collected from real computations."""
+cached properties, on instances collected from real computations; and a
+value errors.by_formula builds is the one the constructor checks."""
 
 from __future__ import annotations
 
@@ -17,7 +18,8 @@ from bitorsor_kit import equivariant as E
 from bitorsor_kit import groups as G
 from bitorsor_kit import local_model as L
 from bitorsor_kit import rclass as R
-from bitorsor_kit.errors import record
+from bitorsor_kit import errors
+from bitorsor_kit.errors import by_formula, record
 
 MODULES = (G, B, E, D, R, L)
 PER_CLASS = 3
@@ -188,6 +190,24 @@ def test_the_validator_is_looked_up_at_each_construction(pool, monkeypatch):
         L.TameParams(q=2, n=4, m=1)
     with pytest.raises(ValueError):
         Cached(-1, ())
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["default", "full_check"])
+def test_a_value_built_by_formula_is_the_checked_one(pool, monkeypatch, full):
+    """by_formula stores the fields as the constructor does: the built value
+    equals a checked one, hashes alike, and holds the same attributes, the
+    fields first and in order, once it has read what the checked one read."""
+    monkeypatch.setattr(errors, "FULL_CHECK", full)
+    for x in one_per_class(pool):
+        cls = type(x)
+        if cls not in library_records():
+            continue
+        checked, built = cls(*fields_of(x)), by_formula(cls, *fields_of(x))
+        assert list(vars(built))[: len(cls.__match_args__)] == list(cls.__match_args__)
+        assert built == checked and hash(built) == hash(checked), cls
+        for name in vars(checked):
+            getattr(built, name)
+        assert vars(built) == vars(checked), cls
 
 
 def test_cached_properties_match_dataclass(pool, twins):
