@@ -285,29 +285,10 @@ class ThetaBitorsor:
         return f"ThetaBitorsor({self.pi.label} -> {self.bitorsor!r})"
 
 
-# Expansions from_theta keeps, and components connected_component keeps.  A
-# decompose or verify command expands at most three distinct inputs (the
-# input, its connected component and the unramified factor) and meets at
-# most one component; a fixed bound keeps memory flat over long runs.
-FROM_THETA_CACHE = 32
-
-
-def _labels(t: ThetaBitorsor) -> tuple[str, ...]:
-    """Group equality ignores labels, but labels reach the output, so the
-    labels of every group involved are part of a memo's key."""
-    b = t.bitorsor
-    return (t.pi.label, t.theta.dst.label, b.left_group.label, b.right_group.label)
-
-
 def from_theta(t: ThetaBitorsor) -> PiBitorsor:
-    """Expand the compact presentation: pi moves points through theta and
-    the left action, twists the left group by conjugation, and leaves the
-    right group alone.  Expansions are memoized on t and its labels."""
-    return _expand_theta(t, _labels(t))
-
-
-@lru_cache(maxsize=FROM_THETA_CACHE)
-def _expand_theta(t: ThetaBitorsor, labels: tuple[str, ...]) -> PiBitorsor:
+    """Expand the compact presentation, by formula: pi moves points through
+    theta and the left action, twists the left group by conjugation, and
+    leaves the right group alone; the cocycle is u o theta."""
     b = t.bitorsor
     left, right = conjugation_pi_group(t.theta), constant_pi_group(t.pi, b.right_group)
     out = by_formula(PiBitorsor, left, right, b, tuple(map(b.u.__getitem__, t.theta.map)))
@@ -469,14 +450,7 @@ def is_connected(t: ThetaBitorsor) -> bool:
 def connected_component(t: ThetaBitorsor) -> tuple[ThetaBitorsor, BitorsorMorphism]:
     """Restrict to the symmetry orbit of point 0, by formula: the orbit
     restriction at point 0 under theta's image (bt.orbit_restriction), with
-    theta corestricted to that image, and the inclusion.  Memoized like
-    from_theta: decompose, its own check and a later verify of the same
-    input share one component."""
-    return _component(t, _labels(t))
-
-
-@lru_cache(maxsize=FROM_THETA_CACHE)
-def _component(t: ThetaBitorsor, labels: tuple[str, ...]) -> tuple[ThetaBitorsor, BitorsorMorphism]:
+    theta corestricted to that image, and the inclusion."""
     incl = bt.orbit_restriction(t.bitorsor, 0, t.theta.map)
     pos = {v: i for i, v in enumerate(incl.phi_left.map)}
     theta_sub = by_formula(GroupHom, t.pi, incl.phi_left.src, tuple(pos[v] for v in t.theta.map))
@@ -503,7 +477,8 @@ def class_index_of_hom(theta: GroupHom) -> int:
 def h1(pi: FiniteGroup, g: FiniteGroup) -> tuple[ThetaBitorsor, ...]:
     """Canonical class representatives, each over the trivial carrier.
 
-    Memoized like from_theta, with the labels of both groups in the key."""
+    Memoized on both groups and their labels: group equality ignores labels,
+    but labels reach the output."""
     return _h1(pi, g, (pi.label, g.label))
 
 

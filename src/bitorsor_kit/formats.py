@@ -9,8 +9,8 @@ Per process, a constructor spec is built once (64 specs), parse_group is
 memoized on its text (128), and parse_extension after pi_big on the text
 and the resolved group with its label (32); a group file is read on every
 call, and failures are not cached.  The certificate reader builds each
-decoded sub-document once, and the writer writes a repeated carrier once
-and keeps the text of 256 tables taken from records (_table_text).
+decoded sub-document once, and the writer keeps the text of 256 tables
+taken from records (_table_text).
 
 Only the group layer is imported with this module: the extension,
 registry and certificate readers and writers import the calculus modules
@@ -410,14 +410,13 @@ def dumps_indented(value) -> str:
     (_Table) is written so once per process and indent (_table_text), with
     no type check on a repeat.  An int or str value of a dict is written
     inline; every other scalar (bools, None, floats, subclasses) goes through
-    json.dumps.  A dict object met again is re-indented from its text: no
-    encoded string holds a newline."""
+    json.dumps."""
     out: list[str] = []
-    _write_indented(value, "\n", out, {})
+    _write_indented(value, "\n", out)
     return "".join(out)
 
 
-def _write_indented(v, newline: str, out: list[str], seen: dict) -> None:
+def _write_indented(v, newline: str, out: list[str]) -> None:
     t = type(v)
     if t is str:
         out.append(_encode_str(v))
@@ -427,15 +426,12 @@ def _write_indented(v, newline: str, out: list[str], seen: dict) -> None:
         try:
             out.append(_table_text(v, newline))
         except TypeError:  # an entry that is no int, or an unhashable row
-            _write_indented([list(r) for r in v], newline, out, seen)
+            _write_indented([list(r) for r in v], newline, out)
     elif isinstance(v, dict):
         if not v:
             out.append("{}")
             return
-        if (hit := seen.get(id(v))) is not None:
-            out.append("".join(out[hit[0]:hit[1]]).replace(hit[2], newline))
-            return
-        start, inner = len(out), newline + "  "
+        inner = newline + "  "
         sep = "{" + inner
         for k in sorted(v):
             x, head = v[k], sep + _encode_str(k) + ": "
@@ -445,10 +441,9 @@ def _write_indented(v, newline: str, out: list[str], seen: dict) -> None:
                 out.append(head + _encode_str(x))
             else:
                 out.append(head)
-                _write_indented(x, inner, out, seen)
+                _write_indented(x, inner, out)
             sep = "," + inner
         out.append(newline + "}")
-        seen[id(v)] = (start, len(out), newline)
     elif isinstance(v, (list, tuple)):
         if not v:
             out.append("[]")
@@ -472,19 +467,19 @@ def _write_indented(v, newline: str, out: list[str], seen: dict) -> None:
         sep = "[" + inner
         for x in v:
             out.append(sep)
-            _write_indented(x, inner, out, seen)
+            _write_indented(x, inner, out)
             sep = "," + inner
         out.append(newline + "]")
     else:
         out.append(json.dumps(v))
 
 
-@lru_cache(maxsize=256)  # a decompose-sweep pass renders 9,805 tables, 901 distinct
+@lru_cache(maxsize=256)  # a seed-1 decompose-sweep pass renders 15,661 tables, 901 distinct
 def _table_text(rows: _Table, newline: str) -> str:
     if not {int}.issuperset(map(type, itertools.chain.from_iterable(rows))):
         raise TypeError("only a table of ints is kept: no equal table of bools is written from it")
     out: list[str] = []
-    _write_indented([list(r) for r in rows], newline, out, {})
+    _write_indented([list(r) for r in rows], newline, out)
     return "".join(out)
 
 
@@ -507,25 +502,13 @@ def group_from_json(entry: dict, resolver: Mapping[str, Sequence] | None = None)
     return make_group(mul, gens, label)
 
 
-def _once_per_object(build):
-    """Memoize a _Writer method on the identity of its argument, kept alive."""
-
-    def method(self, v):
-        return (self._by_id.get(id(v)) or self._by_id.setdefault(id(v), (v, build(self, v))))[1]
-
-    return method
-
-
 class _Writer:
-    """Interns groups (by equality, behind a fast path on identity) and
-    carrier records (by identity), so the document stores each once."""
+    """Interns groups by equality, so the document stores each once."""
 
     def __init__(self):
         self.groups: list[dict] = []
         self._ids: dict[FiniteGroup, int] = {}
-        self._by_id: dict[int, tuple] = {}
 
-    @_once_per_object
     def group(self, g: FiniteGroup) -> int:
         if g not in self._ids:
             self._ids[g] = len(self.groups)
@@ -538,7 +521,6 @@ class _Writer:
     def sub(self, s: Subgroup) -> dict:
         return {"parent": self.group(s.parent), "members": list(s.members)}
 
-    @_once_per_object
     def bitorsor(self, b: Bitorsor) -> dict:
         return {
             "left_group": self.group(b.left_group),
@@ -547,7 +529,6 @@ class _Writer:
             "right_act": _emit_table(b.right_act, b.size),
         }
 
-    @_once_per_object
     def pi_group(self, pg: eq.PiGroup) -> dict:
         return {
             "group": self.group(pg.group),
@@ -555,7 +536,6 @@ class _Writer:
             "action": _Table(pg.action),
         }
 
-    @_once_per_object
     def pi_bitorsor(self, p: eq.PiBitorsor) -> dict:
         return {
             "left": self.pi_group(p.left),

@@ -345,7 +345,6 @@ def test_pi_actions_are_rows_not_homs(monkeypatch, case):
 
     for mod in (E, D):
         monkeypatch.setattr(mod, "by_formula", counting)
-    E._expand_theta.cache_clear()
     D._gamma_structure.cache_clear()
     for t, e in _decompose_cases(case):
         d = D.decompose(t, e)
@@ -383,8 +382,6 @@ def test_every_morphism_is_built_at_a_base_point(monkeypatch, case):
     for mod in (B, E, D):
         monkeypatch.setattr(mod, "by_formula", counting)
     monkeypatch.setattr(B.BitorsorMorphism, "__init__", checked_init)
-    E._expand_theta.cache_clear()
-    E._component.cache_clear()
     D._gamma_structure.cache_clear()
     cases = list(_decompose_cases(case))
     B.isom_canonical_iso(cases[0][0].bitorsor, cases[0][0].bitorsor)
@@ -423,8 +420,6 @@ def test_decompose_builds_nothing_it_throws_away(monkeypatch, case):
     for mod in (G, B, E, D):
         if hasattr(mod, "subgroup_as_group"):
             monkeypatch.setattr(mod, "subgroup_as_group", tracking(mod.subgroup_as_group))
-    E._expand_theta.cache_clear()
-    E._component.cache_clear()
     D._gamma_structure.cache_clear()
     decompositions = 0
     for t, e in _decompose_cases(case):

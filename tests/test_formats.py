@@ -293,11 +293,6 @@ class TestCertificateJson:
         assert d2.certificate.w_inclusion.dst is d2.y
         assert d2.certificate.w_inclusion.src is d2.certificate.w_witness
 
-    def test_a_repeated_carrier_is_one_dict(self, s3_certificate):
-        doc = F.decomposition_to_json(*s3_certificate)
-        dd = doc["decomposition"]
-        assert dd["certificate"]["w_inclusion"]["dst"] is dd["y"]
-
     def test_action_row_at_a_non_generator_is_refused_by_the_law(self, s3_certificate):
         """Only the rows at pi's generators are read as homs; a row elsewhere
         that is still a permutation is refused by the composition law, as a
@@ -407,8 +402,8 @@ class TestIndentedWriter:
         depth=st.integers(0, 3),
     )
     def test_one_object_at_two_depths(self, shared, text, depth):
-        """The writer writes a repeated dict once and re-indents its text;
-        strings with a newline in them must come out escaped all the same."""
+        """One dict or list object met at several depths is written at each
+        depth's indent; strings with a newline in them come out escaped."""
         nested = {"s": text, "v": shared}
         deeper = nested
         for _ in range(depth):

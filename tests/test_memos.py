@@ -1,10 +1,9 @@
 """The per-process memos: make_group on (table, generators, label),
 resolve_group_spec on a constructor spec, parse_group on its text,
 parse_extension after pi_big on (text, the resolved group, its label), and
-an extension's conjugation action and a carrier's connected component on
-the value and its labels.  Within one process a changed file is always
-seen, a label is never lost, a failure is never cached, and every memo of
-every module of the package is bounded."""
+an extension's conjugation action on the value and its labels.  Within one
+process a changed file is always seen, a label is never lost, a failure is
+never cached, and every memo of every module of the package is bounded."""
 
 from __future__ import annotations
 
@@ -16,7 +15,6 @@ from pathlib import Path
 import pytest
 
 import bitorsor_kit
-from bitorsor_kit import bitorsors as B
 from bitorsor_kit import cli
 from bitorsor_kit import devissage as D
 from bitorsor_kit import equivariant as E
@@ -108,7 +106,7 @@ def test_a_failing_constructor_spec_fails_on_every_call():
     assert F._constructed.cache_info().currsize == before
 
 
-def test_a_second_verify_builds_no_gamma_action_and_no_component(tmp_path, capsys, monkeypatch):
+def test_a_second_verify_builds_no_gamma_action(tmp_path, capsys, monkeypatch):
     ext, cert = tmp_path / "tame.ext", tmp_path / "cert.json"
     ext.write_text(S3_EXTENSION)
     argv = ("--extension", str(ext), "--group", "symmetric:3", "--class", "0", "--format", "json")
@@ -116,15 +114,13 @@ def test_a_second_verify_builds_no_gamma_action_and_no_component(tmp_path, capsy
     assert code == 0
     cert.write_text(out)
     built = []
-    for mod, name in ((G, "subgroup_as_group"), (D, "subgroup_as_group"), (B, "orbit_restriction")):
-        orig = getattr(mod, name)
-        monkeypatch.setattr(mod, name, lambda *a, _f=orig, _n=name, **k: built.append(_n) or _f(*a, **k))
+    orig = D.subgroup_as_group
+    monkeypatch.setattr(D, "subgroup_as_group", lambda *a, **k: built.append(a) or orig(*a, **k))
     D._gamma_structure.cache_clear()
-    E._component.cache_clear()
-    for calls in (["orbit_restriction", "subgroup_as_group"], []):
+    for builds in (True, False):
         built.clear()
         assert run(capsys, "verify", "--certificate", str(cert)) == (0, "all checks passed\n", "")
-        assert sorted(set(built)) == calls  # the class-0 carrier is disconnected
+        assert bool(built) is builds
 
 
 def test_the_gamma_action_and_the_component_keep_their_labels():
@@ -159,9 +155,8 @@ def test_the_memos_are_the_ones_documented():
     names = [name.removeprefix("bitorsor_kit.") for name, _ in _memos()]
     assert [name for name in names if f"`{name}`" not in section] == []
     assert {name.rpartition(".")[2] for name in names} >= {
-        "_make_group", "_constructed", "parse_group", "_extension_over", "_expand_theta",
-        "wedge_class_index", "_gamma_structure", "_component", "_class_maps", "_h1",
-        "_table_text",
+        "_make_group", "_constructed", "parse_group", "_extension_over",
+        "wedge_class_index", "_gamma_structure", "_class_maps", "_h1", "_table_text",
     }
 
 

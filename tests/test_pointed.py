@@ -32,7 +32,7 @@ from test_construction import _sweep_cases
 from test_formats import s3_extension
 from test_golden import load_inputs
 from test_restrict import assert_same, labels
-from test_search import RELABELLED, relabel_off_zero
+from test_search import RELABELLED, UNIVERSE, relabel_off_zero
 from test_validators import replace_at
 
 
@@ -175,7 +175,7 @@ def assert_same_tables(got, want) -> None:
 
 
 def _memo_clear() -> None:
-    for memo in (E._expand_theta, E._component, D._gamma_structure, B._completion, B._left_completion):
+    for memo in (D._gamma_structure, B._completion, B._left_completion):
         memo.cache_clear()
 
 
@@ -345,12 +345,14 @@ def _conjugacy_classes(g: G.FiniteGroup) -> list[frozenset[int]]:
 
 
 def _h1_oracle_groups() -> list[G.FiniteGroup]:
+    """The cold ladder's groups and their relabelled copies, then the hom
+    search tests' groups (C1-C12, S3, D4, D6, S4, C2xC2, C2xC6) and theirs."""
     from bitorsor_kit import formats as F
 
     specs = ("dihedral:60", "dihedral:100", "symmetric:5", "symmetric:4", "dihedral:12", "semidirect:13:3:3")
     canonical = [F.resolve_group_spec(s) for s in specs]
     rnd = random.Random(13)
-    return canonical + [relabel_off_zero(g, rnd) for g in canonical]
+    return canonical + [relabel_off_zero(g, rnd) for g in canonical] + UNIVERSE + RELABELLED
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
@@ -438,20 +440,32 @@ def test_dihedral_h1_counts_the_orbits_of_presentation_pairs(n):
         _assert_h1_is_the_orbits(pi, (a, b), g, _dihedral_pairs(n, g))
 
 
-@pytest.mark.parametrize("k", [2, 3])
-def test_elementary_abelian_h1_counts_the_orbits_of_commuting_involutions(k):
+@pytest.mark.parametrize(
+    "k, specs",
+    [
+        pytest.param(2, ("dihedral:10", "symmetric:5"), id="2"),
+        pytest.param(3, ("dihedral:10", "symmetric:5"), id="3"),
+        pytest.param(5, ("dihedral:100",), id="E32-D100", marks=pytest.mark.xfail(
+            run=False, reason="ROADMAP item 9: the hom search walks every 5-tuple of D100's "
+            "102 square roots of 1 and does not finish; the oracle counts 1,024 classes")),
+    ],
+)
+def test_elementary_abelian_h1_counts_the_orbits_of_commuting_involutions(k, specs):
     """H1((C_2)^k, G) for the trivial action, against Burnside over the
     centralizers: x fixes the commuting k-tuples of square roots of 1 in
-    its centralizer.  Into D10 and S5 and relabelled copies: h1 takes
-    seconds on E8 into D100 and does not finish on E32 into D100 (ROADMAP
-    item 9)."""
+    its centralizer.  E4 and E8 go into D10, S5 and the hom search tests'
+    groups, and relabelled copies; h1 takes seconds on E8 into D100.  E32
+    into D100 is recorded but not run until the hom search backtracks
+    (ROADMAP item 9): h1 does not finish there."""
+    from bitorsor_kit import formats as F
+
     c2 = G.cyclic(2)
     pi = c2
     for _ in range(k - 1):
         pi = G.direct_product(pi, c2).group
     basis = pi.generators
     assert len(basis) == k and all(pi.element_order(s) == 2 for s in basis)
-    canonical = [G.dihedral(10), G.symmetric(5)]
+    canonical = [F.resolve_group_spec(s) for s in specs]
     rnd = random.Random(17)
-    for g in canonical + [relabel_off_zero(g, rnd) for g in canonical]:
+    for g in canonical + [relabel_off_zero(g, rnd) for g in canonical] + UNIVERSE + RELABELLED:
         _assert_h1_is_the_orbits(pi, basis, g, _commuting_tuples(k, g))
