@@ -321,14 +321,14 @@ def _complete_left(group: FiniteGroup, la: tuple[tuple[int, ...], ...]) -> Bitor
     return by_formula(Bitorsor, group, right, tuple(right.elements), tuple(row[0] for row in la))
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=256)  # a warm seed-1 decompose-sweep pass meets 130 keys in 598 calls
 def _completion(g: FiniteGroup, label: str) -> Bitorsor:
     """g acting on itself on the right, completed: the carrier every
     pushforward into g builds, memoized on g and its label."""
     return _complete_right(g, g.mul)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=256)  # a warm seed-1 decompose-sweep pass meets 140 keys in 299 calls
 def _left_completion(g: FiniteGroup, label: str, points: tuple[int, ...]) -> Bitorsor:
     """g acting on the left on `points`, a list of its elements, completed:
     the carrier a pushforward along the left builds, memoized on g, its

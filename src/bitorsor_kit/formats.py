@@ -8,9 +8,9 @@ reference that the reader resolves against caller-supplied sources.
 Per process, a constructor spec is built once (64 specs), parse_group is
 memoized on its text (128), and parse_extension after pi_big on the text
 and the resolved group with its label (32); a group file is read on every
-call, and failures are not cached.  The certificate reader builds each
-decoded sub-document once, and the writer keeps the text of 256 tables
-taken from records (_table_text).
+call, and failures are not cached.  The certificate reader checks each
+distinct decoded value once per process (_checked, 4096 keys), and the
+writer keeps the text of 256 tables taken from records (_table_text).
 
 Only the group layer is imported with this module: the extension,
 registry and certificate readers and writers import the calculus modules
@@ -368,11 +368,13 @@ def _emit_table(rows: Sequence[Sequence[int]], order: int):
 
 
 def _json_rows(rows) -> tuple[tuple[int, ...], ...]:
-    """Rows of JSON integers, type-checked in one pass over the table."""
+    """Rows of JSON integers, type-checked in one pass over the table; equal
+    rows are one tuple, so a kept table holds each distinct row once."""
     out = tuple(map(tuple, rows))
     if not {int}.issuperset(map(type, itertools.chain.from_iterable(out))):
         _json_ints(itertools.chain.from_iterable(out))  # names the first bad entry
-    return out
+    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
+    return tuple(seen.setdefault(r, r) for r in out)
 
 
 def _json_ints(values) -> tuple[int, ...]:
@@ -554,19 +556,26 @@ class _Writer:
         }
 
 
-class _Reader:
-    """Rebuilds the values of one document.  A certificate repeats some
-    sub-documents (a factor is also the target of the witness inclusion),
-    so bitorsors, pi_groups and pi_bitorsors are built once per decoded value,
-    keyed on strictly decoded tables and the ids of values already built."""
+@lru_cache(maxsize=4096)  # a seed-1 decompose-sweep pass reads 10,411 values, 2,089 distinct
+def _checked(build, labels: tuple[str, ...], *args):
+    """build(*args), a checked entry of the certificate reader, once per
+    process per value and per labels of the groups it reaches: group
+    equality ignores labels, and they reach the output.  A failure is not
+    kept, so a tampered table is checked and refused on every read."""
+    return build(*args)
 
-    def __init__(self, doc: dict, resolver: Mapping[str, Sequence] | None):
+
+class _Reader:
+    """Rebuilds the values of one document from strictly decoded tables.
+    A certificate repeats some sub-documents (a factor is also the target
+    of the witness inclusion), and a sweep repeats values across documents,
+    so each bitorsor, pi_group and pi_bitorsor is checked once per process
+    (_checked)."""
+
+    def __init__(self, doc: dict, resolver: Mapping[str, Sequence] | None, eq):
         self._resolver = dict(resolver or {})
         self._groups = [group_from_json(entry, self._resolver) for entry in doc["groups"]]
-        self._built: dict[tuple, object] = {}
-
-    def _once(self, key: tuple, build, *args):
-        return self._built.get(key) or self._built.setdefault(key, build(*args))
+        self._eq = eq  # imported once per document, not once per value
 
     def table(self, obj) -> tuple[tuple[int, ...], ...]:
         return _decode_table(obj, self._resolver)
@@ -587,40 +596,31 @@ class _Reader:
         return subgroup(self.group(d["parent"]), _json_ints(d["members"]))
 
     def bitorsor(self, d: dict) -> Bitorsor:
-        from .bitorsors import Bitorsor
-
         lg, rg = self.group(d["left_group"]), self.group(d["right_group"])
         la, ra = self.table(d["left_act"]), self.table(d["right_act"])
-        return self._once((Bitorsor, id(lg), id(rg), la, ra), Bitorsor.from_tables, lg, rg, la, ra)
+        return _checked(self._eq.Bitorsor.from_tables, (lg.label, rg.label), lg, rg, la, ra)
 
     def pi_group(self, d: dict) -> eq.PiGroup:
-        from . import equivariant as eq
-
         g, pi, rows = self.group(d["group"]), self.group(d["pi"]), _json_rows(d["action"])
-        return self._once((eq.PiGroup, id(g), id(pi), rows), eq.PiGroup, g, pi, rows)
+        return _checked(self._eq.PiGroup, (g.label, pi.label), g, pi, rows)
 
     def pi_bitorsor(self, d: dict) -> eq.PiBitorsor:
-        from . import equivariant as eq
-
         left, right = self.pi_group(d["left"]), self.pi_group(d["right"])
         b, pa = self.bitorsor(d["bitorsor"]), self.table(d["points_action"])
-        key = (eq.PiBitorsor, id(left), id(right), id(b), pa)
-        return self._once(key, eq.PiBitorsor.from_tables, left, right, b, pa)
+        labels = tuple(g.label for g in (left.group, left.pi, right.group, right.pi, b.left_group, b.right_group))
+        return _checked(self._eq.PiBitorsor.from_tables, labels, left, right, b, pa)
 
     def pi_morphism(self, d: dict) -> eq.PiMorphism:
-        from . import equivariant as eq
-        from .bitorsors import BitorsorMorphism
-
         src = self.pi_bitorsor(d["src"])
         dst = self.pi_bitorsor(d["dst"])
-        inner = BitorsorMorphism(
+        inner = self._eq.BitorsorMorphism(
             src.bitorsor,
             dst.bitorsor,
             self.hom(d["phi_left"]),
             _json_ints(d["point_map"]),
             self.hom(d["phi_right"]),
         )
-        return eq.PiMorphism(src, dst, inner)
+        return self._eq.PiMorphism(src, dst, inner)
 
 
 def decomposition_to_json(
@@ -675,7 +675,7 @@ def decomposition_from_json(
             raise ParseError(f"unsupported schema {doc.get('schema')!r}")
         if doc.get("kind") != "decomposition-certificate":
             raise ParseError(f"unsupported document kind {doc.get('kind')!r}")
-        r = _Reader(doc, resolver)
+        r = _Reader(doc, resolver, eq)
         ed = doc["extension"]
         big = r.group(ed["pi_big"])
         e = dv.SplitExtension(

@@ -284,14 +284,20 @@ class TestCertificateJson:
         with pytest.raises(DomainError):
             F.decomposition_from_json(doc)
 
-    def test_repeated_sub_documents_are_built_once(self, s3_certificate):
+    def test_repeated_sub_documents_are_built_once_per_process(self, s3_certificate):
         t, e, d = s3_certificate
         doc = json.loads(json.dumps(F.decomposition_to_json(t, e, d)))
         dd = doc["decomposition"]
         assert dd["certificate"]["w_inclusion"]["dst"] == dd["y"]
-        _, _, d2 = F.decomposition_from_json(doc)
+        t2, _, d2 = F.decomposition_from_json(doc)
         assert d2.certificate.w_inclusion.dst is d2.y
         assert d2.certificate.w_inclusion.src is d2.certificate.w_witness
+        # a second document with the same values, read later in the process
+        t3, _, d3 = F.decomposition_from_json(json.loads(json.dumps(doc)))
+        assert t3.bitorsor is t2.bitorsor
+        assert (d3.y, d3.z, d3.y.left, d3.z.right) == (d2.y, d2.z, d2.y.left, d2.z.right)
+        assert d3.y is d2.y and d3.z is d2.z and d3.y.left is d2.y.left and d3.z.right is d2.z.right
+        assert d3.certificate.w_witness is d2.certificate.w_witness
 
     def test_action_row_at_a_non_generator_is_refused_by_the_law(self, s3_certificate):
         """Only the rows at pi's generators are read as homs; a row elsewhere

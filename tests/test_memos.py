@@ -3,13 +3,15 @@ resolve_group_spec on a constructor spec, parse_group on its text,
 parse_extension after pi_big on (text, the resolved group, its label), and
 an extension's conjugation action on the value and its labels.  Within one
 process a changed file is always seen, a label is never lost, a failure is
-never cached, and every memo of every module of the package is bounded."""
+never cached, and every memo of every module of the package is bounded by
+the bound README states for it."""
 
 from __future__ import annotations
 
 import functools
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -147,11 +149,15 @@ def _memos():
     ]
 
 
+def _memo_section() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("\n## Memos\n", 1)[1].split("\n## ", 1)[0]
+
+
 def test_the_memos_are_the_ones_documented():
     """Every memo of the package is named, module and all, in README's
     Memos section, so no memo lands undocumented."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split("\n## Memos\n", 1)[1].split("\n## ", 1)[0]
+    section = _memo_section()
     names = [name.removeprefix("bitorsor_kit.") for name, _ in _memos()]
     assert [name for name in names if f"`{name}`" not in section] == []
     assert {name.rpartition(".")[2] for name in names} >= {
@@ -163,3 +169,14 @@ def test_the_memos_are_the_ones_documented():
 @pytest.mark.parametrize("name, memo", _memos(), ids=[name for name, _ in _memos()])
 def test_every_memo_reports_a_finite_maxsize(name, memo):
     assert isinstance(memo.cache_info().maxsize, int)
+
+
+@pytest.mark.parametrize("name, memo", _memos(), ids=[name for name, _ in _memos()])
+def test_every_memo_bound_is_the_documented_one(name, memo):
+    """Each README Memos bullet that names a memo states its bound, with or
+    without a thousands separator, so a bound cannot drift from the docs."""
+    bound = memo.cache_info().maxsize
+    named = f"`{name.removeprefix('bitorsor_kit.')}`"
+    bullets = [b for b in _memo_section().split("\n- ") if named in b]
+    stated = re.compile(rf"(?<![\d,.]){bound:,}(?![\d,])|(?<![\d,.]){bound}(?![\d,])")
+    assert bullets and [b for b in bullets if not stated.search(" ".join(b.split()))] == []
