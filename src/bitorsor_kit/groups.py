@@ -12,7 +12,7 @@ quotients) skip the check through errors.by_formula, unless
 BITORSOR_CHECK=full, as in the tests.  make_group's memo is the FiniteGroup
 constructor itself, keeping 512 groups per process on (table, generators,
 label), since labels reach the output and group equality ignores them;
-subgroup_as_group keeps 128 subgroups on (parent, its label, members,
+subgroup_as_group keeps 1,024 subgroups on (parent, its label, members,
 label) for the same reason; failures are not cached.  A hom's class under
 conjugation in its codomain is named by one invariant, its canonical
 conjugate: the conjugate with the lexicographically least map.
@@ -393,15 +393,9 @@ def quotient(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     table = tuple(
         tuple(idx_of[g.mul[cosets[i][0]][cosets[j][0]]] for j in range(k)) for i in range(k)
     )
-    gens: list[int] = []
-    for a in g.generators:
-        v = idx_of[a]
-        if v not in gens:
-            gens.append(v)
-    if not gens:
-        gens = [idx_of[g.identity]]
+    gens = tuple(dict.fromkeys(idx_of[a] for a in g.generators))  # g has a generator
     label = f"{g.label}/[{','.join(map(str, n.members))}]"
-    q = by_formula(FiniteGroup, table, tuple(gens), label)
+    q = by_formula(FiniteGroup, table, gens, label)
     return q, by_formula(GroupHom, g, q, tuple(idx_of[x] for x in g.elements))
 
 
@@ -427,9 +421,14 @@ def _subgroup_as_group(parent: FiniteGroup, parent_label: str, ms: tuple[int, ..
     return sub, by_formula(GroupHom, sub, parent, ms)
 
 
-@lru_cache(maxsize=64)
 def all_subgroups(g: FiniteGroup) -> tuple[Subgroup, ...]:
-    """Every subgroup, sorted by (order, member list)."""
+    """Every subgroup of g, its label kept, sorted by (order, member list)."""
+    return tuple(by_formula(Subgroup, g, ms) for ms in _subgroup_members(g))
+
+
+@lru_cache(maxsize=64)
+def _subgroup_members(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """all_subgroups' member lists, keyed on g without its label: they carry none."""
     found: set[frozenset[int]] = {frozenset({g.identity})}
     frontier = [frozenset({g.identity})]
     while frontier:
@@ -441,62 +440,67 @@ def all_subgroups(g: FiniteGroup) -> tuple[Subgroup, ...]:
             if grown not in found:
                 found.add(grown)
                 frontier.append(grown)
-    ordered = sorted((tuple(sorted(s)) for s in found), key=lambda t: (len(t), t))
-    return tuple(subgroup(g, ms) for ms in ordered)
+    return tuple(sorted((tuple(sorted(s)) for s in found), key=lambda t: (len(t), t)))
 
 
-def _extend_by_generators(
-    src: FiniteGroup, dst: FiniteGroup, gens: Sequence[int], images: Sequence[int]
-) -> tuple[int, ...] | None:
-    """Extend generator images along the Cayley graph; None if inconsistent.
-    A returned map sends the identity to the identity and satisfies
-    m[a.g] = m[a].m[g] for every a and every generator g, which is what
-    GroupHom checks, so the hom search builds its homs by formula."""
-    n = src.order
-    mapping: list[int | None] = [None] * n
-    mapping[src.identity] = dst.identity
-    frontier = [src.identity]
-    smul, dmul = src.mul, dst.mul
-    while frontier:
-        a = frontier.pop()
-        fa = mapping[a]
-        for g, img in zip(gens, images):
-            b = smul[a][g]
-            v = dmul[fa][img]
-            if mapping[b] is None:
-                mapping[b] = v
-                frontier.append(b)
-            elif mapping[b] != v:
-                return None
-    return tuple(mapping)  # complete: generators generate src
+all_subgroups.cache_info = _subgroup_members.cache_info  # the hit ratio a traced run reports
 
 
-def _iter_homs(
-    src: FiniteGroup,
-    dst: FiniteGroup,
-    candidates: Sequence[Sequence[int]] | None,
-    same_order: bool,
-) -> Iterator[GroupHom]:
-    """Homomorphisms in lexicographic order of generator images, each image
-    pool cut to elements whose order divides (or, with `same_order`, equals)
-    the generator's order."""
+def _iter_homs(src: FiniteGroup, dst: FiniteGroup, candidates: Sequence[Sequence[int]] | None) -> Iterator[GroupHom]:
+    """Homomorphisms in lexicographic order of generator images, each pool
+    cut to images whose order divides the generator's, by backtracking
+    (Holt, Eick & O'Brien, Handbook of Computational Group Theory, 2005):
+    m is kept on `span`, the subgroup the generators placed so far span.  A
+    new generator g extends m along the edges it adds, from the span along g
+    and from each new element along every placed generator, and a choice is
+    dropped at the first relation it breaks; a generator already in the
+    span takes only its forced image, once each time its pool holds it.  A
+    finished m has m[a.g] = m[a].m[g] for all a and generators g, which is
+    GroupHom's check, so each hom is built by formula."""
     gens = src.generators
     if candidates is None:
-        candidates = [range(dst.order)] * len(gens)
+        candidates = [dst.elements] * len(gens)
     elif len(candidates) != len(gens):
         raise MixedSignatures("candidate pools must align with source generators")
-    dst_orders = [dst.element_order(x) for x in dst.elements]
-    pools = []
-    for g, pool in zip(gens, candidates):
-        k = src.element_order(g)
-        if same_order:
-            pools.append([x for x in pool if dst_orders[x] == k])
-        else:
-            pools.append([x for x in pool if k % dst_orders[x] == 0])
-    for images in itertools.product(*pools):
-        m = _extend_by_generators(src, dst, gens, images)
-        if m is not None:
-            yield by_formula(GroupHom, src, dst, m)
+    orders = [dst.element_order(x) for x in dst.elements]
+    pools = [[x for x in pool if k % orders[x] == 0] for k, pool in zip(map(src.element_order, gens), candidates)]
+    smul, dmul = src.mul, dst.mul
+    m: list = [None] * src.order
+    m[src.identity] = dst.identity
+    span, edges = [src.identity], []
+
+    def place(k: int) -> Iterator[GroupHom]:
+        if k == len(gens):
+            yield by_formula(GroupHom, src, dst, tuple(m))
+            return
+        g, size = gens[k], len(span)
+        if m[g] is not None:
+            for _ in range(pools[k].count(m[g])):
+                yield from place(k + 1)
+            return
+        for x in pools[k]:
+            edges.append((g, x))
+            i, ok = 0, True
+            while ok and i < len(span):
+                a = span[i]
+                i += 1
+                row, drow = smul[a], dmul[m[a]]
+                for h, y in edges[-1:] if i <= size else edges:
+                    b, v = row[h], drow[y]
+                    if m[b] is None:
+                        m[b] = v
+                        span.append(b)
+                    elif m[b] != v:
+                        ok = False
+                        break
+            if ok:
+                yield from place(k + 1)
+            for b in span[size:]:
+                m[b] = None
+            del span[size:]
+            edges.pop()
+
+    return place(0)
 
 
 def enumerate_homs(
@@ -507,12 +511,10 @@ def enumerate_homs(
     """All homomorphisms, ordered lexicographically by generator images.
 
     `candidates` optionally restricts the image pool per source generator.
-    A hom sends an element of order k to one whose order divides k, so each
-    pool is first cut to such images.  The cut keeps the survivors in pool
-    order and drops only image tuples that cannot extend to a hom, so the
+    The search (_iter_homs) drops only the choices no hom extends, so the
     list is exactly what the full product over the pools would give.
     """
-    return list(_iter_homs(src, dst, candidates, same_order=False))
+    return list(_iter_homs(src, dst, candidates))
 
 
 def iter_isomorphisms(
@@ -521,15 +523,10 @@ def iter_isomorphisms(
     candidates: Sequence[Sequence[int]] | None = None,
 ) -> Iterator[GroupHom]:
     """Yield the isomorphisms a -> b lazily, in lexicographic order of
-    generator images.  `candidates` optionally restricts the image pool per
-    generator of a, as in enumerate_homs.  An isomorphism preserves element
-    orders, so each generator's image pool is cut to elements of the same
-    order."""
-    if a.order != b.order:
-        return
-    for h in _iter_homs(a, b, candidates, same_order=True):
-        if h.is_bijective():
-            yield h
+    generator images: the bijective homs of enumerate_homs's search, with
+    `candidates` restricting the image pool per generator of a as there."""
+    if a.order == b.order:
+        yield from filter(GroupHom.is_bijective, _iter_homs(a, b, candidates))
 
 
 def isomorphisms_between(a: FiniteGroup, b: FiniteGroup) -> list[GroupHom]:

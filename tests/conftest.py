@@ -147,11 +147,11 @@ json.dump({"full_check": errors.FULL_CHECK, "runs": runs}, sys.stdout)
 """
 
 
-def cli_in_fresh_process(commands, check: str | None):
+def cli_in_fresh_process(commands, check: str | None, timeout: float | None = None):
     """Run each argv through cli.main, in order, in one new interpreter whose
-    BITORSOR_CHECK is `check` (None: unset).  Returns whether that process
-    checked values built by formula, and (exit code, stdout, stderr) per
-    command."""
+    BITORSOR_CHECK is `check` (None: unset), killed after `timeout` seconds.
+    Returns whether that process checked values built by formula, and
+    (exit code, stdout, stderr) per command."""
     env = {k: v for k, v in os.environ.items() if k != "BITORSOR_CHECK"}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     if check is not None:
@@ -159,7 +159,7 @@ def cli_in_fresh_process(commands, check: str | None):
     proc = subprocess.run(
         [sys.executable, "-c", _CLI_RUNNER],
         input=json.dumps([list(argv) for argv in commands]),
-        capture_output=True, text=True, env=env, check=True,
+        capture_output=True, text=True, env=env, check=True, timeout=timeout,
     )
     doc = json.loads(proc.stdout)
     return doc["full_check"], [tuple(run) for run in doc["runs"]]

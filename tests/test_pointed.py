@@ -444,19 +444,19 @@ def test_dihedral_h1_counts_the_orbits_of_presentation_pairs(n):
     "k, specs",
     [
         pytest.param(2, ("dihedral:10", "symmetric:5"), id="2"),
-        pytest.param(3, ("dihedral:10", "symmetric:5"), id="3"),
+        pytest.param(3, ("dihedral:10", "symmetric:5", "dihedral:60", "dihedral:100"), id="3"),
         pytest.param(5, ("dihedral:100",), id="E32-D100", marks=pytest.mark.xfail(
-            run=False, reason="ROADMAP item 9: the hom search walks every 5-tuple of D100's "
-            "102 square roots of 1 and does not finish; the oracle counts 1,024 classes")),
+            run=False, reason="ROADMAP item 1: h1 takes about 10 s, above the oracles' 5 s "
+            "budget, enumerating all 1,024 classes' homs; the oracle counts 1,024 classes")),
     ],
 )
 def test_elementary_abelian_h1_counts_the_orbits_of_commuting_involutions(k, specs):
     """H1((C_2)^k, G) for the trivial action, against Burnside over the
     centralizers: x fixes the commuting k-tuples of square roots of 1 in
-    its centralizer.  E4 and E8 go into D10, S5 and the hom search tests'
-    groups, and relabelled copies; h1 takes seconds on E8 into D100.  E32
-    into D100 is recorded but not run until the hom search backtracks
-    (ROADMAP item 9): h1 does not finish there."""
+    its centralizer.  E4 goes into D10 and S5, E8 into those and D60 and
+    D100, each also into the hom search tests' groups and relabelled
+    copies.  E32 into D100 is recorded but not run until h1 enumerates up
+    to conjugation (ROADMAP item 1): h1 takes about 10 s there."""
     from bitorsor_kit import formats as F
 
     c2 = G.cyclic(2)

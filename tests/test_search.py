@@ -1,6 +1,6 @@
-"""Hom search with element-order pruning and first-hit isomorphism search:
-every search returns exactly what the unpruned, eager references in
-reference_checks return, in the same order."""
+"""Hom search by backtracking with element-order pruning, and first-hit
+isomorphism search: every search returns exactly what the unpruned, eager
+references in reference_checks return, in the same order."""
 
 from __future__ import annotations
 
@@ -15,10 +15,11 @@ import reference_checks as ref
 from bitorsor_kit import bitorsors as B
 from bitorsor_kit import devissage as D
 from bitorsor_kit import equivariant as E
+from bitorsor_kit import formats as F
 from bitorsor_kit import groups as G
 from bitorsor_kit import local_model as L
 
-from conftest import scrambled_trivial
+from conftest import cli_in_fresh_process, scrambled_trivial
 from test_bitorsors import product_map
 from test_validators import relabel
 
@@ -60,6 +61,28 @@ def _relabelled() -> list[G.FiniteGroup]:
 RELABELLED = _relabelled()
 
 
+def _redundant() -> list[G.FiniteGroup]:
+    """D4 listing r, s and rs, a relabelled copy listing rs, r and s, and D4
+    listing r, s and r^2: the last generator lies in the span of the
+    earlier ones, so the search gives it only its forced image.  Only r^2's
+    order does not restate the relation s r s = r^-1, so only there a
+    search that skipped a relation before the last generator would pass
+    on a map that is no hom."""
+    d4 = G.dihedral(4)
+    r, s = d4.generators
+    rs, r2 = d4.mul[r][s], d4.mul[r][r]
+    out = [
+        G.make_group(d4.mul, (r, s, rs), "D4[r,s,rs]"),
+        relabel_off_zero(G.make_group(d4.mul, (rs, r, s), "D4[rs,r,s]"), random.Random(5)),
+        G.make_group(d4.mul, (r, s, r2), "D4[r,s,r2]"),
+    ]
+    assert all(G.closure(g.mul, g.generators[:2], g.identity) == set(g.elements) for g in out)
+    return out
+
+
+REDUNDANT = _redundant()
+
+
 def assert_searches_agree(a: G.FiniteGroup, b: G.FiniteGroup) -> None:
     assert maps(G.enumerate_homs(a, b)) == maps(ref.enumerate_homs(a, b))
     assert maps(G.isomorphisms_between(a, b)) == maps(ref.isomorphisms_between(a, b))
@@ -76,6 +99,35 @@ def test_searches_agree_with_reference_on_relabelled_groups():
         for b in UNIVERSE + RELABELLED:
             assert_searches_agree(a, b)
             assert_searches_agree(b, a)
+
+
+def test_searches_agree_with_reference_on_redundant_generators():
+    """Generators the earlier ones span, as source and as target, and with
+    pools that hold the forced image twice or not at all."""
+    rnd = random.Random(11)
+    for a in REDUNDANT:
+        for b in UNIVERSE + RELABELLED + REDUNDANT:
+            assert_searches_agree(a, b)
+            assert_searches_agree(b, a)
+        for b in (a, UNIVERSE[7], RELABELLED[3]):
+            for _ in range(20):
+                pools = [rnd.choices(b.elements, k=rnd.randrange(b.order + 3)) for _ in a.generators]
+                got = G.enumerate_homs(a, b, candidates=pools)
+                assert maps(got) == maps(ref.enumerate_homs(a, b, candidates=pools))
+
+
+def test_h1_from_seven_generators_runs_at_once(tmp_path):
+    """h1 from D4 listing all seven non-identity elements prints what h1
+    from dihedral:4 prints, in a new interpreter given 10 s: the five
+    generators past the first two take forced images, where a search over
+    every 7-tuple of images would not finish."""
+    d4 = G.dihedral(4)
+    seven = G.make_group(d4.mul, [x for x in d4.elements if x != d4.identity], d4.label)
+    path = tmp_path / "d4_seven.grp"
+    path.write_text(F.format_group(seven))
+    h1 = [("h1", "--pi", pi, "--group", "dihedral:10") for pi in (str(path), "dihedral:4")]
+    _, runs = cli_in_fresh_process(h1, check="full", timeout=10)
+    assert runs[0] == runs[1] and runs[0][1].startswith("16 classes of maps from D4 into D10\n")
 
 
 def _surjections() -> list[G.GroupHom]:

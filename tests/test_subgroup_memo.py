@@ -44,3 +44,16 @@ def test_a_survey_builds_each_distinct_subgroup_once(monkeypatch):
     monkeypatch.setattr(G, "generating_set", lambda *a: tabled.append(a) or orig_gens(*a))
     L.survey(L.TameParams(3, 4, 2), G.symmetric(4))
     assert len(tabled) == len(set(keys)) < len(keys)
+
+
+def test_all_subgroups_keeps_the_callers_label():
+    """all_subgroups shares its member lists between equal groups under two
+    labels, but each call's subgroups have the group it was given as parent,
+    label and all."""
+    s3 = G.symmetric(3)
+    for label in ("A", "B"):
+        g = G.make_group(s3.mul, s3.generators, label)
+        subs = G.all_subgroups(g)
+        assert [h.members for h in subs] == [h.members for h in G.all_subgroups(s3)]
+        assert {h.parent.label for h in subs} == {label}
+    assert G.all_subgroups.cache_info().hits >= 2
