@@ -10,11 +10,11 @@ x again through the identity on points, so the witness isomorphism is the
 identity.  The type-gamma witness is y restricted to the class of point 0
 under h' = theta(gamma), which is pi-stable since h' is normal and y's
 transport through point 0 is the identity (Giraud, Cohomologie non
-abelienne, 1971).  A disconnected carrier's decomposition is that of the
-component of point 0 extended back along the component's inclusion, its
-witness built at a base point over rho, read from two point conjugations,
-and its type-gamma witness the same orbit restriction at the image of
-point 0; decompose runs no search.
+abelienne, 1971).  A disconnected carrier's factors are those of the
+component of point 0, which gets no witness, extended back along the
+component's inclusion; its witness is built at a base point over rho, read
+from two point conjugations, and its type-gamma witness is the same orbit
+restriction at the image of point 0; decompose runs no search.
 """
 
 from __future__ import annotations
@@ -147,8 +147,9 @@ class VerificationResult:
         return self.ok
 
 
-def _decompose_connected(t: ThetaBitorsor, e: SplitExtension) -> Decomposition:
-    b = t.bitorsor
+def _factors(t: ThetaBitorsor, e: SplitExtension) -> tuple:
+    """(x, y, z, images, h_prime, quotient_map, s_low, theta_tilde) of a
+    connected carrier t, images the image of each element of gamma in turn."""
     theta = t.theta
     if not theta.is_surjective():
         raise DevissageError("connected decomposition needs a surjective theta")
@@ -156,28 +157,27 @@ def _decompose_connected(t: ThetaBitorsor, e: SplitExtension) -> Decomposition:
     h_prime = image(theta, e.gamma)
     if not h_prime.is_normal:
         raise DevissageError("image of gamma failed to be normal in the left group")
-    _, q = quotient(b.left_group, h_prime)
+    _, q = quotient(t.bitorsor.left_group, h_prime)
     s_low = compose_homs(theta, e.s)
     theta_tilde = compose_homs(s_low, e.p)
-    z_theta = ThetaBitorsor(b, theta_tilde)
-    z = eq.from_theta(z_theta)
+    z = eq.from_theta(ThetaBitorsor(t.bitorsor, theta_tilde))
     x = eq.from_theta(t)
     y = eq.compose_pi(x, eq.inverse_pi(z))
-    wedge_back = eq.compose_pi(y, z)
-    if wedge_back != x:
+    if eq.compose_pi(y, z) != x:
         raise DevissageError("the glued factors failed to reproduce the input")
-    witness_iso = eq.pi_identity_morphism(x)
-    gamma = gamma_conjugation_structure(e).group
-    w_sub, w_incl, gamma_surj = _type_gamma_witness(y, 0, images, gamma)
-    cert = DecompositionCertificate(h_prime, q, s_low, theta_tilde, w_sub, w_incl, gamma_surj)
-    return Decomposition(y, z, witness_iso, cert)
+    return x, y, z, images, h_prime, q, s_low, theta_tilde
+
+
+def _decompose_connected(t: ThetaBitorsor, e: SplitExtension) -> Decomposition:
+    x, y, z, images, *collapse = _factors(t, e)
+    witness = _type_gamma_witness(y, 0, images, gamma_conjugation_structure(e).group)
+    return Decomposition(y, z, eq.pi_identity_morphism(x), DecompositionCertificate(*collapse, *witness))
 
 
 def _type_gamma_witness(y: PiBitorsor, p: int, images: list[int], gamma: FiniteGroup) -> tuple[PiBitorsor, PiMorphism, GroupHom]:
     """y restricted to the class of point p under the left subgroup h of
-    `images`, the image of each element of gamma in turn
-    (bt.orbit_restriction); with its inclusion and gamma's surjection onto
-    h."""
+    `images`, the image of each element of gamma in turn (bt.orbit_restriction);
+    with its inclusion and gamma's surjection onto h."""
     incl = bt.orbit_restriction(y.bitorsor, p, images)
     w_sub, w_incl = eq.restrict_pi(y, incl)
     h = incl.phi_left
@@ -185,21 +185,21 @@ def _type_gamma_witness(y: PiBitorsor, p: int, images: list[int], gamma: FiniteG
     return w_sub, w_incl, by_formula(GroupHom, gamma, h.src, tuple(pos[v] for v in images))
 
 
-def _transport_disconnected(t: ThetaBitorsor, incl: BitorsorMorphism, inner: Decomposition) -> Decomposition:
-    """Extend the structure groups of inner, the decomposition of a
-    component of t, back along the component's inclusion, out of inner's
-    glued factors since inner's witness is the identity; extension commutes
-    with gluing (Giraud, Cohomologie non abelienne, 1971).  The middle map
-    phi is z0's left hom extended along the inclusion's right hom, and y and
-    z are y0 and z0 extended along phi on the right and on the left.  z and
-    z0's right extension are left torsors under the middle group; rho
-    identifies them at the images of point 0: z's point conjugation there,
-    then the inverse of the other's.  The witness sends the glued point of
-    (can_y(0), can_z(0)) to the image of point 0 over rho, which commutes
-    with pi when z's right structure is constant, as x's is.  The type-gamma
-    witness is the class of can_y(0) under the image of inner's."""
+def _transport_disconnected(t: ThetaBitorsor, incl: BitorsorMorphism, comp: ThetaBitorsor, e: SplitExtension) -> Decomposition:
+    """Extend the factors y0 and z0 of comp, the component of point 0 of t,
+    back along the component's inclusion: y0 glued with z0 is comp, and
+    extension commutes with gluing (Giraud, Cohomologie non abelienne, 1971).
+    The middle map phi is z0's left hom extended along the inclusion's right
+    hom; y and z are y0 and z0 extended along phi on the right and on the
+    left.  z and z0's right extension are left torsors under the middle
+    group; rho identifies them at the images of point 0: z's point
+    conjugation there, then the inverse of the other's.  The witness sends
+    the glued point of (can_y(0), can_z(0)) to the image of point 0 over rho,
+    which commutes with pi when z's right structure is constant, as x's is.
+    The type-gamma witness is the class of can_y(0) under the image of gamma
+    through comp's theta and can_y."""
     x = eq.from_theta(t)
-    y0, z0 = inner.y, inner.z
+    _, y0, z0, images0, *collapse = _factors(comp, e)
     pushed, can = eq.pushforward_pi(z0, incl.phi_right, x.right)
     phi, middle = can.inner.phi_left, pushed.left
     y, can_y = eq.pushforward_pi(y0, phi, middle)
@@ -213,24 +213,20 @@ def _transport_disconnected(t: ThetaBitorsor, incl: BitorsorMorphism, inner: Dec
     glued = bt.glued_point(y.bitorsor, z.bitorsor, can_y(0), can_z(0))
     psi = bt.base_point_morphism(wedge.bitorsor, glued, x.bitorsor, incl(0), rho)
     witness_iso = by_formula(PiMorphism, wedge, x, psi)
-    cert = inner.certificate
-    gs, w = cert.gamma_surjection, cert.w_inclusion.inner
-    images = [can_y.inner.phi_left.map[w.phi_left.map[v]] for v in gs.map]
-    w_img, w_incl, gamma_surj = _type_gamma_witness(y, can_y(0), images, gs.src)
-    cert = DecompositionCertificate(
-        cert.h_prime, cert.quotient_map, cert.s_low, cert.theta_tilde, w_img, w_incl, gamma_surj
-    )
-    return Decomposition(y, z, witness_iso, cert)
+    images = [can_y.inner.phi_left.map[v] for v in images0]
+    witness = _type_gamma_witness(y, can_y(0), images, gamma_conjugation_structure(e).group)
+    return Decomposition(y, z, witness_iso, DecompositionCertificate(*collapse, *witness))
 
 
 def decompose(t: ThetaBitorsor, e: SplitExtension) -> Decomposition:
-    """Split t into a type-gamma and a type-pi factor."""
+    """Split t into a type-gamma and a type-pi factor; a disconnected t
+    from the factors of its component of point 0 (_transport_disconnected)."""
     if t.pi != e.pi_big:
         raise bt.SignatureMismatch("carrier symmetry group differs from pi_big")
     if eq.is_connected(t):
         return _decompose_connected(t, e)
     comp, incl = eq.connected_component(t)
-    return _transport_disconnected(t, incl, _decompose_connected(comp, e))
+    return _transport_disconnected(t, incl, comp, e)
 
 
 def verify_decomposition(

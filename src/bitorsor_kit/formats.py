@@ -9,8 +9,8 @@ Per process, a constructor spec is built once (64 specs), parse_group is
 memoized on its text (128), and parse_extension after pi_big on the text
 and the resolved group with its label (32); a group file is read on every
 call, and failures are not cached.  The certificate reader checks each
-distinct decoded value once per process (_checked, 4096 keys), and the
-writer keeps the text of 256 tables taken from records (_table_text).
+distinct decoded value once per process (_checked, 4096 keys); the writer
+keeps the text of 256 record tables (_table_text) and 4096 rows (_row_text).
 
 Only the group layer is imported with this module: the extension,
 registry and certificate readers and writers import the calculus modules
@@ -480,9 +480,13 @@ def _write_indented(v, newline: str, out: list[str]) -> None:
 def _table_text(rows: _Table, newline: str) -> str:
     if not {int}.issuperset(map(type, itertools.chain.from_iterable(rows))):
         raise TypeError("only a table of ints is kept: no equal table of bools is written from it")
-    out: list[str] = []
-    _write_indented([list(r) for r in rows], newline, out)
-    return "".join(out)
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join([_row_text(r, inner) for r in rows]) + newline + "]"
+
+
+@lru_cache(maxsize=4096)  # a seed-1 decompose-sweep pass misses 2,149 tables, rendered from 1,798 rows
+def _row_text(row: tuple[int, ...], newline: str) -> str:
+    return "[" + newline + "  " + ("," + newline + "  ").join(map(int.__repr__, row)) + newline + "]"
 
 
 def group_to_json(g: FiniteGroup) -> dict:

@@ -2355,14 +2355,17 @@ def pi_group_from_rows(g: FiniteGroup, pi: FiniteGroup, rows) -> PiGroup:
 # The library's previous versions with module prefixes.
 
 
-def transport_rho(t, incl, inner) -> GroupHom:
-    """rho of devissage._transport_disconnected: both extensions of the
-    component's z inverted in full and identified at the images of point 0
-    over the identity of the middle group; their left hom."""
+def transport_rho(t, incl, comp, e) -> GroupHom:
+    """rho of devissage._transport_disconnected: both extensions of z0, the
+    expansion of theta_tilde over the component comp, inverted in full and
+    identified at the images of point 0 over the identity of the middle
+    group; their left hom."""
     x = E.from_theta(t)
-    pushed, can = E.pushforward_pi(inner.z, incl.phi_right, x.right)
+    theta_tilde = G.compose_homs(G.compose_homs(comp.theta, e.s), e.p)
+    z0 = E.from_theta(E.ThetaBitorsor(comp.bitorsor, theta_tilde))
+    pushed, can = E.pushforward_pi(z0, incl.phi_right, x.right)
     phi, middle = can.inner.phi_left, pushed.left
-    z, can_z = E.pushforward_left_pi(inner.z, phi, middle)
+    z, can_z = E.pushforward_left_pi(z0, phi, middle)
     return B.base_point_morphism(
         B.inverse(z.bitorsor), can_z(0), B.inverse(pushed.bitorsor), can(0),
         identity_hom(middle.group),

@@ -395,11 +395,14 @@ def test_every_morphism_is_built_at_a_base_point(monkeypatch, case):
 
 @pytest.mark.parametrize("case", ["criterion-6", *SURVEY_CASES], ids=_case_id)
 def test_decompose_builds_nothing_it_throws_away(monkeypatch, case):
-    """With the memos cleared, decompose inverts one carrier per connected
-    decomposition (its z), none to transport a disconnected one (rho is read
-    from two point conjugations), and equivariant never materializes a
+    """With the memos cleared, decompose inverts one carrier per input, the
+    z of the connected carrier it factors (the input or its component), and
+    none other to transport a disconnected one (rho is read from two point
+    conjugations), builds one type-gamma witness per input
+    and the identity witness only for a connected one (a disconnected input
+    only factors its component), and equivariant never materializes a
     subgroup: a restriction reads its groups off the inclusion it is given."""
-    stacks, materialized = [], []
+    stacks, materialized, built = [], [], Counter()
     inverse = B.inverse
 
     def counting_inverse(b):
@@ -416,18 +419,34 @@ def test_decompose_builds_nothing_it_throws_away(monkeypatch, case):
             return lib(*args, **kwargs)
         return wrapped
 
+    def counting(mod, name):
+        lib = getattr(mod, name)
+
+        def wrapped(*args):
+            built[name] += 1
+            return lib(*args)
+        monkeypatch.setattr(mod, name, wrapped)
+
     monkeypatch.setattr(B, "inverse", counting_inverse)
     for mod in (G, B, E, D):
         if hasattr(mod, "subgroup_as_group"):
             monkeypatch.setattr(mod, "subgroup_as_group", tracking(mod.subgroup_as_group))
+    counting(D, "_type_gamma_witness")
+    counting(E, "pi_identity_morphism")
     D._gamma_structure.cache_clear()
-    decompositions = 0
+    decompositions = connected = 0
     for t, e in _decompose_cases(case):
+        before = built.copy()
         d = D.decompose(t, e)
+        assert built - before == Counter(
+            {"_type_gamma_witness": 1, "pi_identity_morphism": E.is_connected(t)}
+        )
         assert D.verify_decomposition(t, d, e).ok
         decompositions += 1
+        connected += E.is_connected(t)
     assert len(stacks) == decompositions
-    assert [callers for callers in stacks if "_transport_disconnected" in callers] == []
+    assert [callers for callers in stacks if "_factors" not in callers] == []
+    assert built == Counter({"_type_gamma_witness": decompositions, "pi_identity_morphism": connected})
     assert materialized and "bitorsor_kit.equivariant" not in materialized
 
 
@@ -459,9 +478,9 @@ def test_values_read_off_built_ones_equal_the_previous_constructions(monkeypatch
     transports, restrictions, extensions = [], [], {}
     transport, restrict = D._transport_disconnected, E.restrict_pi_group
 
-    def checked_transport(t, incl, inner):
-        d = transport(t, incl, inner)
-        want, got = ref.transport_rho(t, incl, inner), d.witness_iso.inner.phi_right
+    def checked_transport(t, incl, comp, e):
+        d = transport(t, incl, comp, e)
+        want, got = ref.transport_rho(t, incl, comp, e), d.witness_iso.inner.phi_right
         assert (got, got.src.label, got.dst.label) == (want, want.src.label, want.dst.label)
         transports.append(got)
         return d
@@ -489,8 +508,8 @@ def test_values_read_off_built_ones_equal_the_previous_constructions(monkeypatch
         D.decompose(t, e)
         extensions[e, e.pi_big.label] = e
         decompositions += 1
-    # two per type-gamma witness: one for the component, one transported
-    assert transports and len(restrictions) == 2 * (decompositions + len(transports))
+    # two per type-gamma witness, which each decompose builds once
+    assert transports and len(restrictions) == 2 * decompositions
     for e in extensions.values():
         got, want = D.gamma_conjugation_structure(e), ref.gamma_structure(e)
         assert (got.action, got.group, got.group.label, got.pi.label) == (

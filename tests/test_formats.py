@@ -463,6 +463,20 @@ class TestIndentedWriter:
             assert F.dumps_indented(doc) == json.dumps(doc, indent=2, sort_keys=True)
         assert len(rows) > 100 and F._table_text.cache_info().hits > hits
 
+    def test_a_missed_table_is_joined_from_kept_rows(self, sweep_decompositions):
+        """With the table memo emptied before each certificate, every table
+        is joined from the texts of its rows, kept per (row, indent): each
+        certificate is still written as json.dumps writes it, and the rows
+        of a repeated certificate are all read from the row memo."""
+        t, e, d, _ = sweep_decompositions[0]["criterion-6"][-1]
+        doc = F.decomposition_to_json(t, e, d)
+        for _ in range(2):
+            F._table_text.cache_clear()
+            before = F._row_text.cache_info()
+            assert F.dumps_indented(doc) == json.dumps(doc, indent=2, sort_keys=True)
+        after = F._row_text.cache_info()
+        assert after.misses == before.misses and after.hits > before.hits
+
     def test_a_record_table_at_two_depths(self, s3):
         table = F._emit_table(s3.mul, s3.order)
         for value in (table, {"a": table, "b": [{"c": table}], "d": [[table, 1]]}):
@@ -486,6 +500,8 @@ class TestIndentedWriter:
         assert "true" in F.dumps_indented(bools)
         for value in (bools, ints):
             assert F.dumps_indented(value) == json.dumps(value, indent=2, sort_keys=True)
+        F._table_text.cache_clear()  # (1, 0)'s row text is kept; a row of bools is never read from it
+        assert "true" in F.dumps_indented(bools)
 
     def test_certificate_bytes(self, s3_certificate):
         doc = F.decomposition_to_json(*s3_certificate)

@@ -21,7 +21,7 @@ from conftest import scrambled_trivial
 from test_acceptance import _acceptance_extensions, _criterion_7_registries
 from test_construction import _twisted
 from test_rclass import all_members, registry, trivial_members
-from test_search import RELABELLED, UNIVERSE
+from test_search import RELABELLED, UNIVERSE, _record_transports
 
 SMALL = (G.cyclic(2), G.cyclic(3), G.cyclic(4), G.cyclic(6), G.symmetric(3), G.dihedral(4))
 S4_LADDER = ((3, 4, 2), (2, 3, 2), (2, 7, 3), (5, 4, 1), (2, 5, 4))
@@ -92,8 +92,10 @@ def test_classify_matches_scan_on_calculus_outputs(z2, z3, z4, s3):
 
 
 def _connected_decompositions(monkeypatch, work) -> list:
-    """(connected input, decomposition) for every connected decomposition
-    `work` makes, the components of disconnected inputs included."""
+    """(connected carrier, decomposition) for every connected input `work`
+    decomposes, and for the component of point 0 of every disconnected one,
+    which decompose only factors: its decomposition by _decompose_connected,
+    as _record_transports builds it."""
     calls = []
     lib = D._decompose_connected
 
@@ -103,8 +105,8 @@ def _connected_decompositions(monkeypatch, work) -> list:
         return d
 
     monkeypatch.setattr(D, "_decompose_connected", record)
-    work()
-    return calls
+    transports = _record_transports(monkeypatch, work)
+    return calls + [(E.to_theta(m.src), inner) for m, inner, _ in transports]
 
 
 def assert_witnesses_match_search(calls) -> None:

@@ -140,8 +140,9 @@ def decompose_recorded(cases) -> tuple[list, list, list]:
     """Decompose each (t, e) of `cases` in turn and return (rows, connected,
     transports): rows holds (t, e, d, transport), with transport the (m,
     inner) that _record_transports records for d, or None; connected holds
-    ((t, e), inner) for every _decompose_connected call, components
-    included; transports is _record_transports's list."""
+    ((t, e), inner) for every _decompose_connected call, one per connected
+    input (a component is only factored); transports is _record_transports's
+    list."""
     rows, connected = [], []
     lib = D._decompose_connected
 
@@ -173,22 +174,27 @@ def decompose_the_sweep() -> tuple[dict, list, list]:
 
 
 def test_sweep_restrictions_match_reference(sweep_decompositions):
-    """Each type-gamma witness decompose builds is the first pi-stable
-    induced class that the reference search finds, and each transported
-    witness is the image of the component's under y's canonical extension,
-    as the reference image factorization builds it; each y factor passes
-    the reference type-gamma search, and each component of point 0 is the
-    reference's."""
+    """Each type-gamma witness decompose builds for a connected input, and
+    the one _decompose_connected builds for each component, is the first
+    pi-stable induced class that the reference search finds, and each
+    transported witness is the image of the component's under y's canonical
+    extension, as the reference image factorization builds it; each y
+    factor passes the reference type-gamma search, and each component of
+    point 0 is the reference's."""
     by_case, connected, transports = sweep_decompositions
+    rows = [row for rows in by_case.values() for row in rows]
     decomposed = disconnected = 0
-    for t, e, d, _ in (row for rows in by_case.values() for row in rows):
+    for t, e, d, _ in rows:
         disconnected += not E.is_connected(t)
         assert_same(E.connected_component(t), ref.connected_component(t))
         assert ref.is_type_gamma(d.y, e) is not None
         decomposed += 1
     assert decomposed > 400 and disconnected > 0 and len(transports) == disconnected
-    assert len(connected) == decomposed
-    for (t, e), inner in connected:
+    assert len(connected) == decomposed - disconnected
+    components = [
+        ((E.connected_component(t)[0], e), transport[1]) for t, e, _, transport in rows if transport
+    ]
+    for (t, e), inner in connected + components:
         y = inner.y
         h = G.subgroup(y.bitorsor.right_group, {t.theta.map[c] for c in e.gamma.members})
         w = ref.pi_induced_witness(y, h)

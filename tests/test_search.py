@@ -18,6 +18,7 @@ from bitorsor_kit import equivariant as E
 from bitorsor_kit import formats as F
 from bitorsor_kit import groups as G
 from bitorsor_kit import local_model as L
+from bitorsor_kit.errors import by_formula
 
 from conftest import cli_in_fresh_process, scrambled_trivial
 from test_bitorsors import product_map
@@ -260,20 +261,24 @@ def _pi_wedge_cases():
     return cases
 
 
+_decompose_component = D._decompose_connected
+
+
 def _record_transports(monkeypatch, work) -> list:
     """Run `work` and return (m, inner, d) for every disconnected decompose
     it makes: m is the inclusion of the component of point 0, as a morphism
-    out of the glued factors of inner, the component's decomposition, and d
-    is the transported decomposition.  m starts at inner's witness source,
-    which _decompose_connected checked equal to the glued factors, so they
-    are not glued a second time."""
+    out of the component's carrier, which is the glued factors of inner,
+    and d is the transported decomposition.  decompose builds only the
+    component's factors; inner, the component's whole decomposition, is
+    built here by _decompose_connected, as bound at import, so a test that
+    records _decompose_connected does not see it."""
     calls = []
     lib = D._transport_disconnected
 
-    def record(t, incl, inner):
-        d = lib(t, incl, inner)
-        m = E.PiMorphism(inner.witness_iso.src, E.from_theta(t), incl)
-        calls.append((m, inner, d))
+    def record(t, incl, comp, e):
+        d = lib(t, incl, comp, e)
+        m = by_formula(E.PiMorphism, E.from_theta(comp), E.from_theta(t), incl)
+        calls.append((m, _decompose_component(comp, e), d))
         return d
 
     with monkeypatch.context() as mp:
