@@ -27,6 +27,7 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    as_int,
     check_ints,
     generating_set,
     identity_hom,
@@ -280,7 +281,7 @@ def from_right_torsor(num_points: int, right_group: FiniteGroup, right_act) -> B
     the symmetries commuting with the action, Aut_G(P), the inner twist of G
     by P (Giraud 1971), tabled through point 0 (_complete_right).  The action
     law is checked on generators, freeness and transitivity at point 0."""
-    ra = tuple(tuple(map(int, row)) for row in right_act)
+    ra = check_ints(tuple(tuple(map(as_int, row)) for row in right_act), InvalidBitorsor, "right action entry")
     if len(ra) != num_points or any(len(r) != right_group.order for r in ra):
         raise InvalidBitorsor("right action table has the wrong shape")
     for x in range(num_points):

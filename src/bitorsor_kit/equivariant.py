@@ -462,7 +462,7 @@ def h1_representatives(pi: FiniteGroup, g: FiniteGroup) -> tuple[GroupHom, ...]:
     return tuple(t.theta for t in h1(pi, g))
 
 
-@lru_cache(maxsize=256)  # a decompose-sweep pass meets 120 (pi, group) pairs
+@lru_cache(maxsize=256)  # a seed-1 decompose-sweep pass meets 120 (pi, group) pairs
 def _class_maps(pi: FiniteGroup, g: FiniteGroup) -> dict[tuple[int, ...], int]:
     """Each class's canonical map, in sorted order, to its index.  Maps
     carry no labels, so neither does the key."""

@@ -10,7 +10,7 @@ memoized on its text (128), and parse_extension after pi_big on the text
 and the resolved group with its label (32); a group file is read on every
 call, and failures are not cached.  The certificate reader checks each
 distinct decoded value once per process (_checked, 4096 keys); the writer
-keeps the text of 256 record tables (_table_text) and 4096 rows (_row_text).
+writes a record table as ints, from kept texts of 256 tables and 4096 rows.
 
 Only the group layer is imported with this module: the extension,
 registry and certificate readers and writers import the calculus modules
@@ -18,7 +18,6 @@ they build."""
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import re
@@ -34,6 +33,7 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    check_ints,
     cyclic,
     cyclic_power_action,
     dihedral,
@@ -357,8 +357,8 @@ def resolver_for_groups(groups: Iterable[FiniteGroup]) -> dict[str, tuple]:
 
 
 class _Table(tuple):
-    """A table the writer took from a checked record, such as a group's
-    product table: dumps_indented writes it from a memo (_table_text)."""
+    """A checked record's rows, such as a group's product table, so its
+    entries are ints: dumps_indented writes it from a memo (_table_text)."""
 
 
 def _emit_table(rows: Sequence[Sequence[int]], order: int):
@@ -367,27 +367,15 @@ def _emit_table(rows: Sequence[Sequence[int]], order: int):
     return {"sha256": table_digest(rows)}
 
 
-def _json_rows(rows) -> tuple[tuple[int, ...], ...]:
+def _json_rows(rows, what: str) -> tuple[tuple[int, ...], ...]:
     """Rows of JSON integers, type-checked in one pass over the table; equal
     rows are one tuple, so a kept table holds each distinct row once."""
-    out = tuple(map(tuple, rows))
-    if not {int}.issuperset(map(type, itertools.chain.from_iterable(out))):
-        _json_ints(itertools.chain.from_iterable(out))  # names the first bad entry
+    out = check_ints(tuple(map(tuple, rows)), ParseError, what + " entry")
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     return tuple(seen.setdefault(r, r) for r in out)
 
 
-def _json_ints(values) -> tuple[int, ...]:
-    """Numbers read from a JSON document: only JSON integers count, not
-    floats, strings or bools, which int() would coerce."""
-    out = tuple(values)
-    if not {int}.issuperset(map(type, out)):
-        bad = next(v for v in out if type(v) is not int)
-        raise ParseError(f"expected a JSON integer, got {bad!r}")
-    return out
-
-
-def _decode_table(obj, resolver: Mapping[str, Sequence]) -> tuple[tuple[int, ...], ...]:
+def _decode_table(obj, resolver: Mapping[str, Sequence], what: str) -> tuple[tuple[int, ...], ...]:
     """Every table of a document has at most one row per element of a group,
     so one with more than MAX_ORDER rows is refused before it is read."""
     if isinstance(obj, dict):
@@ -397,7 +385,7 @@ def _decode_table(obj, resolver: Mapping[str, Sequence]) -> tuple[tuple[int, ...
         obj = resolver[key]
     if len(obj) > MAX_ORDER:
         raise ParseError(f"table has {len(obj)} rows, above the supported maximum {MAX_ORDER}")
-    return _json_rows(obj)
+    return _json_rows(obj, what)
 
 
 def dumps_indented(value) -> str:
@@ -406,13 +394,12 @@ def dumps_indented(value) -> str:
 
     With `indent` set, json.dumps falls back to its pure-Python encoder;
     this writer makes one pass instead.  A list of plain ints is joined in
-    one string operation, and a table (a list whose items are all non-empty
-    lists of plain ints) is written from its repr by two replacements, the
-    row break and the entry break.  A table the writer took from a record
-    (_Table) is written so once per process and indent (_table_text), with
-    no type check on a repeat.  An int or str value of a dict is written
-    inline; every other scalar (bools, None, floats, subclasses) goes through
-    json.dumps."""
+    one string operation; any other list or tuple is written item by item.
+    A record table (_Table), a checked record's rows, is written as ints
+    from a text kept once per process and indent (_table_text, joined from
+    the texts of its rows, _row_text), with no type check.  An int or str
+    value of a dict is written inline; every other scalar (bools, None,
+    floats, subclasses) goes through json.dumps."""
     out: list[str] = []
     _write_indented(value, "\n", out)
     return "".join(out)
@@ -427,7 +414,7 @@ def _write_indented(v, newline: str, out: list[str]) -> None:
     elif t is _Table:
         try:
             out.append(_table_text(v, newline))
-        except TypeError:  # an entry that is no int, or an unhashable row
+        except TypeError:  # an unhashable row
             _write_indented([list(r) for r in v], newline, out)
     elif isinstance(v, dict):
         if not v:
@@ -454,18 +441,6 @@ def _write_indented(v, newline: str, out: list[str]) -> None:
         if {int}.issuperset(map(type, v)):
             out.append("[" + inner + ("," + inner).join(map(int.__repr__, v)) + newline + "]")
             return
-        if (
-            t is list
-            and {*map(type, v)} == {list}
-            and all(v)
-            and {int}.issuperset(map(type, itertools.chain.from_iterable(v)))
-        ):
-            # repr gives "[[a, b], [c, d]]": its rows meet at "], [" and its
-            # entries at ", ", and no int's repr holds either
-            row = inner + "  "
-            body = repr(v)[2:-2].replace("], [", inner + "]," + inner + "[" + row)
-            out.append("[" + inner + "[" + row + body.replace(", ", "," + row) + inner + "]" + newline + "]")
-            return
         sep = "[" + inner
         for x in v:
             out.append(sep)
@@ -476,15 +451,13 @@ def _write_indented(v, newline: str, out: list[str]) -> None:
         out.append(json.dumps(v))
 
 
-@lru_cache(maxsize=256)  # a seed-1 decompose-sweep pass renders 15,661 tables, 901 distinct
+@lru_cache(maxsize=256)  # a warm seed-1 decompose-sweep pass renders 15,661 tables and misses 2,149
 def _table_text(rows: _Table, newline: str) -> str:
-    if not {int}.issuperset(map(type, itertools.chain.from_iterable(rows))):
-        raise TypeError("only a table of ints is kept: no equal table of bools is written from it")
     inner = newline + "  "
     return "[" + inner + ("," + inner).join([_row_text(r, inner) for r in rows]) + newline + "]"
 
 
-@lru_cache(maxsize=4096)  # a seed-1 decompose-sweep pass misses 2,149 tables, rendered from 1,798 rows
+@lru_cache(maxsize=4096)  # those 2,149 tables are joined from 20,146 row texts of 1,798 keys
 def _row_text(row: tuple[int, ...], newline: str) -> str:
     return "[" + newline + "  " + ("," + newline + "  ").join(map(int.__repr__, row)) + newline + "]"
 
@@ -500,8 +473,8 @@ def group_to_json(g: FiniteGroup) -> dict:
 
 def group_from_json(entry: dict, resolver: Mapping[str, Sequence] | None = None) -> FiniteGroup:
     try:
-        mul = _decode_table(entry["mul"], dict(resolver or {}))
-        gens = _json_ints(entry["generators"])
+        mul = _decode_table(entry["mul"], dict(resolver or {}), "mul")
+        gens = check_ints(tuple(entry["generators"]), ParseError, "generators", table=False)
         label = str(entry["label"])
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed group document: {exc!r}") from None
@@ -581,9 +554,6 @@ class _Reader:
         self._groups = [group_from_json(entry, self._resolver) for entry in doc["groups"]]
         self._eq = eq  # imported once per document, not once per value
 
-    def table(self, obj) -> tuple[tuple[int, ...], ...]:
-        return _decode_table(obj, self._resolver)
-
     def group(self, i) -> FiniteGroup:
         if type(i) is not int:
             raise ParseError(f"expected a JSON integer, got {i!r}")
@@ -593,24 +563,24 @@ class _Reader:
 
     def hom(self, d: dict) -> GroupHom:
         return GroupHom(
-            self.group(d["src"]), self.group(d["dst"]), _json_ints(d["map"])
+            self.group(d["src"]), self.group(d["dst"]), check_ints(tuple(d["map"]), ParseError, "map", table=False)
         )
 
     def sub(self, d: dict) -> Subgroup:
-        return subgroup(self.group(d["parent"]), _json_ints(d["members"]))
+        return subgroup(self.group(d["parent"]), check_ints(tuple(d["members"]), ParseError, "members", table=False))
 
     def bitorsor(self, d: dict) -> Bitorsor:
         lg, rg = self.group(d["left_group"]), self.group(d["right_group"])
-        la, ra = self.table(d["left_act"]), self.table(d["right_act"])
+        la, ra = (_decode_table(d[key], self._resolver, key) for key in ("left_act", "right_act"))
         return _checked(self._eq.Bitorsor.from_tables, (lg.label, rg.label), lg, rg, la, ra)
 
     def pi_group(self, d: dict) -> eq.PiGroup:
-        g, pi, rows = self.group(d["group"]), self.group(d["pi"]), _json_rows(d["action"])
+        g, pi, rows = self.group(d["group"]), self.group(d["pi"]), _json_rows(d["action"], "action")
         return _checked(self._eq.PiGroup, (g.label, pi.label), g, pi, rows)
 
     def pi_bitorsor(self, d: dict) -> eq.PiBitorsor:
         left, right = self.pi_group(d["left"]), self.pi_group(d["right"])
-        b, pa = self.bitorsor(d["bitorsor"]), self.table(d["points_action"])
+        b, pa = self.bitorsor(d["bitorsor"]), _decode_table(d["points_action"], self._resolver, "points_action")
         labels = tuple(g.label for g in (left.group, left.pi, right.group, right.pi, b.left_group, b.right_group))
         return _checked(self._eq.PiBitorsor.from_tables, labels, left, right, b, pa)
 
@@ -621,7 +591,7 @@ class _Reader:
             src.bitorsor,
             dst.bitorsor,
             self.hom(d["phi_left"]),
-            _json_ints(d["point_map"]),
+            check_ints(tuple(d["point_map"]), ParseError, "point_map", table=False),
             self.hom(d["phi_right"]),
         )
         return self._eq.PiMorphism(src, dst, inner)
@@ -684,7 +654,7 @@ def decomposition_from_json(
         big = r.group(ed["pi_big"])
         e = dv.SplitExtension(
             big,
-            subgroup(big, _json_ints(ed["gamma"])),
+            subgroup(big, check_ints(tuple(ed["gamma"]), ParseError, "gamma", table=False)),
             r.group(ed["pi_small"]),
             r.hom(ed["p"]),
             r.hom(ed["s"]),

@@ -22,8 +22,8 @@ each class at its smallest pair.  The factorization and pushed-action
 references below call these, not the library's.
 
 Completions: the torsor completions that closed permutations into a group,
-the pushed Pi-actions that conjugated whole permutations, and the wedge
-rewrites that searched right homs over unforced pools.
+the pushed Pi-actions that conjugated whole permutations, and the Pi-aware
+wedge rewrite that searched right homs over unforced pools.
 
 Classes: the classification that searched for an equivariant isomorphism
 from each class representative in turn, and the scan for the trivial class;
@@ -39,11 +39,11 @@ criterion probed through the checked constructors on top of it, and the
 plain wedge rewrite, with the records and helpers of the library they
 need.
 
-Base points: the isomorphism search that built every candidate through the
-checked constructors and filtered on the outcome, the wedge completions
-that also filtered on the composite, the trivialization through the checked
-constructor, the identity morphism assembled from its three parts, and the
-decomposition with a caller-supplied lift of the collapsed theta.
+Base points: the wedge completions that built every candidate through the
+checked constructors and filtered on the composite, the trivialization
+through the checked constructor, the identity morphism assembled from its
+three parts, and the decomposition with a caller-supplied lift of the
+collapsed theta.
 
 Lookups: the helper that kept the first candidate the checked PiMorphism
 constructor accepted, and the closure witnesses that took their
@@ -1466,23 +1466,6 @@ def pushforward_left_pi(p, phi_left, target):
     return out, E.PiMorphism(p, out, can)
 
 
-def unforced_factor_through_pushforwards(m, b1, b2):
-    src_wedge, src_index = contracted_product(b1, b2)
-    if m.src != src_wedge:
-        raise B.SignatureMismatch("morphism does not start at the glued carrier")
-    pushed2, can2r = pushforward(b2, m.phi_right)
-    phi2 = can2r.phi_left
-    pushed1, can1 = pushforward(b1, phi2)
-    pushed2l, can2 = pushforward_left(b2, phi2)
-    dst_wedge, dst_index = contracted_product(pushed1, pushed2l)
-    glued = wedge_of_morphisms(can1, can2, src_index, dst_index, src_wedge, dst_wedge)
-    right_isos = iter_isomorphisms(dst_wedge.right_group, m.dst.right_group)
-    psi = next(wedge_completions(glued, m, right_isos), None)
-    if psi is None:
-        raise InvalidMorphism("no isomorphism completes the extension rewrite")
-    return WedgeFactorization(phi2, can1, can2, dst_wedge, psi)
-
-
 def unforced_pi_factor_through_pushforwards(m, p1, p2):
     src_wedge, src_idx = contracted_product_pi(p1, p2)
     if m.src != src_wedge:
@@ -1511,37 +1494,10 @@ def unforced_pi_factor_through_pushforwards(m, p1, p2):
 
 # ------------------------------------------------------------ base points
 #
-# The isomorphism search and the wedge completions that built each
-# candidate through the checked constructors and kept those that passed, the
-# trivialization through the checked morphism constructor, and the
-# decomposition that took an optional lift of the collapsed theta.
-
-
-def bitorsor_isomorphisms(b1, b2, right_isos):
-    """Yield every isomorphism b1 -> b2 whose right hom is one of right_isos,
-    lazily: for each right hom rho in the given order, for each image y0 of
-    point 0 in point order."""
-    if b1.size != b2.size:
-        return
-    for rho in right_isos:
-        for y0 in b2.points:
-            v = [0] * b1.size
-            for g in b1.right_group.elements:
-                v[b1.right_act[0][g]] = b2.right_act[y0][rho.map[g]]
-            into = {}
-            for gp in b2.left_group.elements:
-                into[b2.left_act[gp][y0]] = gp
-            try:
-                lam = GroupHom(
-                    b1.left_group,
-                    b2.left_group,
-                    tuple(into[v[b1.left_act[gp][0]]] for gp in b1.left_group.elements),
-                )
-                m = B.BitorsorMorphism(b1, b2, lam, tuple(v), rho)
-            except DomainError:
-                continue
-            if m.is_isomorphism():
-                yield m
+# The wedge completions that built each candidate through the checked
+# constructors and kept those that passed, the trivialization through the
+# checked morphism constructor, and the decomposition that took an
+# optional lift of the collapsed theta.
 
 
 def wedge_completions(glued, m, right_isos):
@@ -2058,9 +2014,22 @@ class LoopFiniteGroup:
 
 
 def loop_make_group(mul_table: Sequence[Sequence[int]], generators: Iterable[int], label: str = "G") -> LoopFiniteGroup:
-    """Validate a raw table and package it, discovering identity and inverses."""
-    mul = tuple(tuple(int(v) for v in row) for row in mul_table)
-    return loop_finite_group(mul, tuple(int(g) for g in generators), label)
+    """Validate a raw table and package it, discovering identity and
+    inverses.  Each entry and generator is read by _loop_int."""
+    mul = tuple(tuple(_loop_int(v, MalformedTable, f"entry ({i},{j})") for j, v in enumerate(row)) for i, row in enumerate(mul_table))
+    gens = tuple(_loop_int(g, GeneratorsDoNotGenerate, f"generators[{k}]") for k, g in enumerate(generators))
+    return loop_finite_group(mul, gens, label)
+
+
+def _loop_int(v, error, where: str) -> int:
+    """v as an int when it equals its int, as a bool or 1.0 does; any other
+    value, such as 1.5, '3' or None, is refused, naming it."""
+    try:
+        if int(v) == v:
+            return int(v)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(f"{where} = {v!r} is not an int")
 
 
 def loop_finite_group(mul, generators, label: str) -> LoopFiniteGroup:

@@ -47,6 +47,13 @@ class TestConstruction:
             assert b.right_act == g.mul
         assert B.from_right_torsor(4, z4, z4.mul).left_group.is_cyclic()
 
+    def test_completion_takes_an_entry_only_when_it_equals_its_int(self, z2):
+        assert B.from_right_torsor(2, z2, ((0, 1.0), (True, 0))).right_act == z2.mul
+        for row, message in [((0, 1.5), "(0,1) = 1.5"), ((0, "1"), "(0,1) = '1'"), ((None, 1), "(0,0) = None")]:
+            with pytest.raises(B.InvalidBitorsor) as err:
+                B.from_right_torsor(2, z2, (row, (1, 0)))
+            assert str(err.value) == f"right action entry {message} is not an int"
+
     def test_completion_rejects_unfree_action(self, z2):
         with pytest.raises(DomainError):
             B.from_right_torsor(2, z2, ((0, 0), (1, 1)))

@@ -455,6 +455,52 @@ class TestVerifyNegatives:
         assert not res
         assert res.diagnosis == "h_prime is not the image of gamma under theta"
 
+    @staticmethod
+    def _input_after_its_own_gluing(t):
+        """x = from_theta(t) as the factor z, after y = x glued with its
+        inverse, with the witness isomorphism of the wedge onto x."""
+        x = E.from_theta(t)
+        y = E.compose_pi(x, E.inverse_pi(x))
+        iso = E.pi_isomorphism(E.compose_pi(y, x), x)
+        assert iso is not None
+        return y, x, iso
+
+    def test_a_factor_moved_by_gamma_is_not_of_type_pi(self, ext_s3, d_s3):
+        """theta_s3 is onto and moves gamma, so the input is no factor of
+        type pi: as z it glues and connects, and fails the type check."""
+        t, d = d_s3
+        y, z, iso = self._input_after_its_own_gluing(t)
+        res = D.verify_decomposition(t, replace(d, y=y, z=z, witness_iso=iso), ext_s3)
+        assert not res
+        assert res.diagnosis == "z factor is not of type pi"
+
+    def test_a_witness_morphism_that_collapses_points_is_not_injective(self, ext_s3, z2):
+        """Over the trivial group, y has one point, so a two-point carrier
+        over C2 maps into it equivariantly, with every point sent to 0."""
+        t = E.h1(ext_s3.pi_big, G.cyclic(1))[0]
+        d = D.decompose(t, ext_s3)
+        w = E.from_theta(translation_carrier(z2, trivial_theta(ext_s3.pi_big, z2)))
+        y = d.y.bitorsor
+        collapse = B.BitorsorMorphism(
+            w.bitorsor, y, trivial_theta(z2, y.left_group), (0, 0), trivial_theta(z2, y.right_group)
+        )
+        res = self._tampered(t, d, ext_s3, w_witness=w, w_inclusion=E.PiMorphism(w, d.y, collapse))
+        assert not res
+        assert res.diagnosis == "stored witness morphism is not injective"
+
+    def test_a_gamma_surjection_onto_a_fixed_group_breaks_the_conjugation_action(self, ext_s3, z3):
+        """With theta trivial into C3, pi fixes the input's left group C3,
+        while the reflections of pi_big invert gamma: an isomorphism of
+        gamma onto that group is onto and not equivariant."""
+        t = translation_carrier(z3, trivial_theta(ext_s3.pi_big, z3))
+        d = D.decompose(t, ext_s3)
+        y, z, iso = self._input_after_its_own_gluing(t)
+        gs = G.isomorphisms_between(D.gamma_conjugation_structure(ext_s3).group, z3)[0]
+        cert = replace(d.certificate, w_witness=y, w_inclusion=E.pi_identity_morphism(y), gamma_surjection=gs)
+        res = D.verify_decomposition(t, replace(d, y=y, z=z, witness_iso=iso, certificate=cert), ext_s3)
+        assert not res
+        assert res.diagnosis == "gamma surjection breaks the conjugation action"
+
 
 class TestImageLemmas:
     def test_gamma_factor_image_stays_gamma(self, ext_z6, d_z6, z6):

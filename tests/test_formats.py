@@ -284,6 +284,36 @@ class TestCertificateJson:
         with pytest.raises(DomainError):
             F.decomposition_from_json(doc)
 
+    # Each kind of integer list in a certificate, by its key: the path to
+    # one list of it, a table's row 1 for a table.
+    INT_LISTS = {
+        "mul": ("groups", 0, "mul", 1),
+        "generators": ("groups", 0, "generators"),
+        "left_act": ("input", "bitorsor", "left_act", 1),
+        "right_act": ("input", "bitorsor", "right_act", 1),
+        "action": ("decomposition", "y", "left", "action", 1),
+        "points_action": ("decomposition", "y", "points_action", 1),
+        "map": ("input", "theta", "map"),
+        "members": ("decomposition", "certificate", "h_prime", "members"),
+        "point_map": ("decomposition", "witness_iso", "point_map"),
+        "gamma": ("extension", "gamma"),
+    }
+
+    @pytest.mark.parametrize("key", list(INT_LISTS))
+    def test_a_float_in_any_integer_list_is_a_parse_error(self, s3_certificate, key):
+        """An entry written as the float equal to it is refused while the
+        document is read, naming the list and the entry's position."""
+        doc = json.loads(F.dumps_indented(F.decomposition_to_json(*s3_certificate)))
+        row = doc
+        for step in self.INT_LISTS[key]:
+            row = row[step]
+        j = len(row) - 1
+        row[j] = float(row[j])
+        where = f"{key} entry (1,{j})" if key in ("mul", "left_act", "right_act", "action", "points_action") else f"{key}[{j}]"
+        with pytest.raises(F.ParseError) as err:
+            F.decomposition_from_json(doc)
+        assert str(err.value) == f"{where} = {row[j]!r} is not an int"
+
     def test_repeated_sub_documents_are_built_once_per_process(self, s3_certificate):
         t, e, d = s3_certificate
         doc = json.loads(json.dumps(F.decomposition_to_json(t, e, d)))
@@ -420,9 +450,9 @@ class TestIndentedWriter:
     @settings(max_examples=200, deadline=None)
     @given(table=tables(), depth=st.integers(0, 3))
     def test_tables_match_json_dumps(self, table, depth):
-        """A table is written from its repr; a near miss takes the general
-        path.  The same table object sits at two depths, and inside a list
-        of tables (three levels of lists)."""
+        """A plain table and its near misses are written item by item.  The
+        same table object sits at two depths, and inside a list of tables
+        (three levels of lists)."""
         assert F.dumps_indented(table) == json.dumps(table, indent=2, sort_keys=True)
         value = [table, [table]]
         for _ in range(depth):
@@ -490,18 +520,19 @@ class TestIndentedWriter:
             assert F.dumps_indented(value) == json.dumps(value, indent=2, sort_keys=True)
         assert "true" in F.dumps_indented([[0, True], [True, 0]])
 
-    def test_a_record_table_of_bools_is_not_kept(self):
-        """A record table holding True for 1 (no checked constructor takes
-        one, so it is built directly) is written with true, as json.dumps
-        writes it, and is not kept, so an equal table of ints written next
-        is written with 1."""
+    def test_a_record_table_writes_one_text_whether_or_not_an_equal_one_is_kept(self):
+        """A record table is a checked record's rows, so it is written as
+        ints: one holding True for 1 (built directly, as no checked
+        constructor takes one) writes the text of its equal table of ints,
+        before that table is kept, from the kept table, and from kept rows."""
+        ints = F._emit_table(((0, 1), (1, 0)), 2)
+        text = json.dumps(ints, indent=2, sort_keys=True)
         F._table_text.cache_clear()
-        bools, ints = F._Table(((0, 1), (True, 0))), F._emit_table(((0, 1), (1, 0)), 2)
-        assert "true" in F.dumps_indented(bools)
-        for value in (bools, ints):
-            assert F.dumps_indented(value) == json.dumps(value, indent=2, sort_keys=True)
-        F._table_text.cache_clear()  # (1, 0)'s row text is kept; a row of bools is never read from it
-        assert "true" in F.dumps_indented(bools)
+        F._row_text.cache_clear()
+        for value in (F._Table(((0, 1), (True, 0))), ints, F._Table(((0, True), (True, 0)))):
+            assert F.dumps_indented(value) == text
+        F._table_text.cache_clear()  # the rows' texts stay kept
+        assert F.dumps_indented(F._Table(((0, True), (1, 0)))) == text
 
     def test_certificate_bytes(self, s3_certificate):
         doc = F.decomposition_to_json(*s3_certificate)

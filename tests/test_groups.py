@@ -72,7 +72,7 @@ class TestMakeGroup:
     def test_an_entry_that_is_no_int_is_malformed(self, monkeypatch, full):
         """A bool or a float equals an int and passes a range check, so the
         checked constructor checks the types first and names the first bad
-        entry; make_group still converts every entry with int()."""
+        entry; make_group converts an entry that equals its int."""
         monkeypatch.setattr(errors, "FULL_CHECK", full)
         for table, message in [
             (((0, True), (True, 0)), "entry (0,1) = True is not an int"),
@@ -83,6 +83,19 @@ class TestMakeGroup:
                 G.FiniteGroup(table, (1,), "X")
             assert str(err.value) == message
         assert G.make_group(((0, True), (1.0, 0)), (True,)).mul == ((0, 1), (1, 0))
+
+    def test_make_group_takes_a_value_only_when_it_equals_its_int(self):
+        """int() would read 1.5 as 1 and '1' as 1, and fail on None with a
+        bare TypeError; make_group names the entry."""
+        for table, gens, error, message in [
+            ([[0, 1.5], [1.5, 0]], [1], G.MalformedTable, "entry (0,1) = 1.5 is not an int"),
+            ([[0, "1"], [1, 0]], [1], G.MalformedTable, "entry (0,1) = '1' is not an int"),
+            ([[0, 1], [1, None]], [1], G.MalformedTable, "entry (1,1) = None is not an int"),
+            ([[0, 1], [1, 0]], [1.5], G.GeneratorsDoNotGenerate, "generators[0] = 1.5 is not an int"),
+        ]:
+            with pytest.raises(error) as err:
+                G.make_group(table, gens)
+            assert str(err.value) == message
 
     def test_each_table_is_range_checked_once(self, monkeypatch):
         calls, table, check = [], G.cyclic(7).mul, G._check_square
@@ -163,7 +176,7 @@ class TestSubgroupsQuotients:
             h for h in G.enumerate_homs(s3, z2) if h.is_surjective()
         )
         ker = G.kernel(sign)
-        assert ker.order == 3 and ker.is_normal
+        assert len(ker.members) == 3 and ker.is_normal
         assert G.image(sign).members == (0, 1)
 
     @pytest.mark.parametrize("full", [False, True], ids=["default mode", "full-check mode"])
@@ -210,8 +223,18 @@ class TestSubgroupsQuotients:
         assert len(G.all_subgroups(d4)) == 10
         assert len(G.all_subgroups(z6)) == 4
 
+    def test_subgroup_takes_a_member_only_when_it_equals_its_int(self, z4):
+        assert G.subgroup(z4, [False, 2.0, 2]).members == (0, 2)
+        for members, message in [([0, 2.7], "members[1] = 2.7 is not an int"),
+                                 (["2", 0], "members[0] = '2' is not an int"),
+                                 ([0, None], "members[1] = None is not an int")]:
+            for build in (G.subgroup, G.subgroup_as_group):
+                with pytest.raises(G.NotASubgroup) as err:
+                    build(z4, members)
+                assert str(err.value) == message
+
     def test_subgroup_as_group(self, s3):
-        a3 = next(s for s in G.all_subgroups(s3) if s.order == 3)
+        a3 = next(s for s in G.all_subgroups(s3) if len(s.members) == 3)
         sub, incl = G.subgroup_as_group(s3, a3.members)
         assert sub.order == 3 and sub.is_cyclic()
         assert incl.is_injective()

@@ -312,6 +312,54 @@ def test_the_survey_ladder_derives_no_table():
     assert doc["derived"] == []
 
 
+_NUMBERING = "coords must number the points by the right group, 0 at its identity"
+_ONE_PER_SYMMETRY = "the cocycle needs one right group element per symmetry"
+
+
+def _pointed(z2, z3, kind: str, data):
+    """A pointed carrier of z3 built from `data` (coords and u), or a
+    Pi-carrier of the trivial carrier of z3 over z2 with right structure
+    constant and `data` as (left action rows, cocycle)."""
+    if kind == "bitorsor":
+        return B.Bitorsor(z3, z3, *data)
+    rows, cocycle = data
+    return E.PiBitorsor(E.PiGroup(z3, z2, rows), E.constant_pi_group(z2, z3), B.trivial_bitorsor(z3), cocycle)
+
+
+_FIXED, _INVERTED = ((0, 1, 2), (0, 1, 2)), ((0, 1, 2), (0, 2, 1))
+
+
+# Each refusal of the pointed validators: (kind, data, error, message).
+POINTED_REFUSALS = {
+    "coords repeat a point": ("bitorsor", ((0, 1, 1), (0, 1, 2)), B.InvalidBitorsor, _NUMBERING),
+    "coords put 0 off the identity": ("bitorsor", ((1, 0, 2), (0, 1, 2)), B.InvalidBitorsor, _NUMBERING),
+    "u is not bijective": ("bitorsor", ((0, 1, 2), (0, 0, 0)), B.InvalidBitorsor, "u must be an isomorphism"),
+    "cocycle too short": ("pi", (_FIXED, (0,)), E.EquivariantError, _ONE_PER_SYMMETRY),
+    "cocycle out of range": ("pi", (_FIXED, (0, 3)), E.EquivariantError, _ONE_PER_SYMMETRY),
+    "cocycle moves 0 at the identity": ("pi", (_FIXED, (1, 0)), G.NotAnAction, "identity symmetry moves point 0"),
+    "cocycle breaks its law": ("pi", (_FIXED, (0, 1)), G.NotAnAction, "cocycle law breaks at (1,1)"),
+    "left action is incompatible": (
+        "pi", (_INVERTED, (0, 0)), E.EquivariantError, "left compatibility fails at (1,1)"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(POINTED_REFUSALS))
+def test_a_pointed_validator_refuses(z2, z3, name):
+    """Each check of Bitorsor's and PiBitorsor's own validators refuses
+    data that passes every check before it, with its own error."""
+    kind, data, error, message = POINTED_REFUSALS[name]
+    with pytest.raises(error) as err:
+        _pointed(z2, z3, kind, data)
+    assert type(err.value) is error and str(err.value) == message
+
+
+def test_the_pointed_validators_accept_the_repaired_data(z2, z3):
+    """The data each refusal tampers with, repaired, is accepted."""
+    assert _pointed(z2, z3, "bitorsor", ((0, 1, 2), (0, 2, 1))).right_act == z3.mul
+    assert _pointed(z2, z3, "pi", (_FIXED, (0, 0))).pi_action_on_points == (z3.mul[0],) * 2
+
+
 def test_trivial_carrier_reuses_the_product_table():
     """Both tables trivial_bitorsor derives are the group's own table."""
     for g in (G.dihedral(100), *RELABELLED):

@@ -32,6 +32,7 @@ def load(name: str):
             ["--pi", "cyclic:2", "--universe", "cyclic:2", "--max-n", "2"],
             "searched and fixed-point closures agree on every registry",
         ),
+        ("memo_traffic", ["--workload", "survey-ladder"], "two passes of 7 commands, each exit 0"),
     ],
 )
 def test_script_runs_on_a_tiny_input(capsys, name, argv, last_line):
